@@ -13,8 +13,7 @@ from fractions import Fraction
 
 from . import linalg
 from .bsroots import RootSet
-from .graded import (STANDARD, graded_dimension, h0_degree_data,
-                     regularity_report)
+from .graded import STANDARD, graded_dimension, regularity_report
 from .groebner import MonomialOrder, buchberger
 from .milnor import der_log0_graded_dimension, jacobian_ideal, milnor_profile
 from .polyring import (Bs3Error, Polynomial, PreconditionError, parse_polynomial)
@@ -108,11 +107,14 @@ class SingularPoint:
 
 
 class ConditionReport:
+    """The six condition flags, their witness dimensions, and the H0
+    degree data of the Jacobian ideal they were read from."""
+
     __slots__ = ("cond_b", "cond_c", "cond_d", "cond_e", "cond_f", "cond_g",
-                 "witness_dims", "consistent")
+                 "witness_dims", "h0", "consistent")
 
     def __init__(self, cond_b, cond_c, cond_d, cond_e, cond_f, cond_g,
-                 witness_dims):
+                 witness_dims, h0):
         self.cond_b = cond_b
         self.cond_c = cond_c
         self.cond_d = cond_d
@@ -120,6 +122,7 @@ class ConditionReport:
         self.cond_f = cond_f
         self.cond_g = cond_g
         self.witness_dims = witness_dims
+        self.h0 = h0
         flags = (cond_b, cond_c, cond_d, cond_e, cond_f, cond_g)
         self.consistent = len(set(flags)) == 1
 
@@ -290,8 +293,8 @@ def condition_report(arr, step_cap=None):
     f = arr.defining_polynomial()
     jac = jacobian_ideal(f)
     gb = buchberger(jac, MonomialOrder.grevlex(3), step_cap)
-    h0 = h0_degree_data(jac, STANDARD, step_cap)
     reg = regularity_report(jac, step_cap)
+    h0 = reg.h0
     if reg.sheaf_dim_e is None:
         raise PreconditionError("no stabilized section dimension; "
                                 "arrangement pipeline requires one")
@@ -325,7 +328,7 @@ def condition_report(arr, step_cap=None):
         "regularity_target": 2 * d - 5,
     }
     return ConditionReport(cond_b, cond_c, cond_d, cond_e, cond_f, cond_g,
-                           witness)
+                           witness, h0)
 
 
 def full_root_report(arr, step_cap=None):

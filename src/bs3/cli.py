@@ -8,7 +8,9 @@ Subcommands:
 Reports are emitted as deterministic text (default) or JSON mirroring the
 same fields; rationals print as reduced p/q strings.  Exit codes: 0 success,
 1 parse or usage error, 2 mathematical precondition violated, 3 resource
-limit exceeded.
+limit exceeded, 4 internal error (the package caught an inconsistency in
+its own results, such as a failed saturation certificate or disagreeing
+arrangement conditions).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from . import arrangement as arr_mod
 from . import bsroots, milnor
 from .groebner import ResourceLimitError
 from .milnor import INFINITE
-from .polyring import (ParseError, PreconditionError, WeightSystem,
+from .polyring import (Bs3Error, ParseError, PreconditionError, WeightSystem,
                        format_rational, parse_polynomial)
 
 GENERAL_ASSERTIONS = [
@@ -180,14 +182,13 @@ def cmd_arrangement(args):
     forms = [s for s in args.forms.split(",")]
     arr = arr_mod.validate(forms)
     rep = arr_mod.full_root_report(arr, args.step_cap)
-    prof = arr_mod.arrangement_profile(arr, args.step_cap)
     report = {
         "command": "arrangement",
         "forms": [str(f) for f in arr.forms],
         "degree": arr.degree,
         "weights": "1,1,1",
         "singular_points": [_point_str(sp) for sp in rep.singular_points],
-        "h0": _degree_table(prof.h0),
+        "h0": _degree_table(rep.conditions.h0),
         "comb_roots": _roots(rep.comb_roots),
         "non_comb_root": format_rational(rep.non_comb_root),
         "non_comb_present": rep.non_comb_present,
@@ -195,7 +196,7 @@ def cmd_arrangement(args):
         "conditions": rep.conditions.flags(),
         "conditions_consistent": rep.conditions.consistent,
         "witness_dims": dict(rep.conditions.witness_dims),
-        "formal": arr_mod.is_formal(arr),
+        "formal": not rep.conditions.cond_g,
         "assertions": list(ARRANGEMENT_ASSERTIONS),
     }
     return report
@@ -251,6 +252,9 @@ def main(argv=None):
     except PreconditionError as exc:
         print("precondition violated: %s" % exc, file=sys.stderr)
         return 2
+    except Bs3Error as exc:
+        print("internal error: %s" % exc, file=sys.stderr)
+        return 4
     report["timing_ms"] = int((time.monotonic() - started) * 1000)
     if args.format == "json":
         print(json.dumps(report, indent=2))

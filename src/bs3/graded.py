@@ -53,15 +53,17 @@ class DegreeData:
 
 
 class RegularityReport:
-    """Castelnuovo-Mumford data for R/I read off H0 and H1 degree ranges."""
+    """Castelnuovo-Mumford data for R/I read off H0 and H1 degree ranges,
+    with the H0 degree data it was read from."""
 
-    __slots__ = ("h0_max", "h1_max", "regularity", "sheaf_dim_e")
+    __slots__ = ("h0_max", "h1_max", "regularity", "sheaf_dim_e", "h0")
 
-    def __init__(self, h0_max, h1_max, regularity, sheaf_dim_e):
+    def __init__(self, h0_max, h1_max, regularity, sheaf_dim_e, h0):
         self.h0_max = h0_max
         self.h1_max = h1_max
         self.regularity = regularity
         self.sheaf_dim_e = sheaf_dim_e
+        self.h0 = h0
 
     def __repr__(self):
         return ("RegularityReport(h0_max=%s, h1_max=%s, regularity=%s, "
@@ -261,7 +263,7 @@ def regularity_report(I, step_cap=None):
         principal_line = (h0.is_empty() and len(I.generators) == 1
                           and I.generators[0].total_degree() == 1)
         if principal_line:
-            return RegularityReport(None, None, 0, None)
+            return RegularityReport(None, None, 0, None, h0)
         raise PreconditionError("Hilbert function of R/I^sat is not constant "
                                 "in the test window; regularity formula "
                                 "needs dim R/I <= 1")
@@ -280,4 +282,4 @@ def regularity_report(I, step_cap=None):
     if h1_max is not None:
         parts.append(h1_max + 1)
     reg = max(parts) if parts else Fraction(0)
-    return RegularityReport(h0_max, h1_max, int(reg), e)
+    return RegularityReport(h0_max, h1_max, int(reg), e, h0)

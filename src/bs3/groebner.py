@@ -6,10 +6,26 @@ arithmetic happens in inner loops.  Final bases are converted back to monic
 rational polynomials and fully interreduced, giving the unique reduced
 Groebner basis for the chosen order.
 
-The irrelevant-ideal saturation uses a fast path (saturate by one generic
-linear form via the last-variable trick for graded reverse lex) whose result
-is certified exactly before being returned; on certification failure it falls
-back to intersecting the three single-variable saturations.
+Saturation by the irrelevant ideal m = (x, y, z) takes one of three routes,
+each resting on a proof rather than a trial:
+
+* Artinian: when positive weights make I homogeneous and its grevlex basis
+  has a pure power of every variable, R/I has finite length, so I is
+  m-primary and I : m^infinity = (1).
+* standard-homogeneous with dim R/I = 1, read off the Hilbert function of
+  R/in(I), which is the Hilbert polynomial from deg lcm(in I) - 2 on: that
+  polynomial is a constant e bounding the number of points of V(I) in P^2.
+  Each point lies on at most two lines z + c*x + c^2*y = 0, so some c <= 2e
+  gives a line missing V(I), found by checking that the generators
+  restricted to the line have no common root on P^1.  Such a linear form
+  is a nonzerodivisor on R/I^sat, so I^sat = I : l^infinity, which one basis
+  in coordinates where l is the last variable gives by dividing out l
+  (Bayer-Stillman).  The result J contains I^sat, so J = I^sat iff R/J and
+  R/I have the same Hilbert polynomial; that is checked on the leading
+  monomials, and a mismatch is an internal error.
+* anything else (non-standard weights with dim R/I >= 1, or dim R/I = 2):
+  the reference route, the intersection of the three single-variable
+  saturations I : x_i^infinity by elimination.
 """
 
 from __future__ import annotations
@@ -178,6 +194,11 @@ def _to_int_poly(p, order):
     for c in p.terms.values():
         denom = denom * c.denominator // gcd(denom, c.denominator)
     d = {m: c.numerator * (denom // c.denominator) for m, c in p.terms.items()}
+    return _int_triple(d, order)
+
+
+def _int_triple(d, order):
+    """Nonzero int dict -> (lead mono, lead coeff > 0, primitive dict)."""
     d = _strip_content(d)
     lm = max(d, key=order.key)
     if d[lm] < 0:
@@ -296,14 +317,11 @@ def _nf_fraction(p, basis, order, budget):
 # -- Buchberger --------------------------------------------------------------
 
 
-def _buchberger_int(gens, order, budget):
-    """Core loop; returns the final list of (lm, lc, dict) triples."""
+def _buchberger_int(triples, order, budget):
+    """Core loop on (lm, lc, dict) triples; returns the final list of
+    triples, a Groebner basis that is neither minimal nor reduced."""
     key = order.key
-    basis = []
-    for g in gens:
-        if g.is_zero():
-            continue
-        basis.append(_to_int_poly(g, order))
+    basis = list(triples)
     if not basis:
         return []
 
@@ -363,20 +381,15 @@ def buchberger(ideal, order=None, step_cap=None):
 def _buchberger_cached(ideal, order, step_cap):
     budget = _Budget(step_cap)
     return _finish_basis(
-        _buchberger_int(ideal.generators, order, budget),
+        _buchberger_int([_to_int_poly(g, order) for g in ideal.generators],
+                        order, budget),
         order, ideal.variable_count, budget)
 
 
 def _finish_basis(raw, order, n, budget):
     """Minimalize, make monic, fully interreduce, sort.  Returns the
     unique reduced Groebner basis."""
-    key = order.key
-    raw = sorted(raw, key=lambda b: key(b[0]))
-    kept = []
-    for b in raw:
-        if any(mono_divides(kb[0], b[0]) for kb in kept):
-            continue
-        kept.append(b)
+    kept = _minimal(raw, order)
     polys = [_from_int_poly(b[2], n, monic_order=order) for b in kept]
     lms = [b[0] for b in kept]
     for i in range(len(polys)):
@@ -388,18 +401,20 @@ def _finish_basis(raw, order, n, budget):
     return GroebnerBasis(order, polys)
 
 
+def _minimal(triples, order):
+    """The triples, smallest leading monomial first, without those whose
+    leading monomial an earlier one divides."""
+    kept = []
+    for b in sorted(triples, key=lambda b: order.key(b[0])):
+        if not any(mono_divides(k[0], b[0]) for k in kept):
+            kept.append(b)
+    return kept
+
+
 def normal_form(p, gb, step_cap=None):
     """Unique remainder of p modulo a reduced Groebner basis."""
     pairs = [(b[0], e) for b, e in zip(gb._int_basis, gb.elements)]
     return _nf_fraction(p, pairs, gb.order, _Budget(step_cap))
-
-
-def _member(p, gb, budget):
-    """Ideal membership test against a Groebner basis, integer arithmetic."""
-    if p.is_zero():
-        return True
-    _, _, d = _to_int_poly(p, gb.order)
-    return not _head_reduce(d, gb._int_basis, gb.order, budget)
 
 
 # -- elimination and derived operations --------------------------------------
@@ -476,60 +491,211 @@ def _is_standard_homogeneous(ideal):
     return True
 
 
-def _substitute_last(p, c1, c2):
-    """Replace z by z + c1*x + c2*y (three-variable polynomials)."""
-    if c1 == 0 and c2 == 0:
-        return p
-    n = p.variable_count
-    x = Polynomial.variable(0, n)
-    y = Polynomial.variable(1, n)
-    z = Polynomial.variable(2, n)
-    newz = z + x * c1 + y * c2
-    powers = {0: Polynomial.constant(1, n)}
-    maxe = max((m[2] for m in p.terms), default=0)
-    for e in range(1, maxe + 1):
-        powers[e] = powers[e - 1] * newz
-    out = Polynomial.zero(n)
-    for m, c in p.terms.items():
-        mono = Polynomial({(m[0], m[1], 0): c}, n)
-        out = out + mono * powers[m[2]]
-    return out
+def _positively_graded(ideal):
+    """Some positive weights make every generator homogeneous.
+
+    The weights must be orthogonal to every exponent difference inside a
+    generator.  If the differences span a line through u, a positive
+    vector orthogonal to u exists iff u has entries of both signs; if they
+    span a plane, its normal line must meet the positive orthant; if they
+    span everything, no weights fit.
+    """
+    diffs = []
+    for g in ideal.generators:
+        first = next(iter(g.terms))
+        diffs.extend(tuple(i - j for i, j in zip(m, first))
+                     for m in g.terms if m != first)
+    if not diffs:
+        return True
+    u = diffs[0]
+    normal = next((v for v in (_cross(u, w) for w in diffs) if any(v)), None)
+    if normal is None:
+        return min(u) < 0 < max(u)
+    if any(sum(a * b for a, b in zip(normal, w)) for w in diffs):
+        return False
+    return min(normal) > 0 or max(normal) < 0
 
 
-def _divide_out_z(p):
-    """Divide by the largest power of the last variable dividing p."""
-    k = min(m[2] for m in p.terms)
+def _cross(a, b):
+    return (a[1] * b[2] - a[2] * b[1],
+            a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0])
+
+
+def _is_artinian(lead_monomials):
+    """A power of every variable (or 1) among the leading monomials."""
+    return all(any(sum(m) == m[i] for m in lead_monomials) for i in range(3))
+
+
+def _hilbert_start(lead_monomials):
+    """A degree from which dim (R/M)_t is the Hilbert polynomial of R/M.
+
+    The Taylor resolution puts every syzygy of the monomial ideal M in a
+    degree at most deg lcm(M), so the Hilbert series is K(t)/(1-t)^3 with
+    deg K <= deg lcm(M), and in three variables that makes the Hilbert
+    function polynomial from deg lcm(M) - 2 on.
+    """
+    top = sum(max(m[i] for m in lead_monomials) for i in range(3))
+    return max(top - 2, 0)
+
+
+def _hilbert_function(lead_monomials, degrees):
+    """dim (R/M)_t for each t in degrees, M generated by the monomials.
+
+    x^a y^b z^c is outside M iff c is below low(a, b), the least
+    z-exponent of a generator dividing x^a y^b in x and y; low is a
+    staircase, constant once a and b pass the largest x and y exponents.
+    """
+    P = max(m[0] for m in lead_monomials)
+    Q = max(m[1] for m in lead_monomials)
+    unbounded = max(degrees) + 1
+    low = [[unbounded] * (Q + 1) for _ in range(P + 1)]
+    for a, b, c in lead_monomials:
+        low[a][b] = min(low[a][b], c)
+    for a in range(P + 1):
+        for b in range(Q + 1):
+            if a:
+                low[a][b] = min(low[a][b], low[a - 1][b])
+            if b:
+                low[a][b] = min(low[a][b], low[a][b - 1])
+    values = []
+    for t in degrees:
+        count = 0
+        for a in range(t + 1):
+            row = low[min(a, P)]
+            count += sum(1 for b in range(t - a + 1)
+                         if t - a - b < row[min(b, Q)])
+        values.append(count)
+    return values
+
+
+def _same_hilbert_polynomial(lms_a, lms_b):
+    """R/(lms_a) and R/(lms_b) have the same Hilbert polynomial: it has
+    degree at most two, so three values past both starts decide."""
+    t = max(_hilbert_start(lms_a), _hilbert_start(lms_b))
+    degrees = (t, t + 1, t + 2)
+    return (_hilbert_function(lms_a, degrees)
+            == _hilbert_function(lms_b, degrees))
+
+
+def _shift_last(d, a, b):
+    """p(x, y, z + a*x + b*y) for an integer coefficient dict p."""
+    powers = [{(0, 0, 0): 1}]
+    for _ in range(max(m[2] for m in d)):
+        nxt = {}
+        for (i, j, k), v in powers[-1].items():
+            for m, w in (((i, j, k + 1), v), ((i + 1, j, k), a * v),
+                         ((i, j + 1, k), b * v)):
+                if w:
+                    nxt[m] = nxt.get(m, 0) + w
+        powers.append(nxt)
+    out = {}
+    for (i, j, k), v in d.items():
+        for (p, q, r), w in powers[k].items():
+            m = (i + p, j + q, r)
+            out[m] = out.get(m, 0) + v * w
+    return {m: v for m, v in out.items() if v}
+
+
+def _move_line(ideal, c):
+    """The generators, as triples, in coordinates where the line
+    z + c*x + c^2*y is the last variable: g(x, y, z - c*x - c^2*y)."""
+    order = MonomialOrder.grevlex(3)
+    return [_int_triple(_shift_last(_to_int_poly(g, order)[2], -c, -c * c),
+                        order) for g in ideal.generators]
+
+
+def _univariate_gcd(f, g):
+    """A gcd over Q of two integer coefficient lists (lowest first, no
+    trailing zero), by Euclid on primitive pseudo-remainders."""
+    while g:
+        f = list(f)
+        while len(f) >= len(g):
+            a, b = g[-1], f[-1]
+            shift = len(f) - len(g)
+            f = [a * v for v in f]
+            for i, v in enumerate(g):
+                f[shift + i] -= b * v
+            while f and f[-1] == 0:
+                f.pop()
+        content = 0
+        for v in f:
+            content = gcd(content, v)
+        if content > 1:
+            f = [v // content for v in f]
+        f, g = g, f
+    return f
+
+
+def _line_misses(ideal, c):
+    """The line z + c*x + c^2*y = 0 misses V(I) in P^2, for I
+    standard-homogeneous.  Moved to z = 0, the generators restrict to
+    binary forms g(x, y, 0) that must have no common zero: neither at
+    (1:0), where each would drop below its degree, nor in the chart
+    y = 1, where their gcd would be nonconstant."""
+    common, full = [], False
+    for lm, _, d in _move_line(ideal, c):
+        form = [0] * (sum(lm) + 1)
+        for (a, _, k), v in d.items():
+            if k == 0:
+                form[a] = v
+        full = full or form[-1] != 0
+        while form and form[-1] == 0:
+            form.pop()
+        common = _univariate_gcd(common, form)
+    return full and len(common) == 1
+
+
+def _avoiding_line(ideal, e):
+    """Least c >= 0 whose line z + c*x + c^2*y = 0 misses V(I), for
+    standard-homogeneous I whose Hilbert polynomial is the constant e.
+
+    V(I) has at most e points, and a point p lies on the line for the
+    roots c of p_z + c*p_x + c^2*p_y only, at most two, so one of
+    c = 0, ..., 2e passes.
+    """
+    for c in range(2 * e + 1):
+        if _line_misses(ideal, c):
+            return c
+    raise Bs3Error("internal: no line z + c*x + c^2*y = 0 with c <= %d "
+                   "misses a zero set of at most %d points" % (2 * e, e))
+
+
+def _divide_out_last(triple):
+    """Divide by the largest power of z dividing the polynomial; for a
+    grevlex basis element that is the power of z in its leading term."""
+    lm, lc, d = triple
+    k = lm[2]
     if k == 0:
-        return p
-    return Polynomial({(m[0], m[1], m[2] - k): c for m, c in p.terms.items()},
-                      p.variable_count)
+        return triple
+    return ((lm[0], lm[1], 0), lc,
+            {(m[0], m[1], m[2] - k): v for m, v in d.items()})
 
 
-def _certify_saturation(candidates, gb_I, budget, kcap):
-    """Check every candidate is sent into the ideal by a power of each
-    variable; by pigeonhole this certifies membership in I : m^infinity."""
-    n = 3
-    for g in candidates:
-        for v in range(n):
-            xv = Polynomial.variable(v, n)
-            p = g
-            ok = False
-            for _ in range(kcap):
-                if _member(p, gb_I, budget):
-                    ok = True
-                    break
-                p = p * xv
-            if not ok and not _member(p, gb_I, budget):
-                return False
-    return True
+def _saturate_by_line(ideal, c, gb, budget):
+    """Reduced grevlex basis of I : l^infinity, l = z + c*x + c^2*y, for
+    standard-homogeneous I with reduced grevlex basis gb.
 
-
-_GENERIC_SHIFTS = ((0, 0), (1, 2), (2, 3), (3, 5), (5, 8))
+    In coordinates where l is the last variable, dividing every element of
+    a grevlex basis of I by its largest power of l gives a grevlex basis of
+    the colon (Bayer-Stillman).
+    """
+    order = MonomialOrder.grevlex(3)
+    if c == 0:
+        raw = [_divide_out_last(b) for b in gb._int_basis]
+    else:
+        divided = [_divide_out_last(b) for b in
+                   _buchberger_int(_move_line(ideal, c), order, budget)]
+        raw = _buchberger_int(
+            [_int_triple(_shift_last(b[2], c, c * c), order)
+             for b in _minimal(divided, order)], order, budget)
+    return _finish_basis(raw, order, 3, budget)
 
 
 def saturate_irrelevant(ideal, step_cap=None):
-    """I : (x, y, z)^infinity, equal to the intersection of the three
-    single-variable saturations I : x_i^infinity.  Memoized like buchberger."""
+    """I : (x, y, z)^infinity as the reduced grevlex basis of the
+    saturation, by the route the module docstring describes.  Memoized
+    like buchberger."""
     n = ideal.variable_count
     if n != 3:
         raise PreconditionError("irrelevant-ideal saturation needs 3 variables")
@@ -541,38 +707,24 @@ def saturate_irrelevant(ideal, step_cap=None):
 @lru_cache(maxsize=32)
 def _saturate_cached(ideal, step_cap):
     n = ideal.variable_count
-    budget = _Budget(step_cap)
+    order = MonomialOrder.grevlex(n)
+    gb = buchberger(ideal, order, step_cap)
+    lms = gb.leading_monomials
+    if _is_artinian(lms) and _positively_graded(ideal):
+        return Ideal((Polynomial.constant(1, n),))
     if _is_standard_homogeneous(ideal):
-        result = _saturate_fast(ideal, budget)
-        if result is not None:
-            return result
+        t = _hilbert_start(lms)
+        e, e1, e2 = _hilbert_function(lms, (t, t + 1, t + 2))
+        if e == e1 == e2:
+            c = _avoiding_line(ideal, e)
+            sat = _saturate_by_line(ideal, c, gb, _Budget(step_cap))
+            if not _same_hilbert_polynomial(lms, sat.leading_monomials):
+                raise Bs3Error("internal: saturation along z + %d*x + %d*y "
+                               "changed the Hilbert polynomial" % (c, c * c))
+            return Ideal(sat.elements, n)
     # reference route
     parts = [saturate_by_poly(ideal, Polynomial.variable(v, n), step_cap)
              for v in range(n)]
     meet = ideal_intersection(parts[0], parts[1], step_cap)
     meet = ideal_intersection(meet, parts[2], step_cap)
-    gb = buchberger(meet, MonomialOrder.grevlex(n), step_cap)
-    return Ideal(gb.elements, n)
-
-
-def _saturate_fast(ideal, budget):
-    """Saturate by a generic linear form using the grevlex last-variable
-    division trick, then certify the answer exactly.  Returns None when no
-    candidate form passes certification."""
-    n = 3
-    order = MonomialOrder.grevlex(n)
-    for c1, c2 in _GENERIC_SHIFTS:
-        moved = [_substitute_last(g, -c1, -c2) for g in ideal.generators]
-        gb_I = _finish_basis(_buchberger_int(moved, order, budget), order, n,
-                             budget)
-        divided = [_divide_out_z(e) for e in gb_I.elements]
-        gb_J = _finish_basis(_buchberger_int(divided, order, budget), order, n,
-                             budget)
-        maxdeg = max((e.total_degree() for e in gb_I.elements), default=0)
-        kcap = 3 * maxdeg + 3
-        if _certify_saturation(gb_J.elements, gb_I, budget, kcap):
-            back = [_substitute_last(e, c1, c2) for e in gb_J.elements]
-            gb = _finish_basis(_buchberger_int(back, order, budget), order, n,
-                               budget)
-            return Ideal(gb.elements, n)
-    return None
+    return Ideal(buchberger(meet, order, step_cap).elements, n)

@@ -5,11 +5,17 @@ written without the package's basis machinery, so that Groebner-derived
 numbers can be checked against straight linear algebra.  The tables were
 computed once from first principles (lattice enumeration by hand script,
 rank computations over exact rationals) and are frozen; tests must not
-regenerate them from the code under test.
+regenerate them from the code under test.  The reference saturation at the
+end is the package's elimination route, which production no longer takes
+for standard-homogeneous ideals of dimension at most one; it is kept here to
+cross-check the fast route.
 """
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
+
+from bs3.groebner import ideal_intersection, saturate_by_poly
+from bs3.polyring import Polynomial
 
 # -- the two degree-9 arrangements that differ only in the non-lattice root
 
@@ -140,3 +146,16 @@ def in_ideal_graded(p, gens, q):
     for mono, coeff in p.terms.items():
         row[index[mono]] = coeff
     return rref_rank(rows + [row]) == base
+
+
+# -- reference saturation --------------------------------------------------
+
+def saturation_by_columns(ideal):
+    """I : (x, y, z)^infinity as the intersection of the three
+    single-variable saturations I : x_i^infinity, each by elimination: the
+    reference route, sharing no step with the line-saturation fast path."""
+    meet = None
+    for v in range(3):
+        col = saturate_by_poly(ideal, Polynomial.variable(v, 3))
+        meet = col if meet is None else ideal_intersection(meet, col)
+    return meet

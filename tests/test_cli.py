@@ -118,3 +118,24 @@ def test_json_is_deterministic(capsys):
     _, first, _ = run(capsys, *argv)
     _, second, _ = run(capsys, *argv)
     assert strip_timing(first) == strip_timing(second)
+
+
+def test_failed_saturation_certificate_exits_4(capsys, monkeypatch):
+    from bs3 import groebner
+    monkeypatch.setattr(groebner, "_same_hilbert_polynomial",
+                        lambda lms_a, lms_b: False)
+    groebner._saturate_cached.cache_clear()
+    code, out, err = run(capsys, "arrangement", "--forms", "x,y,z,x+y+z")
+    assert code == 4
+    assert out == ""
+    assert err.startswith("internal error:") and "Hilbert polynomial" in err
+    assert "Traceback" not in err
+
+
+def test_disagreeing_conditions_exit_4(capsys, monkeypatch):
+    from bs3 import arrangement
+    monkeypatch.setattr(arrangement, "is_formal", lambda arr: True)
+    code, _, err = run(capsys, "arrangement", "--forms", "x,y,z,x+y+z")
+    assert code == 4
+    assert err.startswith("internal error:") and "disagree" in err
+    assert "Traceback" not in err

@@ -4,10 +4,15 @@ import random
 
 import pytest
 
+import corpus
+import oracles
+from bs3 import groebner
+from bs3.arrangement import singular_points, validate
 from bs3.groebner import (GroebnerBasis, Ideal, MonomialOrder,
                           ResourceLimitError, buchberger, eliminate,
                           ideal_intersection, normal_form, s_polynomial,
                           saturate_by_poly, saturate_irrelevant)
+from bs3.milnor import jacobian_ideal
 from bs3.polyring import Polynomial, parse_polynomial
 
 GREVLEX = MonomialOrder("grevlex", 3)
@@ -105,7 +110,6 @@ def test_normal_form_is_linear_and_idempotent():
 
 
 def test_membership_matches_linear_algebra_oracle():
-    import oracles
     gens = [P("x^2 - y*z"), P("x*y - z^2")]
     gb = buchberger(Ideal(tuple(gens)), GREVLEX)
     rng = random.Random(11)
@@ -169,21 +173,117 @@ def test_saturation_ignores_generator_scaling():
     assert saturate_irrelevant(I) == saturate_irrelevant(J)
 
 
+def times_maximal_ideal(*texts):
+    """(generators) * (x, y, z): the same scheme with an embedded origin."""
+    return Ideal(tuple(P(t) * P(v) for t in texts for v in ("x", "y", "z")))
+
+
 def test_fast_saturation_agrees_with_colon_intersection():
     samples = [
         ideal("x^2*y", "y^2*z", "z^2*x"),
         ideal("x^3", "x*y^2 - x*z^2"),
         ideal("x*y*z", "x^2*y - y^2*z"),
+        # cones over points of P^2, with an embedded component at the origin
+        times_maximal_ideal("x*y", "x*z", "y*z"),
+        times_maximal_ideal("x^2 - y*z", "y^2 - x*z"),
+        times_maximal_ideal("x^2", "x*y", "y^2"),
+        times_maximal_ideal("x*y - z^2", "x*z + y*z - 2*z^2"),
     ]
     for I in samples:
-        by_columns = None
-        for v in ("x", "y", "z"):
-            col = saturate_by_poly(I, P(v))
-            by_columns = col if by_columns is None else \
-                ideal_intersection(by_columns, col)
-        expect = buchberger(by_columns, GREVLEX)
+        expect = buchberger(oracles.saturation_by_columns(I), GREVLEX)
         got = buchberger(saturate_irrelevant(I), GREVLEX)
         assert got.elements == expect.elements
+
+
+def hilbert_constant(I):
+    lms = buchberger(I, GREVLEX).leading_monomials
+    t = groebner._hilbert_start(lms)
+    values = groebner._hilbert_function(lms, (t, t + 1, t + 2))
+    assert len(set(values)) == 1, "dim R/I is not 1"
+    return values[0]
+
+
+def first_line_missing(points):
+    c = 0
+    while any(p[2] + c * p[0] + c * c * p[1] == 0 for p in points):
+        c += 1
+    return c
+
+
+def test_chosen_line_is_first_moment_curve_line_missing_the_lattice():
+    for name, arr in corpus.build_corpus():
+        jac = jacobian_ideal(arr.defining_polynomial())
+        points = singular_points(arr)
+        # the Jacobian scheme has length (m - 1)^2 at a point of multiplicity m
+        e = hilbert_constant(jac)
+        assert e == sum((sp.multiplicity - 1) ** 2 for sp in points), name
+        assert groebner._avoiding_line(jac, e) == first_line_missing(
+            [sp.point for sp in points]), name
+
+
+@pytest.fixture
+def reference_calls(monkeypatch):
+    """Calls into the reference route's saturate_by_poly, caches cold."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return saturate_by_poly(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "saturate_by_poly", spy)
+    groebner._saturate_cached.cache_clear()
+    yield calls
+    groebner._saturate_cached.cache_clear()
+
+
+def test_corpus_saturations_never_take_the_reference_route(reference_calls):
+    for _, arr in corpus.build_corpus():
+        saturate_irrelevant(jacobian_ideal(arr.defining_polynomial()))
+    assert reference_calls == []
+
+
+def test_hilbert_certificate_rejects_a_line_through_a_singular_point():
+    jac = jacobian_ideal(validate(oracles.ZIEGLER_G.split(",")).
+                         defining_polynomial())
+    gb = buchberger(jac, GREVLEX)
+    budget = groebner._Budget(None)
+    # z is one of the lines, so it passes through singular points
+    assert not groebner._line_misses(jac, 0)
+    by_z = groebner._saturate_by_line(jac, 0, gb, budget)
+    assert not groebner._same_hilbert_polynomial(gb.leading_monomials,
+                                                 by_z.leading_monomials)
+    c = groebner._avoiding_line(jac, hilbert_constant(jac))
+    assert c > 0
+    by_c = groebner._saturate_by_line(jac, c, gb, budget)
+    assert groebner._same_hilbert_polynomial(gb.leading_monomials,
+                                             by_c.leading_monomials)
+
+
+def test_artinian_ideals_saturate_to_the_unit_ideal(reference_calls):
+    fermat = jacobian_ideal(P("x^3+y^3+z^3"))
+    # weights (1/3, 1/4, 1/6); isolated, so the Jacobian is m-primary
+    brieskorn = jacobian_ideal(P("x^3+y^4+z^6+3*y^2*z^3"))
+    assert saturate_irrelevant(fermat) == ideal("1")
+    assert saturate_irrelevant(brieskorn) == ideal("1")
+    assert reference_calls == []
+
+
+@pytest.mark.parametrize("texts, graded", [
+    (("x^2 - y*z", "y^3 - x*z^2"), True),     # standard weights
+    (("x - y^2", "y - z^2"), True),             # weights (4, 2, 1)
+    (("x^2", "y^3 + z^6"), True),               # differences span a line
+    (("x^2 - x", "y"), False),                  # needs weight(x) = 0
+    (("x - y*z", "y - x*z"), False),            # needs weight(z) = 0
+    (("x - y^2", "y - z^2", "z - x^2"), False),  # no weights at all
+])
+def test_positive_grading_detection(texts, graded):
+    assert groebner._positively_graded(ideal(*texts)) is graded
+
+
+def test_artinian_shortcut_needs_a_positive_grading():
+    # finite length, but V(I) also holds (1, 0, 0), which survives
+    assert saturate_irrelevant(ideal("x^2 - x", "y", "z")) == \
+        ideal("z", "y", "x - 1")
 
 
 def test_step_cap_raises_resource_error():

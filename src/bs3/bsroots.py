@@ -141,7 +141,7 @@ def xi_set(profile):
     for t in profile.h0.support:
         roots.append(Fraction(-(t + sw), d))
         roots.append(Fraction(-(t + sw) + d, d))
-    return SymmetryReport(RootSet(roots), [], RootSet())
+    return RootSet(roots)
 
 
 def check_partial_symmetry(zeros, xi):

@@ -160,7 +160,7 @@ def cmd_roots(args):
         report["new_roots"] = _roots(bsroots.new_roots(prof))
         report["blf_roots"] = _roots(bsroots.blf_roots(prof))
         report["small_roots"] = _roots(bsroots.small_roots(prof))
-        report["xi_set"] = _roots(bsroots.xi_set(prof).xi_set)
+        report["xi_set"] = _roots(bsroots.xi_set(prof))
         if w.weights == (1, 1, 1) and not prof.h0.is_empty():
             tax = bsroots.homogeneous_taxonomy(prof, bsroots.RootSet())
             report["tau"] = tax.tau

@@ -1,11 +1,22 @@
 """Graded dimension bookkeeping for weighted-homogeneous ideals.
 
-Dimensions of graded pieces of R/I are available through two independent
-routes: counting standard monomials of a Groebner basis, or the rank of the
-matrix of generator multiples landing in the degree.  H0 degree data compares
-an ideal with its irrelevant-ideal saturation; the stabilized Hilbert value
-of the saturation plays the role of the space of global sections of the
-associated sheaf, constant across twists when the support is 0-dimensional.
+Every graded dimension of a quotient by a Groebner basis comes from one
+engine, groebner._hilbert_function, which counts the standard monomials of
+the leading-monomial ideal in all degrees up to a top degree at once.  The
+top degrees are proven, never guessed:
+
+* H0 = (I : m^infinity)/I has the Hilbert series HS(R/in I) -
+  HS(R/in I^sat), a polynomial; each series is K(t)/prod(1 - t^w_i) with
+  deg K at most the weighted degree of the lcm of the leading monomials
+  (Taylor resolution), so H0 lives in degrees up to the larger lcm degree
+  minus the weight sum.
+* The Hilbert function of R/I^sat is its Hilbert polynomial from
+  groebner._hilbert_start on; when dim R/I <= 1 that polynomial is the
+  constant e, the dimension of the global sections of the associated sheaf
+  in every twist, and H1 is e minus the Hilbert function below that start.
+
+The rank of the matrix of generator multiples landing in a degree is a
+second, basis-free route to the same dimensions.
 """
 
 from __future__ import annotations
@@ -14,10 +25,11 @@ from fractions import Fraction
 from math import gcd
 
 from . import linalg
-from .groebner import (GroebnerBasis, Ideal, MonomialOrder, buchberger,
+from .groebner import (GroebnerBasis, MonomialOrder, _hilbert_function,
+                       _hilbert_start, _lcm_degree, buchberger,
                        saturate_irrelevant)
-from .polyring import (Polynomial, PreconditionError, WeightSystem,
-                       mono_divides, mono_mul, wdeg)
+from .polyring import (Bs3Error, PreconditionError, WeightSystem,
+                       grevlex_key, mono_mul, wdeg)
 
 
 class DegreeData:
@@ -98,14 +110,6 @@ def weighted_monomials(w, q, variable_count=3):
     return out
 
 
-def _standard_monomial_count(lead_monomials, w, q, n=3):
-    count = 0
-    for m in weighted_monomials(w, q, n):
-        if not any(mono_divides(lm, m) for lm in lead_monomials):
-            count += 1
-    return count
-
-
 def _rank_route_dimension(ideal, w, q):
     monos = weighted_monomials(w, q, ideal.variable_count)
     if not monos:
@@ -133,89 +137,80 @@ def graded_dimension(ideal_or_basis, w, q):
     """
     q = Fraction(q)
     if isinstance(ideal_or_basis, GroebnerBasis):
-        gb = ideal_or_basis
-        n = len(w.weights)
-        for e in gb.elements:
+        for e in ideal_or_basis.elements:
             if wdeg(e, w) is None:
                 raise PreconditionError("basis element %s is not homogeneous "
                                         "for the given weights" % e)
-        return _standard_monomial_count(gb.leading_monomials, w, q, n)
+        W, L = _scaled_weights(w)
+        k = q * L
+        if k.denominator != 1 or k < 0:
+            return 0
+        return _hilbert_function(ideal_or_basis.leading_monomials, int(k),
+                                 W)[-1]
     return _rank_route_dimension(ideal_or_basis, w, q)
 
 
-def _degree_bound(ideal, sat, w):
-    """Heuristic upper bound for the support of I^sat/I, extended on demand."""
-    degs = [wdeg(g, w) for g in ideal.generators + sat.generators]
-    degs = [d for d in degs if d is not None]
-    top = max(degs) if degs else Fraction(0)
-    return 3 * top + 3
+def _leading_monomials(ideal):
+    """Grevlex leading monomials of generators that already form a reduced
+    grevlex basis, as saturate_irrelevant returns them."""
+    return tuple(max(g.terms, key=grevlex_key) for g in ideal.generators)
 
 
 def h0_degree_data(I, w, step_cap=None):
     """Degreewise dimensions of (I : m^infinity) / I, the finite-length part
     of R/I supported at the irrelevant maximal ideal."""
-    n = I.variable_count
     if I.is_zero():
         return DegreeData({})
     for g in I.generators:
         if wdeg(g, w) is None:
             raise PreconditionError("generator %s is not homogeneous for the "
                                     "given weights" % g)
-    sat = saturate_irrelevant(I, step_cap)
-    order = MonomialOrder.grevlex(n)
-    gb_I = buchberger(I, order, step_cap)
-    gb_sat = buchberger(sat, order, step_cap)
-    _, L = _scaled_weights(w)
-    bound = _degree_bound(I, sat, w)
+    in_sat = _leading_monomials(saturate_irrelevant(I, step_cap))
+    in_i = buchberger(I, MonomialOrder.grevlex(I.variable_count),
+                      step_cap).leading_monomials
+    W, L = _scaled_weights(w)
+    # HS(R/M) = K(t)/prod(1 - t^W_i) with deg K <= wdeg lcm(M), because the
+    # Taylor resolution of R/M has every syzygy in a degree dividing lcm(M).
+    # I^sat/I has finite length, so its series HS(R/in I) - HS(R/in I^sat)
+    # is a polynomial, of degree at most the larger deg K minus sum(W).
+    top = max(_lcm_degree(in_i, W), _lcm_degree(in_sat, W)) - sum(W)
     entries = {}
-    k = 0
-    zero_run = 0
-    while True:
-        q = Fraction(k, L)
-        dim_i = _standard_monomial_count(gb_I.leading_monomials, w, q, n)
-        dim_s = (_standard_monomial_count(gb_sat.leading_monomials, w, q, n)
-                 if gb_sat.elements else len(weighted_monomials(w, q, n)))
-        diff = dim_i - dim_s
-        if diff < 0:
-            raise PreconditionError("saturation smaller than the ideal; "
-                                    "this should be impossible")
-        if diff:
-            entries[q] = diff
-            zero_run = 0
-        else:
-            zero_run += 1
-        k += 1
-        if q >= bound and zero_run >= 3 * L:
-            break
-        if q > 4 * bound + 12:
-            raise PreconditionError("H0 support did not terminate below the "
-                                    "degree bound; is H0 finite-dimensional?")
+    for k, (dim_i, dim_s) in enumerate(zip(_hilbert_function(in_i, top, W),
+                                           _hilbert_function(in_sat, top, W))):
+        if dim_i < dim_s:
+            raise Bs3Error("saturation smaller than the ideal; this should "
+                           "be impossible")
+        entries[Fraction(k, L)] = dim_i - dim_s
     return DegreeData(entries)
 
 
 STANDARD = WeightSystem((1, 1, 1))
 
 
-def _saturation_basis(I, step_cap=None):
-    sat = saturate_irrelevant(I, step_cap)
-    order = MonomialOrder.grevlex(I.variable_count)
-    return sat, buchberger(sat, order, step_cap)
+def _saturation_hilbert(I, step_cap=None):
+    """The Hilbert function of R/I^sat under the standard grading in degrees
+    0 through t + 2, t the proven start of its Hilbert polynomial, and the
+    constant e it takes there, or None when that polynomial is not constant
+    (dim R/I > 1).
+
+    The polynomial has degree at most two, so three equal values make it
+    constant.  A saturated ideal of dimension at most one has a linear
+    nonzerodivisor, so its Hilbert function never decreases and never
+    passes e; a value above e is an internal error.
+    """
+    lms = _leading_monomials(saturate_irrelevant(I, step_cap))
+    t = _hilbert_start(lms)
+    hf = _hilbert_function(lms, t + 2)
+    if not hf[t] == hf[t + 1] == hf[t + 2]:
+        return hf, None
+    if max(hf) > hf[t]:
+        raise Bs3Error("Hilbert value exceeds its stable limit; this should "
+                       "be impossible")
+    return hf, hf[t]
 
 
-def _stabilized_value(gb_sat, start, n=3):
-    """The common value of dim (R/I^sat)_q at start, start+1, start+2, or
-    None when those three disagree."""
-    dims = [_standard_monomial_count(gb_sat.leading_monomials, STANDARD,
-                                     Fraction(q), n)
-            for q in (start, start + 1, start + 2)]
-    if dims[0] == dims[1] == dims[2]:
-        return dims[0]
-    return None
-
-
-def _stabilization_start(I):
-    top = max((g.total_degree() for g in I.generators), default=0)
-    return 3 * top
+_NOT_POINTS = ("Hilbert polynomial of R/I^sat is not constant; projective "
+               "support is not zero-dimensional")
 
 
 def sheaf_dimension_e(I, step_cap=None):
@@ -225,29 +220,21 @@ def sheaf_dimension_e(I, step_cap=None):
     if I.is_zero():
         raise PreconditionError("the zero ideal has no stabilized Hilbert "
                                 "value")
-    _, gb_sat = _saturation_basis(I, step_cap)
-    e = _stabilized_value(gb_sat, _stabilization_start(I), I.variable_count)
+    _, e = _saturation_hilbert(I, step_cap)
     if e is None:
-        raise PreconditionError("Hilbert function of R/I^sat is not constant "
-                                "in the test window; projective support is "
-                                "not zero-dimensional")
+        raise PreconditionError(_NOT_POINTS)
     return e
 
 
 def h1_dimension(I, q, step_cap=None):
     """dim of the degree-q piece of H1_m(R/I), via e minus the Hilbert value."""
-    _, gb_sat = _saturation_basis(I, step_cap)
-    e = _stabilized_value(gb_sat, _stabilization_start(I), I.variable_count)
+    hf, e = _saturation_hilbert(I, step_cap)
     if e is None:
-        raise PreconditionError("Hilbert function of R/I^sat is not constant "
-                                "in the test window; projective support is "
-                                "not zero-dimensional")
-    dim_q = _standard_monomial_count(gb_sat.leading_monomials, STANDARD,
-                                     Fraction(q), I.variable_count)
-    if dim_q > e:
-        raise PreconditionError("Hilbert value exceeds its stable limit; "
-                                "H1 formula does not apply")
-    return e - dim_q
+        raise PreconditionError(_NOT_POINTS)
+    q = Fraction(q)
+    if q.denominator != 1 or q < 0:
+        return e
+    return e - hf[int(q)] if q < len(hf) else 0
 
 
 def regularity_report(I, step_cap=None):
@@ -255,27 +242,19 @@ def regularity_report(I, step_cap=None):
     with absent cohomology skipped."""
     h0 = h0_degree_data(I, STANDARD, step_cap)
     h0_max = max(h0.support) if not h0.is_empty() else None
-    sat, gb_sat = _saturation_basis(I, step_cap)
-    start = _stabilization_start(I)
-    e = _stabilized_value(gb_sat, start, I.variable_count)
+    hf, e = _saturation_hilbert(I, step_cap)
     if e is None:
         # tolerated degenerate case: a single plane, H0 = H1 = 0, reg 0
         principal_line = (h0.is_empty() and len(I.generators) == 1
                           and I.generators[0].total_degree() == 1)
         if principal_line:
             return RegularityReport(None, None, 0, None, h0)
-        raise PreconditionError("Hilbert function of R/I^sat is not constant "
-                                "in the test window; regularity formula "
+        raise PreconditionError(_NOT_POINTS + "; the regularity formula "
                                 "needs dim R/I <= 1")
-    h1_max = None
-    # H1 vanishes beyond the stable window and sits at e below degree 0,
-    # so the largest degree with e > dim is found by scanning down to -1.
-    for q in range(start + 2, -2, -1):
-        dim_q = _standard_monomial_count(gb_sat.leading_monomials, STANDARD,
-                                         Fraction(q), I.variable_count)
-        if e - dim_q > 0:
-            h1_max = Fraction(q)
-            break
+    # H1 is e - hf: zero from the Hilbert start on, e in every negative
+    # degree, so it is absent only when e = 0.
+    below = [q for q, dim in enumerate(hf) if dim < e]
+    h1_max = Fraction(below[-1] if below else -1) if e else None
     parts = []
     if h0_max is not None:
         parts.append(h0_max)

@@ -535,20 +535,30 @@ def _hilbert_start(lead_monomials):
     deg K <= deg lcm(M), and in three variables that makes the Hilbert
     function polynomial from deg lcm(M) - 2 on.
     """
-    top = sum(max(m[i] for m in lead_monomials) for i in range(3))
-    return max(top - 2, 0)
+    return max(_lcm_degree(lead_monomials) - 2, 0)
 
 
-def _hilbert_function(lead_monomials, degrees):
-    """dim (R/M)_t for each t in degrees, M generated by the monomials.
+def _lcm_degree(lead_monomials, weights=(1, 1, 1)):
+    """Weighted degree of the lcm of the monomials."""
+    return sum(w * max((m[i] for m in lead_monomials), default=0)
+               for i, w in enumerate(weights))
+
+
+def _hilbert_function(lead_monomials, top, weights=(1, 1, 1)):
+    """[dim (R/M)_t for t = 0..top], M generated by the monomials and
+    graded by the positive integer weights.
 
     x^a y^b z^c is outside M iff c is below low(a, b), the least
     z-exponent of a generator dividing x^a y^b in x and y; low is a
     staircase, constant once a and b pass the largest x and y exponents.
+    Each (a, b) adds one to the degrees s, s + w_z, ... of its z-powers
+    below low(a, b), a run kept as two entries of a difference array of
+    stride w_z, so the cost is one step per (a, b) and one per degree.
     """
-    P = max(m[0] for m in lead_monomials)
-    Q = max(m[1] for m in lead_monomials)
-    unbounded = max(degrees) + 1
+    wx, wy, wz = weights
+    P = max((m[0] for m in lead_monomials), default=0)
+    Q = max((m[1] for m in lead_monomials), default=0)
+    unbounded = top // wz + 1
     low = [[unbounded] * (Q + 1) for _ in range(P + 1)]
     for a, b, c in lead_monomials:
         low[a][b] = min(low[a][b], c)
@@ -558,14 +568,17 @@ def _hilbert_function(lead_monomials, degrees):
                 low[a][b] = min(low[a][b], low[a - 1][b])
             if b:
                 low[a][b] = min(low[a][b], low[a][b - 1])
-    values = []
-    for t in degrees:
-        count = 0
-        for a in range(t + 1):
-            row = low[min(a, P)]
-            count += sum(1 for b in range(t - a + 1)
-                         if t - a - b < row[min(b, Q)])
-        values.append(count)
+    values = [0] * (top + 1)
+    for a in range(top // wx + 1):
+        row = low[min(a, P)]
+        for b in range((top - a * wx) // wy + 1):
+            s = a * wx + b * wy
+            end = s + row[min(b, Q)] * wz
+            values[s] += 1
+            if end <= top:
+                values[end] -= 1
+    for t in range(wz, top + 1):
+        values[t] += values[t - wz]
     return values
 
 
@@ -573,9 +586,8 @@ def _same_hilbert_polynomial(lms_a, lms_b):
     """R/(lms_a) and R/(lms_b) have the same Hilbert polynomial: it has
     degree at most two, so three values past both starts decide."""
     t = max(_hilbert_start(lms_a), _hilbert_start(lms_b))
-    degrees = (t, t + 1, t + 2)
-    return (_hilbert_function(lms_a, degrees)
-            == _hilbert_function(lms_b, degrees))
+    return (_hilbert_function(lms_a, t + 2)[t:]
+            == _hilbert_function(lms_b, t + 2)[t:])
 
 
 def _shift_last(d, a, b):
@@ -714,7 +726,7 @@ def _saturate_cached(ideal, step_cap):
         return Ideal((Polynomial.constant(1, n),))
     if _is_standard_homogeneous(ideal):
         t = _hilbert_start(lms)
-        e, e1, e2 = _hilbert_function(lms, (t, t + 1, t + 2))
+        e, e1, e2 = _hilbert_function(lms, t + 2)[t:]
         if e == e1 == e2:
             c = _avoiding_line(ideal, e)
             sat = _saturate_by_line(ideal, c, gb, _Budget(step_cap))

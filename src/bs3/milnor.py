@@ -3,19 +3,19 @@
 The central object is the MilnorProfile of a quasi-homogeneous polynomial:
 its Jacobian ideal, the degree data of the finite-length part of the Milnor
 algebra (the local cohomology H0_m of R/(partial f)), an isolated-singularity
-flag, and, in the isolated case, the full degree data of the Milnor algebra.
+flag, and, in the isolated case, the full degree data of the Milnor algebra,
+which is then H0 itself.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
 
 from . import linalg
-from .graded import DegreeData, h0_degree_data, weighted_monomials
-from .groebner import Ideal, MonomialOrder, buchberger
-from .polyring import (Bs3Error, PreconditionError, mono_divides, mono_mul,
-                       partial_derivative, wdeg)
+from .graded import graded_dimension, h0_degree_data, weighted_monomials
+from .groebner import Ideal, MonomialOrder, _is_artinian, buchberger
+from .polyring import (Bs3Error, PreconditionError, format_rational,
+                       mono_mul, partial_derivative, wdeg)
 
 INFINITE = "infinite"
 
@@ -53,33 +53,6 @@ def jacobian_ideal(f):
     return Ideal([p for p in partials if not p.is_zero()], f.variable_count)
 
 
-def _has_pure_powers(lead_monomials, n=3):
-    """Zero-dimensionality test: a pure power of every variable among the
-    leading monomials."""
-    for i in range(n):
-        if not any(m[i] > 0 and all(m[j] == 0 for j in range(n) if j != i)
-                   for m in lead_monomials):
-            return False
-    return True
-
-
-def _artinian_degree_data(gb, w, n=3):
-    """Degree data of R/I for Artinian I, via the finite staircase."""
-    lms = gb.leading_monomials
-    bounds = []
-    for i in range(n):
-        pure = [m[i] for m in lms
-                if m[i] > 0 and all(m[j] == 0 for j in range(n) if j != i)]
-        bounds.append(min(pure))
-    entries = {}
-    for e in product(*(range(b) for b in bounds)):
-        if any(mono_divides(lm, e) for lm in lms):
-            continue
-        q = w.mono_wdeg(e)
-        entries[q] = entries.get(q, 0) + 1
-    return DegreeData(entries)
-
-
 def milnor_profile(f, w, step_cap=None):
     """Assemble the degree data controlling the root formulas.
 
@@ -93,14 +66,23 @@ def milnor_profile(f, w, step_cap=None):
     if d <= 0:
         raise PreconditionError("constant polynomial has no Milnor profile")
     jac = jacobian_ideal(f)
-    gb = buchberger(jac, MonomialOrder.grevlex(f.variable_count), step_cap)
-    isolated = _has_pure_powers(gb.leading_monomials, f.variable_count)
+    lms = buchberger(jac, MonomialOrder.grevlex(f.variable_count),
+                     step_cap).leading_monomials
+    # finite length, but not the unit ideal: a smooth f such as x has no
+    # singular point, isolated or not
+    isolated = _is_artinian(lms) and lms != ((0, 0, 0),)
     h0 = h0_degree_data(jac, w, step_cap)
     if isolated:
-        degrees = _artinian_degree_data(gb, w, f.variable_count)
-        if degrees != h0:
-            raise Bs3Error("internal inconsistency: Artinian degree data "
-                           "disagrees with the saturation route")
+        # (partial f) is m-primary, so saturation gives (1) and H0 is the
+        # whole Milnor algebra.  That algebra is a complete intersection
+        # with Hilbert series prod (1 - t^(d - w_i)) / (1 - t^w_i), which
+        # is symmetric about 3d - 2*sum(w).
+        socle = 3 * d - 2 * w.weight_sum
+        if any(h0.dimension(socle - q) != n for q, n in h0.entries.items()):
+            raise Bs3Error("internal inconsistency: Milnor algebra degrees "
+                           "are not symmetric about %s"
+                           % format_rational(socle))
+        degrees = h0
     else:
         degrees = INFINITE
     return MilnorProfile(f, w, d, jac, h0, isolated, degrees)
@@ -122,13 +104,9 @@ def der_log0_graded_dimension(f, w, k, step_cap=None):
     domain = sum(len(weighted_monomials(w, k + wi, n)) for wi in w.weights)
     if domain == 0:
         return 0
-    jac = jacobian_ideal(f)
-    gb = buchberger(jac, MonomialOrder.grevlex(n), step_cap)
-    target = len(weighted_monomials(w, k + d, n))
-    quotient = sum(1 for m in weighted_monomials(w, k + d, n)
-                   if not any(mono_divides(lm, m)
-                              for lm in gb.leading_monomials))
-    image = target - quotient
+    gb = buchberger(jacobian_ideal(f), MonomialOrder.grevlex(n), step_cap)
+    image = (len(weighted_monomials(w, k + d, n))
+             - graded_dimension(gb, w, k + d))
     return domain - image
 
 

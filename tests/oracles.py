@@ -8,14 +8,16 @@ rank computations over exact rationals) and are frozen; tests must not
 regenerate them from the code under test.  The reference saturation at the
 end is the package's elimination route, which production no longer takes
 for standard-homogeneous ideals of dimension at most one; it is kept here to
-cross-check the fast route.
+cross-check the fast route.  The Artinian degree data below walk the finite
+staircase box directly, independent of the Hilbert-function engine.
 """
 
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
+from bs3.graded import DegreeData
 from bs3.groebner import ideal_intersection, saturate_by_poly
-from bs3.polyring import Polynomial
+from bs3.polyring import Polynomial, mono_divides
 
 # -- the two degree-9 arrangements that differ only in the non-lattice root
 
@@ -159,3 +161,23 @@ def saturation_by_columns(ideal):
         col = saturate_by_poly(ideal, Polynomial.variable(v, 3))
         meet = col if meet is None else ideal_intersection(meet, col)
     return meet
+
+
+# -- Milnor algebra degrees by the staircase box ---------------------------
+
+def _artinian_degree_data(gb, w, n=3):
+    """Degree data of R/I for Artinian I, every standard monomial below the
+    pure powers of the reduced basis gb enumerated and graded by w."""
+    lms = gb.leading_monomials
+    bounds = []
+    for i in range(n):
+        pure = [m[i] for m in lms
+                if m[i] > 0 and all(m[j] == 0 for j in range(n) if j != i)]
+        bounds.append(min(pure))
+    entries = {}
+    for e in product(*(range(b) for b in bounds)):
+        if any(mono_divides(lm, e) for lm in lms):
+            continue
+        q = w.mono_wdeg(e)
+        entries[q] = entries.get(q, 0) + 1
+    return DegreeData(entries)

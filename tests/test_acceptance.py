@@ -106,7 +106,7 @@ def test_criterion_4_support_interval_and_symmetry(rows, capsys):
 def test_criterion_5_partial_symmetry(rows, capsys):
     ok = True
     for name, _, prof, rep, _ in rows:
-        xi = xi_set(prof).xi_set
+        xi = xi_set(prof)
         report = check_partial_symmetry(rep.full_zero_set, xi)
         ok = ok and len(report.asymmetric_outside_xi) == 0
     verdict(capsys, 5,

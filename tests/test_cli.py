@@ -139,3 +139,62 @@ def test_disagreeing_conditions_exit_4(capsys, monkeypatch):
     assert code == 4
     assert err.startswith("internal error:") and "disagree" in err
     assert "Traceback" not in err
+
+
+def test_milnor_of_a_smooth_linear_form(capsys):
+    # the unit Jacobian ideal has finite length but no singular point
+    code, out, _ = run(capsys, "milnor", "--poly", "x")
+    assert code == 0
+    assert strip_timing(out) == "\n".join([
+        "command: milnor",
+        "poly: x",
+        "weights: 1,1,1",
+        "wdeg: 1",
+        "is_isolated: false",
+        "h0: (none)",
+        "milnor_algebra_degrees: infinite",
+        "new_roots: (none)",
+        "blf_roots: (none)",
+        "assertions[0]: reduced: asserted by caller, not verified",
+        "assertions[1]: locally quasi-homogeneous: asserted by caller, "
+        "not verified",
+    ])
+
+
+def test_saturation_smaller_than_the_ideal_exits_4(capsys, monkeypatch):
+    from bs3 import graded
+    from bs3.groebner import Ideal
+    monkeypatch.setattr(graded, "saturate_irrelevant",
+                        lambda I, step_cap=None: Ideal(I.generators[:1]))
+    code, out, err = run(capsys, "milnor", "--poly", "x^3+y^3+z^3")
+    assert code == 4
+    assert out == ""
+    assert err.startswith("internal error:") and "saturation smaller" in err
+    assert "Traceback" not in err
+
+
+def test_hilbert_value_above_its_limit_exits_4(capsys, monkeypatch):
+    # an unsaturated ideal passed off as its saturation: the quartic cone's
+    # Jacobian has one section at the origin in degree 3, so its Hilbert
+    # function reaches 7 there against the limit 6
+    from bs3 import graded
+    from bs3.groebner import Ideal, buchberger
+    monkeypatch.setattr(graded, "saturate_irrelevant",
+                        lambda I, step_cap=None: Ideal(buchberger(I).elements))
+    code, out, err = run(capsys, "arrangement", "--forms", "x,y,z,x+y+z")
+    assert code == 4
+    assert out == ""
+    assert err.startswith("internal error:") and "stable limit" in err
+    assert "Traceback" not in err
+
+
+def test_asymmetric_milnor_algebra_exits_4(capsys, monkeypatch):
+    from bs3 import milnor
+    from bs3.graded import DegreeData
+    monkeypatch.setattr(milnor, "h0_degree_data",
+                        lambda I, w, step_cap=None: DegreeData({0: 1, 1: 3}))
+    code, out, err = run(capsys, "roots", "isolated", "--poly", "x^3+y^3+z^3")
+    assert code == 4
+    assert out == ""
+    assert err.startswith("internal error:") and "symmetric" in err
+    assert "Traceback" not in err

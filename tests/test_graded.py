@@ -5,13 +5,15 @@ from fractions import Fraction
 
 import pytest
 
+from bs3 import graded
 from bs3.graded import (DegreeData, graded_dimension, h0_degree_data,
                         h1_dimension, regularity_report, sheaf_dimension_e,
                         weighted_monomials)
-from bs3.groebner import Ideal, MonomialOrder, buchberger
+from bs3.groebner import (Ideal, MonomialOrder, _hilbert_function,
+                          _lcm_degree, buchberger, saturate_irrelevant)
 from bs3.milnor import jacobian_ideal
 from bs3.polyring import (Polynomial, PreconditionError, WeightSystem,
-                          parse_polynomial)
+                          mono_divides, parse_polynomial)
 
 import oracles
 
@@ -72,6 +74,76 @@ def test_rank_and_standard_monomial_routes_agree_on_random_ideals():
         gb = buchberger(I, GREVLEX)
         for q in range(5):
             assert graded_dimension(I, W1, q) == graded_dimension(gb, W1, q)
+
+
+def standard_monomial_count(lead_monomials, w, q):
+    """dim (R/M)_q by listing every monomial of weighted degree q."""
+    return sum(1 for m in weighted_monomials(w, q)
+               if not any(mono_divides(lm, m) for lm in lead_monomials))
+
+
+def random_monomial_ideal(rng, dimension):
+    """Monomial generators with dim R/M = dimension: pure powers of all
+    three variables (0), of x and y with every generator in (x, y) (1), or
+    every generator a multiple of x (2)."""
+    gens = [tuple(rng.randint(0, 4) for _ in range(3))
+            for _ in range(rng.randint(1, 5))]
+    gens = [m for m in gens if any(m)]
+    if dimension == 0:
+        gens += [(rng.randint(1, 6), 0, 0), (0, rng.randint(1, 6), 0),
+                 (0, 0, rng.randint(1, 6))]
+    elif dimension == 1:
+        gens = [m for m in gens if m[0] or m[1]]
+        gens += [(rng.randint(1, 6), 0, 0), (0, rng.randint(1, 6), 0)]
+    else:
+        gens = [(m[0] + 1, m[1], m[2]) for m in gens] or [(1, 0, 0)]
+    return gens
+
+
+@pytest.mark.parametrize("weights", [(1, 1, 1), (2, 3, 5), (3, 2, 1),
+                                     (1, 4, 2)])
+def test_hilbert_engine_matches_monomial_count(weights):
+    rng = random.Random(sum(weights))
+    w = WeightSystem(weights)
+    for dimension in (0, 1, 2):
+        for _ in range(5):
+            lms = random_monomial_ideal(rng, dimension)
+            top = _lcm_degree(lms, weights) - sum(weights)
+            assert _hilbert_function(lms, top + 10, weights) == [
+                standard_monomial_count(lms, w, t)
+                for t in range(top + 11)], (lms, dimension)
+
+
+# (ideal, weights): Artinian, an embedded point, the Jacobians of four
+# lines, of a weighted isolated singularity and of two non-isolated
+# surfaces under fractional weights
+H0_CASES = [
+    (ideal("x^2", "y^2", "z^2"), W1),
+    (ideal("x^2", "x*y", "x*z"), W1),
+    (QUARTIC_CONE, W1),
+    (ideal("x^2", "y^3", "z^6"), WeightSystem((3, 2, 1))),
+    (jacobian_ideal(P("x^2+y^3+z^5")), WeightSystem((15, 10, 6))),
+    (jacobian_ideal(P("x^6*y*z + 2*x*y^3*z + 3*x*y*z^3")),
+     WeightSystem((Fraction(1, 5), Fraction(1, 2), Fraction(1, 2)))),
+    (jacobian_ideal(P("x^3*y*z + 2*x*y^6*z + 3*x*y*z^4")),
+     WeightSystem((Fraction(1, 2), Fraction(1, 5), Fraction(1, 3)))),
+]
+
+
+def test_h0_vanishes_above_the_proven_window():
+    for I, w in H0_CASES:
+        lms_i = buchberger(I, GREVLEX).leading_monomials
+        lms_s = buchberger(saturate_irrelevant(I), GREVLEX).leading_monomials
+        W, L = graded._scaled_weights(w)
+        top = max(_lcm_degree(lms_i, W),
+                  _lcm_degree(lms_s, W)) - sum(W)
+        data = h0_degree_data(I, w)
+        assert not data.is_empty() and max(data.support) * L <= top
+        for k in range(2 * top + 1):
+            q = Fraction(k, L)
+            dim = (standard_monomial_count(lms_i, w, q)
+                   - standard_monomial_count(lms_s, w, q))
+            assert dim == data.dimension(q), (I, q)
 
 
 def test_graded_dimension_rejects_inhomogeneous():
@@ -153,6 +225,9 @@ def test_h1_can_live_below_degree_zero():
     assert h1_dimension(ideal("x*y", "z"), 0) == 1
     assert report.h1_max == 0
     assert report.regularity == 1
+    # one reduced point: H1 only in negative degrees
+    point = regularity_report(ideal("x", "y"))
+    assert (point.h1_max, point.regularity, point.sheaf_dim_e) == (-1, 0, 1)
 
 
 def test_degree_data_accessors():

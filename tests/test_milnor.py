@@ -2,10 +2,13 @@
 
 import pytest
 
+from bs3.groebner import MonomialOrder, buchberger
 from bs3.milnor import (INFINITE, der_log0_graded_dimension,
                         der_log0_kernel_dimension_by_rank, jacobian_ideal,
                         milnor_profile)
 from bs3.polyring import PreconditionError, WeightSystem, parse_polynomial
+
+import oracles
 
 W1 = WeightSystem((1, 1, 1))
 
@@ -46,17 +49,27 @@ def test_fermat_cubic_profile():
 
 
 def test_milnor_number_matches_weight_product():
-    # mu = prod(wdeg/w_i - 1) for an isolated quasi-homogeneous singularity
+    # mu = prod(wdeg/w_i - 1) for an isolated quasi-homogeneous singularity;
+    # the degrees are checked against the staircase-box enumeration
     cases = [
         ("x^3+y^3+z^3", (1, 1, 1), 8),
         ("x^4+y^4+z^4", (1, 1, 1), 27),
+        ("x^9+y^9+z^9", (1, 1, 1), 512),
         ("x^2+y^3+z^5", (15, 10, 6), 8),
         ("x^2+y^3+z^7", (21, 14, 6), 12),
+        ("x^4+y^6+z^9", (9, 6, 4), 120),
+        ("x^3+y^3+z^3+x*y*z", (1, 1, 1), 8),
+        ("x^4+y^4+z^6+3*x^2*y^2", (3, 3, 2), 45),
+        ("x^2+y^6+z^6-5/2*x*y^3", (3, 1, 1), 25),
     ]
     for text, weights, mu in cases:
-        prof = milnor_profile(P(text), WeightSystem(weights))
+        w = WeightSystem(weights)
+        prof = milnor_profile(P(text), w)
         assert prof.is_isolated
         assert prof.milnor_algebra_degrees.total_dimension() == mu
+        gb = buchberger(prof.jacobian, MonomialOrder.grevlex(3))
+        assert prof.milnor_algebra_degrees == \
+            oracles._artinian_degree_data(gb, w), text
 
 
 def test_weighted_degrees_of_small_exceptional_singularity():

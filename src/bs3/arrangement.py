@@ -54,10 +54,6 @@ class LinearForm:
                 terms[tuple(e)] = c
         return Polynomial(terms, 3)
 
-    def evaluate(self, point):
-        return sum((c * Fraction(v) for c, v in zip(self.coefficients, point)),
-                   Fraction(0))
-
     def __eq__(self, other):
         return (isinstance(other, LinearForm)
                 and self.coefficients == other.coefficients)
@@ -164,15 +160,17 @@ def _normal_rank(forms):
 
 
 def is_indecomposable(forms):
-    """No partition of the normals into two blocks with rank sum 3."""
+    """No partition of the normals into two blocks with rank sum 3, for
+    reduced essential forms (validate checks both first).
+
+    Both blocks are nonempty and the normals span rank 3, so the ranks are
+    1 and 2: the rank-1 block is one line (no duplicates) and the rank-2
+    block is every other line, all through one point that the single line
+    misses (else all d lines would meet).  So the forms decompose iff some
+    intersection point lies on exactly d - 1 of them.
+    """
     d = len(forms)
-    normals = [list(f.coefficients) for f in forms]
-    for mask in range(1, 1 << (d - 1)):
-        left = [normals[i] for i in range(d) if mask >> i & 1]
-        right = [normals[i] for i in range(d) if not mask >> i & 1]
-        if linalg.rank(left) + linalg.rank(right) == 3:
-            return False
-    return True
+    return all(len(lines) != d - 1 for lines in _lattice(forms).values())
 
 
 def validate(forms):
@@ -202,11 +200,10 @@ def _canonical_point(p):
     return tuple(c / lead for c in p)
 
 
-def singular_points(arr):
-    """All pairwise intersection points in the projective plane with their
-    line counts, canonically scaled and deduplicated."""
-    forms = arr.forms
-    found = {}
+def _lattice(forms):
+    """Each intersection point, canonically scaled, mapped to the sorted
+    indices of the forms through it; every pair of forms meets once."""
+    through = {}
     for i in range(len(forms)):
         for j in range(i + 1, len(forms)):
             pt = _canonical_point(_cross(forms[i].coefficients,
@@ -214,12 +211,15 @@ def singular_points(arr):
             if pt is None:
                 # parallel normals cannot happen in a reduced arrangement
                 raise Bs3Error("internal: duplicate forms slipped through")
-            found[pt] = None
-    points = []
-    for pt in sorted(found):
-        m = sum(1 for f in forms if f.evaluate(pt) == 0)
-        points.append(SingularPoint(pt, m))
-    return points
+            through.setdefault(pt, set()).update((i, j))
+    return {pt: sorted(lines) for pt, lines in sorted(through.items())}
+
+
+def singular_points(arr):
+    """All pairwise intersection points in the projective plane with their
+    line counts, canonically scaled and deduplicated."""
+    return [SingularPoint(pt, len(lines))
+            for pt, lines in _lattice(arr.forms).items()]
 
 
 def comb_roots(arr):
@@ -244,15 +244,8 @@ def _length3_relations(arr):
     adjugate of the 3 x 3 normal matrix."""
     forms = arr.forms
     d = len(forms)
-    by_point = {}
-    for i in range(d):
-        for j in range(i + 1, d):
-            pt = _canonical_point(_cross(forms[i].coefficients,
-                                         forms[j].coefficients))
-            by_point.setdefault(pt, set()).update((i, j))
     relations = []
-    for pt in sorted(p for p, lines in by_point.items() if len(lines) >= 3):
-        lines = sorted(by_point[pt])
+    for lines in _lattice(forms).values():
         for a in range(len(lines)):
             for b in range(a + 1, len(lines)):
                 for c in range(b + 1, len(lines)):

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 from . import linalg
 from .groebner import (GroebnerBasis, MonomialOrder, _hilbert_function,
@@ -137,11 +138,11 @@ def graded_dimension(ideal_or_basis, w, q):
     """
     q = Fraction(q)
     if isinstance(ideal_or_basis, GroebnerBasis):
+        W, L = _scaled_weights(w)
         for e in ideal_or_basis.elements:
-            if wdeg(e, w) is None:
+            if len({sum(map(mul, W, m)) for m in e.terms}) > 1:
                 raise PreconditionError("basis element %s is not homogeneous "
                                         "for the given weights" % e)
-        W, L = _scaled_weights(w)
         k = q * L
         if k.denominator != 1 or k < 0:
             return 0

@@ -1,10 +1,13 @@
 """Buchberger's algorithm over Q with elimination, colon and saturation tools.
 
-Internally all basis computations run on primitive integer coefficient
-dictionaries (content-stripped after every reduction step), so no Fraction
-arithmetic happens in inner loops.  Final bases are converted back to monic
-rational polynomials and fully interreduced, giving the unique reduced
-Groebner basis for the chosen order.
+Every basis computation runs on integer coefficient dictionaries, and one
+routine, _reduce, does every reduction: of S-polynomials in Buchberger's
+loop, of each element against the others when a basis is interreduced, and
+of normal forms.  It strips the content after every step, so no Fraction
+arithmetic happens in inner loops.  Fractions appear only at the boundary:
+generators are cleared of denominators on the way in, and the interreduced
+basis (the unique reduced Groebner basis for the chosen order) is made monic
+on the way out.
 
 Saturation by the irrelevant ideal m = (x, y, z) takes one of three routes,
 each resting on a proof rather than a trial:
@@ -151,14 +154,16 @@ class Ideal:
 
 class GroebnerBasis:
     """A reduced Groebner basis: monic elements, fully interreduced,
-    sorted by increasing leading monomial."""
+    sorted by increasing leading monomial.  The integer triples it was
+    built from are kept for further reductions."""
 
     __slots__ = ("order", "elements", "_int_basis")
 
-    def __init__(self, order, elements):
+    def __init__(self, order, triples, variable_count):
         self.order = order
-        self.elements = tuple(elements)
-        self._int_basis = [_to_int_poly(p, order) for p in self.elements]
+        self._int_basis = tuple(triples)
+        self.elements = tuple(_from_int_poly(d, variable_count, lc)
+                              for _, lc, d in self._int_basis)
 
     @property
     def leading_monomials(self):
@@ -177,24 +182,34 @@ class GroebnerBasis:
 # -- integer polynomial plumbing --------------------------------------------
 
 
-def _strip_content(d):
+def _content(*dicts):
+    """The gcd of every coefficient of the dicts."""
     g = 0
-    for v in d.values():
-        g = gcd(g, v)
-        if g == 1:
-            return d
-    if g > 1:
-        return {m: v // g for m, v in d.items()}
-    return d
+    for d in dicts:
+        for v in d.values():
+            g = gcd(g, v)
+            if g == 1:
+                return 1
+    return g
+
+
+def _strip_content(d):
+    g = _content(d)
+    return {m: v // g for m, v in d.items()} if g > 1 else d
+
+
+def _clear_denominators(p):
+    """Polynomial p -> (int dict d, denominator D) with p = d / D."""
+    denom = 1
+    for c in p.terms.values():
+        denom = denom * c.denominator // gcd(denom, c.denominator)
+    return ({m: c.numerator * (denom // c.denominator)
+             for m, c in p.terms.items()}, denom)
 
 
 def _to_int_poly(p, order):
     """Polynomial -> (lead mono, lead coeff, primitive int dict), lead > 0."""
-    denom = 1
-    for c in p.terms.values():
-        denom = denom * c.denominator // gcd(denom, c.denominator)
-    d = {m: c.numerator * (denom // c.denominator) for m, c in p.terms.items()}
-    return _int_triple(d, order)
+    return _int_triple(_clear_denominators(p)[0], order)
 
 
 def _int_triple(d, order):
@@ -206,51 +221,52 @@ def _int_triple(d, order):
     return (lm, d[lm], d)
 
 
-def _from_int_poly(d, n, monic_order=None):
-    terms = {m: Fraction(v) for m, v in d.items()}
-    p = Polynomial(terms, n)
-    if monic_order is not None and terms:
-        lm = max(terms, key=monic_order.key)
-        p = p * (1 / terms[lm])
-    return p
+def _from_int_poly(d, n, scale=1):
+    """Int dict d -> the Polynomial d / scale."""
+    return Polynomial({m: Fraction(v, scale) for m, v in d.items()}, n)
 
 
-def _head_reduce(d, basis, order, budget):
-    """Reduce the leading term of d against basis until it is irreducible
-    or d vanishes.  basis entries are (lm, lc, dict) triples."""
-    if not d:
-        return d
-    d = dict(d)
+def _reduce(d, basis, order, budget):
+    """Fully reduce the int dict d against basis, (lm, lc, dict) triples.
+
+    Returns (r, k): r is an int dict none of whose monomials a leading
+    monomial of the basis divides, k is a nonzero rational, and r - k*d
+    lies in the ideal the basis generates.  Each step scales the terms by
+    the basis leading coefficient over a gcd and then strips the content of
+    all of them, so coefficients stay integers and r is primitive when d
+    is.
+    """
     key = order.key
-    while d:
-        lm = max(d, key=key)
-        lc = d[lm]
-        hit = None
-        for b in basis:
-            if mono_divides(b[0], lm):
-                hit = b
-                break
+    work, done = dict(d), {}
+    num = den = 1
+    while work:
+        lm = max(work, key=key)
+        hit = next((b for b in basis if mono_divides(b[0], lm)), None)
         if hit is None:
-            return d
+            done[lm] = work.pop(lm)
+            continue
         budget.spend()
         blm, blc, bterms = hit
-        g = gcd(lc, blc)
-        a = blc // g
-        c = lc // g
-        if a < 0:
-            a, c = -a, -c
-        q = mono_div(lm, blm)
+        g = gcd(work[lm], blc)
+        a, c = blc // g, work[lm] // g
         if a != 1:
-            d = {m: a * v for m, v in d.items()}
+            work = {m: a * v for m, v in work.items()}
+            done = {m: a * v for m, v in done.items()}
+            num *= a
+        q = mono_div(lm, blm)
         for bm, bv in bterms.items():
             mm = mono_mul(bm, q)
-            s = d.get(mm, 0) - c * bv
-            if s == 0:
-                d.pop(mm, None)
+            s = work.get(mm, 0) - c * bv
+            if s:
+                work[mm] = s
             else:
-                d[mm] = s
-        d = _strip_content(d)
-    return d
+                del work[mm]
+        g = _content(work, done)
+        if g > 1:
+            work = {m: v // g for m, v in work.items()}
+            done = {m: v // g for m, v in done.items()}
+            den *= g
+    return done, Fraction(num, den)
 
 
 def _s_poly_int(f, g, budget):
@@ -281,37 +297,6 @@ def s_polynomial(f, g, order):
     bg = _to_int_poly(g, order)
     d = _s_poly_int(bf, bg, _Budget(None))
     return _from_int_poly(d, f.variable_count)
-
-
-def _nf_fraction(p, basis, order, budget):
-    """Full normal form with rational arithmetic.  basis: list of monic
-    Polynomials paired with their leading monomials."""
-    key = order.key
-    work = dict(p.terms)
-    result = {}
-    while work:
-        lm = max(work, key=key)
-        lc = work[lm]
-        hit = None
-        for blm, bp in basis:
-            if mono_divides(blm, lm):
-                hit = (blm, bp)
-                break
-        if hit is None:
-            result[lm] = lc
-            del work[lm]
-            continue
-        budget.spend()
-        blm, bp = hit
-        q = mono_div(lm, blm)
-        for bm, bv in bp.terms.items():
-            mm = mono_mul(bm, q)
-            s = work.get(mm, Fraction(0)) - lc * bv
-            if s == 0:
-                work.pop(mm, None)
-            else:
-                work[mm] = s
-    return Polynomial(result, p.variable_count)
 
 
 # -- Buchberger --------------------------------------------------------------
@@ -353,13 +338,10 @@ def _buchberger_int(triples, order, budget):
                     break
         if skip:
             continue
-        s = _s_poly_int(basis[i], basis[j], budget)
-        r = _head_reduce(s, basis, order, budget)
+        r, _ = _reduce(_s_poly_int(basis[i], basis[j], budget), basis,
+                       order, budget)
         if r:
-            lm = max(r, key=key)
-            if r[lm] < 0:
-                r = {m: -v for m, v in r.items()}
-            basis.append((lm, r[lm], r))
+            basis.append(_int_triple(r, order))
             push_pairs(len(basis) - 1)
     return basis
 
@@ -387,18 +369,14 @@ def _buchberger_cached(ideal, order, step_cap):
 
 
 def _finish_basis(raw, order, n, budget):
-    """Minimalize, make monic, fully interreduce, sort.  Returns the
-    unique reduced Groebner basis."""
+    """Minimalize, fully interreduce, sort.  Returns the unique reduced
+    Groebner basis."""
     kept = _minimal(raw, order)
-    polys = [_from_int_poly(b[2], n, monic_order=order) for b in kept]
-    lms = [b[0] for b in kept]
-    for i in range(len(polys)):
-        others = [(lms[j], polys[j]) for j in range(len(polys)) if j != i]
-        polys[i] = _nf_fraction(polys[i], others, order, budget)
-        lc = polys[i].terms[lms[i]]
-        if lc != 1:
-            polys[i] = polys[i] * (1 / lc)
-    return GroebnerBasis(order, polys)
+    done = []
+    for i, b in enumerate(kept):
+        r, _ = _reduce(b[2], done + kept[i + 1:], order, budget)
+        done.append(_int_triple(r, order))
+    return GroebnerBasis(order, done, n)
 
 
 def _minimal(triples, order):
@@ -413,8 +391,9 @@ def _minimal(triples, order):
 
 def normal_form(p, gb, step_cap=None):
     """Unique remainder of p modulo a reduced Groebner basis."""
-    pairs = [(b[0], e) for b, e in zip(gb._int_basis, gb.elements)]
-    return _nf_fraction(p, pairs, gb.order, _Budget(step_cap))
+    d, denom = _clear_denominators(p)
+    r, k = _reduce(d, gb._int_basis, gb.order, _Budget(step_cap))
+    return _from_int_poly(r, p.variable_count, k * denom)
 
 
 # -- elimination and derived operations --------------------------------------
@@ -571,12 +550,16 @@ def _hilbert_function(lead_monomials, top, weights=(1, 1, 1)):
     values = [0] * (top + 1)
     for a in range(top // wx + 1):
         row = low[min(a, P)]
+        if not row[0]:
+            break  # low only falls as a and b grow: no column is left
         for b in range((top - a * wx) // wy + 1):
+            run = row[min(b, Q)]
+            if not run:
+                break
             s = a * wx + b * wy
-            end = s + row[min(b, Q)] * wz
             values[s] += 1
-            if end <= top:
-                values[end] -= 1
+            if s + run * wz <= top:
+                values[s + run * wz] -= 1
     for t in range(wz, top + 1):
         values[t] += values[t - wz]
     return values

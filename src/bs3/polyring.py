@@ -48,10 +48,6 @@ def mono_lcm(a, b):
     return tuple(max(i, j) for i, j in zip(a, b))
 
 
-def mono_total_degree(m):
-    return sum(m)
-
-
 def grevlex_key(m):
     """Sort key: larger key = larger monomial in graded reverse lex."""
     return (sum(m),) + tuple(-e for e in reversed(m))
@@ -84,9 +80,6 @@ class WeightSystem:
 
     def __repr__(self):
         return "WeightSystem(%s)" % (self.weights,)
-
-
-STANDARD_WEIGHTS = WeightSystem((1, 1, 1))
 
 
 class Polynomial:

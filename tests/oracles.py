@@ -9,7 +9,9 @@ regenerate them from the code under test.  The reference saturation at the
 end is the package's elimination route, which production no longer takes
 for standard-homogeneous ideals of dimension at most one; it is kept here to
 cross-check the fast route.  The Artinian degree data below walk the finite
-staircase box directly, independent of the Hilbert-function engine.
+staircase box directly, independent of the Hilbert-function engine.  The
+rational normal form and the bitmask decomposability test are the routes
+the package replaced by its integer reducer and by the lattice criterion.
 """
 
 from fractions import Fraction
@@ -17,7 +19,7 @@ from itertools import combinations_with_replacement, product
 
 from bs3.graded import DegreeData
 from bs3.groebner import ideal_intersection, saturate_by_poly
-from bs3.polyring import Polynomial, mono_divides
+from bs3.polyring import Polynomial, mono_div, mono_divides, mono_mul
 
 # -- the two degree-9 arrangements that differ only in the non-lattice root
 
@@ -181,3 +183,47 @@ def _artinian_degree_data(gb, w, n=3):
         q = w.mono_wdeg(e)
         entries[q] = entries.get(q, 0) + 1
     return DegreeData(entries)
+
+
+# -- full reduction over Fraction ------------------------------------------
+
+def normal_form_by_fractions(p, gb):
+    """Remainder of p modulo the monic reduced basis gb, every step in
+    Fraction arithmetic: the leading term is cancelled when some leading
+    monomial divides it, and moved to the remainder otherwise."""
+    pairs = list(zip(gb.leading_monomials, gb.elements))
+    key = gb.order.key
+    work, result = dict(p.terms), {}
+    while work:
+        lm = max(work, key=key)
+        lc = work.pop(lm)
+        hit = next(((blm, b) for blm, b in pairs if mono_divides(blm, lm)),
+                   None)
+        if hit is None:
+            result[lm] = lc
+            continue
+        blm, b = hit
+        q = mono_div(lm, blm)
+        for bm, bv in b.terms.items():
+            if bm == blm:
+                continue
+            mm = mono_mul(bm, q)
+            work[mm] = work.get(mm, Fraction(0)) - lc * bv
+            if work[mm] == 0:
+                del work[mm]
+    return Polynomial(result, p.variable_count)
+
+
+# -- decomposability by every bipartition ----------------------------------
+
+def decomposable_by_bitmask(forms):
+    """Some split of the normals into two nonempty blocks has rank sum 3,
+    tried over all 2^(d-1) bipartitions (use for d <= 9)."""
+    normals = [list(f.coefficients) for f in forms]
+    d = len(normals)
+    for mask in range(1, 1 << (d - 1)):
+        left = [normals[i] for i in range(d) if mask >> i & 1]
+        right = [normals[i] for i in range(d) if not mask >> i & 1]
+        if rref_rank(left) + rref_rank(right) == 3:
+            return True
+    return False

@@ -1,5 +1,6 @@
 """Arrangement validation, lattice combinatorics, formality, conditions."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -62,6 +63,47 @@ def test_is_indecomposable():
     assert not is_indecomposable(forms_of("x,y,z"))
     assert is_indecomposable(forms_of("x,y,z,x+y+z"))
     assert is_indecomposable(forms_of(oracles.BRAID))
+
+
+def through_point(rng, point):
+    """A random nonzero normal of a line through the point."""
+    while True:
+        v = [rng.randint(-3, 3) for _ in range(3)]
+        n = (point[1] * v[2] - point[2] * v[1],
+             point[2] * v[0] - point[0] * v[2],
+             point[0] * v[1] - point[1] * v[0])
+        if any(n):
+            return LinearForm(n)
+
+
+def draw_forms(rng, d):
+    """d forms: random, or a pencil of d - 1 or d - 2 lines through one
+    point plus random lines."""
+    kind = rng.choice(("random", "line+pencil", "two+pencil"))
+    pencil = {"random": 0, "line+pencil": d - 1, "two+pencil": d - 2}[kind]
+    point = [rng.randint(-2, 2) for _ in range(3)]
+    if not any(point):
+        point[2] = 1
+    forms = [through_point(rng, point) for _ in range(pencil)]
+    while len(forms) < d:
+        coeffs = [rng.randint(-2, 2) for _ in range(3)]
+        if any(coeffs):
+            forms.append(LinearForm(coeffs))
+    return forms
+
+
+def test_is_indecomposable_matches_every_bipartition():
+    rng = random.Random(5)
+    outcomes = {True: 0, False: 0}
+    while sum(outcomes.values()) < 90:
+        forms = draw_forms(rng, rng.randint(3, 9 if rng.random() < 0.2 else 7))
+        normals = [list(f.coefficients) for f in forms]
+        if len(set(forms)) < len(forms) or oracles.rref_rank(normals) < 3:
+            continue  # the precondition: reduced and essential
+        got = is_indecomposable(forms)
+        assert got == (not oracles.decomposable_by_bitmask(forms)), forms
+        outcomes[got] += 1
+    assert min(outcomes.values()) >= 20
 
 
 def test_singular_points_generic():

@@ -151,6 +151,17 @@ def test_graded_dimension_rejects_inhomogeneous():
         graded_dimension(ideal("x^2 + y"), W1, 2)
 
 
+def test_graded_dimension_checks_a_basis_against_the_weights():
+    I = ideal("x^2 - y", "z^3 - y*z")
+    gb = buchberger(I, GREVLEX)
+    with pytest.raises(PreconditionError):
+        graded_dimension(gb, W1, 2)
+    half = WeightSystem((Fraction(1, 2), 1, Fraction(1, 2)))
+    for k in range(10):
+        q = Fraction(k, 2)
+        assert graded_dimension(gb, half, q) == graded_dimension(I, half, q)
+
+
 def test_h0_artinian_quotient_is_its_own_section_module():
     data = h0_degree_data(ideal("x^2", "y^2", "z^2"), W1)
     assert data.entries == {0: 1, 1: 3, 2: 3, 3: 1}

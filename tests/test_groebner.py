@@ -1,6 +1,7 @@
 """Buchberger engine: bases, normal forms, elimination, saturation."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -13,7 +14,7 @@ from bs3.groebner import (GroebnerBasis, Ideal, MonomialOrder,
                           ideal_intersection, normal_form, s_polynomial,
                           saturate_by_poly, saturate_irrelevant)
 from bs3.milnor import jacobian_ideal
-from bs3.polyring import Polynomial, parse_polynomial
+from bs3.polyring import Polynomial, mono_divides, parse_polynomial
 
 GREVLEX = MonomialOrder("grevlex", 3)
 LEX = MonomialOrder("lex", 3)
@@ -107,6 +108,42 @@ def test_normal_form_is_linear_and_idempotent():
     nf = lambda r: normal_form(r, gb)
     assert nf(p + q) == nf(p) + nf(q)
     assert nf(nf(p)) == nf(p)
+
+
+def random_polynomial(rng, top_degree=5):
+    terms = {}
+    for _ in range(rng.randint(1, 8)):
+        m = tuple(rng.randint(0, top_degree) for _ in range(3))
+        if sum(m) <= top_degree:
+            terms[m] = Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+    return Polynomial(terms, 3)
+
+
+@pytest.mark.parametrize("texts, order", [
+    (("x^2 - y*z", "y^3"), GREVLEX),
+    (("x^2*y - z^3", "x*z - y^2", "y^3 - x*z^2"), GREVLEX),
+    (("3*x^2 + 1/2*y*z", "2/3*x*y - 5*z^2", "x*z^2 - 7/4*y^3"), GREVLEX),
+    (("x^2 + y*z - 1", "y^2 - 2*x + 1/3"), GREVLEX),
+    (("x*y - z", "y^2 - 3/5*x"), LEX),
+    (("x", "y^2 - z^3"), LEX),
+])
+def test_normal_form_matches_the_fraction_reducer(texts, order):
+    gb = buchberger(ideal(*texts), order)
+    rng = random.Random(len(gb) + 7 * len(texts))
+    for _ in range(15):
+        p = random_polynomial(rng)
+        assert normal_form(p, gb) == oracles.normal_form_by_fractions(p, gb)
+
+
+def test_corpus_jacobian_bases_are_fully_reduced():
+    for name, arr in corpus.build_corpus():
+        gb = buchberger(jacobian_ideal(arr.defining_polynomial()), GREVLEX)
+        lms = gb.leading_monomials
+        for lm, element in zip(lms, gb.elements):
+            assert element.terms[lm] == 1, name
+            for m in element.terms:
+                assert m == lm or not any(mono_divides(b, m) for b in lms), \
+                    name
 
 
 def test_membership_matches_linear_algebra_oracle():

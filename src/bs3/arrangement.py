@@ -69,12 +69,14 @@ class LinearForm:
 
 
 class Arrangement:
-    """A validated arrangement; use validate() to construct one."""
+    """A validated arrangement; use validate() to construct one.  The
+    intersection lattice (see _lattice) is built once and kept."""
 
-    __slots__ = ("forms",)
+    __slots__ = ("forms", "lattice")
 
     def __init__(self, forms):
         self.forms = tuple(forms)
+        self.lattice = _lattice(self.forms)
 
     @property
     def degree(self):
@@ -169,8 +171,11 @@ def is_indecomposable(forms):
     misses (else all d lines would meet).  So the forms decompose iff some
     intersection point lies on exactly d - 1 of them.
     """
-    d = len(forms)
-    return all(len(lines) != d - 1 for lines in _lattice(forms).values())
+    return _indecomposable(_lattice(forms), len(forms))
+
+
+def _indecomposable(lattice, d):
+    return all(len(lines) != d - 1 for lines in lattice.values())
 
 
 def validate(forms):
@@ -187,10 +192,11 @@ def validate(forms):
     if _normal_rank(forms) < 3:
         raise PreconditionError("not essential: normals span rank %d < 3"
                                 % _normal_rank(forms))
-    if not is_indecomposable(forms):
+    arr = Arrangement(forms)
+    if not _indecomposable(arr.lattice, arr.degree):
         raise PreconditionError("decomposable: the forms split into blocks "
                                 "using disjoint coordinates")
-    return Arrangement(forms)
+    return arr
 
 
 def _canonical_point(p):
@@ -219,7 +225,7 @@ def singular_points(arr):
     """All pairwise intersection points in the projective plane with their
     line counts, canonically scaled and deduplicated."""
     return [SingularPoint(pt, len(lines))
-            for pt, lines in _lattice(arr.forms).items()]
+            for pt, lines in arr.lattice.items()]
 
 
 def comb_roots(arr):
@@ -245,7 +251,7 @@ def _length3_relations(arr):
     forms = arr.forms
     d = len(forms)
     relations = []
-    for lines in _lattice(forms).values():
+    for lines in arr.lattice.values():
         for a in range(len(lines)):
             for b in range(a + 1, len(lines)):
                 for c in range(b + 1, len(lines)):

@@ -22,7 +22,6 @@ second, basis-free route to the same dimensions.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 from operator import mul
 
 from . import linalg
@@ -84,17 +83,9 @@ class RegularityReport:
                                      self.regularity, self.sheaf_dim_e))
 
 
-def _scaled_weights(w):
-    """Weights as integers together with the common denominator."""
-    L = 1
-    for wi in w.weights:
-        L = L * wi.denominator // gcd(L, wi.denominator)
-    return [int(wi * L) for wi in w.weights], L
-
-
 def weighted_monomials(w, q, variable_count=3):
     """All exponent tuples with weighted degree exactly q, in a fixed order."""
-    W, L = _scaled_weights(w)
+    W, L = w.scaled, w.denominator
     target = Fraction(q) * L
     if target.denominator != 1 or target < 0:
         return []
@@ -138,7 +129,7 @@ def graded_dimension(ideal_or_basis, w, q):
     """
     q = Fraction(q)
     if isinstance(ideal_or_basis, GroebnerBasis):
-        W, L = _scaled_weights(w)
+        W, L = w.scaled, w.denominator
         for e in ideal_or_basis.elements:
             if len({sum(map(mul, W, m)) for m in e.terms}) > 1:
                 raise PreconditionError("basis element %s is not homogeneous "
@@ -169,7 +160,7 @@ def h0_degree_data(I, w, step_cap=None):
     in_sat = _leading_monomials(saturate_irrelevant(I, step_cap))
     in_i = buchberger(I, MonomialOrder.grevlex(I.variable_count),
                       step_cap).leading_monomials
-    W, L = _scaled_weights(w)
+    W, L = w.scaled, w.denominator
     # HS(R/M) = K(t)/prod(1 - t^W_i) with deg K <= wdeg lcm(M), because the
     # Taylor resolution of R/M has every syzygy in a degree dividing lcm(M).
     # I^sat/I has finite length, so its series HS(R/in I) - HS(R/in I^sat)

@@ -9,6 +9,26 @@ generators are cleared of denominators on the way in, and the interreduced
 basis (the unique reduced Groebner basis for the chosen order) is made monic
 on the way out.
 
+Inside those dictionaries a monomial is one int, packed by its order
+(Monagan-Pearce): pack(m) = sum e_i * C_i lays 16-bit fields side by side,
+each holding a sum of some of the exponents in its low 15 bits and a guard
+bit, always clear, on top.  The most significant fields hold the order's
+key: for grevlex the partial sums s_n = deg, s_(n-1), ..., s_1 with
+s_k = e_1 + ... + e_k (at equal degree grevlex is lex on these sums), for
+lex e_1, ..., e_n, for a block order e_1, ..., e_k and then the grevlex sums
+of the other variables.  Below them come the total degree and each raw
+exponent that is not a field yet.  So the int order is the monomial order,
+a product is +, a quotient is -, the leading monomial of a dict d is max(d),
+and a divides b iff ((b | G) - a) & G == G for the guard mask G: a field of
+b below a's clears its guard bit, and no borrow crosses a field.
+
+Every field is a sum of exponents, so none exceeds the total degree, and a
+monomial enters only if its total degree is at most MAX_DEGREE = 2^15 - 1.
+A sum of two packed monomials then has fields below 2^16, and a field past
+MAX_DEGREE shows as a set guard bit: every product that can pass the bound
+is checked, and one that does raises ResourceLimitError.  A field never
+wraps silently.
+
 Saturation by the irrelevant ideal m = (x, y, z) takes one of three routes,
 each resting on a proof rather than a trial:
 
@@ -37,15 +57,24 @@ import heapq
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from operator import itemgetter, mul
 
-from .polyring import (Bs3Error, Polynomial, PreconditionError, grevlex_key,
-                       mono_div, mono_divides, mono_lcm, mono_mul)
+from .polyring import Bs3Error, Polynomial, PreconditionError
 
 DEFAULT_STEP_CAP = 10_000_000
+MAX_DEGREE = (1 << 15) - 1
+_FIELD = 16
 
 
 class ResourceLimitError(Bs3Error):
-    """Raised when a computation exceeds its reduction step cap."""
+    """Raised when a computation exceeds its reduction step cap or a
+    monomial's total degree exceeds MAX_DEGREE."""
+
+
+def _too_large():
+    return ResourceLimitError(
+        "exponents too large: a monomial of total degree above %d"
+        % MAX_DEGREE)
 
 
 class _Budget:
@@ -63,7 +92,7 @@ class _Budget:
 
 
 class MonomialOrder:
-    """A monomial order given by a sort key; larger key = larger monomial.
+    """A monomial order, compared through its packing (module docstring).
 
     Three kinds: graded reverse lex, lex, and a block (elimination) order
     that compares the first elim_count exponents lexicographically and
@@ -93,13 +122,9 @@ class MonomialOrder:
             raise ValueError("elim_count must be strictly between 0 and n")
         return cls("block", n, elim_count)
 
-    def key(self, m):
-        if self.kind == "grevlex":
-            return grevlex_key(m)
-        if self.kind == "lex":
-            return tuple(m)
-        k = self.elim_count
-        return (tuple(m[:k]), grevlex_key(m[k:]))
+    @property
+    def packing(self):
+        return _packing(self.kind, self.variable_count, self.elim_count)
 
     def __eq__(self, other):
         return (isinstance(other, MonomialOrder) and self.kind == other.kind
@@ -114,6 +139,65 @@ class MonomialOrder:
             return "MonomialOrder.block(%d, %d)" % (self.elim_count,
                                                     self.variable_count)
         return "MonomialOrder.%s(%d)" % (self.kind, self.variable_count)
+
+
+class _Packing:
+    """The packing constants of one order: C_i per variable, the guard
+    mask, the shift of each raw exponent and of the total degree."""
+
+    __slots__ = ("n", "coeffs", "guard", "shifts", "degree_shift")
+
+    def __init__(self, kind, n, elim_count):
+        lead = {"grevlex": 0, "lex": n, "block": elim_count}[kind]
+        # each field is the set of variables it sums, most significant first
+        fields = [(i,) for i in range(lead)]
+        fields += [tuple(range(lead, j)) for j in range(n, lead, -1)]
+        for f in [tuple(range(n))] + [(i,) for i in range(n)]:
+            if f not in fields:
+                fields.append(f)
+        shift = {f: _FIELD * (len(fields) - 1 - j)
+                 for j, f in enumerate(fields)}
+        self.n = n
+        self.coeffs = tuple(sum(1 << s for f, s in shift.items() if i in f)
+                            for i in range(n))
+        self.guard = sum(1 << (s + _FIELD - 1) for s in shift.values())
+        self.shifts = tuple(shift[(i,)] for i in range(n))
+        self.degree_shift = shift[tuple(range(n))]
+
+    def pack(self, m):
+        if sum(m) > MAX_DEGREE:
+            raise _too_large()
+        return sum(map(mul, m, self.coeffs))
+
+    def unpack(self, p):
+        return tuple(p >> s & MAX_DEGREE for s in self.shifts)
+
+    def degree(self, p):
+        return p >> self.degree_shift & MAX_DEGREE
+
+    def exponent(self, p, i):
+        return p >> self.shifts[i] & MAX_DEGREE
+
+    def divides(self, a, b):
+        g = self.guard
+        return ((b | g) - a) & g == g
+
+    def lcm(self, a, b):
+        """lcm(a, b), unchecked: a field of it is at most the sum of the
+        fields of a and b, below 2^16, so its guard bit tells whether it
+        passed MAX_DEGREE.  (b | G) - a holds 2^15 + b_i - a_i in the field
+        of each raw exponent, and a gains the positive differences."""
+        d = (b | self.guard) - a
+        for s, c in zip(self.shifts, self.coeffs):
+            e = (d >> s & 0xFFFF) - 0x8000
+            if e > 0:
+                a += e * c
+        return a
+
+
+@lru_cache(maxsize=None)
+def _packing(kind, n, elim_count):
+    return _Packing(kind, n, elim_count)
 
 
 class Ideal:
@@ -154,20 +238,22 @@ class Ideal:
 
 class GroebnerBasis:
     """A reduced Groebner basis: monic elements, fully interreduced,
-    sorted by increasing leading monomial.  The integer triples it was
-    built from are kept for further reductions."""
+    sorted by increasing leading monomial.  The packed integer triples it
+    was built from are kept for further reductions."""
 
     __slots__ = ("order", "elements", "_int_basis")
 
     def __init__(self, order, triples, variable_count):
         self.order = order
         self._int_basis = tuple(triples)
-        self.elements = tuple(_from_int_poly(d, variable_count, lc)
+        pk = order.packing
+        self.elements = tuple(_from_int_poly(d, pk, lc)
                               for _, lc, d in self._int_basis)
 
     @property
     def leading_monomials(self):
-        return tuple(b[0] for b in self._int_basis)
+        unpack = self.order.packing.unpack
+        return tuple(unpack(b[0]) for b in self._int_basis)
 
     def __len__(self):
         return len(self.elements)
@@ -198,35 +284,38 @@ def _strip_content(d):
     return {m: v // g for m, v in d.items()} if g > 1 else d
 
 
-def _clear_denominators(p):
-    """Polynomial p -> (int dict d, denominator D) with p = d / D."""
+def _clear_denominators(p, pk):
+    """Polynomial p -> (packed int dict d, denominator D) with p = d / D."""
     denom = 1
     for c in p.terms.values():
         denom = denom * c.denominator // gcd(denom, c.denominator)
-    return ({m: c.numerator * (denom // c.denominator)
+    pack = pk.pack
+    return ({pack(m): c.numerator * (denom // c.denominator)
              for m, c in p.terms.items()}, denom)
 
 
-def _to_int_poly(p, order):
+def _to_int_poly(p, pk):
     """Polynomial -> (lead mono, lead coeff, primitive int dict), lead > 0."""
-    return _int_triple(_clear_denominators(p)[0], order)
+    return _int_triple(_clear_denominators(p, pk)[0])
 
 
-def _int_triple(d, order):
+def _int_triple(d):
     """Nonzero int dict -> (lead mono, lead coeff > 0, primitive dict)."""
     d = _strip_content(d)
-    lm = max(d, key=order.key)
+    lm = max(d)
     if d[lm] < 0:
         d = {m: -v for m, v in d.items()}
     return (lm, d[lm], d)
 
 
-def _from_int_poly(d, n, scale=1):
+def _from_int_poly(d, pk, scale=1):
     """Int dict d -> the Polynomial d / scale."""
-    return Polynomial({m: Fraction(v, scale) for m, v in d.items()}, n)
+    unpack = pk.unpack
+    return Polynomial({unpack(m): Fraction(v, scale) for m, v in d.items()},
+                      pk.n)
 
 
-def _reduce(d, basis, order, budget):
+def _reduce(d, basis, pk, budget):
     """Fully reduce the int dict d against basis, (lm, lc, dict) triples.
 
     Returns (r, k): r is an int dict none of whose monomials a leading
@@ -234,15 +323,19 @@ def _reduce(d, basis, order, budget):
     lies in the ideal the basis generates.  Each step scales the terms by
     the basis leading coefficient over a gcd and then strips the content of
     all of them, so coefficients stay integers and r is primitive when d
-    is.
+    is.  The quotient q of two leading monomials fits, so each product
+    bm + q is checked by its guard bits alone.
     """
-    key = order.key
+    G = pk.guard
     work, done = dict(d), {}
     num = den = 1
     while work:
-        lm = max(work, key=key)
-        hit = next((b for b in basis if mono_divides(b[0], lm)), None)
-        if hit is None:
+        lm = max(work)
+        lg = lm | G
+        for hit in basis:
+            if (lg - hit[0]) & G == G:
+                break
+        else:
             done[lm] = work.pop(lm)
             continue
         budget.spend()
@@ -253,9 +346,11 @@ def _reduce(d, basis, order, budget):
             work = {m: a * v for m, v in work.items()}
             done = {m: a * v for m, v in done.items()}
             num *= a
-        q = mono_div(lm, blm)
+        q = lm - blm
         for bm, bv in bterms.items():
-            mm = mono_mul(bm, q)
+            mm = bm + q
+            if mm & G:
+                raise _too_large()
             s = work.get(mm, 0) - c * bv
             if s:
                 work[mm] = s
@@ -269,20 +364,30 @@ def _reduce(d, basis, order, budget):
     return done, Fraction(num, den)
 
 
-def _s_poly_int(f, g, budget):
-    """Integer S-polynomial of two (lm, lc, dict) triples."""
+def _s_poly_int(f, g, pk, budget):
+    """Integer S-polynomial of two (lm, lc, dict) triples.  The lcm is
+    checked first, so the quotients fit and each product term is checked
+    by its guard bits alone."""
     budget.spend()
-    lcm = mono_lcm(f[0], g[0])
+    G = pk.guard
+    lcm = pk.lcm(f[0], g[0])
+    if lcm & G:
+        raise _too_large()
     g0 = gcd(f[1], g[1])
     af = g[1] // g0
     ag = f[1] // g0
-    qf = mono_div(lcm, f[0])
-    qg = mono_div(lcm, g[0])
+    qf = lcm - f[0]
+    qg = lcm - g[0]
     out = {}
     for m, v in f[2].items():
-        out[mono_mul(m, qf)] = af * v
+        mm = m + qf
+        if mm & G:
+            raise _too_large()
+        out[mm] = af * v
     for m, v in g[2].items():
-        mm = mono_mul(m, qg)
+        mm = m + qg
+        if mm & G:
+            raise _too_large()
         s = out.get(mm, 0) - ag * v
         if s == 0:
             out.pop(mm, None)
@@ -293,55 +398,56 @@ def _s_poly_int(f, g, budget):
 
 def s_polynomial(f, g, order):
     """S-polynomial of two rational polynomials (used by consistency checks)."""
-    bf = _to_int_poly(f, order)
-    bg = _to_int_poly(g, order)
-    d = _s_poly_int(bf, bg, _Budget(None))
-    return _from_int_poly(d, f.variable_count)
+    pk = order.packing
+    d = _s_poly_int(_to_int_poly(f, pk), _to_int_poly(g, pk), pk,
+                    _Budget(None))
+    return _from_int_poly(d, pk)
 
 
 # -- Buchberger --------------------------------------------------------------
 
 
-def _buchberger_int(triples, order, budget):
+def _buchberger_int(triples, pk, budget):
     """Core loop on (lm, lc, dict) triples; returns the final list of
-    triples, a Groebner basis that is neither minimal nor reduced."""
-    key = order.key
+    triples, a Groebner basis that is neither minimal nor reduced.
+
+    Pairs are taken by least degree, then least lcm.  The lcm of a pair is
+    checked against the guard bits unless the product criterion drops the
+    pair; the lcms the chain criterion forms divide a checked one.
+    """
+    G = pk.guard
+    lcm_of = pk.lcm
+    degree = pk.degree
     basis = list(triples)
-    if not basis:
-        return []
-
-    def lcm_of(i, j):
-        return mono_lcm(basis[i][0], basis[j][0])
-
     heap = []
 
     def push_pairs(t):
+        b = basis[t][0]
         for i in range(t):
-            lcm = mono_lcm(basis[i][0], basis[t][0])
-            if lcm == mono_mul(basis[i][0], basis[t][0]):
+            a = basis[i][0]
+            lcm = lcm_of(a, b)
+            if lcm == a + b:
                 continue  # product criterion
-            heapq.heappush(heap, (sum(lcm), key(lcm), i, t, lcm))
+            if lcm & G:
+                raise _too_large()
+            heapq.heappush(heap, (degree(lcm), lcm, i, t))
 
     for t in range(1, len(basis)):
         push_pairs(t)
 
     while heap:
-        _, _, i, j, lcm = heapq.heappop(heap)
+        _, lcm, i, j = heapq.heappop(heap)
         # chain criterion: a third element strictly inside the lcm
-        skip = False
-        for k in range(len(basis)):
-            if k == i or k == j:
-                continue
-            if mono_divides(basis[k][0], lcm):
-                if lcm_of(i, k) != lcm and lcm_of(j, k) != lcm:
-                    skip = True
-                    break
-        if skip:
+        lg = lcm | G
+        a, b = basis[i][0], basis[j][0]
+        if any((lg - m) & G == G and lcm_of(a, m) != lcm
+               and lcm_of(b, m) != lcm
+               for k, (m, _, _) in enumerate(basis) if k != i and k != j):
             continue
-        r, _ = _reduce(_s_poly_int(basis[i], basis[j], budget), basis,
-                       order, budget)
+        r, _ = _reduce(_s_poly_int(basis[i], basis[j], pk, budget), basis,
+                       pk, budget)
         if r:
-            basis.append(_int_triple(r, order))
+            basis.append(_int_triple(r))
             push_pairs(len(basis) - 1)
     return basis
 
@@ -362,38 +468,41 @@ def buchberger(ideal, order=None, step_cap=None):
 @lru_cache(maxsize=64)
 def _buchberger_cached(ideal, order, step_cap):
     budget = _Budget(step_cap)
+    pk = order.packing
     return _finish_basis(
-        _buchberger_int([_to_int_poly(g, order) for g in ideal.generators],
-                        order, budget),
+        _buchberger_int([_to_int_poly(g, pk) for g in ideal.generators],
+                        pk, budget),
         order, ideal.variable_count, budget)
 
 
 def _finish_basis(raw, order, n, budget):
     """Minimalize, fully interreduce, sort.  Returns the unique reduced
     Groebner basis."""
-    kept = _minimal(raw, order)
+    pk = order.packing
+    kept = _minimal(raw, pk)
     done = []
     for i, b in enumerate(kept):
-        r, _ = _reduce(b[2], done + kept[i + 1:], order, budget)
-        done.append(_int_triple(r, order))
+        r, _ = _reduce(b[2], done + kept[i + 1:], pk, budget)
+        done.append(_int_triple(r))
     return GroebnerBasis(order, done, n)
 
 
-def _minimal(triples, order):
+def _minimal(triples, pk):
     """The triples, smallest leading monomial first, without those whose
     leading monomial an earlier one divides."""
     kept = []
-    for b in sorted(triples, key=lambda b: order.key(b[0])):
-        if not any(mono_divides(k[0], b[0]) for k in kept):
+    for b in sorted(triples, key=itemgetter(0)):
+        if not any(pk.divides(k[0], b[0]) for k in kept):
             kept.append(b)
     return kept
 
 
 def normal_form(p, gb, step_cap=None):
     """Unique remainder of p modulo a reduced Groebner basis."""
-    d, denom = _clear_denominators(p)
-    r, k = _reduce(d, gb._int_basis, gb.order, _Budget(step_cap))
-    return _from_int_poly(r, p.variable_count, k * denom)
+    pk = gb.order.packing
+    d, denom = _clear_denominators(p, pk)
+    r, k = _reduce(d, gb._int_basis, pk, _Budget(step_cap))
+    return _from_int_poly(r, pk, k * denom)
 
 
 # -- elimination and derived operations --------------------------------------
@@ -573,31 +682,36 @@ def _same_hilbert_polynomial(lms_a, lms_b):
             == _hilbert_function(lms_b, t + 2)[t:])
 
 
-def _shift_last(d, a, b):
-    """p(x, y, z + a*x + b*y) for an integer coefficient dict p."""
-    powers = [{(0, 0, 0): 1}]
-    for _ in range(max(m[2] for m in d)):
+def _shift_last(d, a, b, pk):
+    """p(x, y, z + a*x + b*y) for a packed grevlex(3) int dict p.  The
+    substitution keeps every total degree, so no field can pass its bound
+    and the sums need no check."""
+    X, Y, Z = pk.coeffs
+    zs = pk.shifts[2]
+    powers = [{0: 1}]
+    for _ in range(max(m >> zs & MAX_DEGREE for m in d)):
         nxt = {}
-        for (i, j, k), v in powers[-1].items():
-            for m, w in (((i, j, k + 1), v), ((i + 1, j, k), a * v),
-                         ((i, j + 1, k), b * v)):
+        for m, v in powers[-1].items():
+            for mm, w in ((m + Z, v), (m + X, a * v), (m + Y, b * v)):
                 if w:
-                    nxt[m] = nxt.get(m, 0) + w
+                    nxt[mm] = nxt.get(mm, 0) + w
         powers.append(nxt)
     out = {}
-    for (i, j, k), v in d.items():
-        for (p, q, r), w in powers[k].items():
-            m = (i + p, j + q, r)
-            out[m] = out.get(m, 0) + v * w
+    for m, v in d.items():
+        k = m >> zs & MAX_DEGREE
+        base = m - k * Z
+        for p, w in powers[k].items():
+            mm = base + p
+            out[mm] = out.get(mm, 0) + v * w
     return {m: v for m, v in out.items() if v}
 
 
 def _move_line(ideal, c):
     """The generators, as triples, in coordinates where the line
     z + c*x + c^2*y is the last variable: g(x, y, z - c*x - c^2*y)."""
-    order = MonomialOrder.grevlex(3)
-    return [_int_triple(_shift_last(_to_int_poly(g, order)[2], -c, -c * c),
-                        order) for g in ideal.generators]
+    pk = MonomialOrder.grevlex(3).packing
+    return [_int_triple(_shift_last(_to_int_poly(g, pk)[2], -c, -c * c, pk))
+            for g in ideal.generators]
 
 
 def _univariate_gcd(f, g):
@@ -628,12 +742,14 @@ def _line_misses(ideal, c):
     binary forms g(x, y, 0) that must have no common zero: neither at
     (1:0), where each would drop below its degree, nor in the chart
     y = 1, where their gcd would be nonconstant."""
+    pk = MonomialOrder.grevlex(3).packing
+    xs, zs = pk.shifts[0], pk.shifts[2]
     common, full = [], False
     for lm, _, d in _move_line(ideal, c):
-        form = [0] * (sum(lm) + 1)
-        for (a, _, k), v in d.items():
-            if k == 0:
-                form[a] = v
+        form = [0] * (pk.degree(lm) + 1)
+        for m, v in d.items():
+            if not m >> zs & MAX_DEGREE:
+                form[m >> xs & MAX_DEGREE] = v
         full = full or form[-1] != 0
         while form and form[-1] == 0:
             form.pop()
@@ -656,15 +772,15 @@ def _avoiding_line(ideal, e):
                    "misses a zero set of at most %d points" % (2 * e, e))
 
 
-def _divide_out_last(triple):
+def _divide_out_last(triple, pk):
     """Divide by the largest power of z dividing the polynomial; for a
-    grevlex basis element that is the power of z in its leading term."""
+    homogeneous grevlex basis element that is the power of z in its
+    leading term, which every term shares, so no field borrows."""
     lm, lc, d = triple
-    k = lm[2]
-    if k == 0:
+    kz = pk.exponent(lm, 2) * pk.coeffs[2]
+    if not kz:
         return triple
-    return ((lm[0], lm[1], 0), lc,
-            {(m[0], m[1], m[2] - k): v for m, v in d.items()})
+    return (lm - kz, lc, {m - kz: v for m, v in d.items()})
 
 
 def _saturate_by_line(ideal, c, gb, budget):
@@ -676,14 +792,15 @@ def _saturate_by_line(ideal, c, gb, budget):
     the colon (Bayer-Stillman).
     """
     order = MonomialOrder.grevlex(3)
+    pk = order.packing
     if c == 0:
-        raw = [_divide_out_last(b) for b in gb._int_basis]
+        raw = [_divide_out_last(b, pk) for b in gb._int_basis]
     else:
-        divided = [_divide_out_last(b) for b in
-                   _buchberger_int(_move_line(ideal, c), order, budget)]
+        divided = [_divide_out_last(b, pk) for b in
+                   _buchberger_int(_move_line(ideal, c), pk, budget)]
         raw = _buchberger_int(
-            [_int_triple(_shift_last(b[2], c, c * c), order)
-             for b in _minimal(divided, order)], order, budget)
+            [_int_triple(_shift_last(b[2], c, c * c, pk))
+             for b in _minimal(divided, pk)], pk, budget)
     return _finish_basis(raw, order, 3, budget)
 
 

@@ -8,6 +8,8 @@ the public grammar only knows x, y, z (aliases x1, x2, x3).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
+from operator import mul
 
 
 class Bs3Error(Exception):
@@ -34,29 +36,17 @@ def mono_mul(a, b):
     return tuple(i + j for i, j in zip(a, b))
 
 
-def mono_divides(a, b):
-    """True if monomial a divides monomial b."""
-    return all(i <= j for i, j in zip(a, b))
-
-
-def mono_div(a, b):
-    """a / b, assuming b divides a."""
-    return tuple(i - j for i, j in zip(a, b))
-
-
-def mono_lcm(a, b):
-    return tuple(max(i, j) for i, j in zip(a, b))
-
-
 def grevlex_key(m):
     """Sort key: larger key = larger monomial in graded reverse lex."""
     return (sum(m),) + tuple(-e for e in reversed(m))
 
 
 class WeightSystem:
-    """Positive rational weights, one per variable."""
+    """Positive rational weights, one per variable.  The weights times
+    their common denominator are kept as integers, so a weighted degree is
+    an integer sum over that denominator."""
 
-    __slots__ = ("weights",)
+    __slots__ = ("weights", "scaled", "denominator")
 
     def __init__(self, weights):
         ws = tuple(Fraction(w) for w in weights)
@@ -64,13 +54,18 @@ class WeightSystem:
             shown = ",".join(format_rational(w) for w in ws)
             raise PreconditionError("weights must be positive, got %s" % shown)
         self.weights = ws
+        L = 1
+        for w in ws:
+            L = L * w.denominator // gcd(L, w.denominator)
+        self.denominator = L
+        self.scaled = tuple(int(w * L) for w in ws)
 
     @property
     def weight_sum(self):
         return sum(self.weights, Fraction(0))
 
     def mono_wdeg(self, m):
-        return sum((Fraction(e) * w for e, w in zip(m, self.weights)), Fraction(0))
+        return Fraction(sum(map(mul, m, self.scaled)), self.denominator)
 
     def __eq__(self, other):
         return isinstance(other, WeightSystem) and self.weights == other.weights
@@ -232,9 +227,10 @@ def wdeg(p, w):
     """Weighted degree of p, or None when p is not weighted-homogeneous."""
     if p.is_zero():
         raise PreconditionError("wdeg of the zero polynomial is undefined")
-    degrees = {w.mono_wdeg(m) for m in p.terms}
+    scaled = w.scaled
+    degrees = {sum(map(mul, m, scaled)) for m in p.terms}
     if len(degrees) == 1:
-        return degrees.pop()
+        return Fraction(degrees.pop(), w.denominator)
     return None
 
 

@@ -12,6 +12,8 @@ cross-check the fast route.  The Artinian degree data below walk the finite
 staircase box directly, independent of the Hilbert-function engine.  The
 rational normal form and the bitmask decomposability test are the routes
 the package replaced by its integer reducer and by the lattice criterion.
+The tuple monomial primitives and order keys are what the packed monomials
+of bs3.groebner are tested against.
 """
 
 from fractions import Fraction
@@ -19,7 +21,7 @@ from itertools import combinations_with_replacement, product
 
 from bs3.graded import DegreeData
 from bs3.groebner import ideal_intersection, saturate_by_poly
-from bs3.polyring import Polynomial, mono_div, mono_divides, mono_mul
+from bs3.polyring import Polynomial, grevlex_key, mono_mul
 
 # -- the two degree-9 arrangements that differ only in the non-lattice root
 
@@ -73,6 +75,32 @@ BRAID = "x,y,z,x-y,x-z,y-z"
 def walther_generic_set(d):
     return frozenset(Fraction(-j, d) for j in range(3, 2 * d - 1)) | {
         Fraction(-1)}
+
+# -- tuple monomials ------------------------------------------------------
+
+def mono_divides(a, b):
+    """True if monomial a divides monomial b."""
+    return all(i <= j for i, j in zip(a, b))
+
+
+def mono_div(a, b):
+    """a / b, assuming b divides a."""
+    return tuple(i - j for i, j in zip(a, b))
+
+
+def mono_lcm(a, b):
+    return tuple(max(i, j) for i, j in zip(a, b))
+
+
+def order_key(order, m):
+    """Sort key of a tuple monomial: larger key = larger monomial."""
+    if order.kind == "grevlex":
+        return grevlex_key(m)
+    if order.kind == "lex":
+        return tuple(m)
+    k = order.elim_count
+    return (tuple(m[:k]), grevlex_key(m[k:]))
+
 
 # -- independent exact linear algebra -------------------------------------
 
@@ -192,10 +220,9 @@ def normal_form_by_fractions(p, gb):
     Fraction arithmetic: the leading term is cancelled when some leading
     monomial divides it, and moved to the remainder otherwise."""
     pairs = list(zip(gb.leading_monomials, gb.elements))
-    key = gb.order.key
     work, result = dict(p.terms), {}
     while work:
-        lm = max(work, key=key)
+        lm = max(work, key=lambda m: order_key(gb.order, m))
         lc = work.pop(lm)
         hit = next(((blm, b) for blm, b in pairs if mono_divides(blm, lm)),
                    None)

@@ -113,6 +113,31 @@ def test_json_mirrors_text_fields(capsys):
     assert text_keys == set(data.keys())
 
 
+def test_exponent_past_the_packed_bound_exits_3(capsys):
+    code, out, err = run(capsys, "milnor", "--poly",
+                         "x^40000+y^40000+z^40000")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("resource limit:") and "32767" in err
+    assert "Traceback" not in err
+
+
+def test_arrangement_request_builds_the_lattice_once(capsys, monkeypatch):
+    from bs3 import arrangement
+    calls = []
+
+    def spy(forms):
+        calls.append(forms)
+        return lattice(forms)
+
+    lattice = arrangement._lattice
+    monkeypatch.setattr(arrangement, "_lattice", spy)
+    code, _, _ = run(capsys, "arrangement", "--forms",
+                     "x,y,z,x+y+z,x+2y+3z")
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_json_is_deterministic(capsys):
     argv = ("arrangement", "--forms", "x,y,z,x+y+z", "--format", "json")
     _, first, _ = run(capsys, *argv)

@@ -14,7 +14,7 @@ from bs3.groebner import (GroebnerBasis, Ideal, MonomialOrder,
                           ideal_intersection, normal_form, s_polynomial,
                           saturate_by_poly, saturate_irrelevant)
 from bs3.milnor import jacobian_ideal
-from bs3.polyring import Polynomial, mono_divides, parse_polynomial
+from bs3.polyring import Polynomial, parse_polynomial
 
 GREVLEX = MonomialOrder("grevlex", 3)
 LEX = MonomialOrder("lex", 3)
@@ -32,22 +32,122 @@ def basis_texts(gb):
     return sorted(str(g) for g in gb.elements)
 
 
+def packed(order, *monomials):
+    return [order.packing.pack(m) for m in monomials]
+
+
 def test_grevlex_order_on_degree_ties():
     # same total degree: compare reversed exponents, last variable smallest
-    key = GREVLEX.key
-    assert key((2, 0, 0)) > key((1, 1, 0)) > key((1, 0, 1)) > key((0, 0, 2))
-    assert key((0, 0, 2)) > key((1, 0, 0))
+    a, b, c, d, e = packed(GREVLEX, (2, 0, 0), (1, 1, 0), (1, 0, 1),
+                           (0, 0, 2), (1, 0, 0))
+    assert a > b > c > d > e
 
 
 def test_lex_order_ignores_total_degree():
-    key = LEX.key
-    assert key((1, 0, 0)) > key((0, 5, 5))
+    a, b = packed(LEX, (1, 0, 0), (0, 5, 5))
+    assert a > b
 
 
 def test_block_order_eliminates_leading_variables():
     order = MonomialOrder("block", 4, elim_count=1)
     # any power of the first variable beats anything without it
-    assert order.key((1, 0, 0, 0)) > order.key((0, 9, 9, 9))
+    a, b = packed(order, (1, 0, 0, 0), (0, 9, 9, 9))
+    assert a > b
+
+
+ENCODED_ORDERS = [MonomialOrder.grevlex(3), MonomialOrder.grevlex(4),
+                  MonomialOrder.block(1, 4), MonomialOrder.lex(3)]
+TOP = groebner.MAX_DEGREE
+
+
+def random_exponents(rng, n):
+    """An exponent vector whose total degree is small, anything up to the
+    bound, or the bound itself, split at random among the variables."""
+    top = rng.choice([rng.randint(0, 4), rng.randint(0, TOP), TOP])
+    cuts = sorted(rng.randint(0, top) for _ in range(n - 1))
+    return tuple(j - i for i, j in zip([0] + cuts, cuts + [top]))
+
+
+def exponent_samples(n, count=300):
+    rng = random.Random(97 + n)
+    pure = [tuple(TOP if j == i else 0 for j in range(n)) for i in range(n)]
+    return pure + [random_exponents(rng, n) for _ in range(count)]
+
+
+@pytest.mark.parametrize("order", ENCODED_ORDERS, ids=repr)
+def test_packed_order_matches_the_tuple_key(order):
+    pk = order.packing
+    samples = exponent_samples(order.variable_count)
+    rng = random.Random(5)
+    for a in samples:
+        assert pk.unpack(pk.pack(a)) == a
+        assert pk.degree(pk.pack(a)) == sum(a)
+        for b in rng.sample(samples, 20) + [a]:
+            ka, kb = oracles.order_key(order, a), oracles.order_key(order, b)
+            pa, pb = pk.pack(a), pk.pack(b)
+            assert (pa < pb, pa == pb) == (ka < kb, ka == kb), (a, b)
+
+
+@pytest.mark.parametrize("order", ENCODED_ORDERS, ids=repr)
+def test_packed_arithmetic_matches_the_tuple_primitives(order):
+    pk = order.packing
+    samples = exponent_samples(order.variable_count)
+    rng = random.Random(6)
+    for a in samples:
+        pa = pk.pack(a)
+        for b in rng.sample(samples, 20):
+            pb = pk.pack(b)
+            product, lcm = oracles.mono_mul(a, b), oracles.mono_lcm(a, b)
+            # a field past the bound shows as a guard bit, never wraps
+            if sum(product) <= TOP:
+                assert pa + pb == pk.pack(product)
+            else:
+                assert (pa + pb) & pk.guard
+            if sum(lcm) <= TOP:
+                assert pk.lcm(pa, pb) == pk.pack(lcm)
+            else:
+                assert pk.lcm(pa, pb) & pk.guard
+            assert pk.divides(pa, pb) == oracles.mono_divides(a, b)
+            if oracles.mono_divides(b, a):
+                assert pa - pb == pk.pack(oracles.mono_div(a, b))
+            # a multiple of a, to test divisibility when it holds
+            c = tuple(rng.randint(0, 1) * e for e in b)
+            if sum(a) + sum(c) <= TOP:
+                pac = pk.pack(oracles.mono_mul(a, c))
+                assert pk.divides(pa, pac) and pac - pa == pk.pack(c)
+
+
+def test_packing_refuses_a_degree_past_the_bound():
+    pk = GREVLEX.packing
+    assert pk.unpack(pk.pack((TOP - 2, 1, 1))) == (TOP - 2, 1, 1)
+    with pytest.raises(ResourceLimitError):
+        pk.pack((TOP - 1, 1, 1))
+    with pytest.raises(ResourceLimitError):
+        buchberger(ideal("x^40000 + y"), GREVLEX)
+
+
+def test_pair_lcm_past_the_bound_raises():
+    # the generators fit, their lcm x^20000*y^20000 does not
+    with pytest.raises(ResourceLimitError):
+        buchberger(ideal("x^20000*y - z", "x*y^20000 - z"), GREVLEX)
+
+
+def test_s_polynomial_term_past_the_bound_raises():
+    # lex: the lcm x*z^20000 fits, the term y^20000*z^20000 does not
+    f, g = P("x - y^20000"), P("x*z^20000 - 1")
+    assert s_polynomial(f, P("x*z^2 - 1"), LEX) == P("1 - y^20000*z^2")
+    for pair in ((f, g), (g, f)):
+        with pytest.raises(ResourceLimitError):
+            s_polynomial(*pair, LEX)
+    with pytest.raises(ResourceLimitError):
+        buchberger(Ideal((f, g)), LEX)
+
+
+def test_reduction_term_past_the_bound_raises():
+    gb = buchberger(ideal("x - y^20000"), LEX)
+    assert normal_form(P("x*z^2"), gb) == P("y^20000*z^2")
+    with pytest.raises(ResourceLimitError):
+        normal_form(P("x*z^20000"), gb)
 
 
 def test_buchberger_principal_ideal():
@@ -142,8 +242,8 @@ def test_corpus_jacobian_bases_are_fully_reduced():
         for lm, element in zip(lms, gb.elements):
             assert element.terms[lm] == 1, name
             for m in element.terms:
-                assert m == lm or not any(mono_divides(b, m) for b in lms), \
-                    name
+                assert m == lm or not any(
+                    oracles.mono_divides(b, m) for b in lms), name
 
 
 def test_membership_matches_linear_algebra_oracle():

@@ -17,7 +17,7 @@ from .graded import (DegreeData, RegularityReport, graded_dimension,
 from .groebner import (DEFAULT_STEP_CAP, GroebnerBasis, Ideal, MonomialOrder,
                        ResourceLimitError, buchberger, eliminate,
                        ideal_intersection, normal_form, s_polynomial,
-                       saturate_by_poly, saturate_irrelevant)
+                       saturate_by_poly, saturate_irrelevant, step_budget)
 from .milnor import (INFINITE, MilnorProfile, der_log0_graded_dimension,
                      jacobian_ideal, milnor_profile)
 from .polyring import (Bs3Error, ParseError, Polynomial, PreconditionError,

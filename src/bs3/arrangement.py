@@ -14,7 +14,7 @@ from fractions import Fraction
 from . import linalg
 from .bsroots import RootSet
 from .graded import STANDARD, graded_dimension, regularity_report
-from .groebner import MonomialOrder, buchberger
+from .groebner import MonomialOrder, _cross, buchberger
 from .milnor import der_log0_graded_dimension, jacobian_ideal, milnor_profile
 from .polyring import (Bs3Error, Polynomial, PreconditionError, parse_polynomial)
 
@@ -151,12 +151,6 @@ class ArrangementRootReport:
                 % (self.full_zero_set, self.non_comb_present))
 
 
-def _cross(a, b):
-    return (a[1] * b[2] - a[2] * b[1],
-            a[2] * b[0] - a[0] * b[2],
-            a[0] * b[1] - a[1] * b[0])
-
-
 def _normal_rank(forms):
     return linalg.rank([list(f.coefficients) for f in forms])
 
@@ -285,14 +279,14 @@ def is_formal(arr):
     return linalg.span_dimension(rels) == target
 
 
-def condition_report(arr, step_cap=None):
+def condition_report(arr):
     """Evaluate the six equivalent conditions for the presence of the
     non-combinatorial root, with every dimension witness recorded."""
     d = arr.degree
     f = arr.defining_polynomial()
     jac = jacobian_ideal(f)
-    gb = buchberger(jac, MonomialOrder.grevlex(3), step_cap)
-    reg = regularity_report(jac, step_cap)
+    gb = buchberger(jac, MonomialOrder.grevlex(3))
+    reg = regularity_report(jac)
     h0 = reg.h0
     if reg.sheaf_dim_e is None:
         raise PreconditionError("no stabilized section dimension; "
@@ -302,7 +296,7 @@ def condition_report(arr, step_cap=None):
     h0_2d5 = h0.dimension(2 * d - 5)
     milnor_d1 = graded_dimension(gb, STANDARD, d - 1)
     milnor_2d5 = graded_dimension(gb, STANDARD, 2 * d - 5)
-    der0 = der_log0_graded_dimension(f, STANDARD, d - 2, step_cap)
+    der0 = der_log0_graded_dimension(f, STANDARD, d - 2)
     binom = (d + 1) * d // 2 - 3
     # global sections of the twisted Milnor sheaf at twist d-1, computed
     # through the exact sequence with H1 realized by degree-(d-2) derivations
@@ -330,10 +324,10 @@ def condition_report(arr, step_cap=None):
                            witness, h0)
 
 
-def full_root_report(arr, step_cap=None):
+def full_root_report(arr):
     """CombRoots plus the non-combinatorial root exactly when the six
     conditions hold; raises if the six conditions disagree."""
-    conditions = condition_report(arr, step_cap)
+    conditions = condition_report(arr)
     if not conditions.consistent:
         raise Bs3Error("the six equivalent conditions disagree; this "
                        "signals an implementation bug, not a property of "
@@ -349,6 +343,6 @@ def full_root_report(arr, step_cap=None):
                                  singular_points(arr))
 
 
-def arrangement_profile(arr, step_cap=None):
+def arrangement_profile(arr):
     """MilnorProfile of the defining polynomial under the standard grading."""
-    return milnor_profile(arr.defining_polynomial(), STANDARD, step_cap)
+    return milnor_profile(arr.defining_polynomial(), STANDARD)

@@ -11,6 +11,11 @@ same fields; rationals print as reduced p/q strings.  Exit codes: 0 success,
 limit exceeded, 4 internal error (the package caught an inconsistency in
 its own results, such as a failed saturation certificate or disagreeing
 arrangement conditions).
+
+Each request runs inside one step budget (groebner.step_budget), so
+--step-cap N bounds the whole request: reduction steps, S-pairs, and the
+cells and columns of the graded engine, counted together.  Past N the
+request ends with exit 3.  The default is DEFAULT_STEP_CAP (10 million).
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from fractions import Fraction
 
 from . import arrangement as arr_mod
 from . import bsroots, milnor
-from .groebner import ResourceLimitError
+from .groebner import ResourceLimitError, step_budget
 from .milnor import INFINITE
 from .polyring import (Bs3Error, ParseError, PreconditionError, WeightSystem,
                        format_rational, parse_polynomial)
@@ -63,7 +68,7 @@ def _build_parser():
                            help="comma-separated positive rational weights")
         p.add_argument("--format", choices=["text", "json"], default="text")
         p.add_argument("--step-cap", type=int, default=None,
-                       help="reduction step cap for basis computations")
+                       help="step cap for the whole request")
 
     p_milnor = sub.add_parser("milnor", help="Milnor/H0 degree data and the "
                               "b-function of the logarithmic module")
@@ -82,6 +87,9 @@ def _build_parser():
                        help="comma-separated linear forms, e.g. x,y,z,x+y+z")
     common(p_arr, poly=False)
     return parser
+
+
+_PARSER = _build_parser()
 
 
 def _parse_weights(text):
@@ -129,7 +137,7 @@ def _profile_fields(prof):
 def cmd_milnor(args):
     w = _parse_weights(args.weights)
     f = parse_polynomial(args.poly)
-    prof = milnor.milnor_profile(f, w, args.step_cap)
+    prof = milnor.milnor_profile(f, w)
     report = {
         "command": "milnor",
         "poly": str(f),
@@ -145,7 +153,7 @@ def cmd_milnor(args):
 def cmd_roots(args):
     w = _parse_weights(args.weights)
     f = parse_polynomial(args.poly)
-    prof = milnor.milnor_profile(f, w, args.step_cap)
+    prof = milnor.milnor_profile(f, w)
     report = {
         "command": "roots %s" % args.kind,
         "poly": str(f),
@@ -181,7 +189,7 @@ def _point_str(sp):
 def cmd_arrangement(args):
     forms = [s for s in args.forms.split(",")]
     arr = arr_mod.validate(forms)
-    rep = arr_mod.full_root_report(arr, args.step_cap)
+    rep = arr_mod.full_root_report(arr)
     report = {
         "command": "arrangement",
         "forms": [str(f) for f in arr.forms],
@@ -229,20 +237,20 @@ def render_text(report):
 
 
 def main(argv=None):
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except _UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return 1
     started = time.monotonic()
     try:
-        if args.command == "milnor":
-            report = cmd_milnor(args)
-        elif args.command == "roots":
-            report = cmd_roots(args)
-        else:
-            report = cmd_arrangement(args)
+        with step_budget(args.step_cap):
+            if args.command == "milnor":
+                report = cmd_milnor(args)
+            elif args.command == "roots":
+                report = cmd_roots(args)
+            else:
+                report = cmd_arrangement(args)
     except ParseError as exc:
         print("parse error: %s" % exc, file=sys.stderr)
         return 1

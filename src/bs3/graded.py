@@ -129,17 +129,23 @@ def graded_dimension(ideal_or_basis, w, q):
     """
     q = Fraction(q)
     if isinstance(ideal_or_basis, GroebnerBasis):
-        W, L = w.scaled, w.denominator
+        W = w.scaled
         for e in ideal_or_basis.elements:
             if len({sum(map(mul, W, m)) for m in e.terms}) > 1:
                 raise PreconditionError("basis element %s is not homogeneous "
                                         "for the given weights" % e)
-        k = q * L
-        if k.denominator != 1 or k < 0:
-            return 0
-        return _hilbert_function(ideal_or_basis.leading_monomials, int(k),
-                                 W)[-1]
+        return _monomial_quotient_dimension(
+            ideal_or_basis.leading_monomials, w, q)
     return _rank_route_dimension(ideal_or_basis, w, q)
+
+
+def _monomial_quotient_dimension(lead_monomials, w, q):
+    """dim (R/M)_q for M generated by the monomials, from the engine; 0 in
+    a degree that is negative or not a multiple of 1/denominator."""
+    k = Fraction(q) * w.denominator
+    if k.denominator != 1 or k < 0:
+        return 0
+    return _hilbert_function(lead_monomials, int(k), w.scaled)[-1]
 
 
 def _leading_monomials(ideal):
@@ -148,7 +154,7 @@ def _leading_monomials(ideal):
     return tuple(max(g.terms, key=grevlex_key) for g in ideal.generators)
 
 
-def h0_degree_data(I, w, step_cap=None):
+def h0_degree_data(I, w):
     """Degreewise dimensions of (I : m^infinity) / I, the finite-length part
     of R/I supported at the irrelevant maximal ideal."""
     if I.is_zero():
@@ -157,9 +163,9 @@ def h0_degree_data(I, w, step_cap=None):
         if wdeg(g, w) is None:
             raise PreconditionError("generator %s is not homogeneous for the "
                                     "given weights" % g)
-    in_sat = _leading_monomials(saturate_irrelevant(I, step_cap))
-    in_i = buchberger(I, MonomialOrder.grevlex(I.variable_count),
-                      step_cap).leading_monomials
+    in_sat = _leading_monomials(saturate_irrelevant(I))
+    in_i = buchberger(I, MonomialOrder.grevlex(I.variable_count)
+                      ).leading_monomials
     W, L = w.scaled, w.denominator
     # HS(R/M) = K(t)/prod(1 - t^W_i) with deg K <= wdeg lcm(M), because the
     # Taylor resolution of R/M has every syzygy in a degree dividing lcm(M).
@@ -179,7 +185,7 @@ def h0_degree_data(I, w, step_cap=None):
 STANDARD = WeightSystem((1, 1, 1))
 
 
-def _saturation_hilbert(I, step_cap=None):
+def _saturation_hilbert(I):
     """The Hilbert function of R/I^sat under the standard grading in degrees
     0 through t + 2, t the proven start of its Hilbert polynomial, and the
     constant e it takes there, or None when that polynomial is not constant
@@ -190,7 +196,7 @@ def _saturation_hilbert(I, step_cap=None):
     nonzerodivisor, so its Hilbert function never decreases and never
     passes e; a value above e is an internal error.
     """
-    lms = _leading_monomials(saturate_irrelevant(I, step_cap))
+    lms = _leading_monomials(saturate_irrelevant(I))
     t = _hilbert_start(lms)
     hf = _hilbert_function(lms, t + 2)
     if not hf[t] == hf[t + 1] == hf[t + 2]:
@@ -205,22 +211,22 @@ _NOT_POINTS = ("Hilbert polynomial of R/I^sat is not constant; projective "
                "support is not zero-dimensional")
 
 
-def sheaf_dimension_e(I, step_cap=None):
+def sheaf_dimension_e(I):
     """Stabilized Hilbert value of R/I^sat under the standard grading; equals
     dim of the degree-q global sections for every twist q when the projective
     support is a finite set of points."""
     if I.is_zero():
         raise PreconditionError("the zero ideal has no stabilized Hilbert "
                                 "value")
-    _, e = _saturation_hilbert(I, step_cap)
+    _, e = _saturation_hilbert(I)
     if e is None:
         raise PreconditionError(_NOT_POINTS)
     return e
 
 
-def h1_dimension(I, q, step_cap=None):
+def h1_dimension(I, q):
     """dim of the degree-q piece of H1_m(R/I), via e minus the Hilbert value."""
-    hf, e = _saturation_hilbert(I, step_cap)
+    hf, e = _saturation_hilbert(I)
     if e is None:
         raise PreconditionError(_NOT_POINTS)
     q = Fraction(q)
@@ -229,12 +235,12 @@ def h1_dimension(I, q, step_cap=None):
     return e - hf[int(q)] if q < len(hf) else 0
 
 
-def regularity_report(I, step_cap=None):
+def regularity_report(I):
     """H0/H1 degree ranges and the regularity max(h0_max, h1_max + 1),
     with absent cohomology skipped."""
-    h0 = h0_degree_data(I, STANDARD, step_cap)
+    h0 = h0_degree_data(I, STANDARD)
     h0_max = max(h0.support) if not h0.is_empty() else None
-    hf, e = _saturation_hilbert(I, step_cap)
+    hf, e = _saturation_hilbert(I)
     if e is None:
         # tolerated degenerate case: a single plane, H0 = H1 = 0, reg 0
         principal_line = (h0.is_empty() and len(I.generators) == 1

@@ -54,6 +54,8 @@ each resting on a proof rather than a trial:
 from __future__ import annotations
 
 import heapq
+from contextlib import contextmanager
+from contextvars import ContextVar
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -67,8 +69,8 @@ _FIELD = 16
 
 
 class ResourceLimitError(Bs3Error):
-    """Raised when a computation exceeds its reduction step cap or a
-    monomial's total degree exceeds MAX_DEGREE."""
+    """Raised when a computation exceeds its step cap or a monomial's total
+    degree exceeds MAX_DEGREE."""
 
 
 def _too_large():
@@ -78,6 +80,9 @@ def _too_large():
 
 
 class _Budget:
+    """Steps spent against a cap: a reduction step, an S-pair, or a cell
+    or column of the graded engine (_hilbert_function)."""
+
     __slots__ = ("cap", "used")
 
     def __init__(self, cap):
@@ -88,7 +93,30 @@ class _Budget:
         self.used += n
         if self.used > self.cap:
             raise ResourceLimitError(
-                "computation too large: exceeded %d reduction steps" % self.cap)
+                "computation too large: exceeded %d steps" % self.cap)
+
+
+_OPEN_BUDGET = ContextVar("bs3_step_budget", default=None)
+
+
+@contextmanager
+def step_budget(cap=None):
+    """One step budget shared by every computation in the block; None
+    means DEFAULT_STEP_CAP.  Yields the budget, whose `used` counts the
+    steps spent so far.  A cached basis costs nothing when reused."""
+    budget = _Budget(cap)
+    token = _OPEN_BUDGET.set(budget)
+    try:
+        yield budget
+    finally:
+        _OPEN_BUDGET.reset(token)
+
+
+def _budget():
+    """The open budget, or outside any step_budget block a fresh one with
+    the default cap, so each library call is bounded on its own."""
+    budget = _OPEN_BUDGET.get()
+    return budget if budget is not None else _Budget(None)
 
 
 class MonomialOrder:
@@ -399,8 +427,7 @@ def _s_poly_int(f, g, pk, budget):
 def s_polynomial(f, g, order):
     """S-polynomial of two rational polynomials (used by consistency checks)."""
     pk = order.packing
-    d = _s_poly_int(_to_int_poly(f, pk), _to_int_poly(g, pk), pk,
-                    _Budget(None))
+    d = _s_poly_int(_to_int_poly(f, pk), _to_int_poly(g, pk), pk, _budget())
     return _from_int_poly(d, pk)
 
 
@@ -452,7 +479,7 @@ def _buchberger_int(triples, pk, budget):
     return basis
 
 
-def buchberger(ideal, order=None, step_cap=None):
+def buchberger(ideal, order=None):
     """Reduced Groebner basis of an ideal for the given order.
 
     Results are memoized: the function is pure and the pipeline asks for
@@ -462,12 +489,12 @@ def buchberger(ideal, order=None, step_cap=None):
         order = MonomialOrder.grevlex(ideal.variable_count)
     if order.variable_count != ideal.variable_count:
         raise ValueError("order arity does not match the ideal")
-    return _buchberger_cached(ideal, order, step_cap)
+    return _buchberger_cached(ideal, order)
 
 
 @lru_cache(maxsize=64)
-def _buchberger_cached(ideal, order, step_cap):
-    budget = _Budget(step_cap)
+def _buchberger_cached(ideal, order):
+    budget = _budget()
     pk = order.packing
     return _finish_basis(
         _buchberger_int([_to_int_poly(g, pk) for g in ideal.generators],
@@ -497,11 +524,11 @@ def _minimal(triples, pk):
     return kept
 
 
-def normal_form(p, gb, step_cap=None):
+def normal_form(p, gb):
     """Unique remainder of p modulo a reduced Groebner basis."""
     pk = gb.order.packing
     d, denom = _clear_denominators(p, pk)
-    r, k = _reduce(d, gb._int_basis, pk, _Budget(step_cap))
+    r, k = _reduce(d, gb._int_basis, pk, _budget())
     return _from_int_poly(r, pk, k * denom)
 
 
@@ -515,7 +542,7 @@ def _project_poly(p, drop):
     return Polynomial(out, p.variable_count - drop)
 
 
-def eliminate(ideal, drop_count, step_cap=None):
+def eliminate(ideal, drop_count):
     """Intersect with the subring omitting the first drop_count variables.
 
     The result's generators are the reduced graded-reverse-lex Groebner
@@ -525,7 +552,7 @@ def eliminate(ideal, drop_count, step_cap=None):
     if not 0 < drop_count < n:
         raise ValueError("drop_count must be strictly between 0 and n")
     order = MonomialOrder.block(drop_count, n)
-    gb = buchberger(ideal, order, step_cap)
+    gb = buchberger(ideal, order)
     kept = []
     for e in gb.elements:
         if all(all(v == 0 for v in m[:drop_count]) for m in e.terms):
@@ -540,7 +567,7 @@ def _lift_poly(p, prepend=1):
     return Polynomial(out, p.variable_count + prepend)
 
 
-def saturate_by_poly(ideal, g, step_cap=None):
+def saturate_by_poly(ideal, g):
     """I : g^infinity via the extra-variable localization trick:
     adjoin t, add t*g - 1, eliminate t."""
     if g.is_zero():
@@ -551,10 +578,10 @@ def saturate_by_poly(ideal, g, step_cap=None):
     lifted = [_lift_poly(f) for f in ideal.generators]
     t = Polynomial.variable(0, n + 1)
     lifted.append(t * _lift_poly(g) - 1)
-    return eliminate(Ideal(lifted, n + 1), 1, step_cap)
+    return eliminate(Ideal(lifted, n + 1), 1)
 
 
-def ideal_intersection(I, J, step_cap=None):
+def ideal_intersection(I, J):
     """I intersect J via t*I + (1-t)*J and elimination of t."""
     if I.variable_count != J.variable_count:
         raise ValueError("mixed variable counts")
@@ -565,7 +592,7 @@ def ideal_intersection(I, J, step_cap=None):
     one_minus_t = Polynomial.constant(1, n + 1) - t
     gens = [t * _lift_poly(f) for f in I.generators]
     gens += [one_minus_t * _lift_poly(g) for g in J.generators]
-    return eliminate(Ideal(gens, n + 1), 1, step_cap)
+    return eliminate(Ideal(gens, n + 1), 1)
 
 
 # -- saturation with respect to the irrelevant maximal ideal -----------------
@@ -642,10 +669,14 @@ def _hilbert_function(lead_monomials, top, weights=(1, 1, 1)):
     Each (a, b) adds one to the degrees s, s + w_z, ... of its z-powers
     below low(a, b), a run kept as two entries of a difference array of
     stride w_z, so the cost is one step per (a, b) and one per degree.
+    The budget is charged for each cell of the low table before it is
+    built and for each column a row visits.
     """
     wx, wy, wz = weights
     P = max((m[0] for m in lead_monomials), default=0)
     Q = max((m[1] for m in lead_monomials), default=0)
+    budget = _budget()
+    budget.spend((P + 1) * (Q + 1))
     unbounded = top // wz + 1
     low = [[unbounded] * (Q + 1) for _ in range(P + 1)]
     for a, b, c in lead_monomials:
@@ -669,6 +700,7 @@ def _hilbert_function(lead_monomials, top, weights=(1, 1, 1)):
             values[s] += 1
             if s + run * wz <= top:
                 values[s + run * wz] -= 1
+        budget.spend(b + 1)
     for t in range(wz, top + 1):
         values[t] += values[t - wz]
     return values
@@ -736,16 +768,16 @@ def _univariate_gcd(f, g):
     return f
 
 
-def _line_misses(ideal, c):
+def _line_misses(moved):
     """The line z + c*x + c^2*y = 0 misses V(I) in P^2, for I
-    standard-homogeneous.  Moved to z = 0, the generators restrict to
-    binary forms g(x, y, 0) that must have no common zero: neither at
-    (1:0), where each would drop below its degree, nor in the chart
-    y = 1, where their gcd would be nonconstant."""
+    standard-homogeneous, given _move_line(I, c).  Moved to z = 0, the
+    generators restrict to binary forms g(x, y, 0) that must have no common
+    zero: neither at (1:0), where each would drop below its degree, nor in
+    the chart y = 1, where their gcd would be nonconstant."""
     pk = MonomialOrder.grevlex(3).packing
     xs, zs = pk.shifts[0], pk.shifts[2]
     common, full = [], False
-    for lm, _, d in _move_line(ideal, c):
+    for lm, _, d in moved:
         form = [0] * (pk.degree(lm) + 1)
         for m, v in d.items():
             if not m >> zs & MAX_DEGREE:
@@ -758,16 +790,18 @@ def _line_misses(ideal, c):
 
 
 def _avoiding_line(ideal, e):
-    """Least c >= 0 whose line z + c*x + c^2*y = 0 misses V(I), for
-    standard-homogeneous I whose Hilbert polynomial is the constant e.
+    """(c, _move_line(I, c)) for the least c >= 0 whose line
+    z + c*x + c^2*y = 0 misses V(I), for standard-homogeneous I whose
+    Hilbert polynomial is the constant e.
 
     V(I) has at most e points, and a point p lies on the line for the
     roots c of p_z + c*p_x + c^2*p_y only, at most two, so one of
     c = 0, ..., 2e passes.
     """
     for c in range(2 * e + 1):
-        if _line_misses(ideal, c):
-            return c
+        moved = _move_line(ideal, c)
+        if _line_misses(moved):
+            return c, moved
     raise Bs3Error("internal: no line z + c*x + c^2*y = 0 with c <= %d "
                    "misses a zero set of at most %d points" % (2 * e, e))
 
@@ -783,9 +817,10 @@ def _divide_out_last(triple, pk):
     return (lm - kz, lc, {m - kz: v for m, v in d.items()})
 
 
-def _saturate_by_line(ideal, c, gb, budget):
+def _saturate_by_line(moved, c, gb):
     """Reduced grevlex basis of I : l^infinity, l = z + c*x + c^2*y, for
-    standard-homogeneous I with reduced grevlex basis gb.
+    standard-homogeneous I with reduced grevlex basis gb and generators
+    moved = _move_line(I, c).
 
     In coordinates where l is the last variable, dividing every element of
     a grevlex basis of I by its largest power of l gives a grevlex basis of
@@ -793,18 +828,19 @@ def _saturate_by_line(ideal, c, gb, budget):
     """
     order = MonomialOrder.grevlex(3)
     pk = order.packing
+    budget = _budget()
     if c == 0:
         raw = [_divide_out_last(b, pk) for b in gb._int_basis]
     else:
         divided = [_divide_out_last(b, pk) for b in
-                   _buchberger_int(_move_line(ideal, c), pk, budget)]
+                   _buchberger_int(moved, pk, budget)]
         raw = _buchberger_int(
             [_int_triple(_shift_last(b[2], c, c * c, pk))
              for b in _minimal(divided, pk)], pk, budget)
     return _finish_basis(raw, order, 3, budget)
 
 
-def saturate_irrelevant(ideal, step_cap=None):
+def saturate_irrelevant(ideal):
     """I : (x, y, z)^infinity as the reduced grevlex basis of the
     saturation, by the route the module docstring describes.  Memoized
     like buchberger."""
@@ -813,14 +849,14 @@ def saturate_irrelevant(ideal, step_cap=None):
         raise PreconditionError("irrelevant-ideal saturation needs 3 variables")
     if ideal.is_zero():
         return Ideal((), n)
-    return _saturate_cached(ideal, step_cap)
+    return _saturate_cached(ideal)
 
 
 @lru_cache(maxsize=32)
-def _saturate_cached(ideal, step_cap):
+def _saturate_cached(ideal):
     n = ideal.variable_count
     order = MonomialOrder.grevlex(n)
-    gb = buchberger(ideal, order, step_cap)
+    gb = buchberger(ideal, order)
     lms = gb.leading_monomials
     if _is_artinian(lms) and _positively_graded(ideal):
         return Ideal((Polynomial.constant(1, n),))
@@ -828,15 +864,15 @@ def _saturate_cached(ideal, step_cap):
         t = _hilbert_start(lms)
         e, e1, e2 = _hilbert_function(lms, t + 2)[t:]
         if e == e1 == e2:
-            c = _avoiding_line(ideal, e)
-            sat = _saturate_by_line(ideal, c, gb, _Budget(step_cap))
+            c, moved = _avoiding_line(ideal, e)
+            sat = _saturate_by_line(moved, c, gb)
             if not _same_hilbert_polynomial(lms, sat.leading_monomials):
                 raise Bs3Error("internal: saturation along z + %d*x + %d*y "
                                "changed the Hilbert polynomial" % (c, c * c))
             return Ideal(sat.elements, n)
     # reference route
-    parts = [saturate_by_poly(ideal, Polynomial.variable(v, n), step_cap)
+    parts = [saturate_by_poly(ideal, Polynomial.variable(v, n))
              for v in range(n)]
-    meet = ideal_intersection(parts[0], parts[1], step_cap)
-    meet = ideal_intersection(meet, parts[2], step_cap)
-    return Ideal(buchberger(meet, order, step_cap).elements, n)
+    meet = ideal_intersection(parts[0], parts[1])
+    meet = ideal_intersection(meet, parts[2])
+    return Ideal(buchberger(meet, order).elements, n)

@@ -12,7 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import linalg
-from .graded import graded_dimension, h0_degree_data, weighted_monomials
+from .graded import (_monomial_quotient_dimension, graded_dimension,
+                     h0_degree_data, weighted_monomials)
 from .groebner import Ideal, MonomialOrder, _is_artinian, buchberger
 from .polyring import (Bs3Error, PreconditionError, format_rational,
                        mono_mul, partial_derivative, wdeg)
@@ -53,7 +54,7 @@ def jacobian_ideal(f):
     return Ideal([p for p in partials if not p.is_zero()], f.variable_count)
 
 
-def milnor_profile(f, w, step_cap=None):
+def milnor_profile(f, w):
     """Assemble the degree data controlling the root formulas.
 
     Reducedness and local quasi-homogeneity of f are the caller's
@@ -66,12 +67,12 @@ def milnor_profile(f, w, step_cap=None):
     if d <= 0:
         raise PreconditionError("constant polynomial has no Milnor profile")
     jac = jacobian_ideal(f)
-    lms = buchberger(jac, MonomialOrder.grevlex(f.variable_count),
-                     step_cap).leading_monomials
+    lms = buchberger(jac, MonomialOrder.grevlex(f.variable_count)
+                     ).leading_monomials
     # finite length, but not the unit ideal: a smooth f such as x has no
     # singular point, isolated or not
     isolated = _is_artinian(lms) and lms != ((0, 0, 0),)
-    h0 = h0_degree_data(jac, w, step_cap)
+    h0 = h0_degree_data(jac, w)
     if isolated:
         # (partial f) is m-primary, so saturation gives (1) and H0 is the
         # whole Milnor algebra.  That algebra is a complete intersection
@@ -88,7 +89,7 @@ def milnor_profile(f, w, step_cap=None):
     return MilnorProfile(f, w, d, jac, h0, isolated, degrees)
 
 
-def der_log0_graded_dimension(f, w, k, step_cap=None):
+def der_log0_graded_dimension(f, w, k):
     """dim of the degree-k piece of the derivations annihilating f:
     kernel of (a1,a2,a3) -> sum a_i * (d_i f) with a_i in R_{k+w_i}.
 
@@ -101,11 +102,13 @@ def der_log0_graded_dimension(f, w, k, step_cap=None):
                                 "weights %s" % (w.weights,))
     k = Fraction(k)
     n = f.variable_count
-    domain = sum(len(weighted_monomials(w, k + wi, n)) for wi in w.weights)
+    # dim R_t is the engine's count for the zero ideal, M = ()
+    domain = sum(_monomial_quotient_dimension((), w, k + wi)
+                 for wi in w.weights)
     if domain == 0:
         return 0
-    gb = buchberger(jacobian_ideal(f), MonomialOrder.grevlex(n), step_cap)
-    image = (len(weighted_monomials(w, k + d, n))
+    gb = buchberger(jacobian_ideal(f), MonomialOrder.grevlex(n))
+    image = (_monomial_quotient_dimension((), w, k + d)
              - graded_dimension(gb, w, k + d))
     return domain - image
 

@@ -1,0 +1,164 @@
+"""One step budget per request: the cap bounds the whole computation."""
+
+import inspect
+import time
+
+import pytest
+
+import oracles
+import bs3
+from bs3 import cli, groebner
+from bs3.arrangement import full_root_report, validate
+from bs3.bsroots import blf_roots, new_roots
+from bs3.groebner import (Ideal, ResourceLimitError, _hilbert_function,
+                          buchberger, step_budget)
+from bs3.milnor import milnor_profile
+from bs3.polyring import WeightSystem, parse_polynomial
+
+MODULES = ("polyring", "linalg", "groebner", "graded", "milnor", "bsroots",
+           "arrangement", "cli")
+
+
+def clear_caches():
+    for name in MODULES:
+        for obj in vars(getattr(bs3, name)).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+
+
+def arrangement_steps(forms):
+    full_root_report(validate(forms.split(",")))
+
+
+def milnor_steps(poly):
+    prof = milnor_profile(parse_polynomial(poly), WeightSystem((1, 1, 1)))
+    new_roots(prof)
+    blf_roots(prof)
+
+
+REQUESTS = {
+    "ziegler_g": (arrangement_steps, oracles.ZIEGLER_G,
+                  ("arrangement", "--forms", oracles.ZIEGLER_G)),
+    "fermat100": (milnor_steps, "x^100+y^100+z^100",
+                  ("milnor", "--poly", "x^100+y^100+z^100")),
+}
+
+
+def request_steps(name):
+    steps, arg, _ = REQUESTS[name]
+    clear_caches()
+    with step_budget() as budget:
+        steps(arg)
+    return budget.used
+
+
+def run(capsys, *argv):
+    clear_caches()
+    code = cli.main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("name", sorted(REQUESTS))
+def test_step_cap_bounds_the_whole_request(capsys, name):
+    total = request_steps(name)
+    argv = REQUESTS[name][2]
+    code, out, _ = run(capsys, *argv, "--step-cap", str(total))
+    assert code == 0 and out
+    code, out, err = run(capsys, *argv, "--step-cap", str(total - 1))
+    assert code == 3 and out == ""
+    assert err.startswith("resource limit:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", sorted(REQUESTS))
+def test_one_budget_per_request(capsys, monkeypatch, name):
+    total = request_steps(name)
+    made = []
+    init = groebner._Budget.__init__
+
+    def spy(self, cap):
+        made.append(self)
+        init(self, cap)
+
+    monkeypatch.setattr(groebner._Budget, "__init__", spy)
+    code, _, _ = run(capsys, *REQUESTS[name][2])
+    assert code == 0
+    assert len(made) == 1
+    assert made[0].cap == groebner.DEFAULT_STEP_CAP
+    assert made[0].used == total
+
+
+def test_large_fermat_ends_within_the_default_cap(capsys):
+    # the Jacobian (x^3999, y^3999, z^3999) asks the graded engine for a
+    # 4000 x 4000 table, which is refused before it is built
+    start = time.perf_counter()
+    code, out, err = run(capsys, "milnor", "--poly", "x^4000+y^4000+z^4000")
+    assert time.perf_counter() - start < 1
+    assert code == 3 and out == ""
+    assert err.startswith("resource limit:")
+    assert "Traceback" not in err
+
+
+def test_graded_engine_spends_for_the_work_it_does():
+    # low table 3 x 4 = 12 cells; rows a = 0, 1 visit columns b = 0..3
+    # (the fourth ends the row), row a = 2 is empty: 12 + 2 * 4 steps
+    lms = ((2, 0, 0), (0, 3, 0), (0, 0, 4))
+    for top in (20, 1000):
+        with step_budget() as budget:
+            values = _hilbert_function(lms, top)
+        assert sum(values) == 2 * 3 * 4
+        assert budget.used == 20
+
+
+def test_budget_is_shared_by_the_calls_of_a_block():
+    first = Ideal(tuple(parse_polynomial(t) for t in
+                        ("x^3*y - z^4", "x*z^2 - y^3", "y^2*z - x^2")))
+    second = Ideal(tuple(parse_polynomial(t) for t in
+                         ("x^2 - y*z", "x*y - z^2")))
+    used = []
+    for ideal in (first, second):
+        clear_caches()
+        with step_budget() as budget:
+            buchberger(ideal)
+        used.append(budget.used)
+    assert min(used) > 0
+    clear_caches()
+    with step_budget(sum(used)) as budget:
+        buchberger(first)
+        buchberger(second)
+    assert budget.used == sum(used)
+    clear_caches()
+    with pytest.raises(ResourceLimitError), step_budget(sum(used) - 1):
+        buchberger(first)
+        buchberger(second)
+
+
+def test_blocks_nest_and_close():
+    assert groebner._budget() is not groebner._budget()
+    with step_budget(5) as outer:
+        assert groebner._budget() is outer
+        with step_budget(7) as inner:
+            assert groebner._budget() is inner
+        assert groebner._budget() is outer
+    assert groebner._budget().cap == groebner.DEFAULT_STEP_CAP
+
+
+def test_no_function_takes_a_step_cap():
+    checked = 0
+    for name in MODULES:
+        module = getattr(bs3, name)
+        for attr, obj in vars(module).items():
+            if inspect.isfunction(obj) and obj.__module__ == module.__name__:
+                checked += 1
+                assert "step_cap" not in inspect.signature(obj).parameters, \
+                    "%s.%s" % (name, attr)
+    assert checked > 100
+
+
+def test_basis_caches_key_on_the_mathematical_input():
+    def parameters(cached):
+        return list(inspect.signature(cached.__wrapped__).parameters)
+
+    assert parameters(groebner._buchberger_cached) == ["ideal", "order"]
+    assert parameters(groebner._saturate_cached) == ["ideal"]

@@ -12,7 +12,7 @@ from bs3.arrangement import singular_points, validate
 from bs3.groebner import (GroebnerBasis, Ideal, MonomialOrder,
                           ResourceLimitError, buchberger, eliminate,
                           ideal_intersection, normal_form, s_polynomial,
-                          saturate_by_poly, saturate_irrelevant)
+                          saturate_by_poly, saturate_irrelevant, step_budget)
 from bs3.milnor import jacobian_ideal
 from bs3.polyring import Polynomial, parse_polynomial
 
@@ -354,8 +354,9 @@ def test_chosen_line_is_first_moment_curve_line_missing_the_lattice():
         # the Jacobian scheme has length (m - 1)^2 at a point of multiplicity m
         e = hilbert_constant(jac)
         assert e == sum((sp.multiplicity - 1) ** 2 for sp in points), name
-        assert groebner._avoiding_line(jac, e) == first_line_missing(
-            [sp.point for sp in points]), name
+        c, moved = groebner._avoiding_line(jac, e)
+        assert c == first_line_missing([sp.point for sp in points]), name
+        assert moved == groebner._move_line(jac, c), name
 
 
 @pytest.fixture
@@ -383,15 +384,15 @@ def test_hilbert_certificate_rejects_a_line_through_a_singular_point():
     jac = jacobian_ideal(validate(oracles.ZIEGLER_G.split(",")).
                          defining_polynomial())
     gb = buchberger(jac, GREVLEX)
-    budget = groebner._Budget(None)
     # z is one of the lines, so it passes through singular points
-    assert not groebner._line_misses(jac, 0)
-    by_z = groebner._saturate_by_line(jac, 0, gb, budget)
+    at_z = groebner._move_line(jac, 0)
+    assert not groebner._line_misses(at_z)
+    by_z = groebner._saturate_by_line(at_z, 0, gb)
     assert not groebner._same_hilbert_polynomial(gb.leading_monomials,
                                                  by_z.leading_monomials)
-    c = groebner._avoiding_line(jac, hilbert_constant(jac))
+    c, moved = groebner._avoiding_line(jac, hilbert_constant(jac))
     assert c > 0
-    by_c = groebner._saturate_by_line(jac, c, gb, budget)
+    by_c = groebner._saturate_by_line(moved, c, gb)
     assert groebner._same_hilbert_polynomial(gb.leading_monomials,
                                              by_c.leading_monomials)
 
@@ -426,8 +427,9 @@ def test_artinian_shortcut_needs_a_positive_grading():
 def test_step_cap_raises_resource_error():
     gens = tuple(P(t) for t in ("x^3*y - z^4", "x*z^2 - y^3",
                                 "y^2*z - x^2"))
-    with pytest.raises(ResourceLimitError):
-        buchberger(Ideal(gens), GREVLEX, step_cap=3)
+    groebner._buchberger_cached.cache_clear()
+    with pytest.raises(ResourceLimitError), step_budget(3):
+        buchberger(Ideal(gens), GREVLEX)
 
 
 def test_zero_ideal_and_unit_ideal():

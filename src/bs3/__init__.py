@@ -13,11 +13,11 @@ from .bsroots import (HomogeneousTaxonomy, RootSet, SymmetryReport, blf_roots,
                       tlct_holds, xi_set)
 from .graded import (DegreeData, RegularityReport, graded_dimension,
                      h0_degree_data, h1_dimension, regularity_report,
-                     sheaf_dimension_e, weighted_monomials)
+                     sheaf_dimension_e)
 from .groebner import (DEFAULT_STEP_CAP, GroebnerBasis, Ideal, MonomialOrder,
                        ResourceLimitError, buchberger, eliminate,
-                       ideal_intersection, normal_form, s_polynomial,
-                       saturate_by_poly, saturate_irrelevant, step_budget)
+                       normal_form, s_polynomial, saturate_by_poly,
+                       saturate_irrelevant, step_budget)
 from .milnor import (INFINITE, MilnorProfile, der_log0_graded_dimension,
                      jacobian_ideal, milnor_profile)
 from .polyring import (Bs3Error, ParseError, Polynomial, PreconditionError,

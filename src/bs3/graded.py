@@ -14,9 +14,6 @@ top degrees are proven, never guessed:
   groebner._hilbert_start on; when dim R/I <= 1 that polynomial is the
   constant e, the dimension of the global sections of the associated sheaf
   in every twist, and H1 is e minus the Hilbert function below that start.
-
-The rank of the matrix of generator multiples landing in a degree is a
-second, basis-free route to the same dimensions.
 """
 
 from __future__ import annotations
@@ -24,12 +21,10 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import mul
 
-from . import linalg
-from .groebner import (GroebnerBasis, MonomialOrder, _hilbert_function,
-                       _hilbert_start, _lcm_degree, buchberger,
-                       saturate_irrelevant)
+from .groebner import (MonomialOrder, _hilbert_function, _hilbert_start,
+                       _lcm_degree, buchberger, saturate_irrelevant)
 from .polyring import (Bs3Error, PreconditionError, WeightSystem,
-                       grevlex_key, mono_mul, wdeg)
+                       grevlex_key, wdeg)
 
 
 class DegreeData:
@@ -83,60 +78,15 @@ class RegularityReport:
                                      self.regularity, self.sheaf_dim_e))
 
 
-def weighted_monomials(w, q, variable_count=3):
-    """All exponent tuples with weighted degree exactly q, in a fixed order."""
-    W, L = w.scaled, w.denominator
-    target = Fraction(q) * L
-    if target.denominator != 1 or target < 0:
-        return []
-    target = int(target)
-    out = []
-    if variable_count != len(W):
-        raise ValueError("weight count does not match variable count")
-    for e0 in range(target // W[0] + 1):
-        r0 = target - e0 * W[0]
-        for e1 in range(r0 // W[1] + 1):
-            r1 = r0 - e1 * W[1]
-            if r1 % W[2] == 0:
-                out.append((e0, e1, r1 // W[2]))
-    return out
-
-
-def _rank_route_dimension(ideal, w, q):
-    monos = weighted_monomials(w, q, ideal.variable_count)
-    if not monos:
-        return 0
-    index = {m: i for i, m in enumerate(monos)}
-    rows = []
-    for g in ideal.generators:
-        dg = wdeg(g, w)
-        if dg is None:
-            raise PreconditionError("ideal generator %s is not homogeneous "
-                                    "for the given weights" % g)
-        for m in weighted_monomials(w, q - dg, ideal.variable_count):
-            row = [0] * len(monos)
-            for gm, c in g.terms.items():
-                row[index[mono_mul(m, gm)]] = c
-            rows.append(row)
-    return len(monos) - linalg.rank(rows)
-
-
-def graded_dimension(ideal_or_basis, w, q):
-    """dim of (R/I)_q for a weighted-homogeneous ideal.
-
-    Given an Ideal, uses the rank of the generator-multiple matrix.  Given a
-    GroebnerBasis, counts standard monomials.  The two must agree.
-    """
-    q = Fraction(q)
-    if isinstance(ideal_or_basis, GroebnerBasis):
-        W = w.scaled
-        for e in ideal_or_basis.elements:
-            if len({sum(map(mul, W, m)) for m in e.terms}) > 1:
-                raise PreconditionError("basis element %s is not homogeneous "
-                                        "for the given weights" % e)
-        return _monomial_quotient_dimension(
-            ideal_or_basis.leading_monomials, w, q)
-    return _rank_route_dimension(ideal_or_basis, w, q)
+def graded_dimension(gb, w, q):
+    """dim of (R/I)_q for a weighted-homogeneous ideal with Groebner basis
+    gb, by counting standard monomials."""
+    W = w.scaled
+    for e in gb.elements:
+        if len({sum(map(mul, W, m)) for m in e.terms}) > 1:
+            raise PreconditionError("basis element %s is not homogeneous "
+                                    "for the given weights" % e)
+    return _monomial_quotient_dimension(gb.leading_monomials, w, q)
 
 
 def _monomial_quotient_dimension(lead_monomials, w, q):

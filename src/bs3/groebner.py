@@ -29,26 +29,41 @@ MAX_DEGREE shows as a set guard bit: every product that can pass the bound
 is checked, and one that does raises ResourceLimitError.  A field never
 wraps silently.
 
-Saturation by the irrelevant ideal m = (x, y, z) takes one of three routes,
-each resting on a proof rather than a trial:
+Saturation by the irrelevant ideal m = (x, y, z) needs positive integer
+weights w making every generator homogeneous; an ideal without them is
+refused.  It then takes one of two routes, each resting on a proof rather
+than a trial:
 
-* Artinian: when positive weights make I homogeneous and its grevlex basis
-  has a pure power of every variable, R/I has finite length, so I is
-  m-primary and I : m^infinity = (1).
-* standard-homogeneous with dim R/I = 1, read off the Hilbert function of
-  R/in(I), which is the Hilbert polynomial from deg lcm(in I) - 2 on: that
-  polynomial is a constant e bounding the number of points of V(I) in P^2.
-  Each point lies on at most two lines z + c*x + c^2*y = 0, so some c <= 2e
-  gives a line missing V(I), found by checking that the generators
-  restricted to the line have no common root on P^1.  Such a linear form
-  is a nonzerodivisor on R/I^sat, so I^sat = I : l^infinity, which one basis
-  in coordinates where l is the last variable gives by dividing out l
-  (Bayer-Stillman).  The result J contains I^sat, so J = I^sat iff R/J and
-  R/I have the same Hilbert polynomial; that is checked on the leading
-  monomials, and a mismatch is an internal error.
-* anything else (non-standard weights with dim R/I >= 1, or dim R/I = 2):
-  the reference route, the intersection of the three single-variable
-  saturations I : x_i^infinity by elimination.
+* Artinian: when the grevlex basis has a pure power of every variable, R/I
+  has finite length, so the graded ideal I is m-primary and
+  I : m^infinity = (1).
+* anything else: J = I : l_c^infinity for the first c = 0, 1, ... whose
+  colon passes a Hilbert-polynomial certificate, where
+  l_c = z^(D/w_z) + c*x^(D/w_x) + c^2*y^(D/w_y), D = lcm(w), is one form of
+  weighted degree D (the line z + c*x + c^2*y under standard weights).
+  Under standard weights the colon is one basis in coordinates where l_c
+  is the last variable, divided by l_c (Bayer-Stillman); otherwise it is
+  one elimination, saturate_by_poly.
+
+Why the certificate proves J = I^sat: l_c lies in m, so J contains I^sat,
+and J is graded because l_c is homogeneous.  Grevlex is degree-compatible,
+so for any ideal the affine Hilbert function of R/I is the cumulative
+standard Hilbert function of R/in(I); as I lies in J, equal standard
+Hilbert polynomials of R/in(I) and R/in(J) are equivalent to
+dim_Q J/I < infinity.  Then J/I^sat is a finite-dimensional graded
+submodule of R/I^sat, killed by a power of m, hence zero.  No weighted
+Hilbert start is needed.  Grading is essential: (x - 1, y + 1, z) with
+l = z + x + y gives J = (1) with an equal Hilbert polynomial.
+
+Why the loop ends: when the Hilbert polynomial of R/in(I) is a constant e
+(dim R/I <= 1), e is the degree of the affine curve V(I), so V(I) has at
+most e points in weighted P^2.  l_c vanishes at a point p for the roots c
+of p_z^a + c*p_x^b + c^2*p_y^d only, at most two, so some c <= 2e passes;
+under standard weights a gcd test on the generators restricted to the line
+(_line_misses) skips the other c before any basis work.  When dim R/I = 2,
+each of the finitely many associated primes of I^sat other than m contains
+l_c for at most two values of c (three would put a power of every variable
+in it), so the loop still ends, and the request's step budget bounds it.
 """
 
 from __future__ import annotations
@@ -58,7 +73,8 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from itertools import accumulate, count
+from math import gcd, lcm
 from operator import itemgetter, mul
 
 from .polyring import Bs3Error, Polynomial, PreconditionError
@@ -560,11 +576,11 @@ def eliminate(ideal, drop_count):
     return Ideal(kept, n - drop_count)
 
 
-def _lift_poly(p, prepend=1):
+def _lift_poly(p):
     out = {}
     for m, c in p.terms.items():
-        out[(0,) * prepend + m] = c
-    return Polynomial(out, p.variable_count + prepend)
+        out[(0,) + m] = c
+    return Polynomial(out, p.variable_count + 1)
 
 
 def saturate_by_poly(ideal, g):
@@ -581,54 +597,47 @@ def saturate_by_poly(ideal, g):
     return eliminate(Ideal(lifted, n + 1), 1)
 
 
-def ideal_intersection(I, J):
-    """I intersect J via t*I + (1-t)*J and elimination of t."""
-    if I.variable_count != J.variable_count:
-        raise ValueError("mixed variable counts")
-    n = I.variable_count
-    if I.is_zero() or J.is_zero():
-        return Ideal((), n)
-    t = Polynomial.variable(0, n + 1)
-    one_minus_t = Polynomial.constant(1, n + 1) - t
-    gens = [t * _lift_poly(f) for f in I.generators]
-    gens += [one_minus_t * _lift_poly(g) for g in J.generators]
-    return eliminate(Ideal(gens, n + 1), 1)
-
-
 # -- saturation with respect to the irrelevant maximal ideal -----------------
 
 
-def _is_standard_homogeneous(ideal):
-    for g in ideal.generators:
-        degs = {sum(m) for m in g.terms}
-        if len(degs) > 1:
-            return False
-    return True
-
-
 def _positively_graded(ideal):
-    """Some positive weights make every generator homogeneous.
+    """Positive integer weights w making every generator homogeneous, or
+    None when there are none.
 
-    The weights must be orthogonal to every exponent difference inside a
-    generator.  If the differences span a line through u, a positive
-    vector orthogonal to u exists iff u has entries of both signs; if they
-    span a plane, its normal line must meet the positive orthant; if they
-    span everything, no weights fit.
+    w must be orthogonal to every exponent difference inside a generator.
+    Standard-homogeneous generators get (1, 1, 1).  If the differences span
+    a plane, w is its primitive normal, which must be positive.  If they
+    span a line through u, u needs entries of both signs: with P the sum of
+    its positive entries and N that of its negative entries' absolute
+    values, w_i = N where u_i > 0 and w_i = P where u_i < 0 (so w.u = NP -
+    PN = 0), divided by their gcd, and w_i = the lcm of those where
+    u_i = 0, which makes D/w_i = 1 in the moment-curve form.  If they span
+    everything, no weights fit.
     """
     diffs = []
     for g in ideal.generators:
         first = next(iter(g.terms))
         diffs.extend(tuple(i - j for i, j in zip(m, first))
                      for m in g.terms if m != first)
-    if not diffs:
-        return True
+    if all(sum(u) == 0 for u in diffs):
+        return (1, 1, 1)
     u = diffs[0]
     normal = next((v for v in (_cross(u, w) for w in diffs) if any(v)), None)
     if normal is None:
-        return min(u) < 0 < max(u)
+        if not min(u) < 0 < max(u):
+            return None
+        pos = sum(v for v in u if v > 0)
+        neg = -sum(v for v in u if v < 0)
+        w = [neg if v > 0 else pos if v < 0 else 0 for v in u]
+        g = gcd(*w)
+        top = lcm(*(v // g for v in w if v))
+        return tuple(v // g if v else top for v in w)
     if any(sum(a * b for a, b in zip(normal, w)) for w in diffs):
-        return False
-    return min(normal) > 0 or max(normal) < 0
+        return None
+    if not (min(normal) > 0 or max(normal) < 0):
+        return None
+    g = gcd(*normal)
+    return tuple(abs(v) // g for v in normal)
 
 
 def _cross(a, b):
@@ -681,12 +690,10 @@ def _hilbert_function(lead_monomials, top, weights=(1, 1, 1)):
     low = [[unbounded] * (Q + 1) for _ in range(P + 1)]
     for a, b, c in lead_monomials:
         low[a][b] = min(low[a][b], c)
-    for a in range(P + 1):
-        for b in range(Q + 1):
-            if a:
-                low[a][b] = min(low[a][b], low[a - 1][b])
-            if b:
-                low[a][b] = min(low[a][b], low[a][b - 1])
+    # running minima: low[a][b] = min(low[a][b], low[a-1][b], low[a][b-1])
+    low[0] = list(accumulate(low[0], min))
+    for a in range(1, P + 1):
+        low[a] = list(accumulate(map(min, low[a], low[a - 1]), min))
     values = [0] * (top + 1)
     for a in range(top // wx + 1):
         row = low[min(a, P)]
@@ -768,42 +775,32 @@ def _univariate_gcd(f, g):
     return f
 
 
-def _line_misses(moved):
+def _line_misses(ideal, c):
     """The line z + c*x + c^2*y = 0 misses V(I) in P^2, for I
-    standard-homogeneous, given _move_line(I, c).  Moved to z = 0, the
-    generators restrict to binary forms g(x, y, 0) that must have no common
-    zero: neither at (1:0), where each would drop below its degree, nor in
-    the chart y = 1, where their gcd would be nonconstant."""
+    standard-homogeneous.  On the line the generators restrict to binary
+    forms g(x, y, -c*x - c^2*y), built by Horner in z, that must have no
+    common zero: neither at (1:0), where each would drop below its degree,
+    nor in the chart y = 1, where their gcd would be nonconstant."""
     pk = MonomialOrder.grevlex(3).packing
-    xs, zs = pk.shifts[0], pk.shifts[2]
     common, full = [], False
-    for lm, _, d in moved:
-        form = [0] * (pk.degree(lm) + 1)
-        for m, v in d.items():
-            if not m >> zs & MAX_DEGREE:
-                form[m >> xs & MAX_DEGREE] = v
+    for g in ideal.generators:
+        deg = g.total_degree()
+        slices = {}  # z-exponent -> coefficients by x-exponent, y = 1
+        for m, v in _to_int_poly(g, pk)[2].items():
+            a, _, k = pk.unpack(m)
+            slices.setdefault(k, [0] * (deg + 1))[a] = v
+        form = [0] * (deg + 1)
+        for k in range(max(slices), -1, -1):
+            # form * (-c*x - c^2) + slice; x^deg is never passed by degree
+            form = [-c * (form[i - 1] if i else 0) - c * c * form[i]
+                    for i in range(deg + 1)]
+            for i, v in enumerate(slices.get(k, ())):
+                form[i] += v
         full = full or form[-1] != 0
         while form and form[-1] == 0:
             form.pop()
         common = _univariate_gcd(common, form)
     return full and len(common) == 1
-
-
-def _avoiding_line(ideal, e):
-    """(c, _move_line(I, c)) for the least c >= 0 whose line
-    z + c*x + c^2*y = 0 misses V(I), for standard-homogeneous I whose
-    Hilbert polynomial is the constant e.
-
-    V(I) has at most e points, and a point p lies on the line for the
-    roots c of p_z + c*p_x + c^2*p_y only, at most two, so one of
-    c = 0, ..., 2e passes.
-    """
-    for c in range(2 * e + 1):
-        moved = _move_line(ideal, c)
-        if _line_misses(moved):
-            return c, moved
-    raise Bs3Error("internal: no line z + c*x + c^2*y = 0 with c <= %d "
-                   "misses a zero set of at most %d points" % (2 * e, e))
 
 
 def _divide_out_last(triple, pk):
@@ -817,10 +814,9 @@ def _divide_out_last(triple, pk):
     return (lm - kz, lc, {m - kz: v for m, v in d.items()})
 
 
-def _saturate_by_line(moved, c, gb):
+def _saturate_by_line(ideal, c, gb):
     """Reduced grevlex basis of I : l^infinity, l = z + c*x + c^2*y, for
-    standard-homogeneous I with reduced grevlex basis gb and generators
-    moved = _move_line(I, c).
+    standard-homogeneous I with reduced grevlex basis gb.
 
     In coordinates where l is the last variable, dividing every element of
     a grevlex basis of I by its largest power of l gives a grevlex basis of
@@ -833,11 +829,20 @@ def _saturate_by_line(moved, c, gb):
         raw = [_divide_out_last(b, pk) for b in gb._int_basis]
     else:
         divided = [_divide_out_last(b, pk) for b in
-                   _buchberger_int(moved, pk, budget)]
+                   _buchberger_int(_move_line(ideal, c), pk, budget)]
         raw = _buchberger_int(
             [_int_triple(_shift_last(b[2], c, c * c, pk))
              for b in _minimal(divided, pk)], pk, budget)
     return _finish_basis(raw, order, 3, budget)
+
+
+def _moment_form(weights, c):
+    """l_c = z^(D/w_z) + c*x^(D/w_x) + c^2*y^(D/w_y), D = lcm(w): one form
+    of weighted degree D."""
+    wx, wy, wz = weights
+    D = lcm(*weights)
+    return Polynomial({(0, 0, D // wz): 1, (D // wx, 0, 0): c,
+                       (0, D // wy, 0): c * c}, 3)
 
 
 def saturate_irrelevant(ideal):
@@ -854,25 +859,28 @@ def saturate_irrelevant(ideal):
 
 @lru_cache(maxsize=32)
 def _saturate_cached(ideal):
-    n = ideal.variable_count
-    order = MonomialOrder.grevlex(n)
+    weights = _positively_graded(ideal)
+    if weights is None:
+        raise PreconditionError("irrelevant-ideal saturation needs generators "
+                                "homogeneous for some positive weights")
+    order = MonomialOrder.grevlex(3)
     gb = buchberger(ideal, order)
     lms = gb.leading_monomials
-    if _is_artinian(lms) and _positively_graded(ideal):
-        return Ideal((Polynomial.constant(1, n),))
-    if _is_standard_homogeneous(ideal):
-        t = _hilbert_start(lms)
-        e, e1, e2 = _hilbert_function(lms, t + 2)[t:]
-        if e == e1 == e2:
-            c, moved = _avoiding_line(ideal, e)
-            sat = _saturate_by_line(moved, c, gb)
-            if not _same_hilbert_polynomial(lms, sat.leading_monomials):
-                raise Bs3Error("internal: saturation along z + %d*x + %d*y "
-                               "changed the Hilbert polynomial" % (c, c * c))
-            return Ideal(sat.elements, n)
-    # reference route
-    parts = [saturate_by_poly(ideal, Polynomial.variable(v, n))
-             for v in range(n)]
-    meet = ideal_intersection(parts[0], parts[1])
-    meet = ideal_intersection(meet, parts[2])
-    return Ideal(buchberger(meet, order).elements, n)
+    if _is_artinian(lms):
+        return Ideal((Polynomial.constant(1, 3),))
+    t = _hilbert_start(lms)
+    e, e1, e2 = _hilbert_function(lms, t + 2)[t:]
+    curve = e == e1 == e2  # dim R/I = 1: V(I) has at most e points
+    for c in range(2 * e + 1) if curve else count():
+        if weights != (1, 1, 1):
+            sat = buchberger(saturate_by_poly(ideal, _moment_form(weights, c)),
+                             order)
+        elif curve and not _line_misses(ideal, c):
+            continue
+        else:
+            sat = _saturate_by_line(ideal, c, gb)
+        if _same_hilbert_polynomial(lms, sat.leading_monomials):
+            return Ideal(sat.elements, 3)
+    raise Bs3Error("internal: no colon by z^a + c*x^b + c^2*y^d with c <= %d "
+                   "keeps the Hilbert polynomial, though V(I) has at most %d "
+                   "points" % (2 * e, e))

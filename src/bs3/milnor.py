@@ -11,12 +11,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from . import linalg
 from .graded import (_monomial_quotient_dimension, graded_dimension,
-                     h0_degree_data, weighted_monomials)
+                     h0_degree_data)
 from .groebner import Ideal, MonomialOrder, _is_artinian, buchberger
 from .polyring import (Bs3Error, PreconditionError, format_rational,
-                       mono_mul, partial_derivative, wdeg)
+                       partial_derivative, wdeg)
 
 INFINITE = "infinite"
 
@@ -111,26 +110,3 @@ def der_log0_graded_dimension(f, w, k):
     image = (_monomial_quotient_dimension((), w, k + d)
              - graded_dimension(gb, w, k + d))
     return domain - image
-
-
-def der_log0_kernel_dimension_by_rank(f, w, k):
-    """Same dimension via an explicit kernel matrix; independent of any
-    Groebner basis, kept as a cross-check."""
-    d = wdeg(f, w)
-    if d is None:
-        raise PreconditionError("polynomial is not quasi-homogeneous")
-    k = Fraction(k)
-    n = f.variable_count
-    partials = [partial_derivative(f, i + 1) for i in range(n)]
-    target = weighted_monomials(w, k + d, n)
-    index = {m: i for i, m in enumerate(target)}
-    columns = []
-    for i, wi in enumerate(w.weights):
-        for m in weighted_monomials(w, k + wi, n):
-            col = [0] * len(target)
-            for pm, c in partials[i].terms.items():
-                col[index[mono_mul(m, pm)]] = c
-            columns.append(col)
-    if not columns:
-        return 0
-    return len(columns) - linalg.rank(columns)

@@ -2,26 +2,30 @@
 
 The dimension helpers here use plain Gaussian elimination over Fraction,
 written without the package's basis machinery, so that Groebner-derived
-numbers can be checked against straight linear algebra.  The tables were
-computed once from first principles (lattice enumeration by hand script,
-rank computations over exact rationals) and are frozen; tests must not
-regenerate them from the code under test.  The reference saturation at the
-end is the package's elimination route, which production no longer takes
-for standard-homogeneous ideals of dimension at most one; it is kept here to
-cross-check the fast route.  The Artinian degree data below walk the finite
-staircase box directly, independent of the Hilbert-function engine.  The
-rational normal form and the bitmask decomposability test are the routes
-the package replaced by its integer reducer and by the lattice criterion.
-The tuple monomial primitives and order keys are what the packed monomials
-of bs3.groebner are tested against.
+numbers can be checked against straight linear algebra; the rank route
+below counts weighted graded dimensions and logarithmic derivations by
+matrix rank (bs3.linalg), with no basis either.  The tables were computed
+once from first principles (lattice enumeration by hand script, rank
+computations over exact rationals) and are frozen; tests must not
+regenerate them from the code under test.  The reference saturation is the
+intersection of three eliminations, sharing no step with the package's
+certified colon; it is kept here to cross-check that route.  The Artinian
+degree data below walk the finite staircase box directly, independent of
+the Hilbert-function engine.  The rational normal form and the bitmask
+decomposability test are the routes the package replaced by its integer
+reducer and by the lattice criterion.  The tuple monomial primitives and
+order keys are what the packed monomials of bs3.groebner are tested
+against.
 """
 
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
+from bs3 import linalg
 from bs3.graded import DegreeData
-from bs3.groebner import ideal_intersection, saturate_by_poly
-from bs3.polyring import Polynomial, grevlex_key, mono_mul
+from bs3.groebner import Ideal, _lift_poly, eliminate, saturate_by_poly
+from bs3.polyring import (Polynomial, PreconditionError, grevlex_key,
+                          mono_mul, partial_derivative, wdeg)
 
 # -- the two degree-9 arrangements that differ only in the non-lattice root
 
@@ -180,12 +184,91 @@ def in_ideal_graded(p, gens, q):
     return rref_rank(rows + [row]) == base
 
 
+# -- the rank route for weighted graded dimensions ------------------------
+
+def weighted_monomials(w, q, variable_count=3):
+    """All exponent tuples with weighted degree exactly q, in a fixed order."""
+    W, L = w.scaled, w.denominator
+    target = Fraction(q) * L
+    if target.denominator != 1 or target < 0:
+        return []
+    target = int(target)
+    out = []
+    if variable_count != len(W):
+        raise ValueError("weight count does not match variable count")
+    for e0 in range(target // W[0] + 1):
+        r0 = target - e0 * W[0]
+        for e1 in range(r0 // W[1] + 1):
+            r1 = r0 - e1 * W[1]
+            if r1 % W[2] == 0:
+                out.append((e0, e1, r1 // W[2]))
+    return out
+
+
+def rank_route_dimension(ideal, w, q):
+    """dim (R/I)_q for a weighted-homogeneous ideal, as the number of
+    monomials of degree q minus the rank of the generator multiples."""
+    monos = weighted_monomials(w, q, ideal.variable_count)
+    if not monos:
+        return 0
+    index = {m: i for i, m in enumerate(monos)}
+    rows = []
+    for g in ideal.generators:
+        dg = wdeg(g, w)
+        if dg is None:
+            raise PreconditionError("ideal generator %s is not homogeneous "
+                                    "for the given weights" % g)
+        for m in weighted_monomials(w, q - dg, ideal.variable_count):
+            row = [0] * len(monos)
+            for gm, c in g.terms.items():
+                row[index[mono_mul(m, gm)]] = c
+            rows.append(row)
+    return len(monos) - linalg.rank(rows)
+
+
+def der_log0_kernel_dimension_by_rank(f, w, k):
+    """dim of the degree-k derivations annihilating f, via an explicit
+    kernel matrix; independent of any Groebner basis."""
+    d = wdeg(f, w)
+    if d is None:
+        raise PreconditionError("polynomial is not quasi-homogeneous")
+    k = Fraction(k)
+    n = f.variable_count
+    partials = [partial_derivative(f, i + 1) for i in range(n)]
+    target = weighted_monomials(w, k + d, n)
+    index = {m: i for i, m in enumerate(target)}
+    columns = []
+    for i, wi in enumerate(w.weights):
+        for m in weighted_monomials(w, k + wi, n):
+            col = [0] * len(target)
+            for pm, c in partials[i].terms.items():
+                col[index[mono_mul(m, pm)]] = c
+            columns.append(col)
+    if not columns:
+        return 0
+    return len(columns) - linalg.rank(columns)
+
+
 # -- reference saturation --------------------------------------------------
+
+def ideal_intersection(I, J):
+    """I intersect J via t*I + (1-t)*J and elimination of t."""
+    if I.variable_count != J.variable_count:
+        raise ValueError("mixed variable counts")
+    n = I.variable_count
+    if I.is_zero() or J.is_zero():
+        return Ideal((), n)
+    t = Polynomial.variable(0, n + 1)
+    one_minus_t = Polynomial.constant(1, n + 1) - t
+    gens = [t * _lift_poly(f) for f in I.generators]
+    gens += [one_minus_t * _lift_poly(g) for g in J.generators]
+    return eliminate(Ideal(gens, n + 1), 1)
+
 
 def saturation_by_columns(ideal):
     """I : (x, y, z)^infinity as the intersection of the three
     single-variable saturations I : x_i^infinity, each by elimination: the
-    reference route, sharing no step with the line-saturation fast path."""
+    reference route, sharing no step with the certified colon."""
     meet = None
     for v in range(3):
         col = saturate_by_poly(ideal, Polynomial.variable(v, 3))

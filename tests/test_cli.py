@@ -157,6 +157,21 @@ def test_failed_saturation_certificate_exits_4(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_failed_weighted_certificate_exits_4(capsys, monkeypatch):
+    from bs3 import groebner
+    monkeypatch.setattr(groebner, "_same_hilbert_polynomial",
+                        lambda lms_a, lms_b: False)
+    groebner._saturate_cached.cache_clear()
+    code, out, err = run(capsys, "roots", "lqh", "--poly",
+                         "x^4*z + 3*x^2*y^3*z + 2*y^6*z",
+                         "--weights", "1/2,1/3,1/2")
+    groebner._saturate_cached.cache_clear()
+    assert code == 4
+    assert out == ""
+    assert err.startswith("internal error:") and "Hilbert polynomial" in err
+    assert "Traceback" not in err
+
+
 def test_disagreeing_conditions_exit_4(capsys, monkeypatch):
     from bs3 import arrangement
     monkeypatch.setattr(arrangement, "is_formal", lambda arr: True)

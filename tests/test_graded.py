@@ -6,8 +6,7 @@ from fractions import Fraction
 import pytest
 
 from bs3.graded import (DegreeData, graded_dimension, h0_degree_data,
-                        h1_dimension, regularity_report, sheaf_dimension_e,
-                        weighted_monomials)
+                        h1_dimension, regularity_report, sheaf_dimension_e)
 from bs3.groebner import (Ideal, MonomialOrder, _hilbert_function,
                           _lcm_degree, buchberger, saturate_irrelevant)
 from bs3.milnor import jacobian_ideal
@@ -15,6 +14,7 @@ from bs3.polyring import (Polynomial, PreconditionError, WeightSystem,
                           parse_polynomial)
 
 import oracles
+from oracles import rank_route_dimension, weighted_monomials
 
 W1 = WeightSystem((1, 1, 1))
 GREVLEX = MonomialOrder("grevlex", 3)
@@ -45,16 +45,16 @@ def test_weighted_monomials_with_weights():
 
 
 def test_graded_dimension_examples():
-    assert graded_dimension(ideal("x^2", "y^2", "z^2"), W1, 2) == 3
-    assert graded_dimension(ideal("x"), W1, 5) == 6
-    assert graded_dimension(Ideal((), 3), W1, 3) == 10
+    assert rank_route_dimension(ideal("x^2", "y^2", "z^2"), W1, 2) == 3
+    assert rank_route_dimension(ideal("x"), W1, 5) == 6
+    assert rank_route_dimension(Ideal((), 3), W1, 3) == 10
 
 
 def test_graded_dimension_accepts_groebner_basis():
     I = ideal("x^2", "y^2", "z^2")
     gb = buchberger(I, GREVLEX)
     for q in range(6):
-        assert graded_dimension(gb, W1, q) == graded_dimension(I, W1, q)
+        assert graded_dimension(gb, W1, q) == rank_route_dimension(I, W1, q)
 
 
 def test_rank_and_standard_monomial_routes_agree_on_random_ideals():
@@ -72,7 +72,8 @@ def test_rank_and_standard_monomial_routes_agree_on_random_ideals():
         I = Ideal(tuple(gens))
         gb = buchberger(I, GREVLEX)
         for q in range(5):
-            assert graded_dimension(I, W1, q) == graded_dimension(gb, W1, q)
+            assert rank_route_dimension(I, W1, q) == \
+                graded_dimension(gb, W1, q)
 
 
 def standard_monomial_count(lead_monomials, w, q):
@@ -147,8 +148,11 @@ def test_h0_vanishes_above_the_proven_window():
 
 
 def test_graded_dimension_rejects_inhomogeneous():
+    I = ideal("x^2 + y")
     with pytest.raises(PreconditionError):
-        graded_dimension(ideal("x^2 + y"), W1, 2)
+        graded_dimension(buchberger(I, GREVLEX), W1, 2)
+    with pytest.raises(PreconditionError):
+        rank_route_dimension(I, W1, 2)
 
 
 def test_graded_dimension_checks_a_basis_against_the_weights():
@@ -159,7 +163,8 @@ def test_graded_dimension_checks_a_basis_against_the_weights():
     half = WeightSystem((Fraction(1, 2), 1, Fraction(1, 2)))
     for k in range(10):
         q = Fraction(k, 2)
-        assert graded_dimension(gb, half, q) == graded_dimension(I, half, q)
+        assert graded_dimension(gb, half, q) == \
+            rank_route_dimension(I, half, q)
 
 
 def test_h0_artinian_quotient_is_its_own_section_module():

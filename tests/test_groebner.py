@@ -2,6 +2,8 @@
 
 import random
 from fractions import Fraction
+from itertools import count
+from math import lcm
 
 import pytest
 
@@ -11,10 +13,12 @@ from bs3 import groebner
 from bs3.arrangement import singular_points, validate
 from bs3.groebner import (GroebnerBasis, Ideal, MonomialOrder,
                           ResourceLimitError, buchberger, eliminate,
-                          ideal_intersection, normal_form, s_polynomial,
-                          saturate_by_poly, saturate_irrelevant, step_budget)
+                          normal_form, s_polynomial, saturate_by_poly,
+                          saturate_irrelevant, step_budget)
 from bs3.milnor import jacobian_ideal
-from bs3.polyring import Polynomial, parse_polynomial
+from bs3.polyring import Polynomial, PreconditionError, parse_polynomial
+from oracles import ideal_intersection
+from test_graded import H0_CASES
 
 GREVLEX = MonomialOrder("grevlex", 3)
 LEX = MonomialOrder("lex", 3)
@@ -347,21 +351,43 @@ def first_line_missing(points):
     return c
 
 
-def test_chosen_line_is_first_moment_curve_line_missing_the_lattice():
+@pytest.fixture
+def chosen_lines(monkeypatch):
+    """The c of every colon _saturate_by_line computes, caches cold."""
+    chosen = []
+    by_line = groebner._saturate_by_line
+
+    def spy(ideal, c, gb):
+        chosen.append(c)
+        return by_line(ideal, c, gb)
+
+    monkeypatch.setattr(groebner, "_saturate_by_line", spy)
+    groebner._saturate_cached.cache_clear()
+    yield chosen
+    groebner._saturate_cached.cache_clear()
+
+
+def test_chosen_line_is_first_moment_curve_line_missing_the_lattice(
+        chosen_lines):
     for name, arr in corpus.build_corpus():
         jac = jacobian_ideal(arr.defining_polynomial())
         points = singular_points(arr)
         # the Jacobian scheme has length (m - 1)^2 at a point of multiplicity m
         e = hilbert_constant(jac)
         assert e == sum((sp.multiplicity - 1) ** 2 for sp in points), name
-        c, moved = groebner._avoiding_line(jac, e)
-        assert c == first_line_missing([sp.point for sp in points]), name
-        assert moved == groebner._move_line(jac, c), name
+        c = first_line_missing([sp.point for sp in points])
+        assert c <= 2 * e, name
+        assert [groebner._line_misses(jac, k) for k in range(c + 1)] == \
+            [False] * c + [True], name
+        chosen_lines.clear()
+        groebner._saturate_cached.cache_clear()
+        saturate_irrelevant(jac)
+        assert chosen_lines == [c], name
 
 
 @pytest.fixture
 def reference_calls(monkeypatch):
-    """Calls into the reference route's saturate_by_poly, caches cold."""
+    """Calls to saturate_by_poly, the weighted colon, caches cold."""
     calls = []
 
     def spy(*args, **kwargs):
@@ -385,14 +411,13 @@ def test_hilbert_certificate_rejects_a_line_through_a_singular_point():
                          defining_polynomial())
     gb = buchberger(jac, GREVLEX)
     # z is one of the lines, so it passes through singular points
-    at_z = groebner._move_line(jac, 0)
-    assert not groebner._line_misses(at_z)
-    by_z = groebner._saturate_by_line(at_z, 0, gb)
+    assert not groebner._line_misses(jac, 0)
+    by_z = groebner._saturate_by_line(jac, 0, gb)
     assert not groebner._same_hilbert_polynomial(gb.leading_monomials,
                                                  by_z.leading_monomials)
-    c, moved = groebner._avoiding_line(jac, hilbert_constant(jac))
-    assert c > 0
-    by_c = groebner._saturate_by_line(moved, c, gb)
+    c = next(k for k in count() if groebner._line_misses(jac, k))
+    assert 0 < c <= 2 * hilbert_constant(jac)
+    by_c = groebner._saturate_by_line(jac, c, gb)
     assert groebner._same_hilbert_polynomial(gb.leading_monomials,
                                              by_c.leading_monomials)
 
@@ -406,22 +431,149 @@ def test_artinian_ideals_saturate_to_the_unit_ideal(reference_calls):
     assert reference_calls == []
 
 
-@pytest.mark.parametrize("texts, graded", [
-    (("x^2 - y*z", "y^3 - x*z^2"), True),     # standard weights
-    (("x - y^2", "y - z^2"), True),             # weights (4, 2, 1)
-    (("x^2", "y^3 + z^6"), True),               # differences span a line
-    (("x^2 - x", "y"), False),                  # needs weight(x) = 0
-    (("x - y*z", "y - x*z"), False),            # needs weight(z) = 0
-    (("x - y^2", "y - z^2", "z - x^2"), False),  # no weights at all
-])
-def test_positive_grading_detection(texts, graded):
-    assert groebner._positively_graded(ideal(*texts)) is graded
+def lqh_jacobians(seed, draws):
+    """Jacobians of seeded draws of the two locally quasi-homogeneous
+    families z (x^a + j y^b)(x^a + k y^b) and xyz (x^a + j y^b + k z^c),
+    with a != b, so neither is standard-homogeneous."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(draws):
+        a, b = rng.sample(range(2, 6), 2)
+        c = rng.randint(2, 5)
+        j, k = rng.sample(range(1, 10), 2)
+        out.append(jacobian_ideal(P("z") * P("x^%d + %d*y^%d" % (a, j, b))
+                                  * P("x^%d + %d*y^%d" % (a, k, b))))
+        out.append(jacobian_ideal(P("x*y*z") * P("x^%d + %d*y^%d + %d*z^%d"
+                                                 % (a, j, b, k, c))))
+    return out
+
+
+def moment_form(weights, c):
+    """z^(D/w_z) + c*x^(D/w_x) + c^2*y^(D/w_y), D = lcm(w)."""
+    wx, wy, wz = weights
+    D = lcm(wx, wy, wz)
+    return P("z^%d + %d*x^%d + %d*y^%d"
+             % (D // wz, c, D // wx, c * c, D // wy))
+
+
+def weighted_colon(I, weights, c):
+    return buchberger(saturate_by_poly(I, moment_form(weights, c)), GREVLEX)
+
+
+def test_weighted_jacobians_saturate_by_the_first_certified_colon(
+        reference_calls):
+    # the two non-isolated Jacobians under fractional weights; the other
+    # weighted cases there have monomial generators, graded by (1, 1, 1)
+    weighted = [I for I, _ in H0_CASES
+                if groebner._positively_graded(I) != (1, 1, 1)]
+    cases = lqh_jacobians(8, 4) + weighted
+    assert len(cases) == 10
+    for I in cases:
+        weights = groebner._positively_graded(I)
+        assert weights != (1, 1, 1), I
+        reference_calls.clear()
+        got = buchberger(saturate_irrelevant(I), GREVLEX)
+        expect = buchberger(oracles.saturation_by_columns(I), GREVLEX)
+        assert got.elements == expect.elements, I
+        # the first c whose colon is the saturation, found by brute force
+        c = next(k for k in count()
+                 if weighted_colon(I, weights, k).elements == expect.elements)
+        assert [g for _, g in reference_calls] == [
+            moment_form(weights, k) for k in range(c + 1)], I
+
+
+def test_weighted_saturation_of_a_surface_singular_along_a_curve():
+    # non-reduced: the whole cuspidal surface x^2 + y^3 = 0 is singular
+    jac = jacobian_ideal(P("z") * P("x^2 + y^3") ** 2)
+    assert groebner._positively_graded(jac) == (3, 2, 6)
+    lms = buchberger(jac, GREVLEX).leading_monomials
+    t = groebner._hilbert_start(lms)
+    values = groebner._hilbert_function(lms, t + 2)[t:]
+    assert len(set(values)) > 1  # dim R/I = 2
+    expect = buchberger(oracles.saturation_by_columns(jac), GREVLEX)
+    got = buchberger(saturate_irrelevant(jac), GREVLEX)
+    assert got.elements == expect.elements
+
+
+def test_certificate_rejects_the_form_through_the_points_at_z_zero(
+        reference_calls):
+    jac = jacobian_ideal(P("z") * P("x^2 + 2*y^3") * P("x^2 + 5*y^3"))
+    weights = groebner._positively_graded(jac)
+    saturate_irrelevant(jac)
+    c = len(reference_calls) - 1
+    assert c > 0
+    lms = buchberger(jac, GREVLEX).leading_monomials
+    # z^(D/w_z) vanishes on the points of V(I) on z = 0
+    assert not groebner._same_hilbert_polynomial(
+        lms, weighted_colon(jac, weights, 0).leading_monomials)
+    assert groebner._same_hilbert_polynomial(
+        lms, weighted_colon(jac, weights, c).leading_monomials)
+
+
+def test_ideals_with_no_positive_grading_are_refused():
+    I = ideal("x - 1", "y + 1", "z")
+    assert groebner._positively_graded(I) is None
+    with pytest.raises(PreconditionError):
+        saturate_irrelevant(I)
+    # why: the colon by z + x + y is (1), with the same Hilbert polynomial
+    # as I, although the saturation of the affine point is not (1)
+    colon = buchberger(saturate_by_poly(I, P("z + x + y")), GREVLEX)
+    assert basis_texts(colon) == ["1"]
+    assert groebner._same_hilbert_polynomial(
+        buchberger(I, GREVLEX).leading_monomials, colon.leading_monomials)
+
+
+def random_standard_ideal(rng):
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        deg = rng.randint(1, 4)
+        p = Polynomial({m: rng.randint(-2, 2)
+                        for m in oracles.monomials_of_degree(deg)}, 3)
+        if not p.is_zero():
+            gens.append(p)
+    return Ideal(tuple(gens) or (P("x"),))
+
+
+def test_grading_weights_make_every_generator_homogeneous():
+    rng = random.Random(31)
+    standard = [jacobian_ideal(arr.defining_polynomial())
+                for _, arr in corpus.build_corpus()]
+    standard += [random_standard_ideal(rng) for _ in range(30)]
+    for I in standard:
+        assert groebner._positively_graded(I) == (1, 1, 1), I
+    for I in lqh_jacobians(13, 10):
+        weights = groebner._positively_graded(I)
+        assert min(weights) > 0
+        for g in I.generators:
+            assert len({sum(e * w for e, w in zip(m, weights))
+                        for m in g.terms}) == 1, (I, g)
+
+
+GRADINGS = [
+    (("x^2 - y*z", "y^3 - x*z^2"), (1, 1, 1)),  # standard weights
+    (("x - y^2", "y - z^2"), (4, 2, 1)),        # differences span a plane
+    (("x^2", "y^3 + z^6"), (2, 2, 1)),          # span a line; w_x = lcm
+    (("x^2 - x", "y"), None),                   # needs weight(x) = 0
+    (("x - y*z", "y - x*z"), None),             # needs weight(z) = 0
+    (("x - y^2", "y - z^2", "z - x^2"), None),  # no weights at all
+    (("x*y", "z^3"), (1, 1, 1)),                # monomials
+    (("x^3 - y^2*z",), (1, 1, 1)),              # a line inside sum = 0
+    (("x^2 - y^4", "y^3 - z^6"), (4, 2, 1)),    # normal (24, 12, 6)
+]
+
+
+# ids name whether some grading exists
+@pytest.mark.parametrize("texts, weights", GRADINGS, ids=[
+    "texts%d-%s" % (i, w is not None) for i, (_, w) in enumerate(GRADINGS)])
+def test_positive_grading_detection(texts, weights):
+    assert groebner._positively_graded(ideal(*texts)) == weights
 
 
 def test_artinian_shortcut_needs_a_positive_grading():
-    # finite length, but V(I) also holds (1, 0, 0), which survives
-    assert saturate_irrelevant(ideal("x^2 - x", "y", "z")) == \
-        ideal("z", "y", "x - 1")
+    # finite length, but V(I) also holds (1, 0, 0): no grading makes the
+    # Artinian shortcut or the colon certificate sound, so it is refused
+    with pytest.raises(PreconditionError):
+        saturate_irrelevant(ideal("x^2 - x", "y", "z"))
 
 
 def test_step_cap_raises_resource_error():

@@ -10,20 +10,22 @@ set.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from . import linalg
 from .bsroots import RootSet
 from .graded import STANDARD, graded_dimension, regularity_report
-from .groebner import MonomialOrder, _cross, buchberger
+from .groebner import MonomialOrder, _budget, _cross, buchberger
 from .milnor import der_log0_graded_dimension, jacobian_ideal, milnor_profile
 from .polyring import (Bs3Error, Polynomial, PreconditionError, parse_polynomial)
 
 
 class LinearForm:
     """A nonzero linear form ax+by+cz, normalized so its first nonzero
-    coefficient is 1."""
+    coefficient is 1.  `normal` is the same form as a primitive integer
+    vector (first nonzero entry positive), which the lattice reads."""
 
-    __slots__ = ("coefficients",)
+    __slots__ = ("coefficients", "normal")
 
     def __init__(self, coefficients):
         coeffs = tuple(Fraction(c) for c in coefficients)
@@ -33,6 +35,9 @@ class LinearForm:
         if lead is None:
             raise PreconditionError("zero linear form")
         self.coefficients = tuple(c / lead for c in coeffs)
+        scale = lcm(*(c.denominator for c in self.coefficients))
+        self.normal = tuple(c.numerator * (scale // c.denominator)
+                            for c in self.coefficients)
 
     @classmethod
     def parse(cls, text):
@@ -83,9 +88,13 @@ class Arrangement:
         return len(self.forms)
 
     def defining_polynomial(self):
+        """The product of the forms; each term product is one step."""
+        budget = _budget()
         f = Polynomial.constant(1, 3)
         for form in self.forms:
-            f = f * form.polynomial()
+            p = form.polynomial()
+            budget.spend(len(f.terms) * len(p.terms))
+            f = f * p
         return f
 
     def __repr__(self):
@@ -152,7 +161,7 @@ class ArrangementRootReport:
 
 
 def _normal_rank(forms):
-    return linalg.rank([list(f.coefficients) for f in forms])
+    return linalg.rank([list(f.normal) for f in forms])
 
 
 def is_indecomposable(forms):
@@ -183,9 +192,10 @@ def validate(forms):
         if f.coefficients in seen:
             raise PreconditionError("not reduced: duplicate form %s" % f)
         seen[f.coefficients] = f
-    if _normal_rank(forms) < 3:
+    rank = _normal_rank(forms)
+    if rank < 3:
         raise PreconditionError("not essential: normals span rank %d < 3"
-                                % _normal_rank(forms))
+                                % rank)
     arr = Arrangement(forms)
     if not _indecomposable(arr.lattice, arr.degree):
         raise PreconditionError("decomposable: the forms split into blocks "
@@ -193,33 +203,45 @@ def validate(forms):
     return arr
 
 
-def _canonical_point(p):
-    lead = next((c for c in p if c != 0), None)
-    if lead is None:
-        return None
-    return tuple(c / lead for c in p)
-
-
 def _lattice(forms):
-    """Each intersection point, canonically scaled, mapped to the sorted
-    indices of the forms through it; every pair of forms meets once."""
+    """Each intersection point, as the primitive integer vector with first
+    nonzero entry positive, mapped to the ascending indices of the forms
+    through it; every pair of forms meets once, one step per pair."""
+    d = len(forms)
+    _budget().spend(d * (d - 1) // 2)
+    normals = [f.normal for f in forms]
     through = {}
-    for i in range(len(forms)):
-        for j in range(i + 1, len(forms)):
-            pt = _canonical_point(_cross(forms[i].coefficients,
-                                         forms[j].coefficients))
-            if pt is None:
+    for i in range(d):
+        a = normals[i]
+        for j in range(i + 1, d):
+            v = _cross(a, normals[j])
+            lead = v[0] or v[1] or v[2]
+            if not lead:
                 # parallel normals cannot happen in a reduced arrangement
                 raise Bs3Error("internal: duplicate forms slipped through")
-            through.setdefault(pt, set()).update((i, j))
-    return {pt: sorted(lines) for pt, lines in sorted(through.items())}
+            g = gcd(*v) if lead > 0 else -gcd(*v)
+            pt = (v[0] // g, v[1] // g, v[2] // g)
+            lines = through.get(pt)
+            if lines is None:
+                through[pt] = [i, j]
+            elif lines[0] == i:
+                # pairs arrive in order: the first pair through a point is
+                # its two lowest lines, and (i, j) adds a line only while i
+                # is the lowest
+                lines.append(j)
+    return through
 
 
 def singular_points(arr):
     """All pairwise intersection points in the projective plane with their
-    line counts, canonically scaled and deduplicated."""
-    return [SingularPoint(pt, len(lines))
-            for pt, lines in arr.lattice.items()]
+    line counts, scaled so the first nonzero coordinate is 1, in ascending
+    order of the scaled points."""
+    points = []
+    for pt, lines in arr.lattice.items():
+        lead = pt[0] or pt[1] or pt[2]
+        points.append((tuple(Fraction(c, lead) for c in pt), len(lines)))
+    points.sort()
+    return [SingularPoint(pt, m) for pt, m in points]
 
 
 def comb_roots(arr):
@@ -227,15 +249,15 @@ def comb_roots(arr):
     2 <= i <= 2m_z - 2 at every singular point."""
     d = arr.degree
     roots = [Fraction(-k, d) for k in range(3, 2 * d - 2)]
-    for sp in singular_points(arr):
-        m = sp.multiplicity
+    for lines in arr.lattice.values():
+        m = len(lines)
         roots.extend(Fraction(-i, m) for i in range(2, 2 * m - 1))
     return RootSet(roots)
 
 
 def relation_space_dimension(arr):
     """Kernel dimension of the 3 x d matrix of normal columns (= d - 3)."""
-    rows = [[f.coefficients[i] for f in arr.forms] for i in range(3)]
+    rows = [[f.normal[i] for f in arr.forms] for i in range(3)]
     return linalg.kernel_dimension(rows)
 
 
@@ -250,7 +272,7 @@ def _length3_relations(arr):
             for b in range(a + 1, len(lines)):
                 for c in range(b + 1, len(lines)):
                     idx = (lines[a], lines[b], lines[c])
-                    n0, n1, n2 = (forms[i].coefficients for i in idx)
+                    n0, n1, n2 = (forms[i].normal for i in idx)
                     # (w0.u) n0 + (w1.u) n1 + (w2.u) n2 = det(n0,n1,n2) u = 0
                     # for every u, so any nonzero coordinate slice works
                     w0 = _cross(n1, n2)
@@ -265,7 +287,7 @@ def _length3_relations(arr):
                     if rel is None:
                         raise Bs3Error("internal: concurrent triple without "
                                        "a dependency")
-                    vec = [Fraction(0)] * d
+                    vec = [0] * d
                     for pos, v in zip(idx, rel):
                         vec[pos] = v
                     relations.append(vec)

@@ -13,8 +13,10 @@ its own results, such as a failed saturation certificate or disagreeing
 arrangement conditions).
 
 Each request runs inside one step budget (groebner.step_budget), so
---step-cap N bounds the whole request: reduction steps, S-pairs, and the
-cells and columns of the graded engine, counted together.  Past N the
+--step-cap N bounds the whole request: reduction steps, S-pairs, the
+cells and columns of the graded engine, the line pairs of an arrangement's
+intersection lattice and the term products of its defining polynomial,
+counted together.  Past N the
 request ends with exit 3.  The default is DEFAULT_STEP_CAP (10 million).
 """
 

@@ -96,8 +96,9 @@ def _too_large():
 
 
 class _Budget:
-    """Steps spent against a cap: a reduction step, an S-pair, or a cell
-    or column of the graded engine (_hilbert_function)."""
+    """Steps spent against a cap: a reduction step, an S-pair, a cell or
+    column of the graded engine (_hilbert_function), or in an arrangement a
+    pair of lines of the lattice or a term product of the polynomial."""
 
     __slots__ = ("cap", "used")
 

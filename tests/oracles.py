@@ -15,11 +15,12 @@ the Hilbert-function engine.  The rational normal form and the bitmask
 decomposability test are the routes the package replaced by its integer
 reducer and by the lattice criterion.  The tuple monomial primitives and
 order keys are what the packed monomials of bs3.groebner are tested
-against.
+against, and the Fraction intersection lattice is what the integer lattice
+of bs3.arrangement is tested against.
 """
 
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, product
 
 from bs3 import linalg
 from bs3.graded import DegreeData
@@ -337,3 +338,20 @@ def decomposable_by_bitmask(forms):
         if rref_rank(left) + rref_rank(right) == 3:
             return True
     return False
+
+
+# -- the intersection lattice over Fraction ----------------------------------
+
+def lattice_by_fractions(forms):
+    """Each intersection point of the forms, the cross product of two lead-1
+    rational normals scaled so its first nonzero coordinate is 1, mapped to
+    the sorted indices of the forms through it; in ascending point order."""
+    through = {}
+    for i, j in combinations(range(len(forms)), 2):
+        a, b = forms[i].coefficients, forms[j].coefficients
+        p = (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+             a[0] * b[1] - a[1] * b[0])
+        lead = next(c for c in p if c != 0)
+        point = tuple(c / lead for c in p)
+        through.setdefault(point, set()).update((i, j))
+    return {pt: sorted(lines) for pt, lines in sorted(through.items())}

@@ -2,10 +2,12 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from bs3.arrangement import (Arrangement, LinearForm, comb_roots,
+from bs3.arrangement import (Arrangement, LinearForm, _lattice,
+                             _length3_relations, comb_roots,
                              condition_report, full_root_report,
                              is_indecomposable, is_formal,
                              relation_space_dimension, singular_points,
@@ -23,6 +25,13 @@ def test_linear_form_normalizes_leading_coefficient():
     f = LinearForm.parse("2x+y+z")
     assert f.coefficients == (1, Fraction(1, 2), Fraction(1, 2))
     assert LinearForm.parse("-y+z").coefficients == (0, 1, -1)
+
+
+def test_linear_form_normal_is_the_primitive_integer_normal():
+    assert LinearForm((2, Fraction(1, 3), Fraction(-5, 7))).normal \
+        == (42, 7, -15)
+    assert LinearForm.parse("-y+2z").normal == (0, 1, -2)
+    assert LinearForm((0, 0, Fraction(-3, 4))).normal == (0, 0, 1)
 
 
 def test_linear_form_rejects_wrong_degree():
@@ -104,6 +113,98 @@ def test_is_indecomposable_matches_every_bipartition():
         assert got == (not oracles.decomposable_by_bitmask(forms)), forms
         outcomes[got] += 1
     assert min(outcomes.values()) >= 20
+
+
+def rational(rng):
+    return Fraction(rng.randint(-5, 5), rng.randint(1, 7))
+
+
+def draw_rational_forms(rng, d):
+    """d forms with rational coefficients: random, or one line plus a
+    pencil of d - 1 lines through a rational point."""
+    pencil = rng.choice((0, d - 1))
+    point = [rational(rng) for _ in range(3)]
+    if not any(point):
+        point[2] = Fraction(1, 3)
+    forms = [through_point(rng, point) for _ in range(pencil)]
+    while len(forms) < d:
+        coeffs = [rational(rng) for _ in range(3)]
+        if any(coeffs):
+            forms.append(LinearForm(coeffs))
+    return forms
+
+
+def lattice_draws():
+    """Seeded reduced draws of d = 3..16 forms, integer and rational."""
+    rng = random.Random(9)
+    draws = [[LinearForm((2, Fraction(1, 3), Fraction(-5, 7))),
+              LinearForm.parse("x"), LinearForm.parse("1/2y - 3/4z"),
+              LinearForm.parse("x + 5/3y + z")]]
+    for d in range(3, 17):
+        for draw in (draw_forms, draw_rational_forms) * 4:
+            forms = draw(rng, d)
+            if len(set(forms)) == d:
+                draws.append(forms)
+    return draws
+
+
+def test_singular_points_match_the_fraction_lattice():
+    top = 0
+    for forms in lattice_draws():
+        arr = Arrangement(forms)
+        want = oracles.lattice_by_fractions(forms)
+        got = [(sp.point, sp.multiplicity) for sp in singular_points(arr)]
+        assert got == [(pt, len(lines)) for pt, lines in want.items()]
+        by_point = {}
+        for pt, lines in arr.lattice.items():
+            lead = next(c for c in pt if c != 0)
+            assert lead > 0 and gcd(*pt) == 1
+            by_point[tuple(Fraction(c, lead) for c in pt)] = lines
+        assert by_point == want
+        top += max(len(lines) for lines in want.values()) == len(forms) - 1
+    assert top >= 20  # line-plus-pencil draws, d - 1 lines through a point
+
+
+def test_length3_relations_are_integer_relations_of_the_normals():
+    seen = 0
+    for forms in lattice_draws():
+        arr = Arrangement(forms)
+        for r in _length3_relations(arr):
+            assert all(type(v) is int for v in r) and any(r)
+            assert all(sum(v * f.normal[k] for v, f in zip(r, forms)) == 0
+                       for k in range(3))
+            seen += 1
+    assert seen > 100
+
+
+def moment_curve_forms(d):
+    """x, y, z and x + k y + k^2 z for k = 1..d-3."""
+    return forms_of(",".join(["x", "y", "z"] + ["x+%d*y+%d*z" % (k, k * k)
+                                                for k in range(1, d - 2)]))
+
+
+def test_lattice_builds_no_fraction(monkeypatch):
+    forms = moment_curve_forms(16)
+    built = []
+
+    def counting(new):
+        def spy(*args, **kwargs):
+            built.append(args)
+            return new(*args, **kwargs)
+        return spy
+
+    monkeypatch.setattr(Fraction, "__new__",
+                        staticmethod(counting(Fraction.__new__)))
+    if hasattr(Fraction, "_from_coprime_ints"):  # arithmetic from 3.12 on
+        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(
+            counting(Fraction._from_coprime_ints.__func__)))
+    oracles.lattice_by_fractions(forms)
+    assert built  # the counter sees the Fraction route
+    del built[:]
+    lattice = _lattice(forms)
+    assert built == []
+    # no three of the normals are dependent: 120 double points
+    assert len(lattice) == 16 * 15 // 2
 
 
 def test_singular_points_generic():

@@ -8,7 +8,7 @@ import pytest
 import oracles
 import bs3
 from bs3 import cli, groebner
-from bs3.arrangement import full_root_report, validate
+from bs3.arrangement import Arrangement, full_root_report, validate
 from bs3.bsroots import blf_roots, new_roots
 from bs3.groebner import (Ideal, ResourceLimitError, _hilbert_function,
                           buchberger, step_budget)
@@ -98,6 +98,33 @@ def test_large_fermat_ends_within_the_default_cap(capsys):
     assert code == 3 and out == ""
     assert err.startswith("resource limit:")
     assert "Traceback" not in err
+
+
+def test_large_arrangement_ends_before_its_polynomial(capsys, monkeypatch):
+    # 120 forms: the lattice's 7140 pairs are refused before the pair loop,
+    # and the defining polynomial is never built
+    forms = ["x", "y", "z"] + ["x+%d*y+%d*z" % (k, k * k)
+                               for k in range(1, 118)]
+    entered = []
+    monkeypatch.setattr(Arrangement, "defining_polynomial",
+                        lambda arr: entered.append(arr))
+    code, out, err = run(capsys, "arrangement", "--forms", ",".join(forms),
+                         "--step-cap", "1000")
+    assert code == 3 and out == ""
+    assert err.startswith("resource limit:")
+    assert "Traceback" not in err
+    assert entered == []
+
+
+def test_arrangement_spends_per_pair_and_per_term_product():
+    with step_budget() as budget:
+        arr = validate(oracles.GENERIC5.split(","))
+        assert budget.used == 5 * 4 // 2
+        f = arr.defining_polynomial()
+    # x, y, z, x+y+z, x+2y+3z: 1 * 1 for each of x, y, z, then 1 * 3 for
+    # x+y+z and 3 * 3 for the last form (x*y*z*(x+y+z) has 3 terms)
+    assert budget.used == 10 + 3 + 3 + 9
+    assert len(f.terms) == 6
 
 
 def test_graded_engine_spends_for_the_work_it_does():

@@ -262,35 +262,29 @@ def relation_space_dimension(arr):
 
 
 def _length3_relations(arr):
-    """One relation vector per concurrent triple, coefficients from the
-    adjugate of the 3 x 3 normal matrix."""
+    """m - 2 relation vectors at a point on m lines: one per triple (first
+    line, second line, k) for each further line k, coefficients from the
+    adjugate of the 3 x 3 normal matrix.  The normals through the point
+    span a plane, so the relations among them form an (m - 2)-dimensional
+    space; each vector here is the only one nonzero at its k, so together
+    they span that space, as the C(m, 3) triple relations do."""
     forms = arr.forms
-    d = len(forms)
     relations = []
     for lines in arr.lattice.values():
-        for a in range(len(lines)):
-            for b in range(a + 1, len(lines)):
-                for c in range(b + 1, len(lines)):
-                    idx = (lines[a], lines[b], lines[c])
-                    n0, n1, n2 = (forms[i].normal for i in idx)
-                    # (w0.u) n0 + (w1.u) n1 + (w2.u) n2 = det(n0,n1,n2) u = 0
-                    # for every u, so any nonzero coordinate slice works
-                    w0 = _cross(n1, n2)
-                    w1 = _cross(n2, n0)
-                    w2 = _cross(n0, n1)
-                    rel = None
-                    for k in range(3):
-                        cand = (w0[k], w1[k], w2[k])
-                        if any(v != 0 for v in cand):
-                            rel = cand
-                            break
-                    if rel is None:
-                        raise Bs3Error("internal: concurrent triple without "
-                                       "a dependency")
-                    vec = [0] * d
-                    for pos, v in zip(idx, rel):
-                        vec[pos] = v
-                    relations.append(vec)
+        i, j = lines[0], lines[1]
+        for k in lines[2:]:
+            n0, n1, n2 = forms[i].normal, forms[j].normal, forms[k].normal
+            # (w0.u) n0 + (w1.u) n1 + (w2.u) n2 = det(n0,n1,n2) u = 0 for
+            # every u, w0 = n1 x n2, w1 = n2 x n0, w2 = n0 x n1.  _lattice
+            # puts no two parallel normals on one point, so w2 != 0 and
+            # u = e_c with w2[c] != 0 gives a relation nonzero at k.
+            w2 = _cross(n0, n1)
+            c = next(c for c in range(3) if w2[c])
+            vec = [0] * len(forms)
+            vec[i] = _cross(n1, n2)[c]
+            vec[j] = _cross(n2, n0)[c]
+            vec[k] = w2[c]
+            relations.append(vec)
     return relations
 
 

@@ -10,29 +10,27 @@ reconstructs a full zero set from tau, the degree, and the [-1,0) roots.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 
 from .polyring import PreconditionError, format_rational
 
 
 class RootSet:
-    """Finite set of rational numbers, kept sorted ascending."""
+    """Finite set of rational numbers, kept sorted ascending.  Duplicates
+    go in input order, so monotone input or two merged runs sort linearly."""
 
     __slots__ = ("roots",)
 
     def __init__(self, roots=()):
-        self.roots = tuple(sorted(set(Fraction(r) for r in roots)))
+        self.roots = tuple(sorted(dict.fromkeys(map(Fraction, roots))))
 
     def union(self, other):
         return RootSet(self.roots + tuple(other))
 
     def difference(self, other):
-        drop = set(Fraction(r) for r in other)
+        drop = set(map(Fraction, other))
         return RootSet(r for r in self.roots if r not in drop)
-
-    def intersection(self, other):
-        keep = set(Fraction(r) for r in other)
-        return RootSet(r for r in self.roots if r in keep)
 
     def window(self, lo, hi, include_lo=False, include_hi=True):
         lo, hi = Fraction(lo), Fraction(hi)
@@ -48,7 +46,9 @@ class RootSet:
         return RootSet(-2 - r for r in self.roots)
 
     def __contains__(self, r):
-        return Fraction(r) in set(self.roots)
+        r = Fraction(r)
+        i = bisect_left(self.roots, r)
+        return i < len(self.roots) and self.roots[i] == r
 
     def __iter__(self):
         return iter(self.roots)
@@ -59,7 +59,7 @@ class RootSet:
     def __eq__(self, other):
         if isinstance(other, RootSet):
             return self.roots == other.roots
-        return self.roots == tuple(sorted(set(Fraction(r) for r in other)))
+        return self.roots == RootSet(other).roots
 
     def __repr__(self):
         return "{%s}" % ", ".join(format_rational(r) for r in self.roots)
@@ -101,47 +101,42 @@ class HomogeneousTaxonomy:
                 % (self.tau, self.upsilon, self.window_small))
 
 
+def _h0_roots(profile, degrees, shift=0):
+    """shift - (t + sum of weights)/wdeg(f) over the degrees t: the one map
+    from H0 degrees to roots; ascending degrees give descending roots."""
+    d = profile.wdeg_f
+    base = shift * d - profile.weight_sum
+    return [Fraction(base - t, d) for t in degrees]
+
+
 def roots_isolated(profile):
     """Zero set for an isolated quasi-homogeneous singularity:
     -(t + sum of weights)/wdeg(f) over Milnor algebra degrees t, plus -1."""
     if not profile.is_isolated:
         raise PreconditionError("singular locus is not isolated; the "
                                 "isolated-singularity formula does not apply")
-    sw = profile.weight_sum
-    d = profile.wdeg_f
-    roots = [Fraction(-(t + sw), d)
-             for t in profile.milnor_algebra_degrees.support]
-    roots.append(Fraction(-1))
-    return RootSet(roots)
+    degrees = profile.milnor_algebra_degrees.support
+    return RootSet(_h0_roots(profile, degrees) + [-1])
 
 
 def new_roots(profile):
     """-(t + sum of weights)/wdeg(f) over the H0 support; these belong to
     the Bernstein-Sato zero set of any reduced locally quasi-homogeneous f."""
-    sw = profile.weight_sum
-    d = profile.wdeg_f
-    return RootSet(Fraction(-(t + sw), d) for t in profile.h0.support)
+    return RootSet(_h0_roots(profile, profile.h0.support))
 
 
 def blf_roots(profile):
     """Zero set of the b-function of the logarithmic module:
-    (-t + 2*wdeg(f) - sum of weights)/wdeg(f) over the H0 support.
-    Empty output encodes b-function 1."""
-    sw = profile.weight_sum
-    d = profile.wdeg_f
-    return RootSet(Fraction(-t + 2 * d - sw, d) for t in profile.h0.support)
+    (-t + 2*wdeg(f) - sum of weights)/wdeg(f) over the H0 support, the new
+    roots shifted by 2.  Empty output encodes b-function 1."""
+    return RootSet(_h0_roots(profile, profile.h0.support, 2))
 
 
 def xi_set(profile):
-    """Xi = both shifted copies of the H0-degree roots; the zero set is
+    """Xi = the new roots and their shift by 1; the zero set is
     sigma-symmetric away from Xi."""
-    sw = profile.weight_sum
-    d = profile.wdeg_f
-    roots = []
-    for t in profile.h0.support:
-        roots.append(Fraction(-(t + sw), d))
-        roots.append(Fraction(-(t + sw) + d, d))
-    return RootSet(roots)
+    return RootSet(_h0_roots(profile, profile.h0.support)
+                   + _h0_roots(profile, profile.h0.support, 1))
 
 
 def check_partial_symmetry(zeros, xi):

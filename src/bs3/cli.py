@@ -117,22 +117,22 @@ def _roots(root_set):
 
 
 def _degree_table(data):
-    return {format_rational(q): dim for q, dim in
-            sorted(data.entries.items())}
+    return {format_rational(q): data.entries[q] for q in data.support}
 
 
 def _profile_fields(prof):
+    h0 = _degree_table(prof.h0)
     fields = {
         "wdeg": format_rational(prof.wdeg_f),
         "is_isolated": prof.is_isolated,
-        "h0": _degree_table(prof.h0),
+        "h0": h0,
     }
     if prof.milnor_algebra_degrees == INFINITE:
         fields["milnor_algebra_degrees"] = INFINITE
     else:
-        fields["milnor_algebra_degrees"] = _degree_table(
-            prof.milnor_algebra_degrees)
-        fields["milnor_number"] = prof.milnor_algebra_degrees.total_dimension()
+        # milnor_profile makes the Milnor algebra table H0 itself
+        fields["milnor_algebra_degrees"] = h0
+        fields["milnor_number"] = prof.h0.total_dimension()
     return fields
 
 

@@ -12,8 +12,9 @@ top degrees are proven, never guessed:
   minus the weight sum.
 * The Hilbert function of R/I^sat is its Hilbert polynomial from
   groebner._hilbert_start on; when dim R/I <= 1 that polynomial is the
-  constant e, the dimension of the global sections of the associated sheaf
-  in every twist, and H1 is e minus the Hilbert function below that start.
+  constant e (groebner._hilbert_tail reads it off), the dimension of the
+  global sections of the associated sheaf in every twist, and H1 is e
+  minus the Hilbert function below that start.
 """
 
 from __future__ import annotations
@@ -21,25 +22,23 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import mul
 
-from .groebner import (MonomialOrder, _hilbert_function, _hilbert_start,
+from .groebner import (MonomialOrder, _hilbert_function, _hilbert_tail,
                        _lcm_degree, buchberger, saturate_irrelevant)
 from .polyring import (Bs3Error, PreconditionError, WeightSystem,
                        grevlex_key, wdeg)
 
 
 class DegreeData:
-    """Finite map from weighted degree to a positive dimension."""
+    """Finite map from weighted degree to a positive dimension, with its
+    support as an ascending tuple."""
 
-    __slots__ = ("entries",)
+    __slots__ = ("entries", "support")
 
     def __init__(self, entries):
         self.entries = {Fraction(q): int(d) for q, d in entries.items() if d}
         if any(d < 0 for d in self.entries.values()):
             raise ValueError("negative dimension in degree data")
-
-    @property
-    def support(self):
-        return sorted(self.entries)
+        self.support = tuple(sorted(self.entries))
 
     def dimension(self, q):
         return self.entries.get(Fraction(q), 0)
@@ -54,8 +53,8 @@ class DegreeData:
         return isinstance(other, DegreeData) and self.entries == other.entries
 
     def __repr__(self):
-        inside = ", ".join("%s:%d" % (q, d) for q, d in
-                           sorted(self.entries.items()))
+        inside = ", ".join("%s:%d" % (q, self.entries[q])
+                           for q in self.support)
         return "DegreeData({%s})" % inside
 
 
@@ -128,7 +127,8 @@ def h0_degree_data(I, w):
         if dim_i < dim_s:
             raise Bs3Error("saturation smaller than the ideal; this should "
                            "be impossible")
-        entries[Fraction(k, L)] = dim_i - dim_s
+        if dim_i > dim_s:
+            entries[Fraction(k, L)] = dim_i - dim_s
     return DegreeData(entries)
 
 
@@ -136,25 +136,19 @@ STANDARD = WeightSystem((1, 1, 1))
 
 
 def _saturation_hilbert(I):
-    """The Hilbert function of R/I^sat under the standard grading in degrees
-    0 through t + 2, t the proven start of its Hilbert polynomial, and the
-    constant e it takes there, or None when that polynomial is not constant
-    (dim R/I > 1).
+    """The Hilbert function of R/I^sat under the standard grading and the
+    constant e of its Hilbert polynomial, as groebner._hilbert_tail reads
+    them.
 
-    The polynomial has degree at most two, so three equal values make it
-    constant.  A saturated ideal of dimension at most one has a linear
-    nonzerodivisor, so its Hilbert function never decreases and never
-    passes e; a value above e is an internal error.
+    A saturated ideal of dimension at most one has a linear nonzerodivisor,
+    so its Hilbert function never decreases and never passes e; a value
+    above e is an internal error.
     """
-    lms = _leading_monomials(saturate_irrelevant(I))
-    t = _hilbert_start(lms)
-    hf = _hilbert_function(lms, t + 2)
-    if not hf[t] == hf[t + 1] == hf[t + 2]:
-        return hf, None
-    if max(hf) > hf[t]:
+    hf, e = _hilbert_tail(_leading_monomials(saturate_irrelevant(I)))
+    if e is not None and max(hf) > e:
         raise Bs3Error("Hilbert value exceeds its stable limit; this should "
                        "be impossible")
-    return hf, hf[t]
+    return hf, e
 
 
 _NOT_POINTS = ("Hilbert polynomial of R/I^sat is not constant; projective "
@@ -189,7 +183,7 @@ def regularity_report(I):
     """H0/H1 degree ranges and the regularity max(h0_max, h1_max + 1),
     with absent cohomology skipped."""
     h0 = h0_degree_data(I, STANDARD)
-    h0_max = max(h0.support) if not h0.is_empty() else None
+    h0_max = h0.support[-1] if not h0.is_empty() else None
     hf, e = _saturation_hilbert(I)
     if e is None:
         # tolerated degenerate case: a single plane, H0 = H1 = 0, reg 0

@@ -714,6 +714,15 @@ def _hilbert_function(lead_monomials, top, weights=(1, 1, 1)):
     return values
 
 
+def _hilbert_tail(lead_monomials):
+    """[dim (R/M)_t for t = 0..s + 2], s = _hilbert_start, and the value e
+    of the Hilbert polynomial of R/M if it is constant, else None (dim R/M
+    > 1): its degree is at most two, so three equal values from s decide."""
+    s = _hilbert_start(lead_monomials)
+    hf = _hilbert_function(lead_monomials, s + 2)
+    return hf, hf[s] if hf[s] == hf[s + 1] == hf[s + 2] else None
+
+
 def _same_hilbert_polynomial(lms_a, lms_b):
     """R/(lms_a) and R/(lms_b) have the same Hilbert polynomial: it has
     degree at most two, so three values past both starts decide."""
@@ -869,9 +878,8 @@ def _saturate_cached(ideal):
     lms = gb.leading_monomials
     if _is_artinian(lms):
         return Ideal((Polynomial.constant(1, 3),))
-    t = _hilbert_start(lms)
-    e, e1, e2 = _hilbert_function(lms, t + 2)[t:]
-    curve = e == e1 == e2  # dim R/I = 1: V(I) has at most e points
+    _, e = _hilbert_tail(lms)
+    curve = e is not None  # dim R/I = 1: V(I) has at most e points
     for c in range(2 * e + 1) if curve else count():
         if weights != (1, 1, 1):
             sat = buchberger(saturate_by_poly(ideal, _moment_form(weights, c)),

@@ -78,7 +78,8 @@ def milnor_profile(f, w):
         # with Hilbert series prod (1 - t^(d - w_i)) / (1 - t^w_i), which
         # is symmetric about 3d - 2*sum(w).
         socle = 3 * d - 2 * w.weight_sum
-        if any(h0.dimension(socle - q) != n for q, n in h0.entries.items()):
+        dims = h0.entries
+        if any(dims.get(socle - q, 0) != n for q, n in dims.items()):
             raise Bs3Error("internal inconsistency: Milnor algebra degrees "
                            "are not symmetric about %s"
                            % format_rational(socle))

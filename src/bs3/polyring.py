@@ -319,7 +319,7 @@ def parse_polynomial(text, variable_count=3):
     if variable_count != 3:
         raise ValueError("the grammar only covers three variables")
     toks = _Tokens(text)
-    result = Polynomial.zero(variable_count)
+    terms = {}
     sign = 1
     if toks.peek() == "-":
         toks.pos += 1
@@ -327,10 +327,11 @@ def parse_polynomial(text, variable_count=3):
     elif toks.peek() == "+":
         raise ParseError("unexpected '+'", toks.pos)
     while True:
-        result = result + _parse_term(toks, variable_count) * sign
+        exponents, coeff = _parse_term(toks, variable_count)
+        terms[exponents] = terms.get(exponents, 0) + sign * coeff
         ch = toks.peek()
         if ch is None:
-            return result
+            return Polynomial(terms, variable_count)
         if ch == "+":
             sign = 1
         elif ch == "-":
@@ -343,10 +344,11 @@ def parse_polynomial(text, variable_count=3):
 
 
 def _parse_term(toks, n):
+    """One term as (exponent tuple, int or Fraction coefficient)."""
     ch = toks.peek()
     if ch is None:
         raise ParseError("expected a term", toks.pos)
-    coeff = Fraction(1)
+    coeff = 1
     have_coeff = False
     if ch.isdigit():
         num = toks.take_int()
@@ -358,7 +360,7 @@ def _parse_term(toks, n):
                 raise ParseError("zero denominator", denpos)
             coeff = Fraction(num, den)
         else:
-            coeff = Fraction(num)
+            coeff = num
         have_coeff = True
         if toks.peek() == "*":
             toks.pos += 1
@@ -382,4 +384,4 @@ def _parse_term(toks, n):
                 break
     if not saw_var and not have_coeff:
         raise ParseError("expected a term", toks.pos)
-    return Polynomial({tuple(exponents): coeff}, n)
+    return tuple(exponents), coeff

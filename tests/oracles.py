@@ -16,7 +16,8 @@ decomposability test are the routes the package replaced by its integer
 reducer and by the lattice criterion.  The tuple monomial primitives and
 order keys are what the packed monomials of bs3.groebner are tested
 against, and the Fraction intersection lattice is what the integer lattice
-of bs3.arrangement is tested against.
+of bs3.arrangement is tested against, as the relations of every concurrent
+triple are what its m - 2 length-3 relations per point are.
 """
 
 from fractions import Fraction
@@ -342,16 +343,36 @@ def decomposable_by_bitmask(forms):
 
 # -- the intersection lattice over Fraction ----------------------------------
 
+def _cross(a, b):
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0])
+
+
 def lattice_by_fractions(forms):
     """Each intersection point of the forms, the cross product of two lead-1
     rational normals scaled so its first nonzero coordinate is 1, mapped to
     the sorted indices of the forms through it; in ascending point order."""
     through = {}
     for i, j in combinations(range(len(forms)), 2):
-        a, b = forms[i].coefficients, forms[j].coefficients
-        p = (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
-             a[0] * b[1] - a[1] * b[0])
+        p = _cross(forms[i].coefficients, forms[j].coefficients)
         lead = next(c for c in p if c != 0)
         point = tuple(c / lead for c in p)
         through.setdefault(point, set()).update((i, j))
     return {pt: sorted(lines) for pt, lines in sorted(through.items())}
+
+
+def length3_relations_by_triples(forms):
+    """One relation vector per concurrent triple of forms, C(m, 3) of them
+    at a point on m lines, from the adjugate of the 3 x 3 matrix of the
+    lead-1 rational coefficients (the first nonzero column of it)."""
+    relations = []
+    for lines in lattice_by_fractions(forms).values():
+        for idx in combinations(lines, 3):
+            n0, n1, n2 = (forms[i].coefficients for i in idx)
+            adj = (_cross(n1, n2), _cross(n2, n0), _cross(n0, n1))
+            rel = next(col for col in zip(*adj) if any(col))
+            vec = [0] * len(forms)
+            for pos, v in zip(idx, rel):
+                vec[pos] = v
+            relations.append(vec)
+    return relations

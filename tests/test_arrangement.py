@@ -12,8 +12,10 @@ from bs3.arrangement import (Arrangement, LinearForm, _lattice,
                              is_indecomposable, is_formal,
                              relation_space_dimension, singular_points,
                              validate)
+from bs3.linalg import span_dimension
 from bs3.polyring import PreconditionError, parse_polynomial
 
+import corpus
 import oracles
 
 
@@ -175,6 +177,28 @@ def test_length3_relations_are_integer_relations_of_the_normals():
                        for k in range(3))
             seen += 1
     assert seen > 100
+
+
+def length3_row_counts(forms):
+    """Check the m - 2 relations per point against every concurrent triple
+    and return both row counts."""
+    arr = Arrangement(forms)
+    ours = _length3_relations(arr)
+    every = oracles.length3_relations_by_triples(forms)
+    assert len(ours) == sum(len(lines) - 2 for lines in arr.lattice.values())
+    assert span_dimension(ours) == span_dimension(every)
+    assert is_formal(arr) == (span_dimension(every)
+                              == relation_space_dimension(arr))
+    return len(ours), len(every)
+
+
+def test_length3_relations_span_what_every_triple_spans():
+    counts = [length3_row_counts(arr.forms)
+              for _, arr in corpus.build_corpus()]
+    ours, every = map(sum, zip(*counts))
+    assert ours < every
+    for forms in lattice_draws():
+        length3_row_counts(forms)
 
 
 def moment_curve_forms(d):

@@ -1,5 +1,6 @@
 """Root-set formulas, symmetry checks, and the homogeneous taxonomy."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -27,6 +28,26 @@ def test_rootset_is_sorted_and_deduplicated():
     assert list(s) == Q((-2, 1), (-1, 1), (-1, 2))
     assert Fraction(-2) in s
     assert repr(s) == "{-2, -1, -1/2}"
+
+
+def test_rootset_orders_any_input_and_finds_members():
+    rng = random.Random(4)
+    for _ in range(50):
+        values = [Fraction(rng.randint(-40, 40), rng.randint(1, 9))
+                  for _ in range(rng.randint(0, 30))]
+        want = sorted(set(values))
+        descending = sorted(values, reverse=True)
+        for given in (values, descending, want[::-1] + want):
+            s = RootSet(given)
+            assert list(s) == want and s == given
+        left = RootSet(values[::2])
+        merged = left.union(RootSet(values[1::2]))
+        assert list(merged) == want
+        assert list(left.union(descending)) == want
+        for k in range(-41, 42):
+            for q in (k, Fraction(k, 2), Fraction(k, 7)):
+                assert (q in merged) == (q in want)
+    assert Fraction(0) not in RootSet()
 
 
 def test_rootset_window_half_open_at_the_left():
@@ -148,3 +169,43 @@ def test_reconstruction_without_sections_uses_interval_only():
 def test_reconstruction_rejects_roots_outside_interval():
     with pytest.raises(PreconditionError):
         reconstruct_zero_set(0, 3, RootSet([Fraction(-3, 2)]))
+
+
+def lqh_profiles(seed, draws):
+    """Seeded profiles of the non-isolated families xyz(x^a + j y^b + k z^c)
+    and z(x^a + j y^b)(x^a + k y^b), weights (1/a, 1/b, 1/c), a != b."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(draws):
+        a, b = rng.sample(range(2, 6), 2)
+        c = rng.randint(2, 5)
+        j, k = rng.sample(range(1, 10), 2)
+        w = WeightSystem((Fraction(1, a), Fraction(1, b), Fraction(1, c)))
+        P = parse_polynomial
+        for f in (P("x*y*z") * P("x^%d + %d*y^%d + %d*z^%d"
+                                 % (a, j, b, k, c)),
+                  P("z") * P("x^%d + %d*y^%d" % (a, j, b))
+                  * P("x^%d + %d*y^%d" % (a, k, b))):
+            out.append(milnor_profile(f, w))
+    return out
+
+
+def test_weighted_h0_root_sets_follow_the_formulas():
+    fractional = windowed = 0
+    for prof in lqh_profiles(6, 5):
+        assert not prof.is_isolated
+        degrees = prof.h0.entries
+        fractional += any(t.denominator > 1 for t in degrees)
+        windowed += len(small_roots(prof)) > 0
+        sw = sum(prof.weights.weights)
+        d = prof.wdeg_f
+        new = [-(t + sw) / d for t in degrees]
+        assert list(new_roots(prof)) == sorted(set(new))
+        assert list(blf_roots(prof)) == sorted(
+            {(-t + 2 * d - sw) / d for t in degrees})
+        assert list(xi_set(prof)) == sorted(set(new) | {r + 1 for r in new})
+        assert list(small_roots(prof)) == sorted(
+            {r for r in new if -3 < r <= -2})
+        with pytest.raises(PreconditionError):
+            roots_isolated(prof)
+    assert fractional >= 4 and windowed >= 2

@@ -2,10 +2,13 @@
 
 import pytest
 
+from bs3 import milnor
+from bs3.graded import DegreeData
 from bs3.groebner import MonomialOrder, buchberger
 from bs3.milnor import (INFINITE, der_log0_graded_dimension, jacobian_ideal,
                         milnor_profile)
-from bs3.polyring import PreconditionError, WeightSystem, parse_polynomial
+from bs3.polyring import (Bs3Error, PreconditionError, WeightSystem,
+                          parse_polynomial)
 
 import oracles
 
@@ -29,6 +32,15 @@ def test_jacobian_ideal_coordinate_product():
 def test_jacobian_of_constant_rejected():
     with pytest.raises(PreconditionError):
         jacobian_ideal(P("5"))
+
+
+def test_milnor_table_without_a_mirror_degree_is_refused(monkeypatch):
+    # the Fermat cubic's table 1, 3, 3, 1 about T = 3 without degree 3:
+    # degree 0 has no partner, which reads as dimension 0
+    monkeypatch.setattr(milnor, "h0_degree_data",
+                        lambda I, w: DegreeData({0: 1, 1: 3, 2: 3}))
+    with pytest.raises(Bs3Error, match="symmetric"):
+        milnor_profile(P("x^3+y^3+z^3"), W1)
 
 
 def test_quadric_profile():

@@ -1,5 +1,6 @@
 """Polynomial ring basics: parsing, arithmetic, weights, derivations."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -54,6 +55,29 @@ def test_str_is_canonical_and_reparses():
     p = P("y + x^2 - 3*z^3 + 1/4")
     assert str(p) == "-3*z^3 + x^2 + y + 1/4"
     assert P(str(p)) == p
+
+
+def random_polynomial(rng):
+    """Up to six terms over exponents 0..2, so monomials often repeat
+    between draws."""
+    return Polynomial({tuple(rng.randint(0, 2) for _ in range(3)):
+                       Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                       for _ in range(rng.randint(0, 6))}, 3)
+
+
+def test_parse_adds_repeated_monomials():
+    assert P("x + 2x - 3x") == Polynomial.zero(3)
+    assert P("x*y - 1/2*y*x + z - 2z + 3 - 3") == P("1/2*x*y - z")
+    rng = random.Random(17)
+    for _ in range(300):
+        parts = [random_polynomial(rng) for _ in range(3)]
+        for p in parts:
+            assert P(str(p)) == p
+        text = str(parts[0])
+        for p in parts[1:]:
+            q = str(p)
+            text += " - " + q[1:] if q.startswith("-") else " + " + q
+        assert P(text) == parts[0] + parts[1] + parts[2], text
 
 
 def test_arithmetic():

@@ -16,8 +16,8 @@ from .graded import (DegreeData, RegularityReport, graded_dimension,
                      sheaf_dimension_e)
 from .groebner import (DEFAULT_STEP_CAP, GroebnerBasis, Ideal, MonomialOrder,
                        ResourceLimitError, buchberger, eliminate,
-                       normal_form, s_polynomial, saturate_by_poly,
-                       saturate_irrelevant, step_budget)
+                       normal_form, saturate_by_poly, saturate_irrelevant,
+                       saturated_leading_monomials, step_budget)
 from .milnor import (INFINITE, MilnorProfile, der_log0_graded_dimension,
                      jacobian_ideal, milnor_profile)
 from .polyring import (Bs3Error, ParseError, Polynomial, PreconditionError,

@@ -258,7 +258,7 @@ def comb_roots(arr):
 def relation_space_dimension(arr):
     """Kernel dimension of the 3 x d matrix of normal columns (= d - 3)."""
     rows = [[f.normal[i] for f in arr.forms] for i in range(3)]
-    return linalg.kernel_dimension(rows)
+    return len(arr.forms) - linalg.rank(rows)
 
 
 def _length3_relations(arr):
@@ -292,7 +292,7 @@ def is_formal(arr):
     """Formal iff length-3 relations span the whole relation space."""
     target = relation_space_dimension(arr)
     rels = _length3_relations(arr)
-    return linalg.span_dimension(rels) == target
+    return linalg.rank(rels) == target
 
 
 def condition_report(arr):

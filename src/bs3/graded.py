@@ -20,12 +20,13 @@ top degrees are proven, never guessed:
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from operator import mul
 
 from .groebner import (MonomialOrder, _hilbert_function, _hilbert_tail,
-                       _lcm_degree, buchberger, saturate_irrelevant)
-from .polyring import (Bs3Error, PreconditionError, WeightSystem,
-                       grevlex_key, wdeg)
+                       _lcm_degree, _positively_graded, buchberger,
+                       saturated_leading_monomials)
+from .polyring import Bs3Error, PreconditionError, WeightSystem, wdeg
 
 
 class DegreeData:
@@ -97,12 +98,6 @@ def _monomial_quotient_dimension(lead_monomials, w, q):
     return _hilbert_function(lead_monomials, int(k), w.scaled)[-1]
 
 
-def _leading_monomials(ideal):
-    """Grevlex leading monomials of generators that already form a reduced
-    grevlex basis, as saturate_irrelevant returns them."""
-    return tuple(max(g.terms, key=grevlex_key) for g in ideal.generators)
-
-
 def h0_degree_data(I, w):
     """Degreewise dimensions of (I : m^infinity) / I, the finite-length part
     of R/I supported at the irrelevant maximal ideal."""
@@ -112,10 +107,12 @@ def h0_degree_data(I, w):
         if wdeg(g, w) is None:
             raise PreconditionError("generator %s is not homogeneous for the "
                                     "given weights" % g)
-    in_sat = _leading_monomials(saturate_irrelevant(I))
+    W, L = w.scaled, w.denominator
+    g = gcd(*W)
+    # the saturation is read under this grading (groebner docstring)
+    _, in_sat = saturated_leading_monomials(I, tuple(v // g for v in W))
     in_i = buchberger(I, MonomialOrder.grevlex(I.variable_count)
                       ).leading_monomials
-    W, L = w.scaled, w.denominator
     # HS(R/M) = K(t)/prod(1 - t^W_i) with deg K <= wdeg lcm(M), because the
     # Taylor resolution of R/M has every syzygy in a degree dividing lcm(M).
     # I^sat/I has finite length, so its series HS(R/in I) - HS(R/in I^sat)
@@ -144,7 +141,8 @@ def _saturation_hilbert(I):
     so its Hilbert function never decreases and never passes e; a value
     above e is an internal error.
     """
-    hf, e = _hilbert_tail(_leading_monomials(saturate_irrelevant(I)))
+    _, lms = saturated_leading_monomials(I, _positively_graded(I))
+    hf, e = _hilbert_tail(lms)
     if e is not None and max(hf) > e:
         raise Bs3Error("Hilbert value exceeds its stable limit; this should "
                        "be impossible")

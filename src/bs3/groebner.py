@@ -29,10 +29,10 @@ MAX_DEGREE shows as a set guard bit: every product that can pass the bound
 is checked, and one that does raises ResourceLimitError.  A field never
 wraps silently.
 
-Saturation by the irrelevant ideal m = (x, y, z) needs positive integer
-weights w making every generator homogeneous; an ideal without them is
-refused.  It then takes one of two routes, each resting on a proof rather
-than a trial:
+Saturation by the irrelevant ideal m = (x, y, z) takes positive integer
+weights w making every generator homogeneous: the grading the caller reads,
+or the one _positively_graded finds (an ideal without any is refused).  It
+then takes one of two routes, each resting on a proof rather than a trial:
 
 * Artinian: when the grevlex basis has a pure power of every variable, R/I
   has finite length, so the graded ideal I is m-primary and
@@ -41,15 +41,28 @@ than a trial:
   colon passes a Hilbert-polynomial certificate, where
   l_c = z^(D/w_z) + c*x^(D/w_x) + c^2*y^(D/w_y), D = lcm(w), is one form of
   weighted degree D (the line z + c*x + c^2*y under standard weights).
-  Under standard weights the colon is one basis in coordinates where l_c
-  is the last variable, divided by l_c (Bayer-Stillman); otherwise it is
-  one elimination, saturate_by_poly.
+
+Where in(I^sat) is read (saturated_leading_monomials): under standard
+weights, in coordinates where l_c is the last variable.  The change
+z -> z - c*x - c^2*y turns l_c into z, and dividing every element of a
+grevlex basis of the moved I by its largest power of z gives a grevlex
+basis of the moved colon (Bayer-Stillman), so only the divided leading
+monomials are kept.  The change is linear and keeps the total degree, so
+the moved colon has the standard Hilbert function of I^sat, which is all
+that graded reads.  It mixes z with x and y, so it keeps no other grading:
+under other weights the colon is one elimination, saturate_by_poly, in the
+original coordinates.  The route follows the weights the caller reads, not
+the grading _positively_graded finds, since an ideal can be homogeneous
+for (1, 1, 1) and for other weights at once.  saturate_irrelevant, which
+returns the basis itself in the original coordinates, is that elimination
+by the certified l_c under any weights.
 
 Why the certificate proves J = I^sat: l_c lies in m, so J contains I^sat,
 and J is graded because l_c is homogeneous.  Grevlex is degree-compatible,
 so for any ideal the affine Hilbert function of R/I is the cumulative
 standard Hilbert function of R/in(I); as I lies in J, equal standard
-Hilbert polynomials of R/in(I) and R/in(J) are equivalent to
+Hilbert polynomials of R/in(I) and R/in(J) (or of the moved J, whose
+Hilbert function is the same) are equivalent to
 dim_Q J/I < infinity.  Then J/I^sat is a finite-dimensional graded
 submodule of R/I^sat, killed by a power of m, hence zero.  No weighted
 Hilbert start is needed.  Grading is essential: (x - 1, y + 1, z) with
@@ -441,13 +454,6 @@ def _s_poly_int(f, g, pk, budget):
     return _strip_content(out)
 
 
-def s_polynomial(f, g, order):
-    """S-polynomial of two rational polynomials (used by consistency checks)."""
-    pk = order.packing
-    d = _s_poly_int(_to_int_poly(f, pk), _to_int_poly(g, pk), pk, _budget())
-    return _from_int_poly(d, pk)
-
-
 # -- Buchberger --------------------------------------------------------------
 
 
@@ -511,24 +517,17 @@ def buchberger(ideal, order=None):
 
 @lru_cache(maxsize=64)
 def _buchberger_cached(ideal, order):
+    """Buchberger's loop, then minimalize, fully interreduce and sort: the
+    unique reduced Groebner basis."""
     budget = _budget()
     pk = order.packing
-    return _finish_basis(
-        _buchberger_int([_to_int_poly(g, pk) for g in ideal.generators],
-                        pk, budget),
-        order, ideal.variable_count, budget)
-
-
-def _finish_basis(raw, order, n, budget):
-    """Minimalize, fully interreduce, sort.  Returns the unique reduced
-    Groebner basis."""
-    pk = order.packing
-    kept = _minimal(raw, pk)
+    kept = _minimal(_buchberger_int(
+        [_to_int_poly(g, pk) for g in ideal.generators], pk, budget), pk)
     done = []
     for i, b in enumerate(kept):
         r, _ = _reduce(b[2], done + kept[i + 1:], pk, budget)
         done.append(_int_triple(r))
-    return GroebnerBasis(order, done, n)
+    return GroebnerBasis(order, done, ideal.variable_count)
 
 
 def _minimal(triples, pk):
@@ -603,7 +602,7 @@ def saturate_by_poly(ideal, g):
 
 def _positively_graded(ideal):
     """Positive integer weights w making every generator homogeneous, or
-    None when there are none.
+    None when there are none or the ring has not three variables.
 
     w must be orthogonal to every exponent difference inside a generator.
     Standard-homogeneous generators get (1, 1, 1).  If the differences span
@@ -615,6 +614,8 @@ def _positively_graded(ideal):
     u_i = 0, which makes D/w_i = 1 in the moment-curve form.  If they span
     everything, no weights fit.
     """
+    if ideal.variable_count != 3:
+        return None
     diffs = []
     for g in ideal.generators:
         first = next(iter(g.terms))
@@ -813,37 +814,19 @@ def _line_misses(ideal, c):
     return full and len(common) == 1
 
 
-def _divide_out_last(triple, pk):
-    """Divide by the largest power of z dividing the polynomial; for a
-    homogeneous grevlex basis element that is the power of z in its
-    leading term, which every term shares, so no field borrows."""
-    lm, lc, d = triple
-    kz = pk.exponent(lm, 2) * pk.coeffs[2]
-    if not kz:
-        return triple
-    return (lm - kz, lc, {m - kz: v for m, v in d.items()})
-
-
 def _saturate_by_line(ideal, c, gb):
-    """Reduced grevlex basis of I : l^infinity, l = z + c*x + c^2*y, for
-    standard-homogeneous I with reduced grevlex basis gb.
-
-    In coordinates where l is the last variable, dividing every element of
-    a grevlex basis of I by its largest power of l gives a grevlex basis of
-    the colon (Bayer-Stillman).
-    """
-    order = MonomialOrder.grevlex(3)
-    pk = order.packing
-    budget = _budget()
-    if c == 0:
-        raw = [_divide_out_last(b, pk) for b in gb._int_basis]
-    else:
-        divided = [_divide_out_last(b, pk) for b in
-                   _buchberger_int(_move_line(ideal, c), pk, budget)]
-        raw = _buchberger_int(
-            [_int_triple(_shift_last(b[2], c, c * c, pk))
-             for b in _minimal(divided, pk)], pk, budget)
-    return _finish_basis(raw, order, 3, budget)
+    """Minimal leading monomials of a grevlex basis of I : l^infinity,
+    l = z + c*x + c^2*y, in coordinates where l is the last variable, for
+    standard-homogeneous I with reduced grevlex basis gb (module
+    docstring).  A homogeneous grevlex basis element's largest power of z
+    is the one in its leading term, so dividing the leading monomial by it
+    is all the division the Hilbert function needs."""
+    pk = MonomialOrder.grevlex(3).packing
+    raw = gb._int_basis if c == 0 else _buchberger_int(_move_line(ideal, c),
+                                                       pk, _budget())
+    Z = pk.coeffs[2]
+    divided = [(b[0] - pk.exponent(b[0], 2) * Z,) for b in raw]
+    return tuple(pk.unpack(m) for m, in _minimal(divided, pk))
 
 
 def _moment_form(weights, c):
@@ -855,41 +838,52 @@ def _moment_form(weights, c):
                        (0, D // wy, 0): c * c}, 3)
 
 
-def saturate_irrelevant(ideal):
-    """I : (x, y, z)^infinity as the reduced grevlex basis of the
-    saturation, by the route the module docstring describes.  Memoized
-    like buchberger."""
-    n = ideal.variable_count
-    if n != 3:
+def saturated_leading_monomials(ideal, weights):
+    """(c, M) for I : (x, y, z)^infinity, I graded by the positive integer
+    weights: M the leading monomials of a grevlex basis of the saturation,
+    read where the module docstring says, and c the certified colon
+    I : l_c^infinity it equals, None when I is Artinian.  weights None, as
+    _positively_graded returns it, is refused.  Memoized like buchberger."""
+    if ideal.variable_count != 3:
         raise PreconditionError("irrelevant-ideal saturation needs 3 variables")
-    if ideal.is_zero():
-        return Ideal((), n)
-    return _saturate_cached(ideal)
-
-
-@lru_cache(maxsize=32)
-def _saturate_cached(ideal):
-    weights = _positively_graded(ideal)
     if weights is None:
         raise PreconditionError("irrelevant-ideal saturation needs generators "
                                 "homogeneous for some positive weights")
+    return _saturated_cached(ideal, weights)
+
+
+@lru_cache(maxsize=32)
+def _saturated_cached(ideal, weights):
     order = MonomialOrder.grevlex(3)
     gb = buchberger(ideal, order)
     lms = gb.leading_monomials
     if _is_artinian(lms):
-        return Ideal((Polynomial.constant(1, 3),))
+        return None, ((0, 0, 0),)
     _, e = _hilbert_tail(lms)
     curve = e is not None  # dim R/I = 1: V(I) has at most e points
     for c in range(2 * e + 1) if curve else count():
         if weights != (1, 1, 1):
             sat = buchberger(saturate_by_poly(ideal, _moment_form(weights, c)),
-                             order)
+                             order).leading_monomials
         elif curve and not _line_misses(ideal, c):
             continue
         else:
             sat = _saturate_by_line(ideal, c, gb)
-        if _same_hilbert_polynomial(lms, sat.leading_monomials):
-            return Ideal(sat.elements, 3)
+        if _same_hilbert_polynomial(lms, sat):
+            return c, sat
     raise Bs3Error("internal: no colon by z^a + c*x^b + c^2*y^d with c <= %d "
                    "keeps the Hilbert polynomial, though V(I) has at most %d "
                    "points" % (2 * e, e))
+
+
+def saturate_irrelevant(ideal):
+    """I : (x, y, z)^infinity as the reduced grevlex basis of the
+    saturation in the original coordinates: one elimination by the l_c
+    that saturated_leading_monomials certifies under the grading
+    _positively_graded finds."""
+    weights = _positively_graded(ideal)
+    c, _ = saturated_leading_monomials(ideal, weights)
+    if c is None:
+        return Ideal((Polynomial.constant(1, 3),))
+    sat = buchberger(saturate_by_poly(ideal, _moment_form(weights, c)))
+    return Ideal(sat.elements, 3)

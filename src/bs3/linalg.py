@@ -79,14 +79,3 @@ def rank(rows):
         if rk >= len(work):
             break
     return rk
-
-
-def kernel_dimension(rows):
-    """Dimension of the right kernel: columns minus rank."""
-    width = _check_rectangular(rows)
-    return width - rank(rows)
-
-
-def span_dimension(vectors):
-    """Dimension of the span of a list of vectors."""
-    return rank(list(vectors))

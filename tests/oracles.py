@@ -13,11 +13,13 @@ certified colon; it is kept here to cross-check that route.  The Artinian
 degree data below walk the finite staircase box directly, independent of
 the Hilbert-function engine.  The rational normal form and the bitmask
 decomposability test are the routes the package replaced by its integer
-reducer and by the lattice criterion.  The tuple monomial primitives and
-order keys are what the packed monomials of bs3.groebner are tested
-against, and the Fraction intersection lattice is what the integer lattice
-of bs3.arrangement is tested against, as the relations of every concurrent
-triple are what its m - 2 length-3 relations per point are.
+reducer and by the lattice criterion.  s_polynomial, over the package's
+integer S-polynomial, is what checks that a basis is Groebner.  The tuple
+monomial primitives and order keys are what the packed monomials of
+bs3.groebner are tested against, and the Fraction intersection lattice is
+what the integer lattice of bs3.arrangement is tested against, as the
+relations of every concurrent triple are what its m - 2 length-3 relations
+per point are.
 """
 
 from fractions import Fraction
@@ -25,7 +27,9 @@ from itertools import combinations, combinations_with_replacement, product
 
 from bs3 import linalg
 from bs3.graded import DegreeData
-from bs3.groebner import Ideal, _lift_poly, eliminate, saturate_by_poly
+from bs3.groebner import (Ideal, _budget, _from_int_poly, _lift_poly,
+                          _s_poly_int, _to_int_poly, eliminate,
+                          saturate_by_poly)
 from bs3.polyring import (Polynomial, PreconditionError, grevlex_key,
                           mono_mul, partial_derivative, wdeg)
 
@@ -324,6 +328,14 @@ def normal_form_by_fractions(p, gb):
             if work[mm] == 0:
                 del work[mm]
     return Polynomial(result, p.variable_count)
+
+
+def s_polynomial(f, g, order):
+    """S-polynomial of two rational polynomials, by the package's integer
+    S-polynomial under the order's packing."""
+    pk = order.packing
+    d = _s_poly_int(_to_int_poly(f, pk), _to_int_poly(g, pk), pk, _budget())
+    return _from_int_poly(d, pk)
 
 
 # -- decomposability by every bipartition ----------------------------------

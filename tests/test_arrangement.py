@@ -12,7 +12,7 @@ from bs3.arrangement import (Arrangement, LinearForm, _lattice,
                              is_indecomposable, is_formal,
                              relation_space_dimension, singular_points,
                              validate)
-from bs3.linalg import span_dimension
+from bs3.linalg import rank
 from bs3.polyring import PreconditionError, parse_polynomial
 
 import corpus
@@ -186,8 +186,8 @@ def length3_row_counts(forms):
     ours = _length3_relations(arr)
     every = oracles.length3_relations_by_triples(forms)
     assert len(ours) == sum(len(lines) - 2 for lines in arr.lattice.values())
-    assert span_dimension(ours) == span_dimension(every)
-    assert is_formal(arr) == (span_dimension(every)
+    assert rank(ours) == rank(every)
+    assert is_formal(arr) == (rank(every)
                               == relation_space_dimension(arr))
     return len(ours), len(every)
 

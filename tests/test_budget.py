@@ -194,4 +194,4 @@ def test_basis_caches_key_on_the_mathematical_input():
         return list(inspect.signature(cached.__wrapped__).parameters)
 
     assert parameters(groebner._buchberger_cached) == ["ideal", "order"]
-    assert parameters(groebner._saturate_cached) == ["ideal"]
+    assert parameters(groebner._saturated_cached) == ["ideal", "weights"]

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+import oracles
 from bs3.cli import main
+from test_budget import clear_caches
 
 
 def run(capsys, *argv):
@@ -138,6 +140,42 @@ def test_arrangement_request_builds_the_lattice_once(capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def test_arrangement_request_moves_no_basis_back(capsys, monkeypatch):
+    # one Buchberger run on the Jacobian, kept as the one reduced basis,
+    # and one in the coordinates where the certified line is z, whose
+    # leading monomials are read there
+    from bs3 import groebner
+    runs, kept = [], []
+    int_run, keep = groebner._buchberger_int, groebner.GroebnerBasis.__init__
+
+    def spy_run(*args):
+        runs.append(len(args[0]))
+        return int_run(*args)
+
+    def spy_keep(self, *args):
+        kept.append(args[0])
+        keep(self, *args)
+
+    monkeypatch.setattr(groebner, "_buchberger_int", spy_run)
+    monkeypatch.setattr(groebner.GroebnerBasis, "__init__", spy_keep)
+    clear_caches()
+    code, out, _ = run(capsys, "arrangement", "--forms", oracles.ZIEGLER_F)
+    clear_caches()
+    assert code == 0 and "non_comb_present: true" in out
+    assert len(runs) == 2
+    assert len(kept) == 1
+
+
+def test_h0_under_weights_other_than_the_standard_ones(capsys):
+    # the Jacobian (y*z, x*z + 3*y^2, x*y) is homogeneous under (1, 1, 1)
+    # and under (1, 2, 3); H0 is read under the grading asked for
+    code, out, _ = run(capsys, "roots", "lqh", "--poly", "x*y*z+y^3",
+                       "--weights", "1,2,3")
+    assert code == 0
+    assert [line for line in out.splitlines()
+            if line.startswith("h0")] == ["h0.2: 1", "h0.4: 1"]
+
+
 def test_json_is_deterministic(capsys):
     argv = ("arrangement", "--forms", "x,y,z,x+y+z", "--format", "json")
     _, first, _ = run(capsys, *argv)
@@ -149,7 +187,7 @@ def test_failed_saturation_certificate_exits_4(capsys, monkeypatch):
     from bs3 import groebner
     monkeypatch.setattr(groebner, "_same_hilbert_polynomial",
                         lambda lms_a, lms_b: False)
-    groebner._saturate_cached.cache_clear()
+    groebner._saturated_cached.cache_clear()
     code, out, err = run(capsys, "arrangement", "--forms", "x,y,z,x+y+z")
     assert code == 4
     assert out == ""
@@ -161,11 +199,11 @@ def test_failed_weighted_certificate_exits_4(capsys, monkeypatch):
     from bs3 import groebner
     monkeypatch.setattr(groebner, "_same_hilbert_polynomial",
                         lambda lms_a, lms_b: False)
-    groebner._saturate_cached.cache_clear()
+    groebner._saturated_cached.cache_clear()
     code, out, err = run(capsys, "roots", "lqh", "--poly",
                          "x^4*z + 3*x^2*y^3*z + 2*y^6*z",
                          "--weights", "1/2,1/3,1/2")
-    groebner._saturate_cached.cache_clear()
+    groebner._saturated_cached.cache_clear()
     assert code == 4
     assert out == ""
     assert err.startswith("internal error:") and "Hilbert polynomial" in err
@@ -203,9 +241,10 @@ def test_milnor_of_a_smooth_linear_form(capsys):
 
 def test_saturation_smaller_than_the_ideal_exits_4(capsys, monkeypatch):
     from bs3 import graded
-    from bs3.groebner import Ideal
-    monkeypatch.setattr(graded, "saturate_irrelevant",
-                        lambda I, step_cap=None: Ideal(I.generators[:1]))
+    from bs3.groebner import Ideal, buchberger
+    monkeypatch.setattr(graded, "saturated_leading_monomials",
+                        lambda I, w: (0, buchberger(
+                            Ideal(I.generators[:1])).leading_monomials))
     code, out, err = run(capsys, "milnor", "--poly", "x^3+y^3+z^3")
     assert code == 4
     assert out == ""
@@ -218,9 +257,9 @@ def test_hilbert_value_above_its_limit_exits_4(capsys, monkeypatch):
     # Jacobian has one section at the origin in degree 3, so its Hilbert
     # function reaches 7 there against the limit 6
     from bs3 import graded
-    from bs3.groebner import Ideal, buchberger
-    monkeypatch.setattr(graded, "saturate_irrelevant",
-                        lambda I, step_cap=None: Ideal(buchberger(I).elements))
+    from bs3.groebner import buchberger
+    monkeypatch.setattr(graded, "saturated_leading_monomials",
+                        lambda I, w: (0, buchberger(I).leading_monomials))
     code, out, err = run(capsys, "arrangement", "--forms", "x,y,z,x+y+z")
     assert code == 4
     assert out == ""
@@ -232,7 +271,7 @@ def test_asymmetric_milnor_algebra_exits_4(capsys, monkeypatch):
     from bs3 import milnor
     from bs3.graded import DegreeData
     monkeypatch.setattr(milnor, "h0_degree_data",
-                        lambda I, w, step_cap=None: DegreeData({0: 1, 1: 3}))
+                        lambda I, w: DegreeData({0: 1, 1: 3}))
     code, out, err = run(capsys, "roots", "isolated", "--poly", "x^3+y^3+z^3")
     assert code == 4
     assert out == ""

@@ -29,6 +29,9 @@ def ideal(*texts):
 
 
 QUARTIC_CONE = jacobian_ideal(P("x^2*y*z + x*y^2*z + x*y*z^2"))
+# z (x^2 + 2 y^2)(x^2 + 3 y^2): four lines through (0:0:1) and one more, a
+# free near-pencil, so its H0 is empty
+NEAR_PENCIL = jacobian_ideal(P("x^4*z+5*x^2*y^2*z+6*y^4*z"))
 
 
 def test_weighted_monomials_standard():
@@ -116,8 +119,10 @@ def test_hilbert_engine_matches_monomial_count(weights):
 
 
 # (ideal, weights): Artinian, an embedded point, the Jacobians of four
-# lines, of a weighted isolated singularity and of two non-isolated
-# surfaces under fractional weights
+# lines, of a weighted isolated singularity, of two non-isolated surfaces
+# under fractional weights, and of two surfaces whose Jacobians are
+# homogeneous under (1, 1, 1) and under the other weights given, so that a
+# saturation read in standard-graded moved coordinates would be wrong there
 H0_CASES = [
     (ideal("x^2", "y^2", "z^2"), W1),
     (ideal("x^2", "x*y", "x*z"), W1),
@@ -128,6 +133,9 @@ H0_CASES = [
      WeightSystem((Fraction(1, 5), Fraction(1, 2), Fraction(1, 2)))),
     (jacobian_ideal(P("x^3*y*z + 2*x*y^6*z + 3*x*y*z^4")),
      WeightSystem((Fraction(1, 2), Fraction(1, 5), Fraction(1, 3)))),
+    (jacobian_ideal(P("x*y*z+y^3")), WeightSystem((1, 2, 3))),
+    (jacobian_ideal(P("x*y*z+y^3")), WeightSystem((3, 2, 1))),
+    (NEAR_PENCIL, WeightSystem((2, 2, 3))),
 ]
 
 
@@ -139,7 +147,8 @@ def test_h0_vanishes_above_the_proven_window():
         top = max(_lcm_degree(lms_i, W),
                   _lcm_degree(lms_s, W)) - sum(W)
         data = h0_degree_data(I, w)
-        assert not data.is_empty() and max(data.support) * L <= top
+        assert data.is_empty() == (I is NEAR_PENCIL)
+        assert data.is_empty() or max(data.support) * L <= top
         for k in range(2 * top + 1):
             q = Fraction(k, L)
             dim = (standard_monomial_count(lms_i, w, q)

@@ -11,13 +11,15 @@ import corpus
 import oracles
 from bs3 import groebner
 from bs3.arrangement import singular_points, validate
+from bs3.graded import STANDARD, h0_degree_data
 from bs3.groebner import (GroebnerBasis, Ideal, MonomialOrder,
                           ResourceLimitError, buchberger, eliminate,
-                          normal_form, s_polynomial, saturate_by_poly,
-                          saturate_irrelevant, step_budget)
+                          normal_form, saturate_by_poly,
+                          saturate_irrelevant, saturated_leading_monomials,
+                          step_budget)
 from bs3.milnor import jacobian_ideal
 from bs3.polyring import Polynomial, PreconditionError, parse_polynomial
-from oracles import ideal_intersection
+from oracles import ideal_intersection, s_polynomial
 from test_graded import H0_CASES
 
 GREVLEX = MonomialOrder("grevlex", 3)
@@ -319,6 +321,16 @@ def times_maximal_ideal(*texts):
     return Ideal(tuple(P(t) * P(v) for t in texts for v in ("x", "y", "z")))
 
 
+def same_hilbert_function(lms_a, lms_b):
+    """R/(lms_a) and R/(lms_b) have the same standard Hilbert function in
+    every degree: past both starts each is a polynomial of degree at most
+    two, so three more values decide."""
+    top = max(groebner._hilbert_start(lms_a),
+              groebner._hilbert_start(lms_b)) + 2
+    return (groebner._hilbert_function(lms_a, top)
+            == groebner._hilbert_function(lms_b, top))
+
+
 def test_fast_saturation_agrees_with_colon_intersection():
     samples = [
         ideal("x^2*y", "y^2*z", "z^2*x"),
@@ -334,6 +346,9 @@ def test_fast_saturation_agrees_with_colon_intersection():
         expect = buchberger(oracles.saturation_by_columns(I), GREVLEX)
         got = buchberger(saturate_irrelevant(I), GREVLEX)
         assert got.elements == expect.elements
+        # the moved leading monomials the graded layer reads
+        _, moved = saturated_leading_monomials(I, (1, 1, 1))
+        assert same_hilbert_function(moved, expect.leading_monomials), I
 
 
 def hilbert_constant(I):
@@ -360,9 +375,9 @@ def chosen_lines(monkeypatch):
         return by_line(ideal, c, gb)
 
     monkeypatch.setattr(groebner, "_saturate_by_line", spy)
-    groebner._saturate_cached.cache_clear()
+    groebner._saturated_cached.cache_clear()
     yield chosen
-    groebner._saturate_cached.cache_clear()
+    groebner._saturated_cached.cache_clear()
 
 
 def test_chosen_line_is_first_moment_curve_line_missing_the_lattice(
@@ -378,8 +393,8 @@ def test_chosen_line_is_first_moment_curve_line_missing_the_lattice(
         assert [groebner._line_misses(jac, k) for k in range(c + 1)] == \
             [False] * c + [True], name
         chosen_lines.clear()
-        groebner._saturate_cached.cache_clear()
-        saturate_irrelevant(jac)
+        groebner._saturated_cached.cache_clear()
+        h0_degree_data(jac, STANDARD)  # as a request reads the saturation
         assert chosen_lines == [c], name
 
 
@@ -393,14 +408,14 @@ def reference_calls(monkeypatch):
         return saturate_by_poly(*args, **kwargs)
 
     monkeypatch.setattr(groebner, "saturate_by_poly", spy)
-    groebner._saturate_cached.cache_clear()
+    groebner._saturated_cached.cache_clear()
     yield calls
-    groebner._saturate_cached.cache_clear()
+    groebner._saturated_cached.cache_clear()
 
 
 def test_corpus_saturations_never_take_the_reference_route(reference_calls):
     for _, arr in corpus.build_corpus():
-        saturate_irrelevant(jacobian_ideal(arr.defining_polynomial()))
+        h0_degree_data(jacobian_ideal(arr.defining_polynomial()), STANDARD)
     assert reference_calls == []
 
 
@@ -411,13 +426,14 @@ def test_hilbert_certificate_rejects_a_line_through_a_singular_point():
     # z is one of the lines, so it passes through singular points
     assert not groebner._line_misses(jac, 0)
     by_z = groebner._saturate_by_line(jac, 0, gb)
-    assert not groebner._same_hilbert_polynomial(gb.leading_monomials,
-                                                 by_z.leading_monomials)
+    assert not groebner._same_hilbert_polynomial(gb.leading_monomials, by_z)
     c = next(k for k in count() if groebner._line_misses(jac, k))
     assert 0 < c <= 2 * hilbert_constant(jac)
     by_c = groebner._saturate_by_line(jac, c, gb)
-    assert groebner._same_hilbert_polynomial(gb.leading_monomials,
-                                             by_c.leading_monomials)
+    assert groebner._same_hilbert_polynomial(gb.leading_monomials, by_c)
+    expect = buchberger(oracles.saturation_by_columns(jac), GREVLEX)
+    assert same_hilbert_function(by_c, expect.leading_monomials)
+    assert not same_hilbert_function(by_z, expect.leading_monomials)
 
 
 def test_artinian_ideals_saturate_to_the_unit_ideal(reference_calls):
@@ -470,14 +486,17 @@ def test_weighted_jacobians_saturate_by_the_first_certified_colon(
         weights = groebner._positively_graded(I)
         assert weights != (1, 1, 1), I
         reference_calls.clear()
-        got = buchberger(saturate_irrelevant(I), GREVLEX)
+        chosen, lms = saturated_leading_monomials(I, weights)
+        calls = [g for _, g in reference_calls]
         expect = buchberger(oracles.saturation_by_columns(I), GREVLEX)
+        assert lms == expect.leading_monomials, I
+        got = buchberger(saturate_irrelevant(I), GREVLEX)
         assert got.elements == expect.elements, I
         # the first c whose colon is the saturation, found by brute force
         c = next(k for k in count()
                  if weighted_colon(I, weights, k).elements == expect.elements)
-        assert [g for _, g in reference_calls] == [
-            moment_form(weights, k) for k in range(c + 1)], I
+        assert chosen == c, I
+        assert calls == [moment_form(weights, k) for k in range(c + 1)], I
 
 
 def test_weighted_saturation_of_a_surface_singular_along_a_curve():
@@ -495,8 +514,8 @@ def test_certificate_rejects_the_form_through_the_points_at_z_zero(
         reference_calls):
     jac = jacobian_ideal(P("z") * P("x^2 + 2*y^3") * P("x^2 + 5*y^3"))
     weights = groebner._positively_graded(jac)
-    saturate_irrelevant(jac)
-    c = len(reference_calls) - 1
+    c, _ = saturated_leading_monomials(jac, weights)
+    assert c == len(reference_calls) - 1
     assert c > 0
     lms = buchberger(jac, GREVLEX).leading_monomials
     # z^(D/w_z) vanishes on the points of V(I) on z = 0

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from bs3.linalg import kernel_dimension, rank, span_dimension
+from bs3.linalg import rank
 
 import oracles
 
@@ -43,28 +43,28 @@ def test_kernel_dimension_braid_normals():
     m = [[1, 0, 0, 1, 1, 0],
          [0, 1, 0, -1, 0, 1],
          [0, 0, 1, 0, -1, -1]]
-    assert kernel_dimension(m) == 3
+    assert len(m[0]) - rank(m) == 3
 
 
 def test_kernel_dimension_identity():
-    assert kernel_dimension([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == 0
+    assert 3 - rank([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == 0
 
 
 def test_kernel_dimension_generic_four_columns():
     m = [[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1]]
-    assert kernel_dimension(m) == 1
+    assert len(m[0]) - rank(m) == 1
 
 
 def test_span_dimension():
-    assert span_dimension([]) == 0
-    assert span_dimension([(1, 0), (0, 1), (1, 1)]) == 2
+    assert rank([]) == 0
+    assert rank([(1, 0), (0, 1), (1, 1)]) == 2
 
 
 def test_ragged_input_rejected():
     with pytest.raises(ValueError):
         rank([[1, 2], [1]])
     with pytest.raises(ValueError):
-        span_dimension([(1, 0), (1,)])
+        rank([(1, 0), (1,)])
 
 
 def test_rank_against_plain_gaussian_elimination():
@@ -76,4 +76,3 @@ def test_rank_against_plain_gaussian_elimination():
         m = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3))
               for _ in range(cols)] for _ in range(rows)]
         assert rank(m) == oracles.rref_rank(m)
-        assert kernel_dimension(m) == cols - oracles.rref_rank(m)

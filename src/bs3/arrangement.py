@@ -14,7 +14,8 @@ from math import gcd, lcm
 
 from . import linalg
 from .bsroots import RootSet
-from .graded import STANDARD, graded_dimension, regularity_report
+from .graded import (STANDARD, check_h0_symmetry, graded_dimension,
+                     regularity_report)
 from .groebner import MonomialOrder, _budget, _cross, buchberger
 from .milnor import der_log0_graded_dimension, jacobian_ideal, milnor_profile
 from .polyring import (Bs3Error, Polynomial, PreconditionError, parse_polynomial)
@@ -304,6 +305,7 @@ def condition_report(arr):
     gb = buchberger(jac, MonomialOrder.grevlex(3))
     reg = regularity_report(jac)
     h0 = reg.h0
+    check_h0_symmetry(h0, 3 * d - 6)  # the arrangement is reduced
     if reg.sheaf_dim_e is None:
         raise PreconditionError("no stabilized section dimension; "
                                 "arrangement pipeline requires one")

@@ -23,13 +23,13 @@ class RootSet:
     __slots__ = ("roots",)
 
     def __init__(self, roots=()):
-        self.roots = tuple(sorted(dict.fromkeys(map(Fraction, roots))))
+        self.roots = tuple(sorted(dict.fromkeys(roots)))
 
     def union(self, other):
         return RootSet(self.roots + tuple(other))
 
     def difference(self, other):
-        drop = set(map(Fraction, other))
+        drop = set(other)
         return RootSet(r for r in self.roots if r not in drop)
 
     def window(self, lo, hi, include_lo=False, include_hi=True):
@@ -103,10 +103,16 @@ class HomogeneousTaxonomy:
 
 def _h0_roots(profile, degrees, shift=0):
     """shift - (t + sum of weights)/wdeg(f) over the degrees t: the one map
-    from H0 degrees to roots; ascending degrees give descending roots."""
+    from H0 degrees to roots; ascending degrees give descending roots.
+    Each root is one Fraction (shift*D - S - k)/D of integers, D = L*wdeg(f),
+    S = L*sum(w), k = L*t, for L the weights' common denominator: a multiple
+    of the denominator of every weighted degree t, an int or a Fraction."""
+    L = profile.weights.denominator
     d = profile.wdeg_f
-    base = shift * d - profile.weight_sum
-    return [Fraction(base - t, d) for t in degrees]
+    D = d.numerator * (L // d.denominator)
+    base = shift * D - sum(profile.weights.scaled)
+    return [Fraction(base - t.numerator * (L // t.denominator), D)
+            for t in degrees]
 
 
 def roots_isolated(profile):

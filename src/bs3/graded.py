@@ -26,23 +26,24 @@ from operator import mul
 from .groebner import (MonomialOrder, _hilbert_function, _hilbert_tail,
                        _lcm_degree, _positively_graded, buchberger,
                        saturated_leading_monomials)
-from .polyring import Bs3Error, PreconditionError, WeightSystem, wdeg
+from .polyring import (Bs3Error, PreconditionError, WeightSystem,
+                       format_rational, wdeg)
 
 
 class DegreeData:
-    """Finite map from weighted degree to a positive dimension, with its
-    support as an ascending tuple."""
+    """Finite map from weighted degree (a Fraction or an int) to a positive
+    dimension, with its support as an ascending tuple."""
 
     __slots__ = ("entries", "support")
 
     def __init__(self, entries):
-        self.entries = {Fraction(q): int(d) for q, d in entries.items() if d}
+        self.entries = {q: d for q, d in entries.items() if d}
         if any(d < 0 for d in self.entries.values()):
             raise ValueError("negative dimension in degree data")
         self.support = tuple(sorted(self.entries))
 
     def dimension(self, q):
-        return self.entries.get(Fraction(q), 0)
+        return self.entries.get(q, 0)
 
     def total_dimension(self):
         return sum(self.entries.values())
@@ -80,13 +81,28 @@ class RegularityReport:
 
 def graded_dimension(gb, w, q):
     """dim of (R/I)_q for a weighted-homogeneous ideal with Groebner basis
-    gb, by counting standard monomials."""
+    gb, by counting standard monomials; homogeneity is checked on the
+    packed triples."""
     W = w.scaled
-    for e in gb.elements:
-        if len({sum(map(mul, W, m)) for m in e.terms}) > 1:
+    unpack = gb.order.packing.unpack
+    for i, (_, _, d) in enumerate(gb._int_basis):
+        if len({sum(map(mul, W, unpack(m))) for m in d}) > 1:
             raise PreconditionError("basis element %s is not homogeneous "
-                                    "for the given weights" % e)
+                                    "for the given weights" % gb.elements[i])
     return _monomial_quotient_dimension(gb.leading_monomials, w, q)
+
+
+def check_h0_symmetry(h0, center):
+    """Raise Bs3Error unless the H0 degree data are symmetric about center,
+    pairing the ascending support with its reverse.  For a reduced
+    quasi-homogeneous f, H0 of R/(partial f) is self-dual about
+    3*wdeg(f) - 2*sum(w) (Sernesi; van Straten-Warmt; Dimca-Sticlaru)."""
+    support, dims = h0.support, h0.entries
+    half = support[:(len(support) + 1) // 2]
+    if any(p + q != center or dims[p] != dims[q]
+           for p, q in zip(half, reversed(support))):
+        raise Bs3Error("internal inconsistency: H0 degrees are not "
+                       "symmetric about %s" % format_rational(center))
 
 
 def _monomial_quotient_dimension(lead_monomials, w, q):

@@ -4,10 +4,11 @@ Every basis computation runs on integer coefficient dictionaries, and one
 routine, _reduce, does every reduction: of S-polynomials in Buchberger's
 loop, of each element against the others when a basis is interreduced, and
 of normal forms.  It strips the content after every step, so no Fraction
-arithmetic happens in inner loops.  Fractions appear only at the boundary:
-generators are cleared of denominators on the way in, and the interreduced
-basis (the unique reduced Groebner basis for the chosen order) is made monic
-on the way out.
+arithmetic happens in inner loops.  A GroebnerBasis holds only packed
+integer triples (lm, lc, primitive dict).  Fractions appear only where a
+value leaves the program: generators are cleared of denominators on the
+way in, and monic Polynomials are built only where a caller asks for them
+(GroebnerBasis.elements, normal_form, eliminate), never on a request.
 
 Inside those dictionaries a monomial is one int, packed by its order
 (Monagan-Pearce): pack(m) = sum e_i * C_i lays 16-bit fields side by side,
@@ -50,12 +51,14 @@ basis of the moved colon (Bayer-Stillman), so only the divided leading
 monomials are kept.  The change is linear and keeps the total degree, so
 the moved colon has the standard Hilbert function of I^sat, which is all
 that graded reads.  It mixes z with x and y, so it keeps no other grading:
-under other weights the colon is one elimination, saturate_by_poly, in the
-original coordinates.  The route follows the weights the caller reads, not
-the grading _positively_graded finds, since an ideal can be homogeneous
-for (1, 1, 1) and for other weights at once.  saturate_irrelevant, which
-returns the basis itself in the original coordinates, is that elimination
-by the certified l_c under any weights.
+under other weights the colon is one elimination in the original
+coordinates, whose leading monomials are the t-free ones of the block basis
+of (I, t*l_c - 1) with t dropped (_weighted_colon; eliminate says why), so
+no second Buchberger run is made.  The route follows the weights the
+caller reads, not the grading _positively_graded finds, since an ideal can
+be homogeneous for (1, 1, 1) and for other weights at once.
+saturate_irrelevant, which returns the basis itself in the original
+coordinates, is that elimination by the certified l_c under any weights.
 
 Why the certificate proves J = I^sat: l_c lies in m, so J contains I^sat,
 and J is graded because l_c is homogeneous.  Grevlex is degree-compatible,
@@ -295,18 +298,22 @@ class Ideal:
 
 
 class GroebnerBasis:
-    """A reduced Groebner basis: monic elements, fully interreduced,
-    sorted by increasing leading monomial.  The packed integer triples it
-    was built from are kept for further reductions."""
+    """A reduced Groebner basis, fully interreduced and sorted by
+    increasing leading monomial, held only as packed integer triples
+    (lm, lc, primitive dict).  Its monic Polynomial elements are built on
+    each access, for callers outside the package's own computations."""
 
-    __slots__ = ("order", "elements", "_int_basis")
+    __slots__ = ("order", "_int_basis")
 
-    def __init__(self, order, triples, variable_count):
+    def __init__(self, order, triples):
         self.order = order
         self._int_basis = tuple(triples)
-        pk = order.packing
-        self.elements = tuple(_from_int_poly(d, pk, lc)
-                              for _, lc, d in self._int_basis)
+
+    @property
+    def elements(self):
+        pk = self.order.packing
+        return tuple(_from_int_poly(d, pk, lc)
+                     for _, lc, d in self._int_basis)
 
     @property
     def leading_monomials(self):
@@ -314,7 +321,7 @@ class GroebnerBasis:
         return tuple(unpack(b[0]) for b in self._int_basis)
 
     def __len__(self):
-        return len(self.elements)
+        return len(self._int_basis)
 
     def __iter__(self):
         return iter(self.elements)
@@ -527,7 +534,7 @@ def _buchberger_cached(ideal, order):
     for i, b in enumerate(kept):
         r, _ = _reduce(b[2], done + kept[i + 1:], pk, budget)
         done.append(_int_triple(r))
-    return GroebnerBasis(order, done, ideal.variable_count)
+    return GroebnerBasis(order, done)
 
 
 def _minimal(triples, pk):
@@ -551,28 +558,26 @@ def normal_form(p, gb):
 # -- elimination and derived operations --------------------------------------
 
 
-def _project_poly(p, drop):
-    out = {}
-    for m, c in p.terms.items():
-        out[m[drop:]] = c
-    return Polynomial(out, p.variable_count - drop)
-
-
 def eliminate(ideal, drop_count):
     """Intersect with the subring omitting the first drop_count variables.
 
     The result's generators are the reduced graded-reverse-lex Groebner
-    basis of the elimination ideal, viewed in the smaller ring.
+    basis of the elimination ideal, viewed in the smaller ring: the
+    elements of the reduced block basis whose leading monomial is free of
+    the dropped variables.  The block order compares those variables
+    first, so such an element is free of them throughout, and on the
+    monomials free of them the block order is grevlex.
     """
     n = ideal.variable_count
     if not 0 < drop_count < n:
         raise ValueError("drop_count must be strictly between 0 and n")
     order = MonomialOrder.block(drop_count, n)
-    gb = buchberger(ideal, order)
+    unpack = order.packing.unpack
     kept = []
-    for e in gb.elements:
-        if all(all(v == 0 for v in m[:drop_count]) for m in e.terms):
-            kept.append(_project_poly(e, drop_count))
+    for lm, lc, d in buchberger(ideal, order)._int_basis:
+        if not any(unpack(lm)[:drop_count]):
+            kept.append(Polynomial({unpack(m)[drop_count:]: Fraction(v, lc)
+                                    for m, v in d.items()}, n - drop_count))
     return Ideal(kept, n - drop_count)
 
 
@@ -583,6 +588,15 @@ def _lift_poly(p):
     return Polynomial(out, p.variable_count + 1)
 
 
+def _localized(ideal, g):
+    """(I, t*g - 1) in the ring with a new first variable t."""
+    n = ideal.variable_count
+    lifted = [_lift_poly(f) for f in ideal.generators]
+    t = Polynomial.variable(0, n + 1)
+    lifted.append(t * _lift_poly(g) - 1)
+    return Ideal(lifted, n + 1)
+
+
 def saturate_by_poly(ideal, g):
     """I : g^infinity via the extra-variable localization trick:
     adjoin t, add t*g - 1, eliminate t."""
@@ -591,10 +605,7 @@ def saturate_by_poly(ideal, g):
     n = ideal.variable_count
     if ideal.is_zero():
         return Ideal((), n)
-    lifted = [_lift_poly(f) for f in ideal.generators]
-    t = Polynomial.variable(0, n + 1)
-    lifted.append(t * _lift_poly(g) - 1)
-    return eliminate(Ideal(lifted, n + 1), 1)
+    return eliminate(_localized(ideal, g), 1)
 
 
 # -- saturation with respect to the irrelevant maximal ideal -----------------
@@ -651,6 +662,13 @@ def _cross(a, b):
 def _is_artinian(lead_monomials):
     """A power of every variable (or 1) among the leading monomials."""
     return all(any(sum(m) == m[i] for m in lead_monomials) for i in range(3))
+
+
+def _dimension_at_most_one(lead_monomials):
+    """dim R/M <= 1 for M generated by the monomials: no variable divides
+    all of them.  The minimal primes of M are generated by variables, so
+    dim R/M = 2 exactly when one of them is some (x_i), which holds M."""
+    return all(any(not m[i] for m in lead_monomials) for i in range(3))
 
 
 def _hilbert_start(lead_monomials):
@@ -838,6 +856,16 @@ def _moment_form(weights, c):
                        (0, D // wy, 0): c * c}, 3)
 
 
+def _weighted_colon(ideal, g):
+    """Leading monomials of the reduced grevlex basis of I : g^infinity,
+    read off the block basis of (I, t*g - 1): its t-free leading monomials
+    with t dropped (eliminate says why), so no element is built and no
+    second Buchberger run is made."""
+    order = MonomialOrder.block(1, ideal.variable_count + 1)
+    lms = buchberger(_localized(ideal, g), order).leading_monomials
+    return tuple(m[1:] for m in lms if not m[0])
+
+
 def saturated_leading_monomials(ideal, weights):
     """(c, M) for I : (x, y, z)^infinity, I graded by the positive integer
     weights: M the leading monomials of a grevlex basis of the saturation,
@@ -863,8 +891,7 @@ def _saturated_cached(ideal, weights):
     curve = e is not None  # dim R/I = 1: V(I) has at most e points
     for c in range(2 * e + 1) if curve else count():
         if weights != (1, 1, 1):
-            sat = buchberger(saturate_by_poly(ideal, _moment_form(weights, c)),
-                             order).leading_monomials
+            sat = _weighted_colon(ideal, _moment_form(weights, c))
         elif curve and not _line_misses(ideal, c):
             continue
         else:
@@ -885,5 +912,4 @@ def saturate_irrelevant(ideal):
     c, _ = saturated_leading_monomials(ideal, weights)
     if c is None:
         return Ideal((Polynomial.constant(1, 3),))
-    sat = buchberger(saturate_by_poly(ideal, _moment_form(weights, c)))
-    return Ideal(sat.elements, 3)
+    return saturate_by_poly(ideal, _moment_form(weights, c))

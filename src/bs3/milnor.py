@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .graded import (_monomial_quotient_dimension, graded_dimension,
-                     h0_degree_data)
-from .groebner import Ideal, MonomialOrder, _is_artinian, buchberger
-from .polyring import (Bs3Error, PreconditionError, format_rational,
-                       partial_derivative, wdeg)
+from .graded import (_monomial_quotient_dimension, check_h0_symmetry,
+                     graded_dimension, h0_degree_data)
+from .groebner import (Ideal, MonomialOrder, _dimension_at_most_one,
+                       _is_artinian, buchberger)
+from .polyring import PreconditionError, partial_derivative, wdeg
 
 INFINITE = "infinite"
 
@@ -72,20 +72,14 @@ def milnor_profile(f, w):
     # singular point, isolated or not
     isolated = _is_artinian(lms) and lms != ((0, 0, 0),)
     h0 = h0_degree_data(jac, w)
-    if isolated:
-        # (partial f) is m-primary, so saturation gives (1) and H0 is the
-        # whole Milnor algebra.  That algebra is a complete intersection
-        # with Hilbert series prod (1 - t^(d - w_i)) / (1 - t^w_i), which
-        # is symmetric about 3d - 2*sum(w).
-        socle = 3 * d - 2 * w.weight_sum
-        dims = h0.entries
-        if any(dims.get(socle - q, 0) != n for q, n in dims.items()):
-            raise Bs3Error("internal inconsistency: Milnor algebra degrees "
-                           "are not symmetric about %s"
-                           % format_rational(socle))
-        degrees = h0
-    else:
-        degrees = INFINITE
+    if _dimension_at_most_one(lms):
+        # f is reduced, so H0 is self-dual about 3d - 2*sum(w).  When f is
+        # isolated, (partial f) is m-primary, saturation gives (1) and H0
+        # is the whole Milnor algebra, a complete intersection with Hilbert
+        # series prod (1 - t^(d - w_i)) / (1 - t^w_i).  A non-reduced f
+        # (dim R/J = 2) is not checked.
+        check_h0_symmetry(h0, 3 * d - 2 * w.weight_sum)
+    degrees = h0 if isolated else INFINITE
     return MilnorProfile(f, w, d, jac, h0, isolated, degrees)
 
 

@@ -217,7 +217,7 @@ class Polynomial:
 
 
 def format_rational(q):
-    q = Fraction(q)
+    """A Fraction or an int as p/q in lowest terms, or p when q is 1."""
     if q.denominator == 1:
         return str(q.numerator)
     return "%d/%d" % (q.numerator, q.denominator)

@@ -388,3 +388,137 @@ def length3_relations_by_triples(forms):
                 vec[pos] = v
             relations.append(vec)
     return relations
+
+
+# -- frozen text reports, without timing_ms: a weighted Brieskorn-Pham
+# milnor request, a weighted roots lqh request with a non-empty H0 and
+# --lct-lambda, and the arrangement Ziegler g.  They pin how every exact
+# value prints (-1 as "-1", never "-1/1") and the order of every root set.
+
+GOLDEN_REPORTS = [
+    (("milnor", "--poly", "x^2+y^3+z^5", "--weights", "1/2,1/3,1/5"),
+     [
+         "command: milnor",
+         "poly: z^5 + y^3 + x^2",
+         "weights: 1/2,1/3,1/5",
+         "wdeg: 1",
+         "is_isolated: true",
+         "h0.0: 1",
+         "h0.1/5: 1",
+         "h0.1/3: 1",
+         "h0.2/5: 1",
+         "h0.8/15: 1",
+         "h0.3/5: 1",
+         "h0.11/15: 1",
+         "h0.14/15: 1",
+         "milnor_algebra_degrees.0: 1",
+         "milnor_algebra_degrees.1/5: 1",
+         "milnor_algebra_degrees.1/3: 1",
+         "milnor_algebra_degrees.2/5: 1",
+         "milnor_algebra_degrees.8/15: 1",
+         "milnor_algebra_degrees.3/5: 1",
+         "milnor_algebra_degrees.11/15: 1",
+         "milnor_algebra_degrees.14/15: 1",
+         "milnor_number: 8",
+         "new_roots: -59/30, -53/30, -49/30, -47/30, -43/30, -41/30, "
+         "-37/30, -31/30",
+         "blf_roots: 1/30, 7/30, 11/30, 13/30, 17/30, 19/30, 23/30, 29/30",
+         "assertions[0]: reduced: asserted by caller, not verified",
+         "assertions[1]: locally quasi-homogeneous: asserted by caller, "
+         "not verified",
+     ]),
+    (("roots", "lqh", "--poly", "x^6*y*z+2*x*y^3*z+3*x*y*z^3",
+      "--weights", "1/5,1/2,1/2", "--lct-lambda=-1/2"),
+     [
+         "command: roots lqh",
+         "poly: x^6*y*z + 2*x*y^3*z + 3*x*y*z^3",
+         "weights: 1/5,1/2,1/2",
+         "wdeg: 11/5",
+         "h0.6/5: 1",
+         "h0.7/5: 1",
+         "h0.8/5: 1",
+         "h0.17/10: 2",
+         "h0.9/5: 1",
+         "h0.19/10: 2",
+         "h0.2: 1",
+         "h0.21/10: 2",
+         "h0.11/5: 1",
+         "h0.23/10: 2",
+         "h0.12/5: 1",
+         "h0.5/2: 2",
+         "h0.13/5: 1",
+         "h0.14/5: 1",
+         "h0.3: 1",
+         "new_roots: -21/11, -20/11, -19/11, -37/22, -18/11, -35/22, "
+         "-17/11, -3/2, -16/11, -31/22, -15/11, -29/22, -14/11, -13/11, "
+         "-12/11",
+         "blf_roots: 1/11, 2/11, 3/11, 7/22, 4/11, 9/22, 5/11, 1/2, 6/11, "
+         "13/22, 7/11, 15/22, 8/11, 9/11, 10/11",
+         "small_roots: (none)",
+         "xi_set: -21/11, -20/11, -19/11, -37/22, -18/11, -35/22, -17/11, "
+         "-3/2, -16/11, -31/22, -15/11, -29/22, -14/11, -13/11, -12/11, "
+         "-10/11, -9/11, -8/11, -15/22, -7/11, -13/22, -6/11, -1/2, -5/11, "
+         "-9/22, -4/11, -7/22, -3/11, -2/11, -1/11",
+         "tlct_lambda: -1/2",
+         "tlct_holds: true",
+         "assertions[0]: reduced: asserted by caller, not verified",
+         "assertions[1]: locally quasi-homogeneous: asserted by caller, "
+         "not verified",
+     ]),
+    (("arrangement", "--forms", ZIEGLER_G),
+     [
+         "command: arrangement",
+         "forms: x, y, z, x + 5*z, x + y + z, x + 3*y + 5*z, x + 1/2*y + "
+         "1/2*z, x + 3/2*y + 1/2*z, x + 3/2*y + 2*z",
+         "degree: 9",
+         "weights: 1,1,1",
+         "singular_points: (0:0:1) multiplicity 2, (0:1:-3) multiplicity "
+         "2, (0:1:-1) multiplicity 3, (0:1:-3/4) multiplicity 2, "
+         "(0:1:-3/5) multiplicity 2, (0:1:0) multiplicity 3, (1:-6:4) "
+         "multiplicity 2, (1:-9/2:5/2) multiplicity 2, (1:-2:0) "
+         "multiplicity 2, (1:-2:1) multiplicity 3, (1:-9/5:-1/5) "
+         "multiplicity 2, (1:-1:0) multiplicity 2, (1:-4/5:-1/5) "
+         "multiplicity 2, (1:-3/4:1/4) multiplicity 2, (1:-2/3:0) "
+         "multiplicity 3, (1:-3/5:-1/5) multiplicity 2, (1:-1/2:-1/2) "
+         "multiplicity 2, (1:-2/5:-1/5) multiplicity 2, (1:-1/3:0) "
+         "multiplicity 2, (1:0:-2) multiplicity 3, (1:0:-1) multiplicity "
+         "2, (1:0:-1/2) multiplicity 2, (1:0:-1/5) multiplicity 3, (1:0:0) "
+         "multiplicity 2",
+         "h0.9: 4",
+         "h0.10: 6",
+         "h0.11: 6",
+         "h0.12: 4",
+         "comb_roots: -5/3, -14/9, -13/9, -4/3, -11/9, -10/9, -1, -8/9, "
+         "-7/9, -2/3, -5/9, -4/9, -1/3",
+         "non_comb_root: -16/9",
+         "non_comb_present: false",
+         "full_zero_set: -5/3, -14/9, -13/9, -4/3, -11/9, -10/9, -1, -8/9, "
+         "-7/9, -2/3, -5/9, -4/9, -1/3",
+         "conditions.b: false",
+         "conditions.c: false",
+         "conditions.d: false",
+         "conditions.e: false",
+         "conditions.f: false",
+         "conditions.g: false",
+         "conditions_consistent: true",
+         "witness_dims.sheaf_dim_e: 42",
+         "witness_dims.milnor_dim_2d_minus_5: 42",
+         "witness_dims.milnor_dim_d_minus_1: 42",
+         "witness_dims.h0_dim_d_minus_1: 0",
+         "witness_dims.h0_dim_2d_minus_5: 0",
+         "witness_dims.der_log0_dim_d_minus_2: 24",
+         "witness_dims.binom_d_plus_1_2_minus_3: 42",
+         "witness_dims.sections_twist_d_minus_1: 66",
+         "witness_dims.sections_bound_twist_d_minus_1: 66",
+         "witness_dims.regularity: 12",
+         "witness_dims.regularity_target: 13",
+         "formal: true",
+         "assertions[0]: reduced: verified (pairwise distinct normalized "
+         "forms)",
+         "assertions[1]: central: by construction (homogeneous linear "
+         "forms)",
+         "assertions[2]: essential, indecomposable: verified",
+         "assertions[3]: locally quasi-homogeneous: automatic for "
+         "hyperplane arrangements",
+     ]),
+]

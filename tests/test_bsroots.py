@@ -28,6 +28,10 @@ def test_rootset_is_sorted_and_deduplicated():
     assert list(s) == Q((-2, 1), (-1, 1), (-1, 2))
     assert Fraction(-2) in s
     assert repr(s) == "{-2, -1, -1/2}"
+    # an int and an equal Fraction are one root, printed the same
+    mixed = RootSet([-1, Fraction(-1, 2), Fraction(-1), -2])
+    assert list(mixed) == Q((-2, 1), (-1, 1), (-1, 2))
+    assert repr(mixed) == "{-2, -1, -1/2}"
 
 
 def test_rootset_orders_any_input_and_finds_members():

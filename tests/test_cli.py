@@ -166,6 +166,41 @@ def test_arrangement_request_moves_no_basis_back(capsys, monkeypatch):
     assert len(kept) == 1
 
 
+def test_weighted_colon_costs_one_buchberger_run(capsys, monkeypatch):
+    # one Buchberger run on the Jacobian and one block basis per tried
+    # colon, whose t-free leading monomials are read off it; no basis is
+    # turned into Fraction polynomials
+    from bs3 import groebner
+    runs, colons, built = [], [], []
+    int_run, form = groebner._buchberger_int, groebner._moment_form
+    to_poly = groebner._from_int_poly
+
+    def spy_run(*args):
+        runs.append(len(args[0]))
+        return int_run(*args)
+
+    def spy_form(*args):
+        colons.append(args[1])
+        return form(*args)
+
+    def spy_poly(*args):
+        built.append(args)
+        return to_poly(*args)
+
+    monkeypatch.setattr(groebner, "_buchberger_int", spy_run)
+    monkeypatch.setattr(groebner, "_moment_form", spy_form)
+    monkeypatch.setattr(groebner, "_from_int_poly", spy_poly)
+    clear_caches()
+    code, out, _ = run(capsys, "roots", "lqh", "--poly",
+                       "x^6*y*z+2*x*y^3*z+3*x*y*z^3",
+                       "--weights", "1/5,1/2,1/2")
+    clear_caches()
+    assert code == 0 and "h0.17/10: 2" in out
+    assert colons == [0, 1]  # z^2 vanishes on the points at z = 0
+    assert len(runs) == 1 + len(colons)
+    assert built == []
+
+
 def test_h0_under_weights_other_than_the_standard_ones(capsys):
     # the Jacobian (y*z, x*z + 3*y^2, x*y) is homogeneous under (1, 1, 1)
     # and under (1, 2, 3); H0 is read under the grading asked for
@@ -239,6 +274,14 @@ def test_milnor_of_a_smooth_linear_form(capsys):
     ])
 
 
+def test_reports_match_the_frozen_text(capsys):
+    for argv, lines in oracles.GOLDEN_REPORTS:
+        clear_caches()
+        code, out, _ = run(capsys, *argv)
+        assert code == 0, argv
+        assert strip_timing(out) == "\n".join(lines), argv
+
+
 def test_saturation_smaller_than_the_ideal_exits_4(capsys, monkeypatch):
     from bs3 import graded
     from bs3.groebner import Ideal, buchberger
@@ -265,6 +308,26 @@ def test_hilbert_value_above_its_limit_exits_4(capsys, monkeypatch):
     assert out == ""
     assert err.startswith("internal error:") and "stable limit" in err
     assert "Traceback" not in err
+
+
+def test_asymmetric_h0_of_a_reduced_non_isolated_f_exits_4(capsys,
+                                                           monkeypatch):
+    # the four lines xyz(x + y + z): H0 is self-dual about 3*4 - 6 = 6,
+    # in milnor_profile and in the arrangement conditions alike; here the
+    # degrees pair up but their dimensions do not
+    from bs3 import arrangement, milnor
+    from bs3.graded import DegreeData, RegularityReport
+    skewed = DegreeData({2: 1, 4: 2})
+    monkeypatch.setattr(milnor, "h0_degree_data", lambda I, w: skewed)
+    monkeypatch.setattr(arrangement, "regularity_report",
+                        lambda I: RegularityReport(None, None, 0, 1, skewed))
+    for argv in (("roots", "lqh", "--poly", "x^2*y*z+x*y^2*z+x*y*z^2"),
+                 ("arrangement", "--forms", "x,y,z,x+y+z")):
+        code, out, err = run(capsys, *argv)
+        assert code == 4, argv
+        assert out == ""
+        assert err.startswith("internal error:") and "symmetric" in err
+        assert "Traceback" not in err
 
 
 def test_asymmetric_milnor_algebra_exits_4(capsys, monkeypatch):

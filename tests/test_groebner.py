@@ -400,14 +400,15 @@ def test_chosen_line_is_first_moment_curve_line_missing_the_lattice(
 
 @pytest.fixture
 def reference_calls(monkeypatch):
-    """Calls to saturate_by_poly, the weighted colon, caches cold."""
+    """Calls to the weighted colon, caches cold."""
     calls = []
+    colon = groebner._weighted_colon
 
     def spy(*args, **kwargs):
         calls.append(args)
-        return saturate_by_poly(*args, **kwargs)
+        return colon(*args, **kwargs)
 
-    monkeypatch.setattr(groebner, "saturate_by_poly", spy)
+    monkeypatch.setattr(groebner, "_weighted_colon", spy)
     groebner._saturated_cached.cache_clear()
     yield calls
     groebner._saturated_cached.cache_clear()

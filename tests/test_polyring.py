@@ -92,6 +92,7 @@ def test_arithmetic():
 def test_format_rational():
     assert format_rational(Fraction(-16, 9)) == "-16/9"
     assert format_rational(Fraction(4, 2)) == "2"
+    assert format_rational(-1) == "-1"
 
 
 def test_wdeg_standard_and_weighted():

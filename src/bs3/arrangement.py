@@ -249,11 +249,12 @@ def comb_roots(arr):
     """CombRoots: -k/d for 3 <= k <= 2d-3 together with -i/m_z for
     2 <= i <= 2m_z - 2 at every singular point."""
     d = arr.degree
-    roots = [Fraction(-k, d) for k in range(3, 2 * d - 2)]
-    for lines in arr.lattice.values():
-        m = len(lines)
-        roots.extend(Fraction(-i, m) for i in range(2, 2 * m - 1))
-    return RootSet(roots)
+    multiplicities = {len(lines) for lines in arr.lattice.values()}
+    D = lcm(d, *multiplicities)
+    roots = [-k * (D // d) for k in range(3, 2 * d - 2)]
+    for m in multiplicities:
+        roots.extend(-i * (D // m) for i in range(2, 2 * m - 1))
+    return RootSet._over(roots, D)
 
 
 def relation_space_dimension(arr):
@@ -355,7 +356,7 @@ def full_root_report(arr):
     non_comb = Fraction(-2 * d + 2, d)
     present = conditions.cond_b
     full = comb.union([non_comb]) if present else comb
-    if any(not (-3 < r < 0) for r in full):
+    if any(not -3 * full.denominator < n < 0 for n in full.numerators):
         raise Bs3Error("root outside (-3, 0); implementation bug")
     return ArrangementRootReport(comb, non_comb, present, full, conditions,
                                  singular_points(arr))

@@ -10,59 +10,102 @@ reconstructs a full zero set from tau, the degree, and the [-1,0) roots.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from math import lcm
 
-from .polyring import PreconditionError, format_rational
+from .polyring import PreconditionError, format_ratio
 
 
 class RootSet:
-    """Finite set of rational numbers, kept sorted ascending.  Duplicates
-    go in input order, so monotone input or two merged runs sort linearly."""
+    """Finite set of rational numbers, kept as ascending int numerators
+    over one denominator.  RootSet(roots) takes Fractions or ints and uses
+    the least common denominator of them; the H0 formulas hand over their
+    numerators over D = L*wdeg(f) directly.  Iteration gives Fraction
+    views.  Duplicates go in input order, so monotone input or two merged
+    runs sort linearly."""
 
-    __slots__ = ("roots",)
+    __slots__ = ("numerators", "denominator")
 
     def __init__(self, roots=()):
-        self.roots = tuple(sorted(dict.fromkeys(roots)))
+        if isinstance(roots, RootSet):
+            self.numerators = roots.numerators
+            self.denominator = roots.denominator
+            return
+        roots = list(roots)
+        D = lcm(*(r.denominator for r in roots))
+        self.numerators = tuple(sorted(dict.fromkeys(
+            r.numerator * (D // r.denominator) for r in roots)))
+        self.denominator = D
+
+    @classmethod
+    def _over(cls, numerators, denominator):
+        """The roots n/denominator over the ints n, in any order."""
+        out = cls.__new__(cls)
+        out.numerators = tuple(sorted(dict.fromkeys(numerators)))
+        out.denominator = denominator
+        return out
+
+    def _common(self, other):
+        """Both sets' numerators over the lcm of their denominators."""
+        other = RootSet(other)
+        D = lcm(self.denominator, other.denominator)
+        a, b = D // self.denominator, D // other.denominator
+        return (D, [n * a for n in self.numerators],
+                [n * b for n in other.numerators])
 
     def union(self, other):
-        return RootSet(self.roots + tuple(other))
+        D, mine, theirs = self._common(other)
+        return RootSet._over(mine + theirs, D)
 
     def difference(self, other):
-        drop = set(other)
-        return RootSet(r for r in self.roots if r not in drop)
+        D, mine, theirs = self._common(other)
+        drop = set(theirs)
+        return RootSet._over([n for n in mine if n not in drop], D)
 
     def window(self, lo, hi, include_lo=False, include_hi=True):
-        lo, hi = Fraction(lo), Fraction(hi)
-        out = []
-        for r in self.roots:
-            above = r > lo or (include_lo and r == lo)
-            below = r < hi or (include_hi and r == hi)
-            if above and below:
-                out.append(r)
-        return RootSet(out)
+        """The roots between lo and hi, each end included as asked.  A
+        bound off the grid 1/D splits the numerators as its floor does."""
+        D, ns = self.denominator, self.numerators
+        lo, hi = lo * D, hi * D
+        cut_lo = (bisect_left if include_lo and lo.denominator == 1
+                  else bisect_right)
+        cut_hi = (bisect_left if not include_hi and hi.denominator == 1
+                  else bisect_right)
+        i = cut_lo(ns, lo.numerator // lo.denominator)
+        j = cut_hi(ns, hi.numerator // hi.denominator)
+        return RootSet._over(ns[i:j], D)
 
     def sigma_image(self):
-        return RootSet(-2 - r for r in self.roots)
+        D = self.denominator
+        return RootSet._over([-2 * D - n for n in self.numerators], D)
 
     def __contains__(self, r):
-        r = Fraction(r)
-        i = bisect_left(self.roots, r)
-        return i < len(self.roots) and self.roots[i] == r
+        n = r * self.denominator
+        if n.denominator != 1:
+            return False
+        n = n.numerator
+        i = bisect_left(self.numerators, n)
+        return i < len(self.numerators) and self.numerators[i] == n
 
     def __iter__(self):
-        return iter(self.roots)
+        D = self.denominator
+        return (Fraction(n, D) for n in self.numerators)
 
     def __len__(self):
-        return len(self.roots)
+        return len(self.numerators)
 
     def __eq__(self, other):
-        if isinstance(other, RootSet):
-            return self.roots == other.roots
-        return self.roots == RootSet(other).roots
+        if not isinstance(other, RootSet):
+            other = RootSet(other)
+        a, b = self.denominator, other.denominator
+        return (len(self) == len(other)
+                and all(m * b == n * a for m, n in zip(self.numerators,
+                                                      other.numerators)))
 
     def __repr__(self):
-        return "{%s}" % ", ".join(format_rational(r) for r in self.roots)
+        D = self.denominator
+        return "{%s}" % ", ".join(format_ratio(n, D) for n in self.numerators)
 
 
 def sigma(alpha):
@@ -101,48 +144,55 @@ class HomogeneousTaxonomy:
                 % (self.tau, self.upsilon, self.window_small))
 
 
-def _h0_roots(profile, degrees, shift=0):
-    """shift - (t + sum of weights)/wdeg(f) over the degrees t: the one map
-    from H0 degrees to roots; ascending degrees give descending roots.
-    Each root is one Fraction (shift*D - S - k)/D of integers, D = L*wdeg(f),
-    S = L*sum(w), k = L*t, for L the weights' common denominator: a multiple
-    of the denominator of every weighted degree t, an int or a Fraction."""
-    L = profile.weights.denominator
+def _scaled(profile):
+    """D = L*wdeg(f) and S = L*sum(w) as ints, for L the weights' common
+    denominator, over which h0_degree_data keeps the H0 degrees k = L*t;
+    L is a multiple of the denominator of wdeg(f)."""
+    w = profile.weights
+    L = w.denominator
     d = profile.wdeg_f
-    D = d.numerator * (L // d.denominator)
-    base = shift * D - sum(profile.weights.scaled)
-    return [Fraction(base - t.numerator * (L // t.denominator), D)
-            for t in degrees]
+    return d.numerator * (L // d.denominator), sum(w.scaled)
+
+
+def _h0_roots(profile, shifts):
+    """shift - (t + sum of weights)/wdeg(f) over the H0 degrees t and the
+    shifts: the one map from H0 degrees to roots.  Each root is returned
+    as its numerator shift*D - S - k over D, for the scaled degree k = L*t
+    (_scaled); the numerators and D come back as a list and an int, and
+    ascending degrees give descending numerators."""
+    D, S = _scaled(profile)
+    degrees = profile.h0.scaled
+    return [shift * D - S - k for shift in shifts for k in degrees], D
 
 
 def roots_isolated(profile):
     """Zero set for an isolated quasi-homogeneous singularity:
-    -(t + sum of weights)/wdeg(f) over Milnor algebra degrees t, plus -1."""
+    -(t + sum of weights)/wdeg(f) over Milnor algebra degrees t, plus -1.
+    The Milnor algebra is H0 itself here (milnor_profile)."""
     if not profile.is_isolated:
         raise PreconditionError("singular locus is not isolated; the "
                                 "isolated-singularity formula does not apply")
-    degrees = profile.milnor_algebra_degrees.support
-    return RootSet(_h0_roots(profile, degrees) + [-1])
+    numerators, D = _h0_roots(profile, (0,))
+    return RootSet._over(numerators + [-D], D)
 
 
 def new_roots(profile):
     """-(t + sum of weights)/wdeg(f) over the H0 support; these belong to
     the Bernstein-Sato zero set of any reduced locally quasi-homogeneous f."""
-    return RootSet(_h0_roots(profile, profile.h0.support))
+    return RootSet._over(*_h0_roots(profile, (0,)))
 
 
 def blf_roots(profile):
     """Zero set of the b-function of the logarithmic module:
     (-t + 2*wdeg(f) - sum of weights)/wdeg(f) over the H0 support, the new
     roots shifted by 2.  Empty output encodes b-function 1."""
-    return RootSet(_h0_roots(profile, profile.h0.support, 2))
+    return RootSet._over(*_h0_roots(profile, (2,)))
 
 
 def xi_set(profile):
     """Xi = the new roots and their shift by 1; the zero set is
     sigma-symmetric away from Xi."""
-    return RootSet(_h0_roots(profile, profile.h0.support)
-                   + _h0_roots(profile, profile.h0.support, 1))
+    return RootSet._over(*_h0_roots(profile, (0, 1)))
 
 
 def check_partial_symmetry(zeros, xi):
@@ -169,10 +219,14 @@ def tlct_holds(profile, lam):
     """Twisted logarithmic comparison test for lambda <= 0: holds iff
     -(lambda - 2) * wdeg(f) - sum of weights avoids the H0 support."""
     lam = Fraction(lam)
-    if lam > 0:
+    p, q = lam.numerator, lam.denominator
+    if p > 0:
         raise PreconditionError("twisted comparison test needs lambda <= 0")
-    value = -(lam - 2) * profile.wdeg_f - profile.weight_sum
-    return value not in profile.h0.entries
+    # the value times L is ((2q - p)*D - S*q)/q; off the grid 1/L it is
+    # no H0 degree
+    D, S = _scaled(profile)
+    k, off = divmod((2 * q - p) * D - S * q, q)
+    return bool(off) or k not in profile.h0.scaled
 
 
 def reconstruct_zero_set(tau, d, interval_roots):
@@ -188,8 +242,8 @@ def reconstruct_zero_set(tau, d, interval_roots):
     if tau is None:
         upsilon = RootSet()
     else:
-        upsilon = RootSet(Fraction(-(t + 3), d)
-                          for t in range(tau, 3 * d - 6 - tau + 1))
+        upsilon = RootSet._over([-(t + 3) for t in
+                                 range(tau, 3 * d - 6 - tau + 1)], d)
     part_small = upsilon.window(-3, -2)
     part_mid = upsilon.window(-2, -1, include_hi=False).union(
         interval.window(-1, 0, include_lo=False, include_hi=False)
@@ -209,10 +263,9 @@ def homogeneous_taxonomy(profile, interval_roots):
                                 "only")
     if profile.h0.is_empty():
         raise PreconditionError("H0 is zero: tau is undefined")
-    tau = profile.h0.support[0]
-    if tau.denominator != 1:
+    tau, off = divmod(next(iter(profile.h0.scaled)), profile.h0.denominator)
+    if off:
         raise PreconditionError("tau must be an integer under w = 1")
-    tau = int(tau)
     d = int(profile.wdeg_f)
     upsilon, part_small, full = reconstruct_zero_set(tau, d, interval_roots)
     determined_by = {

@@ -14,10 +14,10 @@ arrangement conditions).
 
 Each request runs inside one step budget (groebner.step_budget), so
 --step-cap N bounds the whole request: reduction steps, S-pairs, the
-cells and columns of the graded engine, the line pairs of an arrangement's
-intersection lattice and the term products of its defining polynomial,
-counted together.  Past N the
-request ends with exit 3.  The default is DEFAULT_STEP_CAP (10 million).
+generators and columns of the graded engine, the line pairs of an
+arrangement's intersection lattice and the term products of its defining
+polynomial, counted together.  Past N the request ends with exit 3.  The
+default is DEFAULT_STEP_CAP (10 million).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from . import bsroots, milnor
 from .groebner import ResourceLimitError, step_budget
 from .milnor import INFINITE
 from .polyring import (Bs3Error, ParseError, PreconditionError, WeightSystem,
-                       format_rational, parse_polynomial)
+                       format_ratio, format_rational, parse_polynomial)
 
 GENERAL_ASSERTIONS = [
     "reduced: asserted by caller, not verified",
@@ -113,11 +113,13 @@ def _parse_rational(text):
 
 
 def _roots(root_set):
-    return [format_rational(r) for r in root_set]
+    D = root_set.denominator
+    return [format_ratio(n, D) for n in root_set.numerators]
 
 
 def _degree_table(data):
-    return {format_rational(q): data.entries[q] for q in data.support}
+    L = data.denominator
+    return {format_ratio(k, L): dim for k, dim in data.scaled.items()}
 
 
 def _profile_fields(prof):

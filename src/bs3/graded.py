@@ -20,43 +20,75 @@ top degrees are proven, never guessed:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 
 from .groebner import (MonomialOrder, _hilbert_function, _hilbert_tail,
                        _lcm_degree, _positively_graded, buchberger,
                        saturated_leading_monomials)
 from .polyring import (Bs3Error, PreconditionError, WeightSystem,
-                       format_rational, wdeg)
+                       format_ratio, format_rational, wdeg)
 
 
 class DegreeData:
-    """Finite map from weighted degree (a Fraction or an int) to a positive
-    dimension, with its support as an ascending tuple."""
+    """Finite map from weighted degree to a positive dimension.  Each
+    degree t is kept as the int k = L*t over one denominator L, in
+    `scaled`, a dict in ascending order of k; `entries` (degree to
+    dimension) and `support` (the ascending degrees) are Fraction views
+    built on access.  DegreeData(entries) takes degrees as Fractions or
+    ints and uses the least common denominator of them;
+    h0_degree_data uses the weights' common denominator."""
 
-    __slots__ = ("entries", "support")
+    __slots__ = ("denominator", "scaled")
 
     def __init__(self, entries):
-        self.entries = {q: d for q, d in entries.items() if d}
-        if any(d < 0 for d in self.entries.values()):
+        L = lcm(*(q.denominator for q in entries))
+        pairs = sorted((int(q * L), d) for q, d in entries.items() if d)
+        if any(d < 0 for _, d in pairs):
             raise ValueError("negative dimension in degree data")
-        self.support = tuple(sorted(self.entries))
+        self.denominator = L
+        self.scaled = dict(pairs)
+
+    @classmethod
+    def _over(cls, denominator, scaled):
+        """Degree data from an ascending dict k -> positive dimension."""
+        data = cls.__new__(cls)
+        data.denominator = denominator
+        data.scaled = scaled
+        return data
+
+    @property
+    def entries(self):
+        L = self.denominator
+        return {Fraction(k, L): d for k, d in self.scaled.items()}
+
+    @property
+    def support(self):
+        L = self.denominator
+        return tuple(Fraction(k, L) for k in self.scaled)
 
     def dimension(self, q):
-        return self.entries.get(q, 0)
+        """The dimension in degree q, an int or a Fraction; 0 off the
+        grid of the denominator."""
+        return self.scaled.get(q * self.denominator, 0)
 
     def total_dimension(self):
-        return sum(self.entries.values())
+        return sum(self.scaled.values())
 
     def is_empty(self):
-        return not self.entries
+        return not self.scaled
 
     def __eq__(self, other):
-        return isinstance(other, DegreeData) and self.entries == other.entries
+        if not isinstance(other, DegreeData):
+            return False
+        if self.denominator == other.denominator:
+            return self.scaled == other.scaled
+        return self.entries == other.entries
 
     def __repr__(self):
-        inside = ", ".join("%s:%d" % (q, self.entries[q])
-                           for q in self.support)
+        L = self.denominator
+        inside = ", ".join("%s:%d" % (format_ratio(k, L), d)
+                           for k, d in self.scaled.items())
         return "DegreeData({%s})" % inside
 
 
@@ -93,14 +125,18 @@ def graded_dimension(gb, w, q):
 
 
 def check_h0_symmetry(h0, center):
-    """Raise Bs3Error unless the H0 degree data are symmetric about center,
-    pairing the ascending support with its reverse.  For a reduced
+    """Raise Bs3Error unless the H0 degree data are symmetric about the
+    rational center, pairing the ascending scaled degrees with their
+    reverse about center*L, L = h0.denominator.  For a reduced
     quasi-homogeneous f, H0 of R/(partial f) is self-dual about
     3*wdeg(f) - 2*sum(w) (Sernesi; van Straten-Warmt; Dimca-Sticlaru)."""
-    support, dims = h0.support, h0.entries
-    half = support[:(len(support) + 1) // 2]
-    if any(p + q != center or dims[p] != dims[q]
-           for p, q in zip(half, reversed(support))):
+    scaled = h0.scaled
+    c = center * h0.denominator
+    c = c.numerator if c.denominator == 1 else None  # off the grid: no pair
+    keys = list(scaled)
+    half = keys[:(len(keys) + 1) // 2]
+    if any(p + q != c or scaled[p] != scaled[q]
+           for p, q in zip(half, reversed(keys))):
         raise Bs3Error("internal inconsistency: H0 degrees are not "
                        "symmetric about %s" % format_rational(center))
 
@@ -118,7 +154,7 @@ def h0_degree_data(I, w):
     """Degreewise dimensions of (I : m^infinity) / I, the finite-length part
     of R/I supported at the irrelevant maximal ideal."""
     if I.is_zero():
-        return DegreeData({})
+        return DegreeData._over(w.denominator, {})
     for g in I.generators:
         if wdeg(g, w) is None:
             raise PreconditionError("generator %s is not homogeneous for the "
@@ -134,15 +170,15 @@ def h0_degree_data(I, w):
     # I^sat/I has finite length, so its series HS(R/in I) - HS(R/in I^sat)
     # is a polynomial, of degree at most the larger deg K minus sum(W).
     top = max(_lcm_degree(in_i, W), _lcm_degree(in_sat, W)) - sum(W)
-    entries = {}
+    scaled = {}
     for k, (dim_i, dim_s) in enumerate(zip(_hilbert_function(in_i, top, W),
                                            _hilbert_function(in_sat, top, W))):
         if dim_i < dim_s:
             raise Bs3Error("saturation smaller than the ideal; this should "
                            "be impossible")
         if dim_i > dim_s:
-            entries[Fraction(k, L)] = dim_i - dim_s
-    return DegreeData(entries)
+            scaled[k] = dim_i - dim_s
+    return DegreeData._over(L, scaled)
 
 
 STANDARD = WeightSystem((1, 1, 1))
@@ -197,7 +233,8 @@ def regularity_report(I):
     """H0/H1 degree ranges and the regularity max(h0_max, h1_max + 1),
     with absent cohomology skipped."""
     h0 = h0_degree_data(I, STANDARD)
-    h0_max = h0.support[-1] if not h0.is_empty() else None
+    h0_max = (Fraction(next(reversed(h0.scaled)), h0.denominator)
+              if not h0.is_empty() else None)
     hf, e = _saturation_hilbert(I)
     if e is None:
         # tolerated degenerate case: a single plane, H0 = H1 = 0, reg 0

@@ -85,11 +85,12 @@ in it), so the loop still ends, and the request's step budget bounds it.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
 from contextvars import ContextVar
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, count
+from itertools import count
 from math import gcd, lcm
 from operator import itemgetter, mul
 
@@ -112,9 +113,10 @@ def _too_large():
 
 
 class _Budget:
-    """Steps spent against a cap: a reduction step, an S-pair, a cell or
-    column of the graded engine (_hilbert_function), or in an arrangement a
-    pair of lines of the lattice or a term product of the polynomial."""
+    """Steps spent against a cap: a reduction step, an S-pair, a generator
+    or column of the graded engine (_hilbert_function), or in an
+    arrangement a pair of lines of the lattice or a term product of the
+    polynomial."""
 
     __slots__ = ("cap", "used")
 
@@ -693,41 +695,67 @@ def _hilbert_function(lead_monomials, top, weights=(1, 1, 1)):
     graded by the positive integer weights.
 
     x^a y^b z^c is outside M iff c is below low(a, b), the least
-    z-exponent of a generator dividing x^a y^b in x and y; low is a
-    staircase, constant once a and b pass the largest x and y exponents.
-    Each (a, b) adds one to the degrees s, s + w_z, ... of its z-powers
-    below low(a, b), a run kept as two entries of a difference array of
-    stride w_z, so the cost is one step per (a, b) and one per degree.
-    The budget is charged for each cell of the low table before it is
-    built and for each column a row visits.
+    z-exponent of a generator dividing x^a y^b in x and y.  Row a of low
+    is a step function of b, stepping down at the corners (b', c') of the
+    generators with x-exponent at most a that no other one beats in both;
+    the rows are visited in order and each generator enters the corner
+    list once.  Each column (a, b) with low(a, b) > 0 adds one to the
+    degrees s, s + w_z, ... of its z-powers below low(a, b), a run kept as
+    two entries of a difference array of stride w_z, so the cost is one
+    step per generator, one per column and one per degree.  low(a, b) = 0
+    exactly when a z-free generator divides x^a y^b, so every row's column
+    count is known before the walk, and the budget is charged for every
+    generator and column before any is visited.
     """
     wx, wy, wz = weights
-    P = max((m[0] for m in lead_monomials), default=0)
-    Q = max((m[1] for m in lead_monomials), default=0)
-    budget = _budget()
-    budget.spend((P + 1) * (Q + 1))
-    unbounded = top // wz + 1
-    low = [[unbounded] * (Q + 1) for _ in range(P + 1)]
-    for a, b, c in lead_monomials:
-        low[a][b] = min(low[a][b], c)
-    # running minima: low[a][b] = min(low[a][b], low[a-1][b], low[a][b-1])
-    low[0] = list(accumulate(low[0], min))
-    for a in range(1, P + 1):
-        low[a] = list(accumulate(map(min, low[a], low[a - 1]), min))
-    values = [0] * (top + 1)
+    gens = sorted(lead_monomials)
+    # flat[a]: the least y-exponent of a z-free generator x^a y^b; width:
+    # the least over the x-exponents up to the row's
+    flat = {}
+    for a, b, c in gens:
+        if not c:
+            flat.setdefault(a, b)
+    width = top // wy + 1
+    spans = []
     for a in range(top // wx + 1):
-        row = low[min(a, P)]
-        if not row[0]:
-            break  # low only falls as a and b grow: no column is left
-        for b in range((top - a * wx) // wy + 1):
-            run = row[min(b, Q)]
-            if not run:
+        width = min(width, flat.get(a, width))
+        span = min(width, (top - a * wx) // wy + 1)
+        if not span:
+            break  # width only falls as a grows: no column is left
+        spans.append(span)
+    _budget().spend(len(gens) + sum(spans))
+    unbounded = top // wz + 1
+    corner_b, corner_c = [], []  # b ascending, c descending
+    values = [0] * (top + 1)
+    i = 0
+    for a, span in enumerate(spans):
+        while i < len(gens) and gens[i][0] <= a:
+            _, b, c = gens[i]
+            i += 1
+            j = bisect_right(corner_b, b)
+            if j and corner_c[j - 1] <= c:
+                continue  # an earlier corner divides this one in b and c
+            j = k = bisect_left(corner_b, b, 0, j)
+            while k < len(corner_c) and corner_c[k] >= c:
+                k += 1
+            corner_b[j:k] = [b]
+            corner_c[j:k] = [c]
+        b, run = 0, unbounded
+        for step_b, step_c in zip(corner_b + [span], corner_c + [0]):
+            step_b = min(step_b, span)
+            columns = range(a * wx + b * wy, a * wx + step_b * wy, wy)
+            # the run of a column of degree s ends inside the window while
+            # s + shift <= top
+            shift = run * wz
+            ends = max(0, (top - shift - columns.start) // wy + 1)
+            for s in columns[:ends]:
+                values[s] += 1
+                values[s + shift] -= 1
+            for s in columns[ends:]:
+                values[s] += 1
+            if step_b == span:
                 break
-            s = a * wx + b * wy
-            values[s] += 1
-            if s + run * wz <= top:
-                values[s + run * wz] -= 1
-        budget.spend(b + 1)
+            b, run = step_b, step_c
     for t in range(wz, top + 1):
         values[t] += values[t - wz]
     return values

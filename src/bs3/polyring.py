@@ -218,9 +218,16 @@ class Polynomial:
 
 def format_rational(q):
     """A Fraction or an int as p/q in lowest terms, or p when q is 1."""
-    if q.denominator == 1:
-        return str(q.numerator)
-    return "%d/%d" % (q.numerator, q.denominator)
+    return format_ratio(q.numerator, q.denominator)
+
+
+def format_ratio(n, d):
+    """The rational n/d of ints n and d > 0 as p/q in lowest terms, or p
+    when the reduced denominator is 1."""
+    g = gcd(n, d)
+    if g == d:
+        return str(n // d)
+    return "%d/%d" % (n // g, d // g)
 
 
 def wdeg(p, w):

@@ -19,17 +19,23 @@ monomial primitives and order keys are what the packed monomials of
 bs3.groebner are tested against, and the Fraction intersection lattice is
 what the integer lattice of bs3.arrangement is tested against, as the
 relations of every concurrent triple are what its m - 2 length-3 relations
-per point are.
+per point are.  The Fraction route from H0 degrees to root sets (degrees
+keyed by Fraction, each root computed in Fraction arithmetic, a root set a
+sorted tuple of distinct Fractions) is what the package's integer route,
+degrees k = L*t and roots n/D over one denominator, is tested against.
 """
 
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
+from math import gcd
 
 from bs3 import linalg
 from bs3.graded import DegreeData
-from bs3.groebner import (Ideal, _budget, _from_int_poly, _lift_poly,
-                          _s_poly_int, _to_int_poly, eliminate,
-                          saturate_by_poly)
+from bs3.groebner import (Ideal, MonomialOrder, _budget, _from_int_poly,
+                          _hilbert_function, _lcm_degree, _lift_poly,
+                          _s_poly_int, _to_int_poly, buchberger,
+                          eliminate, saturate_by_poly,
+                          saturated_leading_monomials)
 from bs3.polyring import (Polynomial, PreconditionError, grevlex_key,
                           mono_mul, partial_derivative, wdeg)
 
@@ -388,6 +394,51 @@ def length3_relations_by_triples(forms):
                 vec[pos] = v
             relations.append(vec)
     return relations
+
+
+# -- H0 degrees and root sets over Fraction ---------------------------------
+
+def h0_entries_by_fractions(I, w):
+    """{t: dim H0_t} for the degrees t = k/L with a Fraction key each: the
+    Hilbert functions of R/in(I) and R/in(I^sat) under the scaled weights,
+    differenced degree by degree up to the proven top."""
+    W, L = w.scaled, w.denominator
+    g = gcd(*W)
+    _, in_sat = saturated_leading_monomials(I, tuple(v // g for v in W))
+    in_i = buchberger(I, MonomialOrder.grevlex(3)).leading_monomials
+    top = max(_lcm_degree(in_i, W), _lcm_degree(in_sat, W)) - sum(W)
+    return {Fraction(k, L): a - b for k, (a, b) in
+            enumerate(zip(_hilbert_function(in_i, top, W),
+                          _hilbert_function(in_sat, top, W))) if a != b}
+
+
+def fraction_root_set(roots):
+    """Ascending distinct Fractions (duplicates dropped in input order, so
+    monotone runs sort linearly)."""
+    return tuple(sorted(dict.fromkeys(map(Fraction, roots))))
+
+
+def h0_root_sets_by_fractions(entries, w, d):
+    """The four root sets the H0 degrees t give, each root
+    shift - (t + sum(w))/d in Fraction arithmetic: new (shift 0), blf
+    (shift 2), xi (shifts 0 and 1) and isolated (shift 0, plus -1)."""
+    sw = sum(w.weights)
+    new = [-(t + sw) / d for t in entries]
+    return {"new": fraction_root_set(new),
+            "blf": fraction_root_set(r + 2 for r in new),
+            "xi": fraction_root_set(new + [r + 1 for r in new]),
+            "isolated": fraction_root_set(new + [-1])}
+
+
+def h0_symmetric_by_fractions(entries, center):
+    """The degrees pair up about center with equal dimensions."""
+    return all(entries.get(center - t) == dim for t, dim in entries.items())
+
+
+def tlct_by_fractions(entries, w, d, lam):
+    """The twisted comparison test: -(lam - 2)*d - sum(w) is no H0
+    degree."""
+    return -(Fraction(lam) - 2) * d - sum(w.weights) not in entries
 
 
 # -- frozen text reports, without timing_ms: a weighted Brieskorn-Pham

@@ -2,15 +2,21 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
+import oracles
+from bs3 import cli
 from bs3.bsroots import (RootSet, blf_roots, check_partial_symmetry,
                          homogeneous_taxonomy, new_roots,
                          reconstruct_zero_set, roots_isolated, sigma,
                          small_roots, tlct_holds, xi_set)
-from bs3.milnor import milnor_profile
-from bs3.polyring import PreconditionError, WeightSystem, parse_polynomial
+from bs3.graded import DegreeData, check_h0_symmetry, h0_degree_data
+from bs3.milnor import MilnorProfile, milnor_profile
+from bs3.polyring import (Bs3Error, PreconditionError, WeightSystem,
+                          format_rational, parse_polynomial, wdeg)
+from test_graded import H0_CASES
 
 W1 = WeightSystem((1, 1, 1))
 
@@ -57,6 +63,23 @@ def test_rootset_orders_any_input_and_finds_members():
 def test_rootset_window_half_open_at_the_left():
     s = RootSet(Q((-3, 1), (-5, 2), (-2, 1), (-3, 2)))
     assert list(s.window(-3, -2)) == Q((-5, 2), (-2, 1))
+
+
+def test_rootset_window_on_and_off_the_grid():
+    # bounds on the grid 1/D of the set and between two of its points
+    rng = random.Random(5)
+    for _ in range(50):
+        values = sorted({Fraction(rng.randint(-30, 30), rng.choice((1, 2, 6)))
+                         for _ in range(rng.randint(0, 12))})
+        s = RootSet(values)
+        for lo, hi in ((-3, -2), (Fraction(-5, 2), Fraction(1, 3)),
+                       (Fraction(-7, 5), Fraction(9, 4)), (-1, 0)):
+            for inc_lo in (False, True):
+                for inc_hi in (False, True):
+                    want = [r for r in values
+                            if (lo < r or inc_lo and r == lo)
+                            and (r < hi or inc_hi and r == hi)]
+                    assert list(s.window(lo, hi, inc_lo, inc_hi)) == want
 
 
 def test_sigma_is_an_involution():
@@ -213,3 +236,79 @@ def test_weighted_h0_root_sets_follow_the_formulas():
         with pytest.raises(PreconditionError):
             roots_isolated(prof)
     assert fractional >= 4 and windowed >= 2
+
+
+def synthetic_profile(I, w):
+    """A profile carrying the H0 of I under w, for an f of weighted degree
+    wdeg(first generator) + w_x, as if I were its Jacobian ideal; the
+    isolated flag only lets roots_isolated read the table."""
+    h0 = h0_degree_data(I, w)
+    d = wdeg(I.generators[0], w) + w.weights[0]
+    return MilnorProfile(None, w, d, I, h0, True, h0)
+
+
+def brieskorn_pham_profiles(top):
+    """x^a + y^b + z^c under (1/a, 1/b, 1/c), 2 <= a <= b <= c <= top."""
+    for a, b, c in combinations_with_replacement(range(2, top + 1), 3):
+        w = WeightSystem((Fraction(1, a), Fraction(1, b), Fraction(1, c)))
+        yield milnor_profile(parse_polynomial("x^%d+y^%d+z^%d" % (a, b, c)),
+                             w)
+
+
+def symmetric(h0, center):
+    try:
+        check_h0_symmetry(h0, center)
+    except Bs3Error:
+        return False
+    return True
+
+
+def test_integer_route_matches_the_fraction_route():
+    profiles = [synthetic_profile(I, w) for I, w in H0_CASES]
+    profiles += lqh_profiles(6, 5)
+    profiles += brieskorn_pham_profiles(12)
+    verdicts = set()
+    for prof in profiles:
+        w, d = prof.weights, prof.wdeg_f
+        sw, L = sum(w.weights), w.denominator
+        entries = oracles.h0_entries_by_fractions(prof.jacobian, w)
+        ordered = sorted(entries)
+        assert prof.h0.entries == entries
+        assert list(prof.h0.support) == ordered
+        assert list(cli._degree_table(prof.h0).items()) == [
+            (format_rational(t), entries[t]) for t in ordered]
+        want = oracles.h0_root_sets_by_fractions(entries, w, d)
+        got = {"new": new_roots(prof), "blf": blf_roots(prof),
+               "xi": xi_set(prof)}
+        if prof.is_isolated:
+            got["isolated"] = roots_isolated(prof)
+        for name, roots in got.items():
+            assert tuple(roots) == want[name], (prof, name)
+            assert cli._roots(roots) == [format_rational(r)
+                                         for r in want[name]]
+        centers = {3 * d - 2 * sw, 3 * d - 2 * sw + Fraction(1, L),
+                   Fraction(1, 2 * L), 0}
+        if ordered:
+            centers.add(ordered[0] + ordered[-1])
+        # the table, and the table with its lowest dimension raised
+        tables = [(prof.h0, entries)]
+        if ordered:
+            skewed = dict(entries)
+            skewed[ordered[0]] += 1
+            tables.append((DegreeData(skewed), skewed))
+        for data, table in tables:
+            for center in centers:
+                verdict = oracles.h0_symmetric_by_fractions(table, center)
+                assert symmetric(data, center) == verdict, (prof, center)
+                verdicts.add(("symmetric", verdict))
+        lams = {Fraction(0), Fraction(-1), Fraction(-1, 7),
+                Fraction(-13, 107), Fraction(-1, 107)}
+        # the largest degrees give the lambdas <= 0 that hit H0
+        lams.update(lam for lam in (2 - (t + sw) / d for t in ordered[-3:])
+                    if lam <= 0)
+        for lam in lams:
+            verdict = oracles.tlct_by_fractions(entries, w, d, lam)
+            assert tlct_holds(prof, lam) == verdict, (prof, lam)
+            verdicts.add(("tlct", verdict))
+    assert verdicts == {("symmetric", True), ("symmetric", False),
+                        ("tlct", True), ("tlct", False)}

@@ -91,7 +91,7 @@ def test_one_budget_per_request(capsys, monkeypatch, name):
 
 def test_large_fermat_ends_within_the_default_cap(capsys):
     # the Jacobian (x^3999, y^3999, z^3999) asks the graded engine for a
-    # 4000 x 4000 table, which is refused before it is built
+    # 3999 x 3999 column walk, which is refused before it starts
     start = time.perf_counter()
     code, out, err = run(capsys, "milnor", "--poly", "x^4000+y^4000+z^4000")
     assert time.perf_counter() - start < 1
@@ -128,14 +128,14 @@ def test_arrangement_spends_per_pair_and_per_term_product():
 
 
 def test_graded_engine_spends_for_the_work_it_does():
-    # low table 3 x 4 = 12 cells; rows a = 0, 1 visit columns b = 0..3
-    # (the fourth ends the row), row a = 2 is empty: 12 + 2 * 4 steps
+    # three generators; rows a = 0, 1 have columns b = 0..2 (y^3 ends
+    # them) and x^2 leaves no row a = 2: 3 + 2 * 3 steps, whatever the top
     lms = ((2, 0, 0), (0, 3, 0), (0, 0, 4))
     for top in (20, 1000):
         with step_budget() as budget:
             values = _hilbert_function(lms, top)
         assert sum(values) == 2 * 3 * 4
-        assert budget.used == 20
+        assert budget.used == 9
 
 
 def test_budget_is_shared_by_the_calls_of_a_block():

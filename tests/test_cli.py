@@ -1,6 +1,7 @@
 """Command line behavior: reports, formats, exit codes, determinism."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -340,3 +341,37 @@ def test_asymmetric_milnor_algebra_exits_4(capsys, monkeypatch):
     assert out == ""
     assert err.startswith("internal error:") and "symmetric" in err
     assert "Traceback" not in err
+
+
+def test_weighted_isolated_request_keeps_degrees_and_roots_as_ints(
+        capsys, monkeypatch):
+    # a Brieskorn-Pham sum whose Milnor algebra has 233 degrees on the
+    # grid 1/120: degrees and roots are ints over one denominator, so
+    # neither is hashed or ordered as a Fraction
+    calls = {"__hash__": 0, "__lt__": 0}
+    for name in calls:
+        method = getattr(Fraction, name)
+
+        def counted(*args, _name=name, _method=method):
+            calls[_name] += 1
+            return _method(*args)
+
+        monkeypatch.setattr(Fraction, name, counted)
+    clear_caches()
+    code, out, _ = run(capsys, "roots", "isolated", "--poly",
+                       "x^8+y^10+z^12", "--weights", "1/8,1/10,1/12")
+    assert code == 0 and "roots: -323/120, " in out
+    assert calls["__hash__"] < 50 and calls["__lt__"] < 50, calls
+
+
+def test_tlct_on_and_off_the_degree_grid(capsys):
+    # H0 has degrees 3 and 14/5 (among others) on the grid 1/60 of the
+    # weights; -13/107 and -1/107 map to them, -1/7 maps off the grid
+    argv = ("roots", "lqh", "--poly", "x^6*y*z+3*x*y^5*z+7*x*y*z^4",
+            "--weights", "1/5,1/4,1/3")
+    for lam, holds in (("-13/107", "false"), ("-1/107", "false"),
+                       ("-1/7", "true")):
+        code, out, err = run(capsys, *argv, "--lct-lambda=" + lam)
+        assert code == 0, err
+        assert "tlct_lambda: %s\n" % lam in out
+        assert "tlct_holds: %s\n" % holds in out

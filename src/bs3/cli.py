@@ -229,7 +229,7 @@ def render_text(report):
             for sub, v in value.items():
                 lines.append("%s.%s: %s" % (key, sub, _scalar(v)))
         elif isinstance(value, list):
-            items = [_scalar(v) for v in value]
+            items = [v if isinstance(v, str) else _scalar(v) for v in value]
             if any("," in item for item in items):
                 for i, item in enumerate(items):
                     lines.append("%s[%d]: %s" % (key, i, item))

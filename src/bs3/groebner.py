@@ -74,9 +74,14 @@ l = z + x + y gives J = (1) with an equal Hilbert polynomial.
 Why the loop ends: when the Hilbert polynomial of R/in(I) is a constant e
 (dim R/I <= 1), e is the degree of the affine curve V(I), so V(I) has at
 most e points in weighted P^2.  l_c vanishes at a point p for the roots c
-of p_z^a + c*p_x^b + c^2*p_y^d only, at most two, so some c <= 2e passes;
-under standard weights a gcd test on the generators restricted to the line
-(_line_misses) skips the other c before any basis work.  When dim R/I = 2,
+of p_z^a + c*p_x^b + c^2*p_y^d only, at most two, so some c <= 2e passes.
+A gcd test on the generators restricted to l_c = 0 (_line_misses) skips,
+before any basis work, a c whose curve meets V(I): any such c under
+standard weights, and c = 0 under any weights (l_0 = z^(D/w_z) vanishes
+exactly on z = 0).  A point p of V(I) on the curve is a minimal prime of
+I^sat that contains l_c, so the colon drops it, its Hilbert polynomial is
+smaller and the certificate would reject it: the chosen c is the same.
+When dim R/I = 2,
 each of the finitely many associated primes of I^sat other than m contains
 l_c for at most two values of c (three would put a power of every variable
 in it), so the loop still ends, and the request's step budget bounds it.
@@ -385,12 +390,12 @@ def _from_int_poly(d, pk, scale=1):
 def _reduce(d, basis, pk, budget):
     """Fully reduce the int dict d against basis, (lm, lc, dict) triples.
 
-    Returns (r, k): r is an int dict none of whose monomials a leading
-    monomial of the basis divides, k is a nonzero rational, and r - k*d
-    lies in the ideal the basis generates.  Each step scales the terms by
-    the basis leading coefficient over a gcd and then strips the content of
-    all of them, so coefficients stay integers and r is primitive when d
-    is.  The quotient q of two leading monomials fits, so each product
+    Returns (r, num, den): r is an int dict none of whose monomials a
+    leading monomial of the basis divides, num and den are positive ints,
+    and r - (num/den)*d lies in the ideal the basis generates.  Each step
+    scales the terms by the basis leading coefficient over a gcd and then
+    strips the content of all of them, so coefficients stay integers and r
+    is primitive when d is.  The quotient q of two leading monomials fits, so each product
     bm + q is checked by its guard bits alone.
     """
     G = pk.guard
@@ -428,7 +433,7 @@ def _reduce(d, basis, pk, budget):
             work = {m: v // g for m, v in work.items()}
             done = {m: v // g for m, v in done.items()}
             den *= g
-    return done, Fraction(num, den)
+    return done, num, den
 
 
 def _s_poly_int(f, g, pk, budget):
@@ -470,44 +475,65 @@ def _buchberger_int(triples, pk, budget):
     """Core loop on (lm, lc, dict) triples; returns the final list of
     triples, a Groebner basis that is neither minimal nor reduced.
 
-    Pairs are taken by least degree, then least lcm.  The lcm of a pair is
-    checked against the guard bits unless the product criterion drops the
-    pair; the lcms the chain criterion forms divide a checked one.
+    Each generator and each nonzero remainder enters through the
+    Gebauer-Moller update (1988).  Its pairs with the elements in play are
+    grouped by lcm: a group whose lcm another group's properly divides is
+    dropped (M), so is a group holding a pair of coprime leading monomials
+    (product criterion), and of every other group one pair is kept (F).  A
+    waiting pair is dropped when the new leading monomial divides its lcm
+    and forms a different lcm with each of its two elements (B).  An
+    element whose leading monomial the new one divides leaves play: it
+    forms no further pairs.  Pairs are taken by least degree, then least
+    lcm.  A new pair's lcm is checked against the guard bits unless its
+    leading monomials are coprime; a coprime pair whose lcm does not fit
+    is dropped unchecked and never compared.  Every lcm the B criterion
+    forms divides a checked one.
     """
     G = pk.guard
     lcm_of = pk.lcm
     degree = pk.degree
-    basis = list(triples)
-    heap = []
+    basis, play, heap = [], [], []
 
-    def push_pairs(t):
-        b = basis[t][0]
-        for i in range(t):
+    def update(h):
+        t, b = len(basis), h[0]
+        groups = {}  # lcm -> (first element in play, coprime pair seen)
+        for i in play:
             a = basis[i][0]
             lcm = lcm_of(a, b)
-            if lcm == a + b:
-                continue  # product criterion
+            coprime = lcm == a + b
             if lcm & G:
+                if coprime:
+                    continue
                 raise _too_large()
-            heapq.heappush(heap, (degree(lcm), lcm, i, t))
+            first, seen = groups.get(lcm, (i, False))
+            groups[lcm] = (first, seen or coprime)
+        # M: a proper divisor of an lcm precedes it in any monomial order,
+        # and divisibility is transitive, so the kept smaller lcms suffice
+        kept = []
+        for lcm in sorted(groups):
+            lg = lcm | G
+            if not any((lg - m) & G == G for m in kept):
+                kept.append(lcm)
+        waiting = [p for p in heap
+                   if ((p[1] | G) - b) & G != G
+                   or lcm_of(basis[p[2]][0], b) == p[1]
+                   or lcm_of(basis[p[3]][0], b) == p[1]]
+        waiting += [(degree(lcm), lcm, groups[lcm][0], t) for lcm in kept
+                    if not groups[lcm][1]]
+        heap[:] = waiting
+        heapq.heapify(heap)
+        play[:] = [i for i in play if ((basis[i][0] | G) - b) & G != G]
+        play.append(t)
+        basis.append(h)
 
-    for t in range(1, len(basis)):
-        push_pairs(t)
-
+    for h in triples:
+        update(h)
     while heap:
-        _, lcm, i, j = heapq.heappop(heap)
-        # chain criterion: a third element strictly inside the lcm
-        lg = lcm | G
-        a, b = basis[i][0], basis[j][0]
-        if any((lg - m) & G == G and lcm_of(a, m) != lcm
-               and lcm_of(b, m) != lcm
-               for k, (m, _, _) in enumerate(basis) if k != i and k != j):
-            continue
-        r, _ = _reduce(_s_poly_int(basis[i], basis[j], pk, budget), basis,
-                       pk, budget)
+        _, _, i, j = heapq.heappop(heap)
+        r, _, _ = _reduce(_s_poly_int(basis[i], basis[j], pk, budget), basis,
+                          pk, budget)
         if r:
-            basis.append(_int_triple(r))
-            push_pairs(len(basis) - 1)
+            update(_int_triple(r))
     return basis
 
 
@@ -534,7 +560,7 @@ def _buchberger_cached(ideal, order):
         [_to_int_poly(g, pk) for g in ideal.generators], pk, budget), pk)
     done = []
     for i, b in enumerate(kept):
-        r, _ = _reduce(b[2], done + kept[i + 1:], pk, budget)
+        r, _, _ = _reduce(b[2], done + kept[i + 1:], pk, budget)
         done.append(_int_triple(r))
     return GroebnerBasis(order, done)
 
@@ -553,8 +579,8 @@ def normal_form(p, gb):
     """Unique remainder of p modulo a reduced Groebner basis."""
     pk = gb.order.packing
     d, denom = _clear_denominators(p, pk)
-    r, k = _reduce(d, gb._int_basis, pk, _budget())
-    return _from_int_poly(r, pk, k * denom)
+    r, num, den = _reduce(d, gb._int_basis, pk, _budget())
+    return _from_int_poly(r, pk, Fraction(num * denom, den))
 
 
 # -- elimination and derived operations --------------------------------------
@@ -833,19 +859,24 @@ def _univariate_gcd(f, g):
 
 
 def _line_misses(ideal, c):
-    """The line z + c*x + c^2*y = 0 misses V(I) in P^2, for I
-    standard-homogeneous.  On the line the generators restrict to binary
-    forms g(x, y, -c*x - c^2*y), built by Horner in z, that must have no
-    common zero: neither at (1:0), where each would drop below its degree,
-    nor in the chart y = 1, where their gcd would be nonconstant."""
+    """l_c = 0 misses V(I) in weighted P^2, for I standard-homogeneous (the
+    line z + c*x + c^2*y) or, when c = 0, graded by any positive weights
+    (l_0 = z^(D/w_z) vanishes where z does).  On it the generators restrict
+    to forms g(x, y, -c*x - c^2*y), built by Horner in z, that must have no
+    common zero: neither at (1:0), where each g(1, 0, -c) would vanish, nor
+    in the chart y = 1, where their gcd would be nonconstant."""
     pk = MonomialOrder.grevlex(3).packing
     common, full = [], False
     for g in ideal.generators:
         deg = g.total_degree()
         slices = {}  # z-exponent -> coefficients by x-exponent, y = 1
+        at_x = 0  # g(1, 0, -c)
         for m, v in _to_int_poly(g, pk)[2].items():
-            a, _, k = pk.unpack(m)
+            a, b, k = pk.unpack(m)
             slices.setdefault(k, [0] * (deg + 1))[a] = v
+            if not b:
+                at_x += v * (-c) ** k
+        full = full or at_x != 0
         form = [0] * (deg + 1)
         for k in range(max(slices), -1, -1):
             # form * (-c*x - c^2) + slice; x^deg is never passed by degree
@@ -853,7 +884,6 @@ def _line_misses(ideal, c):
                     for i in range(deg + 1)]
             for i, v in enumerate(slices.get(k, ())):
                 form[i] += v
-        full = full or form[-1] != 0
         while form and form[-1] == 0:
             form.pop()
         common = _univariate_gcd(common, form)
@@ -917,13 +947,14 @@ def _saturated_cached(ideal, weights):
         return None, ((0, 0, 0),)
     _, e = _hilbert_tail(lms)
     curve = e is not None  # dim R/I = 1: V(I) has at most e points
+    standard = weights == (1, 1, 1)
     for c in range(2 * e + 1) if curve else count():
-        if weights != (1, 1, 1):
-            sat = _weighted_colon(ideal, _moment_form(weights, c))
-        elif curve and not _line_misses(ideal, c):
+        if curve and (standard or c == 0) and not _line_misses(ideal, c):
             continue
-        else:
+        if standard:
             sat = _saturate_by_line(ideal, c, gb)
+        else:
+            sat = _weighted_colon(ideal, _moment_form(weights, c))
         if _same_hilbert_polynomial(lms, sat):
             return c, sat
     raise Bs3Error("internal: no colon by z^a + c*x^b + c^2*y^d with c <= %d "

@@ -14,7 +14,10 @@ degree data below walk the finite staircase box directly, independent of
 the Hilbert-function engine.  The rational normal form and the bitmask
 decomposability test are the routes the package replaced by its integer
 reducer and by the lattice criterion.  s_polynomial, over the package's
-integer S-polynomial, is what checks that a basis is Groebner.  The tuple
+integer S-polynomial, is what checks that a basis is Groebner, and
+Buchberger's loop with the product criterion at pair creation and the
+chain criterion over the whole basis at pair selection is what the
+Gebauer-Moller update of bs3.groebner is tested against.  The tuple
 monomial primitives and order keys are what the packed monomials of
 bs3.groebner are tested against, and the Fraction intersection lattice is
 what the integer lattice of bs3.arrangement is tested against, as the
@@ -25,11 +28,12 @@ sorted tuple of distinct Fractions) is what the package's integer route,
 degrees k = L*t and roots n/D over one denominator, is tested against.
 """
 
+import heapq
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 from math import gcd
 
-from bs3 import linalg
+from bs3 import groebner, linalg
 from bs3.graded import DegreeData
 from bs3.groebner import (Ideal, MonomialOrder, _budget, _from_int_poly,
                           _hilbert_function, _lcm_degree, _lift_poly,
@@ -342,6 +346,51 @@ def s_polynomial(f, g, order):
     pk = order.packing
     d = _s_poly_int(_to_int_poly(f, pk), _to_int_poly(g, pk), pk, _budget())
     return _from_int_poly(d, pk)
+
+
+# -- Buchberger's loop by the chain criterion ------------------------------
+
+def buchberger_by_chain_criterion(triples, pk, budget):
+    """Buchberger's loop on (lm, lc, dict) triples, taking pairs by least
+    degree, then least lcm: a pair of coprime leading monomials is never
+    formed (product criterion), and a pair is skipped when some third
+    element's leading monomial divides its lcm and forms a different lcm
+    with each of the pair's (chain criterion), scanned over the whole basis
+    when the pair is taken.  It runs where groebner._buchberger_int does,
+    with the same contract."""
+    G = pk.guard
+    lcm_of = pk.lcm
+    basis = list(triples)
+    heap = []
+
+    def push_pairs(t):
+        b = basis[t][0]
+        for i in range(t):
+            a = basis[i][0]
+            lcm = lcm_of(a, b)
+            if lcm == a + b:
+                continue
+            if lcm & G:
+                raise groebner._too_large()
+            heapq.heappush(heap, (pk.degree(lcm), lcm, i, t))
+
+    for t in range(1, len(basis)):
+        push_pairs(t)
+    while heap:
+        _, lcm, i, j = heapq.heappop(heap)
+        lg = lcm | G
+        a, b = basis[i][0], basis[j][0]
+        if any((lg - m) & G == G and lcm_of(a, m) != lcm
+               and lcm_of(b, m) != lcm
+               for k, (m, _, _) in enumerate(basis) if k != i and k != j):
+            continue
+        r, _, _ = groebner._reduce(
+            groebner._s_poly_int(basis[i], basis[j], pk, budget), basis, pk,
+            budget)
+        if r:
+            basis.append(groebner._int_triple(r))
+            push_pairs(len(basis) - 1)
+    return basis
 
 
 # -- decomposability by every bipartition ----------------------------------

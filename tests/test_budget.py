@@ -71,9 +71,9 @@ def test_step_cap_bounds_the_whole_request(capsys, name):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("name", sorted(REQUESTS))
-def test_one_budget_per_request(capsys, monkeypatch, name):
-    total = request_steps(name)
+@pytest.fixture
+def budgets(monkeypatch):
+    """Every step budget made while the test runs."""
     made = []
     init = groebner._Budget.__init__
 
@@ -82,11 +82,36 @@ def test_one_budget_per_request(capsys, monkeypatch, name):
         init(self, cap)
 
     monkeypatch.setattr(groebner._Budget, "__init__", spy)
+    return made
+
+
+@pytest.mark.parametrize("name", sorted(REQUESTS))
+def test_one_budget_per_request(capsys, budgets, name):
+    total = request_steps(name)
+    budgets.clear()
     code, _, _ = run(capsys, *REQUESTS[name][2])
     assert code == 0
-    assert len(made) == 1
-    assert made[0].cap == groebner.DEFAULT_STEP_CAP
-    assert made[0].used == total
+    assert len(budgets) == 1
+    assert budgets[0].cap == groebner.DEFAULT_STEP_CAP
+    assert budgets[0].used == total
+
+
+LQH = ("roots", "lqh", "--poly", "x^6*y*z+2*x*y^3*z+3*x*y*z^3",
+       "--weights", "1/5,1/2,1/2")
+
+
+@pytest.mark.parametrize("argv, steps", [
+    (("arrangement", "--forms", oracles.ZIEGLER_F), 1945),
+    (("arrangement", "--forms", oracles.ZIEGLER_G), 1929),
+    (LQH, 469),
+], ids=["ziegler_f", "ziegler_g", "lqh"])
+def test_cold_request_spends_a_pinned_number_of_steps(capsys, budgets, argv,
+                                                      steps):
+    # pair selection, the pair criteria and the reduction order are all
+    # fixed, so the step count of a request changes only with the work done
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    assert [budget.used for budget in budgets] == [steps]
 
 
 def test_large_fermat_ends_within_the_default_cap(capsys):

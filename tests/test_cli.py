@@ -168,7 +168,7 @@ def test_arrangement_request_moves_no_basis_back(capsys, monkeypatch):
 
 
 def test_weighted_colon_costs_one_buchberger_run(capsys, monkeypatch):
-    # one Buchberger run on the Jacobian and one block basis per tried
+    # one Buchberger run on the Jacobian and one block basis per computed
     # colon, whose t-free leading monomials are read off it; no basis is
     # turned into Fraction polynomials
     from bs3 import groebner
@@ -197,7 +197,9 @@ def test_weighted_colon_costs_one_buchberger_run(capsys, monkeypatch):
                        "--weights", "1/5,1/2,1/2")
     clear_caches()
     assert code == 0 and "h0.17/10: 2" in out
-    assert colons == [0, 1]  # z^2 vanishes on the points at z = 0
+    # z^2 vanishes on the points at z = 0: the restriction test refutes
+    # c = 0 before any basis work
+    assert colons == [1]
     assert len(runs) == 1 + len(colons)
     assert built == []
 

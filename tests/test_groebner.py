@@ -138,6 +138,15 @@ def test_pair_lcm_past_the_bound_raises():
         buchberger(ideal("x^20000*y - z", "x*y^20000 - z"), GREVLEX)
 
 
+def test_coprime_pair_past_the_bound_is_dropped_unchecked():
+    # every pair is coprime, and every lcm x^20000*y^20000 is past the bound
+    gb = buchberger(ideal("x^20000", "y^20000", "z^20000"), GREVLEX)
+    assert len(gb) == 3
+    # the lcm of a pair that shares x is checked
+    with pytest.raises(ResourceLimitError):
+        buchberger(ideal("x^20000*y", "x*y^20000"), GREVLEX)
+
+
 def test_s_polynomial_term_past_the_bound_raises():
     # lex: the lcm x*z^20000 fits, the term y^20000*z^20000 does not
     f, g = P("x - y^20000"), P("x*z^20000 - 1")
@@ -239,6 +248,44 @@ def test_normal_form_matches_the_fraction_reducer(texts, order):
     for _ in range(15):
         p = random_polynomial(rng)
         assert normal_form(p, gb) == oracles.normal_form_by_fractions(p, gb)
+
+
+def basis_and_pair_count(ideal, order, loop):
+    """The reduced basis buchberger builds around the core loop given, and
+    the number of S-polynomials the loop forms, caches cold."""
+    pairs = []
+    s_poly = groebner._s_poly_int
+
+    def spy(*args):
+        pairs.append(args)
+        return s_poly(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(groebner, "_s_poly_int", spy)
+        mp.setattr(groebner, "_buchberger_int", loop)
+        groebner._buchberger_cached.cache_clear()
+        gb = buchberger(ideal, order)
+    groebner._buchberger_cached.cache_clear()
+    return gb._int_basis, len(pairs)
+
+
+def test_gebauer_moeller_update_matches_the_chain_criterion_loop():
+    cases = [(name, jacobian_ideal(arr.defining_polynomial()), GREVLEX)
+             for name, arr in corpus.build_corpus()]
+    cases += [("lqh", I, GREVLEX) for I in lqh_jacobians(8, 4)]
+    cases += [("localized", groebner._localized(I, groebner._moment_form(
+        groebner._positively_graded(I), c)), MonomialOrder.block(1, 4))
+        for I in lqh_jacobians(8, 4) for c in (0, 1)]
+    fewer = {}
+    for name, I, order in cases:
+        got, formed = basis_and_pair_count(I, order,
+                                           groebner._buchberger_int)
+        want, by_chain = basis_and_pair_count(
+            I, order, oracles.buchberger_by_chain_criterion)
+        assert got == want, I
+        assert formed <= by_chain, I
+        fewer[name] = formed < by_chain
+    assert fewer["ziegler_g"]
 
 
 def test_corpus_jacobian_bases_are_fully_reduced():
@@ -497,7 +544,9 @@ def test_weighted_jacobians_saturate_by_the_first_certified_colon(
         c = next(k for k in count()
                  if weighted_colon(I, weights, k).elements == expect.elements)
         assert chosen == c, I
-        assert calls == [moment_form(weights, k) for k in range(c + 1)], I
+        # no colon for a c that the restriction to z = 0 refutes
+        assert calls == [moment_form(weights, k) for k in range(c + 1)
+                         if k or groebner._line_misses(I, 0)], I
 
 
 def test_weighted_saturation_of_a_surface_singular_along_a_curve():
@@ -516,14 +565,37 @@ def test_certificate_rejects_the_form_through_the_points_at_z_zero(
     jac = jacobian_ideal(P("z") * P("x^2 + 2*y^3") * P("x^2 + 5*y^3"))
     weights = groebner._positively_graded(jac)
     c, _ = saturated_leading_monomials(jac, weights)
-    assert c == len(reference_calls) - 1
     assert c > 0
+    # z^(D/w_z) vanishes on the points of V(I) on z = 0: the restriction
+    # test refutes c = 0, and no colon is computed for it
+    assert not groebner._line_misses(jac, 0)
+    assert [g for _, g in reference_calls] == [
+        moment_form(weights, k) for k in range(1, c + 1)]
     lms = buchberger(jac, GREVLEX).leading_monomials
-    # z^(D/w_z) vanishes on the points of V(I) on z = 0
     assert not groebner._same_hilbert_polynomial(
         lms, weighted_colon(jac, weights, 0).leading_monomials)
     assert groebner._same_hilbert_polynomial(
         lms, weighted_colon(jac, weights, c).leading_monomials)
+
+
+def test_restriction_to_z_zero_decides_the_first_weighted_colon():
+    # for dim R/I = 1 the certificate passes the colon by z^(D/w_z) exactly
+    # when z = 0 misses V(I); x*y*(x^3 + y^2 + z^5) has no singular point
+    # at z = 0, the others do
+    weighted = [I for I, _ in H0_CASES
+                if groebner._positively_graded(I) != (1, 1, 1)]
+    cases = lqh_jacobians(8, 4) + weighted + [
+        jacobian_ideal(P("z") * P("x^2 + 2*y^3") * P("x^2 + 5*y^3")),
+        jacobian_ideal(P("x*y") * P("x^3 + y^2 + z^5"))]
+    misses = []
+    for I in cases:
+        weights = groebner._positively_graded(I)
+        lms = buchberger(I, GREVLEX).leading_monomials
+        assert groebner._hilbert_tail(lms)[1] is not None, I
+        misses.append(groebner._line_misses(I, 0))
+        assert misses[-1] == groebner._same_hilbert_polynomial(
+            lms, weighted_colon(I, weights, 0).leading_monomials), I
+    assert misses == [False] * (len(cases) - 1) + [True]
 
 
 def test_ideals_with_no_positive_grading_are_refused():

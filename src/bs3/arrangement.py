@@ -5,19 +5,29 @@ intersection lattice, the combinatorial root set, formality, and the six
 equivalent conditions deciding whether the single candidate non-combinatorial
 root (-2d+2)/d actually occurs, then assembles the full Bernstein-Sato zero
 set.
+
+The conditions are read from numbers a linear change of coordinates does
+not change: Hilbert function values of R/J and R/J^sat, degrees of H0, the
+regularity and counts of logarithmic derivations, for J the Jacobian ideal
+of f.  So condition_report builds f in the coordinates where the first line
+z + c*x + c^2*y through no intersection point is z.  Each point rules out
+at most two values of c, so c <= 2 * (number of points), and c comes from
+the lattice in one pass (_free_line).  There the saturation of J needs no
+second basis, and f is the product of integer normals, so its Jacobian
+carries int coefficients only.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 from . import linalg
 from .bsroots import RootSet
-from .graded import (STANDARD, check_h0_symmetry, graded_dimension,
-                     regularity_report)
-from .groebner import MonomialOrder, _budget, _cross, buchberger
-from .milnor import der_log0_graded_dimension, jacobian_ideal, milnor_profile
+from .graded import STANDARD, check_h0_symmetry, regularity_report
+from .groebner import (MonomialOrder, _budget, _cross, _hilbert_function,
+                       buchberger)
+from .milnor import _der_log0_dimension, jacobian_ideal, milnor_profile
 from .polyring import (Bs3Error, Polynomial, PreconditionError, parse_polynomial)
 
 
@@ -52,13 +62,7 @@ class LinearForm:
         return cls(coeffs)
 
     def polynomial(self):
-        terms = {}
-        for i, c in enumerate(self.coefficients):
-            if c != 0:
-                e = [0, 0, 0]
-                e[i] = 1
-                terms[tuple(e)] = c
-        return Polynomial(terms, 3)
+        return _linear_polynomial(self.coefficients)
 
     def __eq__(self, other):
         return (isinstance(other, LinearForm)
@@ -90,13 +94,7 @@ class Arrangement:
 
     def defining_polynomial(self):
         """The product of the forms; each term product is one step."""
-        budget = _budget()
-        f = Polynomial.constant(1, 3)
-        for form in self.forms:
-            p = form.polynomial()
-            budget.spend(len(f.terms) * len(p.terms))
-            f = f * p
-        return f
+        return _form_product(f.coefficients for f in self.forms)
 
     def __repr__(self):
         return "Arrangement(%s)" % ", ".join(str(f) for f in self.forms)
@@ -159,6 +157,24 @@ class ArrangementRootReport:
     def __repr__(self):
         return ("ArrangementRootReport(full=%r, non_comb_present=%s)"
                 % (self.full_zero_set, self.non_comb_present))
+
+
+def _linear_polynomial(vector):
+    """a*x + b*y + c*z for the coefficient vector (a, b, c)."""
+    return Polynomial({e: v for e, v in zip(((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+                                            vector) if v}, 3)
+
+
+def _form_product(vectors):
+    """The product of the linear forms with the given coefficient vectors;
+    each term product is one step."""
+    budget = _budget()
+    f = Polynomial.constant(1, 3)
+    for vector in vectors:
+        p = _linear_polynomial(vector)
+        budget.spend(len(f.terms) * len(p.terms))
+        f = f * p
+    return f
 
 
 def _normal_rank(forms):
@@ -297,11 +313,53 @@ def is_formal(arr):
     return linalg.rank(rels) == target
 
 
+def _free_line(points):
+    """The least c >= 0 whose line z + c*x + c^2*y passes through none of
+    the points, integer vectors (p_x, p_y, p_z) other than 0.
+
+    The line passes through p exactly when p_z + c*p_x + c^2*p_y = 0, a
+    nonzero polynomial in c of degree at most two: it has at most two
+    roots, read off an exact square root of the discriminant when p_y != 0
+    and one division when p_y = 0.  So at most 2*len(points) values of c
+    are excluded, and c <= 2*len(points).
+    """
+    excluded = set()
+    for px, py, pz in points:
+        if py:
+            disc = px * px - 4 * py * pz
+            r = isqrt(disc) if disc >= 0 else -1
+            if r * r == disc:
+                excluded.update(n // (2 * py) for n in (r - px, -r - px)
+                                if n % (2 * py) == 0)
+        elif px and pz % px == 0:
+            excluded.add(-pz // px)
+    c = 0
+    while c in excluded:
+        c += 1
+    return c
+
+
 def condition_report(arr):
     """Evaluate the six equivalent conditions for the presence of the
-    non-combinatorial root, with every dimension witness recorded."""
+    non-combinatorial root, with every dimension witness recorded.
+
+    Every witness is a Hilbert function value of R/J or R/J^sat, a degree
+    of H0 = J^sat/J, or a count of degree-0 logarithmic derivations, for J
+    the Jacobian ideal of f; a linear change of coordinates maps each of
+    them to itself.  So the conditions are read in the coordinates where
+    the first line z + c*x + c^2*y through no intersection point is z
+    (_free_line; c <= 2 * the number of points): there a form with normal
+    (a, b, s) has normal (a - c*s, b - c^2*s, s), the product f' of the
+    moved integer normals is a nonzero constant times f(x, y, z - c*x -
+    c^2*y), and its Jacobian ideal is J moved.  z = 0 misses the singular
+    points, which are the intersection points, so the saturation of J
+    certifies c = 0 on its own reduced basis: one Buchberger run serves
+    the whole report.
+    """
     d = arr.degree
-    f = arr.defining_polynomial()
+    c = _free_line(arr.lattice)
+    f = _form_product((a - c * s, b - c * c * s, s)
+                      for a, b, s in (form.normal for form in arr.forms))
     jac = jacobian_ideal(f)
     gb = buchberger(jac, MonomialOrder.grevlex(3))
     reg = regularity_report(jac)
@@ -313,9 +371,10 @@ def condition_report(arr):
     e = reg.sheaf_dim_e
     h0_d1 = h0.dimension(d - 1)
     h0_2d5 = h0.dimension(2 * d - 5)
-    milnor_d1 = graded_dimension(gb, STANDARD, d - 1)
-    milnor_2d5 = graded_dimension(gb, STANDARD, 2 * d - 5)
-    der0 = der_log0_graded_dimension(f, STANDARD, d - 2)
+    # h0_degree_data has checked that the generators are homogeneous
+    milnor = _hilbert_function(gb.leading_monomials, max(d - 1, 2 * d - 5))
+    milnor_d1, milnor_2d5 = milnor[d - 1], milnor[2 * d - 5]
+    der0 = _der_log0_dimension(gb.leading_monomials, STANDARD, d, d - 2)
     binom = (d + 1) * d // 2 - 3
     # global sections of the twisted Milnor sheaf at twist d-1, computed
     # through the exact sequence with H1 realized by degree-(d-2) derivations

@@ -227,7 +227,10 @@ def render_text(report):
             if not value:
                 lines.append("%s: (none)" % key)
             for sub, v in value.items():
-                lines.append("%s.%s: %s" % (key, sub, _scalar(v)))
+                # the ints of a degree table print as they are
+                if v.__class__ is not int:
+                    v = _scalar(v)
+                lines.append("%s.%s: %s" % (key, sub, v))
         elif isinstance(value, list):
             items = [v if isinstance(v, str) else _scalar(v) for v in value]
             if any("," in item for item in items):

@@ -356,14 +356,24 @@ def _strip_content(d):
     return {m: v // g for m, v in d.items()} if g > 1 else d
 
 
-def _clear_denominators(p, pk):
-    """Polynomial p -> (packed int dict d, denominator D) with p = d / D."""
+def _int_terms(p):
+    """Polynomial p -> (dict exponent tuple -> int, denominator D) with
+    p = dict / D; p's own terms when its coefficients are all ints."""
     denom = 1
     for c in p.terms.values():
-        denom = denom * c.denominator // gcd(denom, c.denominator)
-    pack = pk.pack
-    return ({pack(m): c.numerator * (denom // c.denominator)
+        if c.__class__ is not int:
+            denom = lcm(denom, c.denominator)
+    if denom == 1:
+        return p.terms, 1
+    return ({m: c.numerator * (denom // c.denominator)
              for m, c in p.terms.items()}, denom)
+
+
+def _clear_denominators(p, pk):
+    """Polynomial p -> (packed int dict d, denominator D) with p = d / D."""
+    terms, denom = _int_terms(p)
+    pack = pk.pack
+    return {pack(m): v for m, v in terms.items()}, denom
 
 
 def _to_int_poly(p, pk):
@@ -787,21 +797,33 @@ def _hilbert_function(lead_monomials, top, weights=(1, 1, 1)):
     return values
 
 
+@lru_cache(maxsize=64)
 def _hilbert_tail(lead_monomials):
-    """[dim (R/M)_t for t = 0..s + 2], s = _hilbert_start, and the value e
+    """(dim (R/M)_t for t = 0..s + 2), s = _hilbert_start, and the value e
     of the Hilbert polynomial of R/M if it is constant, else None (dim R/M
-    > 1): its degree is at most two, so three equal values from s decide."""
+    > 1): its degree is at most two, so three equal values from s decide.
+    Memoized: a request reads the tail of in(I) and of in(I^sat) from
+    several places, and each is computed once."""
     s = _hilbert_start(lead_monomials)
-    hf = _hilbert_function(lead_monomials, s + 2)
+    hf = tuple(_hilbert_function(lead_monomials, s + 2))
     return hf, hf[s] if hf[s] == hf[s + 1] == hf[s + 2] else None
 
 
+def _hilbert_polynomial(lead_monomials):
+    """The Hilbert polynomial of R/M as its values at t = 0, 1, 2, which
+    determine it (its degree is at most two).  It equals the Hilbert
+    function from s = _hilbert_start on, so Newton's forward differences
+    of the last three values of the tail carry it back to 0."""
+    hf, _ = _hilbert_tail(lead_monomials)
+    s = len(hf) - 3
+    v, d1, d2 = hf[s], hf[s + 1] - hf[s], hf[s + 2] - 2 * hf[s + 1] + hf[s]
+    return tuple(v + k * d1 + k * (k - 1) // 2 * d2
+                 for k in range(-s, 3 - s))
+
+
 def _same_hilbert_polynomial(lms_a, lms_b):
-    """R/(lms_a) and R/(lms_b) have the same Hilbert polynomial: it has
-    degree at most two, so three values past both starts decide."""
-    t = max(_hilbert_start(lms_a), _hilbert_start(lms_b))
-    return (_hilbert_function(lms_a, t + 2)[t:]
-            == _hilbert_function(lms_b, t + 2)[t:])
+    """R/(lms_a) and R/(lms_b) have the same Hilbert polynomial."""
+    return _hilbert_polynomial(lms_a) == _hilbert_polynomial(lms_b)
 
 
 def _shift_last(d, a, b, pk):
@@ -865,14 +887,12 @@ def _line_misses(ideal, c):
     to forms g(x, y, -c*x - c^2*y), built by Horner in z, that must have no
     common zero: neither at (1:0), where each g(1, 0, -c) would vanish, nor
     in the chart y = 1, where their gcd would be nonconstant."""
-    pk = MonomialOrder.grevlex(3).packing
     common, full = [], False
     for g in ideal.generators:
         deg = g.total_degree()
         slices = {}  # z-exponent -> coefficients by x-exponent, y = 1
         at_x = 0  # g(1, 0, -c)
-        for m, v in _to_int_poly(g, pk)[2].items():
-            a, b, k = pk.unpack(m)
+        for (a, b, k), v in _int_terms(g)[0].items():
             slices.setdefault(k, [0] * (deg + 1))[a] = v
             if not b:
                 at_x += v * (-c) ** k

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .graded import (_monomial_quotient_dimension, check_h0_symmetry,
-                     graded_dimension, h0_degree_data)
+                     h0_degree_data)
 from .groebner import (Ideal, MonomialOrder, _dimension_at_most_one,
                        _is_artinian, buchberger)
 from .polyring import PreconditionError, partial_derivative, wdeg
@@ -94,14 +94,21 @@ def der_log0_graded_dimension(f, w, k):
     if d is None:
         raise PreconditionError("polynomial is not quasi-homogeneous for "
                                 "weights %s" % (w.weights,))
+    gb = buchberger(jacobian_ideal(f), MonomialOrder.grevlex(f.variable_count))
+    return _der_log0_dimension(gb.leading_monomials, w, d, k)
+
+
+def _der_log0_dimension(lead_monomials, w, d, k):
+    """der_log0_graded_dimension for an f of weighted degree d whose
+    Jacobian ideal has a grevlex basis with the given leading monomials.
+    f is homogeneous, so are its partials and their reduced basis: the
+    standard monomials count the quotient with no further check."""
     k = Fraction(k)
-    n = f.variable_count
     # dim R_t is the engine's count for the zero ideal, M = ()
     domain = sum(_monomial_quotient_dimension((), w, k + wi)
                  for wi in w.weights)
     if domain == 0:
         return 0
-    gb = buchberger(jacobian_ideal(f), MonomialOrder.grevlex(n))
     image = (_monomial_quotient_dimension((), w, k + d)
-             - graded_dimension(gb, w, k + d))
+             - _monomial_quotient_dimension(lead_monomials, w, k + d))
     return domain - image

@@ -1,6 +1,10 @@
 """Exact sparse polynomial arithmetic over Q in up to three variables.
 
-Polynomials are dictionaries mapping exponent tuples to nonzero Fractions.
+Polynomials are dictionaries mapping exponent tuples to nonzero rationals:
+an int when the coefficient is integral, a Fraction only when its
+denominator is not 1.  The two compare and hash alike (hash(n) ==
+hash(Fraction(n))), so equality and hashing do not see the difference, and
+a product of integral polynomials never builds a Fraction.
 A fourth variable named t is supported internally for elimination tricks;
 the public grammar only knows x, y, z (aliases x1, x2, x3).
 """
@@ -9,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from operator import mul
+from operator import add, mul
 
 
 class Bs3Error(Exception):
@@ -33,7 +37,7 @@ VARIABLE_NAMES = {1: ("x",), 2: ("x", "y"),
 
 
 def mono_mul(a, b):
-    return tuple(i + j for i, j in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def grevlex_key(m):
@@ -85,8 +89,11 @@ class Polynomial:
     def __init__(self, terms, variable_count):
         clean = {}
         for m, c in terms.items():
-            c = Fraction(c)
-            if c != 0:
+            if c.__class__ is not int:
+                c = Fraction(c)
+                if c.denominator == 1:
+                    c = c.numerator
+            if c:
                 if len(m) != variable_count:
                     raise ValueError("monomial %s has wrong arity" % (m,))
                 clean[tuple(m)] = c
@@ -99,13 +106,13 @@ class Polynomial:
 
     @classmethod
     def constant(cls, c, n=3):
-        return cls({(0,) * n: Fraction(c)}, n)
+        return cls({(0,) * n: c}, n)
 
     @classmethod
     def variable(cls, i, n=3):
         e = [0] * n
         e[i] = 1
-        return cls({tuple(e): Fraction(1)}, n)
+        return cls({tuple(e): 1}, n)
 
     def is_zero(self):
         return not self.terms
@@ -130,7 +137,7 @@ class Polynomial:
         other = self._coerce(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
-            s = out.get(m, Fraction(0)) + c
+            s = out.get(m, 0) + c
             if s == 0:
                 out.pop(m, None)
             else:
@@ -154,7 +161,7 @@ class Polynomial:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = mono_mul(m1, m2)
-                s = out.get(m, Fraction(0)) + c1 * c2
+                s = out.get(m, 0) + c1 * c2
                 if s == 0:
                     out.pop(m, None)
                 else:

@@ -26,6 +26,9 @@ per point are.  The Fraction route from H0 degrees to root sets (degrees
 keyed by Fraction, each root computed in Fraction arithmetic, a root set a
 sorted tuple of distinct Fractions) is what the package's integer route,
 degrees k = L*t and roots n/D over one denominator, is tested against.
+The six arrangement conditions read from the Jacobian of f itself, in the
+original coordinates, are what the package's report from the moved Jacobian
+is tested against.
 """
 
 import heapq
@@ -34,12 +37,15 @@ from itertools import combinations, combinations_with_replacement, product
 from math import gcd
 
 from bs3 import groebner, linalg
-from bs3.graded import DegreeData
+from bs3.arrangement import ConditionReport, is_formal
+from bs3.graded import (STANDARD, DegreeData, graded_dimension,
+                        regularity_report)
 from bs3.groebner import (Ideal, MonomialOrder, _budget, _from_int_poly,
                           _hilbert_function, _lcm_degree, _lift_poly,
                           _s_poly_int, _to_int_poly, buchberger,
                           eliminate, saturate_by_poly,
                           saturated_leading_monomials)
+from bs3.milnor import der_log0_graded_dimension, jacobian_ideal
 from bs3.polyring import (Polynomial, PreconditionError, grevlex_key,
                           mono_mul, partial_derivative, wdeg)
 
@@ -443,6 +449,50 @@ def length3_relations_by_triples(forms):
                 vec[pos] = v
             relations.append(vec)
     return relations
+
+
+# -- the six conditions in the original coordinates -------------------------
+
+def condition_report_in_original_coordinates(arr):
+    """The ConditionReport read from the Jacobian ideal of the product of
+    the normalized forms itself.  Its saturation certifies the first line
+    z + c*x + c^2*y that misses the singular points, with a second
+    Buchberger run in the coordinates where that line is z when c != 0,
+    and the Milnor and derivation dimensions come from graded_dimension
+    and der_log0_graded_dimension on that f.  The package reads the same
+    numbers from one basis in the moved coordinates; this is the route it
+    replaced."""
+    d = arr.degree
+    f = arr.defining_polynomial()
+    jac = jacobian_ideal(f)
+    gb = buchberger(jac, MonomialOrder.grevlex(3))
+    reg = regularity_report(jac)
+    h0 = reg.h0
+    e = reg.sheaf_dim_e
+    h0_d1 = h0.dimension(d - 1)
+    h0_2d5 = h0.dimension(2 * d - 5)
+    milnor_d1 = graded_dimension(gb, STANDARD, d - 1)
+    milnor_2d5 = graded_dimension(gb, STANDARD, 2 * d - 5)
+    der0 = der_log0_graded_dimension(f, STANDARD, d - 2)
+    binom = (d + 1) * d // 2 - 3
+    sections_d1 = milnor_d1 - h0_d1 + der0
+    witness = {
+        "sheaf_dim_e": e,
+        "milnor_dim_2d_minus_5": milnor_2d5,
+        "milnor_dim_d_minus_1": milnor_d1,
+        "h0_dim_d_minus_1": h0_d1,
+        "h0_dim_2d_minus_5": h0_2d5,
+        "der_log0_dim_d_minus_2": der0,
+        "binom_d_plus_1_2_minus_3": binom,
+        "sections_twist_d_minus_1": sections_d1,
+        "sections_bound_twist_d_minus_1": der0 + binom,
+        "regularity": reg.regularity,
+        "regularity_target": 2 * d - 5,
+    }
+    return ConditionReport(h0_d1 > 0, h0_2d5 > 0,
+                           reg.regularity == 2 * d - 5, e < milnor_2d5,
+                           sections_d1 < der0 + binom,
+                           not is_formal(arr), witness, h0)
 
 
 # -- H0 degrees and root sets over Fraction ---------------------------------

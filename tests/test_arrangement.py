@@ -6,17 +6,21 @@ from math import gcd
 
 import pytest
 
-from bs3.arrangement import (Arrangement, LinearForm, _lattice,
+from bs3.arrangement import (Arrangement, LinearForm, _free_line, _lattice,
                              _length3_relations, comb_roots,
                              condition_report, full_root_report,
                              is_indecomposable, is_formal,
                              relation_space_dimension, singular_points,
                              validate)
+from bs3 import groebner
+from bs3.groebner import saturated_leading_monomials
 from bs3.linalg import rank
+from bs3.milnor import jacobian_ideal
 from bs3.polyring import PreconditionError, parse_polynomial
 
 import corpus
 import oracles
+from test_budget import clear_caches
 
 
 def forms_of(csv):
@@ -303,6 +307,59 @@ def test_condition_report_generic4():
     assert report.flags() == {c: True for c in "bcdefg"}
     assert report.witness_dims["sheaf_dim_e"] == 6
     assert report.witness_dims["milnor_dim_2d_minus_5"] == 7
+
+
+def test_free_line_skips_every_c_through_a_point():
+    # c = 0, 1 and 2 pass through (1, 0, 0), (0, 1, -1) and (1, 1, -6)
+    assert _free_line([(1, 0, 0), (0, 1, -1), (1, 1, -6)]) == 3
+    assert _free_line([(0, 0, 1), (0, 1, 1), (1, 1, 1)]) == 0
+    rng = random.Random(16)
+    for _ in range(300):
+        points = [tuple(rng.randint(-4, 4) for _ in range(3))
+                  for _ in range(rng.randint(1, 6))]
+        points = [p for p in points if any(p)]
+        c = 0
+        while any(z + c * x + c * c * y == 0 for x, y, z in points):
+            c += 1
+        assert _free_line(points) == c <= 2 * len(points), points
+
+
+def test_free_line_is_the_certified_line_of_the_original_jacobian():
+    chosen = []
+    for name, arr in corpus.build_corpus():
+        jac = jacobian_ideal(arr.defining_polynomial())
+        c, _ = saturated_leading_monomials(jac, (1, 1, 1))
+        assert _free_line(arr.lattice) == c, name
+        chosen.append(c)
+    assert len(chosen) >= 40 and max(chosen) > 0
+
+
+def test_moved_report_matches_the_original_coordinates(monkeypatch):
+    entries = corpus.build_corpus()
+    names = {name for name, _ in entries}
+    assert len(entries) >= 40
+    assert {"ziegler_f", "ziegler_g", "braid", "generic4", "generic5",
+            "generic6"} <= names
+    runs = []
+    int_run = groebner._buchberger_int
+
+    def spy(*args):
+        runs.append(len(args[0]))
+        return int_run(*args)
+
+    monkeypatch.setattr(groebner, "_buchberger_int", spy)
+    for name, arr in entries:
+        clear_caches()
+        runs.clear()
+        got = condition_report(arr)
+        # the moved Jacobian saturates on its own basis
+        assert len(runs) == 1, name
+        want = oracles.condition_report_in_original_coordinates(arr)
+        assert got.flags() == want.flags(), name
+        assert got.witness_dims == want.witness_dims, name
+        assert got.h0.denominator == want.h0.denominator, name
+        assert got.h0.scaled == want.h0.scaled, name
+        assert got.consistent == want.consistent, name
 
 
 def test_full_root_report_generic4():

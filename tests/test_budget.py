@@ -7,8 +7,8 @@ import pytest
 
 import oracles
 import bs3
-from bs3 import cli, groebner
-from bs3.arrangement import Arrangement, full_root_report, validate
+from bs3 import arrangement, cli, groebner
+from bs3.arrangement import full_root_report, validate
 from bs3.bsroots import blf_roots, new_roots
 from bs3.groebner import (Ideal, ResourceLimitError, _hilbert_function,
                           buchberger, step_budget)
@@ -101,9 +101,9 @@ LQH = ("roots", "lqh", "--poly", "x^6*y*z+2*x*y^3*z+3*x*y*z^3",
 
 
 @pytest.mark.parametrize("argv, steps", [
-    (("arrangement", "--forms", oracles.ZIEGLER_F), 1945),
-    (("arrangement", "--forms", oracles.ZIEGLER_G), 1929),
-    (LQH, 469),
+    (("arrangement", "--forms", oracles.ZIEGLER_F), 1154),
+    (("arrangement", "--forms", oracles.ZIEGLER_G), 1161),
+    (LQH, 350),
 ], ids=["ziegler_f", "ziegler_g", "lqh"])
 def test_cold_request_spends_a_pinned_number_of_steps(capsys, budgets, argv,
                                                       steps):
@@ -127,12 +127,21 @@ def test_large_fermat_ends_within_the_default_cap(capsys):
 
 def test_large_arrangement_ends_before_its_polynomial(capsys, monkeypatch):
     # 120 forms: the lattice's 7140 pairs are refused before the pair loop,
-    # and the defining polynomial is never built
+    # and the product of the forms is never built
     forms = ["x", "y", "z"] + ["x+%d*y+%d*z" % (k, k * k)
                                for k in range(1, 118)]
     entered = []
-    monkeypatch.setattr(Arrangement, "defining_polynomial",
-                        lambda arr: entered.append(arr))
+    build = arrangement._form_product
+
+    def spy(vectors):
+        entered.append(vectors)
+        return build(vectors)
+
+    monkeypatch.setattr(arrangement, "_form_product", spy)
+    # the spy sees the one product a request builds
+    code, _, _ = run(capsys, "arrangement", "--forms", oracles.GENERIC5)
+    assert code == 0 and len(entered) == 1
+    entered.clear()
     code, out, err = run(capsys, "arrangement", "--forms", ",".join(forms),
                          "--step-cap", "1000")
     assert code == 3 and out == ""

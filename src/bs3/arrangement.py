@@ -28,48 +28,57 @@ from .graded import STANDARD, check_h0_symmetry, regularity_report
 from .groebner import (MonomialOrder, _budget, _cross, _hilbert_function,
                        buchberger)
 from .milnor import _der_log0_dimension, jacobian_ideal, milnor_profile
-from .polyring import (Bs3Error, Polynomial, PreconditionError, parse_polynomial)
+from .polyring import Bs3Error, Polynomial, PreconditionError, _parse_terms
 
 
 class LinearForm:
-    """A nonzero linear form ax+by+cz, normalized so its first nonzero
-    coefficient is 1.  `normal` is the same form as a primitive integer
-    vector (first nonzero entry positive), which the lattice reads."""
+    """A nonzero linear form ax+by+cz, stored as `normal`: its primitive
+    integer vector with first nonzero entry positive, which the lattice
+    reads.  `coefficients` is derived from it: the same form as Fractions
+    scaled so the first nonzero coefficient is 1."""
 
-    __slots__ = ("coefficients", "normal")
+    __slots__ = ("normal",)
 
     def __init__(self, coefficients):
-        coeffs = tuple(Fraction(c) for c in coefficients)
+        coeffs = [c if c.__class__ is int else Fraction(c)
+                  for c in coefficients]
         if len(coeffs) != 3:
             raise ValueError("a linear form needs exactly 3 coefficients")
-        lead = next((c for c in coeffs if c != 0), None)
-        if lead is None:
+        scale = lcm(*(c.denominator for c in coeffs))
+        a, b, c = (v.numerator * (scale // v.denominator) for v in coeffs)
+        g = gcd(a, b, c)
+        if not g:
             raise PreconditionError("zero linear form")
-        self.coefficients = tuple(c / lead for c in coeffs)
-        scale = lcm(*(c.denominator for c in self.coefficients))
-        self.normal = tuple(c.numerator * (scale // c.denominator)
-                            for c in self.coefficients)
+        if (a or b or c) < 0:
+            g = -g
+        self.normal = (a // g, b // g, c // g)
 
     @classmethod
     def parse(cls, text):
-        p = parse_polynomial(text)
-        coeffs = [Fraction(0)] * 3
-        for m, c in p.terms.items():
+        """The form the text writes in the polynomial grammar; terms whose
+        coefficients sum to 0 are dropped, any other term must be linear."""
+        coeffs = [0, 0, 0]
+        for m, c in _parse_terms(text).items():
+            if not c:
+                continue
             if sum(m) != 1:
                 raise PreconditionError(
                     "%r is not a homogeneous linear form" % text)
             coeffs[m.index(1)] = c
         return cls(coeffs)
 
+    @property
+    def coefficients(self):
+        return _scaled(self.normal)
+
     def polynomial(self):
         return _linear_polynomial(self.coefficients)
 
     def __eq__(self, other):
-        return (isinstance(other, LinearForm)
-                and self.coefficients == other.coefficients)
+        return isinstance(other, LinearForm) and self.normal == other.normal
 
     def __hash__(self):
-        return hash(self.coefficients)
+        return hash(self.normal)
 
     def __str__(self):
         return str(self.polynomial())
@@ -101,11 +110,19 @@ class Arrangement:
 
 
 class SingularPoint:
-    __slots__ = ("point", "multiplicity")
+    """An intersection point on `multiplicity` lines, stored as `vector`:
+    its primitive integer vector with first nonzero entry positive.
+    `point` is derived from it: the point scaled so that entry is 1."""
 
-    def __init__(self, point, multiplicity):
-        self.point = point
+    __slots__ = ("vector", "multiplicity")
+
+    def __init__(self, vector, multiplicity):
+        self.vector = vector
         self.multiplicity = multiplicity
+
+    @property
+    def point(self):
+        return _scaled(self.vector)
 
     def __repr__(self):
         return "SingularPoint(%s, m=%d)" % (list(self.point),
@@ -159,6 +176,13 @@ class ArrangementRootReport:
                 % (self.full_zero_set, self.non_comb_present))
 
 
+def _scaled(vector):
+    """The integer vector as Fractions over its first nonzero entry."""
+    a, b, c = vector
+    lead = a or b or c
+    return (Fraction(a, lead), Fraction(b, lead), Fraction(c, lead))
+
+
 def _linear_polynomial(vector):
     """a*x + b*y + c*z for the coefficient vector (a, b, c)."""
     return Polynomial({e: v for e, v in zip(((1, 0, 0), (0, 1, 0), (0, 0, 1)),
@@ -175,10 +199,6 @@ def _form_product(vectors):
         budget.spend(len(f.terms) * len(p.terms))
         f = f * p
     return f
-
-
-def _normal_rank(forms):
-    return linalg.rank([list(f.normal) for f in forms])
 
 
 def is_indecomposable(forms):
@@ -199,20 +219,23 @@ def _indecomposable(lattice, d):
 
 
 def validate(forms):
-    """Check reduced + central + essential + indecomposable; raise otherwise."""
+    """Check reduced + central + essential + indecomposable; raise otherwise.
+
+    Essential: past the duplicate test the normals are pairwise
+    non-parallel, so w = n0 x n1 is not 0 and they span rank 3 iff some
+    normal has w.n != 0, else rank 2."""
     forms = [f if isinstance(f, LinearForm) else LinearForm.parse(f)
              for f in forms]
     if len(forms) < 3:
         raise PreconditionError("an arrangement needs at least 3 forms")
-    seen = {}
+    seen = set()
     for f in forms:
-        if f.coefficients in seen:
+        if f.normal in seen:
             raise PreconditionError("not reduced: duplicate form %s" % f)
-        seen[f.coefficients] = f
-    rank = _normal_rank(forms)
-    if rank < 3:
-        raise PreconditionError("not essential: normals span rank %d < 3"
-                                % rank)
+        seen.add(f.normal)
+    w0, w1, w2 = _cross(forms[0].normal, forms[1].normal)
+    if not any(w0 * a + w1 * b + w2 * c for a, b, c in seen):
+        raise PreconditionError("not essential: normals span rank 2 < 3")
     arr = Arrangement(forms)
     if not _indecomposable(arr.lattice, arr.degree):
         raise PreconditionError("decomposable: the forms split into blocks "
@@ -251,14 +274,19 @@ def _lattice(forms):
 
 def singular_points(arr):
     """All pairwise intersection points in the projective plane with their
-    line counts, scaled so the first nonzero coordinate is 1, in ascending
-    order of the scaled points."""
-    points = []
-    for pt, lines in arr.lattice.items():
-        lead = pt[0] or pt[1] or pt[2]
-        points.append((tuple(Fraction(c, lead) for c in pt), len(lines)))
-    points.sort()
-    return [SingularPoint(pt, m) for pt, m in points]
+    line counts, in ascending order of the points scaled so the first
+    nonzero coordinate is 1.  The order is read exactly, with no Fraction,
+    from the primitive vectors scaled to one common first entry, the lcm
+    of theirs."""
+    lattice = arr.lattice
+    top = lcm(*(a or b or c for a, b, c in lattice))
+
+    def key(pt):
+        s = top // (pt[0] or pt[1] or pt[2])
+        return (pt[0] * s, pt[1] * s, pt[2] * s)
+
+    return [SingularPoint(pt, len(lattice[pt]))
+            for pt in sorted(lattice, key=key)]
 
 
 def comb_roots(arr):

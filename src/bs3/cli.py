@@ -186,7 +186,9 @@ def cmd_roots(args):
 
 
 def _point_str(sp):
-    coords = ":".join(format_rational(c) for c in sp.point)
+    a, b, c = sp.vector
+    lead = a or b or c
+    coords = ":".join(format_ratio(v, lead) for v in sp.vector)
     return "(%s) multiplicity %d" % (coords, sp.multiplicity)
 
 

@@ -76,11 +76,13 @@ Why the loop ends: when the Hilbert polynomial of R/in(I) is a constant e
 most e points in weighted P^2.  l_c vanishes at a point p for the roots c
 of p_z^a + c*p_x^b + c^2*p_y^d only, at most two, so some c <= 2e passes.
 A gcd test on the generators restricted to l_c = 0 (_line_misses) skips,
-before any basis work, a c whose curve meets V(I): any such c under
-standard weights, and c = 0 under any weights (l_0 = z^(D/w_z) vanishes
-exactly on z = 0).  A point p of V(I) on the curve is a minimal prime of
-I^sat that contains l_c, so the colon drops it, its Hilbert polynomial is
-smaller and the certificate would reject it: the chosen c is the same.
+before any basis work, a c whose curve meets V(I) wherever the colon would
+cost a Buchberger run: any c > 0 under standard weights, and c = 0 under
+other weights (l_0 = z^(D/w_z) vanishes exactly on z = 0).  Under standard
+weights c = 0 divides the cached basis, so the certificate alone decides
+it.  A point p of V(I) on the curve is a minimal prime of I^sat that
+contains l_c, so the colon drops it, its Hilbert polynomial is smaller and
+the certificate rejects it: the chosen c is the same.
 When dim R/I = 2,
 each of the finitely many associated primes of I^sat other than m contains
 l_c for at most two values of c (three would put a power of every variable
@@ -969,7 +971,8 @@ def _saturated_cached(ideal, weights):
     curve = e is not None  # dim R/I = 1: V(I) has at most e points
     standard = weights == (1, 1, 1)
     for c in range(2 * e + 1) if curve else count():
-        if curve and (standard or c == 0) and not _line_misses(ideal, c):
+        if (curve and (c > 0 if standard else c == 0)
+                and not _line_misses(ideal, c)):
             continue
         if standard:
             sat = _saturate_by_line(ideal, c, gb)

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .graded import (_monomial_quotient_dimension, check_h0_symmetry,
-                     h0_degree_data)
+from .graded import check_h0_symmetry, h0_degree_data
 from .groebner import (Ideal, MonomialOrder, _dimension_at_most_one,
-                       _is_artinian, buchberger)
+                       _hilbert_function, _is_artinian, buchberger)
 from .polyring import PreconditionError, partial_derivative, wdeg
 
 INFINITE = "infinite"
@@ -102,13 +101,21 @@ def _der_log0_dimension(lead_monomials, w, d, k):
     """der_log0_graded_dimension for an f of weighted degree d whose
     Jacobian ideal has a grevlex basis with the given leading monomials.
     f is homogeneous, so are its partials and their reduced basis: the
-    standard monomials count the quotient with no further check."""
-    k = Fraction(k)
-    # dim R_t is the engine's count for the zero ideal, M = ()
-    domain = sum(_monomial_quotient_dimension((), w, k + wi)
-                 for wi in w.weights)
-    if domain == 0:
+    standard monomials count the quotient with no further check.
+
+    Degrees are scaled by the weights' denominator L, so the domain's
+    degrees K + W_i and the image's K + D are ints; every dim R_t is read
+    from one engine call on the zero ideal, M = ()."""
+    K = Fraction(k) * w.denominator
+    if K.denominator != 1:
+        return 0  # no monomial has a degree off the 1/L grid
+    K, D, W = int(K), int(d * w.denominator), w.scaled
+    top = K + max(D, *W)
+    if top < 0:
         return 0
-    image = (_monomial_quotient_dimension((), w, k + d)
-             - _monomial_quotient_dimension(lead_monomials, w, k + d))
+    dim_r = _hilbert_function((), top, W)
+    domain = sum(dim_r[K + v] for v in W if K + v >= 0)
+    if domain == 0 or K + D < 0:
+        return domain
+    image = dim_r[K + D] - _hilbert_function(lead_monomials, K + D, W)[-1]
     return domain - image

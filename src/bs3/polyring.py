@@ -312,26 +312,29 @@ class _Tokens:
             raise ParseError("expected an integer", start)
         return int(self.text[start:self.pos])
 
-    def take_var(self, variable_count):
+    def take_var(self):
         self.skip_ws()
         ch = self.peek()
         if ch not in ("x", "y", "z"):
             raise ParseError("expected a variable", self.pos)
         self.pos += 1
         if ch == "x" and self.pos < len(self.text) and self.text[self.pos] in "123":
-            idx = int(self.text[self.pos]) - 1
             self.pos += 1
-        else:
-            idx = {"x": 0, "y": 1, "z": 2}[ch]
-        if idx >= variable_count:
-            raise ParseError("unknown variable", self.pos - 1)
-        return idx
+            return int(self.text[self.pos - 1]) - 1
+        return {"x": 0, "y": 1, "z": 2}[ch]
 
 
 def parse_polynomial(text, variable_count=3):
     """Parse the ASCII grammar into an exact Polynomial."""
     if variable_count != 3:
         raise ValueError("the grammar only covers three variables")
+    return Polynomial(_parse_terms(text), 3)
+
+
+def _parse_terms(text):
+    """The terms of the text as {exponent tuple: int or Fraction}, each
+    coefficient the sum over the terms with that monomial, 0 when they
+    cancel."""
     toks = _Tokens(text)
     terms = {}
     sign = 1
@@ -341,11 +344,11 @@ def parse_polynomial(text, variable_count=3):
     elif toks.peek() == "+":
         raise ParseError("unexpected '+'", toks.pos)
     while True:
-        exponents, coeff = _parse_term(toks, variable_count)
+        exponents, coeff = _parse_term(toks)
         terms[exponents] = terms.get(exponents, 0) + sign * coeff
         ch = toks.peek()
         if ch is None:
-            return Polynomial(terms, variable_count)
+            return terms
         if ch == "+":
             sign = 1
         elif ch == "-":
@@ -357,7 +360,7 @@ def parse_polynomial(text, variable_count=3):
             raise ParseError("expected a term", toks.pos)
 
 
-def _parse_term(toks, n):
+def _parse_term(toks):
     """One term as (exponent tuple, int or Fraction coefficient)."""
     ch = toks.peek()
     if ch is None:
@@ -380,10 +383,10 @@ def _parse_term(toks, n):
             toks.pos += 1
             if toks.peek() is None or toks.peek() not in "xyz":
                 raise ParseError("expected a variable after '*'", toks.pos)
-    exponents = [0] * n
+    exponents = [0, 0, 0]
     saw_var = False
     while toks.peek() in ("x", "y", "z"):
-        idx = toks.take_var(n)
+        idx = toks.take_var()
         e = 1
         if toks.peek() == "^":
             toks.pos += 1

@@ -22,7 +22,8 @@ monomial primitives and order keys are what the packed monomials of
 bs3.groebner are tested against, and the Fraction intersection lattice is
 what the integer lattice of bs3.arrangement is tested against, as the
 relations of every concurrent triple are what its m - 2 length-3 relations
-per point are.  The Fraction route from H0 degrees to root sets (degrees
+per point are, and a form parsed to a Polynomial and normalized over
+Fraction is what its primitive integer normals are.  The Fraction route from H0 degrees to root sets (degrees
 keyed by Fraction, each root computed in Fraction arithmetic, a root set a
 sorted tuple of distinct Fractions) is what the package's integer route,
 degrees k = L*t and roots n/D over one denominator, is tested against.
@@ -34,7 +35,7 @@ is tested against.
 import heapq
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
-from math import gcd
+from math import gcd, lcm
 
 from bs3 import groebner, linalg
 from bs3.arrangement import ConditionReport, is_formal
@@ -47,7 +48,8 @@ from bs3.groebner import (Ideal, MonomialOrder, _budget, _from_int_poly,
                           saturated_leading_monomials)
 from bs3.milnor import der_log0_graded_dimension, jacobian_ideal
 from bs3.polyring import (Polynomial, PreconditionError, grevlex_key,
-                          mono_mul, partial_derivative, wdeg)
+                          mono_mul, parse_polynomial, partial_derivative,
+                          wdeg)
 
 # -- the two degree-9 arrangements that differ only in the non-lattice root
 
@@ -432,6 +434,29 @@ def lattice_by_fractions(forms):
         point = tuple(c / lead for c in p)
         through.setdefault(point, set()).update((i, j))
     return {pt: sorted(lines) for pt, lines in sorted(through.items())}
+
+
+def linear_form_by_polynomial(text):
+    """(normal, coefficients, printed form) of the linear form the text
+    writes: parsed to a Polynomial, each coefficient divided by the first
+    nonzero one as a Fraction, then scaled by the lcm of the denominators.
+    Raises what LinearForm.parse raises on a text that is not one."""
+    coeffs = [Fraction(0)] * 3
+    for m, c in parse_polynomial(text).terms.items():
+        if sum(m) != 1:
+            raise PreconditionError(
+                "%r is not a homogeneous linear form" % text)
+        coeffs[m.index(1)] = Fraction(c)
+    lead = next((c for c in coeffs if c != 0), None)
+    if lead is None:
+        raise PreconditionError("zero linear form")
+    coefficients = tuple(c / lead for c in coeffs)
+    scale = lcm(*(c.denominator for c in coefficients))
+    normal = tuple(c.numerator * (scale // c.denominator)
+                   for c in coefficients)
+    printed = Polynomial({m: c for m, c in zip(
+        ((1, 0, 0), (0, 1, 0), (0, 0, 1)), coefficients)}, 3)
+    return normal, coefficients, str(printed)
 
 
 def length3_relations_by_triples(forms):

@@ -12,11 +12,12 @@ from bs3.arrangement import (Arrangement, LinearForm, _free_line, _lattice,
                              is_indecomposable, is_formal,
                              relation_space_dimension, singular_points,
                              validate)
-from bs3 import groebner
+from bs3 import groebner, linalg
 from bs3.groebner import saturated_leading_monomials
 from bs3.linalg import rank
 from bs3.milnor import jacobian_ideal
-from bs3.polyring import PreconditionError, parse_polynomial
+from bs3.polyring import (Bs3Error, ParseError, Polynomial, PreconditionError,
+                          parse_polynomial)
 
 import corpus
 import oracles
@@ -45,6 +46,94 @@ def test_linear_form_rejects_wrong_degree():
         LinearForm.parse("x^2")
     with pytest.raises(PreconditionError):
         LinearForm.parse("x + 1")
+
+
+def parsed(route, text):
+    """What a parse route gives for the text: (normal, coefficients repr,
+    printed form), or the type and message of what it raises."""
+    try:
+        normal, coefficients, printed = route(text)
+    except Bs3Error as exc:
+        return type(exc), str(exc)
+    return normal, repr(coefficients), printed
+
+
+def by_linear_form(text):
+    f = LinearForm.parse(text)
+    return f.normal, f.coefficients, str(f)
+
+
+def random_form_text(rng):
+    """x, y, z terms with randint(-3, 3) coefficients, some written as
+    fractions, as two terms, or as 0, spelled in several ways."""
+    pieces = []
+    for name in ("x", "y", "z"):
+        c = rng.randint(-3, 3)
+        if c == 0 and rng.random() < 0.5:
+            continue
+        parts = [c] if rng.random() < 0.8 else [c - 1, 1]
+        for part in parts:
+            body = rng.choice(("%d*%s", "%d%s", "%d %s", "%d * %s"))
+            if rng.random() < 0.2:
+                body = body.replace("%d", "%%d/%d" % rng.randint(1, 4))
+            pieces.append((part < 0, body % (abs(part), name)))
+    if not pieces:
+        return "0"
+    negative, text = pieces[0]
+    text = ("-" if negative else "") + text
+    for negative, body in pieces[1:]:
+        text += (" - " if negative else " + ") + body
+    return text
+
+
+EDGE_FORMS = ["x - x + y", "x+x", "1/2x + 3/4y", " 2 * x - z ", "x1+x2-x3",
+              "x - x", "0", "x^2", "x + 1", "x^2 - x^2 + z", "3/0x",
+              "x^3 + + y"]
+
+
+def test_parse_matches_the_polynomial_route():
+    rng = random.Random(17)
+    texts = (EDGE_FORMS
+             + [str(f) for _, arr in corpus.build_corpus() for f in arr.forms]
+             + [random_form_text(rng) for _ in range(500)])
+    outcomes = set()
+    for text in texts:
+        got = parsed(by_linear_form, text)
+        assert got == parsed(oracles.linear_form_by_polynomial, text), text
+        outcomes.add(got[0] if isinstance(got[0], type) else "valid")
+    assert outcomes == {"valid", PreconditionError, ParseError}
+    assert parsed(by_linear_form, "x^2 - x^2 + z")[0] == (0, 0, 1)
+    assert parsed(by_linear_form, "0") == (PreconditionError,
+                                           "zero linear form")
+    assert parsed(by_linear_form, "x + 1") == (
+        PreconditionError, "'x + 1' is not a homogeneous linear form")
+    assert parsed(by_linear_form, "3/0x") == (
+        ParseError, "zero denominator (at position 2)")
+
+
+def test_validate_builds_no_polynomial_and_calls_no_rank(monkeypatch):
+    built, ranks = [], []
+    init, by_rank = Polynomial.__init__, linalg.rank
+
+    def spy_init(self, terms, variable_count):
+        built.append(terms)
+        init(self, terms, variable_count)
+
+    def spy_rank(rows):
+        ranks.append(rows)
+        return by_rank(rows)
+
+    monkeypatch.setattr(Polynomial, "__init__", spy_init)
+    monkeypatch.setattr(linalg, "rank", spy_rank)
+    for _, csv in corpus.CURATED:
+        validate(csv.split(","))
+    for csv in ("x,y,x+y", "x,y,z"):
+        with pytest.raises(PreconditionError):
+            validate(csv.split(","))
+    assert built == [] and ranks == []
+    parse_polynomial("x")
+    linalg.rank([[1]])
+    assert built and ranks  # the spies see what they watch
 
 
 def test_validate_accepts_generic_quadruple():

@@ -88,6 +88,20 @@ def test_invalid_arrangement_exits_2(capsys):
     assert "decomposable" in err
 
 
+@pytest.mark.parametrize("forms, code, message", [
+    ("x,y,x+y", 2,
+     "precondition violated: not essential: normals span rank 2 < 3"),
+    ("x,x,y,z", 2, "precondition violated: not reduced: duplicate form x"),
+    ("x,y,z^2", 2,
+     "precondition violated: 'z^2' is not a homogeneous linear form"),
+    ("x,y,+", 1, "parse error: unexpected '+' (at position 0)"),
+])
+def test_bad_forms_keep_their_exit_code_and_message(capsys, forms, code,
+                                                    message):
+    got, out, err = run(capsys, "arrangement", "--forms", forms)
+    assert (got, out, err) == (code, "", message + "\n")
+
+
 def test_step_cap_exits_3(capsys):
     code, _, err = run(capsys, "arrangement", "--step-cap", "50",
                        "--forms", "x,y,z,x+y+z,x+2y+3z")

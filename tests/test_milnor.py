@@ -1,5 +1,7 @@
 """Jacobian ideals, Milnor algebra data, logarithmic derivation dimensions."""
 
+from fractions import Fraction
+
 import pytest
 
 from bs3 import milnor
@@ -126,6 +128,15 @@ def test_der_log0_agrees_with_kernel_rank_route():
         (P("x^2*y*z + x*y^2*z + x*y*z^2"), W1, 2),
         (P("x^2+y^3+z^5"), WeightSystem((15, 10, 6)), 6),
     ]
+    # fractional weights: degrees on and off the 1/L grid, and k < 0 with
+    # part of the domain still in degree >= 0
+    for f, w in ((P("x^4*z + 3*x^2*y^3*z + 2*y^6*z"),
+                  WeightSystem((Fraction(1, 2), Fraction(1, 3),
+                                Fraction(1, 2)))),
+                 (P("x^2+y^3+z^5"),
+                  WeightSystem((Fraction(1, 2), Fraction(1, 3),
+                                Fraction(1, 5))))):
+        cases += [(f, w, Fraction(k, 30)) for k in range(-20, 61, 3)]
     for f, w, k in cases:
         assert der_log0_graded_dimension(f, w, k) == \
             oracles.der_log0_kernel_dimension_by_rank(f, w, k)

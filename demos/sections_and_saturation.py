@@ -5,10 +5,15 @@ at the irrelevant maximal ideal m = (x,y,z).  Its graded support drives
 every root formula in this package.  Three tiny ideals show the range of
 behavior: Artinian (everything is torsion), an embedded point (one extra
 section), and a saturated ideal (nothing at all).
+
+For each ideal it prints in(I^sat), the grevlex leading monomials of the
+saturation as saturated_leading_monomials(I, (1, 1, 1)) reads them: in
+coordinates where a line missing the points of V(I) is z, which keep the
+standard Hilbert function that H0 is computed from.
 """
 
-from bs3 import (Ideal, WeightSystem, h0_degree_data, jacobian_ideal,
-                 parse_polynomial, saturate_irrelevant)
+from bs3 import (Ideal, Polynomial, WeightSystem, h0_degree_data,
+                 jacobian_ideal, parse_polynomial, saturated_leading_monomials)
 
 W1 = WeightSystem((1, 1, 1))
 
@@ -18,11 +23,12 @@ def ideal(*texts):
 
 
 def show(label, I):
-    sat = saturate_irrelevant(I)
+    _, in_sat = saturated_leading_monomials(I, (1, 1, 1))
     data = h0_degree_data(I, W1)
     print("== %s" % label)
     print("   I   = (%s)" % ", ".join(str(g) for g in I.generators))
-    print("   sat = (%s)" % ", ".join(str(g) for g in sat.generators))
+    print("   in(I^sat) = (%s)" % ", ".join(str(Polynomial({m: 1}, 3))
+                                          for m in in_sat))
     if data.is_empty():
         print("   H0 vanishes: I is saturated")
     else:

@@ -15,8 +15,7 @@ from .graded import (DegreeData, RegularityReport, graded_dimension,
                      h0_degree_data, h1_dimension, regularity_report,
                      sheaf_dimension_e)
 from .groebner import (DEFAULT_STEP_CAP, GroebnerBasis, Ideal, MonomialOrder,
-                       ResourceLimitError, buchberger, eliminate,
-                       normal_form, saturate_by_poly, saturate_irrelevant,
+                       ResourceLimitError, buchberger, normal_form,
                        saturated_leading_monomials, step_budget)
 from .milnor import (INFINITE, MilnorProfile, der_log0_graded_dimension,
                      jacobian_ideal, milnor_profile)

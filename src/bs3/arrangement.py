@@ -25,8 +25,7 @@ from math import gcd, isqrt, lcm
 from . import linalg
 from .bsroots import RootSet
 from .graded import STANDARD, check_h0_symmetry, regularity_report
-from .groebner import (MonomialOrder, _budget, _cross, _hilbert_function,
-                       buchberger)
+from .groebner import MonomialOrder, _budget, _hilbert_function, buchberger
 from .milnor import _der_log0_dimension, jacobian_ideal, milnor_profile
 from .polyring import Bs3Error, Polynomial, PreconditionError, _parse_terms
 
@@ -174,6 +173,12 @@ class ArrangementRootReport:
     def __repr__(self):
         return ("ArrangementRootReport(full=%r, non_comb_present=%s)"
                 % (self.full_zero_set, self.non_comb_present))
+
+
+def _cross(a, b):
+    return (a[1] * b[2] - a[2] * b[1],
+            a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0])
 
 
 def _scaled(vector):
@@ -399,7 +404,7 @@ def condition_report(arr):
     e = reg.sheaf_dim_e
     h0_d1 = h0.dimension(d - 1)
     h0_2d5 = h0.dimension(2 * d - 5)
-    # h0_degree_data has checked that the generators are homogeneous
+    # the saturation has checked that the generators are homogeneous
     milnor = _hilbert_function(gb.leading_monomials, max(d - 1, 2 * d - 5))
     milnor_d1, milnor_2d5 = milnor[d - 1], milnor[2 * d - 5]
     der0 = _der_log0_dimension(gb.leading_monomials, STANDARD, d, d - 2)

@@ -15,6 +15,11 @@ top degrees are proven, never guessed:
   constant e (groebner._hilbert_tail reads it off), the dimension of the
   global sections of the associated sheaf in every twist, and H1 is e
   minus the Hilbert function below that start.
+
+H0 is read under the weights of the request.  e, H1 and the regularity are
+read under the standard grading, so they refuse an ideal whose generators
+are not homogeneous for (1, 1, 1): the saturation they rest on checks that
+its weights grade the ideal (groebner.saturated_leading_monomials).
 """
 
 from __future__ import annotations
@@ -24,10 +29,9 @@ from math import gcd, lcm
 from operator import mul
 
 from .groebner import (MonomialOrder, _hilbert_function, _hilbert_tail,
-                       _lcm_degree, _positively_graded, buchberger,
-                       saturated_leading_monomials)
+                       _lcm_degree, buchberger, saturated_leading_monomials)
 from .polyring import (Bs3Error, PreconditionError, WeightSystem,
-                       format_ratio, format_rational, wdeg)
+                       format_ratio, format_rational)
 
 
 class DegreeData:
@@ -155,13 +159,10 @@ def h0_degree_data(I, w):
     of R/I supported at the irrelevant maximal ideal."""
     if I.is_zero():
         return DegreeData._over(w.denominator, {})
-    for g in I.generators:
-        if wdeg(g, w) is None:
-            raise PreconditionError("generator %s is not homogeneous for the "
-                                    "given weights" % g)
     W, L = w.scaled, w.denominator
     g = gcd(*W)
-    # the saturation is read under this grading (groebner docstring)
+    # the saturation refuses weights that do not grade I, and is read under
+    # them (groebner docstring)
     _, in_sat = saturated_leading_monomials(I, tuple(v // g for v in W))
     in_i = buchberger(I, MonomialOrder.grevlex(I.variable_count)
                       ).leading_monomials
@@ -187,13 +188,13 @@ STANDARD = WeightSystem((1, 1, 1))
 def _saturation_hilbert(I):
     """The Hilbert function of R/I^sat under the standard grading and the
     constant e of its Hilbert polynomial, as groebner._hilbert_tail reads
-    them.
+    them; an ideal that (1, 1, 1) does not grade is refused.
 
     A saturated ideal of dimension at most one has a linear nonzerodivisor,
     so its Hilbert function never decreases and never passes e; a value
     above e is an internal error.
     """
-    _, lms = saturated_leading_monomials(I, _positively_graded(I))
+    _, lms = saturated_leading_monomials(I, (1, 1, 1))
     hf, e = _hilbert_tail(lms)
     if e is not None and max(hf) > e:
         raise Bs3Error("Hilbert value exceeds its stable limit; this should "

@@ -1,4 +1,4 @@
-"""Buchberger's algorithm over Q with elimination, colon and saturation tools.
+"""Buchberger's algorithm over Q and saturation by the irrelevant ideal.
 
 Every basis computation runs on integer coefficient dictionaries, and one
 routine, _reduce, does every reduction: of S-polynomials in Buchberger's
@@ -8,7 +8,7 @@ arithmetic happens in inner loops.  A GroebnerBasis holds only packed
 integer triples (lm, lc, primitive dict).  Fractions appear only where a
 value leaves the program: generators are cleared of denominators on the
 way in, and monic Polynomials are built only where a caller asks for them
-(GroebnerBasis.elements, normal_form, eliminate), never on a request.
+(GroebnerBasis.elements, normal_form), never on a request.
 
 Inside those dictionaries a monomial is one int, packed by its order
 (Monagan-Pearce): pack(m) = sum e_i * C_i lays 16-bit fields side by side,
@@ -30,10 +30,12 @@ MAX_DEGREE shows as a set guard bit: every product that can pass the bound
 is checked, and one that does raises ResourceLimitError.  A field never
 wraps silently.
 
-Saturation by the irrelevant ideal m = (x, y, z) takes positive integer
-weights w making every generator homogeneous: the grading the caller reads,
-or the one _positively_graded finds (an ideal without any is refused).  It
-then takes one of two routes, each resting on a proof rather than a trial:
+Saturation by the irrelevant ideal m = (x, y, z) takes the positive
+integer weights w of the caller's grading and, before any basis work,
+checks that they make every generator homogeneous: an ideal they do not
+grade is refused with PreconditionError, since both routes below rest on
+that grading.  It then takes one of two routes, each resting on a proof
+rather than a trial:
 
 * Artinian: when the grevlex basis has a pure power of every variable, R/I
   has finite length, so the graded ideal I is m-primary and
@@ -53,12 +55,10 @@ the moved colon has the standard Hilbert function of I^sat, which is all
 that graded reads.  It mixes z with x and y, so it keeps no other grading:
 under other weights the colon is one elimination in the original
 coordinates, whose leading monomials are the t-free ones of the block basis
-of (I, t*l_c - 1) with t dropped (_weighted_colon; eliminate says why), so
-no second Buchberger run is made.  The route follows the weights the
-caller reads, not the grading _positively_graded finds, since an ideal can
-be homogeneous for (1, 1, 1) and for other weights at once.
-saturate_irrelevant, which returns the basis itself in the original
-coordinates, is that elimination by the certified l_c under any weights.
+of (I, t*l_c - 1) with t dropped (_weighted_colon says why), so no second
+Buchberger run is made.  The route follows the weights the caller reads,
+since an ideal can be homogeneous for (1, 1, 1) and for other weights at
+once.
 
 Why the certificate proves J = I^sat: l_c lies in m, so J contains I^sat,
 and J is graded because l_c is homogeneous.  Grevlex is degree-compatible,
@@ -595,30 +595,7 @@ def normal_form(p, gb):
     return _from_int_poly(r, pk, Fraction(num * denom, den))
 
 
-# -- elimination and derived operations --------------------------------------
-
-
-def eliminate(ideal, drop_count):
-    """Intersect with the subring omitting the first drop_count variables.
-
-    The result's generators are the reduced graded-reverse-lex Groebner
-    basis of the elimination ideal, viewed in the smaller ring: the
-    elements of the reduced block basis whose leading monomial is free of
-    the dropped variables.  The block order compares those variables
-    first, so such an element is free of them throughout, and on the
-    monomials free of them the block order is grevlex.
-    """
-    n = ideal.variable_count
-    if not 0 < drop_count < n:
-        raise ValueError("drop_count must be strictly between 0 and n")
-    order = MonomialOrder.block(drop_count, n)
-    unpack = order.packing.unpack
-    kept = []
-    for lm, lc, d in buchberger(ideal, order)._int_basis:
-        if not any(unpack(lm)[:drop_count]):
-            kept.append(Polynomial({unpack(m)[drop_count:]: Fraction(v, lc)
-                                    for m, v in d.items()}, n - drop_count))
-    return Ideal(kept, n - drop_count)
+# -- localization ------------------------------------------------------------
 
 
 def _lift_poly(p):
@@ -637,66 +614,7 @@ def _localized(ideal, g):
     return Ideal(lifted, n + 1)
 
 
-def saturate_by_poly(ideal, g):
-    """I : g^infinity via the extra-variable localization trick:
-    adjoin t, add t*g - 1, eliminate t."""
-    if g.is_zero():
-        raise PreconditionError("cannot saturate by the zero polynomial")
-    n = ideal.variable_count
-    if ideal.is_zero():
-        return Ideal((), n)
-    return eliminate(_localized(ideal, g), 1)
-
-
 # -- saturation with respect to the irrelevant maximal ideal -----------------
-
-
-def _positively_graded(ideal):
-    """Positive integer weights w making every generator homogeneous, or
-    None when there are none or the ring has not three variables.
-
-    w must be orthogonal to every exponent difference inside a generator.
-    Standard-homogeneous generators get (1, 1, 1).  If the differences span
-    a plane, w is its primitive normal, which must be positive.  If they
-    span a line through u, u needs entries of both signs: with P the sum of
-    its positive entries and N that of its negative entries' absolute
-    values, w_i = N where u_i > 0 and w_i = P where u_i < 0 (so w.u = NP -
-    PN = 0), divided by their gcd, and w_i = the lcm of those where
-    u_i = 0, which makes D/w_i = 1 in the moment-curve form.  If they span
-    everything, no weights fit.
-    """
-    if ideal.variable_count != 3:
-        return None
-    diffs = []
-    for g in ideal.generators:
-        first = next(iter(g.terms))
-        diffs.extend(tuple(i - j for i, j in zip(m, first))
-                     for m in g.terms if m != first)
-    if all(sum(u) == 0 for u in diffs):
-        return (1, 1, 1)
-    u = diffs[0]
-    normal = next((v for v in (_cross(u, w) for w in diffs) if any(v)), None)
-    if normal is None:
-        if not min(u) < 0 < max(u):
-            return None
-        pos = sum(v for v in u if v > 0)
-        neg = -sum(v for v in u if v < 0)
-        w = [neg if v > 0 else pos if v < 0 else 0 for v in u]
-        g = gcd(*w)
-        top = lcm(*(v // g for v in w if v))
-        return tuple(v // g if v else top for v in w)
-    if any(sum(a * b for a, b in zip(normal, w)) for w in diffs):
-        return None
-    if not (min(normal) > 0 or max(normal) < 0):
-        return None
-    g = gcd(*normal)
-    return tuple(abs(v) // g for v in normal)
-
-
-def _cross(a, b):
-    return (a[1] * b[2] - a[2] * b[1],
-            a[2] * b[0] - a[0] * b[2],
-            a[0] * b[1] - a[1] * b[0])
 
 
 def _is_artinian(lead_monomials):
@@ -938,9 +856,13 @@ def _moment_form(weights, c):
 
 def _weighted_colon(ideal, g):
     """Leading monomials of the reduced grevlex basis of I : g^infinity,
-    read off the block basis of (I, t*g - 1): its t-free leading monomials
-    with t dropped (eliminate says why), so no element is built and no
-    second Buchberger run is made."""
+    read off the reduced block basis B of (I, t*g - 1): its t-free leading
+    monomials with t dropped.  The colon is (I, t*g - 1) intersected with
+    the ring without t.  The block order compares t first, so an element of
+    B with a t-free leading monomial is t-free throughout, and those
+    elements are a reduced basis of the intersection (elimination theorem);
+    on t-free monomials the block order is grevlex.  So no element is built
+    and no second Buchberger run is made."""
     order = MonomialOrder.block(1, ideal.variable_count + 1)
     lms = buchberger(_localized(ideal, g), order).leading_monomials
     return tuple(m[1:] for m in lms if not m[0])
@@ -950,18 +872,23 @@ def saturated_leading_monomials(ideal, weights):
     """(c, M) for I : (x, y, z)^infinity, I graded by the positive integer
     weights: M the leading monomials of a grevlex basis of the saturation,
     read where the module docstring says, and c the certified colon
-    I : l_c^infinity it equals, None when I is Artinian.  weights None, as
-    _positively_graded returns it, is refused.  Memoized like buchberger."""
+    I : l_c^infinity it equals, None when I is Artinian.  Weights that do
+    not make every generator homogeneous are refused before any basis
+    work.  Memoized like buchberger."""
     if ideal.variable_count != 3:
         raise PreconditionError("irrelevant-ideal saturation needs 3 variables")
-    if weights is None:
-        raise PreconditionError("irrelevant-ideal saturation needs generators "
-                                "homogeneous for some positive weights")
     return _saturated_cached(ideal, weights)
 
 
 @lru_cache(maxsize=32)
 def _saturated_cached(ideal, weights):
+    if min(weights) <= 0:
+        raise PreconditionError("irrelevant-ideal saturation needs positive "
+                                "weights")
+    for g in ideal.generators:
+        if len({sum(map(mul, weights, m)) for m in g.terms}) > 1:
+            raise PreconditionError("generator %s is not homogeneous for the "
+                                    "given weights" % g)
     order = MonomialOrder.grevlex(3)
     gb = buchberger(ideal, order)
     lms = gb.leading_monomials
@@ -984,14 +911,3 @@ def _saturated_cached(ideal, weights):
                    "keeps the Hilbert polynomial, though V(I) has at most %d "
                    "points" % (2 * e, e))
 
-
-def saturate_irrelevant(ideal):
-    """I : (x, y, z)^infinity as the reduced grevlex basis of the
-    saturation in the original coordinates: one elimination by the l_c
-    that saturated_leading_monomials certifies under the grading
-    _positively_graded finds."""
-    weights = _positively_graded(ideal)
-    c, _ = saturated_leading_monomials(ideal, weights)
-    if c is None:
-        return Ideal((Polynomial.constant(1, 3),))
-    return saturate_by_poly(ideal, _moment_form(weights, c))

@@ -9,7 +9,9 @@ once from first principles (lattice enumeration by hand script, rank
 computations over exact rationals) and are frozen; tests must not
 regenerate them from the code under test.  The reference saturation is the
 intersection of three eliminations, sharing no step with the package's
-certified colon; it is kept here to cross-check that route.  The Artinian
+certified colon; it is kept here to cross-check that route, and the
+elimination tools it is built from (eliminate, saturate_by_poly,
+ideal_intersection) live here too, since no request uses them.  The Artinian
 degree data below walk the finite staircase box directly, independent of
 the Hilbert-function engine.  The rational normal form and the bitmask
 decomposability test are the routes the package replaced by its integer
@@ -43,8 +45,7 @@ from bs3.graded import (STANDARD, DegreeData, graded_dimension,
                         regularity_report)
 from bs3.groebner import (Ideal, MonomialOrder, _budget, _from_int_poly,
                           _hilbert_function, _lcm_degree, _lift_poly,
-                          _s_poly_int, _to_int_poly, buchberger,
-                          eliminate, saturate_by_poly,
+                          _localized, _s_poly_int, _to_int_poly, buchberger,
                           saturated_leading_monomials)
 from bs3.milnor import der_log0_graded_dimension, jacobian_ideal
 from bs3.polyring import (Polynomial, PreconditionError, grevlex_key,
@@ -274,6 +275,40 @@ def der_log0_kernel_dimension_by_rank(f, w, k):
 
 
 # -- reference saturation --------------------------------------------------
+
+def eliminate(ideal, drop_count):
+    """Intersect with the subring omitting the first drop_count variables.
+
+    The result's generators are the reduced graded-reverse-lex Groebner
+    basis of the elimination ideal, viewed in the smaller ring: the
+    elements of the reduced block basis whose leading monomial is free of
+    the dropped variables.  The block order compares those variables
+    first, so such an element is free of them throughout, and on the
+    monomials free of them the block order is grevlex.
+    """
+    n = ideal.variable_count
+    if not 0 < drop_count < n:
+        raise ValueError("drop_count must be strictly between 0 and n")
+    order = MonomialOrder.block(drop_count, n)
+    kept = []
+    for p in buchberger(ideal, order).elements:
+        if not any(any(m[:drop_count]) for m in p.terms):
+            kept.append(Polynomial({m[drop_count:]: c
+                                    for m, c in p.terms.items()},
+                                   n - drop_count))
+    return Ideal(kept, n - drop_count)
+
+
+def saturate_by_poly(ideal, g):
+    """I : g^infinity via the extra-variable localization trick:
+    adjoin t, add t*g - 1, eliminate t."""
+    if g.is_zero():
+        raise PreconditionError("cannot saturate by the zero polynomial")
+    n = ideal.variable_count
+    if ideal.is_zero():
+        return Ideal((), n)
+    return eliminate(_localized(ideal, g), 1)
+
 
 def ideal_intersection(I, J):
     """I intersect J via t*I + (1-t)*J and elimination of t."""

@@ -216,8 +216,7 @@ def test_no_function_takes_a_step_cap():
                     "%s.%s" % (name, attr)
     # every function that once took a step_cap was among those checked
     assert checked >= {
-        "buchberger", "normal_form", "eliminate", "saturate_by_poly",
-        "saturate_irrelevant", "h0_degree_data", "sheaf_dimension_e",
+        "buchberger", "normal_form", "h0_degree_data", "sheaf_dimension_e",
         "h1_dimension", "regularity_report", "_saturation_hilbert",
         "milnor_profile", "der_log0_graded_dimension", "condition_report",
         "full_root_report", "arrangement_profile"}

@@ -8,7 +8,7 @@ import pytest
 from bs3.graded import (DegreeData, graded_dimension, h0_degree_data,
                         h1_dimension, regularity_report, sheaf_dimension_e)
 from bs3.groebner import (Ideal, MonomialOrder, _hilbert_function,
-                          _lcm_degree, buchberger, saturate_irrelevant)
+                          _lcm_degree, buchberger)
 from bs3.milnor import jacobian_ideal
 from bs3.polyring import (Polynomial, PreconditionError, WeightSystem,
                           parse_polynomial)
@@ -142,7 +142,8 @@ H0_CASES = [
 def test_h0_vanishes_above_the_proven_window():
     for I, w in H0_CASES:
         lms_i = buchberger(I, GREVLEX).leading_monomials
-        lms_s = buchberger(saturate_irrelevant(I), GREVLEX).leading_monomials
+        lms_s = buchberger(oracles.saturation_by_columns(I),
+                           GREVLEX).leading_monomials
         W, L = w.scaled, w.denominator
         top = max(_lcm_degree(lms_i, W),
                   _lcm_degree(lms_s, W)) - sum(W)
@@ -213,6 +214,16 @@ def test_sheaf_dimension_examples():
 def test_sheaf_dimension_rejects_positive_dimensional_scheme():
     with pytest.raises(PreconditionError):
         sheaf_dimension_e(ideal("x"))
+
+
+def test_standard_graded_readings_refuse_a_weighted_only_ideal():
+    # graded by (3, 2, 6) but not by (1, 1, 1): e, H1 and the regularity
+    # are read under the standard grading, so each of them refuses it
+    jac = jacobian_ideal(P("z") * P("x^2 + 2*y^3") * P("x^2 + 5*y^3"))
+    for read in (sheaf_dimension_e, lambda I: h1_dimension(I, 0),
+                 regularity_report):
+        with pytest.raises(PreconditionError):
+            read(jac)
 
 
 def test_h1_dimension_examples():

@@ -2,8 +2,8 @@
 
 import random
 from fractions import Fraction
-from itertools import count
-from math import lcm
+from itertools import count, product
+from math import gcd, lcm
 
 import pytest
 
@@ -13,13 +13,13 @@ from bs3 import groebner
 from bs3.arrangement import singular_points, validate
 from bs3.graded import STANDARD, h0_degree_data
 from bs3.groebner import (GroebnerBasis, Ideal, MonomialOrder,
-                          ResourceLimitError, buchberger, eliminate,
-                          normal_form, saturate_by_poly,
-                          saturate_irrelevant, saturated_leading_monomials,
-                          step_budget)
+                          ResourceLimitError, buchberger, normal_form,
+                          saturated_leading_monomials, step_budget)
 from bs3.milnor import jacobian_ideal
-from bs3.polyring import Polynomial, PreconditionError, parse_polynomial
-from oracles import ideal_intersection, s_polynomial
+from bs3.polyring import (Polynomial, PreconditionError, is_quasi_homogeneous,
+                          parse_polynomial)
+from oracles import (eliminate, ideal_intersection, s_polynomial,
+                     saturate_by_poly)
 from test_graded import H0_CASES
 
 GREVLEX = MonomialOrder("grevlex", 3)
@@ -272,10 +272,10 @@ def basis_and_pair_count(ideal, order, loop):
 def test_gebauer_moeller_update_matches_the_chain_criterion_loop():
     cases = [(name, jacobian_ideal(arr.defining_polynomial()), GREVLEX)
              for name, arr in corpus.build_corpus()]
-    cases += [("lqh", I, GREVLEX) for I in lqh_jacobians(8, 4)]
+    cases += [("lqh", I, GREVLEX) for I, _ in lqh_jacobians(8, 4)]
     cases += [("localized", groebner._localized(I, groebner._moment_form(
-        groebner._positively_graded(I), c)), MonomialOrder.block(1, 4))
-        for I in lqh_jacobians(8, 4) for c in (0, 1)]
+        weights, c)), MonomialOrder.block(1, 4))
+        for I, weights in lqh_jacobians(8, 4) for c in (0, 1)]
     fewer = {}
     for name, I, order in cases:
         got, formed = basis_and_pair_count(I, order,
@@ -342,25 +342,37 @@ def test_ideal_intersection():
         {"x*z", "y*z"}
 
 
+def saturated(I, weights=(1, 1, 1)):
+    """in(I^sat), read by the entry point under the weights."""
+    return saturated_leading_monomials(I, weights)[1]
+
+
+def monomial_ideal(monomials):
+    return Ideal(tuple(Polynomial({m: 1}, 3) for m in monomials))
+
+
 def test_saturate_irrelevant_examples():
-    assert saturate_irrelevant(ideal("x^2", "x*y", "x*z")) == ideal("x")
-    assert saturate_irrelevant(ideal("x^2", "y^2", "z^2")) == ideal("1")
-    assert saturate_irrelevant(ideal("x")) == ideal("x")
+    assert saturated(ideal("x^2", "x*y", "x*z")) == ((1, 0, 0),)
+    assert saturated(ideal("x^2", "y^2", "z^2")) == ((0, 0, 0),)
+    assert saturated(ideal("x")) == ((1, 0, 0),)
 
 
 def test_saturation_contains_ideal_and_is_idempotent():
     I = ideal("x^2*y", "y^2*z", "z^2*x")
-    sat = saturate_irrelevant(I)
-    gb = buchberger(sat, GREVLEX)
-    for g in I.generators:
-        assert normal_form(g, gb).terms == {}
-    assert saturate_irrelevant(sat) == sat
+    sat = saturated(I)
+    # I lies in I^sat: R/I is at least as large in every degree
+    lms = buchberger(I, GREVLEX).leading_monomials
+    top = max(groebner._hilbert_start(lms), groebner._hilbert_start(sat)) + 2
+    assert all(a >= b for a, b in zip(groebner._hilbert_function(lms, top),
+                                      groebner._hilbert_function(sat, top)))
+    # z is a nonzerodivisor on R/in(I^sat) in the coordinates it is read in
+    assert saturated(monomial_ideal(sat)) == sat
 
 
 def test_saturation_ignores_generator_scaling():
     I = ideal("x^2", "x*y", "x*z")
     J = ideal("5*x^2", "-2*x*y", "1/3*x*z")
-    assert saturate_irrelevant(I) == saturate_irrelevant(J)
+    assert saturated(I) == saturated(J)
 
 
 def times_maximal_ideal(*texts):
@@ -391,10 +403,8 @@ def test_fast_saturation_agrees_with_colon_intersection():
     ]
     for I in samples:
         expect = buchberger(oracles.saturation_by_columns(I), GREVLEX)
-        got = buchberger(saturate_irrelevant(I), GREVLEX)
-        assert got.elements == expect.elements
         # the moved leading monomials the graded layer reads
-        _, moved = saturated_leading_monomials(I, (1, 1, 1))
+        moved = saturated(I)
         assert same_hilbert_function(moved, expect.leading_monomials), I
 
 
@@ -491,25 +501,45 @@ def test_artinian_ideals_saturate_to_the_unit_ideal(reference_calls):
     fermat = jacobian_ideal(P("x^3+y^3+z^3"))
     # weights (1/3, 1/4, 1/6); isolated, so the Jacobian is m-primary
     brieskorn = jacobian_ideal(P("x^3+y^4+z^6+3*y^2*z^3"))
-    assert saturate_irrelevant(fermat) == ideal("1")
-    assert saturate_irrelevant(brieskorn) == ideal("1")
+    unit = (None, ((0, 0, 0),))
+    assert saturated_leading_monomials(fermat, (1, 1, 1)) == unit
+    assert saturated_leading_monomials(brieskorn, (4, 3, 2)) == unit
     assert reference_calls == []
 
 
 def lqh_jacobians(seed, draws):
-    """Jacobians of seeded draws of the two locally quasi-homogeneous
-    families z (x^a + j y^b)(x^a + k y^b) and xyz (x^a + j y^b + k z^c),
-    with a != b, so neither is standard-homogeneous."""
+    """(Jacobian, weights) for seeded draws of the two locally
+    quasi-homogeneous families z (x^a + j y^b)(x^a + k y^b) and
+    xyz (x^a + j y^b + k z^c), with a != b, so neither is
+    standard-homogeneous.  The weights are coprime positive integers: for
+    the first family (b, a) over g = gcd(a, b), with the free weight of z
+    their lcm; for the second the weights 1/a, 1/b, 1/c cleared of their
+    denominators."""
     rng = random.Random(seed)
     out = []
     for _ in range(draws):
         a, b = rng.sample(range(2, 6), 2)
         c = rng.randint(2, 5)
         j, k = rng.sample(range(1, 10), 2)
-        out.append(jacobian_ideal(P("z") * P("x^%d + %d*y^%d" % (a, j, b))
-                                  * P("x^%d + %d*y^%d" % (a, k, b))))
-        out.append(jacobian_ideal(P("x*y*z") * P("x^%d + %d*y^%d + %d*z^%d"
-                                                 % (a, j, b, k, c))))
+        g = gcd(a, b)
+        out.append((jacobian_ideal(P("z") * P("x^%d + %d*y^%d" % (a, j, b))
+                                   * P("x^%d + %d*y^%d" % (a, k, b))),
+                    (b // g, a // g, a * b // g // g)))
+        n = gcd(b * c, a * c, a * b)
+        out.append((jacobian_ideal(P("x*y*z") * P("x^%d + %d*y^%d + %d*z^%d"
+                                                  % (a, j, b, k, c))),
+                    (b * c // n, a * c // n, a * b // n)))
+    return out
+
+
+def weighted_h0_cases():
+    """(I, weights) for the H0 cases that (1, 1, 1) does not grade, each
+    under its own weights as coprime integers."""
+    out = []
+    for I, w in H0_CASES:
+        if not all(is_quasi_homogeneous(g, STANDARD) for g in I.generators):
+            g = gcd(*w.scaled)
+            out.append((I, tuple(v // g for v in w.scaled)))
     return out
 
 
@@ -528,21 +558,16 @@ def weighted_colon(I, weights, c):
 def test_weighted_jacobians_saturate_by_the_first_certified_colon(
         reference_calls):
     # the two non-isolated Jacobians under fractional weights; the other
-    # weighted cases there have monomial generators, graded by (1, 1, 1)
-    weighted = [I for I, _ in H0_CASES
-                if groebner._positively_graded(I) != (1, 1, 1)]
-    cases = lqh_jacobians(8, 4) + weighted
+    # weighted cases there are graded by (1, 1, 1) as well
+    cases = lqh_jacobians(8, 4) + weighted_h0_cases()
     assert len(cases) == 10
-    for I in cases:
-        weights = groebner._positively_graded(I)
+    for I, weights in cases:
         assert weights != (1, 1, 1), I
         reference_calls.clear()
         chosen, lms = saturated_leading_monomials(I, weights)
         calls = [g for _, g in reference_calls]
         expect = buchberger(oracles.saturation_by_columns(I), GREVLEX)
         assert lms == expect.leading_monomials, I
-        got = buchberger(saturate_irrelevant(I), GREVLEX)
-        assert got.elements == expect.elements, I
         # the first c whose colon is the saturation, found by brute force
         c = next(k for k in count()
                  if weighted_colon(I, weights, k).elements == expect.elements)
@@ -555,18 +580,16 @@ def test_weighted_jacobians_saturate_by_the_first_certified_colon(
 def test_weighted_saturation_of_a_surface_singular_along_a_curve():
     # non-reduced: the whole cuspidal surface x^2 + y^3 = 0 is singular
     jac = jacobian_ideal(P("z") * P("x^2 + y^3") ** 2)
-    assert groebner._positively_graded(jac) == (3, 2, 6)
     lms = buchberger(jac, GREVLEX).leading_monomials
     assert groebner._hilbert_tail(lms)[1] is None  # dim R/I = 2
     expect = buchberger(oracles.saturation_by_columns(jac), GREVLEX)
-    got = buchberger(saturate_irrelevant(jac), GREVLEX)
-    assert got.elements == expect.elements
+    assert saturated(jac, (3, 2, 6)) == expect.leading_monomials
 
 
 def test_certificate_rejects_the_form_through_the_points_at_z_zero(
         reference_calls):
     jac = jacobian_ideal(P("z") * P("x^2 + 2*y^3") * P("x^2 + 5*y^3"))
-    weights = groebner._positively_graded(jac)
+    weights = (3, 2, 6)
     c, _ = saturated_leading_monomials(jac, weights)
     assert c > 0
     # z^(D/w_z) vanishes on the points of V(I) on z = 0: the restriction
@@ -585,14 +608,12 @@ def test_restriction_to_z_zero_decides_the_first_weighted_colon():
     # for dim R/I = 1 the certificate passes the colon by z^(D/w_z) exactly
     # when z = 0 misses V(I); x*y*(x^3 + y^2 + z^5) has no singular point
     # at z = 0, the others do
-    weighted = [I for I, _ in H0_CASES
-                if groebner._positively_graded(I) != (1, 1, 1)]
-    cases = lqh_jacobians(8, 4) + weighted + [
-        jacobian_ideal(P("z") * P("x^2 + 2*y^3") * P("x^2 + 5*y^3")),
-        jacobian_ideal(P("x*y") * P("x^3 + y^2 + z^5"))]
+    cases = lqh_jacobians(8, 4) + weighted_h0_cases() + [
+        (jacobian_ideal(P("z") * P("x^2 + 2*y^3") * P("x^2 + 5*y^3")),
+         (3, 2, 6)),
+        (jacobian_ideal(P("x*y") * P("x^3 + y^2 + z^5")), (10, 15, 6))]
     misses = []
-    for I in cases:
-        weights = groebner._positively_graded(I)
+    for I, weights in cases:
         lms = buchberger(I, GREVLEX).leading_monomials
         assert groebner._hilbert_tail(lms)[1] is not None, I
         misses.append(groebner._line_misses(I, 0))
@@ -603,9 +624,8 @@ def test_restriction_to_z_zero_decides_the_first_weighted_colon():
 
 def test_ideals_with_no_positive_grading_are_refused():
     I = ideal("x - 1", "y + 1", "z")
-    assert groebner._positively_graded(I) is None
     with pytest.raises(PreconditionError):
-        saturate_irrelevant(I)
+        saturated_leading_monomials(I, (1, 1, 1))
     # why: the colon by z + x + y is (1), with the same Hilbert polynomial
     # as I, although the saturation of the affine point is not (1)
     colon = buchberger(saturate_by_poly(I, P("z + x + y")), GREVLEX)
@@ -614,27 +634,26 @@ def test_ideals_with_no_positive_grading_are_refused():
         buchberger(I, GREVLEX).leading_monomials, colon.leading_monomials)
 
 
-def random_standard_ideal(rng):
-    gens = []
-    for _ in range(rng.randint(1, 3)):
-        deg = rng.randint(1, 4)
-        p = Polynomial({m: rng.randint(-2, 2)
-                        for m in oracles.monomials_of_degree(deg)}, 3)
-        if not p.is_zero():
-            gens.append(p)
-    return Ideal(tuple(gens) or (P("x"),))
+def test_weights_that_do_not_grade_the_ideal_are_refused():
+    # (4, 2, 1) grades I, and I is prime, so in(I^sat) = in(I) = (z^2, y^2);
+    # under (1, 1, 1) the certificate would pass c = 1 with (y^2, x^2)
+    I = ideal("x - y^2", "y - z^2")
+    expect = buchberger(oracles.saturation_by_columns(I), GREVLEX)
+    assert saturated(I, (4, 2, 1)) == expect.leading_monomials
+    assert expect.leading_monomials == ((0, 0, 2), (0, 2, 0))
+    with pytest.raises(PreconditionError):
+        saturated_leading_monomials(I, (1, 1, 1))
+    # monomials are homogeneous under any weights, but a zero weight grades
+    # nothing positively
+    with pytest.raises(PreconditionError):
+        saturated_leading_monomials(ideal("x*y", "z^3"), (1, 0, 1))
 
 
 def test_grading_weights_make_every_generator_homogeneous():
-    rng = random.Random(31)
-    standard = [jacobian_ideal(arr.defining_polynomial())
-                for _, arr in corpus.build_corpus()]
-    standard += [random_standard_ideal(rng) for _ in range(30)]
-    for I in standard:
-        assert groebner._positively_graded(I) == (1, 1, 1), I
-    for I in lqh_jacobians(13, 10):
-        weights = groebner._positively_graded(I)
-        assert min(weights) > 0
+    # the weights lqh_jacobians writes from the family parameters are
+    # coprime positive integers that grade each Jacobian
+    for I, weights in lqh_jacobians(13, 10):
+        assert min(weights) > 0 and gcd(*weights) == 1, I
         for g in I.generators:
             assert len({sum(e * w for e, w in zip(m, weights))
                         for m in g.terms}) == 1, (I, g)
@@ -643,7 +662,7 @@ def test_grading_weights_make_every_generator_homogeneous():
 GRADINGS = [
     (("x^2 - y*z", "y^3 - x*z^2"), (1, 1, 1)),  # standard weights
     (("x - y^2", "y - z^2"), (4, 2, 1)),        # differences span a plane
-    (("x^2", "y^3 + z^6"), (2, 2, 1)),          # span a line; w_x = lcm
+    (("x^2", "y^3 + z^6"), (2, 2, 1)),          # span a line; w_x is free
     (("x^2 - x", "y"), None),                   # needs weight(x) = 0
     (("x - y*z", "y - x*z"), None),             # needs weight(z) = 0
     (("x - y^2", "y - z^2", "z - x^2"), None),  # no weights at all
@@ -657,14 +676,30 @@ GRADINGS = [
 @pytest.mark.parametrize("texts, weights", GRADINGS, ids=[
     "texts%d-%s" % (i, w is not None) for i, (_, w) in enumerate(GRADINGS)])
 def test_positive_grading_detection(texts, weights):
-    assert groebner._positively_graded(ideal(*texts)) == weights
+    # the entry point accepts the weights that grade the ideal; where no
+    # positive weights do, it refuses every weight vector it is handed
+    I = ideal(*texts)
+    if weights is None:
+        refused = list(product(range(1, 5), repeat=3))
+    else:
+        saturated_leading_monomials(I, weights)
+        refused = [] if weights == (1, 1, 1) else [(1, 1, 1)]
+    for w in refused:
+        with pytest.raises(PreconditionError):
+            saturated_leading_monomials(I, w)
 
 
 def test_artinian_shortcut_needs_a_positive_grading():
     # finite length, but V(I) also holds (1, 0, 0): no grading makes the
     # Artinian shortcut or the colon certificate sound, so it is refused
+    I = ideal("x^2 - x", "y", "z")
     with pytest.raises(PreconditionError):
-        saturate_irrelevant(ideal("x^2 - x", "y", "z"))
+        saturated_leading_monomials(I, (1, 1, 1))
+    # why: the grevlex basis has a power of every variable, yet the
+    # saturation is the affine point's ideal, not (1)
+    assert groebner._is_artinian(buchberger(I, GREVLEX).leading_monomials)
+    sat = buchberger(oracles.saturation_by_columns(I), GREVLEX)
+    assert sat.leading_monomials == ((0, 0, 1), (0, 1, 0), (1, 0, 0))
 
 
 def test_step_cap_raises_resource_error():

@@ -120,8 +120,8 @@ def _too_large():
 
 
 class _Budget:
-    """Steps spent against a cap: a reduction step, an S-pair, a generator
-    or column of the graded engine (_hilbert_function), or in an
+    """Steps spent against a cap: a reduction step, an S-pair, a generator,
+    column or degree of the graded engine (_hilbert_function), or in an
     arrangement a pair of lines of the lattice or a term product of the
     polynomial."""
 
@@ -661,7 +661,7 @@ def _hilbert_function(lead_monomials, top, weights=(1, 1, 1)):
     step per generator, one per column and one per degree.  low(a, b) = 0
     exactly when a z-free generator divides x^a y^b, so every row's column
     count is known before the walk, and the budget is charged for every
-    generator and column before any is visited.
+    generator, column and degree before the degree list is built.
     """
     wx, wy, wz = weights
     gens = sorted(lead_monomials)
@@ -679,7 +679,7 @@ def _hilbert_function(lead_monomials, top, weights=(1, 1, 1)):
         if not span:
             break  # width only falls as a grows: no column is left
         spans.append(span)
-    _budget().spend(len(gens) + sum(spans))
+    _budget().spend(len(gens) + sum(spans) + max(top + 1, 0))
     unbounded = top // wz + 1
     corner_b, corner_c = [], []  # b ascending, c descending
     values = [0] * (top + 1)

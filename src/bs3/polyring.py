@@ -11,6 +11,7 @@ the public grammar only knows x, y, z (aliases x1, x2, x3).
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd
 from operator import add, mul
@@ -278,127 +279,88 @@ def euler_apply(p, w):
 
 
 # ---------------------------------------------------------------------------
-# Parsing.  Grammar (whitespace insignificant):
+# Parsing.  Grammar (whitespace allowed between any two tokens; an int and
+# each of x1, x2, x3 is one token):
 #   poly  := ['-'] term (('+'|'-') term)*
 #   term  := coeff ['*'] [monos] | monos
 #   coeff := int | int '/' int
-#   monos := var ['^' uint] ('*'? var ['^' uint])*
+#   monos := var ['^' int] ('*'? var ['^' int])*
 #   var in {x, y, z} or aliases {x1, x2, x3}
-# The '*' between a coefficient and its monomial is optional on input
-# ("2x" is accepted); canonical printing always writes it.
+# An int is a run of the decimal digits int() reads, at most 4300 of them
+# (int()'s default limit): a longer run scans as two ints, which no rule
+# accepts.  The '*' between a coefficient and its monomial is optional on
+# input ("2x" is accepted); canonical printing always writes it.
+# findall reads the text as tokens (whitespace, int, variable, other
+# character), each with at most one of the last three set; the text ends in
+# a token with none of them set.
+
+_TOKEN = re.compile(r"(\s*)(?:(\d{1,4300})|(x[123]|[xyz])|(\S)|\Z)")
+_VARIABLE_INDEX = {"x": 0, "y": 1, "z": 2, "x1": 0, "x2": 1, "x3": 2}
 
 
-class _Tokens:
-    def __init__(self, text):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self):
-        self.skip_ws()
-        if self.pos >= len(self.text):
-            return None
-        return self.text[self.pos]
-
-    def take_int(self):
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise ParseError("expected an integer", start)
-        return int(self.text[start:self.pos])
-
-    def take_var(self):
-        self.skip_ws()
-        ch = self.peek()
-        if ch not in ("x", "y", "z"):
-            raise ParseError("expected a variable", self.pos)
-        self.pos += 1
-        if ch == "x" and self.pos < len(self.text) and self.text[self.pos] in "123":
-            self.pos += 1
-            return int(self.text[self.pos - 1]) - 1
-        return {"x": 0, "y": 1, "z": 2}[ch]
-
-
-def parse_polynomial(text, variable_count=3):
-    """Parse the ASCII grammar into an exact Polynomial."""
-    if variable_count != 3:
-        raise ValueError("the grammar only covers three variables")
+def parse_polynomial(text):
+    """Parse the grammar above into an exact Polynomial in x, y, z."""
     return Polynomial(_parse_terms(text), 3)
+
+
+def _position(toks, i):
+    """Where token i starts, past its whitespace."""
+    return len("".join(map("".join, toks[:i]))) + len(toks[i][0])
 
 
 def _parse_terms(text):
     """The terms of the text as {exponent tuple: int or Fraction}, each
     coefficient the sum over the terms with that monomial, 0 when they
     cancel."""
-    toks = _Tokens(text)
+    toks = _TOKEN.findall(text)
+    i, sign = 0, 1
+    if toks[0][3] == "-":
+        i, sign = 1, -1
+    elif toks[0][3] == "+":
+        raise ParseError("unexpected '+'", _position(toks, 0))
     terms = {}
-    sign = 1
-    if toks.peek() == "-":
-        toks.pos += 1
-        sign = -1
-    elif toks.peek() == "+":
-        raise ParseError("unexpected '+'", toks.pos)
     while True:
-        exponents, coeff = _parse_term(toks)
+        _, num, var, _ = toks[i]
+        coeff = 1
+        if num:
+            coeff = int(num)
+            i += 1
+            if toks[i][3] == "/":
+                i += 1
+                if not toks[i][1]:
+                    raise ParseError("expected an integer", _position(toks, i))
+                den = int(toks[i][1])
+                if not den:
+                    raise ParseError("zero denominator",
+                                     _position(toks, i - 1) + 1)
+                coeff = Fraction(coeff, den)
+                i += 1
+            if toks[i][3] == "*":
+                i += 1
+                if not toks[i][2]:
+                    raise ParseError("expected a variable after '*'",
+                                     _position(toks, i))
+        elif not var:
+            raise ParseError("expected a term", _position(toks, i))
+        exponents = [0, 0, 0]
+        while toks[i][2]:
+            name = toks[i][2]
+            e = 1
+            if toks[i + 1][3] == "^":
+                i += 2
+                if not toks[i][1]:
+                    raise ParseError("expected an integer", _position(toks, i))
+                e = int(toks[i][1])
+            exponents[_VARIABLE_INDEX[name]] += e
+            i += 1
+            if toks[i][3] == "*" and toks[i + 1][2]:
+                i += 1
+        exponents = tuple(exponents)
         terms[exponents] = terms.get(exponents, 0) + sign * coeff
-        ch = toks.peek()
-        if ch is None:
+        _, num, _, op = toks[i]
+        if not (num or op):
             return terms
-        if ch == "+":
-            sign = 1
-        elif ch == "-":
-            sign = -1
-        else:
-            raise ParseError("expected '+' or '-'", toks.pos)
-        toks.pos += 1
-        if toks.peek() in ("+", "-", None):
-            raise ParseError("expected a term", toks.pos)
-
-
-def _parse_term(toks):
-    """One term as (exponent tuple, int or Fraction coefficient)."""
-    ch = toks.peek()
-    if ch is None:
-        raise ParseError("expected a term", toks.pos)
-    coeff = 1
-    have_coeff = False
-    if ch.isdigit():
-        num = toks.take_int()
-        if toks.peek() == "/":
-            toks.pos += 1
-            denpos = toks.pos
-            den = toks.take_int()
-            if den == 0:
-                raise ParseError("zero denominator", denpos)
-            coeff = Fraction(num, den)
-        else:
-            coeff = num
-        have_coeff = True
-        if toks.peek() == "*":
-            toks.pos += 1
-            if toks.peek() is None or toks.peek() not in "xyz":
-                raise ParseError("expected a variable after '*'", toks.pos)
-    exponents = [0, 0, 0]
-    saw_var = False
-    while toks.peek() in ("x", "y", "z"):
-        idx = toks.take_var()
-        e = 1
-        if toks.peek() == "^":
-            toks.pos += 1
-            e = toks.take_int()
-        exponents[idx] += e
-        saw_var = True
-        if toks.peek() == "*":
-            nxt = toks.text[toks.pos + 1:].lstrip()[:1]
-            if nxt in ("x", "y", "z"):
-                toks.pos += 1
-            else:
-                break
-    if not saw_var and not have_coeff:
-        raise ParseError("expected a term", toks.pos)
-    return tuple(exponents), coeff
+        if op != "+" and op != "-":
+            raise ParseError("expected '+' or '-'", _position(toks, i))
+        sign = 1 if op == "+" else -1
+        i += 1

@@ -31,6 +31,8 @@ sorted tuple of distinct Fractions) is what the package's integer route,
 degrees k = L*t and roots n/D over one denominator, is tested against.
 The six arrangement conditions read from the Jacobian of f itself, in the
 original coordinates, are what the package's report from the moved Jacobian
+is tested against.  The character scanner (one peek per character class,
+whitespace skipped on every peek) is what the package's token-regex parser
 is tested against.
 """
 
@@ -48,9 +50,9 @@ from bs3.groebner import (Ideal, MonomialOrder, _budget, _from_int_poly,
                           _localized, _s_poly_int, _to_int_poly, buchberger,
                           saturated_leading_monomials)
 from bs3.milnor import der_log0_graded_dimension, jacobian_ideal
-from bs3.polyring import (Polynomial, PreconditionError, grevlex_key,
-                          mono_mul, parse_polynomial, partial_derivative,
-                          wdeg)
+from bs3.polyring import (ParseError, Polynomial, PreconditionError,
+                          grevlex_key, mono_mul, parse_polynomial,
+                          partial_derivative, wdeg)
 
 # -- the two degree-9 arrangements that differ only in the non-lattice root
 
@@ -492,6 +494,115 @@ def linear_form_by_polynomial(text):
     printed = Polynomial({m: c for m, c in zip(
         ((1, 0, 0), (0, 1, 0), (0, 0, 1)), coefficients)}, 3)
     return normal, coefficients, str(printed)
+
+
+class _Tokens:
+    def __init__(self, text):
+        self.text = text
+        self.pos = 0
+
+    def skip_ws(self):
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self):
+        self.skip_ws()
+        if self.pos >= len(self.text):
+            return None
+        return self.text[self.pos]
+
+    def take_int(self):
+        self.skip_ws()
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+            self.pos += 1
+        if self.pos == start:
+            raise ParseError("expected an integer", start)
+        return int(self.text[start:self.pos])
+
+    def take_var(self):
+        self.skip_ws()
+        ch = self.peek()
+        if ch not in ("x", "y", "z"):
+            raise ParseError("expected a variable", self.pos)
+        self.pos += 1
+        if ch == "x" and self.pos < len(self.text) and self.text[self.pos] in "123":
+            self.pos += 1
+            return int(self.text[self.pos - 1]) - 1
+        return {"x": 0, "y": 1, "z": 2}[ch]
+
+
+def parse_terms_by_characters(text):
+    """The terms of the text as {exponent tuple: int or Fraction}, each
+    coefficient the sum over the terms with that monomial, 0 when they
+    cancel."""
+    toks = _Tokens(text)
+    terms = {}
+    sign = 1
+    if toks.peek() == "-":
+        toks.pos += 1
+        sign = -1
+    elif toks.peek() == "+":
+        raise ParseError("unexpected '+'", toks.pos)
+    while True:
+        exponents, coeff = _parse_term(toks)
+        terms[exponents] = terms.get(exponents, 0) + sign * coeff
+        ch = toks.peek()
+        if ch is None:
+            return terms
+        if ch == "+":
+            sign = 1
+        elif ch == "-":
+            sign = -1
+        else:
+            raise ParseError("expected '+' or '-'", toks.pos)
+        toks.pos += 1
+        if toks.peek() in ("+", "-", None):
+            raise ParseError("expected a term", toks.pos)
+
+
+def _parse_term(toks):
+    """One term as (exponent tuple, int or Fraction coefficient)."""
+    ch = toks.peek()
+    if ch is None:
+        raise ParseError("expected a term", toks.pos)
+    coeff = 1
+    have_coeff = False
+    if ch.isdigit():
+        num = toks.take_int()
+        if toks.peek() == "/":
+            toks.pos += 1
+            denpos = toks.pos
+            den = toks.take_int()
+            if den == 0:
+                raise ParseError("zero denominator", denpos)
+            coeff = Fraction(num, den)
+        else:
+            coeff = num
+        have_coeff = True
+        if toks.peek() == "*":
+            toks.pos += 1
+            if toks.peek() is None or toks.peek() not in "xyz":
+                raise ParseError("expected a variable after '*'", toks.pos)
+    exponents = [0, 0, 0]
+    saw_var = False
+    while toks.peek() in ("x", "y", "z"):
+        idx = toks.take_var()
+        e = 1
+        if toks.peek() == "^":
+            toks.pos += 1
+            e = toks.take_int()
+        exponents[idx] += e
+        saw_var = True
+        if toks.peek() == "*":
+            nxt = toks.text[toks.pos + 1:].lstrip()[:1]
+            if nxt in ("x", "y", "z"):
+                toks.pos += 1
+            else:
+                break
+    if not saw_var and not have_coeff:
+        raise ParseError("expected a term", toks.pos)
+    return tuple(exponents), coeff
 
 
 def length3_relations_by_triples(forms):

@@ -101,9 +101,9 @@ LQH = ("roots", "lqh", "--poly", "x^6*y*z+2*x*y^3*z+3*x*y*z^3",
 
 
 @pytest.mark.parametrize("argv, steps", [
-    (("arrangement", "--forms", oracles.ZIEGLER_F), 1019),
-    (("arrangement", "--forms", oracles.ZIEGLER_G), 1026),
-    (LQH, 350),
+    (("arrangement", "--forms", oracles.ZIEGLER_F), 1158),
+    (("arrangement", "--forms", oracles.ZIEGLER_G), 1158),
+    (LQH, 458),
 ], ids=["ziegler_f", "ziegler_g", "lqh"])
 def test_cold_request_spends_a_pinned_number_of_steps(capsys, budgets, argv,
                                                       steps):
@@ -163,13 +163,31 @@ def test_arrangement_spends_per_pair_and_per_term_product():
 
 def test_graded_engine_spends_for_the_work_it_does():
     # three generators; rows a = 0, 1 have columns b = 0..2 (y^3 ends
-    # them) and x^2 leaves no row a = 2: 3 + 2 * 3 steps, whatever the top
+    # them) and x^2 leaves no row a = 2: 3 + 2 * 3 steps, and one per
+    # degree 0..top of the window
     lms = ((2, 0, 0), (0, 3, 0), (0, 0, 4))
-    for top in (20, 1000):
+    for top, steps in ((20, 30), (1000, 1010)):
         with step_budget() as budget:
             values = _hilbert_function(lms, top)
         assert sum(values) == 2 * 3 * 4
-        assert budget.used == 9
+        assert budget.used == steps
+    with step_budget() as budget:
+        assert _hilbert_function(lms, -3) == []
+    assert budget.used == 3
+
+
+def test_wide_weighted_window_ends_within_its_cap(capsys):
+    # weights 1/11, 1/13, 1/32749 scale to 425737, 360239 and 143 over
+    # 4684107: the engine's window runs to degree 12477083, and its degree
+    # list is refused before it is allocated
+    start = time.perf_counter()
+    code, out, err = run(capsys, "roots", "isolated", "--poly",
+                         "x^11+y^13+z^32749", "--weights",
+                         "1/11,1/13,1/32749", "--step-cap", "100000")
+    assert time.perf_counter() - start < 1
+    assert code == 3 and out == ""
+    assert err.startswith("resource limit:")
+    assert "Traceback" not in err
 
 
 def test_budget_is_shared_by_the_calls_of_a_block():

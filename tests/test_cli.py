@@ -102,6 +102,22 @@ def test_bad_forms_keep_their_exit_code_and_message(capsys, forms, code,
     assert (got, out, err) == (code, "", message + "\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ("milnor", "--poly", "x^\u00b2"),
+    ("milnor", "--poly", "\u00b2x"),
+    ("milnor", "--poly", "x^" + "9" * 5000),
+    ("arrangement", "--forms", "x,y,z," + "7" * 5000 + "x+y+z"),
+], ids=["superscript_exponent", "superscript_coefficient", "long_exponent",
+        "long_coefficient"])
+def test_digits_int_cannot_read_exit_1(capsys, argv):
+    # a digit str.isdigit admits but int() rejects (SUPERSCRIPT TWO), and
+    # literals past int()'s 4300-digit limit
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("parse error:")
+    assert "Traceback" not in err
+
+
 def test_step_cap_exits_3(capsys):
     code, _, err = run(capsys, "arrangement", "--step-cap", "50",
                        "--forms", "x,y,z,x+y+z,x+2y+3z")

@@ -17,7 +17,8 @@ Each request runs inside one step budget (groebner.step_budget), so
 generators and columns of the graded engine, the line pairs of an
 arrangement's intersection lattice and the term products of its defining
 polynomial, counted together.  Past N the request ends with exit 3.  The
-default is DEFAULT_STEP_CAP (10 million).
+default is DEFAULT_STEP_CAP (10 million).  N must be at least 0: a negative
+cap is a usage error, exit 1.
 """
 
 from __future__ import annotations
@@ -56,6 +57,16 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _step_cap(text):
+    try:
+        cap = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text)
+    if cap < 0:
+        raise argparse.ArgumentTypeError("must be at least 0, got %d" % cap)
+    return cap
+
+
 def _build_parser():
     parser = _Parser(prog="bs3", description=(
         "Bernstein-Sato zero sets of quasi-homogeneous polynomials and "
@@ -69,7 +80,7 @@ def _build_parser():
             p.add_argument("--weights", default="1,1,1",
                            help="comma-separated positive rational weights")
         p.add_argument("--format", choices=["text", "json"], default="text")
-        p.add_argument("--step-cap", type=int, default=None,
+        p.add_argument("--step-cap", type=_step_cap, default=None,
                        help="step cap for the whole request")
 
     p_milnor = sub.add_parser("milnor", help="Milnor/H0 degree data and the "

@@ -118,13 +118,13 @@ class RegularityReport:
 def graded_dimension(gb, w, q):
     """dim of (R/I)_q for a weighted-homogeneous ideal with Groebner basis
     gb, by counting standard monomials; homogeneity is checked on the
-    packed triples."""
+    reduced basis, which is homogeneous exactly when the ideal is (a
+    minimal one keeps its generators as given)."""
     W = w.scaled
-    unpack = gb.order.packing.unpack
-    for i, (_, _, d) in enumerate(gb._int_basis):
-        if len({sum(map(mul, W, unpack(m))) for m in d}) > 1:
+    for g in gb.elements:
+        if len({sum(map(mul, W, m)) for m in g.terms}) > 1:
             raise PreconditionError("basis element %s is not homogeneous "
-                                    "for the given weights" % gb.elements[i])
+                                    "for the given weights" % g)
     return _monomial_quotient_dimension(gb.leading_monomials, w, q)
 
 
@@ -220,14 +220,15 @@ def sheaf_dimension_e(I):
 
 
 def h1_dimension(I, q):
-    """dim of the degree-q piece of H1_m(R/I), via e minus the Hilbert value."""
+    """dim of the degree-q piece of H1_m(R/I), via e minus the Hilbert
+    value; 0 off the integer grid, where no module has a piece."""
     hf, e = _saturation_hilbert(I)
     if e is None:
         raise PreconditionError(_NOT_POINTS)
     q = Fraction(q)
-    if q.denominator != 1 or q < 0:
-        return e
-    return e - hf[int(q)] if q < len(hf) else 0
+    if q.denominator != 1 or q >= len(hf):
+        return 0
+    return e if q < 0 else e - hf[int(q)]
 
 
 def regularity_report(I):

@@ -2,13 +2,14 @@
 
 Every basis computation runs on integer coefficient dictionaries, and one
 routine, _reduce, does every reduction: of S-polynomials in Buchberger's
-loop, of each element against the others when a basis is interreduced, and
-of normal forms.  It strips the content after every step, so no Fraction
-arithmetic happens in inner loops.  A GroebnerBasis holds only packed
-integer triples (lm, lc, primitive dict).  Fractions appear only where a
-value leaves the program: generators are cleared of denominators on the
-way in, and monic Polynomials are built only where a caller asks for them
-(GroebnerBasis.elements, normal_form), never on a request.
+loop, of normal forms, and of each element against the others when
+GroebnerBasis.elements interreduces.  It strips the content after every
+step, so no Fraction arithmetic happens in inner loops.  A GroebnerBasis
+holds only the packed integer triples (lm, lc, primitive dict) of a
+minimal basis, whose leading monomials are all a request reads.  Fractions
+appear only where a value leaves the program: generators are cleared of
+denominators on the way in, and monic Polynomials are built only for
+library callers (elements, normal_form), never on a request.
 
 Inside those dictionaries a monomial is one int, packed by its order
 (Monagan-Pearce): pack(m) = sum e_i * C_i lays 16-bit fields side by side,
@@ -54,11 +55,9 @@ monomials are kept.  The change is linear and keeps the total degree, so
 the moved colon has the standard Hilbert function of I^sat, which is all
 that graded reads.  It mixes z with x and y, so it keeps no other grading:
 under other weights the colon is one elimination in the original
-coordinates, whose leading monomials are the t-free ones of the block basis
-of (I, t*l_c - 1) with t dropped (_weighted_colon says why), so no second
-Buchberger run is made.  The route follows the weights the caller reads,
-since an ideal can be homogeneous for (1, 1, 1) and for other weights at
-once.
+coordinates, one Buchberger run on (I, t*l_c - 1) (_weighted_colon).  The
+route follows the weights the caller reads, since an ideal can be
+homogeneous for (1, 1, 1) and for other weights at once.
 
 Why the certificate proves J = I^sat: l_c lies in m, so J contains I^sat,
 and J is graded because l_c is homogeneous.  Grevlex is degree-compatible,
@@ -307,10 +306,10 @@ class Ideal:
 
 
 class GroebnerBasis:
-    """A reduced Groebner basis, fully interreduced and sorted by
-    increasing leading monomial, held only as packed integer triples
-    (lm, lc, primitive dict).  Its monic Polynomial elements are built on
-    each access, for callers outside the package's own computations."""
+    """A minimal Groebner basis, sorted by increasing leading monomial and
+    held as packed integer triples (lm, lc, primitive dict).  Its leading
+    monomials, length and normal forms are the reduced basis's; elements
+    builds that reduced basis, monic, on each access, for library callers."""
 
     __slots__ = ("order", "_int_basis")
 
@@ -320,9 +319,13 @@ class GroebnerBasis:
 
     @property
     def elements(self):
-        pk = self.order.packing
-        return tuple(_from_int_poly(d, pk, lc)
-                     for _, lc, d in self._int_basis)
+        """The reduced basis: each tail reduced by the others, made monic."""
+        pk, budget = self.order.packing, _budget()
+        kept, done = list(self._int_basis), []
+        for i, b in enumerate(kept):
+            r, _, _ = _reduce(b[2], done + kept[i + 1:], pk, budget)
+            done.append(_int_triple(r))
+        return tuple(_from_int_poly(d, pk, lc) for _, lc, d in done)
 
     @property
     def leading_monomials(self):
@@ -371,16 +374,9 @@ def _int_terms(p):
              for m, c in p.terms.items()}, denom)
 
 
-def _clear_denominators(p, pk):
-    """Polynomial p -> (packed int dict d, denominator D) with p = d / D."""
-    terms, denom = _int_terms(p)
-    pack = pk.pack
-    return {pack(m): v for m, v in terms.items()}, denom
-
-
 def _to_int_poly(p, pk):
     """Polynomial -> (lead mono, lead coeff, primitive int dict), lead > 0."""
-    return _int_triple(_clear_denominators(p, pk)[0])
+    return _int_triple({pk.pack(m): v for m, v in _int_terms(p)[0].items()})
 
 
 def _int_triple(d):
@@ -550,7 +546,8 @@ def _buchberger_int(triples, pk, budget):
 
 
 def buchberger(ideal, order=None):
-    """Reduced Groebner basis of an ideal for the given order.
+    """A minimal Groebner basis of an ideal for the given order, whose
+    elements are the reduced basis (GroebnerBasis).
 
     Results are memoized: the function is pure and the pipeline asks for
     the same basis from several entry points.
@@ -564,17 +561,10 @@ def buchberger(ideal, order=None):
 
 @lru_cache(maxsize=64)
 def _buchberger_cached(ideal, order):
-    """Buchberger's loop, then minimalize, fully interreduce and sort: the
-    unique reduced Groebner basis."""
-    budget = _budget()
+    """Buchberger's loop, then _minimal; no interreduction."""
     pk = order.packing
-    kept = _minimal(_buchberger_int(
-        [_to_int_poly(g, pk) for g in ideal.generators], pk, budget), pk)
-    done = []
-    for i, b in enumerate(kept):
-        r, _, _ = _reduce(b[2], done + kept[i + 1:], pk, budget)
-        done.append(_int_triple(r))
-    return GroebnerBasis(order, done)
+    return GroebnerBasis(order, _minimal(_buchberger_int(
+        [_to_int_poly(g, pk) for g in ideal.generators], pk, _budget()), pk))
 
 
 def _minimal(triples, pk):
@@ -588,30 +578,13 @@ def _minimal(triples, pk):
 
 
 def normal_form(p, gb):
-    """Unique remainder of p modulo a reduced Groebner basis."""
+    """Unique remainder of p modulo the Groebner basis gb; a full
+    reduction leaves the same remainder modulo any basis of the ideal."""
     pk = gb.order.packing
-    d, denom = _clear_denominators(p, pk)
-    r, num, den = _reduce(d, gb._int_basis, pk, _budget())
+    terms, denom = _int_terms(p)
+    r, num, den = _reduce({pk.pack(m): v for m, v in terms.items()},
+                          gb._int_basis, pk, _budget())
     return _from_int_poly(r, pk, Fraction(num * denom, den))
-
-
-# -- localization ------------------------------------------------------------
-
-
-def _lift_poly(p):
-    out = {}
-    for m, c in p.terms.items():
-        out[(0,) + m] = c
-    return Polynomial(out, p.variable_count + 1)
-
-
-def _localized(ideal, g):
-    """(I, t*g - 1) in the ring with a new first variable t."""
-    n = ideal.variable_count
-    lifted = [_lift_poly(f) for f in ideal.generators]
-    t = Polynomial.variable(0, n + 1)
-    lifted.append(t * _lift_poly(g) - 1)
-    return Ideal(lifted, n + 1)
 
 
 # -- saturation with respect to the irrelevant maximal ideal -----------------
@@ -833,10 +806,10 @@ def _line_misses(ideal, c):
 def _saturate_by_line(ideal, c, gb):
     """Minimal leading monomials of a grevlex basis of I : l^infinity,
     l = z + c*x + c^2*y, in coordinates where l is the last variable, for
-    standard-homogeneous I with reduced grevlex basis gb (module
-    docstring).  A homogeneous grevlex basis element's largest power of z
-    is the one in its leading term, so dividing the leading monomial by it
-    is all the division the Hilbert function needs."""
+    standard-homogeneous I with grevlex basis gb (module docstring).  A
+    homogeneous grevlex basis element's largest power of z is the one in
+    its leading term, so dividing the leading monomial by it is all the
+    division the Hilbert function needs."""
     pk = MonomialOrder.grevlex(3).packing
     raw = gb._int_basis if c == 0 else _buchberger_int(_move_line(ideal, c),
                                                        pk, _budget())
@@ -845,27 +818,23 @@ def _saturate_by_line(ideal, c, gb):
     return tuple(pk.unpack(m) for m, in _minimal(divided, pk))
 
 
-def _moment_form(weights, c):
-    """l_c = z^(D/w_z) + c*x^(D/w_x) + c^2*y^(D/w_y), D = lcm(w): one form
-    of weighted degree D."""
-    wx, wy, wz = weights
+def _weighted_colon(ideal, weights, c):
+    """Leading monomials of a grevlex basis of I : l_c^infinity: the t-free
+    minimal leading monomials, t dropped, of a basis of (I, t*l_c - 1) under
+    the block order, t first.  The colon is that ideal's part without t, and
+    a basis element with a t-free leading monomial is t-free throughout, so
+    those elements are a grevlex basis of it (elimination theorem), and
+    _minimal lists their leading monomials as the reduced basis does."""
+    pk = MonomialOrder.block(1, 4).packing
     D = lcm(*weights)
-    return Polynomial({(0, 0, D // wz): 1, (D // wx, 0, 0): c,
-                       (0, D // wy, 0): c * c}, 3)
-
-
-def _weighted_colon(ideal, g):
-    """Leading monomials of the reduced grevlex basis of I : g^infinity,
-    read off the reduced block basis B of (I, t*g - 1): its t-free leading
-    monomials with t dropped.  The colon is (I, t*g - 1) intersected with
-    the ring without t.  The block order compares t first, so an element of
-    B with a t-free leading monomial is t-free throughout, and those
-    elements are a reduced basis of the intersection (elimination theorem);
-    on t-free monomials the block order is grevlex.  So no element is built
-    and no second Buchberger run is made."""
-    order = MonomialOrder.block(1, ideal.variable_count + 1)
-    lms = buchberger(_localized(ideal, g), order).leading_monomials
-    return tuple(m[1:] for m in lms if not m[0])
+    form = {(0, 0, 0, 0): -1, (1, 0, 0, D // weights[2]): 1,
+            (1, D // weights[0], 0, 0): c, (1, 0, D // weights[1], 0): c * c}
+    gens = [{(0,) + m: v for m, v in _int_terms(g)[0].items()}
+            for g in ideal.generators] + [{m: v for m, v in form.items() if v}]
+    raw = _buchberger_int([_int_triple({pk.pack(m): v for m, v in d.items()})
+                           for d in gens], pk, _budget())
+    return tuple(pk.unpack(m)[1:] for m, _, _ in _minimal(raw, pk)
+                 if not pk.exponent(m, 0))
 
 
 def saturated_leading_monomials(ideal, weights):
@@ -889,8 +858,7 @@ def _saturated_cached(ideal, weights):
         if len({sum(map(mul, weights, m)) for m in g.terms}) > 1:
             raise PreconditionError("generator %s is not homogeneous for the "
                                     "given weights" % g)
-    order = MonomialOrder.grevlex(3)
-    gb = buchberger(ideal, order)
+    gb = buchberger(ideal, MonomialOrder.grevlex(3))
     lms = gb.leading_monomials
     if _is_artinian(lms):
         return None, ((0, 0, 0),)
@@ -904,7 +872,7 @@ def _saturated_cached(ideal, weights):
         if standard:
             sat = _saturate_by_line(ideal, c, gb)
         else:
-            sat = _weighted_colon(ideal, _moment_form(weights, c))
+            sat = _weighted_colon(ideal, weights, c)
         if _same_hilbert_polynomial(lms, sat):
             return c, sat
     raise Bs3Error("internal: no colon by z^a + c*x^b + c^2*y^d with c <= %d "

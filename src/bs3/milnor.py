@@ -14,7 +14,8 @@ from fractions import Fraction
 from .graded import check_h0_symmetry, h0_degree_data
 from .groebner import (Ideal, MonomialOrder, _dimension_at_most_one,
                        _hilbert_function, _is_artinian, buchberger)
-from .polyring import PreconditionError, partial_derivative, wdeg
+from .polyring import (PreconditionError, format_rational, partial_derivative,
+                       wdeg)
 
 INFINITE = "infinite"
 
@@ -52,16 +53,23 @@ def jacobian_ideal(f):
     return Ideal([p for p in partials if not p.is_zero()], f.variable_count)
 
 
+def _weighted_degree(f, w):
+    """wdeg(f, w), refused when f is not quasi-homogeneous for w."""
+    d = wdeg(f, w)
+    if d is None:
+        raise PreconditionError(
+            "polynomial is not quasi-homogeneous for weights %s"
+            % ",".join(format_rational(v) for v in w.weights))
+    return d
+
+
 def milnor_profile(f, w):
     """Assemble the degree data controlling the root formulas.
 
     Reducedness and local quasi-homogeneity of f are the caller's
     responsibility; quasi-homogeneity itself is checked here.
     """
-    d = wdeg(f, w)
-    if d is None:
-        raise PreconditionError("polynomial is not quasi-homogeneous for "
-                                "weights %s" % (w.weights,))
+    d = _weighted_degree(f, w)
     if d <= 0:
         raise PreconditionError("constant polynomial has no Milnor profile")
     jac = jacobian_ideal(f)
@@ -89,10 +97,7 @@ def der_log0_graded_dimension(f, w, k):
     The image is exactly the degree k+wdeg(f) piece of the Jacobian ideal,
     so the kernel dimension is sum_i dim R_{k+w_i} minus that piece.
     """
-    d = wdeg(f, w)
-    if d is None:
-        raise PreconditionError("polynomial is not quasi-homogeneous for "
-                                "weights %s" % (w.weights,))
+    d = _weighted_degree(f, w)
     gb = buchberger(jacobian_ideal(f), MonomialOrder.grevlex(f.variable_count))
     return _der_log0_dimension(gb.leading_monomials, w, d, k)
 

@@ -11,7 +11,8 @@ regenerate them from the code under test.  The reference saturation is the
 intersection of three eliminations, sharing no step with the package's
 certified colon; it is kept here to cross-check that route, and the
 elimination tools it is built from (eliminate, saturate_by_poly,
-ideal_intersection) live here too, since no request uses them.  The Artinian
+ideal_intersection, and the lift to a new first variable t, _lift_poly and
+_localized) live here too, since no request uses them.  The Artinian
 degree data below walk the finite staircase box directly, independent of
 the Hilbert-function engine.  The rational normal form and the bitmask
 decomposability test are the routes the package replaced by its integer
@@ -46,8 +47,8 @@ from bs3.arrangement import ConditionReport, is_formal
 from bs3.graded import (STANDARD, DegreeData, graded_dimension,
                         regularity_report)
 from bs3.groebner import (Ideal, MonomialOrder, _budget, _from_int_poly,
-                          _hilbert_function, _lcm_degree, _lift_poly,
-                          _localized, _s_poly_int, _to_int_poly, buchberger,
+                          _hilbert_function, _lcm_degree, _s_poly_int,
+                          _to_int_poly, buchberger,
                           saturated_leading_monomials)
 from bs3.milnor import der_log0_graded_dimension, jacobian_ideal
 from bs3.polyring import (ParseError, Polynomial, PreconditionError,
@@ -299,6 +300,22 @@ def eliminate(ideal, drop_count):
                                     for m, c in p.terms.items()},
                                    n - drop_count))
     return Ideal(kept, n - drop_count)
+
+
+def _lift_poly(p):
+    out = {}
+    for m, c in p.terms.items():
+        out[(0,) + m] = c
+    return Polynomial(out, p.variable_count + 1)
+
+
+def _localized(ideal, g):
+    """(I, t*g - 1) in the ring with a new first variable t."""
+    n = ideal.variable_count
+    lifted = [_lift_poly(f) for f in ideal.generators]
+    t = Polynomial.variable(0, n + 1)
+    lifted.append(t * _lift_poly(g) - 1)
+    return Ideal(lifted, n + 1)
 
 
 def saturate_by_poly(ideal, g):

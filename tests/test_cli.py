@@ -82,6 +82,15 @@ def test_precondition_exits_2(capsys):
     assert "precondition" in err
 
 
+@pytest.mark.parametrize("weights, shown", [
+    ((), "1,1,1"), (("--weights", "1/2,1,3"), "1/2,1,3")])
+def test_weights_refused_print_as_rationals(capsys, weights, shown):
+    code, out, err = run(capsys, "milnor", "--poly", "x^3+y^2+z", *weights)
+    assert (code, out) == (2, "")
+    assert err == ("precondition violated: polynomial is not "
+                   "quasi-homogeneous for weights %s\n" % shown)
+
+
 def test_invalid_arrangement_exits_2(capsys):
     code, _, err = run(capsys, "arrangement", "--forms", "x,y,z")
     assert code == 2
@@ -116,6 +125,18 @@ def test_digits_int_cannot_read_exit_1(capsys, argv):
     assert code == 1 and out == ""
     assert err.startswith("parse error:")
     assert "Traceback" not in err
+
+
+def test_negative_step_cap_is_a_usage_error(capsys):
+    argv = ("milnor", "--poly", "x^3+y^3+z^3", "--step-cap")
+    code, out, err = run(capsys, *argv, "-5")
+    assert (code, out) == (1, "")
+    assert err == "usage error: argument --step-cap: must be at least 0, " \
+        "got -5\n"
+    # a cap of 0 is allowed, and the first step passes it
+    code, out, err = run(capsys, *argv, "0")
+    assert (code, out) == (3, "")
+    assert err.startswith("resource limit:")
 
 
 def test_step_cap_exits_3(capsys):
@@ -173,11 +194,13 @@ def test_arrangement_request_builds_the_lattice_once(capsys, monkeypatch):
 
 def test_arrangement_request_moves_no_basis_back(capsys, monkeypatch):
     # one Buchberger run on the Jacobian, built in the coordinates where
-    # the certified line is z and kept as the one reduced basis, whose
-    # leading monomials are read there
+    # the certified line is z and kept as the one minimal basis, whose
+    # leading monomials are read there; it is not interreduced, so every
+    # reduction is of an S-polynomial just formed
     from bs3 import groebner
-    runs, kept = [], []
+    runs, kept, formed, reduced = [], [], [], []
     int_run, keep = groebner._buchberger_int, groebner.GroebnerBasis.__init__
+    s_poly, reduce = groebner._s_poly_int, groebner._reduce
 
     def spy_run(*args):
         runs.append(len(args[0]))
@@ -187,40 +210,59 @@ def test_arrangement_request_moves_no_basis_back(capsys, monkeypatch):
         kept.append(args[0])
         keep(self, *args)
 
+    def spy_s_poly(*args):
+        formed.append(args)
+        return s_poly(*args)
+
+    def spy_reduce(*args):
+        reduced.append(args)
+        return reduce(*args)
+
     monkeypatch.setattr(groebner, "_buchberger_int", spy_run)
     monkeypatch.setattr(groebner.GroebnerBasis, "__init__", spy_keep)
+    monkeypatch.setattr(groebner, "_s_poly_int", spy_s_poly)
+    monkeypatch.setattr(groebner, "_reduce", spy_reduce)
     clear_caches()
     code, out, _ = run(capsys, "arrangement", "--forms", oracles.ZIEGLER_F)
     clear_caches()
     assert code == 0 and "non_comb_present: true" in out
     assert len(runs) == 1
     assert len(kept) == 1
+    assert formed and len(reduced) == len(formed)
 
 
 def test_weighted_colon_costs_one_buchberger_run(capsys, monkeypatch):
     # one Buchberger run on the Jacobian and one block basis per computed
     # colon, whose t-free leading monomials are read off it; no basis is
-    # turned into Fraction polynomials
+    # turned into Fraction polynomials, and (I, t*l_c - 1) is packed
+    # straight from the generators, with no four-variable polynomial
     from bs3 import groebner
-    runs, colons, built = [], [], []
-    int_run, form = groebner._buchberger_int, groebner._moment_form
+    from bs3.polyring import Polynomial
+    runs, colons, built, arities = [], [], [], []
+    init = Polynomial.__init__
+    int_run, colon = groebner._buchberger_int, groebner._weighted_colon
     to_poly = groebner._from_int_poly
 
     def spy_run(*args):
         runs.append(len(args[0]))
         return int_run(*args)
 
-    def spy_form(*args):
-        colons.append(args[1])
-        return form(*args)
+    def spy_colon(ideal, weights, c):
+        colons.append(c)
+        return colon(ideal, weights, c)
 
     def spy_poly(*args):
         built.append(args)
         return to_poly(*args)
 
+    def spy_init(self, terms, variable_count):
+        arities.append(variable_count)
+        init(self, terms, variable_count)
+
     monkeypatch.setattr(groebner, "_buchberger_int", spy_run)
-    monkeypatch.setattr(groebner, "_moment_form", spy_form)
+    monkeypatch.setattr(groebner, "_weighted_colon", spy_colon)
     monkeypatch.setattr(groebner, "_from_int_poly", spy_poly)
+    monkeypatch.setattr(Polynomial, "__init__", spy_init)
     clear_caches()
     code, out, _ = run(capsys, "roots", "lqh", "--poly",
                        "x^6*y*z+2*x*y^3*z+3*x*y*z^3",
@@ -232,6 +274,7 @@ def test_weighted_colon_costs_one_buchberger_run(capsys, monkeypatch):
     assert colons == [1]
     assert len(runs) == 1 + len(colons)
     assert built == []
+    assert arities and 4 not in arities
 
 
 def test_h0_under_weights_other_than_the_standard_ones(capsys):

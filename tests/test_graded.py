@@ -165,6 +165,13 @@ def test_graded_dimension_rejects_inhomogeneous():
         rank_route_dimension(I, W1, 2)
 
 
+def test_graded_dimension_accepts_inhomogeneous_generators_of_a_graded_ideal():
+    # (x^2 + y, y) is (x^2, y): its minimal basis keeps x^2 + y as given,
+    # its reduced basis is homogeneous
+    gb = buchberger(ideal("x^2 + y", "y"), GREVLEX)
+    assert [graded_dimension(gb, W1, q) for q in range(4)] == [1, 2, 2, 2]
+
+
 def test_graded_dimension_checks_a_basis_against_the_weights():
     I = ideal("x^2 - y", "z^3 - y*z")
     gb = buchberger(I, GREVLEX)
@@ -230,6 +237,9 @@ def test_h1_dimension_examples():
     assert h1_dimension(QUARTIC_CONE, 20) == 0
     assert h1_dimension(QUARTIC_CONE, 0) == 5
     assert h1_dimension(ideal("x", "y"), 0) == 0
+    # no piece off the integer grid; e in every negative degree
+    assert h1_dimension(ideal("x*y", "z"), Fraction(1, 2)) == 0
+    assert h1_dimension(ideal("x*y", "z"), -1) == 2
 
 
 def test_regularity_of_quartic_cone_jacobian():

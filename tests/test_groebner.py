@@ -251,8 +251,9 @@ def test_normal_form_matches_the_fraction_reducer(texts, order):
 
 
 def basis_and_pair_count(ideal, order, loop):
-    """The reduced basis buchberger builds around the core loop given, and
-    the number of S-polynomials the loop forms, caches cold."""
+    """The reduced basis of the core loop given, and the number of
+    S-polynomials the loop forms, caches cold.  Minimal bases from two
+    loops may differ in their tails; reduced bases may not."""
     pairs = []
     s_poly = groebner._s_poly_int
 
@@ -266,16 +267,16 @@ def basis_and_pair_count(ideal, order, loop):
         groebner._buchberger_cached.cache_clear()
         gb = buchberger(ideal, order)
     groebner._buchberger_cached.cache_clear()
-    return gb._int_basis, len(pairs)
+    return gb.elements, len(pairs)
 
 
 def test_gebauer_moeller_update_matches_the_chain_criterion_loop():
     cases = [(name, jacobian_ideal(arr.defining_polynomial()), GREVLEX)
              for name, arr in corpus.build_corpus()]
     cases += [("lqh", I, GREVLEX) for I, _ in lqh_jacobians(8, 4)]
-    cases += [("localized", groebner._localized(I, groebner._moment_form(
-        weights, c)), MonomialOrder.block(1, 4))
-        for I, weights in lqh_jacobians(8, 4) for c in (0, 1)]
+    cases += [("localized", oracles._localized(I, moment_form(weights, c)),
+               MonomialOrder.block(1, 4))
+              for I, weights in lqh_jacobians(8, 4) for c in (0, 1)]
     fewer = {}
     for name, I, order in cases:
         got, formed = basis_and_pair_count(I, order,
@@ -565,7 +566,7 @@ def test_weighted_jacobians_saturate_by_the_first_certified_colon(
         assert weights != (1, 1, 1), I
         reference_calls.clear()
         chosen, lms = saturated_leading_monomials(I, weights)
-        calls = [g for _, g in reference_calls]
+        calls = [k for _, _, k in reference_calls]
         expect = buchberger(oracles.saturation_by_columns(I), GREVLEX)
         assert lms == expect.leading_monomials, I
         # the first c whose colon is the saturation, found by brute force
@@ -573,8 +574,20 @@ def test_weighted_jacobians_saturate_by_the_first_certified_colon(
                  if weighted_colon(I, weights, k).elements == expect.elements)
         assert chosen == c, I
         # no colon for a c that the restriction to z = 0 refutes
-        assert calls == [moment_form(weights, k) for k in range(c + 1)
+        assert calls == [k for k in range(c + 1)
                          if k or groebner._line_misses(I, 0)], I
+
+
+def test_packed_weighted_colon_matches_the_localized_polynomials():
+    # the triples _weighted_colon packs are (I, t*l_c - 1) as built from
+    # Polynomials, and its minimal leading monomials are the reduced basis's
+    block = MonomialOrder.block(1, 4)
+    for I, weights in lqh_jacobians(8, 4) + weighted_h0_cases():
+        for c in range(3):
+            gb = buchberger(oracles._localized(I, moment_form(weights, c)),
+                            block)
+            want = tuple(m[1:] for m in gb.leading_monomials if not m[0])
+            assert groebner._weighted_colon(I, weights, c) == want, (I, c)
 
 
 def test_weighted_saturation_of_a_surface_singular_along_a_curve():
@@ -595,8 +608,7 @@ def test_certificate_rejects_the_form_through_the_points_at_z_zero(
     # z^(D/w_z) vanishes on the points of V(I) on z = 0: the restriction
     # test refutes c = 0, and no colon is computed for it
     assert not groebner._line_misses(jac, 0)
-    assert [g for _, g in reference_calls] == [
-        moment_form(weights, k) for k in range(1, c + 1)]
+    assert [k for _, _, k in reference_calls] == list(range(1, c + 1))
     lms = buchberger(jac, GREVLEX).leading_monomials
     assert not groebner._same_hilbert_polynomial(
         lms, weighted_colon(jac, weights, 0).leading_monomials)

@@ -93,8 +93,13 @@ def test_weighted_degrees_of_small_exceptional_singularity():
 
 
 def test_non_quasi_homogeneous_rejected():
-    with pytest.raises(PreconditionError):
-        milnor_profile(P("x^2 + y^3"), W1)
+    message = "polynomial is not quasi-homogeneous for weights 1/2,1,1"
+    w = WeightSystem((Fraction(1, 2), 1, 1))
+    for read in (lambda: milnor_profile(P("x^2 + y^3"), w),
+                 lambda: der_log0_graded_dimension(P("x^2 + y^3"), w, 0)):
+        with pytest.raises(PreconditionError) as caught:
+            read()
+        assert str(caught.value) == message
 
 
 def test_non_isolated_profiles():

@@ -7,9 +7,9 @@ behavior: Artinian (everything is torsion), an embedded point (one extra
 section), and a saturated ideal (nothing at all).
 
 For each ideal it prints in(I^sat), the grevlex leading monomials of the
-saturation as saturated_leading_monomials(I, (1, 1, 1)) reads them: in
-coordinates where a line missing the points of V(I) is z, which keep the
-standard Hilbert function that H0 is computed from.
+saturation as saturated_leading_monomials(I, (1, 1, 1)) returns them, in
+the ideal's own coordinates, next to the dimensions of H0 that their
+Hilbert function gives.
 """
 
 from bs3 import (Ideal, Polynomial, WeightSystem, h0_degree_data,

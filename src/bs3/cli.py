@@ -14,11 +14,14 @@ arrangement conditions).
 
 Each request runs inside one step budget (groebner.step_budget), so
 --step-cap N bounds the whole request: reduction steps, S-pairs, the
-generators and columns of the graded engine, the line pairs of an
-arrangement's intersection lattice and the term products of its defining
-polynomial, counted together.  Past N the request ends with exit 3.  The
-default is DEFAULT_STEP_CAP (10 million).  N must be at least 0: a negative
-cap is a usage error, exit 1.
+generators, columns and window degrees of the graded engine, the line
+pairs of an arrangement's intersection lattice and the term products of
+its defining polynomial, counted together.  Past N the request ends with
+exit 3.  The default is DEFAULT_STEP_CAP (10 million).  N must be at least
+0: a negative cap is a usage error, exit 1.
+
+A value of --poly, --forms, --weights or --lct-lambda may start with "-"
+also when spaced from its option (--lct-lambda -1/2).
 """
 
 from __future__ import annotations
@@ -65,6 +68,19 @@ def _step_cap(text):
     if cap < 0:
         raise argparse.ArgumentTypeError("must be at least 0, got %d" % cap)
     return cap
+
+
+def _join_values(argv):
+    """argv with the value of each --poly, --forms, --weights and
+    --lct-lambda joined to it by "=": argparse reads a spaced value that
+    starts with "-" as an option unless it looks like a negative number."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in ("--poly", "--forms", "--weights",
+                               "--lct-lambda"):
+            arg = out.pop() + "=" + arg
+        out.append(arg)
+    return out
 
 
 def _build_parser():
@@ -149,15 +165,16 @@ def _profile_fields(prof):
     return fields
 
 
-def cmd_milnor(args):
+def _profile_request(args, command):
+    """(weights, Milnor profile, first report fields) of a --poly request."""
     w = _parse_weights(args.weights)
     f = parse_polynomial(args.poly)
-    prof = milnor.milnor_profile(f, w)
-    report = {
-        "command": "milnor",
-        "poly": str(f),
-        "weights": args.weights.replace(" ", ""),
-    }
+    report = {"command": command, "poly": str(f), "weights": str(w)}
+    return w, milnor.milnor_profile(f, w), report
+
+
+def cmd_milnor(args):
+    _, prof, report = _profile_request(args, "milnor")
     report.update(_profile_fields(prof))
     report["new_roots"] = _roots(bsroots.new_roots(prof))
     report["blf_roots"] = _roots(bsroots.blf_roots(prof))
@@ -166,15 +183,8 @@ def cmd_milnor(args):
 
 
 def cmd_roots(args):
-    w = _parse_weights(args.weights)
-    f = parse_polynomial(args.poly)
-    prof = milnor.milnor_profile(f, w)
-    report = {
-        "command": "roots %s" % args.kind,
-        "poly": str(f),
-        "weights": args.weights.replace(" ", ""),
-        "wdeg": format_rational(prof.wdeg_f),
-    }
+    w, prof, report = _profile_request(args, "roots %s" % args.kind)
+    report["wdeg"] = format_rational(prof.wdeg_f)
     if args.kind == "isolated":
         report["is_isolated"] = prof.is_isolated
         report["roots"] = _roots(bsroots.roots_isolated(prof))
@@ -204,8 +214,7 @@ def _point_str(sp):
 
 
 def cmd_arrangement(args):
-    forms = [s for s in args.forms.split(",")]
-    arr = arr_mod.validate(forms)
+    arr = arr_mod.validate(args.forms.split(","))
     rep = arr_mod.full_root_report(arr)
     report = {
         "command": "arrangement",
@@ -258,7 +267,8 @@ def render_text(report):
 
 def main(argv=None):
     try:
-        args = _PARSER.parse_args(argv)
+        args = _PARSER.parse_args(
+            _join_values(sys.argv[1:] if argv is None else argv))
     except _UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return 1

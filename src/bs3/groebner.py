@@ -46,25 +46,23 @@ rather than a trial:
   l_c = z^(D/w_z) + c*x^(D/w_x) + c^2*y^(D/w_y), D = lcm(w), is one form of
   weighted degree D (the line z + c*x + c^2*y under standard weights).
 
-Where in(I^sat) is read (saturated_leading_monomials): under standard
-weights, in coordinates where l_c is the last variable.  The change
-z -> z - c*x - c^2*y turns l_c into z, and dividing every element of a
-grevlex basis of the moved I by its largest power of z gives a grevlex
-basis of the moved colon (Bayer-Stillman), so only the divided leading
-monomials are kept.  The change is linear and keeps the total degree, so
-the moved colon has the standard Hilbert function of I^sat, which is all
-that graded reads.  It mixes z with x and y, so it keeps no other grading:
-under other weights the colon is one elimination in the original
-coordinates, one Buchberger run on (I, t*l_c - 1) (_weighted_colon).  The
-route follows the weights the caller reads, since an ideal can be
-homogeneous for (1, 1, 1) and for other weights at once.
+What saturated_leading_monomials returns, under any weights: the leading
+monomials of the grevlex basis of I^sat in the input's coordinates.  Each
+colon is built one of two ways.  Under standard weights l_0 = z, and
+dividing every element of a grevlex basis of I by its largest power of z
+gives a grevlex basis of I : z^infinity (Bayer-Stillman), so c = 0 costs
+only a division of the cached basis (_saturate_by_z).  Every other colon
+is one elimination in the same coordinates, one Buchberger run on
+(I, t*l_c - 1) (_weighted_colon).  The weights choose the forms l_c tried,
+and so the certified c; the monomials are those of I^sat whichever
+weights grade I, since an ideal can be homogeneous for (1, 1, 1) and for
+other weights at once.
 
 Why the certificate proves J = I^sat: l_c lies in m, so J contains I^sat,
 and J is graded because l_c is homogeneous.  Grevlex is degree-compatible,
 so for any ideal the affine Hilbert function of R/I is the cumulative
 standard Hilbert function of R/in(I); as I lies in J, equal standard
-Hilbert polynomials of R/in(I) and R/in(J) (or of the moved J, whose
-Hilbert function is the same) are equivalent to
+Hilbert polynomials of R/in(I) and R/in(J) are equivalent to
 dim_Q J/I < infinity.  Then J/I^sat is a finite-dimensional graded
 submodule of R/I^sat, killed by a power of m, hence zero.  No weighted
 Hilbert start is needed.  Grading is essential: (x - 1, y + 1, z) with
@@ -719,38 +717,6 @@ def _same_hilbert_polynomial(lms_a, lms_b):
     return _hilbert_polynomial(lms_a) == _hilbert_polynomial(lms_b)
 
 
-def _shift_last(d, a, b, pk):
-    """p(x, y, z + a*x + b*y) for a packed grevlex(3) int dict p.  The
-    substitution keeps every total degree, so no field can pass its bound
-    and the sums need no check."""
-    X, Y, Z = pk.coeffs
-    zs = pk.shifts[2]
-    powers = [{0: 1}]
-    for _ in range(max(m >> zs & MAX_DEGREE for m in d)):
-        nxt = {}
-        for m, v in powers[-1].items():
-            for mm, w in ((m + Z, v), (m + X, a * v), (m + Y, b * v)):
-                if w:
-                    nxt[mm] = nxt.get(mm, 0) + w
-        powers.append(nxt)
-    out = {}
-    for m, v in d.items():
-        k = m >> zs & MAX_DEGREE
-        base = m - k * Z
-        for p, w in powers[k].items():
-            mm = base + p
-            out[mm] = out.get(mm, 0) + v * w
-    return {m: v for m, v in out.items() if v}
-
-
-def _move_line(ideal, c):
-    """The generators, as triples, in coordinates where the line
-    z + c*x + c^2*y is the last variable: g(x, y, z - c*x - c^2*y)."""
-    pk = MonomialOrder.grevlex(3).packing
-    return [_int_triple(_shift_last(_to_int_poly(g, pk)[2], -c, -c * c, pk))
-            for g in ideal.generators]
-
-
 def _univariate_gcd(f, g):
     """A gcd over Q of two integer coefficient lists (lowest first, no
     trailing zero), by Euclid on primitive pseudo-remainders."""
@@ -803,18 +769,15 @@ def _line_misses(ideal, c):
     return full and len(common) == 1
 
 
-def _saturate_by_line(ideal, c, gb):
-    """Minimal leading monomials of a grevlex basis of I : l^infinity,
-    l = z + c*x + c^2*y, in coordinates where l is the last variable, for
-    standard-homogeneous I with grevlex basis gb (module docstring).  A
-    homogeneous grevlex basis element's largest power of z is the one in
-    its leading term, so dividing the leading monomial by it is all the
-    division the Hilbert function needs."""
-    pk = MonomialOrder.grevlex(3).packing
-    raw = gb._int_basis if c == 0 else _buchberger_int(_move_line(ideal, c),
-                                                       pk, _budget())
+def _saturate_by_z(gb):
+    """Minimal leading monomials of a grevlex basis of I : z^infinity, for
+    standard-homogeneous I with grevlex basis gb (Bayer-Stillman, module
+    docstring).  A homogeneous grevlex basis element's largest power of z
+    is the one in its leading term, so dividing the leading monomial by it
+    is all the division the colon needs."""
+    pk = gb.order.packing
     Z = pk.coeffs[2]
-    divided = [(b[0] - pk.exponent(b[0], 2) * Z,) for b in raw]
+    divided = [(b[0] - pk.exponent(b[0], 2) * Z,) for b in gb._int_basis]
     return tuple(pk.unpack(m) for m, in _minimal(divided, pk))
 
 
@@ -839,11 +802,12 @@ def _weighted_colon(ideal, weights, c):
 
 def saturated_leading_monomials(ideal, weights):
     """(c, M) for I : (x, y, z)^infinity, I graded by the positive integer
-    weights: M the leading monomials of a grevlex basis of the saturation,
-    read where the module docstring says, and c the certified colon
-    I : l_c^infinity it equals, None when I is Artinian.  Weights that do
-    not make every generator homogeneous are refused before any basis
-    work.  Memoized like buchberger."""
+    weights: M the leading monomials of the reduced grevlex basis of the
+    saturation in the input's coordinates, the same under any weights that
+    grade I, and c the certified colon I : l_c^infinity it equals, None
+    when I is Artinian.  Weights that do not make every generator
+    homogeneous are refused before any basis work.  Memoized like
+    buchberger."""
     if ideal.variable_count != 3:
         raise PreconditionError("irrelevant-ideal saturation needs 3 variables")
     return _saturated_cached(ideal, weights)
@@ -869,8 +833,8 @@ def _saturated_cached(ideal, weights):
         if (curve and (c > 0 if standard else c == 0)
                 and not _line_misses(ideal, c)):
             continue
-        if standard:
-            sat = _saturate_by_line(ideal, c, gb)
+        if standard and c == 0:
+            sat = _saturate_by_z(gb)
         else:
             sat = _weighted_colon(ideal, weights, c)
         if _same_hilbert_polynomial(lms, sat):

@@ -54,16 +54,14 @@ class WeightSystem:
     __slots__ = ("weights", "scaled", "denominator")
 
     def __init__(self, weights):
-        ws = tuple(Fraction(w) for w in weights)
-        if any(w <= 0 for w in ws):
-            shown = ",".join(format_rational(w) for w in ws)
-            raise PreconditionError("weights must be positive, got %s" % shown)
-        self.weights = ws
+        self.weights = tuple(Fraction(w) for w in weights)
+        if any(w <= 0 for w in self.weights):
+            raise PreconditionError("weights must be positive, got %s" % self)
         L = 1
-        for w in ws:
+        for w in self.weights:
             L = L * w.denominator // gcd(L, w.denominator)
         self.denominator = L
-        self.scaled = tuple(int(w * L) for w in ws)
+        self.scaled = tuple(int(w * L) for w in self.weights)
 
     @property
     def weight_sum(self):
@@ -80,6 +78,9 @@ class WeightSystem:
 
     def __repr__(self):
         return "WeightSystem(%s)" % (self.weights,)
+
+    def __str__(self):
+        return ",".join(format_rational(w) for w in self.weights)
 
 
 class Polynomial:

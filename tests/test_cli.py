@@ -139,6 +139,31 @@ def test_negative_step_cap_is_a_usage_error(capsys):
     assert err.startswith("resource limit:")
 
 
+@pytest.mark.parametrize("argv, option, value, code", [
+    (("roots", "lqh", "--poly", "x*y*z"), "--lct-lambda", "-1/2", 0),
+    (("milnor",), "--poly", "-x^3-y^3-z^3", 0),
+    (("arrangement",), "--forms", "-x,y,z,x+y+z", 0),
+    (("milnor", "--poly", "x^2+y+z"), "--weights", "-1,1,1", 2),
+], ids=["lct-lambda", "poly", "forms", "weights"])
+def test_a_spaced_value_starting_with_minus_reads_as_its_equals_form(
+        capsys, argv, option, value, code):
+    got, out, err = run(capsys, *argv, option, value)
+    want = run(capsys, *argv, "%s=%s" % (option, value))
+    assert got == want[0] == code, err
+    assert (strip_timing(out), err) == (strip_timing(want[1]), want[2])
+
+
+@pytest.mark.parametrize("weights", ["0.5,1,1", "2/4,1,1"])
+def test_weights_field_prints_the_parsed_weights(capsys, weights):
+    for command in (("milnor",), ("roots", "lqh")):
+        argv = command + ("--poly", "x^2+y+z", "--weights", weights)
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        assert "\nweights: 1/2,1,1\n" in out
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert json.loads(out)["weights"] == "1/2,1,1"
+
+
 def test_step_cap_exits_3(capsys):
     code, _, err = run(capsys, "arrangement", "--step-cap", "50",
                        "--forms", "x,y,z,x+y+z,x+2y+3z")

@@ -121,8 +121,8 @@ def test_hilbert_engine_matches_monomial_count(weights):
 # (ideal, weights): Artinian, an embedded point, the Jacobians of four
 # lines, of a weighted isolated singularity, of two non-isolated surfaces
 # under fractional weights, and of two surfaces whose Jacobians are
-# homogeneous under (1, 1, 1) and under the other weights given, so that a
-# saturation read in standard-graded moved coordinates would be wrong there
+# homogeneous under (1, 1, 1) and under the other weights given, so that H0
+# under those weights is read from in(I^sat) in the input's coordinates
 H0_CASES = [
     (ideal("x^2", "y^2", "z^2"), W1),
     (ideal("x^2", "x*y", "x*z"), W1),

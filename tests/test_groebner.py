@@ -366,7 +366,7 @@ def test_saturation_contains_ideal_and_is_idempotent():
     top = max(groebner._hilbert_start(lms), groebner._hilbert_start(sat)) + 2
     assert all(a >= b for a, b in zip(groebner._hilbert_function(lms, top),
                                       groebner._hilbert_function(sat, top)))
-    # z is a nonzerodivisor on R/in(I^sat) in the coordinates it is read in
+    # here in(I^sat) is itself saturated, so saturating it changes nothing
     assert saturated(monomial_ideal(sat)) == sat
 
 
@@ -392,6 +392,9 @@ def same_hilbert_function(lms_a, lms_b):
 
 
 def test_fast_saturation_agrees_with_colon_intersection():
+    # under any grading weights the monomials are in(I^sat) of the ideal as
+    # given: the corpus Jacobians in original coordinates, most certified at
+    # c > 0, and the H0 cases under their own weights
     samples = [
         ideal("x^2*y", "y^2*z", "z^2*x"),
         ideal("x^3", "x*y^2 - x*z^2"),
@@ -401,12 +404,14 @@ def test_fast_saturation_agrees_with_colon_intersection():
         times_maximal_ideal("x^2 - y*z", "y^2 - x*z"),
         times_maximal_ideal("x^2", "x*y", "y^2"),
         times_maximal_ideal("x*y - z^2", "x*z + y*z - 2*z^2"),
-    ]
-    for I in samples:
+    ] + [jacobian_ideal(arr.defining_polynomial())
+         for _, arr in corpus.build_corpus()]
+    cases = [(I, (1, 1, 1)) for I in samples]
+    cases += [(I, tuple(v // gcd(*w.scaled) for v in w.scaled))
+              for I, w in H0_CASES]
+    for I, weights in cases:
         expect = buchberger(oracles.saturation_by_columns(I), GREVLEX)
-        # the moved leading monomials the graded layer reads
-        moved = saturated(I)
-        assert same_hilbert_function(moved, expect.leading_monomials), I
+        assert saturated(I, weights) == expect.leading_monomials, I
 
 
 def hilbert_constant(I):
@@ -424,15 +429,21 @@ def first_line_missing(points):
 
 @pytest.fixture
 def chosen_lines(monkeypatch):
-    """The c of every colon _saturate_by_line computes, caches cold."""
+    """The c of every colon computed, by the division of the cached basis
+    (c = 0) or by elimination, caches cold."""
     chosen = []
-    by_line = groebner._saturate_by_line
+    by_z, colon = groebner._saturate_by_z, groebner._weighted_colon
 
-    def spy(ideal, c, gb):
+    def spy_by_z(gb):
+        chosen.append(0)
+        return by_z(gb)
+
+    def spy_colon(ideal, weights, c):
         chosen.append(c)
-        return by_line(ideal, c, gb)
+        return colon(ideal, weights, c)
 
-    monkeypatch.setattr(groebner, "_saturate_by_line", spy)
+    monkeypatch.setattr(groebner, "_saturate_by_z", spy_by_z)
+    monkeypatch.setattr(groebner, "_weighted_colon", spy_colon)
     groebner._saturated_cached.cache_clear()
     yield chosen
     groebner._saturated_cached.cache_clear()
@@ -475,10 +486,20 @@ def reference_calls(monkeypatch):
     groebner._saturated_cached.cache_clear()
 
 
-def test_corpus_saturations_never_take_the_reference_route(reference_calls):
-    for _, arr in corpus.build_corpus():
-        h0_degree_data(jacobian_ideal(arr.defining_polynomial()), STANDARD)
-    assert reference_calls == []
+def test_corpus_saturations_eliminate_only_for_a_certified_c_past_zero(
+        reference_calls):
+    # c = 0 divides the cached basis; a c > 0 through a singular point is
+    # skipped before its colon, so one elimination runs, for the certified c
+    certified = set()
+    for name, arr in corpus.build_corpus():
+        jac = jacobian_ideal(arr.defining_polynomial())
+        reference_calls.clear()
+        groebner._saturated_cached.cache_clear()
+        h0_degree_data(jac, STANDARD)  # as a request reads the saturation
+        c, _ = saturated_leading_monomials(jac, (1, 1, 1))
+        assert reference_calls == ([(jac, (1, 1, 1), c)] if c else []), name
+        certified.add(c > 0)
+    assert certified == {False, True}
 
 
 def test_hilbert_certificate_rejects_a_line_through_a_singular_point():
@@ -487,11 +508,11 @@ def test_hilbert_certificate_rejects_a_line_through_a_singular_point():
     gb = buchberger(jac, GREVLEX)
     # z is one of the lines, so it passes through singular points
     assert not groebner._line_misses(jac, 0)
-    by_z = groebner._saturate_by_line(jac, 0, gb)
+    by_z = groebner._saturate_by_z(gb)
     assert not groebner._same_hilbert_polynomial(gb.leading_monomials, by_z)
     c = next(k for k in count() if groebner._line_misses(jac, k))
     assert 0 < c <= 2 * hilbert_constant(jac)
-    by_c = groebner._saturate_by_line(jac, c, gb)
+    by_c = groebner._weighted_colon(jac, (1, 1, 1), c)
     assert groebner._same_hilbert_polynomial(gb.leading_monomials, by_c)
     expect = buchberger(oracles.saturation_by_columns(jac), GREVLEX)
     assert same_hilbert_function(by_c, expect.leading_monomials)

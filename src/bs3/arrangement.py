@@ -15,6 +15,29 @@ at most two values of c, so c <= 2 * (number of points), and c comes from
 the lattice in one pass (_free_line).  There the saturation of J needs no
 second basis, and f is the product of integer normals, so its Jacobian
 carries int coefficients only.
+
+The one Buchberger run of J starts knowing where its Hilbert function
+ends (_jacobian): HF(R/J)_t = e = sum over the points of (m_p - 1)^2 for
+every t >= 2d - 4.  The proof:
+
+* The syzygies of the three partials, each of degree d - 1, are the
+  derivations that kill f: Syz(J) = D0(-(d - 1)), D0 the module of those
+  derivations (der0 counts its degree d - 2 piece).  Schenck (Elementary
+  modifications and line configurations in P^2, 2003) bounds
+  reg D0 <= d - 2, so 0 -> D0(-(d - 1)) -> R(-(d - 1))^3 -> J -> 0 gives
+  reg J <= 2d - 4 and reg R/J <= 2d - 5: the value condition (d) tests for.
+* HF(R/J)_t - HP(R/J)(t) = dim H0_m(R/J)_t - dim H1_m(R/J)_t, and both
+  vanish for t > reg R/J, so HF(R/J)_t = HP(R/J) for t >= 2d - 4.
+* HP(R/J) is the constant length of the Jacobian scheme, the sum of the
+  Tjurina numbers of the points.  Near an m-fold point the curve is m
+  lines through it, a homogeneous germ g with g in (g_u, g_v) by Euler,
+  so its Tjurina number is its Milnor number (m - 1)^2.
+
+groebner._buchberger_int skips the pairs the tail proves to reduce to 0
+(Traverso's criterion), so the basis is the one the full run returns.  A
+wrong tail ends in a named check, exit 4: in the run, or in
+condition_report, where e must equal the saturation's e read from the
+basis and the regularity must be at most 2d - 5.
 """
 
 from __future__ import annotations
@@ -25,7 +48,8 @@ from math import gcd, isqrt, lcm
 from . import linalg
 from .bsroots import RootSet
 from .graded import STANDARD, check_h0_symmetry, regularity_report
-from .groebner import MonomialOrder, _budget, _hilbert_function, buchberger
+from .groebner import (Ideal, MonomialOrder, _budget, _hilbert_values,
+                       buchberger)
 from .milnor import _der_log0_dimension, jacobian_ideal, milnor_profile
 from .polyring import Bs3Error, Polynomial, PreconditionError, _parse_terms
 
@@ -372,6 +396,17 @@ def _free_line(points):
     return c
 
 
+def _jacobian(arr):
+    """The Jacobian ideal of f moved to where the free line is z (see
+    condition_report), with its proven Hilbert tail (2d - 4, e),
+    e = sum over the points of (m_p - 1)^2 (module docstring)."""
+    c = _free_line(arr.lattice)
+    f = _form_product((a - c * s, b - c * c * s, s)
+                      for a, b, s in (form.normal for form in arr.forms))
+    e = sum((len(lines) - 1) ** 2 for lines in arr.lattice.values())
+    return Ideal(jacobian_ideal(f).generators, 3, (2 * arr.degree - 4, e))
+
+
 def condition_report(arr):
     """Evaluate the six equivalent conditions for the presence of the
     non-combinatorial root, with every dimension witness recorded.
@@ -387,13 +422,12 @@ def condition_report(arr):
     c^2*y), and its Jacobian ideal is J moved.  z = 0 misses the singular
     points, which are the intersection points, so the saturation of J
     certifies c = 0 on its own reduced basis: one Buchberger run serves
-    the whole report.
+    the whole report, told the Hilbert tail (2d - 4, e) of J (module
+    docstring).
     """
     d = arr.degree
-    c = _free_line(arr.lattice)
-    f = _form_product((a - c * s, b - c * c * s, s)
-                      for a, b, s in (form.normal for form in arr.forms))
-    jac = jacobian_ideal(f)
+    jac = _jacobian(arr)
+    e = jac.hilbert_tail[1]
     gb = buchberger(jac, MonomialOrder.grevlex(3))
     reg = regularity_report(jac)
     h0 = reg.h0
@@ -401,11 +435,19 @@ def condition_report(arr):
     if reg.sheaf_dim_e is None:
         raise PreconditionError("no stabilized section dimension; "
                                 "arrangement pipeline requires one")
-    e = reg.sheaf_dim_e
+    if reg.sheaf_dim_e != e:
+        raise Bs3Error("internal inconsistency: check 'lattice e' failed: "
+                       "the saturation gives e = %d, the lattice %d"
+                       % (reg.sheaf_dim_e, e))
+    if reg.regularity > 2 * d - 5:
+        raise Bs3Error("internal inconsistency: check 'regularity bound' "
+                       "failed: reg R/J = %d exceeds 2d - 5 = %d"
+                       % (reg.regularity, 2 * d - 5))
     h0_d1 = h0.dimension(d - 1)
     h0_2d5 = h0.dimension(2 * d - 5)
-    # the saturation has checked that the generators are homogeneous
-    milnor = _hilbert_function(gb.leading_monomials, max(d - 1, 2 * d - 5))
+    # the saturation has checked that the generators are homogeneous, and
+    # has memoized the tail of in(J)
+    milnor = _hilbert_values(gb.leading_monomials, max(d - 1, 2 * d - 5))
     milnor_d1, milnor_2d5 = milnor[d - 1], milnor[2 * d - 5]
     der0 = _der_log0_dimension(gb.leading_monomials, STANDARD, d, d - 2)
     binom = (d + 1) * d // 2 - 3

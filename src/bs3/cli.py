@@ -70,14 +70,29 @@ def _step_cap(text):
     return cap
 
 
+_JOINED = ("--poly", "--forms", "--weights", "--lct-lambda")
+
+
 def _join_values(argv):
     """argv with the value of each --poly, --forms, --weights and
     --lct-lambda joined to it by "=": argparse reads a spaced value that
-    starts with "-" as an option unless it looks like a negative number."""
+    starts with "-" as an option unless it looks like a negative number.
+    An option is read as argparse reads it among the options of the
+    subcommand argv[0] names: by its full name, or as a prefix of exactly
+    one of them."""
+    parser = _COMMANDS.get(argv[0]) if argv else None
+    names = [o for o in parser._option_string_actions if o.startswith("--")
+             ] if parser else []
+
+    def resolved(arg):
+        if arg in names or not arg.startswith("--"):
+            return arg
+        hits = [o for o in names if o.startswith(arg)]
+        return hits[0] if len(hits) == 1 else arg
+
     out = []
     for arg in argv:
-        if out and out[-1] in ("--poly", "--forms", "--weights",
-                               "--lct-lambda"):
+        if out and resolved(out[-1]) in _JOINED:
             arg = out.pop() + "=" + arg
         out.append(arg)
     return out
@@ -115,10 +130,10 @@ def _build_parser():
     p_arr.add_argument("--forms", required=True,
                        help="comma-separated linear forms, e.g. x,y,z,x+y+z")
     common(p_arr, poly=False)
-    return parser
+    return parser, sub.choices
 
 
-_PARSER = _build_parser()
+_PARSER, _COMMANDS = _build_parser()
 
 
 def _parse_weights(text):

@@ -29,7 +29,8 @@ from math import gcd, lcm
 from operator import mul
 
 from .groebner import (MonomialOrder, _hilbert_function, _hilbert_tail,
-                       _lcm_degree, buchberger, saturated_leading_monomials)
+                       _hilbert_values, _lcm_degree, buchberger,
+                       saturated_leading_monomials)
 from .polyring import (Bs3Error, PreconditionError, WeightSystem,
                        format_ratio, format_rational)
 
@@ -171,9 +172,15 @@ def h0_degree_data(I, w):
     # I^sat/I has finite length, so its series HS(R/in I) - HS(R/in I^sat)
     # is a polynomial, of degree at most the larger deg K minus sum(W).
     top = max(_lcm_degree(in_i, W), _lcm_degree(in_sat, W)) - sum(W)
+    if W == (1, 1, 1):
+        # memoized tails: the saturation has read both (in(I)'s unless I
+        # is Artinian), and past a tail the Hilbert polynomial holds
+        dims = _hilbert_values(in_i, top), _hilbert_values(in_sat, top)
+    else:
+        dims = _hilbert_function(in_i, top, W), _hilbert_function(in_sat,
+                                                                  top, W)
     scaled = {}
-    for k, (dim_i, dim_s) in enumerate(zip(_hilbert_function(in_i, top, W),
-                                           _hilbert_function(in_sat, top, W))):
+    for k, (dim_i, dim_s) in enumerate(zip(*dims)):
         if dim_i < dim_s:
             raise Bs3Error("saturation smaller than the ideal; this should "
                            "be impossible")

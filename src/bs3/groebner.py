@@ -31,6 +31,11 @@ MAX_DEGREE shows as a set guard bit: every product that can pass the bound
 is checked, and one that does raises ResourceLimitError.  A field never
 wraps silently.
 
+An Ideal may carry a proven Hilbert tail (t0, e), dim (R/I)_t = e for
+every t >= t0; its runs skip the pairs that tail proves to reduce to 0
+(Traverso's criterion, _buchberger_int).  Only arrangement Jacobians carry
+one (arrangement module docstring).
+
 Saturation by the irrelevant ideal m = (x, y, z) takes the positive
 integer weights w of the caller's grading and, before any basis work,
 checks that they make every generator homogeneous: an ideal they do not
@@ -271,11 +276,14 @@ class Ideal:
     """An ideal given by a finite list of generators.
 
     The zero ideal is represented by an empty generator tuple.
+    `hilbert_tail`, None or (t0, e), is a proven fact the caller hands to
+    the ideal's Buchberger runs: the generators are standard-homogeneous
+    and dim (R/I)_t = e for every t >= t0 (_buchberger_int).
     """
 
-    __slots__ = ("generators", "variable_count")
+    __slots__ = ("generators", "variable_count", "hilbert_tail")
 
-    def __init__(self, generators, variable_count=None):
+    def __init__(self, generators, variable_count=None, hilbert_tail=None):
         gens = tuple(g for g in generators if not g.is_zero())
         if variable_count is None:
             if not gens:
@@ -286,18 +294,22 @@ class Ideal:
                 raise ValueError("mixed variable counts among generators")
         self.generators = gens
         self.variable_count = variable_count
+        self.hilbert_tail = hilbert_tail
 
     def is_zero(self):
         return not self.generators
 
     def __eq__(self, other):
-        # literal generator comparison; use groebner bases for true equality
+        # literal generator comparison; use groebner bases for true equality.
+        # The tail takes part, so a run under a wrong tail, which may end in
+        # a wrong basis, is never cached for the ideal without one.
         return (isinstance(other, Ideal)
                 and self.variable_count == other.variable_count
-                and self.generators == other.generators)
+                and self.generators == other.generators
+                and self.hilbert_tail == other.hilbert_tail)
 
     def __hash__(self):
-        return hash((self.variable_count, self.generators))
+        return hash((self.variable_count, self.generators, self.hilbert_tail))
 
     def __repr__(self):
         return "Ideal(%s)" % ", ".join(str(g) for g in self.generators)
@@ -477,7 +489,7 @@ def _s_poly_int(f, g, pk, budget):
 # -- Buchberger --------------------------------------------------------------
 
 
-def _buchberger_int(triples, pk, budget):
+def _buchberger_int(triples, pk, budget, tail=None):
     """Core loop on (lm, lc, dict) triples; returns the final list of
     triples, a Groebner basis that is neither minimal nor reduced.
 
@@ -494,6 +506,24 @@ def _buchberger_int(triples, pk, budget):
     leading monomials are coprime; a coprime pair whose lcm does not fit
     is dropped unchecked and never compared.  Every lcm the B criterion
     forms divides a checked one.
+
+    A tail (t0, e) states that the triples generate a standard-homogeneous
+    ideal I in three variables with dim (R/I)_t = e for every t >= t0, and
+    the loop skips the pairs whose remainder it fixes (Traverso, "Hilbert
+    functions and the Buchberger algorithm", 1996).  Let M be the ideal of
+    the leading monomials in play.  M lies in in(I), so
+    h = dim (R/M)_t >= dim (R/I)_t = e, and h is read once per degree
+    t >= t0, when its first pair is taken: every later element of degree t
+    has a leading monomial outside M, and lowers h by exactly 1.  Once
+    h == e, M_t = in(I)_t, so every remaining pair of degree t reduces to
+    0: its remainder lies in I_t with a leading monomial outside M_t.  A
+    zero remainder changes nothing, so skipping the pair leaves the basis,
+    the pairs in play and every later step as they were.  Once
+    dim (R/M)_u = e for every u >= t (the memoized _hilbert_tail of M),
+    every pair left reduces to 0, and the loop stops.  The basis is the
+    one the loop returns without the tail, pair for pair.  A wrong tail
+    raises Bs3Error where it shows: h < e, or a finished basis whose
+    Hilbert function is not e in every degree from t0.
     """
     G = pk.guard
     lcm_of = pk.lcm
@@ -532,14 +562,40 @@ def _buchberger_int(triples, pk, budget):
         play.append(t)
         basis.append(h)
 
-    for h in triples:
-        update(h)
+    def in_play():
+        return tuple(pk.unpack(b[0])
+                     for b in _minimal([basis[i] for i in play], pk))
+
+    for g in triples:
+        update(g)
+    t0, e = tail or (None, None)
+    read = h = None  # the degree h was read in, and dim (R/M)_read
     while heap:
+        t = heap[0][0]
+        if tail and t >= t0:
+            if t != read:
+                lms = in_play()
+                if _stable_from(lms, t, e):
+                    break
+                read, h = t, _hilbert_values(lms, t)[t]
+                if h < e:
+                    raise Bs3Error("internal inconsistency: check 'Hilbert "
+                                   "tail' failed: dim (R/in I)_%d is at "
+                                   "most %d, below the proven %d" % (t, h, e))
+            if h == e:
+                heapq.heappop(heap)
+                continue
         _, _, i, j = heapq.heappop(heap)
         r, _, _ = _reduce(_s_poly_int(basis[i], basis[j], pk, budget), basis,
                           pk, budget)
         if r:
             update(_int_triple(r))
+            if read == t:
+                h -= 1
+    if tail and not _stable_from(in_play(), t0, e):
+        raise Bs3Error("internal inconsistency: check 'Hilbert tail' "
+                       "failed: dim (R/in I)_t is not %d for some t >= %d"
+                       % (e, t0))
     return basis
 
 
@@ -562,7 +618,8 @@ def _buchberger_cached(ideal, order):
     """Buchberger's loop, then _minimal; no interreduction."""
     pk = order.packing
     return GroebnerBasis(order, _minimal(_buchberger_int(
-        [_to_int_poly(g, pk) for g in ideal.generators], pk, _budget()), pk))
+        [_to_int_poly(g, pk) for g in ideal.generators], pk, _budget(),
+        ideal.hilbert_tail), pk))
 
 
 def _minimal(triples, pk):
@@ -700,16 +757,35 @@ def _hilbert_tail(lead_monomials):
     return hf, hf[s] if hf[s] == hf[s + 1] == hf[s + 2] else None
 
 
-def _hilbert_polynomial(lead_monomials):
-    """The Hilbert polynomial of R/M as its values at t = 0, 1, 2, which
-    determine it (its degree is at most two).  It equals the Hilbert
-    function from s = _hilbert_start on, so Newton's forward differences
-    of the last three values of the tail carry it back to 0."""
-    hf, _ = _hilbert_tail(lead_monomials)
+def _polynomial_values(hf, ts):
+    """The Hilbert polynomial of R/M at each degree of ts, from the tail hf
+    of _hilbert_tail: it equals the Hilbert function from s = len(hf) - 3
+    on, and its degree is at most two, so Newton's forward differences of
+    the last three values of the tail carry it to any degree."""
     s = len(hf) - 3
     v, d1, d2 = hf[s], hf[s + 1] - hf[s], hf[s + 2] - 2 * hf[s + 1] + hf[s]
-    return tuple(v + k * d1 + k * (k - 1) // 2 * d2
-                 for k in range(-s, 3 - s))
+    return [v + k * d1 + k * (k - 1) // 2 * d2 for k in (t - s for t in ts)]
+
+
+def _hilbert_polynomial(lead_monomials):
+    """The Hilbert polynomial of R/M as its values at t = 0, 1, 2, which
+    determine it."""
+    hf, _ = _hilbert_tail(lead_monomials)
+    return tuple(_polynomial_values(hf, range(3)))
+
+
+def _hilbert_values(lead_monomials, top):
+    """[dim (R/M)_t for t = 0..top], read from the memoized tail and, past
+    it, from the Hilbert polynomial: no engine call beyond the tail's."""
+    hf, _ = _hilbert_tail(lead_monomials)
+    return list(hf[:max(top + 1, 0)]) + _polynomial_values(
+        hf, range(len(hf), top + 1))
+
+
+def _stable_from(lead_monomials, t, e):
+    """dim (R/M)_u = e for every u >= t."""
+    hf, stable = _hilbert_tail(lead_monomials)
+    return stable == e and all(v == e for v in hf[t:])
 
 
 def _same_hilbert_polynomial(lms_a, lms_b):

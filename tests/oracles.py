@@ -412,14 +412,15 @@ def s_polynomial(f, g, order):
 
 # -- Buchberger's loop by the chain criterion ------------------------------
 
-def buchberger_by_chain_criterion(triples, pk, budget):
+def buchberger_by_chain_criterion(triples, pk, budget, tail=None):
     """Buchberger's loop on (lm, lc, dict) triples, taking pairs by least
     degree, then least lcm: a pair of coprime leading monomials is never
     formed (product criterion), and a pair is skipped when some third
     element's leading monomial divides its lcm and forms a different lcm
     with each of the pair's (chain criterion), scanned over the whole basis
     when the pair is taken.  It runs where groebner._buchberger_int does,
-    with the same contract."""
+    with the same contract; it reduces every such pair, so it ignores a
+    proven Hilbert tail, which only skips pairs that reduce to 0."""
     G = pk.guard
     lcm_of = pk.lcm
     basis = list(triples)

@@ -12,7 +12,7 @@ from bs3.arrangement import (Arrangement, LinearForm, _free_line, _lattice,
                              is_indecomposable, is_formal,
                              relation_space_dimension, singular_points,
                              validate)
-from bs3 import groebner, linalg
+from bs3 import arrangement, cli, groebner, linalg
 from bs3.groebner import saturated_leading_monomials
 from bs3.linalg import rank
 from bs3.milnor import jacobian_ideal
@@ -449,6 +449,110 @@ def test_moved_report_matches_the_original_coordinates(monkeypatch):
         assert got.h0.denominator == want.h0.denominator, name
         assert got.h0.scaled == want.h0.scaled, name
         assert got.consistent == want.consistent, name
+
+
+SWEEP20 = ("x,y,z,x-2y+2z,2y-z,x+y+z,x+2y-z,2x-y-z,2x-2y+z,y-2z,x+z,x+y-z,"
+           "2x-y+z,x-y-z,2x-y,2x-2y-z,2x+y+2z,x+2y-2z,x-y+z,x-y")
+
+
+def hinted_draws():
+    """The corpus (with the Ziegler pair), the first d forms of the sweep
+    draw and the moment curve x + k*y + k^2*z, k < d, for d = 4..12, and
+    150 valid seeded draws of d = 4..10 forms."""
+    arrs = [arr for _, arr in corpus.build_corpus()]
+    for d in range(4, 13):
+        arrs.append(validate(SWEEP20.split(",")[:d]))
+        arrs.append(validate(["x+%d*y+%d*z" % (k, k * k) for k in range(d)]))
+    rng = random.Random(22)
+    drawn = 0
+    while drawn < 150:
+        try:
+            arrs.append(validate(draw_forms(rng, rng.randint(4, 10))))
+        except PreconditionError:
+            continue
+        drawn += 1
+    return arrs
+
+
+def test_hinted_run_returns_the_unhinted_basis():
+    pk = groebner.MonomialOrder.grevlex(3).packing
+    skipped = 0
+    for arr in hinted_draws():
+        jac = arrangement._jacobian(arr)
+        d = arr.degree
+        e = sum((m - 1) ** 2 for m in map(len, arr.lattice.values()))
+        assert jac.hilbert_tail == (2 * d - 4, e)
+        triples = [groebner._to_int_poly(g, pk) for g in jac.generators]
+        with groebner.step_budget() as plain:
+            want = groebner._buchberger_int(triples, pk, plain)
+        with groebner.step_budget() as hinted:
+            got = groebner._buchberger_int(triples, pk, hinted,
+                                           jac.hilbert_tail)
+        assert got == want, arr
+        skipped += hinted.used < plain.used
+    assert skipped > 150
+
+
+def test_cold_ziegler_request_reduces_no_pair_to_zero_from_2d_minus_4(
+        capsys, monkeypatch):
+    # HF(R/J)_t = e for t >= 2d - 4 = 14: each pair of such a degree that
+    # reduces to 0 is skipped, or never taken once the basis's Hilbert
+    # function is e from its degree on
+    reduced = []
+    reduce = groebner._reduce
+
+    def spy(d, basis, pk, budget):
+        r = reduce(d, basis, pk, budget)
+        reduced.append((pk.degree(max(d)), bool(r[0])))
+        return r
+
+    monkeypatch.setattr(groebner, "_reduce", spy)
+    clear_caches()
+    code = cli.main(["arrangement", "--forms", oracles.ZIEGLER_F])
+    assert code == 0 and "non_comb_present: true" in capsys.readouterr().out
+    assert (14, True) in reduced
+    assert not [t for t, nonzero in reduced if t >= 14 and not nonzero]
+
+
+@pytest.mark.parametrize("name, seed, check", [
+    ("ZIEGLER_F", lambda t0, e: (t0, e + 1), "check 'lattice e' failed"),
+    ("ZIEGLER_G", lambda t0, e: (t0, e + 1), "below the proven 43"),
+    ("ZIEGLER_F", lambda t0, e: (t0, e - 1), "not 41 for some t >= 14"),
+    ("ZIEGLER_F", lambda t0, e: ((t0 + 4) // 2 - 1, e),
+     "not 42 for some t >= 8"),
+], ids=["f_e_plus_1", "g_e_plus_1", "f_e_minus_1", "f_from_d_minus_1"])
+def test_a_wrong_hilbert_tail_ends_in_exit_4(capsys, monkeypatch, name, seed,
+                                             check):
+    run = groebner._buchberger_int
+
+    def seeded(triples, pk, budget, tail=None):
+        return run(triples, pk, budget, tail and seed(*tail))
+
+    monkeypatch.setattr(groebner, "_buchberger_int", seeded)
+    clear_caches()
+    code = cli.main(["arrangement", "--forms", getattr(oracles, name)])
+    clear_caches()
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (4, "")
+    assert captured.err.startswith("internal error: internal inconsistency")
+    assert check in captured.err and "Traceback" not in captured.err
+
+
+def test_regularity_above_2d_minus_5_ends_in_exit_4(capsys, monkeypatch):
+    report = arrangement.regularity_report
+
+    def raised(jac):
+        reg = report(jac)
+        reg.regularity += 2
+        return reg
+
+    monkeypatch.setattr(arrangement, "regularity_report", raised)
+    clear_caches()
+    code = cli.main(["arrangement", "--forms", oracles.ZIEGLER_F])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (4, "")
+    assert "check 'regularity bound' failed: reg R/J = 15 exceeds " \
+        "2d - 5 = 13" in captured.err
 
 
 def test_full_root_report_generic4():

@@ -133,7 +133,9 @@ def test_negative_step_cap_is_a_usage_error(capsys):
     assert (code, out) == (1, "")
     assert err == "usage error: argument --step-cap: must be at least 0, " \
         "got -5\n"
-    # a cap of 0 is allowed, and the first step passes it
+    # a cap of 0 is allowed, and the first step of a cold request passes
+    # it (a request served from warm caches may spend none)
+    clear_caches()
     code, out, err = run(capsys, *argv, "0")
     assert (code, out) == (3, "")
     assert err.startswith("resource limit:")
@@ -150,6 +152,26 @@ def test_a_spaced_value_starting_with_minus_reads_as_its_equals_form(
     got, out, err = run(capsys, *argv, option, value)
     want = run(capsys, *argv, "%s=%s" % (option, value))
     assert got == want[0] == code, err
+    assert (strip_timing(out), err) == (strip_timing(want[1]), want[2])
+
+
+@pytest.mark.parametrize("argv, prefix, option, value", [
+    (("roots", "lqh", "--poly", "x*y*z"), "--lct", "--lct-lambda", "-1/2"),
+    (("milnor",), "--po", "--poly", "-x^3-y^3-z^3"),
+    (("arrangement",), "--for", "--forms", "-x,y,z,x+y+z"),
+], ids=["lct", "po", "for-ambiguous"])
+def test_an_abbreviated_option_joins_its_spaced_value(capsys, argv, prefix,
+                                                      option, value):
+    # argparse resolves a unique prefix of an option; --for could be
+    # --forms or --format, and stays the usage error argparse makes of it
+    got, out, err = run(capsys, *argv, prefix, value)
+    if prefix == "--for":
+        assert (got, out) == (1, "")
+        assert err == ("usage error: ambiguous option: --for could match "
+                       "--forms, --format\n")
+        return
+    want = run(capsys, *argv, "%s=%s" % (option, value))
+    assert got == want[0] == 0, err
     assert (strip_timing(out), err) == (strip_timing(want[1]), want[2])
 
 

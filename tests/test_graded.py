@@ -5,14 +5,17 @@ from fractions import Fraction
 
 import pytest
 
+from bs3 import arrangement, graded, groebner
 from bs3.graded import (DegreeData, graded_dimension, h0_degree_data,
                         h1_dimension, regularity_report, sheaf_dimension_e)
 from bs3.groebner import (Ideal, MonomialOrder, _hilbert_function,
-                          _lcm_degree, buchberger)
+                          _lcm_degree, buchberger,
+                          saturated_leading_monomials)
 from bs3.milnor import jacobian_ideal
 from bs3.polyring import (Polynomial, PreconditionError, WeightSystem,
                           parse_polynomial)
 
+import corpus
 import oracles
 from oracles import rank_route_dimension, weighted_monomials
 
@@ -118,6 +121,18 @@ def test_hilbert_engine_matches_monomial_count(weights):
                 for t in range(top + 11)], (lms, dimension)
 
 
+def test_hilbert_values_extend_the_tail_by_the_hilbert_polynomial():
+    # the memoized tail runs to deg lcm; past it the values come from the
+    # Hilbert polynomial, and a negative top gives no degree at all
+    rng = random.Random(22)
+    for dimension in (0, 1, 2):
+        for _ in range(20):
+            lms = tuple(sorted(random_monomial_ideal(rng, dimension)))
+            for top in range(-3, _lcm_degree(lms) + 12):
+                assert groebner._hilbert_values(lms, top) == \
+                    _hilbert_function(lms, top), (lms, top)
+
+
 # (ideal, weights): Artinian, an embedded point, the Jacobians of four
 # lines, of a weighted isolated singularity, of two non-isolated surfaces
 # under fractional weights, and of two surfaces whose Jacobians are
@@ -155,6 +170,39 @@ def test_h0_vanishes_above_the_proven_window():
             dim = (standard_monomial_count(lms_i, w, q)
                    - standard_monomial_count(lms_s, w, q))
             assert dim == data.dimension(q), (I, q)
+
+
+def test_standard_h0_reads_the_memoized_tails(monkeypatch):
+    # under (1, 1, 1) h0_degree_data reads both Hilbert functions from the
+    # tails the saturation has memoized, and past a tail from its Hilbert
+    # polynomial: no engine call of its own, and the engine's values
+    cases = [I for I, w in H0_CASES if w == W1]
+    cases += [jacobian_ideal(P("x^2*y*z")), jacobian_ideal(P("x^2*y + y^3")),
+              NEAR_PENCIL]
+    cases += [arrangement._jacobian(arr) for _, arr in corpus.build_corpus()]
+    calls = []
+    engine = groebner._hilbert_function
+
+    def spy(*args):
+        calls.append(args)
+        return engine(*args)
+
+    past_a_tail = 0
+    for I in cases:
+        _, lms_s = saturated_leading_monomials(I, (1, 1, 1))
+        lms_i = buchberger(I, GREVLEX).leading_monomials
+        with monkeypatch.context() as mp:
+            mp.setattr(groebner, "_hilbert_function", spy)
+            mp.setattr(graded, "_hilbert_function", spy)
+            data = h0_degree_data(I, W1)
+        assert calls == [], I
+        top = max(_lcm_degree(lms_i), _lcm_degree(lms_s)) - 3
+        want = {k: a - b for k, (a, b) in enumerate(zip(
+            engine(lms_i, top), engine(lms_s, top))) if a != b}
+        assert data.scaled == want, I
+        past_a_tail += any(top >= len(groebner._hilbert_tail(lms)[0])
+                           for lms in (lms_i, lms_s))
+    assert past_a_tail > 10
 
 
 def test_graded_dimension_rejects_inhomogeneous():

@@ -33,6 +33,13 @@ every t >= 2d - 4.  The proof:
   lines through it, a homogeneous germ g with g in (g_u, g_v) by Euler,
   so its Tjurina number is its Milnor number (m - 1)^2.
 
+The tail also gives der0 in closed form.  The degree d - 2 derivations
+that kill f are the kernel of (a1, a2, a3) -> a1 f_x + a2 f_y + a3 f_z on
+R_{d-1}^3, whose image is J_{2d-2}; R_t has dimension C(t + 2, 2), and
+2d - 2 >= 2d - 4, so
+
+    der0 = 3 C(d + 1, 2) - (C(2d, 2) - e) = 3 C(d + 1, 2) - C(2d, 2) + e.
+
 groebner._buchberger_int skips the pairs the tail proves to reduce to 0
 (Traverso's criterion), so the basis is the one the full run returns.  A
 wrong tail ends in a named check, exit 4: in the run, or in
@@ -50,8 +57,9 @@ from .bsroots import RootSet
 from .graded import STANDARD, check_h0_symmetry, regularity_report
 from .groebner import (Ideal, MonomialOrder, _budget, _hilbert_values,
                        buchberger)
-from .milnor import _der_log0_dimension, jacobian_ideal, milnor_profile
-from .polyring import Bs3Error, Polynomial, PreconditionError, _parse_terms
+from .milnor import jacobian_ideal, milnor_profile
+from .polyring import (Bs3Error, Polynomial, PreconditionError, _parse_terms,
+                       format_ratio)
 
 
 class LinearForm:
@@ -95,7 +103,8 @@ class LinearForm:
         return _scaled(self.normal)
 
     def polynomial(self):
-        return _linear_polynomial(self.coefficients)
+        return Polynomial({e: v for e, v in zip(
+            ((1, 0, 0), (0, 1, 0), (0, 0, 1)), self.coefficients) if v}, 3)
 
     def __eq__(self, other):
         return isinstance(other, LinearForm) and self.normal == other.normal
@@ -104,7 +113,20 @@ class LinearForm:
         return hash(self.normal)
 
     def __str__(self):
-        return str(self.polynomial())
+        """str(self.polynomial()), written from the normal: each nonzero
+        entry v over the lead entry, with no Fraction."""
+        lead = self.normal[0] or self.normal[1] or self.normal[2]
+        text = ""
+        for v, name in zip(self.normal, "xyz"):
+            if not v:
+                continue
+            body = (name if abs(v) == lead
+                    else format_ratio(abs(v), lead) + "*" + name)
+            if not text:
+                text = body  # the lead entry is positive
+            else:
+                text += (" - " if v < 0 else " + ") + body
+        return text
 
     def __repr__(self):
         return "LinearForm(%s)" % self
@@ -212,22 +234,29 @@ def _scaled(vector):
     return (Fraction(a, lead), Fraction(b, lead), Fraction(c, lead))
 
 
-def _linear_polynomial(vector):
-    """a*x + b*y + c*z for the coefficient vector (a, b, c)."""
-    return Polynomial({e: v for e, v in zip(((1, 0, 0), (0, 1, 0), (0, 0, 1)),
-                                            vector) if v}, 3)
-
-
 def _form_product(vectors):
-    """The product of the linear forms with the given coefficient vectors;
-    each term product is one step."""
+    """The product of the linear forms with the given coefficient vectors
+    (ints or Fractions); each term product is one step.  The terms are
+    multiplied as numbers in one dict, in Polynomial.__mul__'s order and
+    dropping the terms that cancel as it does, so the one Polynomial built
+    at the end is the per-factor product, term order included."""
     budget = _budget()
-    f = Polynomial.constant(1, 3)
+    terms = {(0, 0, 0): 1}
     for vector in vectors:
-        p = _linear_polynomial(vector)
-        budget.spend(len(f.terms) * len(p.terms))
-        f = f * p
-    return f
+        a, b, c = vector
+        budget.spend(len(terms) * ((a != 0) + (b != 0) + (c != 0)))
+        out = {}
+        for (i, j, k), u in terms.items():
+            for key, v in (((i + 1, j, k), a), ((i, j + 1, k), b),
+                           ((i, j, k + 1), c)):
+                if v:
+                    s = out.get(key, 0) + u * v
+                    if s:
+                        out[key] = s
+                    else:
+                        out.pop(key, None)
+        terms = out
+    return Polynomial(terms, 3)
 
 
 def is_indecomposable(forms):
@@ -449,7 +478,9 @@ def condition_report(arr):
     # has memoized the tail of in(J)
     milnor = _hilbert_values(gb.leading_monomials, max(d - 1, 2 * d - 5))
     milnor_d1, milnor_2d5 = milnor[d - 1], milnor[2 * d - 5]
-    der0 = _der_log0_dimension(gb.leading_monomials, STANDARD, d, d - 2)
+    # 2d - 2 >= 2d - 4, where the run has checked HF(R/in J) = e (module
+    # docstring)
+    der0 = 3 * (d + 1) * d // 2 - d * (2 * d - 1) + e
     binom = (d + 1) * d // 2 - 3
     # global sections of the twisted Milnor sheaf at twist d-1, computed
     # through the exact sequence with H1 realized by degree-(d-2) derivations

@@ -66,8 +66,10 @@ def _weighted_degree(f, w):
 def milnor_profile(f, w):
     """Assemble the degree data controlling the root formulas.
 
-    Reducedness and local quasi-homogeneity of f are the caller's
-    responsibility; quasi-homogeneity itself is checked here.
+    Quasi-homogeneity and reducedness of f are checked here: a
+    quasi-homogeneous f is reduced iff dim R/J <= 1, read off in(J) before
+    any saturation work.  Local quasi-homogeneity is the caller's
+    responsibility.
     """
     d = _weighted_degree(f, w)
     if d <= 0:
@@ -75,17 +77,18 @@ def milnor_profile(f, w):
     jac = jacobian_ideal(f)
     lms = buchberger(jac, MonomialOrder.grevlex(f.variable_count)
                      ).leading_monomials
+    if not _dimension_at_most_one(lms):
+        raise PreconditionError("not reduced: dim R/J = 2, so f has a "
+                                "repeated factor")
     # finite length, but not the unit ideal: a smooth f such as x has no
     # singular point, isolated or not
     isolated = _is_artinian(lms) and lms != ((0, 0, 0),)
     h0 = h0_degree_data(jac, w)
-    if _dimension_at_most_one(lms):
-        # f is reduced, so H0 is self-dual about 3d - 2*sum(w).  When f is
-        # isolated, (partial f) is m-primary, saturation gives (1) and H0
-        # is the whole Milnor algebra, a complete intersection with Hilbert
-        # series prod (1 - t^(d - w_i)) / (1 - t^w_i).  A non-reduced f
-        # (dim R/J = 2) is not checked.
-        check_h0_symmetry(h0, 3 * d - 2 * w.weight_sum)
+    # f is reduced, so H0 is self-dual about 3d - 2*sum(w).  When f is
+    # isolated, (partial f) is m-primary, saturation gives (1) and H0 is
+    # the whole Milnor algebra, a complete intersection with Hilbert series
+    # prod (1 - t^(d - w_i)) / (1 - t^w_i).
+    check_h0_symmetry(h0, 3 * d - 2 * w.weight_sum)
     degrees = h0 if isolated else INFINITE
     return MilnorProfile(f, w, d, jac, h0, isolated, degrees)
 
@@ -95,22 +98,16 @@ def der_log0_graded_dimension(f, w, k):
     kernel of (a1,a2,a3) -> sum a_i * (d_i f) with a_i in R_{k+w_i}.
 
     The image is exactly the degree k+wdeg(f) piece of the Jacobian ideal,
-    so the kernel dimension is sum_i dim R_{k+w_i} minus that piece.
-    """
-    d = _weighted_degree(f, w)
-    gb = buchberger(jacobian_ideal(f), MonomialOrder.grevlex(f.variable_count))
-    return _der_log0_dimension(gb.leading_monomials, w, d, k)
-
-
-def _der_log0_dimension(lead_monomials, w, d, k):
-    """der_log0_graded_dimension for an f of weighted degree d whose
-    Jacobian ideal has a grevlex basis with the given leading monomials.
-    f is homogeneous, so are its partials and their reduced basis: the
-    standard monomials count the quotient with no further check.
+    so the kernel dimension is sum_i dim R_{k+w_i} minus that piece.  f is
+    homogeneous, so are its partials and their reduced basis: the standard
+    monomials count the quotient with no further check.
 
     Degrees are scaled by the weights' denominator L, so the domain's
     degrees K + W_i and the image's K + D are ints; every dim R_t is read
-    from one engine call on the zero ideal, M = ()."""
+    from one engine call on the zero ideal, M = ().
+    """
+    d = _weighted_degree(f, w)
+    gb = buchberger(jacobian_ideal(f), MonomialOrder.grevlex(f.variable_count))
     K = Fraction(k) * w.denominator
     if K.denominator != 1:
         return 0  # no monomial has a degree off the 1/L grid
@@ -122,5 +119,6 @@ def _der_log0_dimension(lead_monomials, w, d, k):
     domain = sum(dim_r[K + v] for v in W if K + v >= 0)
     if domain == 0 or K + D < 0:
         return domain
-    image = dim_r[K + D] - _hilbert_function(lead_monomials, K + D, W)[-1]
+    image = (dim_r[K + D]
+             - _hilbert_function(gb.leading_monomials, K + D, W)[-1])
     return domain - image

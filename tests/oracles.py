@@ -26,7 +26,9 @@ bs3.groebner are tested against, and the Fraction intersection lattice is
 what the integer lattice of bs3.arrangement is tested against, as the
 relations of every concurrent triple are what its m - 2 length-3 relations
 per point are, and a form parsed to a Polynomial and normalized over
-Fraction is what its primitive integer normals are.  The Fraction route from H0 degrees to root sets (degrees
+Fraction is what its primitive integer normals are.  The product of linear
+forms as Polynomials, one factor at a time, is what its product of
+coefficient vectors in one dict is tested against.  The Fraction route from H0 degrees to root sets (degrees
 keyed by Fraction, each root computed in Fraction arithmetic, a root set a
 sorted tuple of distinct Fractions) is what the package's integer route,
 degrees k = L*t and roots n/D over one denominator, is tested against.
@@ -512,6 +514,19 @@ def linear_form_by_polynomial(text):
     printed = Polynomial({m: c for m, c in zip(
         ((1, 0, 0), (0, 1, 0), (0, 0, 1)), coefficients)}, 3)
     return normal, coefficients, str(printed)
+
+
+def form_product_by_polynomials(vectors):
+    """The product of the linear forms with the given coefficient vectors,
+    one Polynomial product per factor; each term product is one step."""
+    budget = _budget()
+    f = Polynomial.constant(1, 3)
+    for vector in vectors:
+        p = Polynomial({e: v for e, v in zip(
+            ((1, 0, 0), (0, 1, 0), (0, 0, 1)), vector) if v}, 3)
+        budget.spend(len(f.terms) * len(p.terms))
+        f = f * p
+    return f
 
 
 class _Tokens:

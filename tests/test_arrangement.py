@@ -12,7 +12,8 @@ from bs3.arrangement import (Arrangement, LinearForm, _free_line, _lattice,
                              is_indecomposable, is_formal,
                              relation_space_dimension, singular_points,
                              validate)
-from bs3 import arrangement, cli, groebner, linalg
+from bs3 import arrangement, cli, groebner, linalg, milnor
+from bs3.graded import STANDARD
 from bs3.groebner import saturated_leading_monomials
 from bs3.linalg import rank
 from bs3.milnor import jacobian_ideal
@@ -512,6 +513,106 @@ def test_cold_ziegler_request_reduces_no_pair_to_zero_from_2d_minus_4(
     assert code == 0 and "non_comb_present: true" in capsys.readouterr().out
     assert (14, True) in reduced
     assert not [t for t, nonzero in reduced if t >= 14 and not nonzero]
+
+
+def product_draws():
+    """The corpus (with the Ziegler pair), x, y, z (d = 3), and the first d
+    forms of the sweep draw and the moment curve x + k*y + k^2*z, k < d,
+    for d = 4..12."""
+    arrs = [arr for _, arr in corpus.build_corpus()]
+    arrs.append(Arrangement(forms_of("x,y,z")))
+    for d in range(4, 13):
+        arrs.append(validate(SWEEP20.split(",")[:d]))
+        arrs.append(validate(["x+%d*y+%d*z" % (k, k * k) for k in range(d)]))
+    return arrs
+
+
+def random_entry(rng):
+    if rng.random() < 0.3:
+        return 0
+    if rng.random() < 0.5:
+        return rng.randint(-12, 12)
+    return Fraction(rng.randint(-12, 12), rng.randint(1, 12))
+
+
+def test_a_form_prints_as_its_polynomial_from_its_normal(monkeypatch):
+    rng = random.Random(23)
+    forms = [f for arr in product_draws() for f in arr.forms]
+    while len(forms) < 20000 + 400:
+        vector = [random_entry(rng) for _ in range(3)]
+        if any(vector):
+            forms.append(LinearForm(vector))
+    assert any(abs(v) not in (0, f.normal[0] or f.normal[1] or f.normal[2])
+               for f in forms for v in f.normal)
+    want = [str(f.polynomial()) for f in forms]
+    built = []
+
+    def counting(new):
+        def spy(*args, **kwargs):
+            built.append(args)
+            return new(*args, **kwargs)
+        return spy
+
+    monkeypatch.setattr(Polynomial, "__init__", counting(Polynomial.__init__))
+    monkeypatch.setattr(Fraction, "__new__",
+                        staticmethod(counting(Fraction.__new__)))
+    got = [str(f) for f in forms]
+    assert built == []
+    forms[0].polynomial()
+    assert built  # the spies see what they watch
+    monkeypatch.undo()
+    assert got == want
+
+
+def test_form_product_is_the_per_factor_product(monkeypatch):
+    built = []
+    init = Polynomial.__init__
+
+    def spy(self, terms, variable_count):
+        built.append(terms)
+        init(self, terms, variable_count)
+
+    cases = []
+    for arr in product_draws():
+        c = _free_line(arr.lattice)
+        cases.append([(a - c * s, b - c * c * s, s)
+                      for a, b, s in (f.normal for f in arr.forms)])
+        cases.append([f.coefficients for f in arr.forms])
+        cases.append([f.normal for f in arr.forms])
+    # (x + y)(x - y)z: the two x*y*z terms cancel
+    cases.append([(1, 1, 0), (1, -1, 0), (0, 0, 1)])
+    for vectors in cases:
+        with groebner.step_budget() as by_polynomials:
+            want = oracles.form_product_by_polynomials(vectors)
+        monkeypatch.setattr(Polynomial, "__init__", spy)
+        with groebner.step_budget() as by_numbers:
+            got = arrangement._form_product(iter(vectors))
+        monkeypatch.undo()
+        assert list(got.terms.items()) == list(want.terms.items()), vectors
+        assert by_numbers.used == by_polynomials.used, vectors
+        assert len(built) == 1
+        built.clear()
+    assert got == parse_polynomial("x^2*z - y^2*z")
+
+
+def test_der0_is_read_from_the_proven_tail(monkeypatch):
+    windows = []
+    engine = milnor._hilbert_function
+
+    def spy(*args):
+        windows.append(args)
+        return engine(*args)
+
+    for arr in product_draws():
+        d = arr.degree
+        clear_caches()
+        monkeypatch.setattr(milnor, "_hilbert_function", spy)
+        got = condition_report(arr).witness_dims["der_log0_dim_d_minus_2"]
+        monkeypatch.undo()
+        assert windows == []
+        want = milnor.der_log0_graded_dimension(arr.defining_polynomial(),
+                                                STANDARD, d - 2)
+        assert got == want, arr
 
 
 @pytest.mark.parametrize("name, seed, check", [

@@ -101,8 +101,8 @@ LQH = ("roots", "lqh", "--poly", "x^6*y*z+2*x*y^3*z+3*x*y*z^3",
 
 
 @pytest.mark.parametrize("argv, steps", [
-    (("arrangement", "--forms", oracles.ZIEGLER_F), 921),
-    (("arrangement", "--forms", oracles.ZIEGLER_G), 824),
+    (("arrangement", "--forms", oracles.ZIEGLER_F), 671),
+    (("arrangement", "--forms", oracles.ZIEGLER_G), 574),
     (LQH, 455),
 ], ids=["ziegler_f", "ziegler_g", "lqh"])
 def test_cold_request_spends_a_pinned_number_of_steps(capsys, budgets, argv,

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from bs3 import milnor
 from bs3.cli import main
 from test_budget import clear_caches
 
@@ -89,6 +90,25 @@ def test_weights_refused_print_as_rationals(capsys, weights, shown):
     assert (code, out) == (2, "")
     assert err == ("precondition violated: polynomial is not "
                    "quasi-homogeneous for weights %s\n" % shown)
+
+
+@pytest.mark.parametrize("argv", [
+    ("roots", "lqh", "--poly", "x^2*y*z"),
+    ("milnor", "--poly", "x^2*y*z"),
+    ("milnor", "--poly", "x^2*y^3", "--weights", "1/2,1/3,1"),
+    ("roots", "isolated", "--poly", "x^2*y*z"),
+], ids=["lqh", "milnor", "milnor_weighted", "isolated"])
+def test_non_reduced_f_exits_2_before_saturation(capsys, monkeypatch, argv):
+    # dim R/J = 2: x divides every leading monomial of in(J)
+    saturations = []
+    monkeypatch.setattr(milnor, "h0_degree_data",
+                        lambda *args: saturations.append(args))
+    clear_caches()
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == ("precondition violated: not reduced: dim R/J = 2, so f "
+                   "has a repeated factor\n")
+    assert saturations == []
 
 
 def test_invalid_arrangement_exits_2(capsys):

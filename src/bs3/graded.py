@@ -2,8 +2,11 @@
 
 Every graded dimension of a quotient by a Groebner basis comes from one
 engine, groebner._hilbert_function, which counts the standard monomials of
-the leading-monomial ideal in all degrees up to a top degree at once.  The
-top degrees are proven, never guessed:
+the leading-monomial ideal in all degrees up to a top degree at once.  A
+window whose top a theorem bounds is read through groebner._hilbert_values,
+a degree the caller chooses (graded_dimension's q) straight from the
+engine, which charges a step per degree.  The top degrees are proven,
+never guessed:
 
 * H0 = (I : m^infinity)/I has the Hilbert series HS(R/in I) -
   HS(R/in I^sat), a polynomial; each series is K(t)/prod(1 - t^w_i) with
@@ -11,10 +14,10 @@ top degrees are proven, never guessed:
   (Taylor resolution), so H0 lives in degrees up to the larger lcm degree
   minus the weight sum.
 * The Hilbert function of R/I^sat is its Hilbert polynomial from
-  groebner._hilbert_start on; when dim R/I <= 1 that polynomial is the
-  constant e (groebner._hilbert_tail reads it off), the dimension of the
-  global sections of the associated sheaf in every twist, and H1 is e
-  minus the Hilbert function below that start.
+  max(deg lcm - 2, 0) on (groebner._hilbert_tail); when dim R/I <= 1 that
+  polynomial is the constant e, the dimension of the global sections of
+  the associated sheaf in every twist, and H1 is e minus the Hilbert
+  function below that start.
 
 H0 is read under the weights of the request.  e, H1 and the regularity are
 read under the standard grading, so they refuse an ideal whose generators
@@ -118,15 +121,22 @@ class RegularityReport:
 
 def graded_dimension(gb, w, q):
     """dim of (R/I)_q for a weighted-homogeneous ideal with Groebner basis
-    gb, by counting standard monomials; homogeneity is checked on the
-    reduced basis, which is homogeneous exactly when the ideal is (a
-    minimal one keeps its generators as given)."""
+    gb, by counting standard monomials; 0 when q < 0 or q*w.denominator is
+    not an int.  Homogeneity is checked on the reduced basis, homogeneous
+    exactly when the ideal is (a minimal one keeps its generators as
+    given)."""
     W = w.scaled
+    if gb.order.variable_count != 3 or len(W) != 3:
+        raise PreconditionError("graded dimension needs 3 variables and 3 "
+                                "weights")
     for g in gb.elements:
         if len({sum(map(mul, W, m)) for m in g.terms}) > 1:
             raise PreconditionError("basis element %s is not homogeneous "
                                     "for the given weights" % g)
-    return _monomial_quotient_dimension(gb.leading_monomials, w, q)
+    k = Fraction(q) * w.denominator
+    if k.denominator != 1 or k < 0:
+        return 0
+    return _hilbert_function(gb.leading_monomials, int(k), W)[-1]
 
 
 def check_h0_symmetry(h0, center):
@@ -146,15 +156,6 @@ def check_h0_symmetry(h0, center):
                        "symmetric about %s" % format_rational(center))
 
 
-def _monomial_quotient_dimension(lead_monomials, w, q):
-    """dim (R/M)_q for M generated by the monomials, from the engine; 0 in
-    a degree that is negative or not a multiple of 1/denominator."""
-    k = Fraction(q) * w.denominator
-    if k.denominator != 1 or k < 0:
-        return 0
-    return _hilbert_function(lead_monomials, int(k), w.scaled)[-1]
-
-
 def h0_degree_data(I, w):
     """Degreewise dimensions of (I : m^infinity) / I, the finite-length part
     of R/I supported at the irrelevant maximal ideal."""
@@ -172,13 +173,7 @@ def h0_degree_data(I, w):
     # I^sat/I has finite length, so its series HS(R/in I) - HS(R/in I^sat)
     # is a polynomial, of degree at most the larger deg K minus sum(W).
     top = max(_lcm_degree(in_i, W), _lcm_degree(in_sat, W)) - sum(W)
-    if W == (1, 1, 1):
-        # memoized tails: the saturation has read both (in(I)'s unless I
-        # is Artinian), and past a tail the Hilbert polynomial holds
-        dims = _hilbert_values(in_i, top), _hilbert_values(in_sat, top)
-    else:
-        dims = _hilbert_function(in_i, top, W), _hilbert_function(in_sat,
-                                                                  top, W)
+    dims = _hilbert_values(in_i, top, W), _hilbert_values(in_sat, top, W)
     scaled = {}
     for k, (dim_i, dim_s) in enumerate(zip(*dims)):
         if dim_i < dim_s:

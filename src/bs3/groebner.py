@@ -657,17 +657,6 @@ def _dimension_at_most_one(lead_monomials):
     return all(any(not m[i] for m in lead_monomials) for i in range(3))
 
 
-def _hilbert_start(lead_monomials):
-    """A degree from which dim (R/M)_t is the Hilbert polynomial of R/M.
-
-    The Taylor resolution puts every syzygy of the monomial ideal M in a
-    degree at most deg lcm(M), so the Hilbert series is K(t)/(1-t)^3 with
-    deg K <= deg lcm(M), and in three variables that makes the Hilbert
-    function polynomial from deg lcm(M) - 2 on.
-    """
-    return max(_lcm_degree(lead_monomials) - 2, 0)
-
-
 def _lcm_degree(lead_monomials, weights=(1, 1, 1)):
     """Weighted degree of the lcm of the monomials."""
     return sum(w * max((m[i] for m in lead_monomials), default=0)
@@ -747,39 +736,34 @@ def _hilbert_function(lead_monomials, top, weights=(1, 1, 1)):
 
 @lru_cache(maxsize=64)
 def _hilbert_tail(lead_monomials):
-    """(dim (R/M)_t for t = 0..s + 2), s = _hilbert_start, and the value e
-    of the Hilbert polynomial of R/M if it is constant, else None (dim R/M
-    > 1): its degree is at most two, so three equal values from s decide.
-    Memoized: a request reads the tail of in(I) and of in(I^sat) from
-    several places, and each is computed once."""
-    s = _hilbert_start(lead_monomials)
+    """(dim (R/M)_t for t = 0..s + 2), s = max(deg lcm(M) - 2, 0), and the
+    value e of the Hilbert polynomial of R/M if it is constant, else None
+    (dim R/M > 1).  From s on the Hilbert function is that polynomial: the
+    Taylor resolution puts every syzygy of M in a degree at most
+    deg lcm(M), so the Hilbert series is K(t)/(1-t)^3 with
+    deg K <= deg lcm(M).  Its degree is at most two, so three values from s
+    decide it.  Memoized: a request reads the tail of in(I) and of
+    in(I^sat) from several places, and each is computed once."""
+    s = max(_lcm_degree(lead_monomials) - 2, 0)
     hf = tuple(_hilbert_function(lead_monomials, s + 2))
     return hf, hf[s] if hf[s] == hf[s + 1] == hf[s + 2] else None
 
 
-def _polynomial_values(hf, ts):
-    """The Hilbert polynomial of R/M at each degree of ts, from the tail hf
-    of _hilbert_tail: it equals the Hilbert function from s = len(hf) - 3
-    on, and its degree is at most two, so Newton's forward differences of
-    the last three values of the tail carry it to any degree."""
+def _hilbert_values(lead_monomials, top, weights=(1, 1, 1)):
+    """[dim (R/M)_t for t = 0..top] for a top a theorem bounds: one engine
+    call under weights other than (1, 1, 1); under (1, 1, 1) the memoized
+    tail and past it the Hilbert polynomial, carried from the tail's last
+    three values by Newton's forward differences, with no step charged.
+    A degree the caller chooses (graded_dimension's q,
+    der_log0_graded_dimension's k) stays on _hilbert_function, which
+    charges a step for every degree of its window."""
+    if weights != (1, 1, 1):
+        return _hilbert_function(lead_monomials, top, weights)
+    hf, _ = _hilbert_tail(lead_monomials)
     s = len(hf) - 3
     v, d1, d2 = hf[s], hf[s + 1] - hf[s], hf[s + 2] - 2 * hf[s + 1] + hf[s]
-    return [v + k * d1 + k * (k - 1) // 2 * d2 for k in (t - s for t in ts)]
-
-
-def _hilbert_polynomial(lead_monomials):
-    """The Hilbert polynomial of R/M as its values at t = 0, 1, 2, which
-    determine it."""
-    hf, _ = _hilbert_tail(lead_monomials)
-    return tuple(_polynomial_values(hf, range(3)))
-
-
-def _hilbert_values(lead_monomials, top):
-    """[dim (R/M)_t for t = 0..top], read from the memoized tail and, past
-    it, from the Hilbert polynomial: no engine call beyond the tail's."""
-    hf, _ = _hilbert_tail(lead_monomials)
-    return list(hf[:max(top + 1, 0)]) + _polynomial_values(
-        hf, range(len(hf), top + 1))
+    return list(hf[:max(top + 1, 0)]) + [
+        v + k * d1 + k * (k - 1) // 2 * d2 for k in range(3, top + 1 - s)]
 
 
 def _stable_from(lead_monomials, t, e):
@@ -789,8 +773,12 @@ def _stable_from(lead_monomials, t, e):
 
 
 def _same_hilbert_polynomial(lms_a, lms_b):
-    """R/(lms_a) and R/(lms_b) have the same Hilbert polynomial."""
-    return _hilbert_polynomial(lms_a) == _hilbert_polynomial(lms_b)
+    """R/(lms_a) and R/(lms_b) have the same Hilbert polynomial: from both
+    tails' starts on each Hilbert function is its polynomial, of degree at
+    most two, so three values there decide."""
+    top = max(len(_hilbert_tail(lms_a)[0]), len(_hilbert_tail(lms_b)[0])) - 1
+    return (_hilbert_values(lms_a, top)[-3:]
+            == _hilbert_values(lms_b, top)[-3:])
 
 
 def _univariate_gcd(f, g):
@@ -886,6 +874,8 @@ def saturated_leading_monomials(ideal, weights):
     buchberger."""
     if ideal.variable_count != 3:
         raise PreconditionError("irrelevant-ideal saturation needs 3 variables")
+    if len(weights) != 3:
+        raise PreconditionError("irrelevant-ideal saturation needs 3 weights")
     return _saturated_cached(ideal, weights)
 
 

@@ -241,6 +241,9 @@ def format_ratio(n, d):
 
 def wdeg(p, w):
     """Weighted degree of p, or None when p is not weighted-homogeneous."""
+    if len(w.scaled) != p.variable_count:
+        raise PreconditionError("%d weights for %d variables"
+                                % (len(w.scaled), p.variable_count))
     if p.is_zero():
         raise PreconditionError("wdeg of the zero polynomial is undefined")
     scaled = w.scaled

@@ -356,6 +356,22 @@ def saturation_by_columns(ideal):
     return meet
 
 
+# -- the Hilbert-polynomial certificate by its values at 0, 1, 2 -----------
+
+def same_hilbert_polynomial_at_0_1_2(lms_a, lms_b):
+    """R/(lms_a) and R/(lms_b) have the same Hilbert polynomial, compared by
+    its values at t = 0, 1, 2, which determine it: each is carried back
+    from the Hilbert function at s, s + 1, s + 2, s = max(deg lcm - 2, 0),
+    by Newton's forward differences."""
+    def at_0_1_2(lms):
+        s = max(_lcm_degree(lms) - 2, 0)
+        v, w, u = _hilbert_function(lms, s + 2)[s:]
+        d1, d2 = w - v, u - 2 * w + v
+        return [v + k * d1 + k * (k - 1) // 2 * d2
+                for k in (t - s for t in range(3))]
+    return at_0_1_2(lms_a) == at_0_1_2(lms_b)
+
+
 # -- Milnor algebra degrees by the staircase box ---------------------------
 
 def _artinian_degree_data(gb, w, n=3):

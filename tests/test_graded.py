@@ -123,7 +123,8 @@ def test_hilbert_engine_matches_monomial_count(weights):
 
 def test_hilbert_values_extend_the_tail_by_the_hilbert_polynomial():
     # the memoized tail runs to deg lcm; past it the values come from the
-    # Hilbert polynomial, and a negative top gives no degree at all
+    # Hilbert polynomial, and a negative top gives no degree at all; under
+    # other weights the reader is the engine
     rng = random.Random(22)
     for dimension in (0, 1, 2):
         for _ in range(20):
@@ -131,6 +132,10 @@ def test_hilbert_values_extend_the_tail_by_the_hilbert_polynomial():
             for top in range(-3, _lcm_degree(lms) + 12):
                 assert groebner._hilbert_values(lms, top) == \
                     _hilbert_function(lms, top), (lms, top)
+            for weights in ((2, 3, 5), (3, 2, 1), (1, 4, 2)):
+                for top in range(-3, _lcm_degree(lms, weights) + 12):
+                    assert groebner._hilbert_values(lms, top, weights) == \
+                        _hilbert_function(lms, top, weights), (lms, weights)
 
 
 # (ideal, weights): Artinian, an embedded point, the Jacobians of four
@@ -211,6 +216,20 @@ def test_graded_dimension_rejects_inhomogeneous():
         graded_dimension(buchberger(I, GREVLEX), W1, 2)
     with pytest.raises(PreconditionError):
         rank_route_dimension(I, W1, 2)
+
+
+def test_graded_dimension_refuses_a_basis_not_in_three_variables():
+    for n in (2, 4):
+        I = Ideal((Polynomial({(2,) + (0,) * (n - 1): 1}, n),))
+        with pytest.raises(PreconditionError, match="needs 3 variables"):
+            graded_dimension(buchberger(I), WeightSystem((1,) * n), 2)
+    with pytest.raises(PreconditionError, match="needs 3 variables"):
+        graded_dimension(buchberger(ideal("x^2")), WeightSystem((1, 1)), 2)
+
+
+def test_h0_degree_data_refuses_two_weights():
+    with pytest.raises(PreconditionError, match="needs 3 weights"):
+        h0_degree_data(jacobian_ideal(P("x*y*z")), WeightSystem((1, 1)))
 
 
 def test_graded_dimension_accepts_inhomogeneous_generators_of_a_graded_ideal():

@@ -20,7 +20,7 @@ from bs3.polyring import (Polynomial, PreconditionError, is_quasi_homogeneous,
                           parse_polynomial)
 from oracles import (eliminate, ideal_intersection, s_polynomial,
                      saturate_by_poly)
-from test_graded import H0_CASES
+from test_graded import H0_CASES, random_monomial_ideal
 
 GREVLEX = MonomialOrder("grevlex", 3)
 LEX = MonomialOrder("lex", 3)
@@ -363,7 +363,8 @@ def test_saturation_contains_ideal_and_is_idempotent():
     sat = saturated(I)
     # I lies in I^sat: R/I is at least as large in every degree
     lms = buchberger(I, GREVLEX).leading_monomials
-    top = max(groebner._hilbert_start(lms), groebner._hilbert_start(sat)) + 2
+    top = max(len(groebner._hilbert_tail(lms)[0]),
+              len(groebner._hilbert_tail(sat)[0])) - 1
     assert all(a >= b for a, b in zip(groebner._hilbert_function(lms, top),
                                       groebner._hilbert_function(sat, top)))
     # here in(I^sat) is itself saturated, so saturating it changes nothing
@@ -384,9 +385,9 @@ def times_maximal_ideal(*texts):
 def same_hilbert_function(lms_a, lms_b):
     """R/(lms_a) and R/(lms_b) have the same standard Hilbert function in
     every degree: past both starts each is a polynomial of degree at most
-    two, so three more values decide."""
-    top = max(groebner._hilbert_start(lms_a),
-              groebner._hilbert_start(lms_b)) + 2
+    two, so three more values decide; a tail ends two past its start."""
+    top = max(len(groebner._hilbert_tail(lms_a)[0]),
+              len(groebner._hilbert_tail(lms_b)[0])) - 1
     return (groebner._hilbert_function(lms_a, top)
             == groebner._hilbert_function(lms_b, top))
 
@@ -653,6 +654,37 @@ def test_restriction_to_z_zero_decides_the_first_weighted_colon():
         assert misses[-1] == groebner._same_hilbert_polynomial(
             lms, weighted_colon(I, weights, 0).leading_monomials), I
     assert misses == [False] * (len(cases) - 1) + [True]
+
+
+def test_saturation_refuses_other_than_three_weights(monkeypatch):
+    # refused before the memoized saturation, so before any basis work
+    monkeypatch.setattr(groebner, "_saturated_cached", None)
+    for weights in ((1, 1), (1, 1, 1, 1)):
+        with pytest.raises(PreconditionError, match="needs 3 weights"):
+            saturated_leading_monomials(jacobian_ideal(P("x*y*z")), weights)
+
+
+def test_same_hilbert_polynomial_matches_its_values_at_0_1_2():
+    # three values past both tails decide as the polynomials' values at
+    # t = 0, 1, 2 do, on monomial ideals of dimension 0, 1 and 2 paired
+    # with a random ideal, with one more monomial, and with their product
+    # by (x, y, z), which keeps the saturation
+    rng = random.Random(24)
+    verdicts = []
+    for _ in range(300):
+        a = random_monomial_ideal(rng, rng.randint(0, 2))
+        b = rng.choice([
+            random_monomial_ideal(rng, rng.randint(0, 2)),
+            a + [tuple(rng.randint(0, 4) for _ in range(3))],
+            [(p + (i == 0), q + (i == 1), r + (i == 2))
+             for p, q, r in a for i in range(3)]])
+        a, b = tuple(sorted(set(a))), tuple(sorted(set(b)))
+        want = oracles.same_hilbert_polynomial_at_0_1_2(a, b)
+        assert groebner._same_hilbert_polynomial(a, b) == want, (a, b)
+        verdicts.append((want, groebner._hilbert_tail(a)[1] != 0))
+    # equal polynomials occur off dimension 0 too, where they are not 0
+    assert {v for v, _ in verdicts} == {False, True}
+    assert (True, True) in verdicts
 
 
 def test_ideals_with_no_positive_grading_are_refused():

@@ -45,6 +45,13 @@ def test_milnor_table_without_a_mirror_degree_is_refused(monkeypatch):
         milnor_profile(P("x^3+y^3+z^3"), W1)
 
 
+def test_milnor_profile_refuses_two_weights(monkeypatch):
+    # refused by wdeg, before the Jacobian's basis is computed
+    monkeypatch.setattr(milnor, "buchberger", None)
+    with pytest.raises(PreconditionError, match="2 weights for 3 variables"):
+        milnor_profile(P("x^2 + y^2"), WeightSystem((1, 1)))
+
+
 def test_quadric_profile():
     prof = milnor_profile(P("x^2+y^2+z^2"), W1)
     assert prof.wdeg_f == 2

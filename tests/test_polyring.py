@@ -203,6 +203,13 @@ def test_wdeg_of_zero_rejected():
         wdeg(Polynomial.zero(3), W1)
 
 
+def test_wdeg_refuses_a_weight_count_other_than_the_variable_count():
+    # zipping two or four weights against three exponents read a degree
+    for weights in ((1, 1), (1, 1, 1, 5)):
+        with pytest.raises(PreconditionError, match="weights for 3"):
+            wdeg(P("x^2*y + y^3"), WeightSystem(weights))
+
+
 def test_is_quasi_homogeneous():
     assert is_quasi_homogeneous(P("x*y*z + x^3"), W1)
     assert not is_quasi_homogeneous(P("x^2 + y^3"), W1)

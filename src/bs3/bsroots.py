@@ -215,13 +215,20 @@ def small_roots(profile):
     return new_roots(profile).window(-3, -2)
 
 
+def tlct_lambda(lam):
+    """lam as a Fraction, refused unless lambda <= 0: the twisted
+    comparison test's domain, checkable before any profile is built."""
+    lam = Fraction(lam)
+    if lam > 0:
+        raise PreconditionError("twisted comparison test needs lambda <= 0")
+    return lam
+
+
 def tlct_holds(profile, lam):
     """Twisted logarithmic comparison test for lambda <= 0: holds iff
     -(lambda - 2) * wdeg(f) - sum of weights avoids the H0 support."""
-    lam = Fraction(lam)
+    lam = tlct_lambda(lam)
     p, q = lam.numerator, lam.denominator
-    if p > 0:
-        raise PreconditionError("twisted comparison test needs lambda <= 0")
     # the value times L is ((2q - p)*D - S*q)/q; off the grid 1/L it is
     # no H0 degree
     D, S = _scaled(profile)

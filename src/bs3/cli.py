@@ -198,6 +198,9 @@ def cmd_milnor(args):
 
 
 def cmd_roots(args):
+    # lambda is read and checked before the polynomial and any basis work
+    lam = (None if args.lct_lambda is None
+           else bsroots.tlct_lambda(_parse_rational(args.lct_lambda)))
     w, prof, report = _profile_request(args, "roots %s" % args.kind)
     report["wdeg"] = format_rational(prof.wdeg_f)
     if args.kind == "isolated":
@@ -213,8 +216,7 @@ def cmd_roots(args):
             tax = bsroots.homogeneous_taxonomy(prof, bsroots.RootSet())
             report["tau"] = tax.tau
             report["upsilon"] = _roots(tax.upsilon)
-    if args.lct_lambda is not None:
-        lam = _parse_rational(args.lct_lambda)
+    if lam is not None:
         report["tlct_lambda"] = format_rational(lam)
         report["tlct_holds"] = bsroots.tlct_holds(prof, lam)
     report["assertions"] = list(GENERAL_ASSERTIONS)

@@ -46,49 +46,68 @@ rather than a trial:
 * Artinian: when the grevlex basis has a pure power of every variable, R/I
   has finite length, so the graded ideal I is m-primary and
   I : m^infinity = (1).
-* anything else: J = I : l_c^infinity for the first c = 0, 1, ... whose
-  colon passes a Hilbert-polynomial certificate, where
-  l_c = z^(D/w_z) + c*x^(D/w_x) + c^2*y^(D/w_y), D = lcm(w), is one form of
-  weighted degree D (the line z + c*x + c^2*y under standard weights).
+* anything else: J = I : h_c^infinity for the first c = 0, 1, ... whose
+  colon passes a Hilbert-polynomial certificate, where h_c is one form of
+  the family the ideal and the weights choose (_saturating_form): the
+  moment form l_c = z^(D/w_z) + c*x^(D/w_x) + c^2*y^(D/w_y), D = lcm(w)
+  (the line z + c*x + c^2*y under standard weights), or a two-term form
+  z^(L/w_z) + c*x^(L/w_x), L = lcm(w_x, w_z), when e_y = (0:1:0) is off
+  V(I), or symmetrically z^(L/w_z) + c*y^(L/w_y), L = lcm(w_y, w_z), when
+  e_x = (1:0:0) is.  A coordinate point is off V(I) exactly when some
+  generator has a pure power of that variable among its terms.  A
+  two-term form is taken only when its largest exponent is strictly
+  smaller than l_c's (the smaller of the two if both qualify).  Under
+  (1, 1, 1) every form is linear, so l_c stays.
 
 What saturated_leading_monomials returns, under any weights: the leading
 monomials of the grevlex basis of I^sat in the input's coordinates.  Each
-colon is built one of two ways.  Under standard weights l_0 = z, and
+colon is built one of two ways.  Under standard weights h_0 = z, and
 dividing every element of a grevlex basis of I by its largest power of z
 gives a grevlex basis of I : z^infinity (Bayer-Stillman), so c = 0 costs
 only a division of the cached basis (_saturate_by_z).  Every other colon
 is one elimination in the same coordinates, one Buchberger run on
-(I, t*l_c - 1) (_weighted_colon).  The weights choose the forms l_c tried,
-and so the certified c; the monomials are those of I^sat whichever
-weights grade I, since an ideal can be homogeneous for (1, 1, 1) and for
-other weights at once.
+(I, t*h_c - 1) (_weighted_colon).  The ideal and the weights choose the
+forms h_c tried, and so the certified c; the monomials are those of I^sat
+whichever weights grade I, since an ideal can be homogeneous for
+(1, 1, 1) and for other weights at once.
 
-Why the certificate proves J = I^sat: l_c lies in m, so J contains I^sat,
-and J is graded because l_c is homogeneous.  Grevlex is degree-compatible,
-so for any ideal the affine Hilbert function of R/I is the cumulative
-standard Hilbert function of R/in(I); as I lies in J, equal standard
-Hilbert polynomials of R/in(I) and R/in(J) are equivalent to
-dim_Q J/I < infinity.  Then J/I^sat is a finite-dimensional graded
-submodule of R/I^sat, killed by a power of m, hence zero.  No weighted
-Hilbert start is needed.  Grading is essential: (x - 1, y + 1, z) with
-l = z + x + y gives J = (1) with an equal Hilbert polynomial.
+Why the certificate proves J = I^sat: h_c is homogeneous and lies in m,
+which is all the proof needs of it.  J contains I^sat, and J is graded.
+Grevlex is degree-compatible, so for any ideal the affine Hilbert
+function of R/I is the cumulative standard Hilbert function of R/in(I);
+as I lies in J, equal standard Hilbert polynomials of R/in(I) and R/in(J)
+are equivalent to dim_Q J/I < infinity.  Then J/I^sat is a
+finite-dimensional graded submodule of R/I^sat, killed by a power of m,
+hence zero.  No weighted Hilbert start is needed.  Grading is essential:
+(x - 1, y + 1, z) with h = z + x + y gives J = (1) with an equal Hilbert
+polynomial.
 
 Why the loop ends: when the Hilbert polynomial of R/in(I) is a constant e
 (dim R/I <= 1), e is the degree of the affine curve V(I), so V(I) has at
 most e points in weighted P^2.  l_c vanishes at a point p for the roots c
 of p_z^a + c*p_x^b + c^2*p_y^d only, at most two, so some c <= 2e passes.
+z^a + c*x^b vanishes at a point p != e_y for one c at most: for
+c = -p_z^a / p_x^b when p_x != 0, and for none when p_x = 0, since then
+p_z != 0.  So when e_y is off V(I) some c <= e passes, inside the same
+bound 2e; likewise for z^a + c*y^b when e_x is off V(I).  Through a
+coordinate point of V(I) a two-term form would vanish for every c, so no
+colon would pass and the loop would end in Bs3Error, never in a wrong
+saturation.
 A gcd test on the generators restricted to l_c = 0 (_line_misses) skips,
 before any basis work, a c whose curve meets V(I) wherever the colon would
 cost a Buchberger run: any c > 0 under standard weights, and c = 0 under
-other weights (l_0 = z^(D/w_z) vanishes exactly on z = 0).  Under standard
-weights c = 0 divides the cached basis, so the certificate alone decides
-it.  A point p of V(I) on the curve is a minimal prime of I^sat that
-contains l_c, so the colon drops it, its Hilbert polynomial is smaller and
-the certificate rejects it: the chosen c is the same.
+other weights (h_0, a power of z for every form, vanishes exactly on
+z = 0).  Under standard weights c = 0 divides the cached basis, so the
+certificate alone decides it.  A point p of V(I) on the curve is a minimal
+prime of I^sat that contains h_c, so the colon drops it, its Hilbert
+polynomial is smaller and the certificate rejects it: the chosen c is the
+same.
 When dim R/I = 2,
 each of the finitely many associated primes of I^sat other than m contains
 l_c for at most two values of c (three would put a power of every variable
-in it), so the loop still ends, and the request's step budget bounds it.
+in it), and a two-term form for at most one (two would put (x, z), or
+(y, z), in it, the prime of a coordinate point off V(I)), so the loop
+still ends, and the request's step budget bounds it.
 """
 
 from __future__ import annotations
@@ -806,10 +825,11 @@ def _univariate_gcd(f, g):
 def _line_misses(ideal, c):
     """l_c = 0 misses V(I) in weighted P^2, for I standard-homogeneous (the
     line z + c*x + c^2*y) or, when c = 0, graded by any positive weights
-    (l_0 = z^(D/w_z) vanishes where z does).  On it the generators restrict
-    to forms g(x, y, -c*x - c^2*y), built by Horner in z, that must have no
-    common zero: neither at (1:0), where each g(1, 0, -c) would vanish, nor
-    in the chart y = 1, where their gcd would be nonconstant."""
+    (h_0, a power of z for every form, vanishes where z does).  On it the
+    generators restrict to forms g(x, y, -c*x - c^2*y), built by Horner in
+    z, that must have no common zero: neither at (1:0), where each
+    g(1, 0, -c) would vanish, nor in the chart y = 1, where their gcd would
+    be nonconstant."""
     common, full = [], False
     for g in ideal.generators:
         deg = g.total_degree()
@@ -845,19 +865,41 @@ def _saturate_by_z(gb):
     return tuple(pk.unpack(m) for m, in _minimal(divided, pk))
 
 
-def _weighted_colon(ideal, weights, c):
-    """Leading monomials of a grevlex basis of I : l_c^infinity: the t-free
-    minimal leading monomials, t dropped, of a basis of (I, t*l_c - 1) under
-    the block order, t first.  The colon is that ideal's part without t, and
-    a basis element with a t-free leading monomial is t-free throughout, so
-    those elements are a grevlex basis of it (elimination theorem), and
-    _minimal lists their leading monomials as the reduced basis does."""
-    pk = MonomialOrder.block(1, 4).packing
+def _saturating_form(ideal, weights):
+    """The monomials (m_0, m_1, ...) of the forms h_c = sum c^k m_k that
+    the colons of I try, by the rule of the module docstring: the first of
+    l_c, the x form and the y form with the least largest exponent, the x
+    form only when some generator has a pure power of y among its terms
+    (e_y is off V(I)), the y form only when one has a pure power of x."""
+    wx, wy, wz = weights
     D = lcm(*weights)
-    form = {(0, 0, 0, 0): -1, (1, 0, 0, D // weights[2]): 1,
-            (1, D // weights[0], 0, 0): c, (1, 0, D // weights[1], 0): c * c}
+    forms = [((0, 0, D // wz), (D // wx, 0, 0), (0, D // wy, 0))]
+    z_free = [m for g in ideal.generators for m in g.terms if not m[2]]
+    if any(not m[0] for m in z_free):
+        L = lcm(wx, wz)
+        forms.append(((0, 0, L // wz), (L // wx, 0, 0)))
+    if any(not m[1] for m in z_free):
+        L = lcm(wy, wz)
+        forms.append(((0, 0, L // wz), (0, L // wy, 0)))
+    return min(forms, key=lambda form: max(map(max, form)))
+
+
+def _weighted_colon(ideal, weights, c):
+    """Leading monomials of a grevlex basis of I : h_c^infinity, h_c the
+    form _saturating_form chooses for I and the weights: the t-free
+    minimal leading monomials, t dropped, of a basis of (I, t*h_c - 1)
+    under the block order, t first.  The colon is that ideal's part without
+    t, and a basis element with a t-free leading monomial is t-free
+    throughout, so those elements are a grevlex basis of it (elimination
+    theorem), and _minimal lists their leading monomials as the reduced
+    basis does."""
+    pk = MonomialOrder.block(1, 4).packing
+    form = {(0, 0, 0, 0): -1}
+    for k, m in enumerate(_saturating_form(ideal, weights)):
+        if c ** k:
+            form[(1,) + m] = c ** k
     gens = [{(0,) + m: v for m, v in _int_terms(g)[0].items()}
-            for g in ideal.generators] + [{m: v for m, v in form.items() if v}]
+            for g in ideal.generators] + [form]
     raw = _buchberger_int([_int_triple({pk.pack(m): v for m, v in d.items()})
                            for d in gens], pk, _budget())
     return tuple(pk.unpack(m)[1:] for m, _, _ in _minimal(raw, pk)
@@ -868,14 +910,21 @@ def saturated_leading_monomials(ideal, weights):
     """(c, M) for I : (x, y, z)^infinity, I graded by the positive integer
     weights: M the leading monomials of the reduced grevlex basis of the
     saturation in the input's coordinates, the same under any weights that
-    grade I, and c the certified colon I : l_c^infinity it equals, None
-    when I is Artinian.  Weights that do not make every generator
-    homogeneous are refused before any basis work.  Memoized like
+    grade I, and c the certified colon I : h_c^infinity it equals, h_c the
+    form _saturating_form chooses for I and the weights, None when I is
+    Artinian.  The weights may be any sequence of three ints, read as a
+    tuple; a weight that is not an int (a bool or a float is not), weights
+    that are not positive or do not make every generator homogeneous are
+    refused with PreconditionError before any basis work.  Memoized like
     buchberger."""
     if ideal.variable_count != 3:
         raise PreconditionError("irrelevant-ideal saturation needs 3 variables")
+    weights = tuple(weights)
     if len(weights) != 3:
         raise PreconditionError("irrelevant-ideal saturation needs 3 weights")
+    if any(w.__class__ is not int for w in weights):
+        raise PreconditionError("irrelevant-ideal saturation needs integer "
+                                "weights, got %r" % (weights,))
     return _saturated_cached(ideal, weights)
 
 
@@ -905,7 +954,9 @@ def _saturated_cached(ideal, weights):
             sat = _weighted_colon(ideal, weights, c)
         if _same_hilbert_polynomial(lms, sat):
             return c, sat
-    raise Bs3Error("internal: no colon by z^a + c*x^b + c^2*y^d with c <= %d "
-                   "keeps the Hilbert polynomial, though V(I) has at most %d "
-                   "points" % (2 * e, e))
+    form = " + ".join(p + str(Polynomial({m: 1}, 3)) for p, m in
+                      zip(("", "c*", "c^2*"), _saturating_form(ideal, weights)))
+    raise Bs3Error("internal: no colon by %s with c <= %d keeps the Hilbert "
+                   "polynomial, though V(I) has at most %d points"
+                   % (form, 2 * e, e))
 

@@ -98,13 +98,18 @@ def test_one_budget_per_request(capsys, budgets, name):
 
 LQH = ("roots", "lqh", "--poly", "x^6*y*z+2*x*y^3*z+3*x*y*z^3",
        "--weights", "1/5,1/2,1/2")
+# z (x^2 + y^6)(x^2 + 4 y^6): (0:1:0) and (1:0:0) are off V(I), and the
+# colons run by z + c*y under (3, 1, 1)
+LQH_PRODUCT = ("roots", "lqh", "--poly", "x^4*z+5*x^2*y^6*z+4*y^12*z",
+               "--weights", "1/2,1/6,1/6")
 
 
 @pytest.mark.parametrize("argv, steps", [
     (("arrangement", "--forms", oracles.ZIEGLER_F), 671),
     (("arrangement", "--forms", oracles.ZIEGLER_G), 574),
     (LQH, 455),
-], ids=["ziegler_f", "ziegler_g", "lqh"])
+    (LQH_PRODUCT, 485),
+], ids=["ziegler_f", "ziegler_g", "lqh", "lqh_product"])
 def test_cold_request_spends_a_pinned_number_of_steps(capsys, budgets, argv,
                                                       steps):
     # pair selection, the pair criteria and the reduction order are all

@@ -388,6 +388,49 @@ def test_failed_weighted_certificate_exits_4(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_two_term_form_through_a_coordinate_point_exits_4(capsys,
+                                                          monkeypatch):
+    # every generator of this Jacobian vanishes at (0:1:0), and so does
+    # z^2 + c*x^5, homogeneous under (2, 5, 5), for every c: no colon
+    # passes the certificate
+    from bs3 import groebner
+    monkeypatch.setattr(groebner, "_saturating_form",
+                        lambda ideal, weights: ((0, 0, 2), (5, 0, 0)))
+    clear_caches()
+    code, out, err = run(capsys, "roots", "lqh", "--poly",
+                         "x^6*y*z+2*x*y^3*z+3*x*y*z^3",
+                         "--weights", "1/5,1/2,1/2")
+    clear_caches()
+    assert code == 4
+    assert out == ""
+    assert err.startswith("internal error:") and "z^2 + c*x^5" in err
+    assert "Traceback" not in err
+
+
+def test_lct_lambda_is_checked_before_any_basis(capsys, monkeypatch):
+    # lambda is read before the polynomial: no basis is computed, and a
+    # request with a bad polynomial and a bad lambda reports the lambda
+    from bs3 import groebner
+    runs = []
+    monkeypatch.setattr(groebner, "_buchberger_int",
+                        lambda *args: runs.append(args))
+    clear_caches()
+    lqh = ("roots", "lqh", "--poly", "x^6*y*z+2*x*y^3*z+3*x*y*z^3",
+           "--weights", "1/5,1/2,1/2")
+    for poly in lqh[3], "x*y*z+":
+        argv = lqh[:3] + (poly,) + lqh[4:]
+        code, out, err = run(capsys, *argv, "--lct-lambda", "1/2")
+        assert (code, out) == (2, "")
+        assert err == ("precondition violated: twisted comparison test "
+                       "needs lambda <= 0\n")
+        for bad in ("1/x", "1/0"):
+            code, out, err = run(capsys, *argv, "--lct-lambda", bad)
+            assert (code, out) == (1, "")
+            assert err.startswith("parse error: malformed rational")
+    clear_caches()
+    assert runs == []
+
+
 def test_disagreeing_conditions_exit_4(capsys, monkeypatch):
     from bs3 import arrangement
     monkeypatch.setattr(arrangement, "is_formal", lambda arr: True)

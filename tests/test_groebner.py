@@ -16,8 +16,8 @@ from bs3.groebner import (GroebnerBasis, Ideal, MonomialOrder,
                           ResourceLimitError, buchberger, normal_form,
                           saturated_leading_monomials, step_budget)
 from bs3.milnor import jacobian_ideal
-from bs3.polyring import (Polynomial, PreconditionError, is_quasi_homogeneous,
-                          parse_polynomial)
+from bs3.polyring import (Bs3Error, Polynomial, PreconditionError,
+                          is_quasi_homogeneous, parse_polynomial)
 from oracles import (eliminate, ideal_intersection, s_polynomial,
                      saturate_by_poly)
 from test_graded import H0_CASES, random_monomial_ideal
@@ -395,7 +395,8 @@ def same_hilbert_function(lms_a, lms_b):
 def test_fast_saturation_agrees_with_colon_intersection():
     # under any grading weights the monomials are in(I^sat) of the ideal as
     # given: the corpus Jacobians in original coordinates, most certified at
-    # c > 0, and the H0 cases under their own weights
+    # c > 0, the H0 cases under their own weights, and every draw of both
+    # lqh families for seeds 0-19, saturated by the form chosen for each
     samples = [
         ideal("x^2*y", "y^2*z", "z^2*x"),
         ideal("x^3", "x*y^2 - x*z^2"),
@@ -410,6 +411,7 @@ def test_fast_saturation_agrees_with_colon_intersection():
     cases = [(I, (1, 1, 1)) for I in samples]
     cases += [(I, tuple(v // gcd(*w.scaled) for v in w.scaled))
               for I, w in H0_CASES]
+    cases += [case for seed in range(20) for case in lqh_jacobians(seed, 4)]
     for I, weights in cases:
         expect = buchberger(oracles.saturation_by_columns(I), GREVLEX)
         assert saturated(I, weights) == expect.leading_monomials, I
@@ -574,8 +576,91 @@ def moment_form(weights, c):
              % (D // wz, c, D // wx, c * c, D // wy))
 
 
+def saturating_form(I, weights, c):
+    """h_c = sum c^k m_k over the monomials m_k of the form that
+    _saturating_form chooses for I and the weights."""
+    chosen = groebner._saturating_form(I, weights)
+    return Polynomial({m: c ** k for k, m in enumerate(chosen) if c ** k}, 3)
+
+
 def weighted_colon(I, weights, c):
-    return buchberger(saturate_by_poly(I, moment_form(weights, c)), GREVLEX)
+    return buchberger(saturate_by_poly(I, saturating_form(I, weights, c)),
+                      GREVLEX)
+
+
+def value_at(g, point):
+    """g evaluated at a point of Q^3."""
+    return sum(v * point[0] ** a * point[1] ** b * point[2] ** k
+               for (a, b, k), v in g.terms.items())
+
+
+E_X, E_Y = (1, 0, 0), (0, 1, 0)
+
+
+def off_v(I, point):
+    """The point is not a common zero of the generators."""
+    return any(value_at(g, point) for g in I.generators)
+
+
+def test_saturating_form_is_chosen_per_ideal():
+    # the product family z (x^a + j y^b)(x^a + k y^b) under
+    # (b, a, ab) / gcd(a, b)^2 has x^(2a) and y^(2b) in its z-derivative,
+    # so e_x and e_y are off V(I), w_z = lcm(w_x, w_y), and of the two
+    # two-term forms z + c*x^(w_z/w_x) and z + c*y^(w_z/w_y) the one with
+    # the smaller exponent wins (a != b); every generator of the xyz family
+    # and of the weighted H0 cases vanishes at both points, so l_c stays
+    def moment(weights):
+        wx, wy, wz = weights
+        D = lcm(*weights)
+        return ((0, 0, D // wz), (D // wx, 0, 0), (0, D // wy, 0))
+
+    cases = [(I, w, n % 2 == 0) for seed in range(20)
+             for n, (I, w) in enumerate(lqh_jacobians(seed, 4))]
+    cases += [(I, w, False) for I, w in weighted_h0_cases()]
+    shapes = set()
+    for I, weights, product_family in cases:
+        form = groebner._saturating_form(I, weights)
+        wx, wy, wz = weights
+        if product_family:
+            assert off_v(I, E_X) and off_v(I, E_Y), I
+            ex, ey = wz // wx, wz // wy
+            assert form == (((0, 0, 1), (ex, 0, 0)) if ex < ey
+                            else ((0, 0, 1), (0, ey, 0))), I
+        else:
+            assert not off_v(I, E_X) and not off_v(I, E_Y), I
+            assert form == moment(weights), I
+        shapes.add("l_c" if len(form) == 3 else "x" if form[1][0] else "y")
+    assert shapes == {"l_c", "x", "y"}
+    # under (1, 1, 1) every form is linear, so l_c stays, also when both
+    # coordinate points are off V(I)
+    standard = [jacobian_ideal(arr.defining_polynomial())
+                for _, arr in corpus.build_corpus()]
+    standard += [ideal("x^2 - y*z", "y^3 - x*z^2"), ideal("x^2", "y^3"),
+                 times_maximal_ideal("x^2", "x*y", "y^2")]
+    assert any(off_v(I, E_X) and off_v(I, E_Y) for I in standard)
+    for I in standard:
+        assert groebner._saturating_form(I, (1, 1, 1)) == moment((1, 1, 1))
+
+
+def test_a_two_term_form_through_a_coordinate_point_ends_in_bs3error(
+        monkeypatch):
+    # every generator of the xyz family vanishes at e_y, and so does
+    # z + c*x^b for every c: each colon drops that point of V(I), the
+    # certificate rejects it, and the loop ends in Bs3Error, never in a
+    # wrong saturation
+    I, weights = lqh_jacobians(8, 4)[1]
+    assert not off_v(I, E_Y)
+    wx, _, wz = weights
+    L = lcm(wx, wz)
+    forced = ((0, 0, L // wz), (L // wx, 0, 0))
+    monkeypatch.setattr(groebner, "_saturating_form", lambda *args: forced)
+    groebner._saturated_cached.cache_clear()
+    with pytest.raises(Bs3Error) as raised:
+        saturated_leading_monomials(I, weights)
+    groebner._saturated_cached.cache_clear()
+    assert type(raised.value) is Bs3Error
+    assert "no colon by z^%d + c*x^%d with" % (L // wz, L // wx) in str(
+        raised.value)
 
 
 def test_weighted_jacobians_saturate_by_the_first_certified_colon(
@@ -601,12 +686,13 @@ def test_weighted_jacobians_saturate_by_the_first_certified_colon(
 
 
 def test_packed_weighted_colon_matches_the_localized_polynomials():
-    # the triples _weighted_colon packs are (I, t*l_c - 1) as built from
+    # the triples _weighted_colon packs are (I, t*h_c - 1) as built from
     # Polynomials, and its minimal leading monomials are the reduced basis's
     block = MonomialOrder.block(1, 4)
     for I, weights in lqh_jacobians(8, 4) + weighted_h0_cases():
         for c in range(3):
-            gb = buchberger(oracles._localized(I, moment_form(weights, c)),
+            gb = buchberger(oracles._localized(I, saturating_form(I, weights,
+                                                                  c)),
                             block)
             want = tuple(m[1:] for m in gb.leading_monomials if not m[0])
             assert groebner._weighted_colon(I, weights, c) == want, (I, c)
@@ -662,6 +748,34 @@ def test_saturation_refuses_other_than_three_weights(monkeypatch):
     for weights in ((1, 1), (1, 1, 1, 1)):
         with pytest.raises(PreconditionError, match="needs 3 weights"):
             saturated_leading_monomials(jacobian_ideal(P("x*y*z")), weights)
+
+
+def test_saturation_reads_a_weight_list_and_refuses_other_weight_types(
+        monkeypatch):
+    # a list is read as its tuple, so both share one cache entry; a weight
+    # that is not an int is refused before the cache and any basis work
+    runs = []
+    int_run = groebner._buchberger_int
+
+    def spy(*args):
+        runs.append(args)
+        return int_run(*args)
+
+    monkeypatch.setattr(groebner, "_buchberger_int", spy)
+    I, weights = lqh_jacobians(8, 4)[0]
+    groebner._buchberger_cached.cache_clear()
+    groebner._saturated_cached.cache_clear()
+    for bad in ((1.5, 1, 1), (True, 1, 1), (1, 1, Fraction(2)), ("1", 1, 1)):
+        with pytest.raises(PreconditionError, match="needs integer weights"):
+            saturated_leading_monomials(I, bad)
+    assert runs == []
+    got = saturated_leading_monomials(I, list(weights))
+    assert runs
+    runs.clear()
+    assert saturated_leading_monomials(I, weights) == got
+    assert runs == []
+    groebner._buchberger_cached.cache_clear()
+    groebner._saturated_cached.cache_clear()
 
 
 def test_same_hilbert_polynomial_matches_its_values_at_0_1_2():

@@ -39,13 +39,22 @@ one (arrangement module docstring).
 Saturation by the irrelevant ideal m = (x, y, z) takes the positive
 integer weights w of the caller's grading and, before any basis work,
 checks that they make every generator homogeneous: an ideal they do not
-grade is refused with PreconditionError, since both routes below rest on
-that grading.  It then takes one of two routes, each resting on a proof
+grade is refused with PreconditionError, since the colons below rest on
+that grading.  It then takes one of three routes, each resting on a proof
 rather than a trial:
 
 * Artinian: when the grevlex basis has a pure power of every variable, R/I
   has finite length, so the graded ideal I is m-primary and
   I : m^infinity = (1).
+* in(I) saturated: when the monomial ideal in(I) : m is in(I)
+  (_is_saturated), I^sat = I, and in(I) is returned with no colon.  The
+  normal form r of an f in I^sat lies in I^sat too.  Were r nonzero,
+  m^k*r would lie in I for some k, so u*in(r) = in(u*r) would lie in in(I)
+  for every monomial u of degree k, and in(r) in in(I) : m^k = in(I),
+  though no term of r is in in(I).  So r = 0 and f lies in I.  No weight,
+  grading or dimension is used.  The test is sufficient, not necessary: a
+  saturated I can have an unsaturated in(I), and then takes the colon
+  below.
 * anything else: J = I : h_c^infinity for the first c = 0, 1, ... whose
   colon passes a Hilbert-polynomial certificate, where h_c is one form of
   the family the ideal and the weights choose (_saturating_form): the
@@ -669,6 +678,35 @@ def _is_artinian(lead_monomials):
     return all(any(sum(m) == m[i] for m in lead_monomials) for i in range(3))
 
 
+def _is_saturated(lead_monomials):
+    """M : m = M for M generated by the monomials: R/M has no socle
+    monomial.  On the staircase of _hilbert_function, x^a y^b z^c is a
+    socle monomial exactly when c = low(a, b) - 1 >= 0 and low drops at
+    both a + 1 and b + 1.  low is constant on the cells of the grid of the
+    generators' distinct x- and y-exponents, a prefix minimum of their
+    z-exponents there, and drops only across a grid line, so a cell with a
+    finite low >= 1 above both its +x and +y neighbours is a socle monomial
+    at its far corner.  One step per cell."""
+    xs = sorted({m[0] for m in lead_monomials})
+    ys = sorted({m[1] for m in lead_monomials})
+    _budget().spend(len(xs) * len(ys))
+    top = MAX_DEGREE + 1  # low where no generator divides
+    least = {}
+    for a, b, c in lead_monomials:
+        least[a, b] = min(c, least.get((a, b), top))
+    above = [top] * len(ys)
+    for a in xs:
+        row, run = [], top
+        for j, b in enumerate(ys):
+            run = min(run, least.get((a, b), top))
+            row.append(min(run, above[j]))
+        for j in range(len(ys) - 1):
+            if row[j] < above[j] < top and above[j] > above[j + 1]:
+                return False
+        above = row
+    return True
+
+
 def _dimension_at_most_one(lead_monomials):
     """dim R/M <= 1 for M generated by the monomials: no variable divides
     all of them.  The minimal primes of M are generated by variables, so
@@ -911,12 +949,13 @@ def saturated_leading_monomials(ideal, weights):
     weights: M the leading monomials of the reduced grevlex basis of the
     saturation in the input's coordinates, the same under any weights that
     grade I, and c the certified colon I : h_c^infinity it equals, h_c the
-    form _saturating_form chooses for I and the weights, None when I is
-    Artinian.  The weights may be any sequence of three ints, read as a
-    tuple; a weight that is not an int (a bool or a float is not), weights
-    that are not positive or do not make every generator homogeneous are
-    refused with PreconditionError before any basis work.  Memoized like
-    buchberger."""
+    form _saturating_form chooses for I and the weights, or None when no
+    colon is computed: when I is Artinian, or when in(I) is saturated, and
+    so is I (module docstring).  The weights may be any sequence of three
+    ints, read as a tuple; a weight that is not an int (a bool or a float
+    is not), weights that are not positive or do not make every generator
+    homogeneous are refused with PreconditionError before any basis work.
+    Memoized like buchberger."""
     if ideal.variable_count != 3:
         raise PreconditionError("irrelevant-ideal saturation needs 3 variables")
     weights = tuple(weights)
@@ -941,6 +980,8 @@ def _saturated_cached(ideal, weights):
     lms = gb.leading_monomials
     if _is_artinian(lms):
         return None, ((0, 0, 0),)
+    if _is_saturated(lms):
+        return None, lms
     _, e = _hilbert_tail(lms)
     curve = e is not None  # dim R/I = 1: V(I) has at most e points
     standard = weights == (1, 1, 1)

@@ -36,7 +36,8 @@ The six arrangement conditions read from the Jacobian of f itself, in the
 original coordinates, are what the package's report from the moved Jacobian
 is tested against.  The character scanner (one peek per character class,
 whitespace skipped on every peek) is what the package's token-regex parser
-is tested against.
+is tested against.  A box search for a socle monomial is what the
+staircase test of a saturated monomial ideal is tested against.
 """
 
 import heapq
@@ -370,6 +371,23 @@ def same_hilbert_polynomial_at_0_1_2(lms_a, lms_b):
         return [v + k * d1 + k * (k - 1) // 2 * d2
                 for k in (t - s for t in range(3))]
     return at_0_1_2(lms_a) == at_0_1_2(lms_b)
+
+
+# -- saturated monomial ideals by a box search -------------------------------
+
+def socle_monomial_by_box(lms):
+    """A monomial u outside M = (lms) with x*u, y*u and z*u in M, so that
+    M : (x, y, z) != M, or None.  Each exponent u_i of such a u is below
+    some generator's i-th exponent, or a generator dividing x_i*u would
+    divide u, so every monomial of the box [0, top)^3 is tried, top the
+    largest exponent of the generators."""
+    top = max((max(m) for m in lms), default=0)
+    for u in product(range(top), repeat=3):
+        if (not any(mono_divides(m, u) for m in lms)
+                and all(any(mono_divides(m, mono_mul(u, e)) for m in lms)
+                        for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))):
+            return u
+    return None
 
 
 # -- Milnor algebra degrees by the staircase box ---------------------------

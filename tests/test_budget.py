@@ -98,18 +98,23 @@ def test_one_budget_per_request(capsys, budgets, name):
 
 LQH = ("roots", "lqh", "--poly", "x^6*y*z+2*x*y^3*z+3*x*y*z^3",
        "--weights", "1/5,1/2,1/2")
-# z (x^2 + y^6)(x^2 + 4 y^6): (0:1:0) and (1:0:0) are off V(I), and the
-# colons run by z + c*y under (3, 1, 1)
+# z (x^2 + y^6)(x^2 + 4 y^6) is free: its in(I) is saturated, so no colon
+# runs
 LQH_PRODUCT = ("roots", "lqh", "--poly", "x^4*z+5*x^2*y^6*z+4*y^12*z",
                "--weights", "1/2,1/6,1/6")
+# not free (H0 in degrees 1-4): (1:0:0) is off V(I), and the colons run by
+# z + c*y
+LQH_COLON = ("roots", "lqh", "--poly", "2*x^5+2*x^3*y+3*x^3*z+2*x*y*z",
+             "--weights", "1,2,2")
 
 
 @pytest.mark.parametrize("argv, steps", [
-    (("arrangement", "--forms", oracles.ZIEGLER_F), 671),
-    (("arrangement", "--forms", oracles.ZIEGLER_G), 574),
-    (LQH, 455),
-    (LQH_PRODUCT, 485),
-], ids=["ziegler_f", "ziegler_g", "lqh", "lqh_product"])
+    (("arrangement", "--forms", oracles.ZIEGLER_F), 779),
+    (("arrangement", "--forms", oracles.ZIEGLER_G), 673),
+    (LQH, 471),
+    (LQH_PRODUCT, 239),
+    (LQH_COLON, 142),
+], ids=["ziegler_f", "ziegler_g", "lqh", "lqh_product", "lqh_colon"])
 def test_cold_request_spends_a_pinned_number_of_steps(capsys, budgets, argv,
                                                       steps):
     # pair selection, the pair criteria and the reduction order are all

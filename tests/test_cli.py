@@ -374,13 +374,16 @@ def test_failed_saturation_certificate_exits_4(capsys, monkeypatch):
 
 
 def test_failed_weighted_certificate_exits_4(capsys, monkeypatch):
+    # in(J) is not saturated (H0 lives in degrees 1-4), so the loop runs
+    # the colons by z + c*y, and with every certificate failing ends in
+    # exit 4
     from bs3 import groebner
     monkeypatch.setattr(groebner, "_same_hilbert_polynomial",
                         lambda lms_a, lms_b: False)
     groebner._saturated_cached.cache_clear()
     code, out, err = run(capsys, "roots", "lqh", "--poly",
-                         "x^4*z + 3*x^2*y^3*z + 2*y^6*z",
-                         "--weights", "1/2,1/3,1/2")
+                         "2*x^5+2*x^3*y+3*x^3*z+2*x*y*z",
+                         "--weights", "1,2,2")
     groebner._saturated_cached.cache_clear()
     assert code == 4
     assert out == ""

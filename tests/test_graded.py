@@ -179,8 +179,12 @@ def test_h0_vanishes_above_the_proven_window():
 
 def test_standard_h0_reads_the_memoized_tails(monkeypatch):
     # under (1, 1, 1) h0_degree_data reads both Hilbert functions from the
-    # tails the saturation has memoized, and past a tail from its Hilbert
-    # polynomial: no engine call of its own, and the engine's values
+    # tails, and past a tail from its Hilbert polynomial, with the engine's
+    # values.  Each ideal is saturated with cold caches, as by a request;
+    # the engine calls of h0_degree_data are then exactly the tail fills
+    # the saturation left undone: none after a colon, whose loop reads both
+    # tails; without one, in(I)'s, unless the ideal's Hilbert tail made its
+    # Buchberger run read it, and for an Artinian ideal that of (1)
     cases = [I for I, w in H0_CASES if w == W1]
     cases += [jacobian_ideal(P("x^2*y*z")), jacobian_ideal(P("x^2*y + y^3")),
               NEAR_PENCIL]
@@ -192,21 +196,38 @@ def test_standard_h0_reads_the_memoized_tails(monkeypatch):
         calls.append(args)
         return engine(*args)
 
+    def tail_fill(lms):
+        return (lms, max(_lcm_degree(lms) - 2, 0) + 2)
+
     past_a_tail = 0
+    kinds = set()
     for I in cases:
-        _, lms_s = saturated_leading_monomials(I, (1, 1, 1))
+        groebner._buchberger_cached.cache_clear()
+        groebner._hilbert_tail.cache_clear()
+        groebner._saturated_cached.cache_clear()
+        c, lms_s = saturated_leading_monomials(I, (1, 1, 1))
         lms_i = buchberger(I, GREVLEX).leading_monomials
+        calls.clear()
         with monkeypatch.context() as mp:
             mp.setattr(groebner, "_hilbert_function", spy)
             mp.setattr(graded, "_hilbert_function", spy)
             data = h0_degree_data(I, W1)
-        assert calls == [], I
+        expect = []
+        if c is None:
+            if I.hilbert_tail is None:
+                expect.append(tail_fill(lms_i))
+            if lms_s != lms_i:
+                assert lms_s == ((0, 0, 0),), I
+                expect.append(tail_fill(lms_s))
+        assert calls == expect, I
+        kinds.add((c is None, len(expect)))
         top = max(_lcm_degree(lms_i), _lcm_degree(lms_s)) - 3
         want = {k: a - b for k, (a, b) in enumerate(zip(
             engine(lms_i, top), engine(lms_s, top))) if a != b}
         assert data.scaled == want, I
         past_a_tail += any(top >= len(groebner._hilbert_tail(lms)[0])
                            for lms in (lms_i, lms_s))
+    assert kinds == {(False, 0), (True, 0), (True, 1), (True, 2)}
     assert past_a_tail > 10
 
 

@@ -9,7 +9,7 @@ import pytest
 
 import corpus
 import oracles
-from bs3 import groebner
+from bs3 import arrangement, groebner
 from bs3.arrangement import singular_points, validate
 from bs3.graded import STANDARD, h0_degree_data
 from bs3.groebner import (GroebnerBasis, Ideal, MonomialOrder,
@@ -664,14 +664,27 @@ def test_a_two_term_form_through_a_coordinate_point_ends_in_bs3error(
 
 
 def test_weighted_jacobians_saturate_by_the_first_certified_colon(
-        reference_calls):
+        reference_calls, monkeypatch):
     # the two non-isolated Jacobians under fractional weights; the other
-    # weighted cases there are graded by (1, 1, 1) as well
+    # weighted cases there are graded by (1, 1, 1) as well.  Every product
+    # draw is free: its in(I) is saturated, and no colon is computed
     cases = lqh_jacobians(8, 4) + weighted_h0_cases()
     assert len(cases) == 10
+    free = []
+    for I, weights in cases:
+        reference_calls.clear()
+        chosen, lms = saturated_leading_monomials(I, weights)
+        if chosen is None:
+            assert lms == buchberger(I, GREVLEX).leading_monomials, I
+            assert reference_calls == [], I
+        free.append(chosen is None)
+    assert free == [True, False] * 4 + [False, False]
+    # with that test off every case runs the colon loop
+    monkeypatch.setattr(groebner, "_is_saturated", lambda lms: False)
     for I, weights in cases:
         assert weights != (1, 1, 1), I
         reference_calls.clear()
+        groebner._saturated_cached.cache_clear()
         chosen, lms = saturated_leading_monomials(I, weights)
         calls = [k for _, _, k in reference_calls]
         expect = buchberger(oracles.saturation_by_columns(I), GREVLEX)
@@ -708,20 +721,108 @@ def test_weighted_saturation_of_a_surface_singular_along_a_curve():
 
 
 def test_certificate_rejects_the_form_through_the_points_at_z_zero(
-        reference_calls):
+        reference_calls, monkeypatch):
     jac = jacobian_ideal(P("z") * P("x^2 + 2*y^3") * P("x^2 + 5*y^3"))
     weights = (3, 2, 6)
-    c, _ = saturated_leading_monomials(jac, weights)
-    assert c > 0
+    lms = buchberger(jac, GREVLEX).leading_monomials
+    # a free product: its in(I) is saturated, and no colon is computed
+    assert saturated_leading_monomials(jac, weights) == (None, lms)
+    assert reference_calls == []
+    # with that test off, the colon loop
+    monkeypatch.setattr(groebner, "_is_saturated", lambda lms: False)
+    groebner._saturated_cached.cache_clear()
+    c, sat = saturated_leading_monomials(jac, weights)
+    assert c == 1 and sat == lms
     # z^(D/w_z) vanishes on the points of V(I) on z = 0: the restriction
     # test refutes c = 0, and no colon is computed for it
     assert not groebner._line_misses(jac, 0)
     assert [k for _, _, k in reference_calls] == list(range(1, c + 1))
-    lms = buchberger(jac, GREVLEX).leading_monomials
     assert not groebner._same_hilbert_polynomial(
         lms, weighted_colon(jac, weights, 0).leading_monomials)
     assert groebner._same_hilbert_polynomial(
         lms, weighted_colon(jac, weights, c).leading_monomials)
+
+
+def test_saturated_monomial_test_matches_the_box_search():
+    # seeded monomial ideals of dimension 0, 1 and 2, each also times
+    # (x, y, z), which puts its own generators in the socle, random ones,
+    # and in(J) of the lqh draws, the weighted H0 cases and the corpus
+    # Jacobians in original and in moved coordinates
+    rng = random.Random(26)
+    ideals = []
+    for _ in range(300):
+        gens = random_monomial_ideal(rng, rng.randint(0, 2))
+        ideals += [gens, [(a + (i == 0), b + (i == 1), c + (i == 2))
+                          for a, b, c in gens for i in range(3)]]
+        ideals.append([tuple(rng.randint(0, 5) for _ in range(3))
+                       for _ in range(rng.randint(0, 6))])
+    ideals = [tuple(sorted(set(gens))) for gens in ideals]
+    jacobians = [I for seed in range(20) for I, _ in lqh_jacobians(seed, 4)]
+    jacobians += [I for I, _ in weighted_h0_cases()]
+    for _, arr in corpus.build_corpus():
+        jacobians += [jacobian_ideal(arr.defining_polynomial()),
+                      arrangement._jacobian(arr)]
+    ideals += [buchberger(I, GREVLEX).leading_monomials for I in jacobians]
+    verdicts = set()
+    for lms in ideals:
+        want = oracles.socle_monomial_by_box(lms) is None
+        with step_budget() as budget:
+            assert groebner._is_saturated(lms) == want, lms
+        # one step per cell of the grid of distinct x- and y-exponents
+        assert budget.used == (len({m[0] for m in lms})
+                               * len({m[1] for m in lms})), lms
+        verdicts.add(want)
+    assert verdicts == {False, True}
+
+
+def test_free_product_draws_read_the_saturation_off_one_basis(monkeypatch):
+    # z (x^a + j y^b)(x^a + k y^b) is free (K. Saito), and its in(I) is
+    # saturated: I^sat = I is read off the one grevlex basis, with no
+    # colon; every xyz draw still computes one
+    runs, colons = [], []
+    int_run, colon = groebner._buchberger_int, groebner._weighted_colon
+
+    def spy_run(*args):
+        runs.append(args)
+        return int_run(*args)
+
+    def spy_colon(*args):
+        colons.append(args)
+        return colon(*args)
+
+    monkeypatch.setattr(groebner, "_buchberger_int", spy_run)
+    monkeypatch.setattr(groebner, "_weighted_colon", spy_colon)
+    for seed in range(20):
+        for n, (I, weights) in enumerate(lqh_jacobians(seed, 4)):
+            groebner._buchberger_cached.cache_clear()
+            groebner._saturated_cached.cache_clear()
+            runs.clear()
+            colons.clear()
+            c, lms = saturated_leading_monomials(I, weights)
+            if n % 2 == 0:
+                assert (c, colons, len(runs)) == (None, [], 1), I
+                assert lms == buchberger(I, GREVLEX).leading_monomials, I
+            else:
+                assert c is not None and colons, I
+
+
+def test_a_saturated_ideal_with_an_unsaturated_initial_ideal_takes_a_colon():
+    # the test reads in(I), so it is sufficient, not necessary: the braid
+    # arrangement is free, so its Jacobian J is saturated, but in the
+    # original coordinates in(J) has a socle monomial and the loop
+    # certifies a colon; in the arrangement's moved coordinates in(J) is
+    # saturated
+    arr = validate(oracles.BRAID.split(","))
+    jac = jacobian_ideal(arr.defining_polynomial())
+    lms = buchberger(jac, GREVLEX).leading_monomials
+    expect = buchberger(oracles.saturation_by_columns(jac), GREVLEX)
+    assert expect.leading_monomials == lms
+    assert oracles.socle_monomial_by_box(lms) is not None
+    assert saturated_leading_monomials(jac, (1, 1, 1)) == (1, lms)
+    moved = arrangement._jacobian(arr)
+    lms = buchberger(moved, GREVLEX).leading_monomials
+    assert oracles.socle_monomial_by_box(lms) is None
+    assert saturated_leading_monomials(moved, (1, 1, 1)) == (None, lms)
 
 
 def test_restriction_to_z_zero_decides_the_first_weighted_colon():

@@ -102,19 +102,9 @@ class LinearForm:
     def coefficients(self):
         return _scaled(self.normal)
 
-    def polynomial(self):
-        return Polynomial({e: v for e, v in zip(
-            ((1, 0, 0), (0, 1, 0), (0, 0, 1)), self.coefficients) if v}, 3)
-
-    def __eq__(self, other):
-        return isinstance(other, LinearForm) and self.normal == other.normal
-
-    def __hash__(self):
-        return hash(self.normal)
-
     def __str__(self):
-        """str(self.polynomial()), written from the normal: each nonzero
-        entry v over the lead entry, with no Fraction."""
+        """The form as a Polynomial prints it, written from the normal:
+        each nonzero entry v over the lead entry, with no Fraction."""
         lead = self.normal[0] or self.normal[1] or self.normal[2]
         text = ""
         for v, name in zip(self.normal, "xyz"):
@@ -156,8 +146,7 @@ class Arrangement:
 
 class SingularPoint:
     """An intersection point on `multiplicity` lines, stored as `vector`:
-    its primitive integer vector with first nonzero entry positive.
-    `point` is derived from it: the point scaled so that entry is 1."""
+    its primitive integer vector with first nonzero entry positive."""
 
     __slots__ = ("vector", "multiplicity")
 
@@ -165,12 +154,8 @@ class SingularPoint:
         self.vector = vector
         self.multiplicity = multiplicity
 
-    @property
-    def point(self):
-        return _scaled(self.vector)
-
     def __repr__(self):
-        return "SingularPoint(%s, m=%d)" % (list(self.point),
+        return "SingularPoint(%s, m=%d)" % (list(_scaled(self.vector)),
                                             self.multiplicity)
 
 
@@ -237,9 +222,9 @@ def _scaled(vector):
 def _form_product(vectors):
     """The product of the linear forms with the given coefficient vectors
     (ints or Fractions); each term product is one step.  The terms are
-    multiplied as numbers in one dict, in Polynomial.__mul__'s order and
-    dropping the terms that cancel as it does, so the one Polynomial built
-    at the end is the per-factor product, term order included."""
+    multiplied as numbers in one dict, factor by factor: each product of a
+    term with a coefficient is added in as it comes and dropped when its
+    sum cancels, and the one Polynomial is built at the end."""
     budget = _budget()
     terms = {(0, 0, 0): 1}
     for vector in vectors:
@@ -259,9 +244,10 @@ def _form_product(vectors):
     return Polynomial(terms, 3)
 
 
-def is_indecomposable(forms):
-    """No partition of the normals into two blocks with rank sum 3, for
-    reduced essential forms (validate checks both first).
+def _indecomposable(lattice, d):
+    """No partition of the d normals into two blocks with rank sum 3, read
+    off the intersection lattice of reduced essential forms (validate
+    checks both first).
 
     Both blocks are nonempty and the normals span rank 3, so the ranks are
     1 and 2: the rank-1 block is one line (no duplicates) and the rank-2
@@ -269,10 +255,6 @@ def is_indecomposable(forms):
     misses (else all d lines would meet).  So the forms decompose iff some
     intersection point lies on exactly d - 1 of them.
     """
-    return _indecomposable(_lattice(forms), len(forms))
-
-
-def _indecomposable(lattice, d):
     return all(len(lines) != d - 1 for lines in lattice.values())
 
 

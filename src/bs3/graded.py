@@ -2,11 +2,9 @@
 
 Every graded dimension of a quotient by a Groebner basis comes from one
 engine, groebner._hilbert_function, which counts the standard monomials of
-the leading-monomial ideal in all degrees up to a top degree at once.  A
-window whose top a theorem bounds is read through groebner._hilbert_values,
-a degree the caller chooses (graded_dimension's q) straight from the
-engine, which charges a step per degree.  The top degrees are proven,
-never guessed:
+the leading-monomial ideal in all degrees up to a top degree at once, and
+is read through groebner._hilbert_values in a window whose top a theorem
+bounds.  The top degrees are proven, never guessed:
 
 * H0 = (I : m^infinity)/I has the Hilbert series HS(R/in I) -
   HS(R/in I^sat), a polynomial; each series is K(t)/prod(1 - t^w_i) with
@@ -29,11 +27,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
 
-from .groebner import (MonomialOrder, _hilbert_function, _hilbert_tail,
-                       _hilbert_values, _lcm_degree, buchberger,
-                       saturated_leading_monomials)
+from .groebner import (MonomialOrder, _hilbert_tail, _hilbert_values,
+                       _lcm_degree, buchberger, saturated_leading_monomials)
 from .polyring import (Bs3Error, PreconditionError, WeightSystem,
                        format_ratio, format_rational)
 
@@ -41,11 +37,11 @@ from .polyring import (Bs3Error, PreconditionError, WeightSystem,
 class DegreeData:
     """Finite map from weighted degree to a positive dimension.  Each
     degree t is kept as the int k = L*t over one denominator L, in
-    `scaled`, a dict in ascending order of k; `entries` (degree to
-    dimension) and `support` (the ascending degrees) are Fraction views
-    built on access.  DegreeData(entries) takes degrees as Fractions or
-    ints and uses the least common denominator of them;
-    h0_degree_data uses the weights' common denominator."""
+    `scaled`, a dict in ascending order of k; `entries`, degree to
+    dimension in the same order, is a Fraction view built on access.
+    DegreeData(entries) takes degrees as Fractions or ints and uses the
+    least common denominator of them; h0_degree_data uses the weights'
+    common denominator."""
 
     __slots__ = ("denominator", "scaled")
 
@@ -69,11 +65,6 @@ class DegreeData:
     def entries(self):
         L = self.denominator
         return {Fraction(k, L): d for k, d in self.scaled.items()}
-
-    @property
-    def support(self):
-        L = self.denominator
-        return tuple(Fraction(k, L) for k in self.scaled)
 
     def dimension(self, q):
         """The dimension in degree q, an int or a Fraction; 0 off the
@@ -117,26 +108,6 @@ class RegularityReport:
         return ("RegularityReport(h0_max=%s, h1_max=%s, regularity=%s, "
                 "sheaf_dim_e=%s)" % (self.h0_max, self.h1_max,
                                      self.regularity, self.sheaf_dim_e))
-
-
-def graded_dimension(gb, w, q):
-    """dim of (R/I)_q for a weighted-homogeneous ideal with Groebner basis
-    gb, by counting standard monomials; 0 when q < 0 or q*w.denominator is
-    not an int.  Homogeneity is checked on the reduced basis, homogeneous
-    exactly when the ideal is (a minimal one keeps its generators as
-    given)."""
-    W = w.scaled
-    if gb.order.variable_count != 3 or len(W) != 3:
-        raise PreconditionError("graded dimension needs 3 variables and 3 "
-                                "weights")
-    for g in gb.elements:
-        if len({sum(map(mul, W, m)) for m in g.terms}) > 1:
-            raise PreconditionError("basis element %s is not homogeneous "
-                                    "for the given weights" % g)
-    k = Fraction(q) * w.denominator
-    if k.denominator != 1 or k < 0:
-        return 0
-    return _hilbert_function(gb.leading_monomials, int(k), W)[-1]
 
 
 def check_h0_symmetry(h0, center):
@@ -204,35 +175,6 @@ def _saturation_hilbert(I):
     return hf, e
 
 
-_NOT_POINTS = ("Hilbert polynomial of R/I^sat is not constant; projective "
-               "support is not zero-dimensional")
-
-
-def sheaf_dimension_e(I):
-    """Stabilized Hilbert value of R/I^sat under the standard grading; equals
-    dim of the degree-q global sections for every twist q when the projective
-    support is a finite set of points."""
-    if I.is_zero():
-        raise PreconditionError("the zero ideal has no stabilized Hilbert "
-                                "value")
-    _, e = _saturation_hilbert(I)
-    if e is None:
-        raise PreconditionError(_NOT_POINTS)
-    return e
-
-
-def h1_dimension(I, q):
-    """dim of the degree-q piece of H1_m(R/I), via e minus the Hilbert
-    value; 0 off the integer grid, where no module has a piece."""
-    hf, e = _saturation_hilbert(I)
-    if e is None:
-        raise PreconditionError(_NOT_POINTS)
-    q = Fraction(q)
-    if q.denominator != 1 or q >= len(hf):
-        return 0
-    return e if q < 0 else e - hf[int(q)]
-
-
 def regularity_report(I):
     """H0/H1 degree ranges and the regularity max(h0_max, h1_max + 1),
     with absent cohomology skipped."""
@@ -246,7 +188,9 @@ def regularity_report(I):
                           and I.generators[0].total_degree() == 1)
         if principal_line:
             return RegularityReport(None, None, 0, None, h0)
-        raise PreconditionError(_NOT_POINTS + "; the regularity formula "
+        raise PreconditionError("Hilbert polynomial of R/I^sat is not "
+                                "constant; projective support is not "
+                                "zero-dimensional; the regularity formula "
                                 "needs dim R/I <= 1")
     # H1 is e - hf: zero from the Hilbert start on, e in every negative
     # degree, so it is absent only when e = 0.

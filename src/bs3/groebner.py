@@ -2,27 +2,27 @@
 
 Every basis computation runs on integer coefficient dictionaries, and one
 routine, _reduce, does every reduction: of S-polynomials in Buchberger's
-loop, of normal forms, and of each element against the others when
-GroebnerBasis.elements interreduces.  It strips the content after every
-step, so no Fraction arithmetic happens in inner loops.  A GroebnerBasis
-holds only the packed integer triples (lm, lc, primitive dict) of a
-minimal basis, whose leading monomials are all a request reads.  Fractions
-appear only where a value leaves the program: generators are cleared of
-denominators on the way in, and monic Polynomials are built only for
-library callers (elements, normal_form), never on a request.
+loop, and of each element against the others when GroebnerBasis.elements
+interreduces.  It strips the content after every step, so no Fraction
+arithmetic happens in inner loops.  A GroebnerBasis holds only the packed
+integer triples (lm, lc, primitive dict) of a minimal basis, whose leading
+monomials are all a request reads.  Fractions appear only where a value
+leaves the program: generators are cleared of denominators on the way in,
+and monic Polynomials are built only when GroebnerBasis.elements is read,
+never on a request.
 
 Inside those dictionaries a monomial is one int, packed by its order
 (Monagan-Pearce): pack(m) = sum e_i * C_i lays 16-bit fields side by side,
 each holding a sum of some of the exponents in its low 15 bits and a guard
 bit, always clear, on top.  The most significant fields hold the order's
 key: for grevlex the partial sums s_n = deg, s_(n-1), ..., s_1 with
-s_k = e_1 + ... + e_k (at equal degree grevlex is lex on these sums), for
-lex e_1, ..., e_n, for a block order e_1, ..., e_k and then the grevlex sums
-of the other variables.  Below them come the total degree and each raw
-exponent that is not a field yet.  So the int order is the monomial order,
-a product is +, a quotient is -, the leading monomial of a dict d is max(d),
-and a divides b iff ((b | G) - a) & G == G for the guard mask G: a field of
-b below a's clears its guard bit, and no borrow crosses a field.
+s_k = e_1 + ... + e_k (at equal degree grevlex is lex on these sums), for a
+block order e_1, ..., e_k and then the grevlex sums of the other variables.
+Below them come the total degree and each raw exponent that is not a field
+yet.  So the int order is the monomial order, a product is +, a quotient
+is -, the leading monomial of a dict d is max(d), and a divides b iff
+((b | G) - a) & G == G for the guard mask G: a field of b below a's clears
+its guard bit, and no borrow crosses a field.
 
 Every field is a sum of exponents, so none exceeds the total degree, and a
 monomial enters only if its total degree is at most MAX_DEGREE = 2^15 - 1.
@@ -194,15 +194,15 @@ def _budget():
 class MonomialOrder:
     """A monomial order, compared through its packing (module docstring).
 
-    Three kinds: graded reverse lex, lex, and a block (elimination) order
-    that compares the first elim_count exponents lexicographically and
-    breaks ties by graded reverse lex on the remaining ones.
+    Two kinds: graded reverse lex, and a block (elimination) order that
+    compares the first elim_count exponents lexicographically and breaks
+    ties by graded reverse lex on the remaining ones.
     """
 
     __slots__ = ("kind", "variable_count", "elim_count")
 
     def __init__(self, kind, variable_count, elim_count=0):
-        if kind not in ("grevlex", "lex", "block"):
+        if kind not in ("grevlex", "block"):
             raise ValueError("unknown order kind %r" % kind)
         self.kind = kind
         self.variable_count = variable_count
@@ -211,10 +211,6 @@ class MonomialOrder:
     @classmethod
     def grevlex(cls, n=3):
         return cls("grevlex", n)
-
-    @classmethod
-    def lex(cls, n=3):
-        return cls("lex", n)
 
     @classmethod
     def block(cls, elim_count, n):
@@ -248,7 +244,7 @@ class _Packing:
     __slots__ = ("n", "coeffs", "guard", "shifts", "degree_shift")
 
     def __init__(self, kind, n, elim_count):
-        lead = {"grevlex": 0, "lex": n, "block": elim_count}[kind]
+        lead = elim_count if kind == "block" else 0
         # each field is the set of variables it sums, most significant first
         fields = [(i,) for i in range(lead)]
         fields += [tuple(range(lead, j)) for j in range(n, lead, -1)]
@@ -346,8 +342,8 @@ class Ideal:
 class GroebnerBasis:
     """A minimal Groebner basis, sorted by increasing leading monomial and
     held as packed integer triples (lm, lc, primitive dict).  Its leading
-    monomials, length and normal forms are the reduced basis's; elements
-    builds that reduced basis, monic, on each access, for library callers."""
+    monomials are the reduced basis's, and a request reads nothing else;
+    elements builds that reduced basis, monic, on each access."""
 
     __slots__ = ("order", "_int_basis")
 
@@ -369,9 +365,6 @@ class GroebnerBasis:
     def leading_monomials(self):
         unpack = self.order.packing.unpack
         return tuple(unpack(b[0]) for b in self._int_basis)
-
-    def __len__(self):
-        return len(self._int_basis)
 
     def __iter__(self):
         return iter(self.elements)
@@ -660,16 +653,6 @@ def _minimal(triples, pk):
     return kept
 
 
-def normal_form(p, gb):
-    """Unique remainder of p modulo the Groebner basis gb; a full
-    reduction leaves the same remainder modulo any basis of the ideal."""
-    pk = gb.order.packing
-    terms, denom = _int_terms(p)
-    r, num, den = _reduce({pk.pack(m): v for m, v in terms.items()},
-                          gb._int_basis, pk, _budget())
-    return _from_int_poly(r, pk, Fraction(num * denom, den))
-
-
 # -- saturation with respect to the irrelevant maximal ideal -----------------
 
 
@@ -811,9 +794,7 @@ def _hilbert_values(lead_monomials, top, weights=(1, 1, 1)):
     call under weights other than (1, 1, 1); under (1, 1, 1) the memoized
     tail and past it the Hilbert polynomial, carried from the tail's last
     three values by Newton's forward differences, with no step charged.
-    A degree the caller chooses (graded_dimension's q,
-    der_log0_graded_dimension's k) stays on _hilbert_function, which
-    charges a step for every degree of its window."""
+    No caller reads a degree of its own choosing."""
     if weights != (1, 1, 1):
         return _hilbert_function(lead_monomials, top, weights)
     hf, _ = _hilbert_tail(lead_monomials)

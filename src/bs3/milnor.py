@@ -1,4 +1,4 @@
-"""Jacobian ideals, Milnor algebra degree data, and logarithmic derivations.
+"""Jacobian ideals and Milnor algebra degree data.
 
 The central object is the MilnorProfile of a quasi-homogeneous polynomial:
 its Jacobian ideal, the degree data of the finite-length part of the Milnor
@@ -9,11 +9,9 @@ which is then H0 itself.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .graded import check_h0_symmetry, h0_degree_data
 from .groebner import (Ideal, MonomialOrder, _dimension_at_most_one,
-                       _hilbert_function, _is_artinian, buchberger)
+                       _is_artinian, buchberger)
 from .polyring import (PreconditionError, format_rational, partial_derivative,
                        wdeg)
 
@@ -35,10 +33,6 @@ class MilnorProfile:
         self.h0 = h0
         self.is_isolated = is_isolated
         self.milnor_algebra_degrees = milnor_algebra_degrees
-
-    @property
-    def weight_sum(self):
-        return self.weights.weight_sum
 
     def __repr__(self):
         return ("MilnorProfile(f=%s, wdeg=%s, isolated=%s, h0=%r)"
@@ -91,34 +85,3 @@ def milnor_profile(f, w):
     check_h0_symmetry(h0, 3 * d - 2 * w.weight_sum)
     degrees = h0 if isolated else INFINITE
     return MilnorProfile(f, w, d, jac, h0, isolated, degrees)
-
-
-def der_log0_graded_dimension(f, w, k):
-    """dim of the degree-k piece of the derivations annihilating f:
-    kernel of (a1,a2,a3) -> sum a_i * (d_i f) with a_i in R_{k+w_i}.
-
-    The image is exactly the degree k+wdeg(f) piece of the Jacobian ideal,
-    so the kernel dimension is sum_i dim R_{k+w_i} minus that piece.  f is
-    homogeneous, so are its partials and their reduced basis: the standard
-    monomials count the quotient with no further check.
-
-    Degrees are scaled by the weights' denominator L, so the domain's
-    degrees K + W_i and the image's K + D are ints; every dim R_t is read
-    from one engine call on the zero ideal, M = ().
-    """
-    d = _weighted_degree(f, w)
-    gb = buchberger(jacobian_ideal(f), MonomialOrder.grevlex(f.variable_count))
-    K = Fraction(k) * w.denominator
-    if K.denominator != 1:
-        return 0  # no monomial has a degree off the 1/L grid
-    K, D, W = int(K), int(d * w.denominator), w.scaled
-    top = K + max(D, *W)
-    if top < 0:
-        return 0
-    dim_r = _hilbert_function((), top, W)
-    domain = sum(dim_r[K + v] for v in W if K + v >= 0)
-    if domain == 0 or K + D < 0:
-        return domain
-    image = (dim_r[K + D]
-             - _hilbert_function(gb.leading_monomials, K + D, W)[-1])
-    return domain - image

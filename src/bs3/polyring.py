@@ -1,12 +1,16 @@
-"""Exact sparse polynomial arithmetic over Q in up to three variables.
+"""Exact sparse polynomials over Q in three variables: parsing, printing,
+weighted degrees and partial derivatives.
 
 Polynomials are dictionaries mapping exponent tuples to nonzero rationals:
 an int when the coefficient is integral, a Fraction only when its
 denominator is not 1.  The two compare and hash alike (hash(n) ==
-hash(Fraction(n))), so equality and hashing do not see the difference, and
-a product of integral polynomials never builds a Fraction.
-A fourth variable named t is supported internally for elimination tricks;
-the public grammar only knows x, y, z (aliases x1, x2, x3).
+hash(Fraction(n))), so equality and hashing do not see the difference.
+There is no Polynomial arithmetic: the pipeline multiplies and reduces on
+int dictionaries (arrangement._form_product, the groebner module) and
+builds a Polynomial only from a finished dictionary.
+Printing also names the variables of the other rings an elimination
+works in, t first among four; the grammar knows only x, y, z (aliases x1,
+x2, x3).
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd
-from operator import add, mul
+from operator import mul
 
 
 class Bs3Error(Exception):
@@ -35,10 +39,6 @@ class PreconditionError(Bs3Error):
 
 VARIABLE_NAMES = {1: ("x",), 2: ("x", "y"),
                   3: ("x", "y", "z"), 4: ("t", "x", "y", "z")}
-
-
-def mono_mul(a, b):
-    return tuple(map(add, a, b))
 
 
 def grevlex_key(m):
@@ -67,15 +67,6 @@ class WeightSystem:
     def weight_sum(self):
         return sum(self.weights, Fraction(0))
 
-    def mono_wdeg(self, m):
-        return Fraction(sum(map(mul, m, self.scaled)), self.denominator)
-
-    def __eq__(self, other):
-        return isinstance(other, WeightSystem) and self.weights == other.weights
-
-    def __hash__(self):
-        return hash(self.weights)
-
     def __repr__(self):
         return "WeightSystem(%s)" % (self.weights,)
 
@@ -102,20 +93,6 @@ class Polynomial:
         self.terms = clean
         self.variable_count = variable_count
 
-    @classmethod
-    def zero(cls, n=3):
-        return cls({}, n)
-
-    @classmethod
-    def constant(cls, c, n=3):
-        return cls({(0,) * n: c}, n)
-
-    @classmethod
-    def variable(cls, i, n=3):
-        e = [0] * n
-        e[i] = 1
-        return cls({tuple(e): 1}, n)
-
     def is_zero(self):
         return not self.terms
 
@@ -134,62 +111,6 @@ class Polynomial:
 
     def __hash__(self):
         return hash((self.variable_count, frozenset(self.terms.items())))
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, 0) + c
-            if s == 0:
-                out.pop(m, None)
-            else:
-                out[m] = s
-        return Polynomial(out, self.variable_count)
-
-    def __neg__(self):
-        return Polynomial({m: -c for m, c in self.terms.items()}, self.variable_count)
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return Polynomial.zero(self.variable_count)
-            return Polynomial({m: c * other for m, c in self.terms.items()},
-                              self.variable_count)
-        other = self._coerce(other)
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = mono_mul(m1, m2)
-                s = out.get(m, 0) + c1 * c2
-                if s == 0:
-                    out.pop(m, None)
-                else:
-                    out[m] = s
-        return Polynomial(out, self.variable_count)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k):
-        if k < 0:
-            raise ValueError("negative power")
-        result = Polynomial.constant(1, self.variable_count)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
-
-    def _coerce(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Polynomial.constant(other, self.variable_count)
-        if other.variable_count != self.variable_count:
-            raise ValueError("mixed variable counts")
-        return other
 
     def sorted_terms(self):
         """Terms in descending graded reverse lex order."""
@@ -253,10 +174,6 @@ def wdeg(p, w):
     return None
 
 
-def is_quasi_homogeneous(p, w):
-    return wdeg(p, w) is not None
-
-
 def partial_derivative(p, i):
     """Formal partial with respect to the i-th variable, 1-based."""
     if not 1 <= i <= p.variable_count:
@@ -269,16 +186,6 @@ def partial_derivative(p, i):
         mm = list(m)
         mm[j] -= 1
         out[tuple(mm)] = c * m[j]
-    return Polynomial(out, p.variable_count)
-
-
-def euler_apply(p, w):
-    """Apply the Euler derivation sum(w_i x_i d_i) to p."""
-    out = {}
-    for m, c in p.terms.items():
-        scale = w.mono_wdeg(m)
-        if scale != 0:
-            out[m] = c * scale
     return Polynomial(out, p.variable_count)
 
 

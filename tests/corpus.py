@@ -68,7 +68,7 @@ def build_corpus(minimum=MINIMUM_SIZE):
     for name, csv in CURATED:
         arr = validate(csv.split(","))
         entries.append((name, arr))
-        seen.add(arr.forms)
+        seen.add(tuple(f.normal for f in arr.forms))
     rng = random.Random(20260814)
     attempt = 0
     while len(entries) < minimum:
@@ -78,8 +78,9 @@ def build_corpus(minimum=MINIMUM_SIZE):
             arr = validate(csv.split(","))
         except Bs3Error:
             continue
-        if arr.forms in seen:
+        key = tuple(f.normal for f in arr.forms)
+        if key in seen:
             continue
-        seen.add(arr.forms)
+        seen.add(key)
         entries.append(("random%02d" % attempt, arr))
     return entries

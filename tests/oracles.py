@@ -12,51 +12,59 @@ intersection of three eliminations, sharing no step with the package's
 certified colon; it is kept here to cross-check that route, and the
 elimination tools it is built from (eliminate, saturate_by_poly,
 ideal_intersection, and the lift to a new first variable t, _lift_poly and
-_localized) live here too, since no request uses them.  The Artinian
-degree data below walk the finite staircase box directly, independent of
-the Hilbert-function engine.  The rational normal form and the bitmask
-decomposability test are the routes the package replaced by its integer
-reducer and by the lattice criterion.  s_polynomial, over the package's
-integer S-polynomial, is what checks that a basis is Groebner, and
-Buchberger's loop with the product criterion at pair creation and the
-chain criterion over the whole basis at pair selection is what the
-Gebauer-Moller update of bs3.groebner is tested against.  The tuple
-monomial primitives and order keys are what the packed monomials of
-bs3.groebner are tested against, and the Fraction intersection lattice is
-what the integer lattice of bs3.arrangement is tested against, as the
-relations of every concurrent triple are what its m - 2 length-3 relations
-per point are, and a form parsed to a Polynomial and normalized over
-Fraction is what its primitive integer normals are.  The product of linear
-forms as Polynomials, one factor at a time, is what its product of
-coefficient vectors in one dict is tested against.  The Fraction route from H0 degrees to root sets (degrees
-keyed by Fraction, each root computed in Fraction arithmetic, a root set a
-sorted tuple of distinct Fractions) is what the package's integer route,
-degrees k = L*t and roots n/D over one denominator, is tested against.
-The six arrangement conditions read from the Jacobian of f itself, in the
-original coordinates, are what the package's report from the moved Jacobian
-is tested against.  The character scanner (one peek per character class,
-whitespace skipped on every peek) is what the package's token-regex parser
-is tested against.  A box search for a socle monomial is what the
-staircase test of a saturated monomial ideal is tested against.
+_localized) live here too, since no request uses them, as do the sums and
+products of Polynomials the tests build (poly_add, poly_mul): the package's
+Polynomial has no arithmetic.  graded_dimension (one degree of R/I, on the
+standard monomials of a basis) and der_log0_graded_dimension (the
+derivations that kill f, as their domain minus a piece of the Jacobian
+ideal) are the routes the package replaced by the proven windows of
+groebner._hilbert_values and by the closed form of der0 (arrangement
+docstring); the rank route checks both, and the six conditions in the
+original coordinates read both.  The Artinian degree data below walk the
+finite staircase box directly, independent of the Hilbert-function engine.
+The rational normal form and the bitmask decomposability test are the
+routes the package replaced by its integer reducer and by the lattice
+criterion.  s_polynomial, over the package's integer S-polynomial, is what
+checks that a basis is Groebner, and Buchberger's loop with the product
+criterion at pair creation and the chain criterion over the whole basis at
+pair selection is what the Gebauer-Moller update of bs3.groebner is tested
+against.  The tuple monomial primitives and order keys are what the packed
+monomials of bs3.groebner are tested against, and the Fraction intersection
+lattice is what the integer lattice of bs3.arrangement is tested against,
+as the relations of every concurrent triple are what its m - 2 length-3
+relations per point are, and a form parsed to a Polynomial and normalized
+over Fraction is what its primitive integer normals are.  The product of
+linear forms as Polynomials, one factor at a time, is what its product of
+coefficient vectors in one dict is tested against.  The Fraction route from
+H0 degrees to root sets (degrees keyed by Fraction, each root computed in
+Fraction arithmetic, a root set a sorted tuple of distinct Fractions) is
+what the package's integer route, degrees k = L*t and roots n/D over one
+denominator, is tested against.  The six arrangement conditions read from
+the Jacobian of f itself, in the original coordinates, are what the
+package's report from the moved Jacobian is tested against.  The character
+scanner (one peek per character class, whitespace skipped on every peek) is
+what the package's token-regex parser is tested against.  A box search for
+a socle monomial is what the staircase test of a saturated monomial ideal
+is tested against.
 """
 
 import heapq
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 from math import gcd, lcm
+from operator import add, mul
 
 from bs3 import groebner, linalg
 from bs3.arrangement import ConditionReport, is_formal
-from bs3.graded import (STANDARD, DegreeData, graded_dimension,
-                        regularity_report)
+from bs3.graded import STANDARD, DegreeData, regularity_report
 from bs3.groebner import (Ideal, MonomialOrder, _budget, _from_int_poly,
                           _hilbert_function, _lcm_degree, _s_poly_int,
                           _to_int_poly, buchberger,
                           saturated_leading_monomials)
-from bs3.milnor import der_log0_graded_dimension, jacobian_ideal
+from bs3.milnor import _weighted_degree, jacobian_ideal
 from bs3.polyring import (ParseError, Polynomial, PreconditionError,
-                          grevlex_key, mono_mul, parse_polynomial,
-                          partial_derivative, wdeg)
+                          grevlex_key, parse_polynomial, partial_derivative,
+                          wdeg)
 
 # -- the two degree-9 arrangements that differ only in the non-lattice root
 
@@ -113,6 +121,10 @@ def walther_generic_set(d):
 
 # -- tuple monomials ------------------------------------------------------
 
+def mono_mul(a, b):
+    return tuple(map(add, a, b))
+
+
 def mono_divides(a, b):
     """True if monomial a divides monomial b."""
     return all(i <= j for i, j in zip(a, b))
@@ -131,10 +143,41 @@ def order_key(order, m):
     """Sort key of a tuple monomial: larger key = larger monomial."""
     if order.kind == "grevlex":
         return grevlex_key(m)
-    if order.kind == "lex":
-        return tuple(m)
     k = order.elim_count
     return (tuple(m[:k]), grevlex_key(m[k:]))
+
+
+# -- Polynomials, sums and products ----------------------------------------
+
+def linear_polynomial(vector):
+    """The linear form with the coefficient vector, as a Polynomial."""
+    return Polynomial(dict(zip(((1, 0, 0), (0, 1, 0), (0, 0, 1)), vector)), 3)
+
+
+def poly_add(p, q):
+    """p + q, for Polynomials in one ring."""
+    out = dict(p.terms)
+    for m, c in q.terms.items():
+        out[m] = out.get(m, 0) + c
+    return Polynomial(out, p.variable_count)
+
+
+def poly_mul(*factors):
+    """The product of Polynomials in one ring, left to right: each term of
+    the product so far times each term of the next factor, added in as it
+    comes and dropped when its sum cancels."""
+    f = factors[0]
+    for g in factors[1:]:
+        out = {}
+        for (m1, c1), (m2, c2) in product(f.terms.items(), g.terms.items()):
+            m = mono_mul(m1, m2)
+            s = out.get(m, 0) + c1 * c2
+            if s:
+                out[m] = s
+            else:
+                del out[m]
+        f = Polynomial(out, f.variable_count)
+    return f
 
 
 # -- independent exact linear algebra -------------------------------------
@@ -193,17 +236,6 @@ def _multiples_matrix(gens, q):
     return rows, target, index
 
 
-def quotient_dimension(gens, q):
-    """dim (R/I)_q for standard-homogeneous generators, by rank."""
-    gens = [g for g in gens if g.terms]
-    if not gens:
-        return len(monomials_of_degree(q))
-    rows, target, _ = _multiples_matrix(gens, q)
-    if not rows:
-        return len(target)
-    return len(target) - rref_rank(rows)
-
-
 def in_ideal_graded(p, gens, q):
     """Membership test for homogeneous p of degree q via augmented rank."""
     gens = [g for g in gens if g.terms]
@@ -257,6 +289,53 @@ def rank_route_dimension(ideal, w, q):
     return len(monos) - linalg.rank(rows)
 
 
+# -- one graded dimension at a time, by standard monomials ----------------
+
+def graded_dimension(gb, w, q):
+    """dim of (R/I)_q for a weighted-homogeneous ideal with Groebner basis
+    gb, by counting standard monomials; 0 when q < 0 or q*w.denominator is
+    not an int.  Homogeneity is checked on the reduced basis, homogeneous
+    exactly when the ideal is (a minimal one keeps its generators as
+    given)."""
+    W = w.scaled
+    if gb.order.variable_count != 3 or len(W) != 3:
+        raise PreconditionError("graded dimension needs 3 variables and 3 "
+                                "weights")
+    for g in gb.elements:
+        if len({sum(map(mul, W, m)) for m in g.terms}) > 1:
+            raise PreconditionError("basis element %s is not homogeneous "
+                                    "for the given weights" % g)
+    k = Fraction(q) * w.denominator
+    if k.denominator != 1 or k < 0:
+        return 0
+    return _hilbert_function(gb.leading_monomials, int(k), W)[-1]
+
+
+def der_log0_graded_dimension(f, w, k):
+    """dim of the degree-k piece of the derivations annihilating f: the
+    kernel of (a1,a2,a3) -> sum a_i * (d_i f) with a_i in R_{k+w_i}, whose
+    image is the degree k+wdeg(f) piece of the Jacobian ideal.  Degrees are
+    scaled by the weights' denominator L, so the domain's degrees K + W_i
+    and the image's K + D are ints; dim R_t is read from one engine call on
+    the zero ideal, M = ()."""
+    d = _weighted_degree(f, w)
+    gb = buchberger(jacobian_ideal(f), MonomialOrder.grevlex(f.variable_count))
+    K = Fraction(k) * w.denominator
+    if K.denominator != 1:
+        return 0  # no monomial has a degree off the 1/L grid
+    K, D, W = int(K), int(d * w.denominator), w.scaled
+    top = K + max(D, *W)
+    if top < 0:
+        return 0
+    dim_r = _hilbert_function((), top, W)
+    domain = sum(dim_r[K + v] for v in W if K + v >= 0)
+    if domain == 0 or K + D < 0:
+        return domain
+    image = (dim_r[K + D]
+             - _hilbert_function(gb.leading_monomials, K + D, W)[-1])
+    return domain - image
+
+
 def der_log0_kernel_dimension_by_rank(f, w, k):
     """dim of the degree-k derivations annihilating f, via an explicit
     kernel matrix; independent of any Groebner basis."""
@@ -305,19 +384,18 @@ def eliminate(ideal, drop_count):
     return Ideal(kept, n - drop_count)
 
 
-def _lift_poly(p):
-    out = {}
-    for m, c in p.terms.items():
-        out[(0,) + m] = c
-    return Polynomial(out, p.variable_count + 1)
+def _lift_poly(p, power=0, scale=1):
+    """scale * t^power * p, in the ring with a new first variable t."""
+    return Polynomial({(power,) + m: scale * c for m, c in p.terms.items()},
+                      p.variable_count + 1)
 
 
 def _localized(ideal, g):
     """(I, t*g - 1) in the ring with a new first variable t."""
     n = ideal.variable_count
     lifted = [_lift_poly(f) for f in ideal.generators]
-    t = Polynomial.variable(0, n + 1)
-    lifted.append(t * _lift_poly(g) - 1)
+    lifted.append(Polynomial({**_lift_poly(g, 1).terms, (0,) * (n + 1): -1},
+                             n + 1))
     return Ideal(lifted, n + 1)
 
 
@@ -339,10 +417,9 @@ def ideal_intersection(I, J):
     n = I.variable_count
     if I.is_zero() or J.is_zero():
         return Ideal((), n)
-    t = Polynomial.variable(0, n + 1)
-    one_minus_t = Polynomial.constant(1, n + 1) - t
-    gens = [t * _lift_poly(f) for f in I.generators]
-    gens += [one_minus_t * _lift_poly(g) for g in J.generators]
+    gens = [_lift_poly(f, 1) for f in I.generators]
+    gens += [Polynomial({**_lift_poly(g).terms, **_lift_poly(g, 1, -1).terms},
+                        n + 1) for g in J.generators]
     return eliminate(Ideal(gens, n + 1), 1)
 
 
@@ -352,7 +429,7 @@ def saturation_by_columns(ideal):
     reference route, sharing no step with the certified colon."""
     meet = None
     for v in range(3):
-        col = saturate_by_poly(ideal, Polynomial.variable(v, 3))
+        col = saturate_by_poly(ideal, parse_polynomial("xyz"[v]))
         meet = col if meet is None else ideal_intersection(meet, col)
     return meet
 
@@ -405,7 +482,7 @@ def _artinian_degree_data(gb, w, n=3):
     for e in product(*(range(b) for b in bounds)):
         if any(mono_divides(lm, e) for lm in lms):
             continue
-        q = w.mono_wdeg(e)
+        q = Fraction(sum(map(mul, e, w.scaled)), w.denominator)
         entries[q] = entries.get(q, 0) + 1
     return DegreeData(entries)
 
@@ -545,21 +622,18 @@ def linear_form_by_polynomial(text):
     scale = lcm(*(c.denominator for c in coefficients))
     normal = tuple(c.numerator * (scale // c.denominator)
                    for c in coefficients)
-    printed = Polynomial({m: c for m, c in zip(
-        ((1, 0, 0), (0, 1, 0), (0, 0, 1)), coefficients)}, 3)
-    return normal, coefficients, str(printed)
+    return normal, coefficients, str(linear_polynomial(coefficients))
 
 
 def form_product_by_polynomials(vectors):
     """The product of the linear forms with the given coefficient vectors,
     one Polynomial product per factor; each term product is one step."""
     budget = _budget()
-    f = Polynomial.constant(1, 3)
+    f = Polynomial({(0, 0, 0): 1}, 3)
     for vector in vectors:
-        p = Polynomial({e: v for e, v in zip(
-            ((1, 0, 0), (0, 1, 0), (0, 0, 1)), vector) if v}, 3)
+        p = linear_polynomial(vector)
         budget.spend(len(f.terms) * len(p.terms))
-        f = f * p
+        f = poly_mul(f, p)
     return f
 
 

@@ -7,6 +7,7 @@ from itertools import combinations_with_replacement
 import pytest
 
 import oracles
+from oracles import poly_mul
 from bs3 import cli
 from bs3.bsroots import (RootSet, blf_roots, check_partial_symmetry,
                          homogeneous_taxonomy, new_roots,
@@ -209,10 +210,10 @@ def lqh_profiles(seed, draws):
         j, k = rng.sample(range(1, 10), 2)
         w = WeightSystem((Fraction(1, a), Fraction(1, b), Fraction(1, c)))
         P = parse_polynomial
-        for f in (P("x*y*z") * P("x^%d + %d*y^%d + %d*z^%d"
-                                 % (a, j, b, k, c)),
-                  P("z") * P("x^%d + %d*y^%d" % (a, j, b))
-                  * P("x^%d + %d*y^%d" % (a, k, b))):
+        for f in (poly_mul(P("x*y*z"), P("x^%d + %d*y^%d + %d*z^%d"
+                                         % (a, j, b, k, c))),
+                  poly_mul(P("z"), P("x^%d + %d*y^%d" % (a, j, b)),
+                           P("x^%d + %d*y^%d" % (a, k, b)))):
             out.append(milnor_profile(f, w))
     return out
 
@@ -274,7 +275,7 @@ def test_integer_route_matches_the_fraction_route():
         entries = oracles.h0_entries_by_fractions(prof.jacobian, w)
         ordered = sorted(entries)
         assert prof.h0.entries == entries
-        assert list(prof.h0.support) == ordered
+        assert list(prof.h0.entries) == ordered
         assert list(cli._degree_table(prof.h0).items()) == [
             (format_rational(t), entries[t]) for t in ordered]
         want = oracles.h0_root_sets_by_fractions(entries, w, d)

@@ -244,9 +244,8 @@ def test_no_function_takes_a_step_cap():
                     "%s.%s" % (name, attr)
     # every function that once took a step_cap was among those checked
     assert checked >= {
-        "buchberger", "normal_form", "h0_degree_data", "sheaf_dimension_e",
-        "h1_dimension", "regularity_report", "_saturation_hilbert",
-        "milnor_profile", "der_log0_graded_dimension", "condition_report",
+        "buchberger", "h0_degree_data", "regularity_report",
+        "_saturation_hilbert", "milnor_profile", "condition_report",
         "full_root_report", "arrangement_profile"}
 
 

@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from bs3 import arrangement, graded, groebner
-from bs3.graded import (DegreeData, graded_dimension, h0_degree_data,
-                        h1_dimension, regularity_report, sheaf_dimension_e)
+from bs3 import arrangement, groebner
+from bs3.graded import (DegreeData, _saturation_hilbert, h0_degree_data,
+                        regularity_report)
 from bs3.groebner import (Ideal, MonomialOrder, _hilbert_function,
                           _lcm_degree, buchberger,
                           saturated_leading_monomials)
@@ -17,7 +17,7 @@ from bs3.polyring import (Polynomial, PreconditionError, WeightSystem,
 
 import corpus
 import oracles
-from oracles import rank_route_dimension, weighted_monomials
+from oracles import graded_dimension, rank_route_dimension, weighted_monomials
 
 W1 = WeightSystem((1, 1, 1))
 GREVLEX = MonomialOrder("grevlex", 3)
@@ -169,7 +169,7 @@ def test_h0_vanishes_above_the_proven_window():
                   _lcm_degree(lms_s, W)) - sum(W)
         data = h0_degree_data(I, w)
         assert data.is_empty() == (I is NEAR_PENCIL)
-        assert data.is_empty() or max(data.support) * L <= top
+        assert data.is_empty() or max(data.entries) * L <= top
         for k in range(2 * top + 1):
             q = Fraction(k, L)
             dim = (standard_monomial_count(lms_i, w, q)
@@ -185,7 +185,7 @@ def test_standard_h0_reads_the_memoized_tails(monkeypatch):
     # the saturation left undone: none after a colon, whose loop reads both
     # tails; without one, in(I)'s, unless the ideal's Hilbert tail made its
     # Buchberger run read it, and for an Artinian ideal that of (1)
-    cases = [I for I, w in H0_CASES if w == W1]
+    cases = [I for I, w in H0_CASES if w.weights == (1, 1, 1)]
     cases += [jacobian_ideal(P("x^2*y*z")), jacobian_ideal(P("x^2*y + y^3")),
               NEAR_PENCIL]
     cases += [arrangement._jacobian(arr) for _, arr in corpus.build_corpus()]
@@ -210,7 +210,6 @@ def test_standard_h0_reads_the_memoized_tails(monkeypatch):
         calls.clear()
         with monkeypatch.context() as mp:
             mp.setattr(groebner, "_hilbert_function", spy)
-            mp.setattr(graded, "_hilbert_function", spy)
             data = h0_degree_data(I, W1)
         expect = []
         if c is None:
@@ -294,40 +293,45 @@ def test_h0_weighted_grading():
     data = h0_degree_data(ideal("x^2", "y^3", "z^6"), w)
     # Artinian monomial quotient: 2*3*6 standard monomials, top one x*y^2*z^5
     assert data.total_dimension() == 36
-    assert min(data.support) == 0
-    assert max(data.support) == 12
+    assert min(data.entries) == 0
+    assert max(data.entries) == 12
     assert data.dimension(3) == len(weighted_monomials(w, 3)) == 3
 
 
 def test_sheaf_dimension_examples():
-    assert sheaf_dimension_e(QUARTIC_CONE) == 6
-    assert sheaf_dimension_e(ideal("x", "y")) == 1
-    assert sheaf_dimension_e(ideal("x^2", "y")) == 2
-    assert sheaf_dimension_e(ideal("x^2", "y^2", "z^2")) == 0
+    # e, the constant Hilbert polynomial of R/I^sat
+    assert _saturation_hilbert(QUARTIC_CONE)[1] == 6
+    assert _saturation_hilbert(ideal("x", "y"))[1] == 1
+    assert _saturation_hilbert(ideal("x^2", "y"))[1] == 2
+    assert _saturation_hilbert(ideal("x^2", "y^2", "z^2"))[1] == 0
 
 
 def test_sheaf_dimension_rejects_positive_dimensional_scheme():
-    with pytest.raises(PreconditionError):
-        sheaf_dimension_e(ideal("x"))
+    # a line: the Hilbert polynomial of R/I^sat is not a constant e, and
+    # the regularity, which needs one, refuses two lines
+    assert _saturation_hilbert(ideal("x"))[1] is None
+    with pytest.raises(PreconditionError, match="not constant"):
+        regularity_report(ideal("x*y"))
 
 
 def test_standard_graded_readings_refuse_a_weighted_only_ideal():
     # graded by (3, 2, 6) but not by (1, 1, 1): e, H1 and the regularity
     # are read under the standard grading, so each of them refuses it
-    jac = jacobian_ideal(P("z") * P("x^2 + 2*y^3") * P("x^2 + 5*y^3"))
-    for read in (sheaf_dimension_e, lambda I: h1_dimension(I, 0),
-                 regularity_report):
+    # z (x^2 + 2*y^3) (x^2 + 5*y^3)
+    jac = jacobian_ideal(P("x^4*z + 7*x^2*y^3*z + 10*y^6*z"))
+    for read in (_saturation_hilbert, regularity_report):
         with pytest.raises(PreconditionError):
             read(jac)
 
 
 def test_h1_dimension_examples():
-    assert h1_dimension(QUARTIC_CONE, 20) == 0
-    assert h1_dimension(QUARTIC_CONE, 0) == 5
-    assert h1_dimension(ideal("x", "y"), 0) == 0
-    # no piece off the integer grid; e in every negative degree
-    assert h1_dimension(ideal("x*y", "z"), Fraction(1, 2)) == 0
-    assert h1_dimension(ideal("x*y", "z"), -1) == 2
+    # dim H1_q = e - HF(R/I^sat)_q: 0 from the Hilbert start on, e in every
+    # negative degree
+    hf, e = _saturation_hilbert(QUARTIC_CONE)
+    assert (e - hf[0], e - hf[-1]) == (5, 0)
+    hf, e = _saturation_hilbert(ideal("x", "y"))
+    assert e - hf[0] == 0
+    assert _saturation_hilbert(ideal("x*y", "z"))[1] == 2
 
 
 def test_regularity_of_quartic_cone_jacobian():
@@ -356,7 +360,8 @@ def test_h1_can_live_below_degree_zero():
     # two reduced points: sections jump to 2 only from degree 1 on
     report = regularity_report(ideal("x*y", "z"))
     assert report.sheaf_dim_e == 2
-    assert h1_dimension(ideal("x*y", "z"), 0) == 1
+    hf, e = _saturation_hilbert(ideal("x*y", "z"))
+    assert e - hf[0] == 1
     assert report.h1_max == 0
     assert report.regularity == 1
     # one reduced point: H1 only in negative degrees
@@ -366,7 +371,7 @@ def test_h1_can_live_below_degree_zero():
 
 def test_degree_data_accessors():
     data = DegreeData({2: 3, 1: 1})
-    assert list(data.support) == [1, 2]
+    assert list(data.entries) == [1, 2]
     assert data.dimension(2) == 3
     assert data.dimension(7) == 0
     assert not data.is_empty()

@@ -1,4 +1,4 @@
-"""Polynomial ring basics: parsing, arithmetic, weights, derivations."""
+"""Polynomial ring basics: parsing, printing, weights, derivations."""
 
 import random
 from fractions import Fraction
@@ -7,10 +7,9 @@ from itertools import accumulate
 import pytest
 
 from bs3.polyring import (ParseError, Polynomial, PreconditionError,
-                          WeightSystem, _parse_terms, euler_apply,
-                          format_rational, is_quasi_homogeneous,
+                          WeightSystem, _parse_terms, format_rational,
                           parse_polynomial, partial_derivative, wdeg)
-from oracles import parse_terms_by_characters
+from oracles import parse_terms_by_characters, poly_add
 
 W1 = WeightSystem((1, 1, 1))
 
@@ -34,9 +33,11 @@ def test_parse_variable_aliases():
 
 
 def test_parser_covers_three_variables_only():
-    t = Polynomial.variable(0, 4)
-    x = Polynomial.variable(1, 4)
-    assert str(t * x - 1) == "t*x - 1"
+    # a fourth variable prints, first, as t; the grammar has no t
+    assert str(Polynomial({(1, 1, 0, 0): 1, (0, 0, 0, 0): -1}, 4)) == \
+        "t*x - 1"
+    with pytest.raises(ParseError):
+        P("t*x - 1")
 
 
 @pytest.mark.parametrize("text", ["", "x^", "x**2", "x^3 + + y", "w", "3/0"])
@@ -162,7 +163,7 @@ def random_polynomial(rng):
 
 
 def test_parse_adds_repeated_monomials():
-    assert P("x + 2x - 3x") == Polynomial.zero(3)
+    assert P("x + 2x - 3x") == Polynomial({}, 3)
     assert P("x*y - 1/2*y*x + z - 2z + 3 - 3") == P("1/2*x*y - z")
     rng = random.Random(17)
     for _ in range(300):
@@ -173,16 +174,8 @@ def test_parse_adds_repeated_monomials():
         for p in parts[1:]:
             q = str(p)
             text += " - " + q[1:] if q.startswith("-") else " + " + q
-        assert P(text) == parts[0] + parts[1] + parts[2], text
-
-
-def test_arithmetic():
-    x = Polynomial.variable(0, 3)
-    y = Polynomial.variable(1, 3)
-    assert (x + y) * (x - y) == x ** 2 - y ** 2
-    assert (x + y) ** 2 == x ** 2 + 2 * x * y + y ** 2
-    assert x - x == Polynomial.zero(3)
-    assert (x * 0).terms == {}
+        assert P(text) == poly_add(poly_add(parts[0], parts[1]),
+                                   parts[2]), text
 
 
 def test_format_rational():
@@ -200,7 +193,7 @@ def test_wdeg_standard_and_weighted():
 
 def test_wdeg_of_zero_rejected():
     with pytest.raises(PreconditionError):
-        wdeg(Polynomial.zero(3), W1)
+        wdeg(Polynomial({}, 3), W1)
 
 
 def test_wdeg_refuses_a_weight_count_other_than_the_variable_count():
@@ -211,9 +204,9 @@ def test_wdeg_refuses_a_weight_count_other_than_the_variable_count():
 
 
 def test_is_quasi_homogeneous():
-    assert is_quasi_homogeneous(P("x*y*z + x^3"), W1)
-    assert not is_quasi_homogeneous(P("x^2 + y^3"), W1)
-    assert is_quasi_homogeneous(P("x^2 + y^3"), WeightSystem((3, 2, 1)))
+    assert wdeg(P("x*y*z + x^3"), W1) is not None
+    assert wdeg(P("x^2 + y^3"), W1) is None
+    assert wdeg(P("x^2 + y^3"), WeightSystem((3, 2, 1))) is not None
 
 
 def test_weights_must_be_positive():
@@ -229,10 +222,3 @@ def test_partial_derivative():
     assert partial_derivative(f, 2) == P("2*x*y")
     assert partial_derivative(f, 3) == P("1")
 
-
-def test_euler_derivation_recovers_weighted_degree():
-    f = P("x^2 + y^3")
-    w = WeightSystem((3, 2, 1))
-    assert euler_apply(f, w) == f * Fraction(6)
-    g = P("x*y*z")
-    assert euler_apply(g, W1) == g * 3

@@ -13,7 +13,7 @@ from .bsroots import (HomogeneousTaxonomy, RootSet, SymmetryReport, blf_roots,
                       tlct_holds, xi_set)
 from .graded import (DegreeData, RegularityReport, h0_degree_data,
                      regularity_report)
-from .groebner import (DEFAULT_STEP_CAP, GroebnerBasis, Ideal, MonomialOrder,
+from .groebner import (DEFAULT_STEP_CAP, GroebnerBasis, Ideal,
                        ResourceLimitError, buchberger,
                        saturated_leading_monomials, step_budget)
 from .milnor import INFINITE, MilnorProfile, jacobian_ideal, milnor_profile

@@ -55,8 +55,7 @@ from math import gcd, isqrt, lcm
 from . import linalg
 from .bsroots import RootSet
 from .graded import STANDARD, check_h0_symmetry, regularity_report
-from .groebner import (Ideal, MonomialOrder, _budget, _hilbert_values,
-                       buchberger)
+from .groebner import Ideal, _budget, _hilbert_values, buchberger
 from .milnor import jacobian_ideal, milnor_profile
 from .polyring import (Bs3Error, Polynomial, PreconditionError, _parse_terms,
                        format_ratio)
@@ -439,7 +438,7 @@ def condition_report(arr):
     d = arr.degree
     jac = _jacobian(arr)
     e = jac.hilbert_tail[1]
-    gb = buchberger(jac, MonomialOrder.grevlex(3))
+    gb = buchberger(jac)
     reg = regularity_report(jac)
     h0 = reg.h0
     check_h0_symmetry(h0, 3 * d - 6)  # the arrangement is reduced

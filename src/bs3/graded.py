@@ -28,8 +28,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .groebner import (MonomialOrder, _hilbert_tail, _hilbert_values,
-                       _lcm_degree, buchberger, saturated_leading_monomials)
+from .groebner import (_hilbert_tail, _hilbert_values, _lcm_degree,
+                       buchberger, saturated_leading_monomials)
 from .polyring import (Bs3Error, PreconditionError, WeightSystem,
                        format_ratio, format_rational)
 
@@ -137,8 +137,7 @@ def h0_degree_data(I, w):
     # the saturation refuses weights that do not grade I, and is read under
     # them (groebner docstring)
     _, in_sat = saturated_leading_monomials(I, tuple(v // g for v in W))
-    in_i = buchberger(I, MonomialOrder.grevlex(I.variable_count)
-                      ).leading_monomials
+    in_i = buchberger(I).leading_monomials
     # HS(R/M) = K(t)/prod(1 - t^W_i) with deg K <= wdeg lcm(M), because the
     # Taylor resolution of R/M has every syzygy in a degree dividing lcm(M).
     # I^sat/I has finite length, so its series HS(R/in I) - HS(R/in I^sat)

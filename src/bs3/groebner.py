@@ -12,12 +12,14 @@ and monic Polynomials are built only when GroebnerBasis.elements is read,
 never on a request.
 
 Inside those dictionaries a monomial is one int, packed by its order
-(Monagan-Pearce): pack(m) = sum e_i * C_i lays 16-bit fields side by side,
-each holding a sum of some of the exponents in its low 15 bits and a guard
-bit, always clear, on top.  The most significant fields hold the order's
-key: for grevlex the partial sums s_n = deg, s_(n-1), ..., s_1 with
-s_k = e_1 + ... + e_k (at equal degree grevlex is lex on these sums), for a
-block order e_1, ..., e_k and then the grevlex sums of the other variables.
+(Monagan-Pearce, _packing(n, lead)): pack(m) = sum e_i * C_i lays 16-bit
+fields side by side, each holding a sum of some of the exponents in its
+low 15 bits and a guard bit, always clear, on top.  The most significant
+fields hold the order's key: for grevlex (lead = 0, every basis but an
+elimination's) the partial sums s_n = deg, s_(n-1), ..., s_1 with
+s_k = e_1 + ... + e_k (at equal degree grevlex is lex on these sums), for
+the block order of an elimination (_weighted_colon) e_1, ..., e_lead and
+then the grevlex sums of the other variables.
 Below them come the total degree and each raw exponent that is not a field
 yet.  So the int order is the monomial order, a product is +, a quotient
 is -, the leading monomial of a dict d is max(d), and a divides b iff
@@ -55,32 +57,24 @@ rather than a trial:
   grading or dimension is used.  The test is sufficient, not necessary: a
   saturated I can have an unsaturated in(I), and then takes the colon
   below.
-* anything else: J = I : h_c^infinity for the first c = 0, 1, ... whose
-  colon passes a Hilbert-polynomial certificate, where h_c is one form of
-  the family the ideal and the weights choose (_saturating_form): the
-  moment form l_c = z^(D/w_z) + c*x^(D/w_x) + c^2*y^(D/w_y), D = lcm(w)
-  (the line z + c*x + c^2*y under standard weights), or a two-term form
-  z^(L/w_z) + c*x^(L/w_x), L = lcm(w_x, w_z), when e_y = (0:1:0) is off
-  V(I), or symmetrically z^(L/w_z) + c*y^(L/w_y), L = lcm(w_y, w_z), when
-  e_x = (1:0:0) is.  A coordinate point is off V(I) exactly when some
-  generator has a pure power of that variable among its terms.  A
-  two-term form is taken only when its largest exponent is strictly
-  smaller than l_c's (the smaller of the two if both qualify).  Under
-  (1, 1, 1) every form is linear, so l_c stays.
+* anything else: J = I : l_c^infinity for the first c = 0, 1, ... whose
+  colon passes a Hilbert-polynomial certificate, l_c the moment form
+  z^(D/w_z) + c*x^(D/w_x) + c^2*y^(D/w_y), D = lcm(w) (_moment_form; the
+  line z + c*x + c^2*y under standard weights).
 
 What saturated_leading_monomials returns, under any weights: the leading
 monomials of the grevlex basis of I^sat in the input's coordinates.  Each
-colon is built one of two ways.  Under standard weights h_0 = z, and
+colon is built one of two ways.  Under standard weights l_0 = z, and
 dividing every element of a grevlex basis of I by its largest power of z
 gives a grevlex basis of I : z^infinity (Bayer-Stillman), so c = 0 costs
 only a division of the cached basis (_saturate_by_z).  Every other colon
 is one elimination in the same coordinates, one Buchberger run on
-(I, t*h_c - 1) (_weighted_colon).  The ideal and the weights choose the
-forms h_c tried, and so the certified c; the monomials are those of I^sat
-whichever weights grade I, since an ideal can be homogeneous for
-(1, 1, 1) and for other weights at once.
+(I, t*l_c - 1) (_weighted_colon).  The weights choose the forms l_c
+tried, and so the certified c; the monomials are those of I^sat whichever
+weights grade I, since an ideal can be homogeneous for (1, 1, 1) and for
+other weights at once.
 
-Why the certificate proves J = I^sat: h_c is homogeneous and lies in m,
+Why the certificate proves J = I^sat: l_c is homogeneous and lies in m,
 which is all the proof needs of it.  J contains I^sat, and J is graded.
 Grevlex is degree-compatible, so for any ideal the affine Hilbert
 function of R/I is the cumulative standard Hilbert function of R/in(I);
@@ -95,28 +89,18 @@ Why the loop ends: when the Hilbert polynomial of R/in(I) is a constant e
 (dim R/I <= 1), e is the degree of the affine curve V(I), so V(I) has at
 most e points in weighted P^2.  l_c vanishes at a point p for the roots c
 of p_z^a + c*p_x^b + c^2*p_y^d only, at most two, so some c <= 2e passes.
-z^a + c*x^b vanishes at a point p != e_y for one c at most: for
-c = -p_z^a / p_x^b when p_x != 0, and for none when p_x = 0, since then
-p_z != 0.  So when e_y is off V(I) some c <= e passes, inside the same
-bound 2e; likewise for z^a + c*y^b when e_x is off V(I).  Through a
-coordinate point of V(I) a two-term form would vanish for every c, so no
-colon would pass and the loop would end in Bs3Error, never in a wrong
-saturation.
 A gcd test on the generators restricted to l_c = 0 (_line_misses) skips,
 before any basis work, a c whose curve meets V(I) wherever the colon would
 cost a Buchberger run: any c > 0 under standard weights, and c = 0 under
-other weights (h_0, a power of z for every form, vanishes exactly on
-z = 0).  Under standard weights c = 0 divides the cached basis, so the
-certificate alone decides it.  A point p of V(I) on the curve is a minimal
-prime of I^sat that contains h_c, so the colon drops it, its Hilbert
-polynomial is smaller and the certificate rejects it: the chosen c is the
-same.
-When dim R/I = 2,
-each of the finitely many associated primes of I^sat other than m contains
-l_c for at most two values of c (three would put a power of every variable
-in it), and a two-term form for at most one (two would put (x, z), or
-(y, z), in it, the prime of a coordinate point off V(I)), so the loop
-still ends, and the request's step budget bounds it.
+other weights (l_0, a power of z, vanishes exactly on z = 0).  Under
+standard weights c = 0 divides the cached basis, so the certificate alone
+decides it.  A point p of V(I) on the curve is a minimal prime of I^sat
+that contains l_c, so the colon drops it, its Hilbert polynomial is
+smaller and the certificate rejects it: the chosen c is the same.
+When dim R/I = 2, each of the finitely many associated primes of I^sat
+other than m contains l_c for at most two values of c (three would put a
+power of every variable in it), so the loop still ends, and the request's
+step budget bounds it.
 """
 
 from __future__ import annotations
@@ -191,60 +175,16 @@ def _budget():
     return budget if budget is not None else _Budget(None)
 
 
-class MonomialOrder:
-    """A monomial order, compared through its packing (module docstring).
-
-    Two kinds: graded reverse lex, and a block (elimination) order that
-    compares the first elim_count exponents lexicographically and breaks
-    ties by graded reverse lex on the remaining ones.
-    """
-
-    __slots__ = ("kind", "variable_count", "elim_count")
-
-    def __init__(self, kind, variable_count, elim_count=0):
-        if kind not in ("grevlex", "block"):
-            raise ValueError("unknown order kind %r" % kind)
-        self.kind = kind
-        self.variable_count = variable_count
-        self.elim_count = elim_count
-
-    @classmethod
-    def grevlex(cls, n=3):
-        return cls("grevlex", n)
-
-    @classmethod
-    def block(cls, elim_count, n):
-        if not 0 < elim_count < n:
-            raise ValueError("elim_count must be strictly between 0 and n")
-        return cls("block", n, elim_count)
-
-    @property
-    def packing(self):
-        return _packing(self.kind, self.variable_count, self.elim_count)
-
-    def __eq__(self, other):
-        return (isinstance(other, MonomialOrder) and self.kind == other.kind
-                and self.variable_count == other.variable_count
-                and self.elim_count == other.elim_count)
-
-    def __hash__(self):
-        return hash((self.kind, self.variable_count, self.elim_count))
-
-    def __repr__(self):
-        if self.kind == "block":
-            return "MonomialOrder.block(%d, %d)" % (self.elim_count,
-                                                    self.variable_count)
-        return "MonomialOrder.%s(%d)" % (self.kind, self.variable_count)
-
-
 class _Packing:
-    """The packing constants of one order: C_i per variable, the guard
-    mask, the shift of each raw exponent and of the total degree."""
+    """The packing constants of the order on n variables that compares the
+    first `lead` exponents lexicographically and breaks ties by graded
+    reverse lex on the others (grevlex when lead = 0): C_i per variable,
+    the guard mask, the shift of each raw exponent and of the total
+    degree."""
 
-    __slots__ = ("n", "coeffs", "guard", "shifts", "degree_shift")
+    __slots__ = ("n", "lead", "coeffs", "guard", "shifts", "degree_shift")
 
-    def __init__(self, kind, n, elim_count):
-        lead = elim_count if kind == "block" else 0
+    def __init__(self, n, lead):
         # each field is the set of variables it sums, most significant first
         fields = [(i,) for i in range(lead)]
         fields += [tuple(range(lead, j)) for j in range(n, lead, -1)]
@@ -254,6 +194,7 @@ class _Packing:
         shift = {f: _FIELD * (len(fields) - 1 - j)
                  for j, f in enumerate(fields)}
         self.n = n
+        self.lead = lead
         self.coeffs = tuple(sum(1 << s for f, s in shift.items() if i in f)
                             for i in range(n))
         self.guard = sum(1 << (s + _FIELD - 1) for s in shift.values())
@@ -292,8 +233,8 @@ class _Packing:
 
 
 @lru_cache(maxsize=None)
-def _packing(kind, n, elim_count):
-    return _Packing(kind, n, elim_count)
+def _packing(n, lead=0):
+    return _Packing(n, lead)
 
 
 class Ideal:
@@ -341,20 +282,21 @@ class Ideal:
 
 class GroebnerBasis:
     """A minimal Groebner basis, sorted by increasing leading monomial and
-    held as packed integer triples (lm, lc, primitive dict).  Its leading
-    monomials are the reduced basis's, and a request reads nothing else;
-    elements builds that reduced basis, monic, on each access."""
+    held as packed integer triples (lm, lc, primitive dict) under the
+    packing of its order.  Its leading monomials are the reduced basis's,
+    and a request reads nothing else; elements builds that reduced basis,
+    monic, on each access."""
 
-    __slots__ = ("order", "_int_basis")
+    __slots__ = ("packing", "_int_basis")
 
-    def __init__(self, order, triples):
-        self.order = order
+    def __init__(self, packing, triples):
+        self.packing = packing
         self._int_basis = tuple(triples)
 
     @property
     def elements(self):
         """The reduced basis: each tail reduced by the others, made monic."""
-        pk, budget = self.order.packing, _budget()
+        pk, budget = self.packing, _budget()
         kept, done = list(self._int_basis), []
         for i, b in enumerate(kept):
             r, _, _ = _reduce(b[2], done + kept[i + 1:], pk, budget)
@@ -363,11 +305,8 @@ class GroebnerBasis:
 
     @property
     def leading_monomials(self):
-        unpack = self.order.packing.unpack
+        unpack = self.packing.unpack
         return tuple(unpack(b[0]) for b in self._int_basis)
-
-    def __iter__(self):
-        return iter(self.elements)
 
     def __repr__(self):
         return "GroebnerBasis(%s)" % ", ".join(str(g) for g in self.elements)
@@ -620,25 +559,21 @@ def _buchberger_int(triples, pk, budget, tail=None):
     return basis
 
 
-def buchberger(ideal, order=None):
-    """A minimal Groebner basis of an ideal for the given order, whose
+def buchberger(ideal):
+    """A minimal graded reverse lex Groebner basis of an ideal, whose
     elements are the reduced basis (GroebnerBasis).
 
     Results are memoized: the function is pure and the pipeline asks for
     the same basis from several entry points.
     """
-    if order is None:
-        order = MonomialOrder.grevlex(ideal.variable_count)
-    if order.variable_count != ideal.variable_count:
-        raise ValueError("order arity does not match the ideal")
-    return _buchberger_cached(ideal, order)
+    return _buchberger_cached(ideal)
 
 
 @lru_cache(maxsize=64)
-def _buchberger_cached(ideal, order):
+def _buchberger_cached(ideal):
     """Buchberger's loop, then _minimal; no interreduction."""
-    pk = order.packing
-    return GroebnerBasis(order, _minimal(_buchberger_int(
+    pk = _packing(ideal.variable_count)
+    return GroebnerBasis(pk, _minimal(_buchberger_int(
         [_to_int_poly(g, pk) for g in ideal.generators], pk, _budget(),
         ideal.hilbert_tail), pk))
 
@@ -844,7 +779,7 @@ def _univariate_gcd(f, g):
 def _line_misses(ideal, c):
     """l_c = 0 misses V(I) in weighted P^2, for I standard-homogeneous (the
     line z + c*x + c^2*y) or, when c = 0, graded by any positive weights
-    (h_0, a power of z for every form, vanishes where z does).  On it the
+    (l_0, a power of z, vanishes where z does).  On it the
     generators restrict to forms g(x, y, -c*x - c^2*y), built by Horner in
     z, that must have no common zero: neither at (1:0), where each
     g(1, 0, -c) would vanish, nor in the chart y = 1, where their gcd would
@@ -878,43 +813,31 @@ def _saturate_by_z(gb):
     docstring).  A homogeneous grevlex basis element's largest power of z
     is the one in its leading term, so dividing the leading monomial by it
     is all the division the colon needs."""
-    pk = gb.order.packing
+    pk = gb.packing
     Z = pk.coeffs[2]
     divided = [(b[0] - pk.exponent(b[0], 2) * Z,) for b in gb._int_basis]
     return tuple(pk.unpack(m) for m, in _minimal(divided, pk))
 
 
-def _saturating_form(ideal, weights):
-    """The monomials (m_0, m_1, ...) of the forms h_c = sum c^k m_k that
-    the colons of I try, by the rule of the module docstring: the first of
-    l_c, the x form and the y form with the least largest exponent, the x
-    form only when some generator has a pure power of y among its terms
-    (e_y is off V(I)), the y form only when one has a pure power of x."""
+def _moment_form(weights):
+    """The monomials (m_0, m_1, m_2) = (z^(D/w_z), x^(D/w_x), y^(D/w_y)),
+    D = lcm(w), of the moment form l_c = m_0 + c*m_1 + c^2*m_2."""
     wx, wy, wz = weights
     D = lcm(*weights)
-    forms = [((0, 0, D // wz), (D // wx, 0, 0), (0, D // wy, 0))]
-    z_free = [m for g in ideal.generators for m in g.terms if not m[2]]
-    if any(not m[0] for m in z_free):
-        L = lcm(wx, wz)
-        forms.append(((0, 0, L // wz), (L // wx, 0, 0)))
-    if any(not m[1] for m in z_free):
-        L = lcm(wy, wz)
-        forms.append(((0, 0, L // wz), (0, L // wy, 0)))
-    return min(forms, key=lambda form: max(map(max, form)))
+    return ((0, 0, D // wz), (D // wx, 0, 0), (0, D // wy, 0))
 
 
 def _weighted_colon(ideal, weights, c):
-    """Leading monomials of a grevlex basis of I : h_c^infinity, h_c the
-    form _saturating_form chooses for I and the weights: the t-free
-    minimal leading monomials, t dropped, of a basis of (I, t*h_c - 1)
-    under the block order, t first.  The colon is that ideal's part without
-    t, and a basis element with a t-free leading monomial is t-free
-    throughout, so those elements are a grevlex basis of it (elimination
-    theorem), and _minimal lists their leading monomials as the reduced
-    basis does."""
-    pk = MonomialOrder.block(1, 4).packing
+    """Leading monomials of a grevlex basis of I : l_c^infinity, l_c the
+    moment form of the weights: the t-free minimal leading monomials, t
+    dropped, of a basis of (I, t*l_c - 1) under the block order lex on t,
+    then grevlex.  The colon is that ideal's part without t, and a basis
+    element with a t-free leading monomial is t-free throughout, so those
+    elements are a grevlex basis of it (elimination theorem), and _minimal
+    lists their leading monomials as the reduced basis does."""
+    pk = _packing(4, 1)
     form = {(0, 0, 0, 0): -1}
-    for k, m in enumerate(_saturating_form(ideal, weights)):
+    for k, m in enumerate(_moment_form(weights)):
         if c ** k:
             form[(1,) + m] = c ** k
     gens = [{(0,) + m: v for m, v in _int_terms(g)[0].items()}
@@ -929,14 +852,14 @@ def saturated_leading_monomials(ideal, weights):
     """(c, M) for I : (x, y, z)^infinity, I graded by the positive integer
     weights: M the leading monomials of the reduced grevlex basis of the
     saturation in the input's coordinates, the same under any weights that
-    grade I, and c the certified colon I : h_c^infinity it equals, h_c the
-    form _saturating_form chooses for I and the weights, or None when no
-    colon is computed: when I is Artinian, or when in(I) is saturated, and
-    so is I (module docstring).  The weights may be any sequence of three
-    ints, read as a tuple; a weight that is not an int (a bool or a float
-    is not), weights that are not positive or do not make every generator
-    homogeneous are refused with PreconditionError before any basis work.
-    Memoized like buchberger."""
+    grade I, and c the certified colon I : l_c^infinity it equals, l_c the
+    moment form of the weights, or None when no colon is computed: when I
+    is Artinian, or when in(I) is saturated, and so is I (module
+    docstring).  The weights may be any sequence of three ints, read as a
+    tuple; a weight that is not an int (a bool or a float is not), weights
+    that are not positive or do not make every generator homogeneous are
+    refused with PreconditionError before any basis work.  Memoized like
+    buchberger."""
     if ideal.variable_count != 3:
         raise PreconditionError("irrelevant-ideal saturation needs 3 variables")
     weights = tuple(weights)
@@ -957,7 +880,7 @@ def _saturated_cached(ideal, weights):
         if len({sum(map(mul, weights, m)) for m in g.terms}) > 1:
             raise PreconditionError("generator %s is not homogeneous for the "
                                     "given weights" % g)
-    gb = buchberger(ideal, MonomialOrder.grevlex(3))
+    gb = buchberger(ideal)
     lms = gb.leading_monomials
     if _is_artinian(lms):
         return None, ((0, 0, 0),)
@@ -977,7 +900,7 @@ def _saturated_cached(ideal, weights):
         if _same_hilbert_polynomial(lms, sat):
             return c, sat
     form = " + ".join(p + str(Polynomial({m: 1}, 3)) for p, m in
-                      zip(("", "c*", "c^2*"), _saturating_form(ideal, weights)))
+                      zip(("", "c*", "c^2*"), _moment_form(weights)))
     raise Bs3Error("internal: no colon by %s with c <= %d keeps the Hilbert "
                    "polynomial, though V(I) has at most %d points"
                    % (form, 2 * e, e))

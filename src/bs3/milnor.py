@@ -10,8 +10,7 @@ which is then H0 itself.
 from __future__ import annotations
 
 from .graded import check_h0_symmetry, h0_degree_data
-from .groebner import (Ideal, MonomialOrder, _dimension_at_most_one,
-                       _is_artinian, buchberger)
+from .groebner import Ideal, _dimension_at_most_one, _is_artinian, buchberger
 from .polyring import (PreconditionError, format_rational, partial_derivative,
                        wdeg)
 
@@ -69,8 +68,7 @@ def milnor_profile(f, w):
     if d <= 0:
         raise PreconditionError("constant polynomial has no Milnor profile")
     jac = jacobian_ideal(f)
-    lms = buchberger(jac, MonomialOrder.grevlex(f.variable_count)
-                     ).leading_monomials
+    lms = buchberger(jac).leading_monomials
     if not _dimension_at_most_one(lms):
         raise PreconditionError("not reduced: dim R/J = 2, so f has a "
                                 "repeated factor")

@@ -10,7 +10,7 @@ computations over exact rationals) and are frozen; tests must not
 regenerate them from the code under test.  The reference saturation is the
 intersection of three eliminations, sharing no step with the package's
 certified colon; it is kept here to cross-check that route, and the
-elimination tools it is built from (eliminate, saturate_by_poly,
+elimination tools it is built from (block_basis, eliminate, saturate_by_poly,
 ideal_intersection, and the lift to a new first variable t, _lift_poly and
 _localized) live here too, since no request uses them, as do the sums and
 products of Polynomials the tests build (poly_add, poly_mul): the package's
@@ -57,9 +57,8 @@ from operator import add, mul
 from bs3 import groebner, linalg
 from bs3.arrangement import ConditionReport, is_formal
 from bs3.graded import STANDARD, DegreeData, regularity_report
-from bs3.groebner import (Ideal, MonomialOrder, _budget, _from_int_poly,
-                          _hilbert_function, _lcm_degree, _s_poly_int,
-                          _to_int_poly, buchberger,
+from bs3.groebner import (Ideal, _budget, _from_int_poly, _hilbert_function,
+                          _lcm_degree, _s_poly_int, _to_int_poly, buchberger,
                           saturated_leading_monomials)
 from bs3.milnor import _weighted_degree, jacobian_ideal
 from bs3.polyring import (ParseError, Polynomial, PreconditionError,
@@ -139,12 +138,11 @@ def mono_lcm(a, b):
     return tuple(max(i, j) for i, j in zip(a, b))
 
 
-def order_key(order, m):
-    """Sort key of a tuple monomial: larger key = larger monomial."""
-    if order.kind == "grevlex":
-        return grevlex_key(m)
-    k = order.elim_count
-    return (tuple(m[:k]), grevlex_key(m[k:]))
+def order_key(pk, m):
+    """Sort key of a tuple monomial under the order of the packing pk, lex
+    on the first pk.lead exponents, then grevlex: larger key = larger
+    monomial."""
+    return (tuple(m[:pk.lead]), grevlex_key(m[pk.lead:]))
 
 
 # -- Polynomials, sums and products ----------------------------------------
@@ -298,7 +296,7 @@ def graded_dimension(gb, w, q):
     exactly when the ideal is (a minimal one keeps its generators as
     given)."""
     W = w.scaled
-    if gb.order.variable_count != 3 or len(W) != 3:
+    if gb.packing.n != 3 or len(W) != 3:
         raise PreconditionError("graded dimension needs 3 variables and 3 "
                                 "weights")
     for g in gb.elements:
@@ -319,7 +317,7 @@ def der_log0_graded_dimension(f, w, k):
     and the image's K + D are ints; dim R_t is read from one engine call on
     the zero ideal, M = ()."""
     d = _weighted_degree(f, w)
-    gb = buchberger(jacobian_ideal(f), MonomialOrder.grevlex(f.variable_count))
+    gb = buchberger(jacobian_ideal(f))
     K = Fraction(k) * w.denominator
     if K.denominator != 1:
         return 0  # no monomial has a degree off the 1/L grid
@@ -361,6 +359,17 @@ def der_log0_kernel_dimension_by_rank(f, w, k):
 
 # -- reference saturation --------------------------------------------------
 
+def block_basis(ideal, lead):
+    """The minimal Groebner basis of the ideal under the block order that
+    compares its first `lead` variables lexicographically and breaks ties
+    by grevlex on the others: the package's loop under that packing, as
+    groebner._weighted_colon runs it."""
+    pk = groebner._packing(ideal.variable_count, lead)
+    triples = [_to_int_poly(g, pk) for g in ideal.generators]
+    return groebner.GroebnerBasis(pk, groebner._minimal(
+        groebner._buchberger_int(triples, pk, _budget()), pk))
+
+
 def eliminate(ideal, drop_count):
     """Intersect with the subring omitting the first drop_count variables.
 
@@ -374,9 +383,8 @@ def eliminate(ideal, drop_count):
     n = ideal.variable_count
     if not 0 < drop_count < n:
         raise ValueError("drop_count must be strictly between 0 and n")
-    order = MonomialOrder.block(drop_count, n)
     kept = []
-    for p in buchberger(ideal, order).elements:
+    for p in block_basis(ideal, drop_count).elements:
         if not any(any(m[:drop_count]) for m in p.terms):
             kept.append(Polynomial({m[drop_count:]: c
                                     for m, c in p.terms.items()},
@@ -496,7 +504,7 @@ def normal_form_by_fractions(p, gb):
     pairs = list(zip(gb.leading_monomials, gb.elements))
     work, result = dict(p.terms), {}
     while work:
-        lm = max(work, key=lambda m: order_key(gb.order, m))
+        lm = max(work, key=lambda m: order_key(gb.packing, m))
         lc = work.pop(lm)
         hit = next(((blm, b) for blm, b in pairs if mono_divides(blm, lm)),
                    None)
@@ -515,10 +523,9 @@ def normal_form_by_fractions(p, gb):
     return Polynomial(result, p.variable_count)
 
 
-def s_polynomial(f, g, order):
+def s_polynomial(f, g, pk):
     """S-polynomial of two rational polynomials, by the package's integer
-    S-polynomial under the order's packing."""
-    pk = order.packing
+    S-polynomial under the packing pk."""
     d = _s_poly_int(_to_int_poly(f, pk), _to_int_poly(g, pk), pk, _budget())
     return _from_int_poly(d, pk)
 
@@ -777,7 +784,7 @@ def condition_report_in_original_coordinates(arr):
     d = arr.degree
     f = arr.defining_polynomial()
     jac = jacobian_ideal(f)
-    gb = buchberger(jac, MonomialOrder.grevlex(3))
+    gb = buchberger(jac)
     reg = regularity_report(jac)
     h0 = reg.h0
     e = reg.sheaf_dim_e
@@ -816,7 +823,7 @@ def h0_entries_by_fractions(I, w):
     W, L = w.scaled, w.denominator
     g = gcd(*W)
     _, in_sat = saturated_leading_monomials(I, tuple(v // g for v in W))
-    in_i = buchberger(I, MonomialOrder.grevlex(3)).leading_monomials
+    in_i = buchberger(I).leading_monomials
     top = max(_lcm_degree(in_i, W), _lcm_degree(in_sat, W)) - sum(W)
     return {Fraction(k, L): a - b for k, (a, b) in
             enumerate(zip(_hilbert_function(in_i, top, W),

@@ -478,7 +478,7 @@ def hinted_draws():
 
 
 def test_hinted_run_returns_the_unhinted_basis():
-    pk = groebner.MonomialOrder.grevlex(3).packing
+    pk = groebner._packing(3)
     skipped = 0
     for arr in hinted_draws():
         jac = arrangement._jacobian(arr)

@@ -2,13 +2,14 @@
 
 import json
 from fractions import Fraction
+from itertools import count
 
 import pytest
 
 import oracles
 from bs3 import milnor
 from bs3.cli import main
-from test_budget import clear_caches
+from test_budget import LQH_COLON, clear_caches
 
 
 def run(capsys, *argv):
@@ -344,6 +345,38 @@ def test_weighted_colon_costs_one_buchberger_run(capsys, monkeypatch):
     assert arities and 4 not in arities
 
 
+def test_every_weighted_colon_is_by_the_moment_form(capsys, monkeypatch):
+    # under (1, 2, 2) the block run of the colon packs t*l_c - 1 after the
+    # generators, l_c = z + c*x^2 + c^2*y, for the first c whose colon is
+    # the saturation; z = 0 meets V(J), so c = 0 is refuted before its run
+    from bs3 import groebner
+    from bs3.polyring import parse_polynomial
+    from test_groebner import weighted_colon
+    forms = []
+    int_run = groebner._buchberger_int
+
+    def spy_run(triples, pk, *args):
+        if pk.n == 4:
+            forms.append({pk.unpack(m): v for m, v in triples[-1][2].items()})
+        return int_run(triples, pk, *args)
+
+    monkeypatch.setattr(groebner, "_buchberger_int", spy_run)
+    clear_caches()
+    code, _, _ = run(capsys, *LQH_COLON)
+    clear_caches()
+    assert code == 0
+    monkeypatch.undo()
+    jac = milnor.jacobian_ideal(parse_polynomial(LQH_COLON[3]))
+    expect = groebner.buchberger(oracles.saturation_by_columns(jac))
+    c = next(k for k in count()
+             if weighted_colon(jac, (1, 2, 2), k).elements == expect.elements)
+    assert c == 1
+    assert forms == [{(0, 0, 0, 0): -1, (1, 0, 0, 1): 1, (1, 2, 0, 0): c,
+                      (1, 0, 1, 0): c * c}]
+    assert groebner.saturated_leading_monomials(jac, (1, 2, 2)) == (
+        c, expect.leading_monomials)
+
+
 def test_h0_under_weights_other_than_the_standard_ones(capsys):
     # the Jacobian (y*z, x*z + 3*y^2, x*y) is homogeneous under (1, 1, 1)
     # and under (1, 2, 3); H0 is read under the grading asked for
@@ -375,8 +408,8 @@ def test_failed_saturation_certificate_exits_4(capsys, monkeypatch):
 
 def test_failed_weighted_certificate_exits_4(capsys, monkeypatch):
     # in(J) is not saturated (H0 lives in degrees 1-4), so the loop runs
-    # the colons by z + c*y, and with every certificate failing ends in
-    # exit 4
+    # the colons by z + c*x^2 + c^2*y, and with every certificate failing
+    # ends in exit 4
     from bs3 import groebner
     monkeypatch.setattr(groebner, "_same_hilbert_polynomial",
                         lambda lms_a, lms_b: False)
@@ -388,25 +421,6 @@ def test_failed_weighted_certificate_exits_4(capsys, monkeypatch):
     assert code == 4
     assert out == ""
     assert err.startswith("internal error:") and "Hilbert polynomial" in err
-    assert "Traceback" not in err
-
-
-def test_two_term_form_through_a_coordinate_point_exits_4(capsys,
-                                                          monkeypatch):
-    # every generator of this Jacobian vanishes at (0:1:0), and so does
-    # z^2 + c*x^5, homogeneous under (2, 5, 5), for every c: no colon
-    # passes the certificate
-    from bs3 import groebner
-    monkeypatch.setattr(groebner, "_saturating_form",
-                        lambda ideal, weights: ((0, 0, 2), (5, 0, 0)))
-    clear_caches()
-    code, out, err = run(capsys, "roots", "lqh", "--poly",
-                         "x^6*y*z+2*x*y^3*z+3*x*y*z^3",
-                         "--weights", "1/5,1/2,1/2")
-    clear_caches()
-    assert code == 4
-    assert out == ""
-    assert err.startswith("internal error:") and "z^2 + c*x^5" in err
     assert "Traceback" not in err
 
 

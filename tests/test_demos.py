@@ -60,8 +60,8 @@ def test_public_names_are_pinned():
     assert bs3.__all__ == """Arrangement ArrangementRootReport Bs3Error
         ConditionReport DEFAULT_STEP_CAP DegreeData GroebnerBasis
         HomogeneousTaxonomy INFINITE Ideal LinearForm MilnorProfile
-        MonomialOrder ParseError Polynomial PreconditionError
-        RegularityReport ResourceLimitError RootSet SingularPoint
+        ParseError Polynomial PreconditionError RegularityReport
+        ResourceLimitError RootSet SingularPoint
         SymmetryReport WeightSystem arrangement arrangement_profile blf_roots
         bsroots buchberger check_partial_symmetry comb_roots condition_report
         format_rational full_root_report graded groebner h0_degree_data
@@ -76,7 +76,8 @@ def test_public_names_are_pinned():
 
 # every subcommand, standard and other weights, text and JSON; each
 # saturation route: Artinian, a saturated in(I) (the near pencil), and colons
-# under standard weights (c = 2, past the z-division) and others (c = 1)
+# by the moment form under standard weights (c = 2, past the z-division) and
+# under (1, 2, 2) (c = 1)
 REQUESTS = [argv.split() for argv in (
     "milnor --poly x^3+y^3+z^3",
     "milnor --poly x^2+y^3+z^5 --weights 1/2,1/3,1/5 --format json",
@@ -98,8 +99,7 @@ UNREACHED = sorted([
     "bsroots.SymmetryReport.__init__", "bsroots.RootSet.difference",
     "bsroots.RootSet.__contains__",
     # the reduced monic elements of a basis, for library callers
-    "groebner.GroebnerBasis.elements", "groebner.GroebnerBasis.__iter__",
-    "groebner._from_int_poly",
+    "groebner.GroebnerBasis.elements", "groebner._from_int_poly",
     # the constructor of degree data from a {degree: dimension} dict
     "graded.DegreeData.__init__",
     # run once, when cli is imported

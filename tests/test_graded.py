@@ -8,8 +8,7 @@ import pytest
 from bs3 import arrangement, groebner
 from bs3.graded import (DegreeData, _saturation_hilbert, h0_degree_data,
                         regularity_report)
-from bs3.groebner import (Ideal, MonomialOrder, _hilbert_function,
-                          _lcm_degree, buchberger,
+from bs3.groebner import (Ideal, _hilbert_function, _lcm_degree, buchberger,
                           saturated_leading_monomials)
 from bs3.milnor import jacobian_ideal
 from bs3.polyring import (Polynomial, PreconditionError, WeightSystem,
@@ -20,7 +19,6 @@ import oracles
 from oracles import graded_dimension, rank_route_dimension, weighted_monomials
 
 W1 = WeightSystem((1, 1, 1))
-GREVLEX = MonomialOrder("grevlex", 3)
 
 
 def P(text):
@@ -58,7 +56,7 @@ def test_graded_dimension_examples():
 
 def test_graded_dimension_accepts_groebner_basis():
     I = ideal("x^2", "y^2", "z^2")
-    gb = buchberger(I, GREVLEX)
+    gb = buchberger(I)
     for q in range(6):
         assert graded_dimension(gb, W1, q) == rank_route_dimension(I, W1, q)
 
@@ -76,7 +74,7 @@ def test_rank_and_standard_monomial_routes_agree_on_random_ideals():
         if not gens:
             continue
         I = Ideal(tuple(gens))
-        gb = buchberger(I, GREVLEX)
+        gb = buchberger(I)
         for q in range(5):
             assert rank_route_dimension(I, W1, q) == \
                 graded_dimension(gb, W1, q)
@@ -161,9 +159,8 @@ H0_CASES = [
 
 def test_h0_vanishes_above_the_proven_window():
     for I, w in H0_CASES:
-        lms_i = buchberger(I, GREVLEX).leading_monomials
-        lms_s = buchberger(oracles.saturation_by_columns(I),
-                           GREVLEX).leading_monomials
+        lms_i = buchberger(I).leading_monomials
+        lms_s = buchberger(oracles.saturation_by_columns(I)).leading_monomials
         W, L = w.scaled, w.denominator
         top = max(_lcm_degree(lms_i, W),
                   _lcm_degree(lms_s, W)) - sum(W)
@@ -206,7 +203,7 @@ def test_standard_h0_reads_the_memoized_tails(monkeypatch):
         groebner._hilbert_tail.cache_clear()
         groebner._saturated_cached.cache_clear()
         c, lms_s = saturated_leading_monomials(I, (1, 1, 1))
-        lms_i = buchberger(I, GREVLEX).leading_monomials
+        lms_i = buchberger(I).leading_monomials
         calls.clear()
         with monkeypatch.context() as mp:
             mp.setattr(groebner, "_hilbert_function", spy)
@@ -233,7 +230,7 @@ def test_standard_h0_reads_the_memoized_tails(monkeypatch):
 def test_graded_dimension_rejects_inhomogeneous():
     I = ideal("x^2 + y")
     with pytest.raises(PreconditionError):
-        graded_dimension(buchberger(I, GREVLEX), W1, 2)
+        graded_dimension(buchberger(I), W1, 2)
     with pytest.raises(PreconditionError):
         rank_route_dimension(I, W1, 2)
 
@@ -255,13 +252,13 @@ def test_h0_degree_data_refuses_two_weights():
 def test_graded_dimension_accepts_inhomogeneous_generators_of_a_graded_ideal():
     # (x^2 + y, y) is (x^2, y): its minimal basis keeps x^2 + y as given,
     # its reduced basis is homogeneous
-    gb = buchberger(ideal("x^2 + y", "y"), GREVLEX)
+    gb = buchberger(ideal("x^2 + y", "y"))
     assert [graded_dimension(gb, W1, q) for q in range(4)] == [1, 2, 2, 2]
 
 
 def test_graded_dimension_checks_a_basis_against_the_weights():
     I = ideal("x^2 - y", "z^3 - y*z")
-    gb = buchberger(I, GREVLEX)
+    gb = buchberger(I)
     with pytest.raises(PreconditionError):
         graded_dimension(gb, W1, 2)
     half = WeightSystem((Fraction(1, 2), 1, Fraction(1, 2)))

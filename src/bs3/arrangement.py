@@ -9,12 +9,13 @@ set.
 The conditions are read from numbers a linear change of coordinates does
 not change: Hilbert function values of R/J and R/J^sat, degrees of H0, the
 regularity and counts of logarithmic derivations, for J the Jacobian ideal
-of f.  So condition_report builds f in the coordinates where the first line
-z + c*x + c^2*y through no intersection point is z.  Each point rules out
-at most two values of c, so c <= 2 * (number of points), and c comes from
-the lattice in one pass (_free_line).  There the saturation of J needs no
-second basis, and f is the product of integer normals, so its Jacobian
-carries int coefficients only.
+of f.  So condition_report builds f in the coordinates where a line
+z + a*x + b*y through no intersection point is z, the one of least height
+h = max(|a|, |b|) (_free_line).  Each point rules out at most 2h + 1 pairs
+of the box [-h, h]^2, so h <= ceil(N/2) for N points, and small moves keep
+the moved coefficients short.  There the saturation of J needs no second
+basis, and f is the product of integer normals, so its Jacobian carries
+int coefficients only.
 
 The one Buchberger run of J starts knowing where its Hilbert function
 ends (_jacobian): HF(R/J)_t = e = sum over the points of (m_p - 1)^2 for
@@ -50,7 +51,8 @@ basis and the regularity must be at most 2d - 5.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from itertools import count
+from math import gcd, lcm
 
 from . import linalg
 from .bsroots import RootSet
@@ -381,38 +383,32 @@ def is_formal(arr):
 
 
 def _free_line(points):
-    """The least c >= 0 whose line z + c*x + c^2*y passes through none of
-    the points, integer vectors (p_x, p_y, p_z) other than 0.
+    """The (a, b) of least height h = max(|a|, |b|), then least |a| + |b|,
+    then least (a, b), whose line z + a*x + b*y passes through none of the
+    points, integer vectors (p_x, p_y, p_z) other than 0.
 
-    The line passes through p exactly when p_z + c*p_x + c^2*p_y = 0, a
-    nonzero polynomial in c of degree at most two: it has at most two
-    roots, read off an exact square root of the discriminant when p_y != 0
-    and one division when p_y = 0.  So at most 2*len(points) values of c
-    are excluded, and c <= 2*len(points).
+    The line passes through p exactly when p_z + a*p_x + b*p_y = 0.  When
+    p_x = p_y = 0 this never holds; otherwise each a fixes at most one b
+    when p_y != 0, and each b at most one a when p_x != 0, so p rules out
+    at most 2h + 1 of the (2h + 1)^2 pairs in the box [-h, h]^2.  N points
+    rule out at most N*(2h + 1) of them, fewer than all once 2h + 1 > N:
+    so h <= ceil(N/2).
     """
-    excluded = set()
-    for px, py, pz in points:
-        if py:
-            disc = px * px - 4 * py * pz
-            r = isqrt(disc) if disc >= 0 else -1
-            if r * r == disc:
-                excluded.update(n // (2 * py) for n in (r - px, -r - px)
-                                if n % (2 * py) == 0)
-        elif px and pz % px == 0:
-            excluded.add(-pz // px)
-    c = 0
-    while c in excluded:
-        c += 1
-    return c
+    for h in count():
+        ring = [(a, b) for a in range(-h, h + 1) for b in range(-h, h + 1)
+                if max(abs(a), abs(b)) == h]
+        for a, b in sorted(ring, key=lambda p: (abs(p[0]) + abs(p[1]), p)):
+            if all(pz + a * px + b * py for px, py, pz in points):
+                return a, b
 
 
 def _jacobian(arr):
     """The Jacobian ideal of f moved to where the free line is z (see
     condition_report), with its proven Hilbert tail (2d - 4, e),
     e = sum over the points of (m_p - 1)^2 (module docstring)."""
-    c = _free_line(arr.lattice)
-    f = _form_product((a - c * s, b - c * c * s, s)
-                      for a, b, s in (form.normal for form in arr.forms))
+    a, b = _free_line(arr.lattice)
+    f = _form_product((nx - a * nz, ny - b * nz, nz)
+                      for nx, ny, nz in (form.normal for form in arr.forms))
     e = sum((len(lines) - 1) ** 2 for lines in arr.lattice.values())
     return Ideal(jacobian_ideal(f).generators, 3, (2 * arr.degree - 4, e))
 
@@ -425,15 +421,15 @@ def condition_report(arr):
     of H0 = J^sat/J, or a count of degree-0 logarithmic derivations, for J
     the Jacobian ideal of f; a linear change of coordinates maps each of
     them to itself.  So the conditions are read in the coordinates where
-    the first line z + c*x + c^2*y through no intersection point is z
-    (_free_line; c <= 2 * the number of points): there a form with normal
-    (a, b, s) has normal (a - c*s, b - c^2*s, s), the product f' of the
-    moved integer normals is a nonzero constant times f(x, y, z - c*x -
-    c^2*y), and its Jacobian ideal is J moved.  z = 0 misses the singular
-    points, which are the intersection points, so the saturation of J
-    certifies c = 0 on its own reduced basis: one Buchberger run serves
-    the whole report, told the Hilbert tail (2d - 4, e) of J (module
-    docstring).
+    the line z + a*x + b*y of least height through no intersection point
+    is z (_free_line; max(|a|, |b|) <= ceil(N/2) for N points): there a
+    form with normal (n_x, n_y, n_z) has normal
+    (n_x - a*n_z, n_y - b*n_z, n_z), the product f' of the moved integer
+    normals is a nonzero constant times f(x, y, z - a*x - b*y), and its
+    Jacobian ideal is J moved.  z = 0 misses the singular points, which
+    are the intersection points, so the saturation of J certifies c = 0
+    on its own minimal basis: one Buchberger run serves the whole report,
+    told the Hilbert tail (2d - 4, e) of J (module docstring).
     """
     d = arr.degree
     jac = _jacobian(arr)

@@ -2,11 +2,15 @@
 
 Every basis computation runs on integer coefficient dictionaries, and one
 routine, _reduce, does every reduction: of S-polynomials in Buchberger's
-loop, and of each element against the others when GroebnerBasis.elements
-interreduces.  It strips the content after every step, so no Fraction
-arithmetic happens in inner loops.  A GroebnerBasis holds only the packed
-integer triples (lm, lc, primitive dict) of a minimal basis, whose leading
-monomials are all a request reads.  Fractions appear only where a value
+loop, only until the head is irreducible, and of each element against the
+others, fully, when GroebnerBasis.elements interreduces.  The leading
+monomials of a Groebner basis do not depend on its tails, so the loop
+leaves them unreduced: a tail step scales the whole remainder by a
+reducer's leading coefficient, which is where coefficients grow.  _reduce
+strips the content after every step, so no Fraction arithmetic happens in
+inner loops.  A GroebnerBasis holds only the packed integer triples
+(lm, lc, primitive dict) of a minimal basis, whose leading monomials are
+all a request reads.  Fractions appear only where a value
 leaves the program: generators are cleared of denominators on the way in,
 and monic Polynomials are built only when GroebnerBasis.elements is read,
 never on a request.
@@ -365,16 +369,18 @@ def _from_int_poly(d, pk, scale=1):
                       pk.n)
 
 
-def _reduce(d, basis, pk, budget):
-    """Fully reduce the int dict d against basis, (lm, lc, dict) triples.
+def _reduce(d, basis, pk, budget, full=True):
+    """Reduce the int dict d against basis, (lm, lc, dict) triples: fully,
+    or with full=False only until its head is irreducible.
 
-    Returns (r, num, den): r is an int dict none of whose monomials a
-    leading monomial of the basis divides, num and den are positive ints,
-    and r - (num/den)*d lies in the ideal the basis generates.  Each step
-    scales the terms by the basis leading coefficient over a gcd and then
-    strips the content of all of them, so coefficients stay integers and r
-    is primitive when d is.  The quotient q of two leading monomials fits, so each product
-    bm + q is checked by its guard bits alone.
+    Returns (r, num, den): r is an int dict none of whose monomials (with
+    full=False, whose leading monomial) a leading monomial of the basis
+    divides, num and den are positive ints, and r - (num/den)*d lies in the
+    ideal the basis generates.  Each step scales the terms by the basis
+    leading coefficient over a gcd and then strips the content of all of
+    them, so coefficients stay integers and r is primitive when d is.  The
+    quotient q of two leading monomials fits, so each product bm + q is
+    checked by its guard bits alone.
     """
     G = pk.guard
     work, done = dict(d), {}
@@ -386,6 +392,8 @@ def _reduce(d, basis, pk, budget):
             if (lg - hit[0]) & G == G:
                 break
         else:
+            if not full:
+                return work, num, den
             done[lm] = work.pop(lm)
             continue
         budget.spend()
@@ -452,6 +460,18 @@ def _s_poly_int(f, g, pk, budget):
 def _buchberger_int(triples, pk, budget, tail=None):
     """Core loop on (lm, lc, dict) triples; returns the final list of
     triples, a Groebner basis that is neither minimal nor reduced.
+
+    Each S-polynomial is reduced only until its head is irreducible
+    (_reduce with full=False): the head steps are those of a full
+    reduction, so the remainder is 0 exactly when the fully reduced one
+    is, and has the same leading monomial otherwise.  The tails stay
+    unreduced, so later S-polynomials, and the pairs and steps the loop
+    takes, may differ from a fully reducing loop's.  The result is still a
+    Groebner basis: a head reduction to 0 is a standard representation of
+    the S-polynomial, which is all Buchberger's criterion and the pair
+    criteria below need, and the leading monomials of any Groebner basis
+    of I generate in(I), so its minimal ones, all a request reads, are
+    those of the reduced basis.
 
     Each generator and each nonzero remainder enters through the
     Gebauer-Moller update (1988).  Its pairs with the elements in play are
@@ -547,7 +567,7 @@ def _buchberger_int(triples, pk, budget, tail=None):
                 continue
         _, _, i, j = heapq.heappop(heap)
         r, _, _ = _reduce(_s_poly_int(basis[i], basis[j], pk, budget), basis,
-                          pk, budget)
+                          pk, budget, False)
         if r:
             update(_int_triple(r))
             if read == t:

@@ -13,9 +13,7 @@ from bs3.arrangement import (Arrangement, LinearForm, _free_line,
                              singular_points, validate)
 from bs3 import arrangement, cli, groebner, linalg
 from bs3.graded import STANDARD
-from bs3.groebner import saturated_leading_monomials
 from bs3.linalg import rank
-from bs3.milnor import jacobian_ideal
 from bs3.polyring import (Bs3Error, ParseError, Polynomial, PreconditionError,
                           parse_polynomial)
 
@@ -401,29 +399,35 @@ def test_condition_report_generic4():
     assert report.witness_dims["milnor_dim_2d_minus_5"] == 7
 
 
-def test_free_line_skips_every_c_through_a_point():
-    # c = 0, 1 and 2 pass through (1, 0, 0), (0, 1, -1) and (1, 1, -6)
-    assert _free_line([(1, 0, 0), (0, 1, -1), (1, 1, -6)]) == 3
-    assert _free_line([(0, 0, 1), (0, 1, 1), (1, 1, 1)]) == 0
+def least_height_free_line(points):
+    """Every (a, b) in the box [-H, H]^2, H = ceil(N/2) for N points, whose
+    line z + a*x + b*y passes through none of the points; the least by
+    height max(|a|, |b|), then |a| + |b|, then (a, b)."""
+    top = (len(points) + 1) // 2
+    free = [(a, b) for a in range(-top, top + 1) for b in range(-top, top + 1)
+            if all(z + a * x + b * y for x, y, z in points)]
+    return min(free, key=lambda p: (max(map(abs, p)), abs(p[0]) + abs(p[1]),
+                                    p))
+
+
+def test_free_line_is_the_least_height_line_through_no_point():
+    # (0, 0) passes through (1, 0, 0); of height 1, (-1, 0) comes first
+    assert _free_line([(1, 0, 0), (0, 1, -1), (1, 1, -6)]) == (-1, 0)
+    assert _free_line([(0, 0, 1), (0, 1, 1), (1, 1, 1)]) == (0, 0)
+    # b = -1, 0, 1 each pass through a point, for every a: the bound
+    # h <= ceil(3/2) = 2 is reached
+    assert _free_line([(0, 1, 1), (0, 1, 0), (0, 1, -1)]) == (0, -2)
     rng = random.Random(16)
+    heights = set()
     for _ in range(300):
         points = [tuple(rng.randint(-4, 4) for _ in range(3))
                   for _ in range(rng.randint(1, 6))]
         points = [p for p in points if any(p)]
-        c = 0
-        while any(z + c * x + c * c * y == 0 for x, y, z in points):
-            c += 1
-        assert _free_line(points) == c <= 2 * len(points), points
-
-
-def test_free_line_is_the_certified_line_of_the_original_jacobian():
-    chosen = []
-    for name, arr in corpus.build_corpus():
-        jac = jacobian_ideal(arr.defining_polynomial())
-        c, _ = saturated_leading_monomials(jac, (1, 1, 1))
-        assert _free_line(arr.lattice) == c, name
-        chosen.append(c)
-    assert len(chosen) >= 40 and max(chosen) > 0
+        a, b = _free_line(points)
+        assert (a, b) == least_height_free_line(points), points
+        heights.add(max(abs(a), abs(b)))
+        assert max(abs(a), abs(b)) <= (len(points) + 1) // 2, points
+    assert heights == {0, 1}
 
 
 def test_moved_report_matches_the_original_coordinates(monkeypatch):
@@ -504,8 +508,8 @@ def test_cold_ziegler_request_reduces_no_pair_to_zero_from_2d_minus_4(
     reduced = []
     reduce = groebner._reduce
 
-    def spy(d, basis, pk, budget):
-        r = reduce(d, basis, pk, budget)
+    def spy(d, basis, pk, *args):
+        r = reduce(d, basis, pk, *args)
         reduced.append((pk.degree(max(d)), bool(r[0])))
         return r
 
@@ -576,9 +580,9 @@ def test_form_product_is_the_per_factor_product(monkeypatch):
 
     cases = []
     for arr in product_draws():
-        c = _free_line(arr.lattice)
-        cases.append([(a - c * s, b - c * c * s, s)
-                      for a, b, s in (f.normal for f in arr.forms)])
+        a, b = _free_line(arr.lattice)
+        cases.append([(nx - a * nz, ny - b * nz, nz)
+                      for nx, ny, nz in (f.normal for f in arr.forms)])
         cases.append([f.coefficients for f in arr.forms])
         cases.append([f.normal for f in arr.forms])
     # (x + y)(x - y)z: the two x*y*z terms cancel

@@ -109,11 +109,11 @@ LQH_COLON = ("roots", "lqh", "--poly", "2*x^5+2*x^3*y+3*x^3*z+2*x*y*z",
 
 
 @pytest.mark.parametrize("argv, steps", [
-    (("arrangement", "--forms", oracles.ZIEGLER_F), 779),
-    (("arrangement", "--forms", oracles.ZIEGLER_G), 673),
-    (LQH, 471),
+    (("arrangement", "--forms", oracles.ZIEGLER_F), 794),
+    (("arrangement", "--forms", oracles.ZIEGLER_G), 682),
+    (LQH, 470),
     (LQH_PRODUCT, 239),
-    (LQH_COLON, 161),
+    (LQH_COLON, 159),
 ], ids=["ziegler_f", "ziegler_g", "lqh", "lqh_product", "lqh_colon"])
 def test_cold_request_spends_a_pinned_number_of_steps(capsys, budgets, argv,
                                                       steps):

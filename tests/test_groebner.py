@@ -18,6 +18,7 @@ from bs3.milnor import jacobian_ideal
 from bs3.polyring import Polynomial, PreconditionError, parse_polynomial, wdeg
 from oracles import (eliminate, ideal_intersection, normal_form_by_fractions,
                      poly_add, poly_mul, s_polynomial, saturate_by_poly)
+from test_arrangement import product_draws
 from test_graded import H0_CASES, random_monomial_ideal
 
 GREVLEX = _packing(3)
@@ -292,8 +293,13 @@ def basis_and_pair_count(ideal, lead, loop):
 
 
 def test_gebauer_moeller_update_matches_the_chain_criterion_loop():
+    # the oracle loop reduces every remainder fully; the loop under test
+    # only its head, so the two agree on the reduced basis alone
     cases = [(name, jacobian_ideal(arr.defining_polynomial()), 0)
              for name, arr in corpus.build_corpus()]
+    # past the corpus: x, y, z and the sweep and moment draws, d = 4..12
+    cases += [("draw", jacobian_ideal(arr.defining_polynomial()), 0)
+              for arr in product_draws()[len(cases):]]
     cases += [("lqh", I, 0) for I, _ in lqh_jacobians(8, 4)]
     cases += [("localized", oracles._localized(I, moment_form(weights, c)), 1)
               for I, weights in lqh_jacobians(8, 4) for c in (0, 1)]
@@ -306,6 +312,28 @@ def test_gebauer_moeller_update_matches_the_chain_criterion_loop():
         assert formed <= by_chain, I
         fewer[name] = formed < by_chain
     assert fewer["ziegler_g"]
+
+
+def test_the_loop_reduces_only_the_head_of_each_remainder(monkeypatch):
+    # on the Ziegler f request's Jacobian: no remainder's head is
+    # reducible, and some remainder keeps a tail term that a leading
+    # monomial of the basis it was reduced against divides
+    remainders = []
+    reduce = groebner._reduce
+
+    def spy(d, basis, *args):
+        r = reduce(d, basis, *args)
+        remainders.append((r[0], [b[0] for b in basis]))
+        return r
+
+    monkeypatch.setattr(groebner, "_reduce", spy)
+    buchberger(arrangement._jacobian(validate(oracles.ZIEGLER_F.split(","))))
+    nonzero = [(r, lms) for r, lms in remainders if r]
+    assert nonzero
+    for r, lms in nonzero:
+        assert not any(GREVLEX.divides(m, max(r)) for m in lms)
+    assert any(GREVLEX.divides(m, t) for r, lms in nonzero
+               for t in r if t != max(r) for m in lms)
 
 
 def test_corpus_jacobian_bases_are_fully_reduced():

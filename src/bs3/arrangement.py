@@ -6,16 +6,32 @@ equivalent conditions deciding whether the single candidate non-combinatorial
 root (-2d+2)/d actually occurs, then assembles the full Bernstein-Sato zero
 set.
 
-The conditions are read from numbers a linear change of coordinates does
-not change: Hilbert function values of R/J and R/J^sat, degrees of H0, the
-regularity and counts of logarithmic derivations, for J the Jacobian ideal
-of f.  So condition_report builds f in the coordinates where a line
-z + a*x + b*y through no intersection point is z, the one of least height
-h = max(|a|, |b|) (_free_line).  Each point rules out at most 2h + 1 pairs
-of the box [-h, h]^2, so h <= ceil(N/2) for N points, and small moves keep
-the moved coefficients short.  There the saturation of J needs no second
-basis, and f is the product of integer normals, so its Jacobian carries
-int coefficients only.
+The conditions are read from numbers an invertible linear change of
+coordinates does not change: Hilbert function values of R/J and R/J^sat,
+degrees of H0, the regularity and counts of logarithmic derivations, for J
+the Jacobian ideal of f.  So condition_report builds f in an adapted basis
+{p, q, r} (_adapted_normals): p and q two input normals of least height,
+r = (a, b, 1) the line z + a*x + b*y through no intersection point of
+least height h = max(|a|, |b|) (_free_line).  Each point rules out at most
+2h + 1 pairs of the box [-h, h]^2, so h <= ceil(N/2) for N points.
+
+Why the report cannot change.  Let B be the matrix of rows p, q, r and
+(u, v, w) = B (x, y, z) the new coordinates.  det B = r.(p x q) is not 0:
+p x q is the point where the lines p and q meet, and r misses every point.
+A form n.(x, y, z) is n B^-1 (u, v, w), and det B * B^-1 has the columns
+q x r, r x p, p x q, so the product f' of the moved integer normals
+(n.(q x r), n.(r x p), n.(p x q)), each made primitive, is a nonzero
+constant times f o B^-1, and its Jacobian ideal is J moved.  So every
+witness keeps its value, the Hilbert tail (2d - 4, e) below holds for f',
+and w = 0, the free line, misses the singular points: the saturation of J
+certifies c = 0 on the one basis of J, with no second basis.  Moving only
+the free line to z is the case p = x, q = y, which an arrangement
+containing x and y still takes.
+
+Why it is faster.  p goes to x and q to y, so f' = x y g: at most C(d, 2)
+terms where f may have C(d + 2, 2), and sparser partials, so each
+reduction step touches fewer terms and fewer steps are needed.  f' is the
+product of integer normals, so its Jacobian carries int coefficients only.
 
 The one Buchberger run of J starts knowing where its Hilbert function
 ends (_jacobian): HF(R/J)_t = e = sum over the points of (m_p - 1)^2 for
@@ -402,13 +418,29 @@ def _free_line(points):
                 return a, b
 
 
+def _adapted_normals(arr):
+    """The normals in the adapted basis {p, q, r} (see condition_report):
+    p and q the first two normals of least height (largest |entry|, then
+    sum of |entries|, then index), r = (a, b, 1) from _free_line.  Normal n
+    goes to (n.(q x r), n.(r x p), n.(p x q)), the row n B^-1 times
+    det B for B the matrix of rows p, q, r, made primitive with first
+    nonzero entry positive: p to (1, 0, 0), q to (0, 1, 0)."""
+    a, b = _free_line(arr.lattice)
+    normals = [form.normal for form in arr.forms]
+    p, q = sorted(normals, key=lambda n: (max(map(abs, n)),
+                                          sum(map(abs, n))))[:2]
+    r = (a, b, 1)
+    columns = (_cross(q, r), _cross(r, p), _cross(p, q))
+    return [LinearForm([n[0] * c[0] + n[1] * c[1] + n[2] * c[2]
+                        for c in columns]).normal for n in normals]
+
+
 def _jacobian(arr):
-    """The Jacobian ideal of f moved to where the free line is z (see
+    """The Jacobian ideal of f moved to the adapted basis, where two
+    least-height lines are x and y and the free line is z (see
     condition_report), with its proven Hilbert tail (2d - 4, e),
     e = sum over the points of (m_p - 1)^2 (module docstring)."""
-    a, b = _free_line(arr.lattice)
-    f = _form_product((nx - a * nz, ny - b * nz, nz)
-                      for nx, ny, nz in (form.normal for form in arr.forms))
+    f = _form_product(_adapted_normals(arr))
     e = sum((len(lines) - 1) ** 2 for lines in arr.lattice.values())
     return Ideal(jacobian_ideal(f).generators, 3, (2 * arr.degree - 4, e))
 
@@ -419,17 +451,18 @@ def condition_report(arr):
 
     Every witness is a Hilbert function value of R/J or R/J^sat, a degree
     of H0 = J^sat/J, or a count of degree-0 logarithmic derivations, for J
-    the Jacobian ideal of f; a linear change of coordinates maps each of
-    them to itself.  So the conditions are read in the coordinates where
-    the line z + a*x + b*y of least height through no intersection point
-    is z (_free_line; max(|a|, |b|) <= ceil(N/2) for N points): there a
-    form with normal (n_x, n_y, n_z) has normal
-    (n_x - a*n_z, n_y - b*n_z, n_z), the product f' of the moved integer
-    normals is a nonzero constant times f(x, y, z - a*x - b*y), and its
-    Jacobian ideal is J moved.  z = 0 misses the singular points, which
-    are the intersection points, so the saturation of J certifies c = 0
-    on its own minimal basis: one Buchberger run serves the whole report,
-    told the Hilbert tail (2d - 4, e) of J (module docstring).
+    the Jacobian ideal of f; an invertible linear change of coordinates
+    maps each of them to itself.  So the conditions are read in the
+    adapted basis {p, q, r} (_adapted_normals): two least-height lines p
+    and q become x and y, and the line r = z + a*x + b*y of least height
+    through no intersection point becomes z.  With B the matrix of rows
+    p, q, r, det B = r.(p x q) != 0 since r misses the point p x q, the
+    product f' of the moved integer normals is a nonzero constant times
+    f o B^-1, and its Jacobian ideal is J moved (module docstring).
+    z = 0 misses the singular points, which are the intersection points,
+    so the saturation of J certifies c = 0 on its own minimal basis: one
+    Buchberger run serves the whole report, told the Hilbert tail
+    (2d - 4, e) of J (module docstring).
     """
     d = arr.degree
     jac = _jacobian(arr)

@@ -430,6 +430,53 @@ def test_free_line_is_the_least_height_line_through_no_point():
     assert heights == {0, 1}
 
 
+SWEEP20 = ("x,y,z,x-2y+2z,2y-z,x+y+z,x+2y-z,2x-y-z,2x-2y+z,y-2z,x+z,x+y-z,"
+           "2x-y+z,x-y-z,2x-y,2x-2y-z,2x+y+2z,x+2y-2z,x-y+z,x-y")
+
+
+def moment_draw(d):
+    """The first d forms x + k*y + k^2*z of the moment curve, k = 0..d-1:
+    x is the only coordinate line among them."""
+    return ["x+%d*y+%d*z" % (k, k * k) for k in range(d)]
+
+
+def evaluate(poly, point):
+    x, y, z = point
+    return sum(c * x ** i * y ** j * z ** k
+               for (i, j, k), c in poly.terms.items())
+
+
+def test_adapted_normals_send_two_least_height_lines_to_x_and_y():
+    rng = random.Random(32)
+    moved_pairs = 0
+    for arr in hinted_draws():
+        normals = [f.normal for f in arr.forms]
+        moved = arrangement._adapted_normals(arr)
+        assert len(moved) == len(normals)
+        i, j = sorted(range(arr.degree), key=lambda k: (
+            max(map(abs, normals[k])), sum(map(abs, normals[k])), k))[:2]
+        assert moved[i] == (1, 0, 0) and moved[j] == (0, 1, 0), arr
+        for v in moved:
+            assert gcd(*v) == 1 and (v[0] or v[1] or v[2]) > 0, arr
+        moved_pairs += {normals[i], normals[j]} != {(1, 0, 0), (0, 1, 0)}
+        # the moved product f' satisfies f'(B X) = const * f(X) with one
+        # nonzero constant, B the matrix of rows p, q and the free line r
+        a, b = _free_line(arr.lattice)
+        rows = (normals[i], normals[j], (a, b, 1))
+        f = arr.defining_polynomial()
+        moved_f = arrangement._form_product(moved)
+        ratios = set()
+        for _ in range(8):
+            point = [rng.randint(-9, 9) for _ in range(3)]
+            value = evaluate(f, point)
+            if value:
+                image = [sum(r * p for r, p in zip(row, point))
+                         for row in rows]
+                ratios.add(Fraction(evaluate(moved_f, image)) / value)
+        assert len(ratios) == 1 and 0 not in ratios, arr
+    assert moved_pairs > 100
+
+
 def test_moved_report_matches_the_original_coordinates(monkeypatch):
     entries = corpus.build_corpus()
     names = {name for name, _ in entries}
@@ -444,6 +491,9 @@ def test_moved_report_matches_the_original_coordinates(monkeypatch):
         return int_run(*args)
 
     monkeypatch.setattr(groebner, "_buchberger_int", spy)
+    for d in range(4, 11):
+        entries.append(("sweep%d" % d, validate(SWEEP20.split(",")[:d])))
+        entries.append(("moment%d" % d, validate(moment_draw(d))))
     for name, arr in entries:
         clear_caches()
         runs.clear()
@@ -458,10 +508,6 @@ def test_moved_report_matches_the_original_coordinates(monkeypatch):
         assert got.consistent == want.consistent, name
 
 
-SWEEP20 = ("x,y,z,x-2y+2z,2y-z,x+y+z,x+2y-z,2x-y-z,2x-2y+z,y-2z,x+z,x+y-z,"
-           "2x-y+z,x-y-z,2x-y,2x-2y-z,2x+y+2z,x+2y-2z,x-y+z,x-y")
-
-
 def hinted_draws():
     """The corpus (with the Ziegler pair), the first d forms of the sweep
     draw and the moment curve x + k*y + k^2*z, k < d, for d = 4..12, and
@@ -469,7 +515,7 @@ def hinted_draws():
     arrs = [arr for _, arr in corpus.build_corpus()]
     for d in range(4, 13):
         arrs.append(validate(SWEEP20.split(",")[:d]))
-        arrs.append(validate(["x+%d*y+%d*z" % (k, k * k) for k in range(d)]))
+        arrs.append(validate(moment_draw(d)))
     rng = random.Random(22)
     drawn = 0
     while drawn < 150:
@@ -529,7 +575,7 @@ def product_draws():
     arrs.append(Arrangement(forms_of("x,y,z")))
     for d in range(4, 13):
         arrs.append(validate(SWEEP20.split(",")[:d]))
-        arrs.append(validate(["x+%d*y+%d*z" % (k, k * k) for k in range(d)]))
+        arrs.append(validate(moment_draw(d)))
     return arrs
 
 
@@ -580,9 +626,7 @@ def test_form_product_is_the_per_factor_product(monkeypatch):
 
     cases = []
     for arr in product_draws():
-        a, b = _free_line(arr.lattice)
-        cases.append([(nx - a * nz, ny - b * nz, nz)
-                      for nx, ny, nz in (f.normal for f in arr.forms)])
+        cases.append(arrangement._adapted_normals(arr))
         cases.append([f.coefficients for f in arr.forms])
         cases.append([f.normal for f in arr.forms])
     # (x + y)(x - y)z: the two x*y*z terms cancel

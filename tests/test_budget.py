@@ -108,13 +108,24 @@ LQH_COLON = ("roots", "lqh", "--poly", "2*x^5+2*x^3*y+3*x^3*z+2*x*y*z",
              "--weights", "1,2,2")
 
 
+# the moment curve x + k*y + k^2*z, k = 0..11, has x but not y, and this
+# draw (random.Random(5), entries in [-3, 3]) neither: their Jacobians are
+# built with two of their own lines as x and y, where the Ziegler pair's
+# are built with x and y themselves
+MOMENT12 = ",".join("x+%d*y+%d*z" % (k, k * k) for k in range(12))
+DRAW5 = "x-y+2z,-x+3y+2z,3x+2y+2z,x-3y+3z,3y-2z"
+
+
 @pytest.mark.parametrize("argv, steps", [
     (("arrangement", "--forms", oracles.ZIEGLER_F), 794),
     (("arrangement", "--forms", oracles.ZIEGLER_G), 682),
+    (("arrangement", "--forms", MOMENT12), 1921),
+    (("arrangement", "--forms", DRAW5), 190),
     (LQH, 470),
     (LQH_PRODUCT, 239),
     (LQH_COLON, 159),
-], ids=["ziegler_f", "ziegler_g", "lqh", "lqh_product", "lqh_colon"])
+], ids=["ziegler_f", "ziegler_g", "moment12", "draw5", "lqh", "lqh_product",
+        "lqh_colon"])
 def test_cold_request_spends_a_pinned_number_of_steps(capsys, budgets, argv,
                                                       steps):
     # pair selection, the pair criteria and the reduction order are all

@@ -13,12 +13,23 @@ its own results, such as a failed saturation certificate or disagreeing
 arrangement conditions).
 
 Each request runs inside one step budget (groebner.step_budget), so
---step-cap N bounds the whole request: reduction steps, S-pairs, the
-generators, columns and window degrees of the graded engine, the line
-pairs of an arrangement's intersection lattice and the term products of
-its defining polynomial, counted together.  Past N the request ends with
-exit 3.  The default is DEFAULT_STEP_CAP (10 million).  N must be at least
-0: a negative cap is a usage error, exit 1.
+--step-cap N bounds the whole request, counted together:
+
+* a reduction step or an S-pair is one step, and one more per 64-bit word
+  past the first of each of the two coefficients it scales by (the head
+  it cancels and the reducer's leading coefficient, or the two leading
+  coefficients), so N bounds time also where coefficients grow;
+* the graded engine charges its generators, columns and window degrees,
+  and the pass that lists H0 its generators, column ranges, run columns
+  and degrees;
+* an arrangement charges the line pairs of its intersection lattice and
+  the term products of its defining polynomial.
+
+Every count is deterministic: the same request spends the same steps on
+every run, so --step-cap N with N the steps a request spends returns its
+report and N - 1 ends it.  Past N the request ends with exit 3.  The
+default is DEFAULT_STEP_CAP (10 million).  N must be at least 0: a
+negative cap is a usage error, exit 1.
 
 A value of --poly, --forms, --weights or --lct-lambda may start with "-"
 also when spaced from its option (--lct-lambda -1/2).

@@ -1,21 +1,25 @@
 """Graded dimension bookkeeping for weighted-homogeneous ideals.
 
-Every graded dimension of a quotient by a Groebner basis comes from one
-engine, groebner._hilbert_function, which counts the standard monomials of
-the leading-monomial ideal in all degrees up to a top degree at once, and
-is read through groebner._hilbert_values in a window whose top a theorem
-bounds.  The top degrees are proven, never guessed:
+Every graded dimension of a quotient by a Groebner basis comes from the
+staircases of leading-monomial ideals, walked row by row with one corner
+list per ideal (groebner._add_corner):
 
-* H0 = (I : m^infinity)/I has the Hilbert series HS(R/in I) -
-  HS(R/in I^sat), a polynomial; each series is K(t)/prod(1 - t^w_i) with
-  deg K at most the weighted degree of the lcm of the leading monomials
-  (Taylor resolution), so H0 lives in degrees up to the larger lcm degree
-  minus the weight sum.
-* The Hilbert function of R/I^sat is its Hilbert polynomial from
-  max(deg lcm - 2, 0) on (groebner._hilbert_tail); when dim R/I <= 1 that
-  polynomial is the constant e, the dimension of the global sections of
-  the associated sheaf in every twist, and H1 is e minus the Hilbert
-  function below that start.
+* H0 = (I : m^infinity)/I has the Hilbert function HF(R/in I) -
+  HF(R/in I^sat), so dim H0_t is the number of monomials of in(I^sat)
+  outside in(I) of degree t.  groebner._saturation_excess lists them in
+  one pass over both staircases, as runs of z-powers, and h0_degree_data
+  counts them by degree.  No window is needed: the difference is finite,
+  so it lies below the lcm of in(I), and a difference that would repeat
+  past it is the saturation's failed certificate, never a count.  When
+  the saturation returns in(I) itself H0 is empty with no pass; when I is
+  Artinian the runs are the standard monomials of R/in(I).
+* The Hilbert function of R/I^sat is HF(R/I) - H0, read over the memoized
+  tail of in(I) (groebner._hilbert_tail), which runs from 0 to
+  max(deg lcm - 2, 0) + 2 and holds every H0 degree; from its start on
+  it is the Hilbert polynomial, the same for R/I and R/I^sat.  When
+  dim R/I <= 1 that polynomial is the constant e, the dimension of the
+  global sections of the associated sheaf in every twist, and H1 is e
+  minus the Hilbert function of R/I^sat below that start.
 
 H0 is read under the weights of the request.  e, H1 and the regularity are
 read under the standard grading, so they refuse an ideal whose generators
@@ -28,7 +32,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .groebner import (_hilbert_tail, _hilbert_values, _lcm_degree,
+from .groebner import (_excess_degrees, _hilbert_tail, _saturation_excess,
                        buchberger, saturated_leading_monomials)
 from .polyring import (Bs3Error, PreconditionError, WeightSystem,
                        format_ratio, format_rational)
@@ -129,7 +133,8 @@ def check_h0_symmetry(h0, center):
 
 def h0_degree_data(I, w):
     """Degreewise dimensions of (I : m^infinity) / I, the finite-length part
-    of R/I supported at the irrelevant maximal ideal."""
+    of R/I supported at the irrelevant maximal ideal: the monomials of
+    in(I^sat) outside in(I), counted by weighted degree."""
     if I.is_zero():
         return DegreeData._over(w.denominator, {})
     W, L = w.scaled, w.denominator
@@ -138,36 +143,37 @@ def h0_degree_data(I, w):
     # them (groebner docstring)
     _, in_sat = saturated_leading_monomials(I, tuple(v // g for v in W))
     in_i = buchberger(I).leading_monomials
-    # HS(R/M) = K(t)/prod(1 - t^W_i) with deg K <= wdeg lcm(M), because the
-    # Taylor resolution of R/M has every syzygy in a degree dividing lcm(M).
-    # I^sat/I has finite length, so its series HS(R/in I) - HS(R/in I^sat)
-    # is a polynomial, of degree at most the larger deg K minus sum(W).
-    top = max(_lcm_degree(in_i, W), _lcm_degree(in_sat, W)) - sum(W)
-    dims = _hilbert_values(in_i, top, W), _hilbert_values(in_sat, top, W)
-    scaled = {}
-    for k, (dim_i, dim_s) in enumerate(zip(*dims)):
-        if dim_i < dim_s:
-            raise Bs3Error("saturation smaller than the ideal; this should "
-                           "be impossible")
-        if dim_i > dim_s:
-            scaled[k] = dim_i - dim_s
-    return DegreeData._over(L, scaled)
+    if in_sat == in_i:
+        return DegreeData._over(L, {})
+    runs = _saturation_excess(in_i, in_sat)
+    if runs is None:
+        raise Bs3Error("internal inconsistency: check 'finite H0' failed: "
+                       "in(I^sat) has infinitely many monomials outside in(I)")
+    return DegreeData._over(L, {k: dim for k, dim in
+                                enumerate(_excess_degrees(runs, W)) if dim})
 
 
 STANDARD = WeightSystem((1, 1, 1))
 
 
-def _saturation_hilbert(I):
+def _saturation_hilbert(I, h0=None):
     """The Hilbert function of R/I^sat under the standard grading and the
-    constant e of its Hilbert polynomial, as groebner._hilbert_tail reads
-    them; an ideal that (1, 1, 1) does not grade is refused.
+    constant e of its Hilbert polynomial: HF(R/I) - H0 over the memoized
+    tail of in(I), whose e is that of R/I^sat, since H0 is finite.  h0, the
+    standard H0 degree data of I, is read when not given, and its
+    saturation refuses an ideal that (1, 1, 1) does not grade.  Every H0
+    degree lies in that tail: in(I^sat) adds finitely many monomials, so
+    the lcm of in(I^sat) divides that of in(I) (groebner._saturation_excess),
+    and H0 ends three degrees below it.
 
     A saturated ideal of dimension at most one has a linear nonzerodivisor,
     so its Hilbert function never decreases and never passes e; a value
     above e is an internal error.
     """
-    _, lms = saturated_leading_monomials(I, (1, 1, 1))
-    hf, e = _hilbert_tail(lms)
+    if h0 is None:
+        h0 = h0_degree_data(I, STANDARD)
+    hf, e = _hilbert_tail(buchberger(I).leading_monomials)
+    hf = [dim - h0.scaled.get(t, 0) for t, dim in enumerate(hf)]
     if e is not None and max(hf) > e:
         raise Bs3Error("Hilbert value exceeds its stable limit; this should "
                        "be impossible")
@@ -180,7 +186,7 @@ def regularity_report(I):
     h0 = h0_degree_data(I, STANDARD)
     h0_max = (Fraction(next(reversed(h0.scaled)), h0.denominator)
               if not h0.is_empty() else None)
-    hf, e = _saturation_hilbert(I)
+    hf, e = _saturation_hilbert(I, h0)
     if e is None:
         # tolerated degenerate case: a single plane, H0 = H1 = 0, reg 0
         principal_line = (h0.is_empty() and len(I.generators) == 1

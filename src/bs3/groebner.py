@@ -62,9 +62,10 @@ rather than a trial:
   saturated I can have an unsaturated in(I), and then takes the colon
   below.
 * anything else: J = I : l_c^infinity for the first c = 0, 1, ... whose
-  colon passes a Hilbert-polynomial certificate, l_c the moment form
-  z^(D/w_z) + c*x^(D/w_x) + c^2*y^(D/w_y), D = lcm(w) (_moment_form; the
-  line z + c*x + c^2*y under standard weights).
+  colon passes the certificate, in(J) holds finitely many monomials
+  outside in(I), l_c the moment form z^(D/w_z) + c*x^(D/w_x) +
+  c^2*y^(D/w_y), D = lcm(w) (_moment_form; the line z + c*x + c^2*y under
+  standard weights).
 
 What saturated_leading_monomials returns, under any weights: the leading
 monomials of the grevlex basis of I^sat in the input's coordinates.  Each
@@ -80,14 +81,23 @@ other weights at once.
 
 Why the certificate proves J = I^sat: l_c is homogeneous and lies in m,
 which is all the proof needs of it.  J contains I^sat, and J is graded.
-Grevlex is degree-compatible, so for any ideal the affine Hilbert
-function of R/I is the cumulative standard Hilbert function of R/in(I);
-as I lies in J, equal standard Hilbert polynomials of R/in(I) and R/in(J)
-are equivalent to dim_Q J/I < infinity.  Then J/I^sat is a
-finite-dimensional graded submodule of R/I^sat, killed by a power of m,
-hence zero.  No weighted Hilbert start is needed.  Grading is essential:
-(x - 1, y + 1, z) with h = z + x + y gives J = (1) with an equal Hilbert
-polynomial.
+The monomials outside in(I) are a basis of R/I, and those outside in(J)
+of R/J; I lies in J, so in(I) lies in in(J), and dim_Q J/I is the number
+of monomials of in(J) outside in(I).  Grevlex is degree-compatible, so
+that number is finite exactly when R/in(I) and R/in(J) have the same
+standard Hilbert polynomial.  Then J/I^sat is a finite-dimensional graded
+submodule of R/I^sat, killed by a power of m, hence zero.  No weighted
+Hilbert start is needed.  Grading is essential: (x - 1, y + 1, z) with
+h = z + x + y gives J = (1), one monomial more than in(I) = (x, y, z).
+
+The certificate and H0 = I^sat/I read one pass over the staircases of
+in(I) and in(J) (_saturation_excess), which lists the monomials of in(J)
+outside in(I) as runs of z-powers, or finds them infinite, with no
+window: each staircase is constant past the largest x- and y-exponent of
+the generators, so a monomial of the difference out there repeats
+forever, and a finite difference lies below the lcm of in(I).  Counted
+by weighted degree (_excess_degrees) the runs are H0, and
+HF(R/I^sat) = HF(R/I) - H0 (graded module docstring).
 
 Why the loop ends: when the Hilbert polynomial of R/in(I) is a constant e
 (dim R/I <= 1), e is the degree of the affine curve V(I), so V(I) has at
@@ -100,7 +110,8 @@ other weights (l_0, a power of z, vanishes exactly on z = 0).  Under
 standard weights c = 0 divides the cached basis, so the certificate alone
 decides it.  A point p of V(I) on the curve is a minimal prime of I^sat
 that contains l_c, so the colon drops it, its Hilbert polynomial is
-smaller and the certificate rejects it: the chosen c is the same.
+smaller, in(J) holds infinitely many monomials outside in(I) and the
+certificate rejects it: the chosen c is the same.
 When dim R/I = 2, each of the finitely many associated primes of I^sat
 other than m contains l_c for at most two values of c (three would put a
 power of every variable in it), so the loop still ends, and the request's
@@ -138,10 +149,14 @@ def _too_large():
 
 
 class _Budget:
-    """Steps spent against a cap: a reduction step, an S-pair, a generator,
-    column or degree of the graded engine (_hilbert_function), or in an
+    """Steps spent against a cap: a reduction step or an S-pair, one step
+    and one more per 64-bit word past the first of each of the two
+    coefficients it scales by (_scaling_steps); a generator, column or
+    degree of the graded engine (_hilbert_function); a generator or
+    column range of the excess pass (_saturation_excess), or a column or
+    degree of the count of its runs (_excess_degrees); or in an
     arrangement a pair of lines of the lattice or a term product of the
-    polynomial."""
+    polynomial.  Every count is deterministic."""
 
     __slots__ = ("cap", "used")
 
@@ -369,6 +384,15 @@ def _from_int_poly(d, pk, scale=1):
                       pk.n)
 
 
+def _scaling_steps(a, b):
+    """The steps of a reduction step or an S-pair that scales terms by the
+    coefficients a and b: one, and one more per 64-bit word of each past
+    its first.  Its products and gcds take longer as those words grow, and
+    so does its count: a cap bounds the time of a run whose coefficients
+    grow, and a step whose coefficients fit in a word is one."""
+    return (a.bit_length() >> 6) + (b.bit_length() >> 6) + 1
+
+
 def _reduce(d, basis, pk, budget, full=True):
     """Reduce the int dict d against basis, (lm, lc, dict) triples: fully,
     or with full=False only until its head is irreducible.
@@ -378,7 +402,9 @@ def _reduce(d, basis, pk, budget, full=True):
     divides, num and den are positive ints, and r - (num/den)*d lies in the
     ideal the basis generates.  Each step scales the terms by the basis
     leading coefficient over a gcd and then strips the content of all of
-    them, so coefficients stay integers and r is primitive when d is.  The
+    them, so coefficients stay integers and r is primitive when d is; it
+    is charged by the words of the head it cancels and of that leading
+    coefficient (_scaling_steps).  The
     quotient q of two leading monomials fits, so each product bm + q is
     checked by its guard bits alone.
     """
@@ -396,8 +422,8 @@ def _reduce(d, basis, pk, budget, full=True):
                 return work, num, den
             done[lm] = work.pop(lm)
             continue
-        budget.spend()
         blm, blc, bterms = hit
+        budget.spend(_scaling_steps(work[lm], blc))
         g = gcd(work[lm], blc)
         a, c = blc // g, work[lm] // g
         if a != 1:
@@ -426,7 +452,7 @@ def _s_poly_int(f, g, pk, budget):
     """Integer S-polynomial of two (lm, lc, dict) triples.  The lcm is
     checked first, so the quotients fit and each product term is checked
     by its guard bits alone."""
-    budget.spend()
+    budget.spend(_scaling_steps(f[1], g[1]))
     G = pk.guard
     lcm = pk.lcm(f[0], g[0])
     if lcm & G:
@@ -658,6 +684,41 @@ def _lcm_degree(lead_monomials, weights=(1, 1, 1)):
                for i, w in enumerate(weights))
 
 
+def _add_corner(corner_b, corner_c, monomial):
+    """Enter x^a y^b z^c into a row's corner lists (b ascending, c
+    descending) as the corner (b, c), unless an earlier corner divides it
+    in b and c; the corners it divides leave."""
+    _, b, c = monomial
+    j = bisect_right(corner_b, b)
+    if j and corner_c[j - 1] <= c:
+        return
+    j = k = bisect_left(corner_b, b, 0, j)
+    while k < len(corner_c) and corner_c[k] >= c:
+        k += 1
+    corner_b[j:k] = [b]
+    corner_c[j:k] = [c]
+
+
+def _add_runs(values, starts, shift):
+    """Enter into the difference array values, of stride w_z, one z-run per
+    degree s of the range starts: the degrees s, s + w_z, ..., below
+    s + shift.  A run that ends past the last degree has no end mark."""
+    ends = max(0, (len(values) - 1 - shift - starts.start) // starts.step + 1)
+    for s in starts[:ends]:
+        values[s] += 1
+        values[s + shift] -= 1
+    for s in starts[ends:]:
+        values[s] += 1
+
+
+def _sum_runs(values, wz):
+    """The counts per degree of the runs a difference array of stride w_z
+    holds."""
+    for t in range(wz, len(values)):
+        values[t] += values[t - wz]
+    return values
+
+
 def _hilbert_function(lead_monomials, top, weights=(1, 1, 1)):
     """[dim (R/M)_t for t = 0..top], M generated by the monomials and
     graded by the positive integer weights.
@@ -698,35 +759,17 @@ def _hilbert_function(lead_monomials, top, weights=(1, 1, 1)):
     i = 0
     for a, span in enumerate(spans):
         while i < len(gens) and gens[i][0] <= a:
-            _, b, c = gens[i]
+            _add_corner(corner_b, corner_c, gens[i])
             i += 1
-            j = bisect_right(corner_b, b)
-            if j and corner_c[j - 1] <= c:
-                continue  # an earlier corner divides this one in b and c
-            j = k = bisect_left(corner_b, b, 0, j)
-            while k < len(corner_c) and corner_c[k] >= c:
-                k += 1
-            corner_b[j:k] = [b]
-            corner_c[j:k] = [c]
         b, run = 0, unbounded
         for step_b, step_c in zip(corner_b + [span], corner_c + [0]):
             step_b = min(step_b, span)
-            columns = range(a * wx + b * wy, a * wx + step_b * wy, wy)
-            # the run of a column of degree s ends inside the window while
-            # s + shift <= top
-            shift = run * wz
-            ends = max(0, (top - shift - columns.start) // wy + 1)
-            for s in columns[:ends]:
-                values[s] += 1
-                values[s + shift] -= 1
-            for s in columns[ends:]:
-                values[s] += 1
+            _add_runs(values, range(a * wx + b * wy, a * wx + step_b * wy, wy),
+                      run * wz)
             if step_b == span:
                 break
             b, run = step_b, step_c
-    for t in range(wz, top + 1):
-        values[t] += values[t - wz]
-    return values
+    return _sum_runs(values, wz)
 
 
 @lru_cache(maxsize=64)
@@ -744,14 +787,11 @@ def _hilbert_tail(lead_monomials):
     return hf, hf[s] if hf[s] == hf[s + 1] == hf[s + 2] else None
 
 
-def _hilbert_values(lead_monomials, top, weights=(1, 1, 1)):
-    """[dim (R/M)_t for t = 0..top] for a top a theorem bounds: one engine
-    call under weights other than (1, 1, 1); under (1, 1, 1) the memoized
-    tail and past it the Hilbert polynomial, carried from the tail's last
-    three values by Newton's forward differences, with no step charged.
-    No caller reads a degree of its own choosing."""
-    if weights != (1, 1, 1):
-        return _hilbert_function(lead_monomials, top, weights)
+def _hilbert_values(lead_monomials, top):
+    """[dim (R/M)_t for t = 0..top] under (1, 1, 1), for a top a theorem
+    bounds: the memoized tail and past it the Hilbert polynomial, carried
+    from the tail's last three values by Newton's forward differences, with
+    no step charged.  No caller reads a degree of its own choosing."""
     hf, _ = _hilbert_tail(lead_monomials)
     s = len(hf) - 3
     v, d1, d2 = hf[s], hf[s + 1] - hf[s], hf[s + 2] - 2 * hf[s + 1] + hf[s]
@@ -765,13 +805,82 @@ def _stable_from(lead_monomials, t, e):
     return stable == e and all(v == e for v in hf[t:])
 
 
-def _same_hilbert_polynomial(lms_a, lms_b):
-    """R/(lms_a) and R/(lms_b) have the same Hilbert polynomial: from both
-    tails' starts on each Hilbert function is its polynomial, of degree at
-    most two, so three values there decide."""
-    top = max(len(_hilbert_tail(lms_a)[0]), len(_hilbert_tail(lms_b)[0])) - 1
-    return (_hilbert_values(lms_a, top)[-3:]
-            == _hilbert_values(lms_b, top)[-3:])
+@lru_cache(maxsize=64)
+def _saturation_excess(lms_i, lms_j):
+    """The monomials of in(J) outside in(I), for generators of in(I) and of
+    in(J), I in J: a tuple of runs (a, b0, b1, c0, c1), each the monomials
+    x^a y^b z^c with b0 <= b < b1 and c0 <= c < c1, or None when they are
+    infinitely many.  A monomial of in(I) outside in(J) is an
+    internal inconsistency, Bs3Error.
+
+    One walk over both staircases of _hilbert_function: row a holds the
+    corners of each ideal's generators with x-exponent at most a, and each
+    range of columns b on which both lows are constant is compared once.
+    A range where low_J(a, b) < low_I(a, b) is a run.  Past the largest
+    x-exponent A of both generator sets no corner enters, so row A is
+    every row a >= A, and past the last corner the range runs to every
+    b; a run there, or one under an infinite low_I, repeats forever.  So a
+    finite difference lies in [0, A) x [0, B), B the largest y-exponent,
+    and below the largest z-exponent of in(I): the lcm of in(J) divides
+    that of in(I).  The budget is charged for every generator before the
+    walk, and in each row for its column ranges, at most one more than
+    the corners, before they are compared.  Memoized: the saturation's
+    certificate and H0 read the same pass."""
+    gens = sorted([(m, 0) for m in lms_i] + [(m, 1) for m in lms_j])
+    last = gens[-1][0][0]
+    budget = _budget()
+    budget.spend(len(gens))
+    top = MAX_DEGREE + 1  # low where no generator divides
+    corners = ([], []), ([], [])  # per ideal: b ascending, c descending
+    runs = []
+    entered = 0
+    for a in range(last + 1):
+        while entered < len(gens) and gens[entered][0][0] <= a:
+            m, k = gens[entered]
+            _add_corner(*corners[k], m)
+            entered += 1
+        (bi, ci), (bj, cj) = corners
+        budget.spend(len(bi) + len(bj) + 1)
+        b, low_i, low_j = 0, top, top
+        p = q = 0
+        while True:
+            step = min(bi[p] if p < len(bi) else top,
+                       bj[q] if q < len(bj) else top)
+            if low_j != low_i:
+                if low_j > low_i:
+                    raise Bs3Error("internal inconsistency: saturation "
+                                   "smaller than the ideal: x^%d*y^%d*z^%d "
+                                   "lies in in(I) only" % (a, b, low_i))
+                if a == last or step == top or low_i == top:
+                    return None
+                runs.append((a, b, step, low_j, low_i))
+            if step == top:
+                break
+            if p < len(bi) and bi[p] == step:
+                low_i = ci[p]
+                p += 1
+            if q < len(bj) and bj[q] == step:
+                low_j = cj[q]
+                q += 1
+            b = step
+    return tuple(runs)
+
+
+def _excess_degrees(runs, weights):
+    """[the number of run monomials of weighted degree t for t = 0..top],
+    top the largest such degree, summed as _hilbert_function sums its
+    columns.  The budget is charged for every column and degree before the
+    degree list is built."""
+    wx, wy, wz = weights
+    top = max((a * wx + (b1 - 1) * wy + (c1 - 1) * wz
+               for a, _, b1, _, c1 in runs), default=-1)
+    _budget().spend(sum(b1 - b0 for _, b0, b1, _, _ in runs) + top + 1)
+    values = [0] * (top + 1)
+    for a, b0, b1, c0, c1 in runs:
+        start = a * wx + c0 * wz
+        _add_runs(values, range(start + b0 * wy, start + b1 * wy, wy),
+                  (c1 - c0) * wz)
+    return _sum_runs(values, wz)
 
 
 def _univariate_gcd(f, g):
@@ -917,7 +1026,7 @@ def _saturated_cached(ideal, weights):
             sat = _saturate_by_z(gb)
         else:
             sat = _weighted_colon(ideal, weights, c)
-        if _same_hilbert_polynomial(lms, sat):
+        if _saturation_excess(lms, sat) is not None:
             return c, sat
     form = " + ".join(p + str(Polynomial({m: 1}, 3)) for p, m in
                       zip(("", "c*", "c^2*"), _moment_form(weights)))

@@ -6,9 +6,11 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+import corpus
 import oracles
 from oracles import poly_mul
-from bs3 import cli
+from bs3 import arrangement, cli
+from bs3.arrangement import validate
 from bs3.bsroots import (RootSet, blf_roots, check_partial_symmetry,
                          homogeneous_taxonomy, new_roots,
                          reconstruct_zero_set, roots_isolated, sigma,
@@ -17,6 +19,7 @@ from bs3.graded import DegreeData, check_h0_symmetry, h0_degree_data
 from bs3.milnor import MilnorProfile, milnor_profile
 from bs3.polyring import (Bs3Error, PreconditionError, WeightSystem,
                           format_rational, parse_polynomial, wdeg)
+from test_arrangement import SWEEP20, moment_draw
 from test_graded import H0_CASES
 
 W1 = WeightSystem((1, 1, 1))
@@ -254,6 +257,46 @@ def brieskorn_pham_profiles(top):
         w = WeightSystem((Fraction(1, a), Fraction(1, b), Fraction(1, c)))
         yield milnor_profile(parse_polynomial("x^%d+y^%d+z^%d" % (a, b, c)),
                              w)
+
+
+def perturbed_brieskorn_pham_profiles(top):
+    """x^a + y^b + z^c + 3 y^p z^q under (1/a, 1/b, 1/c), for each p, q >= 1
+    with p/b + q/c = 1, 2 <= a <= b <= c <= top."""
+    for a, b, c in combinations_with_replacement(range(2, top + 1), 3):
+        w = WeightSystem((Fraction(1, a), Fraction(1, b), Fraction(1, c)))
+        for p in range(1, b):
+            if (b - p) * c % b == 0:
+                yield milnor_profile(parse_polynomial(
+                    "x^%d+y^%d+z^%d+3*y^%d*z^%d" % (a, b, c, p,
+                                                    (b - p) * c // b)), w)
+
+
+def test_h0_count_matches_the_two_window_reference():
+    # H0 counted as the monomials of in(I^sat) outside in(I) is the
+    # difference of the two Hilbert functions up to the Taylor bound, on
+    # both lqh shapes, the colon request under (1, 2, 2), Brieskorn-Pham
+    # sums plain and perturbed, and the arrangement Jacobians of the corpus
+    # (with the Ziegler pair) and of the sweep and moment draws for d <= 10
+    cases = [(prof.jacobian, prof.weights, prof.h0)
+             for prof in lqh_profiles(7, 6)]
+    cases += [(prof.jacobian, prof.weights, prof.h0)
+              for top, family in ((8, brieskorn_pham_profiles),
+                                  (7, perturbed_brieskorn_pham_profiles))
+              for prof in family(top)]
+    colon = profile("2*x^5+2*x^3*y+3*x^3*z+2*x*y*z", (1, 2, 2))
+    cases.append((colon.jacobian, colon.weights, colon.h0))
+    arrs = [arr for _, arr in corpus.build_corpus()]
+    for d in range(4, 11):
+        arrs += [validate(SWEEP20.split(",")[:d]), validate(moment_draw(d))]
+    for arr in arrs:
+        jac = arrangement._jacobian(arr)
+        cases.append((jac, W1, h0_degree_data(jac, W1)))
+    kinds = set()
+    for I, w, h0 in cases:
+        assert h0.entries == oracles.h0_entries_by_fractions(I, w), (I, w)
+        kinds.add((h0.is_empty(), w == W1))
+    assert kinds == {(False, False), (True, False), (False, True),
+                     (True, True)}
 
 
 def symmetric(h0, center):

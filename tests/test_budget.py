@@ -116,20 +116,27 @@ MOMENT12 = ",".join("x+%d*y+%d*z" % (k, k * k) for k in range(12))
 DRAW5 = "x-y+2z,-x+3y+2z,3x+2y+2z,x-3y+3z,3y-2z"
 
 
+# each count holds the reduction steps and S-pairs, each one step more per
+# 64-bit word past the first of the two coefficients it scales by, which
+# the arrangements' coefficients pass; the one pass over in(J) and
+# in(J^sat) that H0 and the certificate read; and the tails of in(J) the
+# engine fills.  The product-shape lqh request saturates to in(J) itself,
+# so it makes no pass
 @pytest.mark.parametrize("argv, steps", [
-    (("arrangement", "--forms", oracles.ZIEGLER_F), 794),
-    (("arrangement", "--forms", oracles.ZIEGLER_G), 682),
-    (("arrangement", "--forms", MOMENT12), 1921),
-    (("arrangement", "--forms", DRAW5), 190),
-    (LQH, 470),
-    (LQH_PRODUCT, 239),
-    (LQH_COLON, 159),
+    (("arrangement", "--forms", oracles.ZIEGLER_F), 963),
+    (("arrangement", "--forms", oracles.ZIEGLER_G), 794),
+    (("arrangement", "--forms", MOMENT12), 3003),
+    (("arrangement", "--forms", DRAW5), 206),
+    (LQH, 264),
+    (LQH_PRODUCT, 25),
+    (LQH_COLON, 148),
 ], ids=["ziegler_f", "ziegler_g", "moment12", "draw5", "lqh", "lqh_product",
         "lqh_colon"])
 def test_cold_request_spends_a_pinned_number_of_steps(capsys, budgets, argv,
                                                       steps):
-    # pair selection, the pair criteria and the reduction order are all
-    # fixed, so the step count of a request changes only with the work done
+    # pair selection, the pair criteria, the reduction order and the
+    # coefficients are all fixed, so the step count of a request changes
+    # only with the work done
     code, _, _ = run(capsys, *argv)
     assert code == 0
     assert [budget.used for budget in budgets] == [steps]
@@ -195,6 +202,22 @@ def test_graded_engine_spends_for_the_work_it_does():
     with step_budget() as budget:
         assert _hilbert_function(lms, -3) == []
     assert budget.used == 3
+
+
+def test_excess_pass_spends_for_the_work_it_does():
+    # in(I) = (x^2, y^3, z^4) under in(J) = (1): four generators; rows
+    # a = 0, 1 hold two corners of in(I) and one of in(J), 2 + 1 + 1 steps
+    # each, and row a = 2 one of each, 3 steps.  Counting the runs costs
+    # one step per column, 2 * 3, and one per degree 0..6
+    lms_i, lms_j = ((2, 0, 0), (0, 3, 0), (0, 0, 4)), ((0, 0, 0),)
+    with step_budget() as budget:
+        runs = groebner._saturation_excess(lms_i, lms_j)
+    assert runs == ((0, 0, 3, 0, 4), (1, 0, 3, 0, 4))
+    assert budget.used == 4 + 4 + 4 + 3
+    with step_budget() as budget:
+        counts = groebner._excess_degrees(runs, (1, 1, 1))
+    assert counts == [1, 3, 5, 6, 5, 3, 1]
+    assert budget.used == 6 + 7
 
 
 def test_wide_weighted_window_ends_within_its_cap(capsys):

@@ -396,8 +396,8 @@ def test_json_is_deterministic(capsys):
 
 def test_failed_saturation_certificate_exits_4(capsys, monkeypatch):
     from bs3 import groebner
-    monkeypatch.setattr(groebner, "_same_hilbert_polynomial",
-                        lambda lms_a, lms_b: False)
+    monkeypatch.setattr(groebner, "_saturation_excess",
+                        lambda lms_i, lms_j: None)
     groebner._saturated_cached.cache_clear()
     code, out, err = run(capsys, "arrangement", "--forms", "x,y,z,x+y+z")
     assert code == 4
@@ -411,8 +411,8 @@ def test_failed_weighted_certificate_exits_4(capsys, monkeypatch):
     # the colons by z + c*x^2 + c^2*y, and with every certificate failing
     # ends in exit 4
     from bs3 import groebner
-    monkeypatch.setattr(groebner, "_same_hilbert_polynomial",
-                        lambda lms_a, lms_b: False)
+    monkeypatch.setattr(groebner, "_saturation_excess",
+                        lambda lms_i, lms_j: None)
     groebner._saturated_cached.cache_clear()
     code, out, err = run(capsys, "roots", "lqh", "--poly",
                          "2*x^5+2*x^3*y+3*x^3*z+2*x*y*z",
@@ -495,6 +495,22 @@ def test_saturation_smaller_than_the_ideal_exits_4(capsys, monkeypatch):
     assert code == 4
     assert out == ""
     assert err.startswith("internal error:") and "saturation smaller" in err
+    assert "Traceback" not in err
+
+
+def test_saturation_missing_a_monomial_of_the_ideal_exits_4(capsys,
+                                                            monkeypatch):
+    # (x, y, z^3) misses z^2 of in(J) = (x^2, y^2, z^2), though R/(x, y, z^3)
+    # is no larger in any degree: a degreewise difference would read a
+    # nonnegative H0, the pass finds the monomial
+    from bs3 import graded
+    monkeypatch.setattr(graded, "saturated_leading_monomials",
+                        lambda I, w: (0, ((0, 0, 3), (0, 1, 0), (1, 0, 0))))
+    code, out, err = run(capsys, "milnor", "--poly", "x^3+y^3+z^3")
+    assert code == 4
+    assert out == ""
+    assert err.startswith("internal error:") and "saturation smaller" in err
+    assert "x^0*y^0*z^2 lies in in(I) only" in err
     assert "Traceback" not in err
 
 

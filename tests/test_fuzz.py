@@ -3,10 +3,11 @@ no traceback, JSON and text agree, and --step-cap is exact."""
 
 import json
 import random
+import time
 from collections import Counter
 
 from bs3 import cli, groebner
-from test_budget import clear_caches
+from test_budget import budgets, clear_caches  # noqa: F401
 
 # the first line of stderr for each failing exit code
 PREFIXES = {1: ("usage error:", "parse error:"),
@@ -124,3 +125,25 @@ def test_seeded_requests_exit_0_to_3_and_the_step_cap_is_exact(
             assert code == 3 and capped == "", argv
             assert err.startswith("resource limit:"), argv
     assert sorted(codes) == [0, 1, 2, 3], codes
+
+
+# a weighted colon whose Buchberger run grows coefficients past 500,000
+# bits, so one reduction step takes up to a second
+GROWING = ["milnor",
+           "--poly", "-2*x^3*y^7+5*x^4*z^10+1/2*x^15*y^3+5*x*y^5*z^4",
+           "--weights", "1/24,3/24,2/24"]
+
+
+def test_step_cap_bounds_time_as_coefficients_grow(capsys, budgets):
+    # a step costs one more per 64-bit word of the coefficients it scales
+    # by, so a cap that the first large coefficients pass ends the request
+    # before they grow further, at the same count on every run
+    for _ in range(2):
+        clear_caches()
+        start = time.perf_counter()
+        code = cli.main(GROWING + ["--step-cap", "4000"])
+        assert time.perf_counter() - start < 1
+        out, err = capsys.readouterr()
+        assert code == 3 and out == ""
+        assert err.startswith("resource limit:") and "Traceback" not in err
+    assert budgets[0].used == budgets[1].used > 4000

@@ -2,10 +2,12 @@
 
 import random
 from fractions import Fraction
+from itertools import product
+from math import gcd
 
 import pytest
 
-from bs3 import arrangement, groebner
+from bs3 import arrangement, cli, groebner
 from bs3.graded import (DegreeData, _saturation_hilbert, h0_degree_data,
                         regularity_report)
 from bs3.groebner import (Ideal, _hilbert_function, _lcm_degree, buchberger,
@@ -121,8 +123,7 @@ def test_hilbert_engine_matches_monomial_count(weights):
 
 def test_hilbert_values_extend_the_tail_by_the_hilbert_polynomial():
     # the memoized tail runs to deg lcm; past it the values come from the
-    # Hilbert polynomial, and a negative top gives no degree at all; under
-    # other weights the reader is the engine
+    # Hilbert polynomial, and a negative top gives no degree at all
     rng = random.Random(22)
     for dimension in (0, 1, 2):
         for _ in range(20):
@@ -130,10 +131,6 @@ def test_hilbert_values_extend_the_tail_by_the_hilbert_polynomial():
             for top in range(-3, _lcm_degree(lms) + 12):
                 assert groebner._hilbert_values(lms, top) == \
                     _hilbert_function(lms, top), (lms, top)
-            for weights in ((2, 3, 5), (3, 2, 1), (1, 4, 2)):
-                for top in range(-3, _lcm_degree(lms, weights) + 12):
-                    assert groebner._hilbert_values(lms, top, weights) == \
-                        _hilbert_function(lms, top, weights), (lms, weights)
 
 
 # (ideal, weights): Artinian, an embedded point, the Jacobians of four
@@ -174,57 +171,96 @@ def test_h0_vanishes_above_the_proven_window():
             assert dim == data.dimension(q), (I, q)
 
 
-def test_standard_h0_reads_the_memoized_tails(monkeypatch):
-    # under (1, 1, 1) h0_degree_data reads both Hilbert functions from the
-    # tails, and past a tail from its Hilbert polynomial, with the engine's
-    # values.  Each ideal is saturated with cold caches, as by a request;
-    # the engine calls of h0_degree_data are then exactly the tail fills
-    # the saturation left undone: none after a colon, whose loop reads both
-    # tails; without one, in(I)'s, unless the ideal's Hilbert tail made its
-    # Buchberger run read it, and for an Artinian ideal that of (1)
-    cases = [I for I, w in H0_CASES if w.weights == (1, 1, 1)]
-    cases += [jacobian_ideal(P("x^2*y*z")), jacobian_ideal(P("x^2*y + y^3")),
-              NEAR_PENCIL]
-    cases += [arrangement._jacobian(arr) for _, arr in corpus.build_corpus()]
-    calls = []
+def excess_by_box(lms_i, lms_j):
+    """The monomials of (lms_j) outside (lms_i) in the box [0, top]^3, top
+    one past the largest exponent of both."""
+    top = max(max(m) for m in lms_i + lms_j) + 1
+    return {u for u in product(range(top + 1), repeat=3)
+            if any(oracles.mono_divides(m, u) for m in lms_j)
+            and not any(oracles.mono_divides(m, u) for m in lms_i)}
+
+
+def test_excess_pass_lists_the_monomials_of_in_j_outside_in_i():
+    # seeded monomial ideals of dimension 0, 1 and 2 under the sum with a
+    # random ideal and with (1), and over their product by (x, y, z), and
+    # in(I) with in(I^sat) for the H0 cases and the corpus Jacobians: a
+    # finite excess is the box's, run by run without overlap, and is
+    # counted by degree as the two Hilbert functions differ; an infinite
+    # one comes with a different Hilbert polynomial
+    rng = random.Random(33)
+    pairs = []
+    for _ in range(150):
+        a = random_monomial_ideal(rng, rng.randint(0, 2))
+        pairs += [(a, a + random_monomial_ideal(rng, rng.randint(0, 2))),
+                  (a, [(0, 0, 0)]),
+                  ([(p + (i == 0), q + (i == 1), r + (i == 2))
+                    for p, q, r in a for i in range(3)], a)]
+    cases = H0_CASES + [(arrangement._jacobian(arr), W1)
+                        for _, arr in corpus.build_corpus()]
+    for I, w in cases:
+        g = gcd(*w.scaled)
+        pairs.append((buchberger(I).leading_monomials,
+                      saturated_leading_monomials(
+                          I, tuple(v // g for v in w.scaled))[1]))
+    finite = 0
+    for a, b in pairs:
+        a, b = tuple(sorted(set(a))), tuple(sorted(set(b)))
+        runs = groebner._saturation_excess(a, b)
+        if runs is None:
+            assert not oracles.same_hilbert_polynomial_at_0_1_2(a, b), (a, b)
+            continue
+        finite += 1
+        listed = [(x, y, z) for x, b0, b1, c0, c1 in runs
+                  for y in range(b0, b1) for z in range(c0, c1)]
+        assert len(listed) == len(set(listed)), (a, b)
+        assert set(listed) == excess_by_box(a, b), (a, b)
+        for weights in ((1, 1, 1), (2, 3, 5), (3, 2, 1)):
+            counts = groebner._excess_degrees(runs, weights)
+            assert not runs or counts[-1] > 0
+            top = len(counts) + max(weights)
+            want = [u - v for u, v in zip(_hilbert_function(a, top, weights),
+                                          _hilbert_function(b, top, weights))]
+            assert counts + [0] * (top + 1 - len(counts)) == want, (a, b)
+    assert 200 < finite < len(pairs)
+
+
+@pytest.mark.parametrize("argv, calls", [
+    # isolated: in(J) is Artinian, and H0 is its standard monomials
+    ("milnor --poly x^3+y^3+z^3", 0),
+    ("roots isolated --poly x^2+y^3+z^5 --weights 1/2,1/3,1/5", 0),
+    ("roots isolated --poly x^3+y^4+z^6+3*y^2*z^3 --weights 1/3,1/4,1/6", 0),
+    # the saturation returns in(J) itself: H0 is empty with no pass
+    ("roots lqh --poly x^4*z+5*x^2*y^6*z+4*y^12*z --weights 1/2,1/6,1/6",
+     0),
+    # a colon: the tail of in(J), whose e bounds the colon loop
+    ("roots lqh --poly x^6*y*z+2*x*y^3*z+3*x*y*z^3 --weights 1/5,1/2,1/2",
+     1),
+    ("roots lqh --poly 2*x^5+2*x^3*y+3*x^3*z+2*x*y*z --weights 1,2,2", 1),
+    # the hinted run reads the tails of its leading monomials in play, and
+    # no tail of in(J^sat) is read after its colon
+    ("arrangement --forms " + oracles.ZIEGLER_F, 2),
+    ("arrangement --forms " + oracles.ZIEGLER_G, 1),
+    ("arrangement --forms " + oracles.GENERIC5, 2),
+    ("arrangement --forms " + oracles.BRAID, 1),
+], ids=["milnor_fermat", "isolated", "isolated_perturbed", "lqh_product",
+        "lqh_xyz", "lqh_colon", "ziegler_f", "ziegler_g", "generic5",
+        "braid"])
+def test_request_calls_the_graded_engine_a_pinned_number_of_times(
+        capsys, monkeypatch, argv, calls):
+    # H0, the certificate and HF(R/I^sat) read one memoized pass over in(J)
+    # and in(J^sat), so the engine fills no H0 window and no tail of
+    # in(J^sat): only the tails of in(J) that a request needs
+    seen = []
     engine = groebner._hilbert_function
 
     def spy(*args):
-        calls.append(args)
+        seen.append(args)
         return engine(*args)
 
-    def tail_fill(lms):
-        return (lms, max(_lcm_degree(lms) - 2, 0) + 2)
-
-    past_a_tail = 0
-    kinds = set()
-    for I in cases:
-        groebner._buchberger_cached.cache_clear()
-        groebner._hilbert_tail.cache_clear()
-        groebner._saturated_cached.cache_clear()
-        c, lms_s = saturated_leading_monomials(I, (1, 1, 1))
-        lms_i = buchberger(I).leading_monomials
-        calls.clear()
-        with monkeypatch.context() as mp:
-            mp.setattr(groebner, "_hilbert_function", spy)
-            data = h0_degree_data(I, W1)
-        expect = []
-        if c is None:
-            if I.hilbert_tail is None:
-                expect.append(tail_fill(lms_i))
-            if lms_s != lms_i:
-                assert lms_s == ((0, 0, 0),), I
-                expect.append(tail_fill(lms_s))
-        assert calls == expect, I
-        kinds.add((c is None, len(expect)))
-        top = max(_lcm_degree(lms_i), _lcm_degree(lms_s)) - 3
-        want = {k: a - b for k, (a, b) in enumerate(zip(
-            engine(lms_i, top), engine(lms_s, top))) if a != b}
-        assert data.scaled == want, I
-        past_a_tail += any(top >= len(groebner._hilbert_tail(lms)[0])
-                           for lms in (lms_i, lms_s))
-    assert kinds == {(False, 0), (True, 0), (True, 1), (True, 2)}
-    assert past_a_tail > 10
+    monkeypatch.setattr(groebner, "_hilbert_function", spy)
+    assert cli.main(argv.split()) == 0
+    capsys.readouterr()
+    assert len(seen) == calls
 
 
 def test_graded_dimension_rejects_inhomogeneous():

@@ -437,6 +437,12 @@ def same_hilbert_function(lms_a, lms_b):
             == groebner._hilbert_function(lms_b, top))
 
 
+def certified(lms_i, lms_j):
+    """The saturation's certificate: in(J) holds finitely many monomials
+    outside in(I)."""
+    return groebner._saturation_excess(lms_i, lms_j) is not None
+
+
 def test_fast_saturation_agrees_with_colon_intersection():
     # under any grading weights the monomials are in(I^sat) of the ideal as
     # given: the corpus Jacobians in original coordinates, most certified at
@@ -557,11 +563,11 @@ def test_hilbert_certificate_rejects_a_line_through_a_singular_point():
     # z is one of the lines, so it passes through singular points
     assert not groebner._line_misses(jac, 0)
     by_z = groebner._saturate_by_z(gb)
-    assert not groebner._same_hilbert_polynomial(gb.leading_monomials, by_z)
+    assert not certified(gb.leading_monomials, by_z)
     c = next(k for k in count() if groebner._line_misses(jac, k))
     assert 0 < c <= 2 * hilbert_constant(jac)
     by_c = groebner._weighted_colon(jac, (1, 1, 1), c)
-    assert groebner._same_hilbert_polynomial(gb.leading_monomials, by_c)
+    assert certified(gb.leading_monomials, by_c)
     expect = buchberger(oracles.saturation_by_columns(jac))
     assert same_hilbert_function(by_c, expect.leading_monomials)
     assert not same_hilbert_function(by_z, expect.leading_monomials)
@@ -700,9 +706,9 @@ def test_certificate_rejects_the_form_through_the_points_at_z_zero(
     # test refutes c = 0, and no colon is computed for it
     assert not groebner._line_misses(jac, 0)
     assert [k for _, _, k in reference_calls] == list(range(1, c + 1))
-    assert not groebner._same_hilbert_polynomial(
+    assert not certified(
         lms, weighted_colon(jac, weights, 0).leading_monomials)
-    assert groebner._same_hilbert_polynomial(
+    assert certified(
         lms, weighted_colon(jac, weights, c).leading_monomials)
 
 
@@ -803,7 +809,7 @@ def test_restriction_to_z_zero_decides_the_first_weighted_colon():
         lms = buchberger(I).leading_monomials
         assert groebner._hilbert_tail(lms)[1] is not None, I
         misses.append(groebner._line_misses(I, 0))
-        assert misses[-1] == groebner._same_hilbert_polynomial(
+        assert misses[-1] == certified(
             lms, weighted_colon(I, weights, 0).leading_monomials), I
     assert misses == [False] * (len(cases) - 1) + [True]
 
@@ -844,23 +850,24 @@ def test_saturation_reads_a_weight_list_and_refuses_other_weight_types(
     groebner._saturated_cached.cache_clear()
 
 
-def test_same_hilbert_polynomial_matches_its_values_at_0_1_2():
-    # three values past both tails decide as the polynomials' values at
-    # t = 0, 1, 2 do, on monomial ideals of dimension 0, 1 and 2 paired
-    # with a random ideal, with one more monomial, and with their product
-    # by (x, y, z), which keeps the saturation
+def test_certificate_passes_as_the_hilbert_polynomials_at_0_1_2_agree():
+    # for in(I) in in(J), a finite excess of in(J) over in(I) is an equal
+    # Hilbert polynomial, decided as its values at t = 0, 1, 2 are, on
+    # monomial ideals of dimension 0, 1 and 2 under the sum with a random
+    # ideal, with one more monomial, and over their product by (x, y, z),
+    # which keeps the saturation
     rng = random.Random(24)
     verdicts = []
     for _ in range(300):
         a = random_monomial_ideal(rng, rng.randint(0, 2))
-        b = rng.choice([
-            random_monomial_ideal(rng, rng.randint(0, 2)),
-            a + [tuple(rng.randint(0, 4) for _ in range(3))],
-            [(p + (i == 0), q + (i == 1), r + (i == 2))
-             for p, q, r in a for i in range(3)]])
+        a, b = rng.choice([
+            (a, a + random_monomial_ideal(rng, rng.randint(0, 2))),
+            (a, a + [tuple(rng.randint(0, 4) for _ in range(3))]),
+            ([(p + (i == 0), q + (i == 1), r + (i == 2))
+              for p, q, r in a for i in range(3)], a)])
         a, b = tuple(sorted(set(a))), tuple(sorted(set(b)))
         want = oracles.same_hilbert_polynomial_at_0_1_2(a, b)
-        assert groebner._same_hilbert_polynomial(a, b) == want, (a, b)
+        assert certified(a, b) == want, (a, b)
         verdicts.append((want, groebner._hilbert_tail(a)[1] != 0))
     # equal polynomials occur off dimension 0 too, where they are not 0
     assert {v for v, _ in verdicts} == {False, True}
@@ -875,7 +882,7 @@ def test_ideals_with_no_positive_grading_are_refused():
     # as I, although the saturation of the affine point is not (1)
     colon = buchberger(saturate_by_poly(I, P("z + x + y")))
     assert basis_texts(colon) == ["1"]
-    assert groebner._same_hilbert_polynomial(
+    assert certified(
         buchberger(I).leading_monomials, colon.leading_monomials)
 
 

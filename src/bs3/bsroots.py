@@ -97,7 +97,10 @@ class RootSet:
 
     def __eq__(self, other):
         if not isinstance(other, RootSet):
-            other = RootSet(other)
+            try:
+                other = RootSet(other)
+            except (TypeError, AttributeError):
+                return NotImplemented
         a, b = self.denominator, other.denominator
         return (len(self) == len(other)
                 and all(m * b == n * a for m, n in zip(self.numerators,

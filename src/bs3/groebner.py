@@ -1,19 +1,18 @@
 """Buchberger's algorithm over Q and saturation by the irrelevant ideal.
 
 Every basis computation runs on integer coefficient dictionaries, and one
-routine, _reduce, does every reduction: of S-polynomials in Buchberger's
-loop, only until the head is irreducible, and of each element against the
-others, fully, when GroebnerBasis.elements interreduces.  The leading
-monomials of a Groebner basis do not depend on its tails, so the loop
-leaves them unreduced: a tail step scales the whole remainder by a
-reducer's leading coefficient, which is where coefficients grow.  _reduce
-strips the content after every step, so no Fraction arithmetic happens in
-inner loops.  A GroebnerBasis holds only the packed integer triples
-(lm, lc, primitive dict) of a minimal basis, whose leading monomials are
-all a request reads.  Fractions appear only where a value
-leaves the program: generators are cleared of denominators on the way in,
-and monic Polynomials are built only when GroebnerBasis.elements is read,
-never on a request.
+routine, _reduce, does every reduction: it reduces an S-polynomial in
+Buchberger's loop only until its head is irreducible.  Every number a
+request reports is read from leading monomials, and the leading monomials
+of a Groebner basis do not depend on its tails, so no tail is ever
+reduced: a tail step scales the whole remainder by a reducer's leading
+coefficient, which is where coefficients grow.  _reduce strips the content
+after every step, so no Fraction arithmetic happens in inner loops.  A
+GroebnerBasis holds only the packed integer triples (lm, lc, primitive
+dict) of a minimal basis.  Fractions appear only where a value leaves the
+program: generators are cleared of denominators on the way in, and monic
+Polynomials are built only when GroebnerBasis.elements is read, never on
+a request.
 
 Inside those dictionaries a monomial is one int, packed by its order
 (Monagan-Pearce, _packing(n, lead)): pack(m) = sum e_i * C_i lays 16-bit
@@ -303,8 +302,9 @@ class GroebnerBasis:
     """A minimal Groebner basis, sorted by increasing leading monomial and
     held as packed integer triples (lm, lc, primitive dict) under the
     packing of its order.  Its leading monomials are the reduced basis's,
-    and a request reads nothing else; elements builds that reduced basis,
-    monic, on each access."""
+    and a request reads nothing else.  Its tails are as the run left them,
+    not reduced, so two runs on one ideal may hold different elements;
+    elements builds them, monic, on each access."""
 
     __slots__ = ("packing", "_int_basis")
 
@@ -314,13 +314,9 @@ class GroebnerBasis:
 
     @property
     def elements(self):
-        """The reduced basis: each tail reduced by the others, made monic."""
-        pk, budget = self.packing, _budget()
-        kept, done = list(self._int_basis), []
-        for i, b in enumerate(kept):
-            r, _, _ = _reduce(b[2], done + kept[i + 1:], pk, budget)
-            done.append(_int_triple(r))
-        return tuple(_from_int_poly(d, pk, lc) for _, lc, d in done)
+        """The minimal basis as held, each element made monic."""
+        return tuple(_from_int_poly(d, self.packing, lc)
+                     for _, lc, d in self._int_basis)
 
     @property
     def leading_monomials(self):
@@ -334,19 +330,13 @@ class GroebnerBasis:
 # -- integer polynomial plumbing --------------------------------------------
 
 
-def _content(*dicts):
-    """The gcd of every coefficient of the dicts."""
-    g = 0
-    for d in dicts:
-        for v in d.values():
-            g = gcd(g, v)
-            if g == 1:
-                return 1
-    return g
-
-
 def _strip_content(d):
-    g = _content(d)
+    """d over the gcd of its coefficients."""
+    g = 0
+    for v in d.values():
+        g = gcd(g, v)
+        if g == 1:
+            return d
     return {m: v // g for m, v in d.items()} if g > 1 else d
 
 
@@ -393,24 +383,20 @@ def _scaling_steps(a, b):
     return (a.bit_length() >> 6) + (b.bit_length() >> 6) + 1
 
 
-def _reduce(d, basis, pk, budget, full=True):
-    """Reduce the int dict d against basis, (lm, lc, dict) triples: fully,
-    or with full=False only until its head is irreducible.
-
-    Returns (r, num, den): r is an int dict none of whose monomials (with
-    full=False, whose leading monomial) a leading monomial of the basis
-    divides, num and den are positive ints, and r - (num/den)*d lies in the
-    ideal the basis generates.  Each step scales the terms by the basis
-    leading coefficient over a gcd and then strips the content of all of
-    them, so coefficients stay integers and r is primitive when d is; it
-    is charged by the words of the head it cancels and of that leading
-    coefficient (_scaling_steps).  The
-    quotient q of two leading monomials fits, so each product bm + q is
-    checked by its guard bits alone.
+def _reduce(d, basis, pk, budget):
+    """Reduce the int dict d against basis, (lm, lc, dict) triples, until
+    its head is irreducible: returns an int dict r, {} or one whose
+    leading monomial no leading monomial of the basis divides, with
+    r - u*d in the ideal the basis generates for some rational u > 0.
+    Its tail is left as the steps leave it.  Each step scales the terms by
+    the basis leading coefficient over a gcd and then strips their
+    content, so coefficients stay integers and r is primitive when d is;
+    it is charged by the words of the head it cancels and of that leading
+    coefficient (_scaling_steps).  The quotient q of two leading monomials
+    fits, so each product bm + q is checked by its guard bits alone.
     """
     G = pk.guard
-    work, done = dict(d), {}
-    num = den = 1
+    work = dict(d)
     while work:
         lm = max(work)
         lg = lm | G
@@ -418,18 +404,13 @@ def _reduce(d, basis, pk, budget, full=True):
             if (lg - hit[0]) & G == G:
                 break
         else:
-            if not full:
-                return work, num, den
-            done[lm] = work.pop(lm)
-            continue
+            return work
         blm, blc, bterms = hit
         budget.spend(_scaling_steps(work[lm], blc))
         g = gcd(work[lm], blc)
         a, c = blc // g, work[lm] // g
         if a != 1:
             work = {m: a * v for m, v in work.items()}
-            done = {m: a * v for m, v in done.items()}
-            num *= a
         q = lm - blm
         for bm, bv in bterms.items():
             mm = bm + q
@@ -440,12 +421,8 @@ def _reduce(d, basis, pk, budget, full=True):
                 work[mm] = s
             else:
                 del work[mm]
-        g = _content(work, done)
-        if g > 1:
-            work = {m: v // g for m, v in work.items()}
-            done = {m: v // g for m, v in done.items()}
-            den *= g
-    return done, num, den
+        work = _strip_content(work)
+    return work
 
 
 def _s_poly_int(f, g, pk, budget):
@@ -488,16 +465,16 @@ def _buchberger_int(triples, pk, budget, tail=None):
     triples, a Groebner basis that is neither minimal nor reduced.
 
     Each S-polynomial is reduced only until its head is irreducible
-    (_reduce with full=False): the head steps are those of a full
-    reduction, so the remainder is 0 exactly when the fully reduced one
-    is, and has the same leading monomial otherwise.  The tails stay
-    unreduced, so later S-polynomials, and the pairs and steps the loop
-    takes, may differ from a fully reducing loop's.  The result is still a
-    Groebner basis: a head reduction to 0 is a standard representation of
-    the S-polynomial, which is all Buchberger's criterion and the pair
-    criteria below need, and the leading monomials of any Groebner basis
-    of I generate in(I), so its minimal ones, all a request reads, are
-    those of the reduced basis.
+    (_reduce): its head steps are those of a full reduction, so the
+    remainder is 0 exactly when the fully reduced one is, and has the same
+    leading monomial otherwise.  Its tail stays unreduced, and so does
+    every element's, so the S-polynomials the loop forms, and the pairs
+    and steps it takes, may differ from those of a loop that reduces
+    fully.  The result is still a Groebner basis: a head reduction to 0 is
+    a standard representation of the S-polynomial, which is all
+    Buchberger's criterion and the pair criteria below need, and the
+    leading monomials of any Groebner basis of I generate in(I), so its
+    minimal ones, all a request reads, are those of the reduced basis.
 
     Each generator and each nonzero remainder enters through the
     Gebauer-Moller update (1988).  Its pairs with the elements in play are
@@ -592,8 +569,8 @@ def _buchberger_int(triples, pk, budget, tail=None):
                 heapq.heappop(heap)
                 continue
         _, _, i, j = heapq.heappop(heap)
-        r, _, _ = _reduce(_s_poly_int(basis[i], basis[j], pk, budget), basis,
-                          pk, budget, False)
+        r = _reduce(_s_poly_int(basis[i], basis[j], pk, budget), basis, pk,
+                    budget)
         if r:
             update(_int_triple(r))
             if read == t:
@@ -607,7 +584,7 @@ def _buchberger_int(triples, pk, budget, tail=None):
 
 def buchberger(ideal):
     """A minimal graded reverse lex Groebner basis of an ideal, whose
-    elements are the reduced basis (GroebnerBasis).
+    leading monomials are the reduced basis's (GroebnerBasis).
 
     Results are memoized: the function is pure and the pipeline asks for
     the same basis from several entry points.

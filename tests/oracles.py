@@ -22,13 +22,15 @@ groebner._hilbert_values and by the closed form of der0 (arrangement
 docstring); the rank route checks both, and the six conditions in the
 original coordinates read both.  The Artinian degree data below walk the
 finite staircase box directly, independent of the Hilbert-function engine.
-The rational normal form and the bitmask decomposability test are the
-routes the package replaced by its integer reducer and by the lattice
-criterion.  s_polynomial, over the package's integer S-polynomial, is what
-checks that a basis is Groebner, and Buchberger's loop with the product
-criterion at pair creation and the chain criterion over the whole basis at
-pair selection is what the Gebauer-Moller update of bs3.groebner is tested
-against.  The tuple monomial primitives and order keys are what the packed
+The rational normal form, and the reduced basis built from it, are what
+the package's head-only integer reducer and its minimal bases are tested
+against, and the bitmask decomposability test is the route the package
+replaced by the lattice criterion.  s_polynomial, over the package's
+integer S-polynomial, is what checks that a basis is Groebner, and
+Buchberger's loop with the product criterion at pair creation and the
+chain criterion over the whole basis at pair selection is what the
+Gebauer-Moller update of bs3.groebner is tested against.  The tuple
+monomial primitives and order keys are what the packed
 monomials of bs3.groebner are tested against, and the Fraction intersection
 lattice is what the integer lattice of bs3.arrangement is tested against,
 as the relations of every concurrent triple are what its m - 2 length-3
@@ -296,17 +298,21 @@ def rank_route_dimension(ideal, w, q):
 def graded_dimension(gb, w, q):
     """dim of (R/I)_q for a weighted-homogeneous ideal with Groebner basis
     gb, by counting standard monomials; 0 when q < 0 or q*w.denominator is
-    not an int.  Homogeneity is checked on the reduced basis, homogeneous
-    exactly when the ideal is (a minimal one keeps its generators as
-    given)."""
+    not an int.  The ideal is homogeneous when every element of gb is,
+    and otherwise exactly when its reduced basis is (a minimal basis keeps
+    its generators as given), which is then checked."""
     W = w.scaled
     if gb.packing.n != 3 or len(W) != 3:
         raise PreconditionError("graded dimension needs 3 variables and 3 "
                                 "weights")
-    for g in gb.elements:
-        if len({sum(map(mul, W, m)) for m in g.terms}) > 1:
-            raise PreconditionError("basis element %s is not homogeneous "
-                                    "for the given weights" % g)
+    def homogeneous(g):
+        return len({sum(map(mul, W, m)) for m in g.terms}) <= 1
+
+    if not all(map(homogeneous, gb.elements)):
+        for g in reduced_basis(gb):
+            if not homogeneous(g):
+                raise PreconditionError("basis element %s is not homogeneous"
+                                        " for the given weights" % g)
     k = Fraction(q) * w.denominator
     if k.denominator != 1 or k < 0:
         return 0
@@ -377,12 +383,12 @@ def block_basis(ideal, lead):
 def eliminate(ideal, drop_count):
     """Intersect with the subring omitting the first drop_count variables.
 
-    The result's generators are the reduced graded-reverse-lex Groebner
-    basis of the elimination ideal, viewed in the smaller ring: the
-    elements of the reduced block basis whose leading monomial is free of
-    the dropped variables.  The block order compares those variables
-    first, so such an element is free of them throughout, and on the
-    monomials free of them the block order is grevlex.
+    The result's generators are a graded-reverse-lex Groebner basis of
+    the elimination ideal, viewed in the smaller ring: the monic elements
+    of the minimal block basis whose leading monomial is free of the
+    dropped variables.  The block order compares those variables first,
+    so such an element is free of them throughout, and on the monomials
+    free of them the block order is grevlex.
     """
     n = ideal.variable_count
     if not 0 < drop_count < n:
@@ -502,13 +508,21 @@ def _artinian_degree_data(gb, w, n=3):
 # -- full reduction over Fraction ------------------------------------------
 
 def normal_form_by_fractions(p, gb):
-    """Remainder of p modulo the monic reduced basis gb, every step in
-    Fraction arithmetic: the leading term is cancelled when some leading
-    monomial divides it, and moved to the remainder otherwise."""
-    pairs = list(zip(gb.leading_monomials, gb.elements))
+    """Remainder of p modulo the Groebner basis gb, every step in Fraction
+    arithmetic on its monic elements: the leading term is cancelled when
+    some leading monomial divides it, and moved to the remainder
+    otherwise.  The remainder has no term in in(I), so it is the same for
+    every Groebner basis of I."""
+    return _remainder_by_fractions(
+        p, gb.packing, list(zip(gb.leading_monomials, gb.elements)))
+
+
+def _remainder_by_fractions(p, pk, pairs):
+    """normal_form_by_fractions against (leading monomial, monic element)
+    pairs in the order of the packing pk."""
     work, result = dict(p.terms), {}
     while work:
-        lm = max(work, key=lambda m: order_key(gb.packing, m))
+        lm = max(work, key=lambda m: order_key(pk, m))
         lc = work.pop(lm)
         hit = next(((blm, b) for blm, b in pairs if mono_divides(blm, lm)),
                    None)
@@ -525,6 +539,23 @@ def normal_form_by_fractions(p, gb):
             if work[mm] == 0:
                 del work[mm]
     return Polynomial(result, p.variable_count)
+
+
+def reduced_basis(gb):
+    """The reduced Groebner basis of the ideal that gb, a minimal basis
+    sorted by increasing leading monomial, is a Groebner basis of: monic,
+    in gb's order, each element's tail replaced by its normal form against
+    the reduced elements before it (_remainder_by_fractions).  A leading
+    monomial that divides a term of the tail is smaller than that term, so
+    those elements reduce it to its normal form, and the reduced element is
+    the one of the reduced basis with that leading monomial."""
+    pk, n = gb.packing, gb.packing.n
+    done = []
+    for m, g in zip(gb.leading_monomials, gb.elements):
+        tail = Polynomial({k: v for k, v in g.terms.items() if k != m}, n)
+        nf = _remainder_by_fractions(tail, pk, done)
+        done.append((m, Polynomial({m: 1, **nf.terms}, n)))
+    return tuple(g for _, g in done)
 
 
 def s_polynomial(f, g, pk):
@@ -571,7 +602,7 @@ def buchberger_by_chain_criterion(triples, pk, budget, tail=None):
                and lcm_of(b, m) != lcm
                for k, (m, _, _) in enumerate(basis) if k != i and k != j):
             continue
-        r, _, _ = groebner._reduce(
+        r = groebner._reduce(
             groebner._s_poly_int(basis[i], basis[j], pk, budget), basis, pk,
             budget)
         if r:

@@ -44,6 +44,14 @@ def test_rootset_is_sorted_and_deduplicated():
     assert repr(mixed) == "{-2, -1, -1/2}"
 
 
+def test_rootset_is_unequal_to_what_it_cannot_read():
+    s = RootSet([-1])
+    for other in (None, 5, "x", [1.5]):
+        assert not s == other and s != other
+    assert s == [Fraction(-1)] and s == [-1] and s == RootSet([Fraction(-1)])
+    assert s != [Fraction(-1, 2)]
+
+
 def test_rootset_orders_any_input_and_finds_members():
     rng = random.Random(4)
     for _ in range(50):

@@ -98,7 +98,7 @@ UNREACHED = sorted([
     "bsroots.sigma", "bsroots.check_partial_symmetry",
     "bsroots.SymmetryReport.__init__", "bsroots.RootSet.difference",
     "bsroots.RootSet.__contains__",
-    # the reduced monic elements of a basis, for library callers
+    # a basis's held elements, made monic: benchmarks/tracer.py reads them
     "groebner.GroebnerBasis.elements", "groebner._from_int_poly",
     # the constructor of degree data from a {degree: dimension} dict
     "graded.DegreeData.__init__",

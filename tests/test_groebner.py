@@ -35,7 +35,7 @@ def ideal(*texts):
 
 
 def basis_texts(gb):
-    return sorted(str(g) for g in gb.elements)
+    return sorted(str(g) for g in oracles.reduced_basis(gb))
 
 
 def packed(pk, *monomials):
@@ -165,13 +165,42 @@ def test_s_polynomial_term_past_the_bound_raises():
 
 def integer_remainder(p, gb):
     """The remainder of p by the package's integer reducer, _reduce, against
-    the minimal basis gb: r over the scale (num/den)*denom it reports."""
+    the minimal basis gb, made monic: its head is irreducible, and it is
+    p's remainder up to a nonzero rational factor."""
     pk = gb.packing
-    terms, denom = groebner._int_terms(p)
-    r, num, den = groebner._reduce(
-        {pk.pack(m): v for m, v in terms.items()}, gb._int_basis, pk,
-        groebner._budget())
-    return groebner._from_int_poly(r, pk, Fraction(num * denom, den))
+    r = groebner._reduce(
+        {pk.pack(m): v for m, v in groebner._int_terms(p)[0].items()},
+        gb._int_basis, pk, groebner._budget())
+    return groebner._from_int_poly(r, pk, r[max(r)]) if r else Polynomial(
+        {}, pk.n)
+
+
+def monic(p, gb):
+    """p over its leading coefficient in gb's order; 0 stays 0."""
+    if p.is_zero():
+        return p
+    lc = p.terms[leading_monomial(p, gb)]
+    return Polynomial({m: v / Fraction(lc) for m, v in p.terms.items()},
+                      p.variable_count)
+
+
+def leading_monomial(p, gb):
+    return max(p.terms, key=lambda m: oracles.order_key(gb.packing, m))
+
+
+def assert_head_reduced(p, gb):
+    """p's integer remainder has an irreducible head, that of p's normal
+    form by Fraction arithmetic, and the two have one monic normal form."""
+    r = integer_remainder(p, gb)
+    nf = normal_form_by_fractions(p, gb)
+    assert r.is_zero() == nf.is_zero(), p
+    if r.is_zero():
+        return
+    head = leading_monomial(r, gb)
+    assert not any(oracles.mono_divides(m, head)
+                   for m in gb.leading_monomials), p
+    assert head == leading_monomial(nf, gb), p
+    assert monic(normal_form_by_fractions(r, gb), gb) == monic(nf, gb), p
 
 
 def test_reduction_term_past_the_bound_raises():
@@ -204,8 +233,8 @@ def test_reduced_basis_unique_under_generator_shuffle():
         rng.shuffle(gens)
         gb = buchberger(Ideal(tuple(P(t) for t in gens)))
         if reference is None:
-            reference = gb.elements
-        assert gb.elements == reference
+            reference = oracles.reduced_basis(gb)
+        assert oracles.reduced_basis(gb) == reference
 
 
 def test_basis_is_interreduced():
@@ -218,11 +247,13 @@ def test_basis_is_interreduced():
 
 
 def test_every_s_polynomial_reduces_to_zero():
+    # of the basis as held and of the reduced basis
     gb = buchberger(ideal("x^2*y - z^3", "x*z - y^2", "y^3 - x*z^2"))
-    for i in range(len(gb.elements)):
-        for j in range(i + 1, len(gb.elements)):
-            s = s_polynomial(gb.elements[i], gb.elements[j], GREVLEX)
-            assert normal_form_by_fractions(s, gb).terms == {}
+    for elements in (gb.elements, oracles.reduced_basis(gb)):
+        for i in range(len(elements)):
+            for j in range(i + 1, len(elements)):
+                s = s_polynomial(elements[i], elements[j], GREVLEX)
+                assert normal_form_by_fractions(s, gb).terms == {}
 
 
 def test_normal_form_examples():
@@ -233,12 +264,16 @@ def test_normal_form_examples():
         assert nf(P("x^2*y + z"), gb) == P("z")
 
 
-def test_normal_form_is_linear_and_idempotent():
+def test_head_remainder_is_idempotent():
+    # a remainder whose head is irreducible takes no step and comes back
+    # as it went in, its tail unreduced
     gb = buchberger(ideal("x^2 - y*z", "y^3"))
     p, q = P("x^4 + y*z^2"), P("x*y^2*z - z^4")
-    nf = lambda r: integer_remainder(r, gb)
-    assert nf(poly_add(p, q)) == poly_add(nf(p), nf(q))
-    assert nf(nf(p)) == nf(p)
+    for r in (p, q, poly_add(p, q)):
+        assert_head_reduced(r, gb)
+        head = integer_remainder(r, gb)
+        with step_budget(0):
+            assert integer_remainder(head, gb) == head
 
 
 def random_polynomial(rng, top_degree=5):
@@ -262,8 +297,7 @@ def test_normal_form_matches_the_fraction_reducer(texts, order):
     gb = basis(ideal(*texts), order.lead)
     rng = random.Random(len(gb.leading_monomials) + 7 * len(texts))
     for _ in range(15):
-        p = random_polynomial(rng)
-        assert integer_remainder(p, gb) == normal_form_by_fractions(p, gb)
+        assert_head_reduced(random_polynomial(rng), gb)
 
 
 def basis(I, lead=0):
@@ -273,9 +307,13 @@ def basis(I, lead=0):
 
 
 def basis_and_pair_count(ideal, lead, loop):
-    """The reduced basis of the core loop given, and the number of
-    S-polynomials the loop forms, caches cold.  Minimal bases from two
-    loops may differ in their tails; reduced bases may not."""
+    """The minimal leading monomials of the core loop given, and the
+    number of S-polynomials the loop forms, caches cold.  Each loop adds
+    to the generators only remainders of S-polynomials, elements of I, so
+    its basis generates I and is a Groebner basis of I exactly when its
+    leading monomials generate in(I).  So two loops, one of them right,
+    with the same minimal leading monomials have the same reduced basis,
+    though their tails may differ."""
     pairs = []
     s_poly = groebner._s_poly_int
 
@@ -289,12 +327,12 @@ def basis_and_pair_count(ideal, lead, loop):
         groebner._buchberger_cached.cache_clear()
         gb = basis(ideal, lead)
     groebner._buchberger_cached.cache_clear()
-    return gb.elements, len(pairs)
+    return gb.leading_monomials, len(pairs)
 
 
 def test_gebauer_moeller_update_matches_the_chain_criterion_loop():
-    # the oracle loop reduces every remainder fully; the loop under test
-    # only its head, so the two agree on the reduced basis alone
+    # the loops may take different pairs of one lcm, so they agree on the
+    # reduced basis, by its leading monomials, and not on the tails
     cases = [(name, jacobian_ideal(arr.defining_polynomial()), 0)
              for name, arr in corpus.build_corpus()]
     # past the corpus: x, y, z and the sweep and moment draws, d = 4..12
@@ -316,35 +354,74 @@ def test_gebauer_moeller_update_matches_the_chain_criterion_loop():
 
 def test_the_loop_reduces_only_the_head_of_each_remainder(monkeypatch):
     # on the Ziegler f request's Jacobian: no remainder's head is
-    # reducible, and some remainder keeps a tail term that a leading
-    # monomial of the basis it was reduced against divides
+    # reducible, each is that of the Fraction reduction against the same
+    # list, and some remainder keeps a tail term that a leading monomial
+    # of the basis it was reduced against divides
     remainders = []
     reduce = groebner._reduce
 
     def spy(d, basis, *args):
         r = reduce(d, basis, *args)
-        remainders.append((r[0], [b[0] for b in basis]))
+        remainders.append((d, list(basis), r))
         return r
 
     monkeypatch.setattr(groebner, "_reduce", spy)
     buchberger(arrangement._jacobian(validate(oracles.ZIEGLER_F.split(","))))
-    nonzero = [(r, lms) for r, lms in remainders if r]
-    assert nonzero
-    for r, lms in nonzero:
-        assert not any(GREVLEX.divides(m, max(r)) for m in lms)
-    assert any(GREVLEX.divides(m, t) for r, lms in nonzero
-               for t in r if t != max(r) for m in lms)
+    assert any(r for _, _, r in remainders)
+    for d, basis, r in remainders:
+        lms = [b[0] for b in basis]
+        if r:
+            assert not any(GREVLEX.divides(m, max(r)) for m in lms)
+        # both take the first reducer in list order, so both cancel the
+        # same heads, whether or not the list is a Groebner basis yet
+        listed = groebner.GroebnerBasis(GREVLEX, basis)
+        nf = normal_form_by_fractions(
+            groebner._from_int_poly(d, GREVLEX), listed)
+        assert nf.is_zero() == (not r)
+        if r:
+            assert GREVLEX.pack(leading_monomial(nf, listed)) == max(r)
+    assert any(GREVLEX.divides(m, t) for _, basis, r in remainders if r
+               for t in r if t != max(r) for m, _, _ in basis)
 
 
 def test_corpus_jacobian_bases_are_fully_reduced():
     for name, arr in corpus.build_corpus():
         gb = buchberger(jacobian_ideal(arr.defining_polynomial()))
         lms = gb.leading_monomials
-        for lm, element in zip(lms, gb.elements):
+        for lm, element in zip(lms, oracles.reduced_basis(gb)):
             assert element.terms[lm] == 1, name
             for m in element.terms:
                 assert m == lm or not any(
                     oracles.mono_divides(b, m) for b in lms), name
+
+
+def test_elements_are_the_held_minimal_basis_made_monic():
+    # reading them spends no step: each is a held triple over its leading
+    # coefficient, with the reduced basis's leading monomial, and lies in
+    # the ideal (by linear algebra on the two small ideals); on the
+    # Ziegler f Jacobian some tail is not reduced
+    cases = [ideal("x^2*y - z^3", "x*z - y^2", "y^3 - x*z^2"),
+             ideal("3*x^2 + 1/2*y*z", "2/3*x*y - 5*z^2", "x*z^2 - 7/4*y^3"),
+             arrangement._jacobian(validate(oracles.ZIEGLER_F.split(",")))]
+    for I in cases[:2]:
+        for g in buchberger(I).elements:
+            assert oracles.in_ideal_graded(g, I.generators, g.total_degree())
+    unreduced = []
+    for I in cases:
+        gb = buchberger(I)
+        with step_budget(0):
+            elements = gb.elements
+        reduced = oracles.reduced_basis(gb)
+        pk = gb.packing
+        by_reduced = groebner.GroebnerBasis(
+            pk, [groebner._to_int_poly(g, pk) for g in reduced])
+        assert len(elements) == len(reduced) == len(gb.leading_monomials)
+        for lm, g, h in zip(gb.leading_monomials, elements, reduced):
+            assert leading_monomial(g, gb) == leading_monomial(h, gb) == lm
+            assert g.terms[lm] == 1
+            assert normal_form_by_fractions(g, by_reduced).is_zero()
+        unreduced.append(elements != reduced)
+    assert unreduced[-1]
 
 
 def test_membership_matches_linear_algebra_oracle():
@@ -660,8 +737,11 @@ def test_weighted_jacobians_saturate_by_the_first_certified_colon(
         expect = buchberger(oracles.saturation_by_columns(I))
         assert lms == expect.leading_monomials, I
         # the first c whose colon is the saturation, found by brute force
-        c = next(k for k in count()
-                 if weighted_colon(I, weights, k).elements == expect.elements)
+        # over c <= 2e, e = dim (R/I)_t for large t, where some c passes
+        e = groebner._hilbert_tail(buchberger(I).leading_monomials)[1]
+        reduced = oracles.reduced_basis(expect)
+        c = next(k for k in range(2 * e + 1) if oracles.reduced_basis(
+            weighted_colon(I, weights, k)) == reduced)
         assert chosen == c, I
         # no colon for a c that the restriction to z = 0 refutes
         assert calls == [k for k in range(c + 1)
@@ -963,6 +1043,6 @@ def test_step_cap_raises_resource_error():
 
 
 def test_zero_ideal_and_unit_ideal():
-    assert buchberger(Ideal((), 3)).elements == ()
+    assert oracles.reduced_basis(buchberger(Ideal((), 3))) == ()
     gb = buchberger(ideal("1/2"))
-    assert [str(g) for g in gb.elements] == ["1"]
+    assert [str(g) for g in oracles.reduced_basis(gb)] == ["1"]

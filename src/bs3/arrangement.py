@@ -88,12 +88,15 @@ class LinearForm:
     __slots__ = ("normal",)
 
     def __init__(self, coefficients):
-        coeffs = [c if c.__class__ is int else Fraction(c)
-                  for c in coefficients]
+        coeffs = list(coefficients)
         if len(coeffs) != 3:
             raise ValueError("a linear form needs exactly 3 coefficients")
-        scale = lcm(*(c.denominator for c in coeffs))
-        a, b, c = (v.numerator * (scale // v.denominator) for v in coeffs)
+        a, b, c = coeffs
+        if not (a.__class__ is b.__class__ is c.__class__ is int):
+            # Fraction(4, 2) is not an int, so it is scaled here too
+            coeffs = [Fraction(v) for v in coeffs]
+            scale = lcm(*(v.denominator for v in coeffs))
+            a, b, c = (v.numerator * (scale // v.denominator) for v in coeffs)
         g = gcd(a, b, c)
         if not g:
             raise PreconditionError("zero linear form")
@@ -141,13 +144,20 @@ class LinearForm:
 
 class Arrangement:
     """A validated arrangement; use validate() to construct one.  The
-    intersection lattice (see _lattice) is built once and kept."""
+    intersection lattice (see _lattice) is built on the first read of
+    `lattice`, spending its pair steps then, and kept."""
 
-    __slots__ = ("forms", "lattice")
+    __slots__ = ("forms", "_points")
 
     def __init__(self, forms):
         self.forms = tuple(forms)
-        self.lattice = _lattice(self.forms)
+        self._points = None
+
+    @property
+    def lattice(self):
+        if self._points is None:
+            self._points = _lattice(self.forms)
+        return self._points
 
     @property
     def degree(self):
@@ -261,18 +271,30 @@ def _form_product(vectors):
     return Polynomial(terms, 3)
 
 
-def _indecomposable(lattice, d):
-    """No partition of the d normals into two blocks with rank sum 3, read
-    off the intersection lattice of reduced essential forms (validate
-    checks both first).
+def _indecomposable(normals):
+    """No partition of the normals into two blocks with rank sum 3, for the
+    normals of reduced essential forms (validate checks both first).
 
     Both blocks are nonempty and the normals span rank 3, so the ranks are
     1 and 2: the rank-1 block is one line (no duplicates) and the rank-2
     block is every other line, all through one point that the single line
     misses (else all d lines would meet).  So the forms decompose iff some
-    intersection point lies on exactly d - 1 of them.
-    """
-    return all(len(lines) != d - 1 for lines in lattice.values())
+    point lies on exactly d - 1 of them.  Such a point misses at most one
+    line, so it lies on two of the first three, n_i and n_j, and is their
+    crossing n_i x n_j (not 0: no duplicates).  So each of the at most
+    three crossings of n0, n1, n2 is tested for missing exactly one line,
+    O(d) steps; it misses at least one, since the forms are essential."""
+    n0, n1, n2 = normals[:3]
+    for u, v, w in (_cross(n0, n1), _cross(n0, n2), _cross(n1, n2)):
+        misses = 0
+        for a, b, c in normals:
+            if a * u + b * v + c * w:
+                misses += 1
+                if misses > 1:
+                    break
+        else:
+            return False
+    return True
 
 
 def validate(forms):
@@ -280,7 +302,9 @@ def validate(forms):
 
     Essential: past the duplicate test the normals are pairwise
     non-parallel, so w = n0 x n1 is not 0 and they span rank 3 iff some
-    normal has w.n != 0, else rank 2."""
+    normal has w.n != 0, else rank 2.  Indecomposable is read from three
+    candidate points (_indecomposable), so validate spends no step and
+    builds no lattice: the returned Arrangement builds it when read."""
     forms = [f if isinstance(f, LinearForm) else LinearForm.parse(f)
              for f in forms]
     if len(forms) < 3:
@@ -293,11 +317,10 @@ def validate(forms):
     w0, w1, w2 = _cross(forms[0].normal, forms[1].normal)
     if not any(w0 * a + w1 * b + w2 * c for a, b, c in seen):
         raise PreconditionError("not essential: normals span rank 2 < 3")
-    arr = Arrangement(forms)
-    if not _indecomposable(arr.lattice, arr.degree):
+    if not _indecomposable([f.normal for f in forms]):
         raise PreconditionError("decomposable: the forms split into blocks "
                                 "using disjoint coordinates")
-    return arr
+    return Arrangement(forms)
 
 
 def _lattice(forms):

@@ -22,8 +22,9 @@ Each request runs inside one step budget (groebner.step_budget), so
 * the graded engine charges its generators, columns and window degrees,
   and the pass that lists H0 its generators, column ranges, run columns
   and degrees;
-* an arrangement charges the line pairs of its intersection lattice and
-  the term products of its defining polynomial.
+* an arrangement charges the line pairs of its intersection lattice,
+  when the request first reads it, and the term products of its defining
+  polynomial.
 
 Every count is deterministic: the same request spends the same steps on
 every run, so --step-cap N with N the steps a request spends returns its

@@ -154,8 +154,9 @@ class _Budget:
     degree of the graded engine (_hilbert_function); a generator or
     column range of the excess pass (_saturation_excess), or a column or
     degree of the count of its runs (_excess_degrees); or in an
-    arrangement a pair of lines of the lattice or a term product of the
-    polynomial.  Every count is deterministic."""
+    arrangement a pair of lines of the lattice, spent on its first read
+    (validate spends none), or a term product of the polynomial.  Every
+    count is deterministic."""
 
     __slots__ = ("cap", "used")
 

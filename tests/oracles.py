@@ -24,9 +24,11 @@ original coordinates read both.  The Artinian degree data below walk the
 finite staircase box directly, independent of the Hilbert-function engine.
 The rational normal form, and the reduced basis built from it, are what
 the package's head-only integer reducer and its minimal bases are tested
-against, and the bitmask decomposability test is the route the package
-replaced by the lattice criterion.  s_polynomial, over the package's
-integer S-polynomial, is what checks that a basis is Groebner, and
+against, and the bitmask decomposability test and the lattice criterion
+(a point on exactly d - 1 lines) are the routes the package replaced by
+its test of the three crossings of the first three normals.
+s_polynomial, over the package's integer S-polynomial, is what checks
+that a basis is Groebner, and
 Buchberger's loop with the product criterion at pair creation and the
 chain criterion over the whole basis at pair selection is what the
 Gebauer-Moller update of bs3.groebner is tested against.  The tuple
@@ -624,6 +626,13 @@ def decomposable_by_bitmask(forms):
         if rref_rank(left) + rref_rank(right) == 3:
             return True
     return False
+
+
+def indecomposable_by_lattice(lattice, d):
+    """No intersection point of the lattice lies on exactly d - 1 of the d
+    reduced essential forms: the lattice reading of indecomposability that
+    bs3.arrangement._indecomposable replaced by three candidate points."""
+    return all(len(lines) != d - 1 for lines in lattice.values())
 
 
 # -- the intersection lattice over Fraction ----------------------------------

@@ -134,6 +134,43 @@ def test_validate_builds_no_polynomial_and_calls_no_rank(monkeypatch):
     assert built and ranks  # the spies see what they watch
 
 
+def test_validate_builds_no_lattice_and_the_first_read_builds_it(
+        monkeypatch):
+    calls = []
+    build = arrangement._lattice
+
+    def spy(forms):
+        calls.append(forms)
+        return build(forms)
+
+    monkeypatch.setattr(arrangement, "_lattice", spy)
+    arrs = [validate(csv.split(",")) for _, csv in corpus.CURATED]
+    for csv in ("x,y,z", "x,y,x+y,z", "z,x,y,x+y"):
+        with pytest.raises(PreconditionError):
+            validate(csv.split(","))
+    assert calls == []
+    for arr in arrs:
+        first = arr.lattice
+        assert arr.lattice is first
+        assert first == build(arr.forms)
+    assert calls == [arr.forms for arr in arrs]
+
+
+def test_integer_path_reads_a_fraction_over_1_as_its_integer():
+    # _parse_terms gives Fraction(2, 1) for 4/2*x, which is not an int
+    f = LinearForm([Fraction(4, 2), 1, 0])
+    assert f.normal == (2, 1, 0)
+    assert all(type(v) is int for v in f.normal)
+    assert LinearForm([4, 2, 0]).normal == (2, 1, 0)
+    assert LinearForm([0, -3, 6]).normal == (0, 1, -2)
+    assert all(type(v) is int for v in LinearForm([0, -3, 6]).normal)
+    got = validate(["4/2*x+y", "y", "z", "x+y+z"])
+    want = validate(["2*x+y", "y", "z", "x+y+z"])
+    assert [f.normal for f in got.forms] == [f.normal for f in want.forms]
+    assert repr(got) == repr(want)
+    assert got.lattice == want.lattice
+
+
 def test_validate_accepts_generic_quadruple():
     arr = validate("x,y,z,x+y+z".split(","))
     assert arr.degree == 4
@@ -161,11 +198,28 @@ def test_duplicate_reported_before_decomposability():
     assert "not reduced" in str(info.value)
 
 
+def indecomposable_three_ways(forms):
+    """The three-crossing test, checked against the lattice reference and
+    every bipartition."""
+    got = _indecomposable([f.normal for f in forms])
+    assert got == oracles.indecomposable_by_lattice(_lattice(forms),
+                                                    len(forms)), forms
+    assert got == (not oracles.decomposable_by_bitmask(forms)), forms
+    return got
+
+
 def test_is_indecomposable():
-    for csv, want in (("x,y,z", False), ("x,y,z,x+y+z", True),
-                      (oracles.BRAID, True)):
-        forms = forms_of(csv)
-        assert _indecomposable(_lattice(forms), len(forms)) == want
+    for csv, want in (
+            ("x,y,z", False), ("x+y,y+z,x+z", False), ("x,y,z,x+y+z", True),
+            (oracles.BRAID, True),
+            # x, y, x+y meet at (0:0:1), which z misses: form 2, 1, then 0
+            # is the line off the pencil, so the point is n0 x n1, n0 x n2,
+            # then n1 x n2
+            ("x,y,z,x+y", False), ("x,z,y,x+y", False), ("z,x,y,x+y", False),
+            # the first three lines concurrent: the three crossings are one
+            # point
+            ("x,y,x+y,x-y,z", False), ("x,y,x+y,z,x+z", True)):
+        assert indecomposable_three_ways(forms_of(csv)) == want, csv
 
 
 def through_point(rng, point):
@@ -196,18 +250,35 @@ def draw_forms(rng, d):
 
 
 def test_is_indecomposable_matches_every_bipartition():
+    # each reduced essential draw is tried as drawn, whose pencil comes
+    # first, and with its last form moved to place 2, 1 and 0: a line plus
+    # a pencil then has its point on d - 1 lines at n0 x n1, n0 x n2 and
+    # n1 x n2 in turn
     rng = random.Random(5)
     outcomes = {True: 0, False: 0}
+    crossings = {(0, 1): 0, (0, 2): 0, (1, 2): 0, (0, 1, 2): 0}
+    concurrent = {True: 0, False: 0}
     while sum(outcomes.values()) < 90:
-        forms = draw_forms(rng, rng.randint(3, 9 if rng.random() < 0.2 else 7))
-        normals = [list(f.coefficients) for f in forms]
-        if (len({f.normal for f in forms}) < len(forms)
+        drawn = draw_forms(rng,
+                           rng.randint(3, 9 if rng.random() < 0.2 else 7))
+        normals = [list(f.coefficients) for f in drawn]
+        if (len({f.normal for f in drawn}) < len(drawn)
                 or oracles.rref_rank(normals) < 3):
             continue  # the precondition: reduced and essential
-        got = _indecomposable(_lattice(forms), len(forms))
-        assert got == (not oracles.decomposable_by_bitmask(forms)), forms
+        for k in (None, 2, 1, 0):
+            forms = (drawn if k is None
+                     else drawn[:k] + drawn[-1:] + drawn[k:-1])
+            got = indecomposable_three_ways(forms)
+            for lines in _lattice(forms).values():
+                if len(lines) == len(forms) - 1:
+                    crossings[tuple(i for i in lines if i < 3)] += 1
+            if oracles.rref_rank(
+                    [list(f.coefficients) for f in forms[:3]]) < 3:
+                concurrent[got] += 1
         outcomes[got] += 1
     assert min(outcomes.values()) >= 20
+    assert min(crossings.values()) >= 20, crossings
+    assert min(concurrent.values()) >= 10, concurrent
 
 
 def rational(rng):

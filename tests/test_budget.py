@@ -181,6 +181,12 @@ def test_large_arrangement_ends_before_its_polynomial(capsys, monkeypatch):
 def test_arrangement_spends_per_pair_and_per_term_product():
     with step_budget() as budget:
         arr = validate(oracles.GENERIC5.split(","))
+        assert budget.used == 0
+        # the first read builds the lattice, one step per pair of lines;
+        # the second reads the kept one
+        arr.lattice
+        assert budget.used == 5 * 4 // 2
+        arr.lattice
         assert budget.used == 5 * 4 // 2
         f = arr.defining_polynomial()
     # x, y, z, x+y+z, x+2y+3z: 1 * 1 for each of x, y, z, then 1 * 3 for

@@ -66,6 +66,7 @@ basis and the regularity must be at most 2d - 5.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import count
 from math import gcd, lcm
@@ -75,8 +76,16 @@ from .bsroots import RootSet
 from .graded import STANDARD, check_h0_symmetry, regularity_report
 from .groebner import Ideal, _budget, _hilbert_values, buchberger
 from .milnor import jacobian_ideal, milnor_profile
-from .polyring import (Bs3Error, Polynomial, PreconditionError, _parse_terms,
-                       format_ratio)
+from .polyring import (_VARIABLE_INDEX, Bs3Error, Polynomial,
+                       PreconditionError, _parse_terms, format_ratio)
+
+# A linear form of at most three terms, each [int ['*']] var, signed as the
+# grammar signs terms, with whitespace around any token; int and var are
+# written as polyring._TOKEN reads them (LinearForm.parse).  Groups:
+# (sign, int, var) per term, the first sign '-' or empty.
+_TERM = r"(?:(\d{1,4300})\s*\*?\s*)?(x[123]|[xyz])"
+_FORM = re.compile(r"\s*(-?)\s*{0}(?:\s*([+-])\s*{0}"
+                   r"(?:\s*([+-])\s*{0})?)?\s*".format(_TERM))
 
 
 class LinearForm:
@@ -107,15 +116,45 @@ class LinearForm:
     @classmethod
     def parse(cls, text):
         """The form the text writes in the polynomial grammar; terms whose
-        coefficients sum to 0 are dropped, any other term must be linear."""
+        coefficients sum to 0 are dropped, any other term must be linear.
+
+        A text _FORM matches is read from its one match: the signed int
+        coefficients are summed per variable.  Every other text goes
+        through polyring._parse_terms.  Both give the same form, because
+        _FORM's language is a subset of the grammar, read as _TOKEN reads
+        it, on which _parse_terms returns exactly those sums:
+
+        * Tokens.  A digit run in a match is followed by whitespace, '*' or
+          a variable, so the match reads the whole run, at most 4300
+          digits, as _TOKEN does (a longer run, which _TOKEN splits into
+          two ints, matches nowhere).  A variable is followed by
+          whitespace, a sign or the end, never by a digit, so x1, x2 and
+          x3 are read as aliases, as _TOKEN tries them first.  Whitespace
+          stands only before a token or at the end, where _TOKEN skips
+          it.
+        * Grammar.  The match is ['-'] term (('+'|'-') term)*, with at
+          most three terms, each coeff ['*'] monos or monos, coeff an int
+          and monos one variable with no '^'.  So each term has degree 1
+          and an int coefficient, and _parse_terms adds sign * coeff into
+          that variable's entry, which is the sum taken here.  A variable
+          whose terms cancel is 0 on both routes."""
+        match = _FORM.fullmatch(text)
         coeffs = [0, 0, 0]
-        for m, c in _parse_terms(text).items():
-            if not c:
-                continue
-            if sum(m) != 1:
-                raise PreconditionError(
-                    "%r is not a homogeneous linear form" % text)
-            coeffs[m.index(1)] = c
+        if match is None:
+            for m, c in _parse_terms(text).items():
+                if not c:
+                    continue
+                if sum(m) != 1:
+                    raise PreconditionError(
+                        "%r is not a homogeneous linear form" % text)
+                coeffs[m.index(1)] = c
+            return cls(coeffs)
+        g = match.groups()
+        for sign, num, var in (g[:3], g[3:6], g[6:]):
+            if var is None:
+                break
+            c = int(num) if num else 1
+            coeffs[_VARIABLE_INDEX[var]] += -c if sign == "-" else c
         return cls(coeffs)
 
     @property
@@ -431,12 +470,15 @@ def _free_line(points):
     when p_y != 0, and each b at most one a when p_x != 0, so p rules out
     at most 2h + 1 of the (2h + 1)^2 pairs in the box [-h, h]^2.  N points
     rule out at most N*(2h + 1) of them, fewer than all once 2h + 1 > N:
-    so h <= ceil(N/2).
+    so h <= ceil(N/2).  Each candidate line spends N steps before it is
+    tested.
     """
+    budget = _budget()
     for h in count():
         ring = [(a, b) for a in range(-h, h + 1) for b in range(-h, h + 1)
                 if max(abs(a), abs(b)) == h]
         for a, b in sorted(ring, key=lambda p: (abs(p[0]) + abs(p[1]), p)):
+            budget.spend(len(points))
             if all(pz + a * px + b * py for px, py, pz in points):
                 return a, b
 

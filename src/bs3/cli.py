@@ -23,8 +23,10 @@ Each request runs inside one step budget (groebner.step_budget), so
   and the pass that lists H0 its generators, column ranges, run columns
   and degrees;
 * an arrangement charges the line pairs of its intersection lattice,
-  when the request first reads it, and the term products of its defining
-  polynomial.
+  when the request first reads it, the points each candidate free line is
+  tested against, the row operations of the ranks that decide formality,
+  priced by words as a reduction step is, and the term products of its
+  defining polynomial.
 
 Every count is deterministic: the same request spends the same steps on
 every run, so --step-cap N with N the steps a request spends returns its
@@ -243,7 +245,16 @@ def _point_str(sp):
 
 
 def cmd_arrangement(args):
-    arr = arr_mod.validate(args.forms.split(","))
+    # each form is parsed on its own, so a parse error's position is moved
+    # from inside its form to inside the --forms value
+    forms, start = [], 0
+    for text in args.forms.split(","):
+        try:
+            forms.append(arr_mod.LinearForm.parse(text))
+        except ParseError as exc:
+            raise ParseError(exc.message, start + exc.position) from None
+        start += len(text) + 1
+    arr = arr_mod.validate(forms)
     rep = arr_mod.full_root_report(arr)
     report = {
         "command": "arrangement",

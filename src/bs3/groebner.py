@@ -155,8 +155,10 @@ class _Budget:
     column range of the excess pass (_saturation_excess), or a column or
     degree of the count of its runs (_excess_degrees); or in an
     arrangement a pair of lines of the lattice, spent on its first read
-    (validate spends none), or a term product of the polynomial.  Every
-    count is deterministic."""
+    (validate spends none), a point a candidate free line is tested
+    against (_free_line), a row operation of linalg.rank, priced by the
+    words of its two multipliers as a reduction step is, or a term
+    product of the polynomial.  Every count is deterministic."""
 
     __slots__ = ("cap", "used")
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
+from .groebner import _budget, _scaling_steps
+
 
 def _primitive_int_row(row):
     """Scale a rational row to a primitive integer row (gcd 1, or all zero)."""
@@ -42,10 +44,14 @@ def _check_rectangular(rows):
 
 
 def rank(rows):
-    """Rank of a matrix given as a list of rows."""
+    """Rank of a matrix given as a list of rows.  A row operation, row
+    times a minus pivot row times b, spends steps of the open budget as a
+    reduction step does (groebner._scaling_steps): one, and one more per
+    64-bit word past the first of each of a and b."""
     width = _check_rectangular(rows)
     if width == 0:
         return 0
+    budget = _budget()
     work = [_primitive_int_row(r) for r in rows]
     work = [r for r in work if any(r)]
     rk = 0
@@ -67,6 +73,7 @@ def rank(rows):
                 continue
             g = gcd(pval, v)
             a, b = pval // g, v // g
+            budget.spend(_scaling_steps(a, b))
             new = [a * x - b * y for x, y in zip(row, prow)]
             g2 = 0
             for x in new:

@@ -26,10 +26,13 @@ class Bs3Error(Exception):
 
 
 class ParseError(Bs3Error):
-    """Malformed polynomial text; carries the 0-based offending position."""
+    """Malformed polynomial text; carries the bare message and the 0-based
+    offending position, so a caller that parsed a piece of a longer text
+    can raise it again at the piece's offset."""
 
     def __init__(self, message, position):
         super().__init__("%s (at position %d)" % (message, position))
+        self.message = message
         self.position = position
 
 

@@ -61,52 +61,108 @@ def by_linear_form(text):
     return f.normal, f.coefficients, str(f)
 
 
+ALIASES = {"x": "x1", "y": "x2", "z": "x3"}
+SIGNS = {True: (" - ", "-", " -", "- "), False: (" + ", "+", " +", "+ ")}
+
+
 def random_form_text(rng):
-    """x, y, z terms with randint(-3, 3) coefficients, some written as
-    fractions, as two terms, or as 0, spelled in several ways."""
+    """x, y, z terms with randint(-3, 3) coefficients, spelled in several
+    ways (aliases, a bare variable, leading zeros, '*' and whitespace or
+    none), some written as fractions, as two terms, or as 0.  A draw of
+    more than three terms writes a fraction, so every fraction-free draw
+    is one LinearForm.parse reads from one match."""
     pieces = []
     for name in ("x", "y", "z"):
         c = rng.randint(-3, 3)
         if c == 0 and rng.random() < 0.5:
             continue
-        parts = [c] if rng.random() < 0.8 else [c - 1, 1]
-        for part in parts:
-            body = rng.choice(("%d*%s", "%d%s", "%d %s", "%d * %s"))
+        if rng.random() < 0.2:
+            name = ALIASES[name]
+        for part in [c] if rng.random() < 0.8 else [c - 1, 1]:
+            coeff = "%d" % abs(part)
+            if rng.random() < 0.1:
+                coeff = "0" + coeff
             if rng.random() < 0.2:
-                body = body.replace("%d", "%%d/%d" % rng.randint(1, 4))
-            pieces.append((part < 0, body % (abs(part), name)))
+                coeff += "/%d" % rng.randint(1, 4)
+            pieces.append([part < 0, coeff, name])
+    if len(pieces) > 3 and not any("/" in p[1] for p in pieces):
+        rng.choice(pieces)[1] += "/1"
     if not pieces:
-        return "0"
-    negative, text = pieces[0]
-    text = ("-" if negative else "") + text
-    for negative, body in pieces[1:]:
-        text += (" - " if negative else " + ") + body
-    return text
+        return "0x"
+    text = rng.choice(("", " "))
+    for k, (negative, coeff, name) in enumerate(pieces):
+        if k:
+            text += rng.choice(SIGNS[negative])
+        elif negative:
+            text += rng.choice(("-", "- "))
+        if coeff == "1" and rng.random() < 0.5:
+            text += name
+        else:
+            text += coeff + rng.choice(("*", "", " ", " * ")) + name
+    return text + rng.choice(("", " "))
 
 
-EDGE_FORMS = ["x - x + y", "x+x", "1/2x + 3/4y", " 2 * x - z ", "x1+x2-x3",
-              "x - x", "0", "x^2", "x + 1", "x^2 - x^2 + z", "3/0x",
-              "x^3 + + y"]
+# texts LinearForm.parse reads from one match of arrangement._FORM, and
+# texts it must hand on to the grammar: past the pattern by a token, a
+# term, a sign or a digit
+ONE_MATCH_FORMS = ["x - x + y", "x+x", " 2 * x - z ", "x1+x2-x3", "x - x",
+                   " \t- 2 * x1 +\n3 x2 - 007 *x3 ", "007x", "\u0663x",
+                   "x-x+y", "0x+y", "x-x", "-y", "x3-2x1",
+                   "7" * 4300 + "x"]
+HANDED_ON_FORMS = ["1/2x + 3/4y", "0", "x^2", "x + 1", "x^2 - x^2 + z",
+                   "3/0x", "x^3 + + y", "x+y+z+x", "x^1", "1/2x", "x*y",
+                   "x y", "+x", "x12", "2 3x", "x+y+", "*x", "--x",
+                   "7" * 4301 + "x"]
+EDGE_FORMS = ONE_MATCH_FORMS + HANDED_ON_FORMS
 
 
-def test_parse_matches_the_polynomial_route():
+def test_parse_matches_the_polynomial_route(monkeypatch):
+    # every text LinearForm.parse hands to the grammar; the oracle parses
+    # through polyring, which the spy does not see
+    handed = []
+    grammar = arrangement._parse_terms
+
+    def spy(text):
+        handed.append(text)
+        return grammar(text)
+
+    monkeypatch.setattr(arrangement, "_parse_terms", spy)
     rng = random.Random(17)
+    corpus_forms = [f for _, arr in corpus.build_corpus() for f in arr.forms]
+    # the corpus's and the benchmark's spelling (x-2y+2z), the curated
+    # texts, and the forms as printed (x + 1/2*y)
     texts = (EDGE_FORMS
-             + [str(f) for _, arr in corpus.build_corpus() for f in arr.forms]
+             + [corpus._coeff_csv(f.normal) for f in corpus_forms]
+             + [t for _, csv in corpus.CURATED for t in csv.split(",")]
+             + [str(f) for f in corpus_forms]
              + [random_form_text(rng) for _ in range(500)])
-    outcomes = set()
+    outcomes, routes = set(), set()
     for text in texts:
+        handed.clear()
         got = parsed(by_linear_form, text)
         assert got == parsed(oracles.linear_form_by_polynomial, text), text
         outcomes.add(got[0] if isinstance(got[0], type) else "valid")
+        # outside the edge lists, exactly the texts with a fraction take
+        # the grammar
+        one_match = (text in ONE_MATCH_FORMS if text in EDGE_FORMS
+                     else "/" not in text)
+        assert handed == ([] if one_match else [text]), text
+        routes.add(one_match)
     assert outcomes == {"valid", PreconditionError, ParseError}
+    assert routes == {True, False}
     assert parsed(by_linear_form, "x^2 - x^2 + z")[0] == (0, 0, 1)
     assert parsed(by_linear_form, "0") == (PreconditionError,
                                            "zero linear form")
+    assert parsed(by_linear_form, "x-x") == (PreconditionError,
+                                             "zero linear form")
     assert parsed(by_linear_form, "x + 1") == (
         PreconditionError, "'x + 1' is not a homogeneous linear form")
     assert parsed(by_linear_form, "3/0x") == (
         ParseError, "zero denominator (at position 2)")
+    assert parsed(by_linear_form, "x12") == (
+        ParseError, "expected '+' or '-' (at position 2)")
+    assert LinearForm.parse("x+x").normal == (1, 0, 0)
+    assert LinearForm.parse("\u0663x - 007 y").normal == (3, -7, 0)
 
 
 def test_validate_builds_no_polynomial_and_calls_no_rank(monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 import bs3
-from bs3 import arrangement, cli, groebner
+from bs3 import arrangement, cli, groebner, linalg
 from bs3.arrangement import full_root_report, validate
 from bs3.bsroots import blf_roots, new_roots
 from bs3.groebner import (Ideal, ResourceLimitError, _hilbert_function,
@@ -120,13 +120,15 @@ DRAW5 = "x-y+2z,-x+3y+2z,3x+2y+2z,x-3y+3z,3y-2z"
 # 64-bit word past the first of the two coefficients it scales by, which
 # the arrangements' coefficients pass; the one pass over in(J) and
 # in(J^sat) that H0 and the certificate read; and the tails of in(J) the
-# engine fills.  The product-shape lqh request saturates to in(J) itself,
-# so it makes no pass
+# engine fills.  An arrangement also spends its lattice pairs, its free
+# line's candidates (the points each one is tested against) and the row
+# operations of is_formal's ranks.  The product-shape lqh request
+# saturates to in(J) itself, so it makes no pass
 @pytest.mark.parametrize("argv, steps", [
-    (("arrangement", "--forms", oracles.ZIEGLER_F), 963),
-    (("arrangement", "--forms", oracles.ZIEGLER_G), 794),
-    (("arrangement", "--forms", MOMENT12), 3003),
-    (("arrangement", "--forms", DRAW5), 206),
+    (("arrangement", "--forms", oracles.ZIEGLER_F), 1376),
+    (("arrangement", "--forms", oracles.ZIEGLER_G), 1207),
+    (("arrangement", "--forms", MOMENT12), 3070),
+    (("arrangement", "--forms", DRAW5), 229),
     (LQH, 264),
     (LQH_PRODUCT, 25),
     (LQH_COLON, 148),
@@ -193,6 +195,55 @@ def test_arrangement_spends_per_pair_and_per_term_product():
     # x+y+z and 3 * 3 for the last form (x*y*z*(x+y+z) has 3 terms)
     assert budget.used == 10 + 3 + 3 + 9
     assert len(f.terms) == 6
+
+
+def test_a_cap_one_below_the_request_ends_inside_is_formal(capsys, budgets,
+                                                          monkeypatch):
+    # the row operations of is_formal's ranks are the last steps an
+    # arrangement request spends
+    seen = []
+    check = arrangement.is_formal
+
+    def spy(arr):
+        seen.append(groebner._budget().used)
+        try:
+            return check(arr)
+        except ResourceLimitError:
+            seen.append("refused")
+            raise
+
+    monkeypatch.setattr(arrangement, "is_formal", spy)
+    argv = ("arrangement", "--forms", DRAW5)
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    total = budgets[0].used
+    assert total > seen[0]
+    seen.clear()
+    code, out, err = run(capsys, *argv, "--step-cap", str(total - 1))
+    assert code == 3 and out == ""
+    assert err.startswith("resource limit:")
+    assert len(seen) == 2 and seen[0] < total - 1 and seen[1] == "refused"
+
+
+def test_rank_spends_one_step_per_row_operation_priced_by_words():
+    with step_budget() as budget:
+        assert linalg.rank([[1, 2], [3, 4], [5, 6]]) == 2
+    # rows 2 and 3 are reduced by row 1, then row 3 by row 2
+    assert budget.used == 3
+    big = 2 ** 64 + 1
+    with step_budget() as budget:
+        assert linalg.rank([[1, 1], [big, 1]]) == 2
+    # row 2 minus big times row 1: one step, and one for big's second word
+    assert budget.used == 2
+
+
+def test_free_line_spends_its_points_per_candidate_line():
+    # z + a*x + b*y passes through (1, 0, 0) exactly when a = 0: (0, 0) is
+    # refused, and (-1, 0), the first candidate of height 1, is taken
+    points = [(1, 0, 0), (0, 0, 1)]
+    with step_budget() as budget:
+        assert arrangement._free_line(points) == (-1, 0)
+    assert budget.used == 2 * len(points)
 
 
 def test_graded_engine_spends_for_the_work_it_does():

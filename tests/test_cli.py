@@ -123,7 +123,9 @@ def test_invalid_arrangement_exits_2(capsys):
     ("x,x,y,z", 2, "precondition violated: not reduced: duplicate form x"),
     ("x,y,z^2", 2,
      "precondition violated: 'z^2' is not a homogeneous linear form"),
-    ("x,y,+", 1, "parse error: unexpected '+' (at position 0)"),
+    # a parse error's position is its offset in the --forms value
+    ("x,y,+", 1, "parse error: unexpected '+' (at position 4)"),
+    ("x,y,z,x+y+", 1, "parse error: expected a term (at position 10)"),
 ])
 def test_bad_forms_keep_their_exit_code_and_message(capsys, forms, code,
                                                     message):

@@ -470,16 +470,19 @@ def _free_line(points):
     when p_y != 0, and each b at most one a when p_x != 0, so p rules out
     at most 2h + 1 of the (2h + 1)^2 pairs in the box [-h, h]^2.  N points
     rule out at most N*(2h + 1) of them, fewer than all once 2h + 1 > N:
-    so h <= ceil(N/2).  Each candidate line spends N steps before it is
-    tested.
+    so h <= ceil(N/2).  Each candidate line spends one step per point it
+    is tested against, up to and including the first one it passes
+    through, or N when it passes through none.
     """
     budget = _budget()
     for h in count():
         ring = [(a, b) for a in range(-h, h + 1) for b in range(-h, h + 1)
                 if max(abs(a), abs(b)) == h]
         for a, b in sorted(ring, key=lambda p: (abs(p[0]) + abs(p[1]), p)):
-            budget.spend(len(points))
-            if all(pz + a * px + b * py for px, py, pz in points):
+            hit = next((i for i, (px, py, pz) in enumerate(points, 1)
+                        if not pz + a * px + b * py), None)
+            budget.spend(hit or len(points))
+            if hit is None:
                 return a, b
 
 

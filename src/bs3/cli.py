@@ -24,9 +24,9 @@ Each request runs inside one step budget (groebner.step_budget), so
   and degrees;
 * an arrangement charges the line pairs of its intersection lattice,
   when the request first reads it, the points each candidate free line is
-  tested against, the row operations of the ranks that decide formality,
-  priced by words as a reduction step is, and the term products of its
-  defining polynomial.
+  tested against, up to the first one it passes through, the row
+  operations of the ranks that decide formality, priced by words as a
+  reduction step is, and the term products of its defining polynomial.
 
 Every count is deterministic: the same request spends the same steps on
 every run, so --step-cap N with N the steps a request spends returns its

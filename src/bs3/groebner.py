@@ -60,11 +60,12 @@ rather than a trial:
   grading or dimension is used.  The test is sufficient, not necessary: a
   saturated I can have an unsaturated in(I), and then takes the colon
   below.
-* anything else: J = I : l_c^infinity for the first c = 0, 1, ... whose
-  colon passes the certificate, in(J) holds finitely many monomials
-  outside in(I), l_c the moment form z^(D/w_z) + c*x^(D/w_x) +
-  c^2*y^(D/w_y), D = lcm(w) (_moment_form; the line z + c*x + c^2*y under
-  standard weights).
+* anything else: J = I : l_c^infinity for the first c whose colon passes
+  the certificate, in(J) holds finitely many monomials outside in(I),
+  l_c the moment form z^(D/w_z) + c*x^(D/w_x) + c^2*y^(D/w_y),
+  D = lcm(w) (_moment_form; the line z + c*x + c^2*y under standard
+  weights).  The c tried are 0, 1, ... under standard weights and 1, 2,
+  ... under others.
 
 What saturated_leading_monomials returns, under any weights: the leading
 monomials of the grevlex basis of I^sat in the input's coordinates.  Each
@@ -73,10 +74,14 @@ dividing every element of a grevlex basis of I by its largest power of z
 gives a grevlex basis of I : z^infinity (Bayer-Stillman), so c = 0 costs
 only a division of the cached basis (_saturate_by_z).  Every other colon
 is one elimination in the same coordinates, one Buchberger run on
-(I, t*l_c - 1) (_weighted_colon).  The weights choose the forms l_c
-tried, and so the certified c; the monomials are those of I^sat whichever
-weights grade I, since an ideal can be homogeneous for (1, 1, 1) and for
-other weights at once.
+(I, t*l_c - 1) (_weighted_colon).  Under other weights l_0 = z^(D/w_z)
+would cost an elimination too, and it vanishes on the whole line z = 0,
+through the coordinate points (1:0:0) and (0:1:0), while every l_c with
+c >= 1 takes the values c, c^2 and 1 at (1:0:0), (0:1:0) and (0:0:1) and
+misses all three: so there the loop starts at c = 1.  The weights choose
+the forms l_c tried, and so the certified c; the monomials are those of
+I^sat whichever weights grade I, since an ideal can be homogeneous for
+(1, 1, 1) and for other weights at once.
 
 Why the certificate proves J = I^sat: l_c is homogeneous and lies in m,
 which is all the proof needs of it.  J contains I^sat, and J is graded.
@@ -101,16 +106,14 @@ HF(R/I^sat) = HF(R/I) - H0 (graded module docstring).
 Why the loop ends: when the Hilbert polynomial of R/in(I) is a constant e
 (dim R/I <= 1), e is the degree of the affine curve V(I), so V(I) has at
 most e points in weighted P^2.  l_c vanishes at a point p for the roots c
-of p_z^a + c*p_x^b + c^2*p_y^d only, at most two, so some c <= 2e passes.
-A gcd test on the generators restricted to l_c = 0 (_line_misses) skips,
-before any basis work, a c whose curve meets V(I) wherever the colon would
-cost a Buchberger run: any c > 0 under standard weights, and c = 0 under
-other weights (l_0, a power of z, vanishes exactly on z = 0).  Under
-standard weights c = 0 divides the cached basis, so the certificate alone
-decides it.  A point p of V(I) on the curve is a minimal prime of I^sat
-that contains l_c, so the colon drops it, its Hilbert polynomial is
-smaller, in(J) holds infinitely many monomials outside in(I) and the
-certificate rejects it: the chosen c is the same.
+of p_z^a + c*p_x^b + c^2*p_y^d only, at most two, so among any 2e + 1
+values of c one passes: c <= 2e under standard weights, c <= 2e + 1 under
+others.  The certificate alone decides each c.  A point p of V(I) on the
+curve l_c = 0 is a minimal prime of I^sat that contains l_c, so the colon
+drops it, its Hilbert polynomial is smaller, in(J) holds infinitely many
+monomials outside in(I) and the certificate rejects it; a curve that
+misses V(I) gives J = I^sat, which it passes.  So the certified c is the
+first one tried whose curve misses V(I).
 When dim R/I = 2, each of the finitely many associated primes of I^sat
 other than m contains l_c for at most two values of c (three would put a
 power of every variable in it), so the loop still ends, and the request's
@@ -156,9 +159,10 @@ class _Budget:
     degree of the count of its runs (_excess_degrees); or in an
     arrangement a pair of lines of the lattice, spent on its first read
     (validate spends none), a point a candidate free line is tested
-    against (_free_line), a row operation of linalg.rank, priced by the
-    words of its two multipliers as a reduction step is, or a term
-    product of the polynomial.  Every count is deterministic."""
+    against, up to the first it passes through (_free_line), a row
+    operation of linalg.rank, priced by the words of its two multipliers
+    as a reduction step is, or a term product of the polynomial.  Every
+    count is deterministic."""
 
     __slots__ = ("cap", "used")
 
@@ -863,59 +867,6 @@ def _excess_degrees(runs, weights):
     return _sum_runs(values, wz)
 
 
-def _univariate_gcd(f, g):
-    """A gcd over Q of two integer coefficient lists (lowest first, no
-    trailing zero), by Euclid on primitive pseudo-remainders."""
-    while g:
-        f = list(f)
-        while len(f) >= len(g):
-            a, b = g[-1], f[-1]
-            shift = len(f) - len(g)
-            f = [a * v for v in f]
-            for i, v in enumerate(g):
-                f[shift + i] -= b * v
-            while f and f[-1] == 0:
-                f.pop()
-        content = 0
-        for v in f:
-            content = gcd(content, v)
-        if content > 1:
-            f = [v // content for v in f]
-        f, g = g, f
-    return f
-
-
-def _line_misses(ideal, c):
-    """l_c = 0 misses V(I) in weighted P^2, for I standard-homogeneous (the
-    line z + c*x + c^2*y) or, when c = 0, graded by any positive weights
-    (l_0, a power of z, vanishes where z does).  On it the
-    generators restrict to forms g(x, y, -c*x - c^2*y), built by Horner in
-    z, that must have no common zero: neither at (1:0), where each
-    g(1, 0, -c) would vanish, nor in the chart y = 1, where their gcd would
-    be nonconstant."""
-    common, full = [], False
-    for g in ideal.generators:
-        deg = g.total_degree()
-        slices = {}  # z-exponent -> coefficients by x-exponent, y = 1
-        at_x = 0  # g(1, 0, -c)
-        for (a, b, k), v in _int_terms(g)[0].items():
-            slices.setdefault(k, [0] * (deg + 1))[a] = v
-            if not b:
-                at_x += v * (-c) ** k
-        full = full or at_x != 0
-        form = [0] * (deg + 1)
-        for k in range(max(slices), -1, -1):
-            # form * (-c*x - c^2) + slice; x^deg is never passed by degree
-            form = [-c * (form[i - 1] if i else 0) - c * c * form[i]
-                    for i in range(deg + 1)]
-            for i, v in enumerate(slices.get(k, ())):
-                form[i] += v
-        while form and form[-1] == 0:
-            form.pop()
-        common = _univariate_gcd(common, form)
-    return full and len(common) == 1
-
-
 def _saturate_by_z(gb):
     """Minimal leading monomials of a grevlex basis of I : z^infinity, for
     standard-homogeneous I with grevlex basis gb (Bayer-Stillman, module
@@ -996,13 +947,11 @@ def _saturated_cached(ideal, weights):
     if _is_saturated(lms):
         return None, lms
     _, e = _hilbert_tail(lms)
-    curve = e is not None  # dim R/I = 1: V(I) has at most e points
-    standard = weights == (1, 1, 1)
-    for c in range(2 * e + 1) if curve else count():
-        if (curve and (c > 0 if standard else c == 0)
-                and not _line_misses(ideal, c)):
-            continue
-        if standard and c == 0:
+    # under other weights l_0, a power of z, vanishes on all of z = 0
+    first = 0 if weights == (1, 1, 1) else 1
+    tried = range(first, first + 2 * e + 1) if e is not None else count(first)
+    for c in tried:
+        if c == 0:
             sat = _saturate_by_z(gb)
         else:
             sat = _weighted_colon(ideal, weights, c)
@@ -1010,7 +959,7 @@ def _saturated_cached(ideal, weights):
             return c, sat
     form = " + ".join(p + str(Polynomial({m: 1}, 3)) for p, m in
                       zip(("", "c*", "c^2*"), _moment_form(weights)))
-    raise Bs3Error("internal: no colon by %s with c <= %d keeps the Hilbert "
-                   "polynomial, though V(I) has at most %d points"
-                   % (form, 2 * e, e))
+    raise Bs3Error("internal: no colon by %s with %d <= c <= %d keeps the "
+                   "Hilbert polynomial, though V(I) has at most %d points"
+                   % (form, first, first + 2 * e, e))
 

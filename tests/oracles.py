@@ -53,7 +53,10 @@ is tested against.  The Hilbert functions of R/in(I) and R/in(I^sat),
 differenced in every degree up to the Taylor bound, are what the package's
 one pass over the two staircases counts H0 against, and the Hilbert
 polynomials compared by their values at 0, 1, 2 are what its certificate,
-a finite excess of in(J) over in(I), is tested against.
+a finite excess of in(J) over in(I), is tested against.  The restriction
+of the generators to z = 0, with a gcd over Q of the forms left, decides
+whether that line misses V(I), and so whether the colon by a power of z
+passes the certificate; the package no longer runs it.
 """
 
 import heapq
@@ -452,6 +455,43 @@ def saturation_by_columns(ideal):
         col = saturate_by_poly(ideal, parse_polynomial("xyz"[v]))
         meet = col if meet is None else ideal_intersection(meet, col)
     return meet
+
+
+# -- the line z = 0 against V(I), by restriction ----------------------------
+
+def _gcd_over_q(f, g):
+    """A gcd over Q of two coefficient lists (lowest first, no trailing
+    zero), by Euclid on Fraction remainders."""
+    while g:
+        f = [Fraction(v) for v in f]
+        while len(f) >= len(g):
+            q, shift = f[-1] / g[-1], len(f) - len(g)
+            for i, v in enumerate(g):
+                f[shift + i] -= q * v
+            while f and f[-1] == 0:
+                f.pop()
+        f, g = g, f
+    return f
+
+
+def misses_z_zero(ideal):
+    """The line z = 0 of weighted P^2 misses V(I), for I graded by positive
+    weights: the generators restricted to z = 0, forms in x and y, have no
+    common zero, neither at (1:0), where each would lose its x-power term,
+    nor in the chart y = 1, where their gcd over Q would be nonconstant."""
+    common, at_x = [], False
+    for g in ideal.generators:
+        restricted = {}  # x-exponent -> coefficient, z = 0 and y = 1
+        for (a, b, k), v in g.terms.items():
+            if not k:
+                restricted[a] = restricted.get(a, 0) + v
+                at_x = at_x or not b
+        form = [restricted.get(a, 0) for a in range(max(restricted,
+                                                        default=-1) + 1)]
+        while form and form[-1] == 0:
+            form.pop()
+        common = _gcd_over_q(common, form)
+    return at_x and len(common) == 1
 
 
 # -- the Hilbert-polynomial certificate by its values at 0, 1, 2 -----------

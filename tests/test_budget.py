@@ -1,7 +1,9 @@
 """One step budget per request: the cap bounds the whole computation."""
 
 import inspect
+import itertools
 import time
+from math import gcd
 
 import pytest
 
@@ -106,6 +108,9 @@ LQH_PRODUCT = ("roots", "lqh", "--poly", "x^4*z+5*x^2*y^6*z+4*y^12*z",
 # z + c*x^2 + c^2*y
 LQH_COLON = ("roots", "lqh", "--poly", "2*x^5+2*x^3*y+3*x^3*z+2*x*y*z",
              "--weights", "1,2,2")
+# xyz(x + y + z) under standard weights: z = 0 and x + y + z = 0 pass
+# through singular points, so the certified colon is by z + 2x + 4y
+LQH_STANDARD = ("roots", "lqh", "--poly", "x^2*y*z+x*y^2*z+x*y*z^2")
 
 
 # the moment curve x + k*y + k^2*z, k = 0..11, has x but not y, and this
@@ -121,19 +126,23 @@ DRAW5 = "x-y+2z,-x+3y+2z,3x+2y+2z,x-3y+3z,3y-2z"
 # the arrangements' coefficients pass; the one pass over in(J) and
 # in(J^sat) that H0 and the certificate read; and the tails of in(J) the
 # engine fills.  An arrangement also spends its lattice pairs, its free
-# line's candidates (the points each one is tested against) and the row
-# operations of is_formal's ranks.  The product-shape lqh request
-# saturates to in(J) itself, so it makes no pass
+# line's candidates (the points each one is tested against, up to the
+# first it passes through: 115, 120, 66 and 16 of the four counts) and the
+# row operations of is_formal's ranks.  The product-shape lqh request
+# saturates to in(J) itself, so it makes no pass.  The standard-weights
+# lqh request computes the colon by x + y + z, which the certificate
+# refuses, before the certified one by z + 2x + 4y
 @pytest.mark.parametrize("argv, steps", [
-    (("arrangement", "--forms", oracles.ZIEGLER_F), 1376),
-    (("arrangement", "--forms", oracles.ZIEGLER_G), 1207),
+    (("arrangement", "--forms", oracles.ZIEGLER_F), 1083),
+    (("arrangement", "--forms", oracles.ZIEGLER_G), 919),
     (("arrangement", "--forms", MOMENT12), 3070),
-    (("arrangement", "--forms", DRAW5), 229),
+    (("arrangement", "--forms", DRAW5), 225),
     (LQH, 264),
     (LQH_PRODUCT, 25),
     (LQH_COLON, 148),
+    (LQH_STANDARD, 270),
 ], ids=["ziegler_f", "ziegler_g", "moment12", "draw5", "lqh", "lqh_product",
-        "lqh_colon"])
+        "lqh_colon", "lqh_standard"])
 def test_cold_request_spends_a_pinned_number_of_steps(capsys, budgets, argv,
                                                       steps):
     # pair selection, the pair criteria, the reduction order and the
@@ -239,11 +248,51 @@ def test_rank_spends_one_step_per_row_operation_priced_by_words():
 
 def test_free_line_spends_its_points_per_candidate_line():
     # z + a*x + b*y passes through (1, 0, 0) exactly when a = 0: (0, 0) is
-    # refused, and (-1, 0), the first candidate of height 1, is taken
+    # refused at the first point, and (-1, 0), the first candidate of
+    # height 1, is tested against both and taken
     points = [(1, 0, 0), (0, 0, 1)]
     with step_budget() as budget:
         assert arrangement._free_line(points) == (-1, 0)
-    assert budget.used == 2 * len(points)
+    assert budget.used == 1 + len(points)
+
+
+def box_draw(h, d):
+    """The first d primitive integer normals with entries in [-h, h] and
+    first nonzero entry positive, in itertools.product order, as forms."""
+    normals = [v for v in itertools.product(range(-h, h + 1), repeat=3)
+               if gcd(*v) == 1 and next(e for e in v if e) > 0]
+    return ["%d*x%+d*y%+d*z" % v for v in normals[:d]]
+
+
+def points_tested(points):
+    """(a, b, tests): the line _free_line takes, found by a plain scan of
+    the pairs in its order, and the point tests the scan made, each
+    candidate stopping at the first point its line passes through."""
+    tests = 0
+    for h in itertools.count():
+        ring = sorted(((a, b) for a in range(-h, h + 1)
+                       for b in range(-h, h + 1) if max(abs(a), abs(b)) == h),
+                      key=lambda p: (abs(p[0]) + abs(p[1]), p))
+        for a, b in ring:
+            for px, py, pz in points:
+                tests += 1
+                if pz + a * px + b * py == 0:
+                    break
+            else:
+                return a, b, tests
+
+
+def test_free_line_on_the_box_draw_spends_its_point_tests_under_the_cap():
+    # the (4, 150) box draw has 3,408 points, and its free line (24, 31)
+    # comes after 3,914 refused candidates, most refused within a few
+    # points: a charge of every point per candidate would be 13,342,320
+    # steps, past the default cap
+    points = list(validate(box_draw(4, 150)).lattice)
+    assert len(points) == 3408
+    with step_budget() as budget:
+        a, b = arrangement._free_line(points)
+    assert (a, b, budget.used) == points_tested(points)
+    assert budget.used == 1461361 < groebner.DEFAULT_STEP_CAP
 
 
 def test_graded_engine_spends_for_the_work_it_does():

@@ -338,8 +338,8 @@ def test_weighted_colon_costs_one_buchberger_run(capsys, monkeypatch):
                        "--weights", "1/5,1/2,1/2")
     clear_caches()
     assert code == 0 and "h0.17/10: 2" in out
-    # z^2 vanishes on the points at z = 0: the restriction test refutes
-    # c = 0 before any basis work
+    # under weights other than (1, 1, 1) the loop starts at c = 1, and the
+    # colon by z^2 + x^5 + y^2 is certified
     assert colons == [1]
     assert len(runs) == 1 + len(colons)
     assert built == []
@@ -348,8 +348,9 @@ def test_weighted_colon_costs_one_buchberger_run(capsys, monkeypatch):
 
 def test_every_weighted_colon_is_by_the_moment_form(capsys, monkeypatch):
     # under (1, 2, 2) the block run of the colon packs t*l_c - 1 after the
-    # generators, l_c = z + c*x^2 + c^2*y, for the first c whose colon is
-    # the saturation; z = 0 meets V(J), so c = 0 is refuted before its run
+    # generators, l_c = z + c*x^2 + c^2*y, for the first c >= 1 whose colon
+    # is the saturation: under weights other than (1, 1, 1) no colon by a
+    # power of z is computed
     from bs3 import groebner
     from bs3.polyring import parse_polynomial
     from test_groebner import weighted_colon
@@ -369,11 +370,11 @@ def test_every_weighted_colon_is_by_the_moment_form(capsys, monkeypatch):
     monkeypatch.undo()
     jac = milnor.jacobian_ideal(parse_polynomial(LQH_COLON[3]))
     expect = groebner.buchberger(oracles.saturation_by_columns(jac))
-    # the first c whose colon is the saturation, over c <= 2e, where some
-    # c passes
+    # the first c >= 1 whose colon is the saturation, over 1 <= c <= 2e + 1,
+    # where some c passes
     e = groebner._hilbert_tail(groebner.buchberger(jac).leading_monomials)[1]
     reduced = oracles.reduced_basis(expect)
-    c = next(k for k in range(2 * e + 1) if oracles.reduced_basis(
+    c = next(k for k in range(1, 2 * e + 2) if oracles.reduced_basis(
         weighted_colon(jac, (1, 2, 2), k)) == reduced)
     assert c == 1
     assert forms == [{(0, 0, 0, 0): -1, (1, 0, 0, 1): 1, (1, 2, 0, 0): c,
@@ -408,13 +409,16 @@ def test_failed_saturation_certificate_exits_4(capsys, monkeypatch):
     assert code == 4
     assert out == ""
     assert err.startswith("internal error:") and "Hilbert polynomial" in err
+    # the six double points allow 2 * 6 + 1 values of c, from c = 0
+    assert "with 0 <= c <= 12 " in err
     assert "Traceback" not in err
 
 
 def test_failed_weighted_certificate_exits_4(capsys, monkeypatch):
     # in(J) is not saturated (H0 lives in degrees 1-4), so the loop runs
     # the colons by z + c*x^2 + c^2*y, and with every certificate failing
-    # ends in exit 4
+    # ends in exit 4, naming the values tried: V(J) has at most 2 points,
+    # and under these weights c runs from 1 to 2 * 2 + 1
     from bs3 import groebner
     monkeypatch.setattr(groebner, "_saturation_excess",
                         lambda lms_i, lms_j: None)
@@ -426,6 +430,7 @@ def test_failed_weighted_certificate_exits_4(capsys, monkeypatch):
     assert code == 4
     assert out == ""
     assert err.startswith("internal error:") and "Hilbert polynomial" in err
+    assert "with 1 <= c <= 5 " in err
     assert "Traceback" not in err
 
 

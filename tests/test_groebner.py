@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import count, product
+from itertools import product
 from math import gcd, lcm
 
 import pytest
@@ -560,13 +560,13 @@ def first_line_missing(points):
 
 @pytest.fixture
 def chosen_lines(monkeypatch):
-    """The c of every colon computed, by the division of the cached basis
-    (c = 0) or by elimination, caches cold."""
+    """Every colon computed: "divided" for the division of the cached basis
+    by z, and c for an elimination by l_c, caches cold."""
     chosen = []
     by_z, colon = groebner._saturate_by_z, groebner._weighted_colon
 
     def spy_by_z(gb):
-        chosen.append(0)
+        chosen.append("divided")
         return by_z(gb)
 
     def spy_colon(ideal, weights, c):
@@ -590,14 +590,14 @@ def test_chosen_line_is_first_moment_curve_line_missing_the_lattice(
         assert e == sum((sp.multiplicity - 1) ** 2 for sp in points), name
         c = first_line_missing([sp.vector for sp in points])
         assert c <= 2 * e, name
-        assert [groebner._line_misses(jac, k) for k in range(c + 1)] == \
-            [False] * c + [True], name
         chosen_lines.clear()
         groebner._saturated_cached.cache_clear()
         h0_degree_data(jac, STANDARD)  # as a request reads the saturation
-        # c = 0 divides the cached basis, so the certificate alone refutes
-        # it; every other c through a point is skipped before its colon
-        assert chosen_lines == sorted({0, c}), name
+        # c = 0 divides the cached basis, and each c > 0 is one
+        # elimination; the certificate alone refuses every line through a
+        # singular point, so the colons run from 0 to the first line that
+        # misses them all
+        assert chosen_lines == ["divided"] + list(range(1, c + 1)), name
         assert saturated_leading_monomials(jac, (1, 1, 1))[0] == c, name
 
 
@@ -619,30 +619,34 @@ def reference_calls(monkeypatch):
 
 def test_corpus_saturations_eliminate_only_for_a_certified_c_past_zero(
         reference_calls):
-    # c = 0 divides the cached basis; a c > 0 through a singular point is
-    # skipped before its colon, so one elimination runs, for the certified c
+    # c = 0 divides the cached basis; each c > 0 up to the certified one is
+    # one elimination, so a certified c = 0 eliminates nothing
     certified = set()
     for name, arr in corpus.build_corpus():
         jac = jacobian_ideal(arr.defining_polynomial())
+        c = first_line_missing([sp.vector for sp in singular_points(arr)])
         reference_calls.clear()
         groebner._saturated_cached.cache_clear()
         h0_degree_data(jac, STANDARD)  # as a request reads the saturation
-        c, _ = saturated_leading_monomials(jac, (1, 1, 1))
-        assert reference_calls == ([(jac, (1, 1, 1), c)] if c else []), name
+        assert reference_calls == [(jac, (1, 1, 1), k)
+                                   for k in range(1, c + 1)], name
+        assert saturated_leading_monomials(jac, (1, 1, 1))[0] == c, name
         certified.add(c > 0)
     assert certified == {False, True}
 
 
 def test_hilbert_certificate_rejects_a_line_through_a_singular_point():
-    jac = jacobian_ideal(validate(oracles.ZIEGLER_G.split(",")).
-                         defining_polynomial())
+    arr = validate(oracles.ZIEGLER_G.split(","))
+    jac = jacobian_ideal(arr.defining_polynomial())
     gb = buchberger(jac)
     # z is one of the lines, so it passes through singular points
-    assert not groebner._line_misses(jac, 0)
+    c = first_line_missing([sp.vector for sp in singular_points(arr)])
+    assert 0 < c <= 2 * hilbert_constant(jac)
     by_z = groebner._saturate_by_z(gb)
     assert not certified(gb.leading_monomials, by_z)
-    c = next(k for k in count() if groebner._line_misses(jac, k))
-    assert 0 < c <= 2 * hilbert_constant(jac)
+    for k in range(1, c):
+        assert not certified(gb.leading_monomials,
+                             groebner._weighted_colon(jac, (1, 1, 1), k))
     by_c = groebner._weighted_colon(jac, (1, 1, 1), c)
     assert certified(gb.leading_monomials, by_c)
     expect = buchberger(oracles.saturation_by_columns(jac))
@@ -711,7 +715,7 @@ def weighted_colon(I, weights, c):
 
 
 def test_weighted_jacobians_saturate_by_the_first_certified_colon(
-        reference_calls, monkeypatch):
+        chosen_lines, monkeypatch):
     # the two non-isolated Jacobians under fractional weights; the other
     # weighted cases there are graded by (1, 1, 1) as well.  Every product
     # draw is free: its in(I) is saturated, and no colon is computed
@@ -719,33 +723,33 @@ def test_weighted_jacobians_saturate_by_the_first_certified_colon(
     assert len(cases) == 10
     free = []
     for I, weights in cases:
-        reference_calls.clear()
+        chosen_lines.clear()
         chosen, lms = saturated_leading_monomials(I, weights)
         if chosen is None:
             assert lms == buchberger(I).leading_monomials, I
-            assert reference_calls == [], I
+            assert chosen_lines == [], I
         free.append(chosen is None)
     assert free == [True, False] * 4 + [False, False]
     # with that test off every case runs the colon loop
     monkeypatch.setattr(groebner, "_is_saturated", lambda lms: False)
     for I, weights in cases:
         assert weights != (1, 1, 1), I
-        reference_calls.clear()
+        chosen_lines.clear()
         groebner._saturated_cached.cache_clear()
         chosen, lms = saturated_leading_monomials(I, weights)
-        calls = [k for _, _, k in reference_calls]
         expect = buchberger(oracles.saturation_by_columns(I))
         assert lms == expect.leading_monomials, I
-        # the first c whose colon is the saturation, found by brute force
-        # over c <= 2e, e = dim (R/I)_t for large t, where some c passes
+        # the first c >= 1 whose colon is the saturation, found by brute
+        # force over 1 <= c <= 2e + 1, e = dim (R/I)_t for large t, where
+        # some c passes
         e = groebner._hilbert_tail(buchberger(I).leading_monomials)[1]
         reduced = oracles.reduced_basis(expect)
-        c = next(k for k in range(2 * e + 1) if oracles.reduced_basis(
+        c = next(k for k in range(1, 2 * e + 2) if oracles.reduced_basis(
             weighted_colon(I, weights, k)) == reduced)
         assert chosen == c, I
-        # no colon for a c that the restriction to z = 0 refutes
-        assert calls == [k for k in range(c + 1)
-                         if k or groebner._line_misses(I, 0)], I
+        # one elimination for each c from 1 to the certified one, and no
+        # colon by a power of z
+        assert chosen_lines == list(range(1, c + 1)), I
 
 
 def test_packed_weighted_colon_matches_the_localized_polynomials():
@@ -782,9 +786,10 @@ def test_certificate_rejects_the_form_through_the_points_at_z_zero(
     groebner._saturated_cached.cache_clear()
     c, sat = saturated_leading_monomials(jac, weights)
     assert c == 1 and sat == lms
-    # z^(D/w_z) vanishes on the points of V(I) on z = 0: the restriction
-    # test refutes c = 0, and no colon is computed for it
-    assert not groebner._line_misses(jac, 0)
+    # z^(D/w_z) vanishes on the points of V(I) on z = 0, so the
+    # certificate refuses its colon; under these weights the loop starts at
+    # c = 1 and computes none for c = 0
+    assert not oracles.misses_z_zero(jac)
     assert [k for _, _, k in reference_calls] == list(range(1, c + 1))
     assert not certified(
         lms, weighted_colon(jac, weights, 0).leading_monomials)
@@ -874,10 +879,10 @@ def test_a_saturated_ideal_with_an_unsaturated_initial_ideal_takes_a_colon():
     assert saturated_leading_monomials(moved, (1, 1, 1)) == (None, lms)
 
 
-def test_restriction_to_z_zero_decides_the_first_weighted_colon():
+def test_certificate_passes_the_colon_by_a_power_of_z_iff_z_zero_misses():
     # for dim R/I = 1 the certificate passes the colon by z^(D/w_z) exactly
-    # when z = 0 misses V(I); x*y*(x^3 + y^2 + z^5) has no singular point
-    # at z = 0, the others do
+    # when z = 0 misses V(I), decided by restricting the generators;
+    # x*y*(x^3 + y^2 + z^5) has no singular point at z = 0, the others do
     cases = lqh_jacobians(8, 4) + weighted_h0_cases() + [
         (jacobian_ideal(poly_mul(P("z"), P("x^2 + 2*y^3"),
                                  P("x^2 + 5*y^3"))),
@@ -888,10 +893,26 @@ def test_restriction_to_z_zero_decides_the_first_weighted_colon():
     for I, weights in cases:
         lms = buchberger(I).leading_monomials
         assert groebner._hilbert_tail(lms)[1] is not None, I
-        misses.append(groebner._line_misses(I, 0))
+        misses.append(oracles.misses_z_zero(I))
         assert misses[-1] == certified(
             lms, weighted_colon(I, weights, 0).leading_monomials), I
     assert misses == [False] * (len(cases) - 1) + [True]
+
+
+def test_other_weights_never_compute_the_colon_by_a_power_of_z(
+        chosen_lines):
+    # z = 0 misses V(I) for x*y*(x^3 + y^2 + z^5), so its colon by z^5
+    # would pass the certificate.  Under (10, 15, 6) the loop starts at
+    # c = 1 all the same: l_1 = z^5 + x^3 + y^2 is a factor of f and is
+    # refused, and c = 2 is certified, with the monomials of I^sat
+    I = jacobian_ideal(poly_mul(P("x*y"), P("x^3 + y^2 + z^5")))
+    weights = (10, 15, 6)
+    lms = buchberger(I).leading_monomials
+    assert certified(lms, weighted_colon(I, weights, 0).leading_monomials)
+    c, sat = saturated_leading_monomials(I, weights)
+    assert (c, chosen_lines) == (2, [1, 2])
+    expect = buchberger(oracles.saturation_by_columns(I))
+    assert sat == expect.leading_monomials
 
 
 def test_saturation_refuses_other_than_three_weights(monkeypatch):

@@ -432,8 +432,11 @@ def _length3_relations(arr):
     adjugate of the 3 x 3 normal matrix.  The normals through the point
     span a plane, so the relations among them form an (m - 2)-dimensional
     space; each vector here is the only one nonzero at its k, so together
-    they span that space, as the C(m, 3) triple relations do."""
+    they span that space, as the C(m, 3) triple relations do.  Each vector
+    is d entries long, and spends d steps before it is allocated."""
     forms = arr.forms
+    d = len(forms)
+    budget = _budget()
     relations = []
     for lines in arr.lattice.values():
         i, j = lines[0], lines[1]
@@ -445,7 +448,8 @@ def _length3_relations(arr):
             # u = e_c with w2[c] != 0 gives a relation nonzero at k.
             w2 = _cross(n0, n1)
             c = next(c for c in range(3) if w2[c])
-            vec = [0] * len(forms)
+            budget.spend(d)
+            vec = [0] * d
             vec[i] = _cross(n1, n2)[c]
             vec[j] = _cross(n2, n0)[c]
             vec[k] = w2[c]
@@ -454,10 +458,9 @@ def _length3_relations(arr):
 
 
 def is_formal(arr):
-    """Formal iff length-3 relations span the whole relation space."""
-    target = relation_space_dimension(arr)
-    rels = _length3_relations(arr)
-    return linalg.rank(rels) == target
+    """Formal iff length-3 relations span the whole relation space, whose
+    dimension is d - 3: validate refuses normals of rank below 3."""
+    return linalg.rank(_length3_relations(arr)) == arr.degree - 3
 
 
 def _free_line(points):

@@ -19,14 +19,17 @@ Each request runs inside one step budget (groebner.step_budget), so
   past the first of each of the two coefficients it scales by (the head
   it cancels and the reducer's leading coefficient, or the two leading
   coefficients), so N bounds time also where coefficients grow;
-* the graded engine charges its generators, columns and window degrees,
-  and the pass that lists H0 its generators, column ranges, run columns
-  and degrees;
+* the graded engine charges its generators and degrees before it builds
+  its degree list, and each row's columns before it walks that row; the
+  socle test that decides whether in(I) is saturated charges its
+  generators and each drop it compares; and the pass that lists H0 its
+  generators, column ranges, run columns and degrees;
 * an arrangement charges the line pairs of its intersection lattice,
   when the request first reads it, the points each candidate free line is
-  tested against, up to the first one it passes through, the row
-  operations of the ranks that decide formality, priced by words as a
-  reduction step is, and the term products of its defining polynomial.
+  tested against, up to the first one it passes through, d steps for each
+  length-3 relation vector of its d lines, the row operations of the rank
+  that decides formality, priced by words as a reduction step is, and the
+  term products of its defining polynomial.
 
 Every count is deterministic: the same request spends the same steps on
 every run, so --step-cap N with N the steps a request spends returns its

@@ -7,12 +7,14 @@ list per ideal (groebner._add_corner):
 * H0 = (I : m^infinity)/I has the Hilbert function HF(R/in I) -
   HF(R/in I^sat), so dim H0_t is the number of monomials of in(I^sat)
   outside in(I) of degree t.  groebner._saturation_excess lists them in
-  one pass over both staircases, as runs of z-powers, and h0_degree_data
-  counts them by degree.  No window is needed: the difference is finite,
-  so it lies below the lcm of in(I), and a difference that would repeat
-  past it is the saturation's failed certificate, never a count.  When
-  the saturation returns in(I) itself H0 is empty with no pass; when I is
-  Artinian the runs are the standard monomials of R/in(I).
+  one pass over both staircases, as runs of z-powers; the saturation
+  (groebner._saturate) makes that pass as its certificate and hands the
+  runs on, and h0_degree_data counts them by degree.  No window is
+  needed: the difference is finite, so it lies below the lcm of in(I),
+  and a difference that would repeat past it is the saturation's failed
+  certificate, never a count.  When the saturation returns in(I) itself
+  H0 is empty with no pass; when I is Artinian the runs are the standard
+  monomials of R/in(I).
 * The Hilbert function of R/I^sat is HF(R/I) - H0, read over the memoized
   tail of in(I) (groebner._hilbert_tail), which runs from 0 to
   max(deg lcm - 2, 0) + 2 and holds every H0 degree; from its start on
@@ -24,7 +26,7 @@ list per ideal (groebner._add_corner):
 H0 is read under the weights of the request.  e, H1 and the regularity are
 read under the standard grading, so they refuse an ideal whose generators
 are not homogeneous for (1, 1, 1): the saturation they rest on checks that
-its weights grade the ideal (groebner.saturated_leading_monomials).
+its weights grade the ideal (groebner._saturate).
 """
 
 from __future__ import annotations
@@ -32,8 +34,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .groebner import (_excess_degrees, _hilbert_tail, _saturation_excess,
-                       buchberger, saturated_leading_monomials)
+from .groebner import _excess_degrees, _hilbert_tail, _saturate, buchberger
 from .polyring import (Bs3Error, PreconditionError, WeightSystem,
                        format_ratio, format_rational)
 
@@ -139,16 +140,9 @@ def h0_degree_data(I, w):
         return DegreeData._over(w.denominator, {})
     W, L = w.scaled, w.denominator
     g = gcd(*W)
-    # the saturation refuses weights that do not grade I, and is read under
-    # them (groebner docstring)
-    _, in_sat = saturated_leading_monomials(I, tuple(v // g for v in W))
-    in_i = buchberger(I).leading_monomials
-    if in_sat == in_i:
-        return DegreeData._over(L, {})
-    runs = _saturation_excess(in_i, in_sat)
-    if runs is None:
-        raise Bs3Error("internal inconsistency: check 'finite H0' failed: "
-                       "in(I^sat) has infinitely many monomials outside in(I)")
+    # the saturation refuses weights that do not grade I, is read under
+    # them (groebner docstring), and lists the runs its route found
+    _, _, runs = _saturate(I, tuple(v // g for v in W))
     return DegreeData._over(L, {k: dim for k, dim in
                                 enumerate(_excess_degrees(runs, W)) if dim})
 

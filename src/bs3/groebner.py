@@ -99,9 +99,16 @@ in(I) and in(J) (_saturation_excess), which lists the monomials of in(J)
 outside in(I) as runs of z-powers, or finds them infinite, with no
 window: each staircase is constant past the largest x- and y-exponent of
 the generators, so a monomial of the difference out there repeats
-forever, and a finite difference lies below the lcm of in(I).  Counted
-by weighted degree (_excess_degrees) the runs are H0, and
-HF(R/I^sat) = HF(R/I) - H0 (graded module docstring).
+forever, and a finite difference lies below the lcm of in(I).  Each
+route hands its runs on with the monomials (_saturate): the certified
+colon its certificate's, the Artinian route one pass against (1), and a
+saturated in(I) none.  Counted by weighted degree (_excess_degrees) the
+runs are H0, and HF(R/I^sat) = HF(R/I) - H0 (graded module docstring).
+
+Every staircase read walks the same rows: the generators sorted by their
+x-exponent enter one corner list (_add_corner) as row a reaches them,
+and the engine (_hilbert_function), the socle test (_is_saturated) and
+the excess pass read each row off its corners.
 
 Why the loop ends: when the Hilbert polynomial of R/in(I) is a constant e
 (dim R/I <= 1), e is the degree of the affine curve V(I), so V(I) has at
@@ -128,7 +135,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count
+from itertools import count, groupby
 from math import gcd, lcm
 from operator import itemgetter, mul
 
@@ -153,16 +160,19 @@ def _too_large():
 class _Budget:
     """Steps spent against a cap: a reduction step or an S-pair, one step
     and one more per 64-bit word past the first of each of the two
-    coefficients it scales by (_scaling_steps); a generator, column or
-    degree of the graded engine (_hilbert_function); a generator or
-    column range of the excess pass (_saturation_excess), or a column or
-    degree of the count of its runs (_excess_degrees); or in an
-    arrangement a pair of lines of the lattice, spent on its first read
-    (validate spends none), a point a candidate free line is tested
-    against, up to the first it passes through (_free_line), a row
-    operation of linalg.rank, priced by the words of its two multipliers
-    as a reduction step is, or a term product of the polynomial.  Every
-    count is deterministic."""
+    coefficients it scales by (_scaling_steps); a generator or degree of
+    the graded engine (_hilbert_function), charged before it builds its
+    degree list, or a column, charged row by row before the row is
+    walked; a generator or a compared drop of the socle test
+    (_is_saturated); a generator or column range of the excess pass
+    (_saturation_excess), or a column or degree of the count of its runs
+    (_excess_degrees); or in an arrangement a pair of lines of the
+    lattice, spent on its first read (validate spends none), a point a
+    candidate free line is tested against, up to the first it passes
+    through (_free_line), an entry of a length-3 relation vector, d per
+    vector (_length3_relations), a row operation of linalg.rank, priced by
+    the words of its two multipliers as a reduction step is, or a term
+    product of the polynomial.  Every count is deterministic."""
 
     __slots__ = ("cap", "used")
 
@@ -630,28 +640,25 @@ def _is_saturated(lead_monomials):
     """M : m = M for M generated by the monomials: R/M has no socle
     monomial.  On the staircase of _hilbert_function, x^a y^b z^c is a
     socle monomial exactly when c = low(a, b) - 1 >= 0 and low drops at
-    both a + 1 and b + 1.  low is constant on the cells of the grid of the
-    generators' distinct x- and y-exponents, a prefix minimum of their
-    z-exponents there, and drops only across a grid line, so a cell with a
-    finite low >= 1 above both its +x and +y neighbours is a socle monomial
-    at its far corner.  One step per cell."""
-    xs = sorted({m[0] for m in lead_monomials})
-    ys = sorted({m[1] for m in lead_monomials})
-    _budget().spend(len(xs) * len(ys))
-    top = MAX_DEGREE + 1  # low where no generator divides
-    least = {}
-    for a, b, c in lead_monomials:
-        least[a, b] = min(c, least.get((a, b), top))
-    above = [top] * len(ys)
-    for a in xs:
-        row, run = [], top
-        for j, b in enumerate(ys):
-            run = min(run, least.get((a, b), top))
-            row.append(min(run, above[j]))
-        for j in range(len(ys) - 1):
-            if row[j] < above[j] < top and above[j] > above[j + 1]:
+    both a + 1 and b + 1.  In row a, low drops in y only at a corner
+    (b1, .) past the first, from the previous corner's c, so the candidates
+    are x^a y^(b1 - 1) z^(c - 1); low drops in x only where a generator
+    enters, so a is one below the next row with a new generator, and the
+    candidate is a socle monomial when that row's low at b1 - 1, read with
+    one bisect on its corners, is below c.  One step per generator and
+    one per drop compared."""
+    gens = sorted(lead_monomials)
+    budget = _budget()
+    budget.spend(len(gens))
+    corner_b, corner_c = [], []  # b ascending, c descending
+    for _, row in groupby(gens, itemgetter(0)):
+        drops = list(zip(corner_b[1:], corner_c))
+        for m in row:
+            _add_corner(corner_b, corner_c, m)
+        budget.spend(len(drops))
+        for b1, c in drops:
+            if corner_c[bisect_right(corner_b, b1 - 1) - 1] < c:
                 return False
-        above = row
     return True
 
 
@@ -715,36 +722,32 @@ def _hilbert_function(lead_monomials, top, weights=(1, 1, 1)):
     list once.  Each column (a, b) with low(a, b) > 0 adds one to the
     degrees s, s + w_z, ... of its z-powers below low(a, b), a run kept as
     two entries of a difference array of stride w_z, so the cost is one
-    step per generator, one per column and one per degree.  low(a, b) = 0
-    exactly when a z-free generator divides x^a y^b, so every row's column
-    count is known before the walk, and the budget is charged for every
-    generator, column and degree before the degree list is built.
+    step per generator, one per column and one per degree.  Row a has
+    (top - a*w_x)//w_y + 1 columns of degree at most top, and low(a, b) = 0
+    from the last corner on when that corner is z-free, so its span is the
+    lesser of the two; spans only fall as a grows, and the walk ends at
+    the first that is not positive.  The budget is charged for every
+    generator and degree before the degree list is built, and for each
+    row's span before that row is walked.
     """
     wx, wy, wz = weights
     gens = sorted(lead_monomials)
-    # flat[a]: the least y-exponent of a z-free generator x^a y^b; width:
-    # the least over the x-exponents up to the row's
-    flat = {}
-    for a, b, c in gens:
-        if not c:
-            flat.setdefault(a, b)
-    width = top // wy + 1
-    spans = []
-    for a in range(top // wx + 1):
-        width = min(width, flat.get(a, width))
-        span = min(width, (top - a * wx) // wy + 1)
-        if not span:
-            break  # width only falls as a grows: no column is left
-        spans.append(span)
-    _budget().spend(len(gens) + sum(spans) + max(top + 1, 0))
+    budget = _budget()
+    budget.spend(len(gens) + max(top + 1, 0))
     unbounded = top // wz + 1
     corner_b, corner_c = [], []  # b ascending, c descending
     values = [0] * (top + 1)
     i = 0
-    for a, span in enumerate(spans):
+    for a in count():
         while i < len(gens) and gens[i][0] <= a:
             _add_corner(corner_b, corner_c, gens[i])
             i += 1
+        span = (top - a * wx) // wy + 1
+        if corner_c and not corner_c[-1]:
+            span = min(span, corner_b[-1])
+        if span <= 0:
+            break
+        budget.spend(span)
         b, run = 0, unbounded
         for step_b, step_c in zip(corner_b + [span], corner_c + [0]):
             step_b = min(step_b, span)
@@ -789,7 +792,6 @@ def _stable_from(lead_monomials, t, e):
     return stable == e and all(v == e for v in hf[t:])
 
 
-@lru_cache(maxsize=64)
 def _saturation_excess(lms_i, lms_j):
     """The monomials of in(J) outside in(I), for generators of in(I) and of
     in(J), I in J: a tuple of runs (a, b0, b1, c0, c1), each the monomials
@@ -808,8 +810,7 @@ def _saturation_excess(lms_i, lms_j):
     and below the largest z-exponent of in(I): the lcm of in(J) divides
     that of in(I).  The budget is charged for every generator before the
     walk, and in each row for its column ranges, at most one more than
-    the corners, before they are compared.  Memoized: the saturation's
-    certificate and H0 read the same pass."""
+    the corners, before they are compared."""
     gens = sorted([(m, 0) for m in lms_i] + [(m, 1) for m in lms_j])
     last = gens[-1][0][0]
     budget = _budget()
@@ -918,8 +919,16 @@ def saturated_leading_monomials(ideal, weights):
     docstring).  The weights may be any sequence of three ints, read as a
     tuple; a weight that is not an int (a bool or a float is not), weights
     that are not positive or do not make every generator homogeneous are
-    refused with PreconditionError before any basis work.  Memoized like
-    buchberger."""
+    refused with PreconditionError before any basis work."""
+    return _saturate(ideal, weights)[:2]
+
+
+def _saturate(ideal, weights):
+    """(c, M, runs): saturated_leading_monomials's (c, M), and the runs of
+    the monomials of M outside in(I) (_saturation_excess), which H0 counts:
+    the standard monomials of R/in(I) when I is Artinian, none when in(I)
+    is saturated, and the certificate's own runs when a colon is
+    certified."""
     if ideal.variable_count != 3:
         raise PreconditionError("irrelevant-ideal saturation needs 3 variables")
     weights = tuple(weights)
@@ -928,11 +937,6 @@ def saturated_leading_monomials(ideal, weights):
     if any(w.__class__ is not int for w in weights):
         raise PreconditionError("irrelevant-ideal saturation needs integer "
                                 "weights, got %r" % (weights,))
-    return _saturated_cached(ideal, weights)
-
-
-@lru_cache(maxsize=32)
-def _saturated_cached(ideal, weights):
     if min(weights) <= 0:
         raise PreconditionError("irrelevant-ideal saturation needs positive "
                                 "weights")
@@ -943,9 +947,14 @@ def _saturated_cached(ideal, weights):
     gb = buchberger(ideal)
     lms = gb.leading_monomials
     if _is_artinian(lms):
-        return None, ((0, 0, 0),)
+        runs = _saturation_excess(lms, ((0, 0, 0),))
+        if runs is None:
+            raise Bs3Error("internal inconsistency: check 'finite H0' failed: "
+                           "in(I^sat) has infinitely many monomials outside "
+                           "in(I)")
+        return None, ((0, 0, 0),), runs
     if _is_saturated(lms):
-        return None, lms
+        return None, lms, ()
     _, e = _hilbert_tail(lms)
     # under other weights l_0, a power of z, vanishes on all of z = 0
     first = 0 if weights == (1, 1, 1) else 1
@@ -955,11 +964,11 @@ def _saturated_cached(ideal, weights):
             sat = _saturate_by_z(gb)
         else:
             sat = _weighted_colon(ideal, weights, c)
-        if _saturation_excess(lms, sat) is not None:
-            return c, sat
+        runs = _saturation_excess(lms, sat)
+        if runs is not None:
+            return c, sat, runs
     form = " + ".join(p + str(Polynomial({m: 1}, 3)) for p, m in
                       zip(("", "c*", "c^2*"), _moment_form(weights)))
     raise Bs3Error("internal: no colon by %s with %d <= c <= %d keeps the "
                    "Hilbert polynomial, though V(I) has at most %d points"
                    % (form, first, first + 2 * e, e))
-

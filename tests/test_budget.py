@@ -123,24 +123,26 @@ DRAW5 = "x-y+2z,-x+3y+2z,3x+2y+2z,x-3y+3z,3y-2z"
 
 # each count holds the reduction steps and S-pairs, each one step more per
 # 64-bit word past the first of the two coefficients it scales by, which
-# the arrangements' coefficients pass; the one pass over in(J) and
+# the arrangements' coefficients pass; the socle test of in(J), one step
+# per generator and per drop it compares; the one pass over in(J) and
 # in(J^sat) that H0 and the certificate read; and the tails of in(J) the
 # engine fills.  An arrangement also spends its lattice pairs, its free
 # line's candidates (the points each one is tested against, up to the
-# first it passes through: 115, 120, 66 and 16 of the four counts) and the
-# row operations of is_formal's ranks.  The product-shape lqh request
-# saturates to in(J) itself, so it makes no pass.  The standard-weights
-# lqh request computes the colon by x + y + z, which the certificate
-# refuses, before the certified one by z + 2x + 4y
+# first it passes through: 115, 120, 66 and 16 of the four counts), d per
+# length-3 relation vector (6 * 9 for each Ziegler arrangement, none for
+# the other two) and the row operations of is_formal's rank.  The
+# product-shape lqh request saturates to in(J) itself, so it makes no
+# pass.  The standard-weights lqh request computes the colon by x + y + z,
+# which the certificate refuses, before the certified one by z + 2x + 4y
 @pytest.mark.parametrize("argv, steps", [
-    (("arrangement", "--forms", oracles.ZIEGLER_F), 1083),
-    (("arrangement", "--forms", oracles.ZIEGLER_G), 919),
-    (("arrangement", "--forms", MOMENT12), 3070),
-    (("arrangement", "--forms", DRAW5), 225),
-    (LQH, 264),
-    (LQH_PRODUCT, 25),
-    (LQH_COLON, 148),
-    (LQH_STANDARD, 270),
+    (("arrangement", "--forms", oracles.ZIEGLER_F), 1045),
+    (("arrangement", "--forms", oracles.ZIEGLER_G), 891),
+    (("arrangement", "--forms", MOMENT12), 2883),
+    (("arrangement", "--forms", DRAW5), 200),
+    (LQH, 256),
+    (LQH_PRODUCT, 13),
+    (LQH_COLON, 143),
+    (LQH_STANDARD, 264),
 ], ids=["ziegler_f", "ziegler_g", "moment12", "draw5", "lqh", "lqh_product",
         "lqh_colon", "lqh_standard"])
 def test_cold_request_spends_a_pinned_number_of_steps(capsys, budgets, argv,
@@ -208,8 +210,10 @@ def test_arrangement_spends_per_pair_and_per_term_product():
 
 def test_a_cap_one_below_the_request_ends_inside_is_formal(capsys, budgets,
                                                           monkeypatch):
-    # the row operations of is_formal's ranks are the last steps an
-    # arrangement request spends
+    # the relation vectors and the row operations of is_formal's rank are
+    # the last steps an arrangement request spends; the braid arrangement
+    # has four triple points, so is_formal spends steps on it, where a
+    # generic one such as DRAW5 has no length-3 relation and spends none
     seen = []
     check = arrangement.is_formal
 
@@ -222,7 +226,7 @@ def test_a_cap_one_below_the_request_ends_inside_is_formal(capsys, budgets,
             raise
 
     monkeypatch.setattr(arrangement, "is_formal", spy)
-    argv = ("arrangement", "--forms", DRAW5)
+    argv = ("arrangement", "--forms", oracles.BRAID)
     code, _, _ = run(capsys, *argv)
     assert code == 0
     total = budgets[0].used
@@ -254,6 +258,20 @@ def test_free_line_spends_its_points_per_candidate_line():
     with step_budget() as budget:
         assert arrangement._free_line(points) == (-1, 0)
     assert budget.used == 1 + len(points)
+
+
+def test_length3_relations_spend_d_steps_per_vector():
+    # the braid arrangement's four triple points each give one relation
+    # vector of its d = 6 lines, and their rank, d - 3 = 3, takes three row
+    # operations
+    arr = validate(oracles.BRAID.split(","))
+    arr.lattice
+    with step_budget() as budget:
+        assert len(arrangement._length3_relations(arr)) == 4
+    assert budget.used == 4 * 6
+    with step_budget() as budget:
+        assert arrangement.is_formal(arr)
+    assert budget.used == 4 * 6 + 3
 
 
 def box_draw(h, d):
@@ -293,6 +311,16 @@ def test_free_line_on_the_box_draw_spends_its_point_tests_under_the_cap():
         a, b = arrangement._free_line(points)
     assert (a, b, budget.used) == points_tested(points)
     assert budget.used == 1461361 < groebner.DEFAULT_STEP_CAP
+
+
+def test_length3_relations_on_the_box_draw_spend_under_the_cap():
+    # the (4, 150) box draw has 2,437 relation vectors, each 150 entries
+    arr = validate(box_draw(4, 150))
+    arr.lattice
+    with step_budget() as budget:
+        relations = arrangement._length3_relations(arr)
+    assert len(relations) == 2437
+    assert budget.used == 2437 * 150 < groebner.DEFAULT_STEP_CAP
 
 
 def test_graded_engine_spends_for_the_work_it_does():
@@ -394,4 +422,3 @@ def test_basis_caches_key_on_the_mathematical_input():
         return list(inspect.signature(cached.__wrapped__).parameters)
 
     assert parameters(groebner._buchberger_cached) == ["ideal"]
-    assert parameters(groebner._saturated_cached) == ["ideal", "weights"]

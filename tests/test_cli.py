@@ -404,7 +404,6 @@ def test_failed_saturation_certificate_exits_4(capsys, monkeypatch):
     from bs3 import groebner
     monkeypatch.setattr(groebner, "_saturation_excess",
                         lambda lms_i, lms_j: None)
-    groebner._saturated_cached.cache_clear()
     code, out, err = run(capsys, "arrangement", "--forms", "x,y,z,x+y+z")
     assert code == 4
     assert out == ""
@@ -422,11 +421,9 @@ def test_failed_weighted_certificate_exits_4(capsys, monkeypatch):
     from bs3 import groebner
     monkeypatch.setattr(groebner, "_saturation_excess",
                         lambda lms_i, lms_j: None)
-    groebner._saturated_cached.cache_clear()
     code, out, err = run(capsys, "roots", "lqh", "--poly",
                          "2*x^5+2*x^3*y+3*x^3*z+2*x*y*z",
                          "--weights", "1,2,2")
-    groebner._saturated_cached.cache_clear()
     assert code == 4
     assert out == ""
     assert err.startswith("internal error:") and "Hilbert polynomial" in err
@@ -495,12 +492,18 @@ def test_reports_match_the_frozen_text(capsys):
         assert strip_timing(out) == "\n".join(lines), argv
 
 
+def wrong_colon(monkeypatch, lms):
+    """Pass the leading monomials lms off as the colon by z, the first the
+    saturation tries under standard weights, and send the Artinian Fermat
+    cubic's Jacobian down the colon route, so the certificate's pass reads
+    them against in(J) = (x^2, y^2, z^2)."""
+    from bs3 import groebner
+    monkeypatch.setattr(groebner, "_is_artinian", lambda lms: False)
+    monkeypatch.setattr(groebner, "_saturate_by_z", lambda gb: lms)
+
+
 def test_saturation_smaller_than_the_ideal_exits_4(capsys, monkeypatch):
-    from bs3 import graded
-    from bs3.groebner import Ideal, buchberger
-    monkeypatch.setattr(graded, "saturated_leading_monomials",
-                        lambda I, w: (0, buchberger(
-                            Ideal(I.generators[:1])).leading_monomials))
+    wrong_colon(monkeypatch, ((2, 0, 0),))
     code, out, err = run(capsys, "milnor", "--poly", "x^3+y^3+z^3")
     assert code == 4
     assert out == ""
@@ -513,9 +516,7 @@ def test_saturation_missing_a_monomial_of_the_ideal_exits_4(capsys,
     # (x, y, z^3) misses z^2 of in(J) = (x^2, y^2, z^2), though R/(x, y, z^3)
     # is no larger in any degree: a degreewise difference would read a
     # nonnegative H0, the pass finds the monomial
-    from bs3 import graded
-    monkeypatch.setattr(graded, "saturated_leading_monomials",
-                        lambda I, w: (0, ((0, 0, 3), (0, 1, 0), (1, 0, 0))))
+    wrong_colon(monkeypatch, ((0, 0, 3), (0, 1, 0), (1, 0, 0)))
     code, out, err = run(capsys, "milnor", "--poly", "x^3+y^3+z^3")
     assert code == 4
     assert out == ""
@@ -530,8 +531,8 @@ def test_hilbert_value_above_its_limit_exits_4(capsys, monkeypatch):
     # function reaches 7 there against the limit 6
     from bs3 import graded
     from bs3.groebner import buchberger
-    monkeypatch.setattr(graded, "saturated_leading_monomials",
-                        lambda I, w: (0, buchberger(I).leading_monomials))
+    monkeypatch.setattr(graded, "_saturate",
+                        lambda I, w: (0, buchberger(I).leading_monomials, ()))
     code, out, err = run(capsys, "arrangement", "--forms", "x,y,z,x+y+z")
     assert code == 4
     assert out == ""

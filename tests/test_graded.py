@@ -7,7 +7,7 @@ from math import gcd
 
 import pytest
 
-from bs3 import arrangement, cli, groebner
+from bs3 import arrangement, cli, graded, groebner
 from bs3.graded import (DegreeData, _saturation_hilbert, h0_degree_data,
                         regularity_report)
 from bs3.groebner import (Ideal, _hilbert_function, _lcm_degree, buchberger,
@@ -247,8 +247,8 @@ def test_excess_pass_lists_the_monomials_of_in_j_outside_in_i():
         "braid"])
 def test_request_calls_the_graded_engine_a_pinned_number_of_times(
         capsys, monkeypatch, argv, calls):
-    # H0, the certificate and HF(R/I^sat) read one memoized pass over in(J)
-    # and in(J^sat), so the engine fills no H0 window and no tail of
+    # H0, the certificate and HF(R/I^sat) read one pass over in(J) and
+    # in(J^sat), so the engine fills no H0 window and no tail of
     # in(J^sat): only the tails of in(J) that a request needs
     seen = []
     engine = groebner._hilbert_function
@@ -319,6 +319,57 @@ def test_h0_of_saturated_ideal_is_empty():
     data = h0_degree_data(ideal("x"), W1)
     assert data.is_empty()
     assert data.entries == {}
+
+
+@pytest.fixture
+def saturation_events(monkeypatch):
+    """Each colon the saturation computes, by its c ("divided" for the
+    division by z), and each excess pass, "pass", in the order they ran.
+    The pass is spied on in graded too, where H0 once re-read it."""
+    events = []
+    by_z, colon = groebner._saturate_by_z, groebner._weighted_colon
+    excess = groebner._saturation_excess
+
+    def spy_by_z(gb):
+        events.append("divided")
+        return by_z(gb)
+
+    def spy_colon(ideal, weights, c):
+        events.append(c)
+        return colon(ideal, weights, c)
+
+    def spy_excess(lms_i, lms_j):
+        events.append("pass")
+        return excess(lms_i, lms_j)
+
+    monkeypatch.setattr(groebner, "_saturate_by_z", spy_by_z)
+    monkeypatch.setattr(groebner, "_weighted_colon", spy_colon)
+    for module in (groebner, graded):
+        monkeypatch.setattr(module, "_saturation_excess", spy_excess,
+                            raising=False)
+    return events
+
+
+@pytest.mark.parametrize("poly, weights, events, h0", [
+    # xyz(x + y + z): z = 0 and x + y + z = 0 pass through singular points,
+    # and the colon by z + 2x + 4y is certified
+    ("x^2*y*z+x*y^2*z+x*y*z^2", (1, 1, 1),
+     ["divided", "pass", 1, "pass", 2, "pass"], {3: 1}),
+    # the colons by z + c*x^2 + c^2*y start at c = 1, which is certified
+    ("2*x^5+2*x^3*y+3*x^3*z+2*x*y*z", (1, 2, 2), [1, "pass"],
+     {1: 1, 2: 1, 3: 1, 4: 1}),
+    # Artinian: the runs are the standard monomials of R/in(J)
+    ("x^3+y^3+z^3", (1, 1, 1), ["pass"], {0: 1, 1: 3, 2: 3, 3: 1}),
+    # a free product: in(J) is saturated, and H0 is empty with no pass
+    ("x^4*z+5*x^2*y^6*z+4*y^12*z", (3, 1, 1), [], {}),
+], ids=["colon_standard", "colon_weighted", "artinian", "saturated"])
+def test_h0_counts_the_runs_of_the_one_saturation_pass(
+        saturation_events, poly, weights, events, h0):
+    # each colon tried is certified or refused by one pass, and H0 counts
+    # the runs of the certified one, with no pass after it
+    data = h0_degree_data(jacobian_ideal(P(poly)), WeightSystem(weights))
+    assert saturation_events == events
+    assert data.entries == h0
 
 
 def test_h0_weighted_grading():

@@ -575,9 +575,7 @@ def chosen_lines(monkeypatch):
 
     monkeypatch.setattr(groebner, "_saturate_by_z", spy_by_z)
     monkeypatch.setattr(groebner, "_weighted_colon", spy_colon)
-    groebner._saturated_cached.cache_clear()
     yield chosen
-    groebner._saturated_cached.cache_clear()
 
 
 def test_chosen_line_is_first_moment_curve_line_missing_the_lattice(
@@ -591,7 +589,6 @@ def test_chosen_line_is_first_moment_curve_line_missing_the_lattice(
         c = first_line_missing([sp.vector for sp in points])
         assert c <= 2 * e, name
         chosen_lines.clear()
-        groebner._saturated_cached.cache_clear()
         h0_degree_data(jac, STANDARD)  # as a request reads the saturation
         # c = 0 divides the cached basis, and each c > 0 is one
         # elimination; the certificate alone refuses every line through a
@@ -612,9 +609,7 @@ def reference_calls(monkeypatch):
         return colon(*args, **kwargs)
 
     monkeypatch.setattr(groebner, "_weighted_colon", spy)
-    groebner._saturated_cached.cache_clear()
     yield calls
-    groebner._saturated_cached.cache_clear()
 
 
 def test_corpus_saturations_eliminate_only_for_a_certified_c_past_zero(
@@ -626,7 +621,6 @@ def test_corpus_saturations_eliminate_only_for_a_certified_c_past_zero(
         jac = jacobian_ideal(arr.defining_polynomial())
         c = first_line_missing([sp.vector for sp in singular_points(arr)])
         reference_calls.clear()
-        groebner._saturated_cached.cache_clear()
         h0_degree_data(jac, STANDARD)  # as a request reads the saturation
         assert reference_calls == [(jac, (1, 1, 1), k)
                                    for k in range(1, c + 1)], name
@@ -735,7 +729,6 @@ def test_weighted_jacobians_saturate_by_the_first_certified_colon(
     for I, weights in cases:
         assert weights != (1, 1, 1), I
         chosen_lines.clear()
-        groebner._saturated_cached.cache_clear()
         chosen, lms = saturated_leading_monomials(I, weights)
         expect = buchberger(oracles.saturation_by_columns(I))
         assert lms == expect.leading_monomials, I
@@ -783,7 +776,6 @@ def test_certificate_rejects_the_form_through_the_points_at_z_zero(
     assert reference_calls == []
     # with that test off, the colon loop
     monkeypatch.setattr(groebner, "_is_saturated", lambda lms: False)
-    groebner._saturated_cached.cache_clear()
     c, sat = saturated_leading_monomials(jac, weights)
     assert c == 1 and sat == lms
     # z^(D/w_z) vanishes on the points of V(I) on z = 0, so the
@@ -819,14 +811,29 @@ def test_saturated_monomial_test_matches_the_box_search():
     ideals += [buchberger(I).leading_monomials for I in jacobians]
     verdicts = set()
     for lms in ideals:
-        want = oracles.socle_monomial_by_box(lms) is None
+        socle = oracles.socle_monomial_by_box(lms)
         with step_budget() as budget:
-            assert groebner._is_saturated(lms) == want, lms
-        # one step per cell of the grid of distinct x- and y-exponents
-        assert budget.used == (len({m[0] for m in lms})
-                               * len({m[1] for m in lms})), lms
-        verdicts.add(want)
+            assert groebner._is_saturated(lms) == (socle is None), lms
+        # one step per generator, and one per drop of row a - 1 compared for
+        # each x-exponent a of a generator, up to the row past the socle
+        # monomial's, the first the box search finds: that row's staircase
+        # has a corner per minimal (y, z) pair of the generators at or
+        # below it, and a drop at each corner past the first
+        last = socle[0] + 1 if socle else max((m[0] for m in lms), default=0)
+        drops = sum(max(len(row_corners(lms, a - 1)) - 1, 0)
+                    for a in {m[0] for m in lms} if a <= last)
+        assert budget.used == len(lms) + drops, lms
+        verdicts.add(socle is None)
     assert verdicts == {False, True}
+
+
+def row_corners(lms, a):
+    """The minimal (y, z) exponent pairs of the monomials with x-exponent
+    at most a."""
+    pairs = {m[1:] for m in lms if m[0] <= a}
+    return [p for p in pairs
+            if not any(q != p and q[0] <= p[0] and q[1] <= p[1]
+                       for q in pairs)]
 
 
 def test_free_product_draws_read_the_saturation_off_one_basis(monkeypatch):
@@ -849,7 +856,6 @@ def test_free_product_draws_read_the_saturation_off_one_basis(monkeypatch):
     for seed in range(20):
         for n, (I, weights) in enumerate(lqh_jacobians(seed, 4)):
             groebner._buchberger_cached.cache_clear()
-            groebner._saturated_cached.cache_clear()
             runs.clear()
             colons.clear()
             c, lms = saturated_leading_monomials(I, weights)
@@ -916,8 +922,8 @@ def test_other_weights_never_compute_the_colon_by_a_power_of_z(
 
 
 def test_saturation_refuses_other_than_three_weights(monkeypatch):
-    # refused before the memoized saturation, so before any basis work
-    monkeypatch.setattr(groebner, "_saturated_cached", None)
+    # refused before any basis work
+    monkeypatch.setattr(groebner, "buchberger", None)
     for weights in ((1, 1), (1, 1, 1, 1)):
         with pytest.raises(PreconditionError, match="needs 3 weights"):
             saturated_leading_monomials(jacobian_ideal(P("x*y*z")), weights)
@@ -925,8 +931,8 @@ def test_saturation_refuses_other_than_three_weights(monkeypatch):
 
 def test_saturation_reads_a_weight_list_and_refuses_other_weight_types(
         monkeypatch):
-    # a list is read as its tuple, so both share one cache entry; a weight
-    # that is not an int is refused before the cache and any basis work
+    # a list is read as its tuple, so both share one cached basis; a weight
+    # that is not an int is refused before any basis work
     runs = []
     int_run = groebner._buchberger_int
 
@@ -937,7 +943,6 @@ def test_saturation_reads_a_weight_list_and_refuses_other_weight_types(
     monkeypatch.setattr(groebner, "_buchberger_int", spy)
     I, weights = lqh_jacobians(8, 4)[0]
     groebner._buchberger_cached.cache_clear()
-    groebner._saturated_cached.cache_clear()
     for bad in ((1.5, 1, 1), (True, 1, 1), (1, 1, Fraction(2)), ("1", 1, 1)):
         with pytest.raises(PreconditionError, match="needs integer weights"):
             saturated_leading_monomials(I, bad)
@@ -948,7 +953,6 @@ def test_saturation_reads_a_weight_list_and_refuses_other_weight_types(
     assert saturated_leading_monomials(I, weights) == got
     assert runs == []
     groebner._buchberger_cached.cache_clear()
-    groebner._saturated_cached.cache_clear()
 
 
 def test_certificate_passes_as_the_hilbert_polynomials_at_0_1_2_agree():

@@ -336,14 +336,25 @@ def _indecomposable(normals):
     return True
 
 
+def _require_essential(normals):
+    """Refuse pairwise non-parallel normals of rank below 3: fewer than
+    three span at most a plane, and of three or more, w = n0 x n1 is not 0,
+    so they span rank 3 iff some normal has w.n != 0."""
+    if len(normals) >= 3:
+        w0, w1, w2 = _cross(normals[0], normals[1])
+        if any(w0 * a + w1 * b + w2 * c for a, b, c in normals):
+            return
+    raise PreconditionError("not essential: normals span rank 2 < 3")
+
+
 def validate(forms):
     """Check reduced + central + essential + indecomposable; raise otherwise.
 
-    Essential: past the duplicate test the normals are pairwise
-    non-parallel, so w = n0 x n1 is not 0 and they span rank 3 iff some
-    normal has w.n != 0, else rank 2.  Indecomposable is read from three
-    candidate points (_indecomposable), so validate spends no step and
-    builds no lattice: the returned Arrangement builds it when read."""
+    Essential is tested in O(d) once the duplicate test has made the
+    normals pairwise non-parallel (_require_essential).  Indecomposable is
+    read from three candidate points (_indecomposable), so validate spends
+    no step and builds no lattice: the returned Arrangement builds it when
+    read."""
     forms = [f if isinstance(f, LinearForm) else LinearForm.parse(f)
              for f in forms]
     if len(forms) < 3:
@@ -353,10 +364,9 @@ def validate(forms):
         if f.normal in seen:
             raise PreconditionError("not reduced: duplicate form %s" % f)
         seen.add(f.normal)
-    w0, w1, w2 = _cross(forms[0].normal, forms[1].normal)
-    if not any(w0 * a + w1 * b + w2 * c for a, b, c in seen):
-        raise PreconditionError("not essential: normals span rank 2 < 3")
-    if not _indecomposable([f.normal for f in forms]):
+    normals = [f.normal for f in forms]
+    _require_essential(normals)
+    if not _indecomposable(normals):
         raise PreconditionError("decomposable: the forms split into blocks "
                                 "using disjoint coordinates")
     return Arrangement(forms)
@@ -459,8 +469,13 @@ def _length3_relations(arr):
 
 def is_formal(arr):
     """Formal iff length-3 relations span the whole relation space, whose
-    dimension is d - 3: validate refuses normals of rank below 3."""
-    return linalg.rank(_length3_relations(arr)) == arr.degree - 3
+    dimension is d - 3 for essential normals.  An arrangement built without
+    validate may not be essential, and is refused as validate refuses it;
+    the relations read the lattice first, which refuses duplicate forms,
+    so the normals are pairwise non-parallel when that test reads them."""
+    relations = _length3_relations(arr)
+    _require_essential([f.normal for f in arr.forms])
+    return linalg.rank(relations) == arr.degree - 3
 
 
 def _free_line(points):

@@ -48,6 +48,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from math import gcd
 
 from . import arrangement as arr_mod
 from . import bsroots, milnor
@@ -171,14 +172,23 @@ def _parse_rational(text):
         raise ParseError("malformed rational %r" % text, 0)
 
 
+def _ratios(numerators, D):
+    """format_ratio(n, D) for each int n, D > 0: n/D is (n/g)/(D/g) for
+    g = gcd(n, D), so each text is str(n // g) and a "/q" suffix built once
+    per divisor g, empty when g = D."""
+    gs = [gcd(n, D) for n in numerators]
+    suffixes = {g: "/%d" % (D // g) for g in set(gs)}
+    suffixes[D] = ""
+    return [str(n // g) + suffixes[g] for n, g in zip(numerators, gs)]
+
+
 def _roots(root_set):
-    D = root_set.denominator
-    return [format_ratio(n, D) for n in root_set.numerators]
+    return _ratios(root_set.numerators, root_set.denominator)
 
 
 def _degree_table(data):
-    L = data.denominator
-    return {format_ratio(k, L): dim for k, dim in data.scaled.items()}
+    scaled = data.scaled
+    return dict(zip(_ratios(scaled, data.denominator), scaled.values()))
 
 
 def _profile_fields(prof):
@@ -291,27 +301,41 @@ def render_text(report):
         if isinstance(value, dict):
             if not value:
                 lines.append("%s: (none)" % key)
-            for sub, v in value.items():
-                # the ints of a degree table print as they are
-                if v.__class__ is not int:
-                    v = _scalar(v)
-                lines.append("%s.%s: %s" % (key, sub, v))
+            # the ints of a degree table print as they are
+            lines += ["%s.%s: %s" % (key, sub, v if v.__class__ is int
+                                     else _scalar(v))
+                      for sub, v in value.items()]
         elif isinstance(value, list):
             items = [v if isinstance(v, str) else _scalar(v) for v in value]
-            if any("," in item for item in items):
-                for i, item in enumerate(items):
-                    lines.append("%s[%d]: %s" % (key, i, item))
+            joined = ", ".join(items)
+            # the separators put len(items) - 1 commas in the joined text,
+            # and any other comma is inside an item
+            if items and joined.count(",") != len(items) - 1:
+                lines += ["%s[%d]: %s" % (key, i, item)
+                          for i, item in enumerate(items)]
             else:
-                lines.append("%s: %s" % (key, ", ".join(items) or "(none)"))
+                lines.append("%s: %s" % (key, joined or "(none)"))
         else:
             lines.append("%s: %s" % (key, _scalar(value)))
     return "\n".join(lines) + "\n"
 
 
+def _parse_args(argv):
+    """The namespace of argv.  An argv whose first word names a subcommand
+    goes straight to that subcommand's parser, the one _PARSER hands the
+    rest of it to, with the command set as _PARSER sets it; any other argv
+    (no command, an unknown one, a top-level option) goes through
+    _PARSER."""
+    argv = _join_values(argv)
+    parser = _COMMANDS.get(argv[0]) if argv else None
+    if parser is None:
+        return _PARSER.parse_args(argv)
+    return parser.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+
+
 def main(argv=None):
     try:
-        args = _PARSER.parse_args(
-            _join_values(sys.argv[1:] if argv is None else argv))
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
     except _UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return 1

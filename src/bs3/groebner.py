@@ -115,12 +115,14 @@ Why the loop ends: when the Hilbert polynomial of R/in(I) is a constant e
 most e points in weighted P^2.  l_c vanishes at a point p for the roots c
 of p_z^a + c*p_x^b + c^2*p_y^d only, at most two, so among any 2e + 1
 values of c one passes: c <= 2e under standard weights, c <= 2e + 1 under
-others.  The certificate alone decides each c.  A point p of V(I) on the
-curve l_c = 0 is a minimal prime of I^sat that contains l_c, so the colon
-drops it, its Hilbert polynomial is smaller, in(J) holds infinitely many
-monomials outside in(I) and the certificate rejects it; a curve that
-misses V(I) gives J = I^sat, which it passes.  So the certified c is the
-first one tried whose curve misses V(I).
+others.  e is read only once c passes first + 2, first the c the loop
+starts at: on this route e >= 1, so the first three c lie within the
+bound (_saturate).  The certificate alone decides each c.  A point p of
+V(I) on the curve l_c = 0 is a minimal prime of I^sat that contains
+l_c, so the colon drops it, its Hilbert polynomial is smaller, in(J)
+holds infinitely many monomials outside in(I) and the certificate
+rejects it; a curve that misses V(I) gives J = I^sat, which it passes.
+So the certified c is the first one tried whose curve misses V(I).
 When dim R/I = 2, each of the finitely many associated primes of I^sat
 other than m contains l_c for at most two values of c (three would put a
 power of every variable in it), so the loop still ends, and the request's
@@ -502,7 +504,10 @@ def _buchberger_int(triples, pk, budget, tail=None):
     and forms a different lcm with each of its two elements (B).  An
     element whose leading monomial the new one divides leaves play: it
     forms no further pairs.  Pairs are taken by least degree, then least
-    lcm.  A new pair's lcm is checked against the guard bits unless its
+    lcm.  The waiting pairs (degree, lcm, i, j) are distinct and totally
+    ordered, so they pop in the same order however the heap was built: it
+    is rebuilt only when B drops a pair, and otherwise each new pair is
+    pushed.  A new pair's lcm is checked against the guard bits unless its
     leading monomials are coprime; a coprime pair whose lcm does not fit
     is dropped unchecked and never compared.  Every lcm the B criterion
     forms divides a checked one.
@@ -533,9 +538,10 @@ def _buchberger_int(triples, pk, budget, tail=None):
     def update(h):
         t, b = len(basis), h[0]
         groups = {}  # lcm -> (first element in play, coprime pair seen)
+        mine = {}  # element in play -> lcm of its leading monomial and b
         for i in play:
             a = basis[i][0]
-            lcm = lcm_of(a, b)
+            lcm = mine[i] = lcm_of(a, b)
             coprime = lcm == a + b
             if lcm & G:
                 if coprime:
@@ -548,16 +554,25 @@ def _buchberger_int(triples, pk, budget, tail=None):
         kept = []
         for lcm in sorted(groups):
             lg = lcm | G
-            if not any((lg - m) & G == G for m in kept):
+            for m in kept:
+                if (lg - m) & G == G:
+                    break
+            else:
                 kept.append(lcm)
+        # B reads the lcms with b kept above, and forms only those of
+        # elements that left play
         waiting = [p for p in heap
                    if ((p[1] | G) - b) & G != G
-                   or lcm_of(basis[p[2]][0], b) == p[1]
-                   or lcm_of(basis[p[3]][0], b) == p[1]]
-        waiting += [(degree(lcm), lcm, groups[lcm][0], t) for lcm in kept
-                    if not groups[lcm][1]]
-        heap[:] = waiting
-        heapq.heapify(heap)
+                   or (mine.get(p[2]) or lcm_of(basis[p[2]][0], b)) == p[1]
+                   or (mine.get(p[3]) or lcm_of(basis[p[3]][0], b)) == p[1]]
+        new = [(degree(lcm), lcm, groups[lcm][0], t) for lcm in kept
+               if not groups[lcm][1]]
+        if len(waiting) < len(heap):
+            heap[:] = waiting + new
+            heapq.heapify(heap)
+        else:
+            for p in new:
+                heapq.heappush(heap, p)
         play[:] = [i for i in play if ((basis[i][0] | G) - b) & G != G]
         play.append(t)
         basis.append(h)
@@ -928,7 +943,17 @@ def _saturate(ideal, weights):
     the monomials of M outside in(I) (_saturation_excess), which H0 counts:
     the standard monomials of R/in(I) when I is Artinian, none when in(I)
     is saturated, and the certificate's own runs when a colon is
-    certified."""
+    certified.
+
+    The colon loop reads e, the constant Hilbert polynomial of R/in(I)
+    that bounds it by c <= first + 2e (module docstring), only once c
+    passes first + 2.  It needs no e before: the colon route is reached
+    only when in(I) is neither Artinian nor saturated, so dim R/I >= 1,
+    and a constant Hilbert polynomial is then e >= 1, so first, first + 1
+    and first + 2 all lie within first + 2e.  When e is None (dim R/I = 2)
+    the loop has no bound, and the request's step budget ends it.  Most
+    colons pass at c = first or first + 1, and then the memoized tail of
+    in(I) is computed only if another caller reads it."""
     if ideal.variable_count != 3:
         raise PreconditionError("irrelevant-ideal saturation needs 3 variables")
     weights = tuple(weights)
@@ -955,11 +980,14 @@ def _saturate(ideal, weights):
         return None, ((0, 0, 0),), runs
     if _is_saturated(lms):
         return None, lms, ()
-    _, e = _hilbert_tail(lms)
     # under other weights l_0, a power of z, vanishes on all of z = 0
     first = 0 if weights == (1, 1, 1) else 1
-    tried = range(first, first + 2 * e + 1) if e is not None else count(first)
-    for c in tried:
+    e = None
+    for c in count(first):
+        if c == first + 3:
+            _, e = _hilbert_tail(lms)
+        if e is not None and c > first + 2 * e:
+            break
         if c == 0:
             sat = _saturate_by_z(gb)
         else:

@@ -409,12 +409,15 @@ def length3_row_counts(forms):
     assert len(ours) == sum(len(lines) - 2 for lines in arr.lattice.values())
     assert rank(ours) == rank(every)
     # is_formal reads the relation space's dimension as d - 3, which holds
-    # for the essential arrangements validate passes: a pencil's normals
-    # have rank 2, and it is not asked
+    # for essential arrangements; a pencil's normals have rank 2, and it is
+    # refused as validate refuses it
     essential = relation_space_dimension(arr) == len(forms) - 3
     if essential:
         assert is_formal(arr) == (rank(every)
                                   == relation_space_dimension(arr))
+    else:
+        with pytest.raises(PreconditionError, match="not essential"):
+            is_formal(arr)
     return len(ours), len(every), essential
 
 
@@ -513,6 +516,19 @@ def test_relation_space_dimension():
     assert relation_space_dimension(validate(oracles.GENERIC4.split(","))) \
         == 1
     assert relation_space_dimension(validate(oracles.BRAID.split(","))) == 3
+
+
+def test_is_formal_refuses_a_pencil_built_without_validate():
+    # normals of rank 2: the relation space has dimension 1, not d - 3 = 0,
+    # so is_formal refuses the arrangement as validate does, where it read
+    # a formal pencil as not formal
+    forms = [LinearForm.parse(t) for t in ("x + y", "y - z", "x - y + 2z")]
+    with pytest.raises(PreconditionError) as refused:
+        validate(forms)
+    with pytest.raises(PreconditionError) as also:
+        is_formal(Arrangement(forms))
+    assert str(also.value) == str(refused.value)
+    assert relation_space_dimension(Arrangement(forms)) == 1
 
 
 def test_formality():

@@ -126,9 +126,11 @@ DRAW5 = "x-y+2z,-x+3y+2z,3x+2y+2z,x-3y+3z,3y-2z"
 # the arrangements' coefficients pass; the socle test of in(J), one step
 # per generator and per drop it compares; the one pass over in(J) and
 # in(J^sat) that H0 and the certificate read; and the tails of in(J) the
-# engine fills.  An arrangement also spends its lattice pairs, its free
-# line's candidates (the points each one is tested against, up to the
-# first it passes through: 115, 120, 66 and 16 of the four counts), d per
+# engine fills, which the lqh colon loop reads only once c passes its
+# first three values, so none of these counts holds one.  An arrangement
+# also spends its lattice pairs, its free line's candidates (the points
+# each one is tested against, up to the first it passes through: 115,
+# 120, 66 and 16 of the four counts), d per
 # length-3 relation vector (6 * 9 for each Ziegler arrangement, none for
 # the other two) and the row operations of is_formal's rank.  The
 # product-shape lqh request saturates to in(J) itself, so it makes no
@@ -139,10 +141,10 @@ DRAW5 = "x-y+2z,-x+3y+2z,3x+2y+2z,x-3y+3z,3y-2z"
     (("arrangement", "--forms", oracles.ZIEGLER_G), 891),
     (("arrangement", "--forms", MOMENT12), 2883),
     (("arrangement", "--forms", DRAW5), 200),
-    (LQH, 256),
+    (LQH, 150),
     (LQH_PRODUCT, 13),
-    (LQH_COLON, 143),
-    (LQH_STANDARD, 264),
+    (LQH_COLON, 119),
+    (LQH_STANDARD, 230),
 ], ids=["ziegler_f", "ziegler_g", "moment12", "draw5", "lqh", "lqh_product",
         "lqh_colon", "lqh_standard"])
 def test_cold_request_spends_a_pinned_number_of_steps(capsys, budgets, argv,

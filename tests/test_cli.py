@@ -8,7 +8,7 @@ import pytest
 import oracles
 from bs3 import milnor
 from bs3.cli import main
-from test_budget import LQH_COLON, clear_caches
+from test_budget import LQH_COLON, LQH_STANDARD, clear_caches
 
 
 def run(capsys, *argv):
@@ -431,6 +431,54 @@ def test_failed_weighted_certificate_exits_4(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, first", [(LQH_COLON, 1), (LQH_STANDARD, 0)],
+                         ids=["weighted", "standard"])
+def test_colon_loop_reads_its_bound_once_c_passes_its_first_three(
+        capsys, monkeypatch, argv, first):
+    # the certificate refuses the first k colons; the engine fills the tail
+    # of in(J), whose e bounds the loop by c <= first + 2e, only when c
+    # reaches first + 3, and a refused colon leaves the report as it was
+    from bs3 import groebner
+    from bs3.polyring import parse_polynomial
+    excess, engine = groebner._saturation_excess, groebner._hilbert_function
+    clear_caches()
+    _, want, _ = run(capsys, *argv)
+    jac = milnor.jacobian_ideal(parse_polynomial(argv[3]))
+    e = groebner._hilbert_tail(groebner.buchberger(jac).leading_monomials)[1]
+    for k in (0, 1, 2, 3, 4, None):
+        events = []
+
+        def refuse(lms_i, lms_j):
+            events.append("colon")
+            if k is None or events.count("colon") <= k:
+                return None
+            return excess(lms_i, lms_j)
+
+        def spy(*args):
+            events.append("engine")
+            return engine(*args)
+
+        monkeypatch.setattr(groebner, "_saturation_excess", refuse)
+        monkeypatch.setattr(groebner, "_hilbert_function", spy)
+        clear_caches()
+        code, out, err = run(capsys, *argv)
+        monkeypatch.undo()
+        colons = events.count("colon")
+        if colons <= 3:
+            assert "engine" not in events, k
+        else:
+            assert events.index("engine") == 3, k
+            assert events.count("engine") == 1, k
+        if k is None:
+            # every colon refused: the loop tries first, ..., first + 2e
+            assert code == 4 and out == ""
+            assert colons == 2 * e + 1
+            assert "with %d <= c <= %d " % (first, first + 2 * e) in err
+        else:
+            assert code == 0 and colons > k
+            assert strip_timing(out) == strip_timing(want), k
+
+
 def test_lct_lambda_is_checked_before_any_basis(capsys, monkeypatch):
     # lambda is read before the polynomial: no basis is computed, and a
     # request with a bad polynomial and a bad lambda reports the lambda
@@ -604,3 +652,37 @@ def test_tlct_on_and_off_the_degree_grid(capsys):
         assert code == 0, err
         assert "tlct_lambda: %s\n" % lam in out
         assert "tlct_holds: %s\n" % holds in out
+
+
+def test_root_lists_and_degree_tables_format_as_format_ratio():
+    # the texts share one "/q" suffix per divisor gcd(n, D); each must read
+    # as format_ratio(n, D) does, over negative n, n = 0, D = 1 and
+    # multiples of D
+    import random
+
+    from bs3 import cli
+    from bs3.bsroots import RootSet
+    from bs3.graded import DegreeData
+    from bs3.polyring import format_ratio
+    rng = random.Random(4)
+    for _ in range(500):
+        D = rng.choice((1, 2, 6, 12, 30, 60, rng.randint(1, 10 ** 6)))
+        ns = {rng.randint(-3 * D, 3 * D) for _ in range(rng.randint(0, 12))}
+        ns |= {0, D, -D, 2 * D} if rng.random() < 0.5 else set()
+        ns = sorted(ns)
+        want = [format_ratio(n, D) for n in ns]
+        assert cli._roots(RootSet._over(ns, D)) == want, (ns, D)
+        scaled = {n: rng.randint(1, 9) for n in ns}
+        assert cli._degree_table(DegreeData._over(D, scaled)) == dict(
+            zip(want, scaled.values())), (ns, D)
+
+
+def test_a_list_item_with_a_comma_prints_one_line_per_item():
+    from bs3.cli import render_text
+    report = {"points": ["(1:0:0) multiplicity 2", "(1,2)"],
+              "roots": ["-1/2", "0"], "one": ["a,b"], "empty": [],
+              "blank": [""], "h0": {"1/2": 3}, "none": {}}
+    assert render_text(report).splitlines() == [
+        "points[0]: (1:0:0) multiplicity 2", "points[1]: (1,2)",
+        "roots: -1/2, 0", "one[0]: a,b", "empty: (none)", "blank: (none)",
+        "h0.1/2: 3", "none: (none)"]

@@ -147,3 +147,47 @@ def test_step_cap_bounds_time_as_coefficients_grow(capsys, budgets):
         assert code == 3 and out == ""
         assert err.startswith("resource limit:") and "Traceback" not in err
     assert budgets[0].used == budgets[1].used > 4000
+
+
+def parse_outcome(parse, argv, capsys):
+    """What parsing argv gives: its namespace, its usage-error text, or the
+    code and output of an exit (help)."""
+    try:
+        return "namespace", parse(argv)
+    except cli._UsageError as exc:
+        return "usage error", str(exc)
+    except SystemExit as exc:
+        captured = capsys.readouterr()
+        return "exit", exc.code, captured.out, captured.err
+
+
+def test_subcommand_dispatch_parses_as_the_top_level_parser(capsys):
+    # an argv that names a subcommand skips the top-level parser and goes
+    # to the one it hands that argv to: the namespace, a usage error's text
+    # and a help text must come out as they do through the top-level parser
+    rng = random.Random(11)
+    argvs = [draw_request(rng) for _ in range(1000)]
+    argvs += [
+        [], ["bogus"], ["-h"], ["--help"], ["--format", "json"],
+        ["milnor"], ["roots"], ["roots", "sideways", "--poly", "x"],
+        ["roots", "lqh", "--for", "json", "--poly", "x*y*z"],
+        ["milnor", "--poly", "x^2", "--bogus"],
+        ["milnor", "--poly", "x^2", "extra"],
+        ["milnor", "--poly", "x^2", "--step-cap", "-1"],
+        ["milnor", "--poly", "x^2", "--step-cap", "ten"],
+        ["roots", "-h"], ["arrangement", "--forms", "x,y,z", "--help"],
+        ["milnor", "--po", "-x^2", "--weights", "1,1,1"],
+        ["roots", "lqh", "--poly", "x", "--lct", "-1/2"],
+        ["milnor", "--poly", "x", "--poly", "y"],
+        ["milnor", "--", "--poly", "x"],
+        ["arrangement", "--forms=x,y,z", "--format", "xml"],
+    ]
+    seen = set()
+    for argv in argvs:
+        want = parse_outcome(
+            lambda a: cli._PARSER.parse_args(cli._join_values(a)), argv,
+            capsys)
+        got = parse_outcome(cli._parse_args, argv, capsys)
+        assert got == want, argv
+        seen.add(want[0])
+    assert seen == {"namespace", "usage error", "exit"}

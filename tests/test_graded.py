@@ -232,10 +232,11 @@ def test_excess_pass_lists_the_monomials_of_in_j_outside_in_i():
     # the saturation returns in(J) itself: H0 is empty with no pass
     ("roots lqh --poly x^4*z+5*x^2*y^6*z+4*y^12*z --weights 1/2,1/6,1/6",
      0),
-    # a colon: the tail of in(J), whose e bounds the colon loop
+    # a colon certified at its first or second c: the tail of in(J), whose
+    # e bounds the colon loop, is read only once c passes its first three
     ("roots lqh --poly x^6*y*z+2*x*y^3*z+3*x*y*z^3 --weights 1/5,1/2,1/2",
-     1),
-    ("roots lqh --poly 2*x^5+2*x^3*y+3*x^3*z+2*x*y*z --weights 1,2,2", 1),
+     0),
+    ("roots lqh --poly 2*x^5+2*x^3*y+3*x^3*z+2*x*y*z --weights 1,2,2", 0),
     # the hinted run reads the tails of its leading monomials in play, and
     # no tail of in(J^sat) is read after its colon
     ("arrangement --forms " + oracles.ZIEGLER_F, 2),

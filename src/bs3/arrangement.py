@@ -557,9 +557,6 @@ def condition_report(arr):
     reg = regularity_report(jac)
     h0 = reg.h0
     check_h0_symmetry(h0, 3 * d - 6)  # the arrangement is reduced
-    if reg.sheaf_dim_e is None:
-        raise PreconditionError("no stabilized section dimension; "
-                                "arrangement pipeline requires one")
     if reg.sheaf_dim_e != e:
         raise Bs3Error("internal inconsistency: check 'lattice e' failed: "
                        "the saturation gives e = %d, the lattice %d"

@@ -98,7 +98,8 @@ class DegreeData:
 
 class RegularityReport:
     """Castelnuovo-Mumford data for R/I read off H0 and H1 degree ranges,
-    with the H0 degree data it was read from."""
+    with the H0 degree data it was read from: ints under the standard
+    grading, h0_max and h1_max None where that cohomology is absent."""
 
     __slots__ = ("h0_max", "h1_max", "regularity", "sheaf_dim_e", "h0")
 
@@ -150,55 +151,37 @@ def h0_degree_data(I, w):
 STANDARD = WeightSystem((1, 1, 1))
 
 
-def _saturation_hilbert(I, h0=None):
-    """The Hilbert function of R/I^sat under the standard grading and the
-    constant e of its Hilbert polynomial: HF(R/I) - H0 over the memoized
-    tail of in(I), whose e is that of R/I^sat, since H0 is finite.  h0, the
-    standard H0 degree data of I, is read when not given, and its
-    saturation refuses an ideal that (1, 1, 1) does not grade.  Every H0
-    degree lies in that tail: in(I^sat) adds finitely many monomials, so
-    the lcm of in(I^sat) divides that of in(I) (groebner._saturation_excess),
-    and H0 ends three degrees below it.
-
-    A saturated ideal of dimension at most one has a linear nonzerodivisor,
-    so its Hilbert function never decreases and never passes e; a value
-    above e is an internal error.
-    """
-    if h0 is None:
-        h0 = h0_degree_data(I, STANDARD)
-    hf, e = _hilbert_tail(buchberger(I).leading_monomials)
-    hf = [dim - h0.scaled.get(t, 0) for t, dim in enumerate(hf)]
-    if e is not None and max(hf) > e:
-        raise Bs3Error("Hilbert value exceeds its stable limit; this should "
-                       "be impossible")
-    return hf, e
-
-
 def regularity_report(I):
-    """H0/H1 degree ranges and the regularity max(h0_max, h1_max + 1),
-    with absent cohomology skipped."""
+    """H0/H1 degree ranges, the regularity max(h0_max, h1_max + 1) with
+    absent cohomology skipped, and e, all under the standard grading; the
+    saturation behind H0 refuses an ideal that (1, 1, 1) does not grade,
+    and an ideal with dim R/I = 2 is refused.
+
+    The Hilbert function of R/I^sat is HF(R/I) - H0 over the memoized tail
+    of in(I), whose e is that of R/I^sat, since H0 is finite.  Every H0
+    degree lies in that tail: in(I^sat) adds finitely many monomials, so
+    the lcm of in(I^sat) divides that of in(I)
+    (groebner._saturation_excess), and H0 ends three degrees below it.
+    A saturated ideal of dimension at most one has a linear
+    nonzerodivisor, so its Hilbert function never decreases and never
+    passes e; a value above e is an internal error.  H1 is e minus it:
+    zero from the Hilbert start on, e in every negative degree, so it is
+    absent only when e = 0.
+    """
     h0 = h0_degree_data(I, STANDARD)
-    h0_max = (Fraction(next(reversed(h0.scaled)), h0.denominator)
-              if not h0.is_empty() else None)
-    hf, e = _saturation_hilbert(I, h0)
+    hf, e = _hilbert_tail(buchberger(I).leading_monomials)
     if e is None:
-        # tolerated degenerate case: a single plane, H0 = H1 = 0, reg 0
-        principal_line = (h0.is_empty() and len(I.generators) == 1
-                          and I.generators[0].total_degree() == 1)
-        if principal_line:
-            return RegularityReport(None, None, 0, None, h0)
         raise PreconditionError("Hilbert polynomial of R/I^sat is not "
                                 "constant; projective support is not "
                                 "zero-dimensional; the regularity formula "
                                 "needs dim R/I <= 1")
-    # H1 is e - hf: zero from the Hilbert start on, e in every negative
-    # degree, so it is absent only when e = 0.
-    below = [q for q, dim in enumerate(hf) if dim < e]
-    h1_max = Fraction(below[-1] if below else -1) if e else None
-    parts = []
-    if h0_max is not None:
-        parts.append(h0_max)
-    if h1_max is not None:
-        parts.append(h1_max + 1)
-    reg = max(parts) if parts else Fraction(0)
-    return RegularityReport(h0_max, h1_max, int(reg), e, h0)
+    # under (1, 1, 1) the scaled H0 degrees are the degrees themselves
+    hf = [dim - h0.scaled.get(t, 0) for t, dim in enumerate(hf)]
+    if max(hf) > e:
+        raise Bs3Error("Hilbert value exceeds its stable limit; this should "
+                       "be impossible")
+    h0_max = next(reversed(h0.scaled), None)
+    h1_max = max((t for t, dim in enumerate(hf) if dim < e),
+                 default=-1) if e else None
+    regularity = max(h0_max or 0, h1_max + 1 if e else 0)
+    return RegularityReport(h0_max, h1_max, regularity, e, h0)

@@ -252,10 +252,6 @@ class _Packing:
     def exponent(self, p, i):
         return p >> self.shifts[i] & MAX_DEGREE
 
-    def divides(self, a, b):
-        g = self.guard
-        return ((b | g) - a) & g == g
-
     def lcm(self, a, b):
         """lcm(a, b), unchecked: a field of it is at most the sum of the
         fields of a and b, below 2^16, so its guard bit tells whether it
@@ -636,9 +632,14 @@ def _buchberger_cached(ideal):
 def _minimal(triples, pk):
     """The triples, smallest leading monomial first, without those whose
     leading monomial an earlier one divides."""
+    G = pk.guard
     kept = []
     for b in sorted(triples, key=itemgetter(0)):
-        if not any(pk.divides(k[0], b[0]) for k in kept):
+        bg = b[0] | G
+        for k in kept:
+            if (bg - k[0]) & G == G:
+                break
+        else:
             kept.append(b)
     return kept
 

@@ -102,11 +102,6 @@ class Polynomial:
     def is_constant(self):
         return all(sum(m) == 0 for m in self.terms)
 
-    def total_degree(self):
-        if not self.terms:
-            return -1
-        return max(sum(m) for m in self.terms)
-
     def __eq__(self, other):
         return (isinstance(other, Polynomial)
                 and self.variable_count == other.variable_count

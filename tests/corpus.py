@@ -5,10 +5,15 @@ with a single high-multiplicity point, and the degree-9 pair whose zero
 sets differ by one root.  Seeded random arrangements of degree at most 7
 top the corpus up to the required size; validation rejects non-reduced,
 non-essential, or decomposable draws, so every retained entry is valid.
+
+supersolvable(k, seed) draws the supersolvable arrangements whose free
+resolution gives HF(R/J) in closed form.
 """
 
 import random
 from functools import lru_cache
+from itertools import combinations
+from math import gcd
 
 from bs3.arrangement import validate
 from bs3.polyring import Bs3Error
@@ -84,3 +89,29 @@ def build_corpus(minimum=MINIMUM_SIZE):
         seen.add(key)
         entries.append(("random%02d" % attempt, arr))
     return entries
+
+
+def _primitive(normal):
+    g = gcd(*normal)
+    normal = tuple(c // g for c in normal)
+    return normal if next(c for c in normal if c) > 0 else tuple(
+        -c for c in normal)
+
+
+def supersolvable(k, seed):
+    """The supersolvable draw (k, seed): k distinct primitive normals
+    (a, b, c), a and b in [-3, 3] and c in [1, 3], drawn from
+    random.Random(seed), so that none of these lines passes through
+    p = (0:0:1), then the lines through p and each crossing of two of
+    them.  p is a modular point: every crossing lies on a line through it.
+    Sorted within each part; its multiplicity m is the degree minus k."""
+    rng = random.Random(seed)
+    drawn = set()
+    while len(drawn) < k:
+        drawn.add(_primitive((rng.randint(-3, 3), rng.randint(-3, 3),
+                              rng.randint(1, 3))))
+    drawn = sorted(drawn)
+    through_p = sorted({_primitive((a[2] * b[0] - a[0] * b[2],
+                                    a[2] * b[1] - a[1] * b[2], 0))
+                        for a, b in combinations(drawn, 2)})
+    return validate([_coeff_csv(n) for n in drawn + through_p])

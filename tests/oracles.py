@@ -56,7 +56,10 @@ polynomials compared by their values at 0, 1, 2 are what its certificate,
 a finite excess of in(J) over in(I), is tested against.  The restriction
 of the generators to z = 0, with a gcd over Q of the forms left, decides
 whether that line misses V(I), and so whether the colon by a power of z
-passes the certificate; the package no longer runs it.
+passes the certificate; the package no longer runs it.  The Hilbert
+functions of R/I and R/I^sat by ranks, on I and on the reference
+saturation, are what regularity_report's e, H0, H1 and regularity are
+tested against.
 """
 
 import heapq
@@ -455,6 +458,32 @@ def saturation_by_columns(ideal):
         col = saturate_by_poly(ideal, parse_polynomial("xyz"[v]))
         meet = col if meet is None else ideal_intersection(meet, col)
     return meet
+
+
+def regularity_by_ranks(ideal):
+    """((h0_max, h1_max, regularity, e), H0, [HF(R/I^sat)_t]) under the
+    standard grading, t = 0..deg lcm(in I) + 2, with no saturation or
+    regularity reading of the package: HF(R/I) and HF(R/I^sat) by
+    rank_route_dimension on I and on saturation_by_columns(I), H0 their
+    difference.  The lcm of in(I^sat) divides that of in(I), so HF(R/I^sat)
+    is its Hilbert polynomial from deg lcm(in I) - 2 on, and three equal
+    values there make it the constant e; any other is refused as the
+    package refuses it.  H1 is e - HF(R/I^sat), and the regularity is the
+    largest of h0_max, h1_max + 1 and 0."""
+    top = _lcm_degree(buchberger(ideal).leading_monomials) + 2
+    sat = saturation_by_columns(ideal)
+    hf_i, hf = ([rank_route_dimension(J, STANDARD, t) for t in range(top + 1)]
+                for J in (ideal, sat))
+    if not hf[-3] == hf[-2] == hf[-1]:
+        raise PreconditionError("Hilbert polynomial of R/I^sat is not "
+                                "constant")
+    e = hf[-1]
+    h0 = {t: a - b for t, (a, b) in enumerate(zip(hf_i, hf)) if a != b}
+    h0_max = max(h0, default=None)
+    h1_max = max((t for t, v in enumerate(hf) if v < e), default=-1) \
+        if e else None
+    regularity = max(h0_max or 0, h1_max + 1 if e else 0)
+    return (h0_max, h1_max, regularity, e), DegreeData(h0), hf
 
 
 # -- the line z = 0 against V(I), by restriction ----------------------------

@@ -856,6 +856,50 @@ def test_regularity_above_2d_minus_5_ends_in_exit_4(capsys, monkeypatch):
         "2d - 5 = 13" in captured.err
 
 
+# the supersolvable draws (k, seed) of tier-1; tests/supersolvable.py checks
+# the larger ones
+SUPERSOLVABLE = [(4, 1), (5, 2), (6, 3)]
+
+
+def supersolvable_mismatches(k, seed):
+    """The closed forms that a request on corpus.supersolvable(k, seed)
+    breaks, by name.  With m lines through its modular point, the
+    arrangement is free with exponents (m - 1, d - m) (Jambu-Terao), so
+    R/J has the resolution 0 -> R(-d-m+2) + R(-2d+m+1) -> R(-d+1)^3 -> R:
+    HF(R/J)_t = r(t) - 3r(t-d+1) + r(t-d-m+2) + r(t-2d+m+1), r(t) the
+    dimension of R_t, read here for t < 3d from the request's basis.  A
+    free arrangement has J saturated, so H0 is empty and the
+    non-combinatorial root is absent; it is formal, and e is
+    (d - 1)^2 - (m - 1)(d - m)."""
+    arr = corpus.supersolvable(k, seed)
+    d = arr.degree
+    m = d - k
+    report = full_root_report(arr)
+
+    def r(t):
+        return (t + 2) * (t + 1) // 2 if t >= 0 else 0
+
+    closed = [r(t) - 3 * r(t - d + 1) + r(t - d - m + 2) + r(t - 2 * d + m + 1)
+              for t in range(3 * d)]
+    read = groebner._hilbert_values(
+        groebner.buchberger(arrangement._jacobian(arr)).leading_monomials,
+        3 * d - 1)
+    facts = {
+        "Hilbert function": read == closed,
+        "H0 empty": report.conditions.h0.is_empty(),
+        "non-combinatorial root absent": not report.non_comb_present,
+        "formal": is_formal(arr),
+        "e": report.conditions.witness_dims["sheaf_dim_e"]
+        == (d - 1) ** 2 - (m - 1) * (d - m),
+    }
+    return [name for name, holds in facts.items() if not holds]
+
+
+@pytest.mark.parametrize("k, seed", SUPERSOLVABLE)
+def test_supersolvable_draws_meet_their_closed_forms(k, seed):
+    assert supersolvable_mismatches(k, seed) == []
+
+
 def test_full_root_report_generic4():
     arr = validate(oracles.GENERIC4.split(","))
     report = full_root_report(arr)

@@ -106,10 +106,7 @@ UNREACHED = sorted([
     "cli._build_parser", "cli._build_parser.common",
     # error paths
     "cli._Parser.error", "groebner._too_large",
-    "polyring.ParseError.__init__", "polyring._position",
-    # read only on regularity_report's branch for a single plane, whose
-    # R/I^sat has no constant Hilbert polynomial; no request has one
-    "polyring.Polynomial.total_degree"])
+    "polyring.ParseError.__init__", "polyring._position"])
 
 
 def defined_functions():

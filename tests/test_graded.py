@@ -8,8 +8,7 @@ from math import gcd
 import pytest
 
 from bs3 import arrangement, cli, graded, groebner
-from bs3.graded import (DegreeData, _saturation_hilbert, h0_degree_data,
-                        regularity_report)
+from bs3.graded import DegreeData, h0_degree_data, regularity_report
 from bs3.groebner import (Ideal, _hilbert_function, _lcm_degree, buchberger,
                           saturated_leading_monomials)
 from bs3.milnor import jacobian_ideal
@@ -385,38 +384,36 @@ def test_h0_weighted_grading():
 
 def test_sheaf_dimension_examples():
     # e, the constant Hilbert polynomial of R/I^sat
-    assert _saturation_hilbert(QUARTIC_CONE)[1] == 6
-    assert _saturation_hilbert(ideal("x", "y"))[1] == 1
-    assert _saturation_hilbert(ideal("x^2", "y"))[1] == 2
-    assert _saturation_hilbert(ideal("x^2", "y^2", "z^2"))[1] == 0
+    for I, e in ((QUARTIC_CONE, 6), (ideal("x", "y"), 1),
+                 (ideal("x^2", "y"), 2), (ideal("x^2", "y^2", "z^2"), 0)):
+        assert regularity_report(I).sheaf_dim_e == e
 
 
 def test_sheaf_dimension_rejects_positive_dimensional_scheme():
-    # a line: the Hilbert polynomial of R/I^sat is not a constant e, and
-    # the regularity, which needs one, refuses two lines
-    assert _saturation_hilbert(ideal("x"))[1] is None
-    with pytest.raises(PreconditionError, match="not constant"):
-        regularity_report(ideal("x*y"))
+    # two lines: the Hilbert polynomial of R/I^sat is not a constant e, and
+    # the regularity, which needs one, refuses them, as the reference does
+    for read in (regularity_report, oracles.regularity_by_ranks):
+        with pytest.raises(PreconditionError, match="not constant"):
+            read(ideal("x*y"))
 
 
 def test_standard_graded_readings_refuse_a_weighted_only_ideal():
     # graded by (3, 2, 6) but not by (1, 1, 1): e, H1 and the regularity
-    # are read under the standard grading, so each of them refuses it
+    # are read under the standard grading, so the reader refuses it
     # z (x^2 + 2*y^3) (x^2 + 5*y^3)
     jac = jacobian_ideal(P("x^4*z + 7*x^2*y^3*z + 10*y^6*z"))
-    for read in (_saturation_hilbert, regularity_report):
-        with pytest.raises(PreconditionError):
-            read(jac)
+    with pytest.raises(PreconditionError):
+        regularity_report(jac)
 
 
 def test_h1_dimension_examples():
     # dim H1_q = e - HF(R/I^sat)_q: 0 from the Hilbert start on, e in every
     # negative degree
-    hf, e = _saturation_hilbert(QUARTIC_CONE)
+    (_, _, _, e), _, hf = oracles.regularity_by_ranks(QUARTIC_CONE)
     assert (e - hf[0], e - hf[-1]) == (5, 0)
-    hf, e = _saturation_hilbert(ideal("x", "y"))
+    (_, _, _, e), _, hf = oracles.regularity_by_ranks(ideal("x", "y"))
     assert e - hf[0] == 0
-    assert _saturation_hilbert(ideal("x*y", "z"))[1] == 2
+    assert regularity_report(ideal("x*y", "z")).sheaf_dim_e == 2
 
 
 def test_regularity_of_quartic_cone_jacobian():
@@ -435,23 +432,43 @@ def test_regularity_artinian():
 
 
 def test_regularity_of_single_line():
-    report = regularity_report(ideal("x"))
-    assert report.regularity == 0
-    assert report.h0_max is None
-    assert report.h1_max is None
+    # a plane has dim R/I = 2, refused as every other such ideal is
+    for read in (regularity_report, oracles.regularity_by_ranks):
+        with pytest.raises(PreconditionError, match="not constant"):
+            read(ideal("x"))
 
 
 def test_h1_can_live_below_degree_zero():
     # two reduced points: sections jump to 2 only from degree 1 on
     report = regularity_report(ideal("x*y", "z"))
     assert report.sheaf_dim_e == 2
-    hf, e = _saturation_hilbert(ideal("x*y", "z"))
+    (_, _, _, e), _, hf = oracles.regularity_by_ranks(ideal("x*y", "z"))
     assert e - hf[0] == 1
     assert report.h1_max == 0
     assert report.regularity == 1
     # one reduced point: H1 only in negative degrees
     point = regularity_report(ideal("x", "y"))
     assert (point.h1_max, point.regularity, point.sheaf_dim_e) == (-1, 0, 1)
+
+
+def test_regularity_report_matches_the_rank_reference():
+    # the reader against HF(R/I) and HF(R/I^sat) by ranks, on the ideals
+    # above, the Fermat quartic, the degree-4 corpus Jacobians and three
+    # curated arrangements; its numbers are ints
+    arrangements = dict(corpus.build_corpus())
+    cases = [ideal("x", "y"), ideal("x^2", "y"), ideal("x^2", "y^2", "z^2"),
+             ideal("x*y", "z"), QUARTIC_CONE,
+             jacobian_ideal(P("x^4+y^4+z^4"))]
+    cases += [arrangement._jacobian(arr) for arr in arrangements.values()
+              if arr.degree == 4]
+    cases += [arrangement._jacobian(arrangements[name])
+              for name in ("generic5", "nearpencil3", "twotriples5")]
+    for I in cases:
+        report = regularity_report(I)
+        numbers = (report.h0_max, report.h1_max, report.regularity,
+                   report.sheaf_dim_e)
+        assert all(type(v) is int for v in numbers if v is not None)
+        assert oracles.regularity_by_ranks(I)[:2] == (numbers, report.h0)
 
 
 def test_degree_data_accessors():

@@ -17,8 +17,11 @@ Each request runs inside one step budget (groebner.step_budget), so
 
 * a reduction step or an S-pair is one step, and one more per 64-bit word
   past the first of each of the two coefficients it scales by (the head
-  it cancels and the reducer's leading coefficient, or the two leading
-  coefficients), so N bounds time also where coefficients grow;
+  it cancels, as the step holds it, and the reducer's leading
+  coefficient, or the two leading coefficients), so N bounds time also
+  where coefficients grow; a head's content is stripped only once it
+  passes twice its bits at the last strip plus one word, so it is charged
+  for at most that many bits;
 * the graded engine charges its generators and degrees before it builds
   its degree list, and each row's columns before it walks that row; the
   socle test that decides whether in(I) is saturated charges its

@@ -7,7 +7,9 @@ request reports is read from leading monomials, and the leading monomials
 of a Groebner basis do not depend on its tails, so no tail is ever
 reduced: a tail step scales the whole remainder by a reducer's leading
 coefficient, which is where coefficients grow.  _reduce strips the content
-after every step, so no Fraction arithmetic happens in inner loops.  A
+whenever the head's bits double past their last strip, and on return, so
+no Fraction arithmetic happens in inner loops and the remainder is the
+primitive one that stripping after every step leaves.  A
 GroebnerBasis holds only the packed integer triples (lm, lc, primitive
 dict) of a minimal basis.  Fractions appear only where a value leaves the
 program: generators are cleared of denominators on the way in, and monic
@@ -162,7 +164,9 @@ def _too_large():
 class _Budget:
     """Steps spent against a cap: a reduction step or an S-pair, one step
     and one more per 64-bit word past the first of each of the two
-    coefficients it scales by (_scaling_steps); a generator or degree of
+    coefficients it scales by (_scaling_steps), a reduction step's head as
+    it holds it, at most twice its bits at the last strip of its content
+    plus one word (_reduce); a generator or degree of
     the graded engine (_hilbert_function), charged before it builds its
     degree list, or a column, charged row by row before the row is
     walked; a generator or a compared drop of the socle test
@@ -217,9 +221,10 @@ class _Packing:
     first `lead` exponents lexicographically and breaks ties by graded
     reverse lex on the others (grevlex when lead = 0): C_i per variable,
     the guard mask, the shift of each raw exponent and of the total
-    degree."""
+    degree, and the pairs (shift, C_i) that lcm walks."""
 
-    __slots__ = ("n", "lead", "coeffs", "guard", "shifts", "degree_shift")
+    __slots__ = ("n", "lead", "coeffs", "guard", "shifts", "degree_shift",
+                 "raw_fields")
 
     def __init__(self, n, lead):
         # each field is the set of variables it sums, most significant first
@@ -237,6 +242,7 @@ class _Packing:
         self.guard = sum(1 << (s + _FIELD - 1) for s in shift.values())
         self.shifts = tuple(shift[(i,)] for i in range(n))
         self.degree_shift = shift[tuple(range(n))]
+        self.raw_fields = tuple(zip(self.shifts, self.coeffs))
 
     def pack(self, m):
         if sum(m) > MAX_DEGREE:
@@ -256,9 +262,11 @@ class _Packing:
         """lcm(a, b), unchecked: a field of it is at most the sum of the
         fields of a and b, below 2^16, so its guard bit tells whether it
         passed MAX_DEGREE.  (b | G) - a holds 2^15 + b_i - a_i in the field
-        of each raw exponent, and a gains the positive differences."""
+        of each raw exponent, and a gains the positive differences.  Its
+        pairs (shift, C_i) are zipped once, with the packing: a run forms
+        an lcm for every pair it weighs."""
         d = (b | self.guard) - a
-        for s, c in zip(self.shifts, self.coeffs):
+        for s, c in self.raw_fields:
             e = (d >> s & 0xFFFF) - 0x8000
             if e > 0:
                 a += e * c
@@ -279,7 +287,7 @@ class Ideal:
     and dim (R/I)_t = e for every t >= t0 (_buchberger_int).
     """
 
-    __slots__ = ("generators", "variable_count", "hilbert_tail")
+    __slots__ = ("generators", "variable_count", "hilbert_tail", "_hash")
 
     def __init__(self, generators, variable_count=None, hilbert_tail=None):
         gens = tuple(g for g in generators if not g.is_zero())
@@ -293,6 +301,7 @@ class Ideal:
         self.generators = gens
         self.variable_count = variable_count
         self.hilbert_tail = hilbert_tail
+        self._hash = None
 
     def is_zero(self):
         return not self.generators
@@ -307,7 +316,12 @@ class Ideal:
                 and self.hilbert_tail == other.hilbert_tail)
 
     def __hash__(self):
-        return hash((self.variable_count, self.generators, self.hilbert_tail))
+        # computed on the first lookup and kept: each buchberger() lookup
+        # hashes the ideal, and a generator's hash walks all its terms
+        if self._hash is None:
+            self._hash = hash((self.variable_count, self.generators,
+                               self.hilbert_tail))
+        return self._hash
 
     def __repr__(self):
         return "Ideal(%s)" % ", ".join(str(g) for g in self.generators)
@@ -319,24 +333,23 @@ class GroebnerBasis:
     packing of its order.  Its leading monomials are the reduced basis's,
     and a request reads nothing else.  Its tails are as the run left them,
     not reduced, so two runs on one ideal may hold different elements;
-    elements builds them, monic, on each access."""
+    elements builds them, monic, on each access.  leading_monomials is
+    unpacked once, when the basis is built: a request reads it several
+    times."""
 
-    __slots__ = ("packing", "_int_basis")
+    __slots__ = ("packing", "_int_basis", "leading_monomials")
 
     def __init__(self, packing, triples):
         self.packing = packing
         self._int_basis = tuple(triples)
+        unpack = packing.unpack
+        self.leading_monomials = tuple(unpack(b[0]) for b in self._int_basis)
 
     @property
     def elements(self):
         """The minimal basis as held, each element made monic."""
         return tuple(_from_int_poly(d, self.packing, lc)
                      for _, lc, d in self._int_basis)
-
-    @property
-    def leading_monomials(self):
-        unpack = self.packing.unpack
-        return tuple(unpack(b[0]) for b in self._int_basis)
 
     def __repr__(self):
         return "GroebnerBasis(%s)" % ", ".join(str(g) for g in self.elements)
@@ -400,18 +413,27 @@ def _scaling_steps(a, b):
 
 def _reduce(d, basis, pk, budget):
     """Reduce the int dict d against basis, (lm, lc, dict) triples, until
-    its head is irreducible: returns an int dict r, {} or one whose
-    leading monomial no leading monomial of the basis divides, with
+    its head is irreducible: returns a primitive int dict r: {} or one
+    whose leading monomial no leading monomial of the basis divides, with
     r - u*d in the ideal the basis generates for some rational u > 0.
     Its tail is left as the steps leave it.  Each step scales the terms by
-    the basis leading coefficient over a gcd and then strips their
-    content, so coefficients stay integers and r is primitive when d is;
-    it is charged by the words of the head it cancels and of that leading
+    the basis leading coefficient over a gcd, so coefficients stay
+    integers.  The content is stripped only when the head passes twice
+    its bits at the last strip plus one 64-bit word, and once more on
+    return.  That leaves r as stripping after every step would: a strip
+    divides by a positive integer, and a step from a positive multiple
+    s*w of w gives s*u/u' times the step from w, with u, u' the gcds the
+    two steps divide by, so every step's remainder is a positive multiple
+    of the other's, with the same terms, the same head and the same
+    reducer, and the two primitive results are one dict.  A step is
+    charged by the words of the head as it holds it, at most twice its
+    bits at the last strip plus one word, and of the reducer's leading
     coefficient (_scaling_steps).  The quotient q of two leading monomials
     fits, so each product bm + q is checked by its guard bits alone.
     """
     G = pk.guard
     work = dict(d)
+    limit = 0  # the head bits past which the content is stripped
     while work:
         lm = max(work)
         lg = lm | G
@@ -419,11 +441,16 @@ def _reduce(d, basis, pk, budget):
             if (lg - hit[0]) & G == G:
                 break
         else:
-            return work
+            break
+        head = work[lm]
+        if head.bit_length() > limit:
+            work = _strip_content(work)
+            head = work[lm]
+            limit = 2 * head.bit_length() + 64
         blm, blc, bterms = hit
-        budget.spend(_scaling_steps(work[lm], blc))
-        g = gcd(work[lm], blc)
-        a, c = blc // g, work[lm] // g
+        budget.spend(_scaling_steps(head, blc))
+        g = gcd(head, blc)
+        a, c = blc // g, head // g
         if a != 1:
             work = {m: a * v for m, v in work.items()}
         q = lm - blm
@@ -436,19 +463,17 @@ def _reduce(d, basis, pk, budget):
                 work[mm] = s
             else:
                 del work[mm]
-        work = _strip_content(work)
-    return work
+    return _strip_content(work)
 
 
-def _s_poly_int(f, g, pk, budget):
-    """Integer S-polynomial of two (lm, lc, dict) triples.  The lcm is
-    checked first, so the quotients fit and each product term is checked
-    by its guard bits alone."""
+def _s_poly_int(f, g, lcm, pk, budget):
+    """Integer S-polynomial of two (lm, lc, dict) triples whose leading
+    monomials have the lcm given, one the caller has checked against the
+    guard bits: so the quotients fit and each product term is checked by
+    its guard bits alone.  Its content is left in: _reduce strips it
+    before its first step, or on return."""
     budget.spend(_scaling_steps(f[1], g[1]))
     G = pk.guard
-    lcm = pk.lcm(f[0], g[0])
-    if lcm & G:
-        raise _too_large()
     g0 = gcd(f[1], g[1])
     af = g[1] // g0
     ag = f[1] // g0
@@ -469,7 +494,7 @@ def _s_poly_int(f, g, pk, budget):
             out.pop(mm, None)
         else:
             out[mm] = s
-    return _strip_content(out)
+    return out
 
 
 # -- Buchberger --------------------------------------------------------------
@@ -596,14 +621,17 @@ def _buchberger_int(triples, pk, budget, tail=None):
             if h == e:
                 heapq.heappop(heap)
                 continue
-        _, _, i, j = heapq.heappop(heap)
-        r = _reduce(_s_poly_int(basis[i], basis[j], pk, budget), basis, pk,
-                    budget)
+        _, lcm, i, j = heapq.heappop(heap)
+        r = _reduce(_s_poly_int(basis[i], basis[j], lcm, pk, budget), basis,
+                    pk, budget)
         if r:
             update(_int_triple(r))
             if read == t:
                 h -= 1
-    if tail and not _stable_from(in_play(), t0, e):
+    else:
+        lms = in_play() if tail else ()
+    # a stable test that ends the loop read the leading monomials in play
+    if tail and not _stable_from(lms, t0, e):
         raise Bs3Error("internal inconsistency: check 'Hilbert tail' "
                        "failed: dim (R/in I)_t is not %d for some t >= %d"
                        % (e, t0))

@@ -59,7 +59,9 @@ whether that line misses V(I), and so whether the colon by a power of z
 passes the certificate; the package no longer runs it.  The Hilbert
 functions of R/I and R/I^sat by ranks, on I and on the reference
 saturation, are what regularity_report's e, H0, H1 and regularity are
-tested against.
+tested against.  The reducer that strips the content after every step is
+what the package's _reduce, which strips only as the head's bits double,
+is tested against, result for result and run for run.
 """
 
 import heapq
@@ -72,7 +74,8 @@ from bs3 import groebner, linalg
 from bs3.arrangement import ConditionReport, is_formal
 from bs3.graded import STANDARD, DegreeData, regularity_report
 from bs3.groebner import (Ideal, _budget, _from_int_poly, _hilbert_function,
-                          _lcm_degree, _s_poly_int, _to_int_poly, buchberger,
+                          _lcm_degree, _s_poly_int, _scaling_steps,
+                          _strip_content, _to_int_poly, buchberger,
                           saturated_leading_monomials)
 from bs3.milnor import _weighted_degree, jacobian_ideal
 from bs3.polyring import (ParseError, Polynomial, PreconditionError,
@@ -632,8 +635,45 @@ def reduced_basis(gb):
 def s_polynomial(f, g, pk):
     """S-polynomial of two rational polynomials, by the package's integer
     S-polynomial under the packing pk."""
-    d = _s_poly_int(_to_int_poly(f, pk), _to_int_poly(g, pk), pk, _budget())
-    return _from_int_poly(d, pk)
+    f, g = _to_int_poly(f, pk), _to_int_poly(g, pk)
+    lcm = pk.lcm(f[0], g[0])
+    if lcm & pk.guard:
+        raise groebner._too_large()
+    return _from_int_poly(_s_poly_int(f, g, lcm, pk, _budget()), pk)
+
+
+def reduce_stripping_every_step(d, basis, pk, budget):
+    """groebner._reduce with the content stripped after every step, not
+    only as the head's bits double: each step is charged by the words of
+    the stripped head it cancels.  The remainder is returned as the last
+    step left it, primitive when d is."""
+    G = pk.guard
+    work = dict(d)
+    while work:
+        lm = max(work)
+        lg = lm | G
+        for hit in basis:
+            if (lg - hit[0]) & G == G:
+                break
+        else:
+            return work
+        blm, blc, bterms = hit
+        budget.spend(_scaling_steps(work[lm], blc))
+        g = gcd(work[lm], blc)
+        a, c = blc // g, work[lm] // g
+        work = {m: a * v for m, v in work.items()}
+        q = lm - blm
+        for bm, bv in bterms.items():
+            mm = bm + q
+            if mm & G:
+                raise groebner._too_large()
+            s = work.get(mm, 0) - c * bv
+            if s:
+                work[mm] = s
+            else:
+                del work[mm]
+        work = _strip_content(work)
+    return work
 
 
 # -- Buchberger's loop by the chain criterion ------------------------------
@@ -674,8 +714,8 @@ def buchberger_by_chain_criterion(triples, pk, budget, tail=None):
                for k, (m, _, _) in enumerate(basis) if k != i and k != j):
             continue
         r = groebner._reduce(
-            groebner._s_poly_int(basis[i], basis[j], pk, budget), basis, pk,
-            budget)
+            groebner._s_poly_int(basis[i], basis[j], lcm, pk, budget), basis,
+            pk, budget)
         if r:
             basis.append(groebner._int_triple(r))
             push_pairs(len(basis) - 1)

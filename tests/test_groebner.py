@@ -391,6 +391,76 @@ def test_the_loop_reduces_only_the_head_of_each_remainder(monkeypatch):
                for t in r if t != max(r) for m, _, _ in basis)
 
 
+def big_coefficient(rng):
+    """A signed coefficient of up to about 1,200 bits: powers of small
+    primes, so that the sums a reduction forms keep a large content, times
+    an odd factor of up to 64 bits."""
+    v = rng.choice((1, -1)) * (rng.getrandbits(64) | 1)
+    for p in (2, 3, 5, 7, 11):
+        v *= p ** rng.randint(0, 90)
+    return v
+
+
+def random_int_dict(rng, top, size):
+    """Up to size terms x^a y^b z^c, a, b, c <= top, under GREVLEX."""
+    return {GREVLEX.pack(tuple(rng.randint(0, top) for _ in range(3))):
+            big_coefficient(rng) for _ in range(size)}
+
+
+def test_reduce_returns_the_remainder_of_stripping_every_step(monkeypatch):
+    # the schedule strips the content only as the head's bits double, so
+    # on coefficients past 1,000 bits it strips partway through some
+    # reductions and divides by a content past 1 there; the remainder is
+    # the reference's dict all the same
+    rng = random.Random(42)
+    stripped = []
+    strip = groebner._strip_content
+
+    def spy(d):
+        out = strip(d)
+        stripped.append(out is not d)
+        return out
+
+    midway = []
+    for _ in range(300):
+        basis = [groebner._int_triple(random_int_dict(rng, 2, 3))
+                 for _ in range(rng.randint(1, 4))]
+        d = groebner._strip_content(random_int_dict(rng, 4, 8))
+        want = oracles.reduce_stripping_every_step(
+            d, basis, GREVLEX, groebner._Budget(None))
+        with monkeypatch.context() as mp:
+            mp.setattr(groebner, "_strip_content", spy)
+            got = groebner._reduce(d, basis, GREVLEX, groebner._Budget(None))
+        assert got == want
+        midway.append(any(stripped[1:-1]))
+        stripped.clear()
+    assert any(midway)
+
+
+def test_the_loop_takes_the_reference_reducers_pairs(monkeypatch):
+    # every triple the loop returns, coefficients included, is the one it
+    # returns with the reducer that strips the content after every step,
+    # on the request's moved Jacobian of each corpus arrangement, which
+    # carries a Hilbert tail, on its Jacobian in the original coordinates,
+    # and on the lqh draws of seeds 0-5
+    cases = [I for _, arr in corpus.build_corpus()
+             for I in (arrangement._jacobian(arr),
+                       jacobian_ideal(arr.defining_polynomial()))]
+    cases += [I for seed in range(6) for I, _ in lqh_jacobians(seed, 4)]
+
+    def run(I):
+        pk = _packing(3)
+        return groebner._buchberger_int(
+            [groebner._to_int_poly(g, pk) for g in I.generators], pk,
+            groebner._Budget(None), I.hilbert_tail)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(groebner, "_reduce", oracles.reduce_stripping_every_step)
+        want = [run(I) for I in cases]
+    for I, triples in zip(cases, want):
+        assert run(I) == triples, I
+
+
 def test_corpus_jacobian_bases_are_fully_reduced():
     for name, arr in corpus.build_corpus():
         gb = buchberger(jacobian_ideal(arr.defining_polynomial()))

@@ -268,7 +268,8 @@ def homogeneous_taxonomy(profile, interval_roots):
     """Taxonomy of the zero set of a reduced locally quasi-homogeneous
     homogeneous polynomial, determined by tau = min H0 degree, the degree,
     and the externally supplied [-1,0) roots."""
-    if profile.weights.weights != (1, 1, 1):
+    w = profile.weights
+    if (w.scaled, w.denominator) != ((1, 1, 1), 1):
         raise PreconditionError("taxonomy applies to the standard grading "
                                 "only")
     if profile.h0.is_empty():

@@ -23,10 +23,10 @@ Each request runs inside one step budget (groebner.step_budget), so
   passes twice its bits at the last strip plus one word, so it is charged
   for at most that many bits;
 * the graded engine charges its generators and degrees before it builds
-  its degree list, and each row's columns before it walks that row; the
-  socle test that decides whether in(I) is saturated charges its
+  its degree list, and each row's corner ranges before it walks that row;
+  the socle test that decides whether in(I) is saturated charges its
   generators and each drop it compares; and the pass that lists H0 its
-  generators, column ranges, run columns and degrees;
+  generators, column ranges, runs and degrees;
 * an arrangement charges the line pairs of its intersection lattice,
   when the request first reads it, the points each candidate free line is
   tested against, up to the first one it passes through, d steps for each
@@ -162,10 +162,26 @@ def _parse_weights(text):
     if len(parts) != 3:
         raise ParseError("expected three comma-separated weights", 0)
     try:
-        values = [Fraction(p.strip()) for p in parts]
+        ratios = [_ratio(p.strip()) for p in parts]
     except (ValueError, ZeroDivisionError):
         raise ParseError("malformed weight in %r" % text, 0)
-    return WeightSystem(values)
+    return WeightSystem.from_ratios(ratios)
+
+
+def _ratio(text):
+    """(n, d) in lowest terms for the rational text: ASCII digits n or n/d
+    are read as ints, any other text by Fraction, which accepts both of
+    them too, so the language read and the errors raised are Fraction's."""
+    num, slash, den = text.partition("/")
+    if num.isascii() and num.isdigit() and (
+            not slash or den.isascii() and den.isdigit()):
+        n, d = int(num), int(den) if slash else 1
+        if not d:
+            raise ZeroDivisionError(text)
+        g = gcd(n, d)
+        return n // g, d // g
+    q = Fraction(text)
+    return q.numerator, q.denominator
 
 
 def _parse_rational(text):
@@ -176,9 +192,11 @@ def _parse_rational(text):
 
 
 def _ratios(numerators, D):
-    """format_ratio(n, D) for each int n, D > 0: n/D is (n/g)/(D/g) for
-    g = gcd(n, D), so each text is str(n // g) and a "/q" suffix built once
-    per divisor g, empty when g = D."""
+    """format_ratio(n, D) for each int n, D > 0: str(n) when D = 1, and
+    else n/D is (n/g)/(D/g) for g = gcd(n, D), so each text is str(n // g)
+    and a "/q" suffix built once per divisor g, empty when g = D."""
+    if D == 1:
+        return list(map(str, numerators))
     gs = [gcd(n, D) for n in numerators]
     suffixes = {g: "/%d" % (D // g) for g in set(gs)}
     suffixes[D] = ""
@@ -242,7 +260,8 @@ def cmd_roots(args):
         report["blf_roots"] = _roots(bsroots.blf_roots(prof))
         report["small_roots"] = _roots(bsroots.small_roots(prof))
         report["xi_set"] = _roots(bsroots.xi_set(prof))
-        if w.weights == (1, 1, 1) and not prof.h0.is_empty():
+        standard = (w.scaled, w.denominator) == ((1, 1, 1), 1)
+        if standard and not prof.h0.is_empty():
             tax = bsroots.homogeneous_taxonomy(prof, bsroots.RootSet())
             report["tau"] = tax.tau
             report["upsilon"] = _roots(tax.upsilon)

@@ -9,9 +9,10 @@ list per ideal (groebner._add_corner):
   outside in(I) of degree t.  groebner._saturation_excess lists them in
   one pass over both staircases, as runs of z-powers; the saturation
   (groebner._saturate) makes that pass as its certificate and hands the
-  runs on, and h0_degree_data counts them by degree.  No window is
-  needed: the difference is finite, so it lies below the lcm of in(I),
-  and a difference that would repeat past it is the saturation's failed
+  runs on, and h0_degree_data counts them by degree, each run one box
+  charged one step (groebner._excess_degrees).  No window is needed: the
+  difference is finite, so it lies below the lcm of in(I), and a
+  difference that would repeat past it is the saturation's failed
   certificate, never a count.  When the saturation returns in(I) itself
   H0 is empty with no pass; when I is Artinian the runs are the standard
   monomials of R/in(I).
@@ -116,21 +117,23 @@ class RegularityReport:
                                      self.regularity, self.sheaf_dim_e))
 
 
-def check_h0_symmetry(h0, center):
+def check_h0_symmetry(h0, center, denominator=1):
     """Raise Bs3Error unless the H0 degree data are symmetric about the
-    rational center, pairing the ascending scaled degrees with their
-    reverse about center*L, L = h0.denominator.  For a reduced
-    quasi-homogeneous f, H0 of R/(partial f) is self-dual about
+    rational center/denominator, pairing the ascending scaled degrees with
+    their reverse about that centre times L, L = h0.denominator.  For a
+    reduced quasi-homogeneous f, H0 of R/(partial f) is self-dual about
     3*wdeg(f) - 2*sum(w) (Sernesi; van Straten-Warmt; Dimca-Sticlaru)."""
     scaled = h0.scaled
-    c = center * h0.denominator
-    c = c.numerator if c.denominator == 1 else None  # off the grid: no pair
+    c, off = divmod(center * h0.denominator, denominator)
+    if off:
+        c = None  # off the grid: no pair
     keys = list(scaled)
     half = keys[:(len(keys) + 1) // 2]
     if any(p + q != c or scaled[p] != scaled[q]
            for p, q in zip(half, reversed(keys))):
         raise Bs3Error("internal inconsistency: H0 degrees are not "
-                       "symmetric about %s" % format_rational(center))
+                       "symmetric about %s"
+                       % format_rational(Fraction(center, denominator)))
 
 
 def h0_degree_data(I, w):

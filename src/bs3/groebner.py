@@ -106,6 +106,8 @@ route hands its runs on with the monomials (_saturate): the certified
 colon its certificate's, the Artinian route one pass against (1), and a
 saturated in(I) none.  Counted by weighted degree (_excess_degrees) the
 runs are H0, and HF(R/I^sat) = HF(R/I) - H0 (graded module docstring).
+Each run is a box of monomials, as each corner range of the engine is,
+counted by degree in O(1) (_add_box) before two prefix passes.
 
 Every staircase read walks the same rows: the generators sorted by their
 x-exponent enter one corner list (_add_corner) as row a reaches them,
@@ -139,7 +141,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count, groupby
+from itertools import accumulate, count, groupby
 from math import gcd, lcm
 from operator import itemgetter, mul
 
@@ -168,10 +170,10 @@ class _Budget:
     it holds it, at most twice its bits at the last strip of its content
     plus one word (_reduce); a generator or degree of
     the graded engine (_hilbert_function), charged before it builds its
-    degree list, or a column, charged row by row before the row is
+    degree list, or a corner range, charged row by row before the row is
     walked; a generator or a compared drop of the socle test
     (_is_saturated); a generator or column range of the excess pass
-    (_saturation_excess), or a column or degree of the count of its runs
+    (_saturation_excess), or a run or degree of the count of its runs
     (_excess_degrees); or in an arrangement a pair of lines of the
     lattice, spent on its first read (validate spends none), a point a
     candidate free line is tested against, up to the first it passes
@@ -734,23 +736,28 @@ def _add_corner(corner_b, corner_c, monomial):
     corner_c[j:k] = [c]
 
 
-def _add_runs(values, starts, shift):
-    """Enter into the difference array values, of stride w_z, one z-run per
-    degree s of the range starts: the degrees s, s + w_z, ..., below
-    s + shift.  A run that ends past the last degree has no end mark."""
-    ends = max(0, (len(values) - 1 - shift - starts.start) // starts.step + 1)
-    for s in starts[:ends]:
-        values[s] += 1
-        values[s + shift] -= 1
-    for s in starts[ends:]:
-        values[s] += 1
+def _add_box(values, s, db, dc):
+    """Enter into the second-difference array values the box of degrees
+    s + i + j, i = 0, w_y, ... below db and j = 0, w_z, ... below dc: four
+    entries, of which those past the last degree are dropped, since the
+    prefix sums only carry upward.  s is at most the last degree."""
+    top = len(values) - 1
+    values[s] += 1
+    if s + db <= top:
+        values[s + db] -= 1
+        if s + db + dc <= top:
+            values[s + db + dc] += 1
+    if s + dc <= top:
+        values[s + dc] -= 1
 
 
-def _sum_runs(values, wz):
-    """The counts per degree of the runs a difference array of stride w_z
-    holds."""
-    for t in range(wz, len(values)):
-        values[t] += values[t - wz]
+def _sum_boxes(values, wy, wz):
+    """The counts per degree of the boxes a second-difference array holds:
+    two prefix passes, of stride w_y and then of stride w_z, each one
+    accumulate per residue class."""
+    for stride in (wy, wz):
+        for r in range(min(stride, len(values))):
+            values[r::stride] = accumulate(values[r::stride])
     return values
 
 
@@ -763,16 +770,18 @@ def _hilbert_function(lead_monomials, top, weights=(1, 1, 1)):
     is a step function of b, stepping down at the corners (b', c') of the
     generators with x-exponent at most a that no other one beats in both;
     the rows are visited in order and each generator enters the corner
-    list once.  Each column (a, b) with low(a, b) > 0 adds one to the
-    degrees s, s + w_z, ... of its z-powers below low(a, b), a run kept as
-    two entries of a difference array of stride w_z, so the cost is one
-    step per generator, one per column and one per degree.  Row a has
+    list once.  Each corner range b0 <= b < b1 of row a, on which low is
+    a constant c1, holds the box of monomials x^a y^b z^c, c < c1, kept as
+    four entries of a second-difference array (_add_box) and counted by
+    degree by two prefix passes (_sum_boxes), so the cost is one step per
+    generator, one per corner range and one per degree.  Row a has
     (top - a*w_x)//w_y + 1 columns of degree at most top, and low(a, b) = 0
     from the last corner on when that corner is z-free, so its span is the
     lesser of the two; spans only fall as a grows, and the walk ends at
     the first that is not positive.  The budget is charged for every
     generator and degree before the degree list is built, and for each
-    row's span before that row is walked.
+    row's corner ranges, at most one more than its corners, before that
+    row is walked.
     """
     wx, wy, wz = weights
     gens = sorted(lead_monomials)
@@ -791,16 +800,16 @@ def _hilbert_function(lead_monomials, top, weights=(1, 1, 1)):
             span = min(span, corner_b[-1])
         if span <= 0:
             break
-        budget.spend(span)
+        budget.spend(len(corner_b) + 1)
         b, run = 0, unbounded
         for step_b, step_c in zip(corner_b + [span], corner_c + [0]):
             step_b = min(step_b, span)
-            _add_runs(values, range(a * wx + b * wy, a * wx + step_b * wy, wy),
-                      run * wz)
+            if step_b > b:
+                _add_box(values, a * wx + b * wy, (step_b - b) * wy, run * wz)
             if step_b == span:
                 break
             b, run = step_b, step_c
-    return _sum_runs(values, wz)
+    return _sum_boxes(values, wy, wz)
 
 
 @lru_cache(maxsize=64)
@@ -852,9 +861,12 @@ def _saturation_excess(lms_i, lms_j):
     b; a run there, or one under an infinite low_I, repeats forever.  So a
     finite difference lies in [0, A) x [0, B), B the largest y-exponent,
     and below the largest z-exponent of in(I): the lcm of in(J) divides
-    that of in(I).  The budget is charged for every generator before the
-    walk, and in each row for its column ranges, at most one more than
-    the corners, before they are compared."""
+    that of in(I).  The rows from one generator's x-exponent to the next
+    hold the same corners, so the first of them is walked and its runs are
+    repeated for the others, all below A.  The budget is charged for
+    every generator before the walk, and for each row's column ranges, at
+    most one more than the corners, the first row's before they are
+    compared and the others' before its runs are repeated."""
     gens = sorted([(m, 0) for m in lms_i] + [(m, 1) for m in lms_j])
     last = gens[-1][0][0]
     budget = _budget()
@@ -862,14 +874,18 @@ def _saturation_excess(lms_i, lms_j):
     top = MAX_DEGREE + 1  # low where no generator divides
     corners = ([], []), ([], [])  # per ideal: b ascending, c descending
     runs = []
-    entered = 0
-    for a in range(last + 1):
+    entered = a = 0
+    while a <= last:
         while entered < len(gens) and gens[entered][0][0] <= a:
             m, k = gens[entered]
             _add_corner(*corners[k], m)
             entered += 1
+        # every generator has entered once a reaches last
+        rows_end = gens[entered][0][0] if entered < len(gens) else last + 1
         (bi, ci), (bj, cj) = corners
-        budget.spend(len(bi) + len(bj) + 1)
+        cost = len(bi) + len(bj) + 1
+        budget.spend(cost)
+        first = len(runs)
         b, low_i, low_j = 0, top, top
         p = q = 0
         while True:
@@ -892,24 +908,27 @@ def _saturation_excess(lms_i, lms_j):
                 low_j = cj[q]
                 q += 1
             b = step
+        budget.spend((rows_end - a - 1) * cost)
+        row = [run[1:] for run in runs[first:]]
+        runs += [(r,) + run for r in range(a + 1, rows_end) for run in row]
+        a = rows_end
     return tuple(runs)
 
 
 def _excess_degrees(runs, weights):
     """[the number of run monomials of weighted degree t for t = 0..top],
-    top the largest such degree, summed as _hilbert_function sums its
-    columns.  The budget is charged for every column and degree before the
-    degree list is built."""
+    top the largest such degree: each run one box, summed as
+    _hilbert_function sums its corner ranges.  The budget is charged for
+    every run and degree before the degree list is built."""
     wx, wy, wz = weights
     top = max((a * wx + (b1 - 1) * wy + (c1 - 1) * wz
                for a, _, b1, _, c1 in runs), default=-1)
-    _budget().spend(sum(b1 - b0 for _, b0, b1, _, _ in runs) + top + 1)
+    _budget().spend(len(runs) + top + 1)
     values = [0] * (top + 1)
     for a, b0, b1, c0, c1 in runs:
-        start = a * wx + c0 * wz
-        _add_runs(values, range(start + b0 * wy, start + b1 * wy, wy),
-                  (c1 - c0) * wz)
-    return _sum_runs(values, wz)
+        _add_box(values, a * wx + b0 * wy + c0 * wz, (b1 - b0) * wy,
+                 (c1 - c0) * wz)
+    return _sum_boxes(values, wy, wz)
 
 
 def _saturate_by_z(gb):

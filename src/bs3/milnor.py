@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from .graded import check_h0_symmetry, h0_degree_data
 from .groebner import Ideal, _dimension_at_most_one, _is_artinian, buchberger
-from .polyring import (PreconditionError, format_rational, partial_derivative,
-                       wdeg)
+from .polyring import PreconditionError, partial_derivative, wdeg
 
 INFINITE = "infinite"
 
@@ -51,8 +50,7 @@ def _weighted_degree(f, w):
     d = wdeg(f, w)
     if d is None:
         raise PreconditionError(
-            "polynomial is not quasi-homogeneous for weights %s"
-            % ",".join(format_rational(v) for v in w.weights))
+            "polynomial is not quasi-homogeneous for weights %s" % w)
     return d
 
 
@@ -79,7 +77,10 @@ def milnor_profile(f, w):
     # f is reduced, so H0 is self-dual about 3d - 2*sum(w).  When f is
     # isolated, (partial f) is m-primary, saturation gives (1) and H0 is
     # the whole Milnor algebra, a complete intersection with Hilbert series
-    # prod (1 - t^(d - w_i)) / (1 - t^w_i).
-    check_h0_symmetry(h0, 3 * d - 2 * w.weight_sum)
+    # prod (1 - t^(d - w_i)) / (1 - t^w_i).  The centre is read over the
+    # weights' denominator L, a multiple of that of d, as H0's degrees are.
+    L = w.denominator
+    check_h0_symmetry(h0, 3 * d.numerator * (L // d.denominator)
+                      - 2 * sum(w.scaled), L)
     degrees = h0 if isolated else INFINITE
     return MilnorProfile(f, w, d, jac, h0, isolated, degrees)

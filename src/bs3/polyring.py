@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 
 
@@ -50,31 +50,47 @@ def grevlex_key(m):
 
 
 class WeightSystem:
-    """Positive rational weights, one per variable.  The weights times
-    their common denominator are kept as integers, so a weighted degree is
-    an integer sum over that denominator."""
+    """Positive rational weights, one per variable, kept as ints: `scaled`,
+    the weights times their least common denominator, and that
+    `denominator`, so a weighted degree is an integer sum over it.  The
+    Fractions `weights` and their sum `weight_sum` are views built when
+    read."""
 
-    __slots__ = ("weights", "scaled", "denominator")
+    __slots__ = ("scaled", "denominator")
 
     def __init__(self, weights):
-        self.weights = tuple(Fraction(w) for w in weights)
-        if any(w <= 0 for w in self.weights):
-            raise PreconditionError("weights must be positive, got %s" % self)
-        L = 1
-        for w in self.weights:
-            L = L * w.denominator // gcd(L, w.denominator)
+        self._set([(q.numerator, q.denominator)
+                   for q in map(Fraction, weights)])
+
+    @classmethod
+    def from_ratios(cls, ratios):
+        """The weights n/d of int pairs (n, d) in lowest terms, d > 0,
+        built with no Fraction."""
+        w = cls.__new__(cls)
+        w._set(ratios)
+        return w
+
+    def _set(self, ratios):
+        L = lcm(*(d for _, d in ratios))
         self.denominator = L
-        self.scaled = tuple(int(w * L) for w in self.weights)
+        self.scaled = tuple(n * (L // d) for n, d in ratios)
+        if any(n <= 0 for n in self.scaled):
+            raise PreconditionError("weights must be positive, got %s" % self)
+
+    @property
+    def weights(self):
+        L = self.denominator
+        return tuple(Fraction(n, L) for n in self.scaled)
 
     @property
     def weight_sum(self):
-        return sum(self.weights, Fraction(0))
+        return Fraction(sum(self.scaled), self.denominator)
 
     def __repr__(self):
         return "WeightSystem(%s)" % (self.weights,)
 
     def __str__(self):
-        return ",".join(format_rational(w) for w in self.weights)
+        return ",".join(format_ratio(n, self.denominator) for n in self.scaled)
 
 
 class Polynomial:

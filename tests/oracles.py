@@ -61,26 +61,32 @@ functions of R/I and R/I^sat by ranks, on I and on the reference
 saturation, are what regularity_report's e, H0, H1 and regularity are
 tested against.  The reducer that strips the content after every step is
 what the package's _reduce, which strips only as the head's bits double,
-is tested against, result for result and run for run.
+is tested against, result for result and run for run.  The column walk,
+one z-run per column of a staircase, is what the engine's box counts of
+corner ranges and of H0's runs are tested against, and the --weights
+value read part by part by Fraction is what the command line's int route
+is tested against.
 """
 
 import heapq
+from bisect import bisect_right
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, product
+from itertools import (combinations, combinations_with_replacement, count,
+                       product)
 from math import gcd, lcm
 from operator import add, mul
 
 from bs3 import groebner, linalg
 from bs3.arrangement import ConditionReport, is_formal
 from bs3.graded import STANDARD, DegreeData, regularity_report
-from bs3.groebner import (Ideal, _budget, _from_int_poly, _hilbert_function,
-                          _lcm_degree, _s_poly_int, _scaling_steps,
-                          _strip_content, _to_int_poly, buchberger,
-                          saturated_leading_monomials)
+from bs3.groebner import (Ideal, _add_corner, _budget, _from_int_poly,
+                          _hilbert_function, _lcm_degree, _s_poly_int,
+                          _scaling_steps, _strip_content, _to_int_poly,
+                          buchberger, saturated_leading_monomials)
 from bs3.milnor import _weighted_degree, jacobian_ideal
 from bs3.polyring import (ParseError, Polynomial, PreconditionError,
-                          grevlex_key, parse_polynomial, partial_derivative,
-                          wdeg)
+                          WeightSystem, grevlex_key, parse_polynomial,
+                          partial_derivative, wdeg)
 
 # -- the two degree-9 arrangements that differ only in the non-lattice root
 
@@ -540,6 +546,59 @@ def same_hilbert_polynomial_at_0_1_2(lms_a, lms_b):
         return [v + k * d1 + k * (k - 1) // 2 * d2
                 for k in (t - s for t in range(3))]
     return at_0_1_2(lms_a) == at_0_1_2(lms_b)
+
+
+# -- the Hilbert function column by column ----------------------------------
+
+def hilbert_function_by_columns(lead_monomials, top, weights=(1, 1, 1)):
+    """[dim (R/M)_t for t = 0..top] by a walk over every column (a, b) of
+    the staircase: the corners of row a kept as the engine keeps them
+    (groebner._add_corner), low(a, b) read off them by a bisect, and the
+    column's z-powers below it entered as one run, two entries of a
+    difference array of stride w_z summed by one pass.  Row a holds the
+    columns of degree at most top, and none from a z-free last corner on."""
+    wx, wy, wz = weights
+    gens = sorted(lead_monomials)
+    unbounded = top // wz + 1
+    corner_b, corner_c = [], []
+    values = [0] * max(top + 1, 0)
+    i = 0
+    for a in count():
+        while i < len(gens) and gens[i][0] <= a:
+            _add_corner(corner_b, corner_c, gens[i])
+            i += 1
+        span = (top - a * wx) // wy + 1
+        if corner_c and not corner_c[-1]:
+            span = min(span, corner_b[-1])
+        if span <= 0:
+            break
+        for b in range(span):
+            j = bisect_right(corner_b, b)
+            low = corner_c[j - 1] if j else unbounded
+            s = a * wx + b * wy
+            values[s] += 1
+            if s + low * wz <= top:
+                values[s + low * wz] -= 1
+    for t in range(wz, top + 1):
+        values[t] += values[t - wz]
+    return values
+
+
+# -- --weights over Fraction ------------------------------------------------
+
+def weights_by_fractions(text):
+    """The WeightSystem of a --weights value, each of its three
+    comma-separated parts stripped and read by Fraction; a part Fraction
+    cannot read is a ParseError, and a weight that is not positive a
+    PreconditionError from WeightSystem."""
+    parts = text.split(",")
+    if len(parts) != 3:
+        raise ParseError("expected three comma-separated weights", 0)
+    try:
+        values = [Fraction(p.strip()) for p in parts]
+    except (ValueError, ZeroDivisionError):
+        raise ParseError("malformed weight in %r" % text, 0)
+    return WeightSystem(values)
 
 
 # -- saturated monomial ideals by a box search -------------------------------

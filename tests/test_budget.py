@@ -126,24 +126,25 @@ DRAW5 = "x-y+2z,-x+3y+2z,3x+2y+2z,x-3y+3z,3y-2z"
 # the arrangements' coefficients pass: a reduction step scales by the head
 # as it holds it, with the content stripped only once the head passes
 # twice its bits at the last strip plus one word; the socle test of
-# in(J), one step per generator and per drop it compares; the one pass over in(J) and
-# in(J^sat) that H0 and the certificate read; and the tails of in(J) the
-# engine fills, which the lqh colon loop reads only once c passes its
-# first three values, so none of these counts holds one.  An arrangement
-# also spends its lattice pairs, its free line's candidates (the points
-# each one is tested against, up to the first it passes through: 115,
-# 120, 66 and 16 of the four counts), d per
-# length-3 relation vector (6 * 9 for each Ziegler arrangement, none for
-# the other two) and the row operations of is_formal's rank.  The
+# in(J), one step per generator and per drop it compares; the one pass
+# over in(J) and in(J^sat) that H0 and the certificate read, and the count
+# of its runs by degree, one step per run and per degree; and the tails of
+# in(J) the engine fills, which the lqh colon loop reads only once c
+# passes its first three values, so none of these counts holds one.  An
+# arrangement also spends its lattice pairs, its free line's candidates
+# (the points each one is tested against, up to the first it passes
+# through: 115, 120, 66 and 16 of the four counts), d per length-3
+# relation vector (6 * 9 for each Ziegler arrangement, none for the other
+# two) and the row operations of is_formal's rank.  The
 # product-shape lqh request saturates to in(J) itself, so it makes no
 # pass.  The standard-weights lqh request computes the colon by x + y + z,
 # which the certificate refuses, before the certified one by z + 2x + 4y
 @pytest.mark.parametrize("argv, steps", [
-    (("arrangement", "--forms", oracles.ZIEGLER_F), 1222),
-    (("arrangement", "--forms", oracles.ZIEGLER_G), 994),
-    (("arrangement", "--forms", MOMENT12), 3604),
-    (("arrangement", "--forms", DRAW5), 214),
-    (LQH, 150),
+    (("arrangement", "--forms", oracles.ZIEGLER_F), 1169),
+    (("arrangement", "--forms", oracles.ZIEGLER_G), 968),
+    (("arrangement", "--forms", MOMENT12), 3488),
+    (("arrangement", "--forms", DRAW5), 208),
+    (LQH, 145),
     (LQH_PRODUCT, 13),
     (LQH_COLON, 119),
     (LQH_STANDARD, 230),
@@ -159,12 +160,21 @@ def test_cold_request_spends_a_pinned_number_of_steps(capsys, budgets, argv,
     assert [budget.used for budget in budgets] == [steps]
 
 
-def test_large_fermat_ends_within_the_default_cap(capsys):
-    # the Jacobian (x^3999, y^3999, z^3999) asks the graded engine for a
-    # 3999 x 3999 column walk, which is refused before it starts
+def test_large_fermat_ends_within_the_default_cap(capsys, budgets):
+    # the Jacobian (x^3999, y^3999, z^3999) is Artinian, and its 3999^3
+    # standard monomials are 3999 runs, one per row a < 3999: the excess
+    # pass spends its 4 generators, then 2 + 1 + 1 column ranges in each of
+    # those rows and 3 in row 3999, and counting the runs one step per run
+    # and per degree 0..11994, where a walk of the 3999 x 3999 columns
+    # would pass the default cap
+    argv = ("milnor", "--poly", "x^4000+y^4000+z^4000")
     start = time.perf_counter()
-    code, out, err = run(capsys, "milnor", "--poly", "x^4000+y^4000+z^4000")
+    code, out, _ = run(capsys, *argv)
     assert time.perf_counter() - start < 1
+    assert code == 0 and "milnor_number: 63952011999\n" in out
+    spent = budgets[0].used
+    assert spent == 4 + 3999 * 4 + 3 + 3999 + 11995
+    code, out, err = run(capsys, *argv, "--step-cap", str(spent - 1))
     assert code == 3 and out == ""
     assert err.startswith("resource limit:")
     assert "Traceback" not in err
@@ -328,14 +338,15 @@ def test_length3_relations_on_the_box_draw_spend_under_the_cap():
 
 
 def test_graded_engine_spends_for_the_work_it_does():
-    # three generators; rows a = 0, 1 have columns b = 0..2 (y^3 ends
-    # them) and x^2 leaves no row a = 2: 3 + 2 * 3 steps, and one per
-    # degree 0..top of the window
-    lms = ((2, 0, 0), (0, 3, 0), (0, 0, 4))
-    for top, steps in ((20, 30), (1000, 1010)):
+    # three generators; rows a = 0, 1 each hold the corners (0, 4) and
+    # (30, 0), so three corner ranges, of which the middle one holds their
+    # 30 columns b = 0..29 (y^30 ends them), and x^2 leaves no row a = 2:
+    # 3 + 2 * 3 steps, and one per degree 0..top of the window
+    lms = ((2, 0, 0), (0, 30, 0), (0, 0, 4))
+    for top, steps in ((40, 50), (1000, 1010)):
         with step_budget() as budget:
             values = _hilbert_function(lms, top)
-        assert sum(values) == 2 * 3 * 4
+        assert sum(values) == 2 * 30 * 4
         assert budget.used == steps
     with step_budget() as budget:
         assert _hilbert_function(lms, -3) == []
@@ -346,7 +357,7 @@ def test_excess_pass_spends_for_the_work_it_does():
     # in(I) = (x^2, y^3, z^4) under in(J) = (1): four generators; rows
     # a = 0, 1 hold two corners of in(I) and one of in(J), 2 + 1 + 1 steps
     # each, and row a = 2 one of each, 3 steps.  Counting the runs costs
-    # one step per column, 2 * 3, and one per degree 0..6
+    # one step per run, 2, and one per degree 0..6
     lms_i, lms_j = ((2, 0, 0), (0, 3, 0), (0, 0, 4)), ((0, 0, 0),)
     with step_budget() as budget:
         runs = groebner._saturation_excess(lms_i, lms_j)
@@ -355,7 +366,7 @@ def test_excess_pass_spends_for_the_work_it_does():
     with step_budget() as budget:
         counts = groebner._excess_degrees(runs, (1, 1, 1))
     assert counts == [1, 3, 5, 6, 5, 3, 1]
-    assert budget.used == 6 + 7
+    assert budget.used == 2 + 7
 
 
 def test_wide_weighted_window_ends_within_its_cap(capsys):

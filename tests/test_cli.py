@@ -6,8 +6,9 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from bs3 import milnor
+from bs3 import cli, milnor
 from bs3.cli import main
+from bs3.polyring import ParseError, PreconditionError
 from test_budget import LQH_COLON, LQH_STANDARD, clear_caches
 
 
@@ -206,6 +207,38 @@ def test_weights_field_prints_the_parsed_weights(capsys, weights):
         assert "\nweights: 1/2,1,1\n" in out
         code, out, err = run(capsys, *argv, "--format", "json")
         assert json.loads(out)["weights"] == "1/2,1,1"
+
+
+# one weight each, read in the first and in the last place, then whole
+# values: ASCII ints and int/int take the int route, the rest Fraction's
+WEIGHT_TABLE = ["3", " 3 ", "+3", "1_0", "2/4", "0.5", "1e1", "\u0661", "-1",
+                "0", "1/0", "nan", "a", "007", "0/5", "6/4", "3/", "/3",
+                "1 /2", "9" * 5000]
+WEIGHT_VALUES = ([v + ",1,2" for v in WEIGHT_TABLE]
+                 + ["1,2," + v for v in WEIGHT_TABLE]
+                 + ["1,2", "1,2,3,4", "1/2,1/3,1/6", "4/6,10/15,1"])
+
+
+@pytest.mark.parametrize("text", WEIGHT_VALUES, ids=lambda v: (
+    v if len(v) < 20 else "%s...(%d characters)" % (v[:8], len(v))))
+def test_weights_read_as_fraction_reads_them(capsys, text):
+    try:
+        want = oracles.weights_by_fractions(text)
+    except (ParseError, PreconditionError) as exc:
+        with pytest.raises(type(exc)) as got:
+            cli._parse_weights(text)
+        assert str(got.value) == str(exc)
+        # the request exits with the code and message of that error
+        code, out, err = run(capsys, "milnor", "--poly", "x^2+y^2+z^2",
+                             "--weights", text)
+        prefix = ("parse error" if isinstance(exc, ParseError)
+                  else "precondition violated")
+        assert (code, out) == (1 if isinstance(exc, ParseError) else 2, "")
+        assert err == "%s: %s\n" % (prefix, exc)
+        return
+    w = cli._parse_weights(text)
+    assert (w.scaled, w.denominator, str(w), w.weights) == (
+        want.scaled, want.denominator, str(want), want.weights)
 
 
 def test_step_cap_exits_3(capsys):

@@ -107,17 +107,60 @@ def random_monomial_ideal(rng, dimension):
 
 
 @pytest.mark.parametrize("weights", [(1, 1, 1), (2, 3, 5), (3, 2, 1),
-                                     (1, 4, 2)])
+                                     (1, 4, 2), (1, 1, 7), (7, 1, 1),
+                                     (1, 7, 1)])
 def test_hilbert_engine_matches_monomial_count(weights):
+    # every top below the last cuts some box short: its entries past top
+    # are dropped, and the degrees up to top must not move
     rng = random.Random(sum(weights))
     w = WeightSystem(weights)
     for dimension in (0, 1, 2):
         for _ in range(5):
             lms = random_monomial_ideal(rng, dimension)
             top = _lcm_degree(lms, weights) - sum(weights)
-            assert _hilbert_function(lms, top + 10, weights) == [
-                standard_monomial_count(lms, w, t)
-                for t in range(top + 11)], (lms, dimension)
+            want = [standard_monomial_count(lms, w, t)
+                    for t in range(top + 11)]
+            assert _hilbert_function(lms, top + 10, weights) == want, \
+                (lms, dimension)
+            for cut in range(-1, top + 10):
+                assert _hilbert_function(lms, cut, weights) == \
+                    want[:cut + 1], (lms, cut)
+
+
+def test_box_counts_match_the_column_walk():
+    # _hilbert_function on in(J) and in(J^sat), and _excess_degrees on the
+    # runs between them, against the column walk they replaced, for the
+    # corpus Jacobians and seeded monomial ideals, under weights that
+    # stretch each stride in turn
+    rng = random.Random(43)
+    pairs = []
+    for _ in range(60):
+        a = random_monomial_ideal(rng, rng.randint(0, 2))
+        pairs += [(a, a + random_monomial_ideal(rng, rng.randint(0, 2))),
+                  (a, [(0, 0, 0)])]
+    for _, arr in corpus.build_corpus():
+        J = arrangement._jacobian(arr)
+        pairs.append((buchberger(J).leading_monomials,
+                      saturated_leading_monomials(J, (1, 1, 1))[1]))
+    assert len(pairs) >= 120 + 40
+    compared = 0
+    for a, b in pairs:
+        a, b = tuple(sorted(set(a))), tuple(sorted(set(b)))
+        runs = groebner._saturation_excess(a, b)
+        for weights in ((1, 1, 1), (2, 3, 5), (1, 1, 7), (7, 1, 1),
+                        (1, 7, 1)):
+            top = _lcm_degree(a, weights) + max(weights)
+            by_columns = [oracles.hilbert_function_by_columns(m, top, weights)
+                          for m in (a, b)]
+            for m, want in zip((a, b), by_columns):
+                assert _hilbert_function(m, top, weights) == want, (m, top)
+            if runs is None:
+                continue
+            compared += 1
+            counts = groebner._excess_degrees(runs, weights)
+            assert counts + [0] * (top + 1 - len(counts)) == [
+                u - v for u, v in zip(*by_columns)], (a, b, weights)
+    assert compared > 5 * 40
 
 
 def test_hilbert_values_extend_the_tail_by_the_hilbert_polynomial():

@@ -31,7 +31,8 @@ containing x and y still takes.
 Why it is faster.  p goes to x and q to y, so f' = x y g: at most C(d, 2)
 terms where f may have C(d + 2, 2), and sparser partials, so each
 reduction step touches fewer terms and fewer steps are needed.  f' is the
-product of integer normals, so its Jacobian carries int coefficients only.
+product of integer normals, so its Jacobian carries int coefficients only,
+and both are computed on packed monomials (_product, milnor._jacobian_of).
 
 The one Buchberger run of J starts knowing where its Hilbert function
 ends (_jacobian): HF(R/J)_t = e = sum over the points of (m_p - 1)^2 for
@@ -69,13 +70,14 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import count
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from . import linalg
 from .bsroots import RootSet
 from .graded import STANDARD, check_h0_symmetry, regularity_report
-from .groebner import Ideal, _budget, _hilbert_values, buchberger
-from .milnor import jacobian_ideal, milnor_profile
+from .groebner import (_GREVLEX, MAX_DEGREE, _budget, _hilbert_values,
+                       _too_large, buchberger)
+from .milnor import _jacobian_of, milnor_profile
 from .polyring import (_VARIABLE_INDEX, Bs3Error, Polynomial,
                        PreconditionError, _parse_terms, format_ratio)
 
@@ -106,12 +108,7 @@ class LinearForm:
             coeffs = [Fraction(v) for v in coeffs]
             scale = lcm(*(v.denominator for v in coeffs))
             a, b, c = (v.numerator * (scale // v.denominator) for v in coeffs)
-        g = gcd(a, b, c)
-        if not g:
-            raise PreconditionError("zero linear form")
-        if (a or b or c) < 0:
-            g = -g
-        self.normal = (a // g, b // g, c // g)
+        self.normal = _primitive(a, b, c)
 
     @classmethod
     def parse(cls, text):
@@ -155,7 +152,11 @@ class LinearForm:
                 break
             c = int(num) if num else 1
             coeffs[_VARIABLE_INDEX[var]] += -c if sign == "-" else c
-        return cls(coeffs)
+        # the sums are ints, so the normal is set with no pass through
+        # __init__
+        form = cls.__new__(cls)
+        form.normal = _primitive(*coeffs)
+        return form
 
     @property
     def coefficients(self):
@@ -203,8 +204,15 @@ class Arrangement:
         return len(self.forms)
 
     def defining_polynomial(self):
-        """The product of the forms; each term product is one step."""
-        return _form_product(f.coefficients for f in self.forms)
+        """The product of the forms, each with first nonzero coefficient 1
+        (LinearForm.coefficients): the product of the normals over the
+        product of their first nonzero entries.  Each term product is one
+        step (_product)."""
+        normals = [f.normal for f in self.forms]
+        lead = prod(a or b or c for a, b, c in normals)
+        unpack = _GREVLEX.unpack
+        return Polynomial({unpack(m): Fraction(v, lead)
+                           for m, v in _product(normals).items()}, 3)
 
     def __repr__(self):
         return "Arrangement(%s)" % ", ".join(str(f) for f in self.forms)
@@ -278,6 +286,17 @@ def _cross(a, b):
             a[0] * b[1] - a[1] * b[0])
 
 
+def _primitive(a, b, c):
+    """The int vector (a, b, c) over the gcd of its entries, signed so its
+    first nonzero entry is positive; the zero vector is refused."""
+    g = gcd(a, b, c)
+    if not g:
+        raise PreconditionError("zero linear form")
+    if (a or b or c) < 0:
+        g = -g
+    return (a // g, b // g, c // g)
+
+
 def _scaled(vector):
     """The integer vector as Fractions over its first nonzero entry."""
     a, b, c = vector
@@ -285,29 +304,33 @@ def _scaled(vector):
     return (Fraction(a, lead), Fraction(b, lead), Fraction(c, lead))
 
 
-def _form_product(vectors):
-    """The product of the linear forms with the given coefficient vectors
-    (ints or Fractions); each term product is one step.  The terms are
-    multiplied as numbers in one dict, factor by factor: each product of a
-    term with a coefficient is added in as it comes and dropped when its
-    sum cancels, and the one Polynomial is built at the end."""
+def _product(normals):
+    """The product of the linear forms with the int normals given, as an
+    int dict of monomials packed by the grevlex packing of x, y, z.  The
+    terms are multiplied factor by factor, a product with x, y or z an
+    addition of its packed monomial: each product of a term with a nonzero
+    entry is added in as it comes, and dropped when its sum cancels.  Each
+    term product is one step.  More than MAX_DEGREE + 1 forms would give
+    partials past MAX_DEGREE, and are refused with ResourceLimitError
+    before any product."""
+    if len(normals) > MAX_DEGREE + 1:
+        raise _too_large()
     budget = _budget()
-    terms = {(0, 0, 0): 1}
-    for vector in vectors:
-        a, b, c = vector
-        budget.spend(len(terms) * ((a != 0) + (b != 0) + (c != 0)))
+    terms = {0: 1}
+    for normal in normals:
+        factor = [(c, v) for c, v in zip(_GREVLEX.coeffs, normal) if v]
+        budget.spend(len(terms) * len(factor))
         out = {}
-        for (i, j, k), u in terms.items():
-            for key, v in (((i + 1, j, k), a), ((i, j + 1, k), b),
-                           ((i, j, k + 1), c)):
-                if v:
-                    s = out.get(key, 0) + u * v
-                    if s:
-                        out[key] = s
-                    else:
-                        out.pop(key, None)
+        for m, u in terms.items():
+            for c, v in factor:
+                key = m + c
+                s = out.get(key, 0) + u * v
+                if s:
+                    out[key] = s
+                else:
+                    del out[key]
         terms = out
-    return Polynomial(terms, 3)
+    return terms
 
 
 def _indecomposable(normals):
@@ -517,18 +540,21 @@ def _adapted_normals(arr):
                                           sum(map(abs, n))))[:2]
     r = (a, b, 1)
     columns = (_cross(q, r), _cross(r, p), _cross(p, q))
-    return [LinearForm([n[0] * c[0] + n[1] * c[1] + n[2] * c[2]
-                        for c in columns]).normal for n in normals]
+    return [_primitive(*(n[0] * c[0] + n[1] * c[1] + n[2] * c[2]
+                         for c in columns)) for n in normals]
 
 
 def _jacobian(arr):
     """The Jacobian ideal of f moved to the adapted basis, where two
     least-height lines are x and y and the free line is z (see
     condition_report), with its proven Hilbert tail (2d - 4, e),
-    e = sum over the points of (m_p - 1)^2 (module docstring)."""
-    f = _form_product(_adapted_normals(arr))
+    e = sum over the points of (m_p - 1)^2 (module docstring).  f is the
+    product of the moved normals, multiplied on packed monomials
+    (_product), and its partials are taken there too
+    (milnor._jacobian_of): the ideal is born packed, with no Polynomial."""
+    f = _product(_adapted_normals(arr))
     e = sum((len(lines) - 1) ** 2 for lines in arr.lattice.values())
-    return Ideal(jacobian_ideal(f).generators, 3, (2 * arr.degree - 4, e))
+    return _jacobian_of(f, 1, (2 * arr.degree - 4, e))
 
 
 def condition_report(arr):
@@ -548,7 +574,8 @@ def condition_report(arr):
     z = 0 misses the singular points, which are the intersection points,
     so the saturation of J certifies c = 0 on its own minimal basis: one
     Buchberger run serves the whole report, told the Hilbert tail
-    (2d - 4, e) of J (module docstring).
+    (2d - 4, e) of J (module docstring).  J is born packed from the moved
+    normals (_jacobian), as the integer triples that run starts from.
     """
     d = arr.degree
     jac = _jacobian(arr)

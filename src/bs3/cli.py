@@ -32,7 +32,9 @@ Each request runs inside one step budget (groebner.step_budget), so
   tested against, up to the first one it passes through, d steps for each
   length-3 relation vector of its d lines, the row operations of the rank
   that decides formality, priced by words as a reduction step is, and the
-  term products of its defining polynomial.
+  term products of its defining polynomial;
+* the Jacobian of a request charges one step per term of the polynomial
+  whose partials it takes, f or an arrangement's moved product.
 
 Every count is deterministic: the same request spends the same steps on
 every run, so --step-cap N with N the steps a request spends returns its
@@ -318,23 +320,33 @@ def _scalar(v):
 
 
 def render_text(report):
+    """The report as text: a scalar as "key: value", a table as one
+    "key.sub: value" line per entry, and a list of strs as "key: a, b",
+    or one "key[i]: item" line per item when an item holds a comma.  A
+    table's "sub: value" lines are formatted once and joined under each
+    key that holds it (a milnor report's h0 is its Milnor algebra table)."""
     lines = []
+    bodies = {}  # id of a table -> its "sub: value" lines
     for key, value in report.items():
         if isinstance(value, dict):
             if not value:
                 lines.append("%s: (none)" % key)
-            # the ints of a degree table print as they are
-            lines += ["%s.%s: %s" % (key, sub, v if v.__class__ is int
-                                     else _scalar(v))
-                      for sub, v in value.items()]
+                continue
+            body = bodies.get(id(value))
+            if body is None:
+                # the ints of a degree table print as they are
+                body = bodies[id(value)] = [
+                    "%s: %s" % (sub, v if v.__class__ is int else _scalar(v))
+                    for sub, v in value.items()]
+            prefix = key + "."
+            lines.append(prefix + ("\n" + prefix).join(body))
         elif isinstance(value, list):
-            items = [v if isinstance(v, str) else _scalar(v) for v in value]
-            joined = ", ".join(items)
-            # the separators put len(items) - 1 commas in the joined text,
+            joined = ", ".join(value)
+            # the separators put len(value) - 1 commas in the joined text,
             # and any other comma is inside an item
-            if items and joined.count(",") != len(items) - 1:
+            if value and joined.count(",") != len(value) - 1:
                 lines += ["%s[%d]: %s" % (key, i, item)
-                          for i, item in enumerate(items)]
+                          for i, item in enumerate(value)]
             else:
                 lines.append("%s: %s" % (key, joined or "(none)"))
         else:

@@ -9,12 +9,15 @@ reduced: a tail step scales the whole remainder by a reducer's leading
 coefficient, which is where coefficients grow.  _reduce strips the content
 whenever the head's bits double past their last strip, and on return, so
 no Fraction arithmetic happens in inner loops and the remainder is the
-primitive one that stripping after every step leaves.  A
-GroebnerBasis holds only the packed integer triples (lm, lc, primitive
-dict) of a minimal basis.  Fractions appear only where a value leaves the
-program: generators are cleared of denominators on the way in, and monic
-Polynomials are built only when GroebnerBasis.elements is read, never on
-a request.
+primitive one that stripping after every step leaves.  An Ideal holds
+its generators as the packed integer triples (lm, lc, primitive dict) a
+run starts from, each with the rational scale that gives it back, and a
+GroebnerBasis holds only the triples of a minimal basis.  A request's
+Jacobian is born packed (milnor.jacobian_ideal, arrangement._jacobian), so
+Fractions and Polynomials appear only at the edges: a Polynomial handed to
+Ideal is cleared of denominators and packed once, and Polynomials are
+built only when Ideal.generators or GroebnerBasis.elements is read, never
+on a request.
 
 Inside those dictionaries a monomial is one int, packed by its order
 (Monagan-Pearce, _packing(n, lead)): pack(m) = sum e_i * C_i lays 16-bit
@@ -29,14 +32,18 @@ Below them come the total degree and each raw exponent that is not a field
 yet.  So the int order is the monomial order, a product is +, a quotient
 is -, the leading monomial of a dict d is max(d), and a divides b iff
 ((b | G) - a) & G == G for the guard mask G: a field of b below a's clears
-its guard bit, and no borrow crosses a field.
+its guard bit, and no borrow crosses a field.  The two packings a request
+uses, grevlex on three variables and the block order of an elimination's
+four, are built at import; any other is built on its first use and kept.
 
 Every field is a sum of exponents, so none exceeds the total degree, and a
 monomial enters only if its total degree is at most MAX_DEGREE = 2^15 - 1.
 A sum of two packed monomials then has fields below 2^16, and a field past
 MAX_DEGREE shows as a set guard bit: every product that can pass the bound
 is checked, and one that does raises ResourceLimitError.  A field never
-wraps silently.
+wraps silently.  A field holds MAX_DEGREE + 1 too, in its guard bit, so
+the terms of a polynomial whose partials are taken may reach that degree
+(milnor.jacobian_ideal): each partial term is one degree lower.
 
 An Ideal may carry a proven Hilbert tail (t0, e), dim (R/I)_t = e for
 every t >= t0; its runs skip the pairs that tail proves to reduce to 0
@@ -180,7 +187,9 @@ class _Budget:
     through (_free_line), an entry of a length-3 relation vector, d per
     vector (_length3_relations), a row operation of linalg.rank, priced by
     the words of its two multipliers as a reduction step is, or a term
-    product of the polynomial.  Every count is deterministic."""
+    product of the polynomial; or a term of a polynomial whose partials a
+    Jacobian ideal takes (milnor._jacobian_of).  Every count is
+    deterministic."""
 
     __slots__ = ("cap", "used")
 
@@ -223,10 +232,11 @@ class _Packing:
     first `lead` exponents lexicographically and breaks ties by graded
     reverse lex on the others (grevlex when lead = 0): C_i per variable,
     the guard mask, the shift of each raw exponent and of the total
-    degree, and the pairs (shift, C_i) that lcm walks."""
+    degree, the pairs (shift, C_i) of the raw exponents, and their lcm
+    (_unrolled_lcm)."""
 
     __slots__ = ("n", "lead", "coeffs", "guard", "shifts", "degree_shift",
-                 "raw_fields")
+                 "raw_fields", "lcm")
 
     def __init__(self, n, lead):
         # each field is the set of variables it sums, most significant first
@@ -245,14 +255,19 @@ class _Packing:
         self.shifts = tuple(shift[(i,)] for i in range(n))
         self.degree_shift = shift[tuple(range(n))]
         self.raw_fields = tuple(zip(self.shifts, self.coeffs))
+        self.lcm = _unrolled_lcm(self.guard, self.raw_fields)
 
-    def pack(self, m):
-        if sum(m) > MAX_DEGREE:
+    def pack(self, m, top=MAX_DEGREE):
+        """m packed; a total degree above top, at most MAX_DEGREE + 1,
+        raises ResourceLimitError."""
+        if sum(m) > top:
             raise _too_large()
         return sum(map(mul, m, self.coeffs))
 
     def unpack(self, p):
-        return tuple(p >> s & MAX_DEGREE for s in self.shifts)
+        # a field of a product of MAX_DEGREE + 1 forms holds that degree in
+        # its guard bit (arrangement._product)
+        return tuple(p >> s & 0xFFFF for s in self.shifts)
 
     def degree(self, p):
         return p >> self.degree_shift & MAX_DEGREE
@@ -260,39 +275,71 @@ class _Packing:
     def exponent(self, p, i):
         return p >> self.shifts[i] & MAX_DEGREE
 
-    def lcm(self, a, b):
-        """lcm(a, b), unchecked: a field of it is at most the sum of the
-        fields of a and b, below 2^16, so its guard bit tells whether it
-        passed MAX_DEGREE.  (b | G) - a holds 2^15 + b_i - a_i in the field
-        of each raw exponent, and a gains the positive differences.  Its
-        pairs (shift, C_i) are zipped once, with the packing: a run forms
-        an lcm for every pair it weighs."""
-        d = (b | self.guard) - a
-        for s, c in self.raw_fields:
-            e = (d >> s & 0xFFFF) - 0x8000
-            if e > 0:
-                a += e * c
-        return a
+
+def _unrolled_lcm(guard, raw_fields):
+    """lcm(a, b) of two monomials packed with the guard mask and raw
+    fields given, unchecked: a field of it is at most the sum of the
+    fields of a and b, below 2^16, so its guard bit tells whether it passed
+    MAX_DEGREE.  (b | G) - a holds 2^15 + b_i - a_i in the field of each
+    raw exponent, and a gains the positive differences.  A run forms an lcm
+    for every pair it weighs, so the walk over the raw fields is unrolled
+    into straight-line code, with the shifts and C_i as constants, once per
+    packing."""
+    lines = ["def lcm(a, b):", "    d = (b | %d) - a" % guard]
+    for s, c in raw_fields:
+        lines += ["    e = (d >> %d & 0xFFFF) - 0x8000" % s,
+                  "    if e > 0:", "        a += e * %d" % c]
+    namespace = {}
+    exec("\n".join(lines + ["    return a"]), namespace)
+    return namespace["lcm"]
 
 
-@lru_cache(maxsize=None)
+_PACKINGS = {}
+
+
 def _packing(n, lead=0):
-    return _Packing(n, lead)
+    """The packing of the order (n, lead), built on its first use and kept
+    for the life of the process."""
+    pk = _PACKINGS.get((n, lead))
+    if pk is None:
+        pk = _PACKINGS[n, lead] = _Packing(n, lead)
+    return pk
+
+
+# the grevlex packing of every request's basis, and the block packing of
+# its eliminations (_weighted_colon)
+_GREVLEX = _packing(3)
+_BLOCK = _packing(4, 1)
 
 
 class Ideal:
-    """An ideal given by a finite list of generators.
+    """An ideal given by a finite list of generators, held packed.
 
-    The zero ideal is represented by an empty generator tuple.
-    `hilbert_tail`, None or (t0, e), is a proven fact the caller hands to
-    the ideal's Buchberger runs: the generators are standard-homogeneous
-    and dim (R/I)_t = e for every t >= t0 (_buchberger_int).
+    Each nonzero Polynomial handed in is cleared of denominators and packed
+    once, by the grevlex packing of variable_count variables, into the
+    triple (lm, lc, primitive dict) a Buchberger run starts from, and its
+    scale s, an int or a Fraction, with g = s * dict; zero generators are
+    dropped, and the zero ideal has none.  A term of total degree above
+    MAX_DEGREE is refused with ResourceLimitError.  `generators` builds
+    the Polynomials s * dict, in the order given, on each read; no request
+    reads it.  `hilbert_tail`, None or (t0, e), is a proven fact the caller
+    hands to the ideal's Buchberger runs: the generators are
+    standard-homogeneous and dim (R/I)_t = e for every t >= t0
+    (_buchberger_int).
+
+    Equality compares the variable count, the tail, and the generators in
+    order, each by its triple and its scale: two ideals are equal exactly
+    when their generators are, as Polynomials, so it is a literal
+    comparison; use Groebner bases for equality of the ideals generated.
+    The tail takes part, so a run under a wrong tail, which may end in a
+    wrong basis, is never cached for the ideal without one.
     """
 
-    __slots__ = ("generators", "variable_count", "hilbert_tail", "_hash")
+    __slots__ = ("variable_count", "hilbert_tail", "_triples", "_scales",
+                 "_hash")
 
     def __init__(self, generators, variable_count=None, hilbert_tail=None):
-        gens = tuple(g for g in generators if not g.is_zero())
+        gens = [g for g in generators if not g.is_zero()]
         if variable_count is None:
             if not gens:
                 raise ValueError("variable_count required for the zero ideal")
@@ -300,29 +347,51 @@ class Ideal:
         for g in gens:
             if g.variable_count != variable_count:
                 raise ValueError("mixed variable counts among generators")
-        self.generators = gens
+        pk = _packing(variable_count)
+        self._hold([_held(*_packed_terms(g, pk)) for g in gens],
+                   variable_count, hilbert_tail)
+
+    @classmethod
+    def _packed(cls, held, variable_count, hilbert_tail=None):
+        """The ideal of the generators held as (triple, scale) pairs
+        (_held) under the grevlex packing, built with no Polynomial."""
+        ideal = cls.__new__(cls)
+        ideal._hold(held, variable_count, hilbert_tail)
+        return ideal
+
+    def _hold(self, held, variable_count, hilbert_tail):
+        self._triples = tuple(t for t, _ in held)
+        self._scales = tuple(s for _, s in held)
         self.variable_count = variable_count
         self.hilbert_tail = hilbert_tail
         self._hash = None
 
+    @property
+    def generators(self):
+        """The generators as Polynomials, built on each read."""
+        n = self.variable_count
+        unpack = _packing(n).unpack
+        return tuple(Polynomial({unpack(m): s * v for m, v in d.items()}, n)
+                     for (_, _, d), s in zip(self._triples, self._scales))
+
     def is_zero(self):
-        return not self.generators
+        return not self._triples
 
     def __eq__(self, other):
-        # literal generator comparison; use groebner bases for true equality.
-        # The tail takes part, so a run under a wrong tail, which may end in
-        # a wrong basis, is never cached for the ideal without one.
         return (isinstance(other, Ideal)
                 and self.variable_count == other.variable_count
-                and self.generators == other.generators
-                and self.hilbert_tail == other.hilbert_tail)
+                and self.hilbert_tail == other.hilbert_tail
+                and self._scales == other._scales
+                and self._triples == other._triples)
 
     def __hash__(self):
         # computed on the first lookup and kept: each buchberger() lookup
         # hashes the ideal, and a generator's hash walks all its terms
         if self._hash is None:
-            self._hash = hash((self.variable_count, self.generators,
-                               self.hilbert_tail))
+            self._hash = hash((self.variable_count, self.hilbert_tail,
+                               self._scales,
+                               tuple(frozenset(d.items())
+                                     for _, _, d in self._triples)))
         return self._hash
 
     def __repr__(self):
@@ -383,9 +452,13 @@ def _int_terms(p):
              for m, c in p.terms.items()}, denom)
 
 
-def _to_int_poly(p, pk):
-    """Polynomial -> (lead mono, lead coeff, primitive int dict), lead > 0."""
-    return _int_triple({pk.pack(m): v for m, v in _int_terms(p)[0].items()})
+def _packed_terms(p, pk, top=MAX_DEGREE):
+    """Polynomial p -> (dict packed monomial -> int, denominator D) with
+    p = dict / D, its terms packed by pk once; a term of total degree above
+    top, at most MAX_DEGREE + 1, raises ResourceLimitError."""
+    terms, denom = _int_terms(p)
+    pack = pk.pack
+    return {pack(m, top): v for m, v in terms.items()}, denom
 
 
 def _int_triple(d):
@@ -395,6 +468,17 @@ def _int_triple(d):
     if d[lm] < 0:
         d = {m: -v for m, v in d.items()}
     return (lm, d[lm], d)
+
+
+def _held(d, denom=1):
+    """(triple, scale) of the nonzero int dict d over the denominator: its
+    triple (_int_triple), and the scale s with d / denom = s * the triple's
+    dict, read off the leading coefficients, an int when denom is 1."""
+    triple = _int_triple(d)
+    lm, lc, _ = triple
+    if denom == 1:
+        return triple, d[lm] // lc
+    return triple, Fraction(d[lm], denom * lc)
 
 
 def _from_int_poly(d, pk, scale=1):
@@ -655,8 +739,7 @@ def _buchberger_cached(ideal):
     """Buchberger's loop, then _minimal; no interreduction."""
     pk = _packing(ideal.variable_count)
     return GroebnerBasis(pk, _minimal(_buchberger_int(
-        [_to_int_poly(g, pk) for g in ideal.generators], pk, _budget(),
-        ideal.hilbert_tail), pk))
+        ideal._triples, pk, _budget(), ideal.hilbert_tail), pk))
 
 
 def _minimal(triples, pk):
@@ -958,16 +1041,23 @@ def _weighted_colon(ideal, weights, c):
     then grevlex.  The colon is that ideal's part without t, and a basis
     element with a t-free leading monomial is t-free throughout, so those
     elements are a grevlex basis of it (elimination theorem), and _minimal
-    lists their leading monomials as the reduced basis does."""
-    pk = _packing(4, 1)
-    form = {(0, 0, 0, 0): -1}
+    lists their leading monomials as the reduced basis does.  I's triples
+    are lifted field by field into the block packing: on t-free monomials
+    the block order is grevlex, so each keeps its leading term."""
+    pk = _BLOCK
+    (sx, sy, sz), (_, cx, cy, cz) = _GREVLEX.shifts, pk.coeffs
+
+    def lift(m):
+        return ((m >> sx & MAX_DEGREE) * cx + (m >> sy & MAX_DEGREE) * cy
+                + (m >> sz & MAX_DEGREE) * cz)
+
+    form = {0: -1}
     for k, m in enumerate(_moment_form(weights)):
         if c ** k:
-            form[(1,) + m] = c ** k
-    gens = [{(0,) + m: v for m, v in _int_terms(g)[0].items()}
-            for g in ideal.generators] + [form]
-    raw = _buchberger_int([_int_triple({pk.pack(m): v for m, v in d.items()})
-                           for d in gens], pk, _budget())
+            form[pk.pack((1,) + m)] = c ** k
+    gens = [(lift(lm), lc, {lift(m): v for m, v in d.items()})
+            for lm, lc, d in ideal._triples]
+    raw = _buchberger_int(gens + [_int_triple(form)], pk, _budget())
     return tuple(pk.unpack(m)[1:] for m, _, _ in _minimal(raw, pk)
                  if not pk.exponent(m, 0))
 
@@ -1013,10 +1103,13 @@ def _saturate(ideal, weights):
     if min(weights) <= 0:
         raise PreconditionError("irrelevant-ideal saturation needs positive "
                                 "weights")
-    for g in ideal.generators:
-        if len({sum(map(mul, weights, m)) for m in g.terms}) > 1:
+    # the weighted degrees are read off the packed fields
+    (sx, sy, sz), (wx, wy, wz) = _GREVLEX.shifts, weights
+    for i, (_, _, d) in enumerate(ideal._triples):
+        if len({(m >> sx & MAX_DEGREE) * wx + (m >> sy & MAX_DEGREE) * wy
+                + (m >> sz & MAX_DEGREE) * wz for m in d}) > 1:
             raise PreconditionError("generator %s is not homogeneous for the "
-                                    "given weights" % g)
+                                    "given weights" % ideal.generators[i])
     gb = buchberger(ideal)
     lms = gb.leading_monomials
     if _is_artinian(lms):

@@ -10,8 +10,10 @@ which is then H0 itself.
 from __future__ import annotations
 
 from .graded import check_h0_symmetry, h0_degree_data
-from .groebner import Ideal, _dimension_at_most_one, _is_artinian, buchberger
-from .polyring import PreconditionError, partial_derivative, wdeg
+from .groebner import (_GREVLEX, MAX_DEGREE, Ideal, _budget,
+                       _dimension_at_most_one, _held, _is_artinian,
+                       _packed_terms, buchberger)
+from .polyring import PreconditionError, wdeg
 
 INFINITE = "infinite"
 
@@ -38,11 +40,36 @@ class MilnorProfile:
 
 
 def jacobian_ideal(f):
-    """The ideal of the three partial derivatives; zero partials dropped."""
+    """The ideal of the three partial derivatives of f in x, y, z; zero
+    partials dropped.  f's terms are packed once, cleared of denominators,
+    and the partials taken on the packed monomials (_jacobian_of), so no
+    Polynomial is built.  A term may have total degree MAX_DEGREE + 1,
+    since its partials are one degree lower; a higher one is refused with
+    ResourceLimitError."""
     if f.is_zero() or f.is_constant():
         raise PreconditionError("constant polynomial has no Jacobian ideal")
-    partials = [partial_derivative(f, i) for i in (1, 2, 3)]
-    return Ideal([p for p in partials if not p.is_zero()], f.variable_count)
+    if f.variable_count != 3:
+        raise PreconditionError("a Jacobian ideal needs 3 variables")
+    return _jacobian_of(*_packed_terms(f, _GREVLEX, MAX_DEGREE + 1))
+
+
+def _jacobian_of(terms, denom=1, hilbert_tail=None):
+    """The Jacobian ideal of the polynomial terms / denom, terms an int dict
+    packed by the grevlex packing of x, y, z, as an Ideal held packed with
+    the tail given.  The partial in a variable whose raw field has shift s
+    and coefficient C takes a term v*m with exponent e = m >> s & 0xFFFF
+    (a field holds MAX_DEGREE + 1 too) to e*v*(m - C), and drops it when e
+    is 0: distinct terms stay distinct, and each field of m - C is one
+    lower, or at most the degree of m minus e, so within MAX_DEGREE.  One
+    step per term."""
+    _budget().spend(len(terms))
+    held = []
+    for s, c in _GREVLEX.raw_fields:
+        part = {m - c: e * v for m, v in terms.items()
+                if (e := m >> s & 0xFFFF)}
+        if part:
+            held.append(_held(part, denom))
+    return Ideal._packed(held, 3, hilbert_tail)
 
 
 def _weighted_degree(f, w):

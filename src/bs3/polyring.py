@@ -5,9 +5,11 @@ Polynomials are dictionaries mapping exponent tuples to nonzero rationals:
 an int when the coefficient is integral, a Fraction only when its
 denominator is not 1.  The two compare and hash alike (hash(n) ==
 hash(Fraction(n))), so equality and hashing do not see the difference.
-There is no Polynomial arithmetic: the pipeline multiplies and reduces on
-int dictionaries (arrangement._form_product, the groebner module) and
-builds a Polynomial only from a finished dictionary.
+There is no Polynomial arithmetic: the pipeline multiplies,
+differentiates and reduces on int dictionaries of packed monomials
+(arrangement._product, milnor._jacobian_of, the groebner module), and a
+request builds no Polynomial past the one it parses.  partial_derivative
+is the library's partial of a Polynomial; no request calls it.
 Printing also names the variables of the other rings an elimination
 works in, t first among four; the grammar knows only x, y, z (aliases x1,
 x2, x3).

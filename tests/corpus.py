@@ -67,7 +67,9 @@ def _random_arrangement(rng):
 
 @lru_cache(maxsize=1)
 def build_corpus(minimum=MINIMUM_SIZE):
-    """Return a list of (name, Arrangement), deterministic across runs."""
+    """Return a tuple of (name, Arrangement), deterministic across runs.
+    It is memoized and shared by every test, so it is a tuple: no caller
+    can change what the tests after it read."""
     entries = []
     seen = set()
     for name, csv in CURATED:
@@ -88,7 +90,7 @@ def build_corpus(minimum=MINIMUM_SIZE):
             continue
         seen.add(key)
         entries.append(("random%02d" % attempt, arr))
-    return entries
+    return tuple(entries)
 
 
 def _primitive(normal):

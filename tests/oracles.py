@@ -39,7 +39,11 @@ as the relations of every concurrent triple are what its m - 2 length-3
 relations per point are, and a form parsed to a Polynomial and normalized
 over Fraction is what its primitive integer normals are.  The product of
 linear forms as Polynomials, one factor at a time, is what its product of
-coefficient vectors in one dict is tested against.  The Fraction route from
+normals on packed monomials is tested against, and the route from a
+Polynomial to a Jacobian's triples that the package replaced (the product
+of coefficient vectors in one dict, partial_derivative and to_int_poly)
+is what its Jacobians, born packed, and the generators they build on read
+are tested against.  The Fraction route from
 H0 degrees to root sets (degrees keyed by Fraction, each root computed in
 Fraction arithmetic, a root set a sorted tuple of distinct Fractions) is
 what the package's integer route, degrees k = L*t and roots n/D over one
@@ -80,9 +84,10 @@ from bs3 import groebner, linalg
 from bs3.arrangement import ConditionReport, is_formal
 from bs3.graded import STANDARD, DegreeData, regularity_report
 from bs3.groebner import (Ideal, _add_corner, _budget, _from_int_poly,
-                          _hilbert_function, _lcm_degree, _s_poly_int,
-                          _scaling_steps, _strip_content, _to_int_poly,
-                          buchberger, saturated_leading_monomials)
+                          _hilbert_function, _int_terms, _int_triple,
+                          _lcm_degree, _s_poly_int, _scaling_steps,
+                          _strip_content, buchberger,
+                          saturated_leading_monomials)
 from bs3.milnor import _weighted_degree, jacobian_ideal
 from bs3.polyring import (ParseError, Polynomial, PreconditionError,
                           WeightSystem, grevlex_key, parse_polynomial,
@@ -392,7 +397,7 @@ def block_basis(ideal, lead):
     by grevlex on the others: the package's loop under that packing, as
     groebner._weighted_colon runs it."""
     pk = groebner._packing(ideal.variable_count, lead)
-    triples = [_to_int_poly(g, pk) for g in ideal.generators]
+    triples = [to_int_poly(g, pk) for g in ideal.generators]
     return groebner.GroebnerBasis(pk, groebner._minimal(
         groebner._buchberger_int(triples, pk, _budget()), pk))
 
@@ -694,7 +699,7 @@ def reduced_basis(gb):
 def s_polynomial(f, g, pk):
     """S-polynomial of two rational polynomials, by the package's integer
     S-polynomial under the packing pk."""
-    f, g = _to_int_poly(f, pk), _to_int_poly(g, pk)
+    f, g = to_int_poly(f, pk), to_int_poly(g, pk)
     lcm = pk.lcm(f[0], g[0])
     if lcm & pk.guard:
         raise groebner._too_large()
@@ -854,6 +859,50 @@ def form_product_by_polynomials(vectors):
         budget.spend(len(f.terms) * len(p.terms))
         f = poly_mul(f, p)
     return f
+
+
+# -- Jacobians by Polynomials -------------------------------------------------
+
+def form_product(vectors):
+    """The product of the linear forms with the given coefficient vectors
+    (ints or Fractions) as one Polynomial, the terms multiplied as numbers
+    in one dict, factor by factor: each product of a term with a
+    coefficient is added in as it comes and dropped when its sum cancels.
+    Each term product is one step."""
+    budget = _budget()
+    terms = {(0, 0, 0): 1}
+    for vector in vectors:
+        a, b, c = vector
+        budget.spend(len(terms) * ((a != 0) + (b != 0) + (c != 0)))
+        out = {}
+        for (i, j, k), u in terms.items():
+            for key, v in (((i + 1, j, k), a), ((i, j + 1, k), b),
+                           ((i, j, k + 1), c)):
+                if v:
+                    s = out.get(key, 0) + u * v
+                    if s:
+                        out[key] = s
+                    else:
+                        out.pop(key, None)
+        terms = out
+    return Polynomial(terms, 3)
+
+
+def to_int_poly(p, pk):
+    """Polynomial -> (lead mono, lead coeff, primitive int dict), lead > 0,
+    under the packing pk."""
+    return _int_triple({pk.pack(m): v for m, v in _int_terms(p)[0].items()})
+
+
+def jacobian_by_polynomials(f):
+    """The nonzero partials of the Polynomial f by partial_derivative, and
+    their triples under the grevlex packing by to_int_poly: the route from
+    a polynomial to the triples a basis run starts from that the package's
+    packed Jacobian replaced."""
+    partials = [p for p in (partial_derivative(f, i) for i in (1, 2, 3))
+                if not p.is_zero()]
+    pk = groebner._packing(3)
+    return partials, [to_int_poly(p, pk) for p in partials]
 
 
 class _Tokens:

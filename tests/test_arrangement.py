@@ -13,6 +13,7 @@ from bs3.arrangement import (Arrangement, LinearForm, _free_line,
                              singular_points, validate)
 from bs3 import arrangement, cli, groebner, linalg
 from bs3.graded import STANDARD
+from bs3.groebner import Ideal
 from bs3.linalg import rank
 from bs3.polyring import (Bs3Error, ParseError, Polynomial, PreconditionError,
                           parse_polynomial)
@@ -612,7 +613,7 @@ def test_adapted_normals_send_two_least_height_lines_to_x_and_y():
         a, b = _free_line(arr.lattice)
         rows = (normals[i], normals[j], (a, b, 1))
         f = arr.defining_polynomial()
-        moved_f = arrangement._form_product(moved)
+        moved_f = oracles.form_product(moved)
         ratios = set()
         for _ in range(8):
             point = [rng.randint(-9, 9) for _ in range(3)]
@@ -626,9 +627,9 @@ def test_adapted_normals_send_two_least_height_lines_to_x_and_y():
 
 
 def test_moved_report_matches_the_original_coordinates(monkeypatch):
-    entries = corpus.build_corpus()
+    entries = list(corpus.build_corpus())
     names = {name for name, _ in entries}
-    assert len(entries) >= 40
+    assert len(entries) == 40
     assert {"ziegler_f", "ziegler_g", "braid", "generic4", "generic5",
             "generic6"} <= names
     runs = []
@@ -683,7 +684,7 @@ def test_hinted_run_returns_the_unhinted_basis():
         d = arr.degree
         e = sum((m - 1) ** 2 for m in map(len, arr.lattice.values()))
         assert jac.hilbert_tail == (2 * d - 4, e)
-        triples = [groebner._to_int_poly(g, pk) for g in jac.generators]
+        triples = jac._triples
         with groebner.step_budget() as plain:
             want = groebner._buchberger_int(triples, pk, plain)
         with groebner.step_budget() as hinted:
@@ -765,6 +766,10 @@ def test_a_form_prints_as_its_polynomial_from_its_normal(monkeypatch):
 
 
 def test_form_product_is_the_per_factor_product(monkeypatch):
+    # the product of normals on packed monomials builds no Polynomial, and
+    # holds the terms and spends the steps of the product of Polynomials,
+    # one factor at a time; defining_polynomial, the product of the forms
+    # with first coefficient 1, is that product of their coefficients
     built = []
     init = Polynomial.__init__
 
@@ -772,10 +777,10 @@ def test_form_product_is_the_per_factor_product(monkeypatch):
         built.append(terms)
         init(self, terms, variable_count)
 
+    unpack = groebner._packing(3).unpack
     cases = []
     for arr in product_draws():
         cases.append(arrangement._adapted_normals(arr))
-        cases.append([f.coefficients for f in arr.forms])
         cases.append([f.normal for f in arr.forms])
     # (x + y)(x - y)z: the two x*y*z terms cancel
     cases.append([(1, 1, 0), (1, -1, 0), (0, 0, 1)])
@@ -783,14 +788,45 @@ def test_form_product_is_the_per_factor_product(monkeypatch):
         with groebner.step_budget() as by_polynomials:
             want = oracles.form_product_by_polynomials(vectors)
         monkeypatch.setattr(Polynomial, "__init__", spy)
-        with groebner.step_budget() as by_numbers:
-            got = arrangement._form_product(iter(vectors))
+        with groebner.step_budget() as packed:
+            got = arrangement._product(vectors)
         monkeypatch.undo()
-        assert list(got.terms.items()) == list(want.terms.items()), vectors
-        assert by_numbers.used == by_polynomials.used, vectors
-        assert len(built) == 1
-        built.clear()
-    assert got == parse_polynomial("x^2*z - y^2*z")
+        assert {unpack(m): v for m, v in got.items()} == want.terms, vectors
+        assert packed.used == by_polynomials.used, vectors
+        assert built == []
+    assert {unpack(m): v for m, v in got.items()} == \
+        parse_polynomial("x^2*z - y^2*z").terms
+    for arr in product_draws():
+        with groebner.step_budget() as by_polynomials:
+            want = oracles.form_product_by_polynomials(
+                [f.coefficients for f in arr.forms])
+        with groebner.step_budget() as packed:
+            got = arr.defining_polynomial()
+        assert got == want, arr
+        assert packed.used == by_polynomials.used, arr
+
+
+def test_jacobian_is_the_polynomial_route_packed():
+    # the moved Jacobian holds the triples the route through Polynomials
+    # builds (the product of the moved normals in one dict,
+    # partial_derivative, and the packing of each partial), its generators
+    # built on read are those partials, and the ideal equals, and hashes
+    # as, the one built from them with the same tail
+    arrs = [arr for _, arr in corpus.build_corpus()]
+    for d in range(4, 17):
+        arrs.append(validate(SWEEP20.split(",")[:d]))
+        arrs.append(validate(moment_draw(d)))
+    arrs += [corpus.supersolvable(k, seed) for k, seed in SUPERSOLVABLE]
+    for arr in arrs:
+        jac = arrangement._jacobian(arr)
+        f = oracles.form_product(arrangement._adapted_normals(arr))
+        partials, triples = oracles.jacobian_by_polynomials(f)
+        assert jac._triples == tuple(triples), arr
+        assert jac.generators == tuple(partials), arr
+        by_polynomials = Ideal(partials, 3, jac.hilbert_tail)
+        assert jac == by_polynomials, arr
+        assert hash(jac) == hash(by_polynomials), arr
+        assert jac != Ideal(partials, 3), arr
 
 
 def test_der0_is_read_from_the_proven_tail(monkeypatch):

@@ -135,19 +135,22 @@ DRAW5 = "x-y+2z,-x+3y+2z,3x+2y+2z,x-3y+3z,3y-2z"
 # (the points each one is tested against, up to the first it passes
 # through: 115, 120, 66 and 16 of the four counts), d per length-3
 # relation vector (6 * 9 for each Ziegler arrangement, none for the other
-# two) and the row operations of is_formal's rank.  The
+# two), the row operations of is_formal's rank, and the term products of
+# its moved polynomial f'.  Every request spends one step per term of the
+# polynomial whose partials its Jacobian takes: f' has 36, 36, 66 and 10
+# terms, the four lqh polynomials 3, 3, 4 and 3.  The
 # product-shape lqh request saturates to in(J) itself, so it makes no
 # pass.  The standard-weights lqh request computes the colon by x + y + z,
 # which the certificate refuses, before the certified one by z + 2x + 4y
 @pytest.mark.parametrize("argv, steps", [
-    (("arrangement", "--forms", oracles.ZIEGLER_F), 1169),
-    (("arrangement", "--forms", oracles.ZIEGLER_G), 968),
-    (("arrangement", "--forms", MOMENT12), 3488),
-    (("arrangement", "--forms", DRAW5), 208),
-    (LQH, 145),
-    (LQH_PRODUCT, 13),
-    (LQH_COLON, 119),
-    (LQH_STANDARD, 230),
+    (("arrangement", "--forms", oracles.ZIEGLER_F), 1205),
+    (("arrangement", "--forms", oracles.ZIEGLER_G), 1004),
+    (("arrangement", "--forms", MOMENT12), 3554),
+    (("arrangement", "--forms", DRAW5), 218),
+    (LQH, 148),
+    (LQH_PRODUCT, 16),
+    (LQH_COLON, 123),
+    (LQH_STANDARD, 233),
 ], ids=["ziegler_f", "ziegler_g", "moment12", "draw5", "lqh", "lqh_product",
         "lqh_colon", "lqh_standard"])
 def test_cold_request_spends_a_pinned_number_of_steps(capsys, budgets, argv,
@@ -161,7 +164,8 @@ def test_cold_request_spends_a_pinned_number_of_steps(capsys, budgets, argv,
 
 
 def test_large_fermat_ends_within_the_default_cap(capsys, budgets):
-    # the Jacobian (x^3999, y^3999, z^3999) is Artinian, and its 3999^3
+    # the partials spend one step per term of f, 3; the Jacobian
+    # (x^3999, y^3999, z^3999) is Artinian, and its 3999^3
     # standard monomials are 3999 runs, one per row a < 3999: the excess
     # pass spends its 4 generators, then 2 + 1 + 1 column ranges in each of
     # those rows and 3 in row 3999, and counting the runs one step per run
@@ -173,7 +177,7 @@ def test_large_fermat_ends_within_the_default_cap(capsys, budgets):
     assert time.perf_counter() - start < 1
     assert code == 0 and "milnor_number: 63952011999\n" in out
     spent = budgets[0].used
-    assert spent == 4 + 3999 * 4 + 3 + 3999 + 11995
+    assert spent == 3 + 4 + 3999 * 4 + 3 + 3999 + 11995
     code, out, err = run(capsys, *argv, "--step-cap", str(spent - 1))
     assert code == 3 and out == ""
     assert err.startswith("resource limit:")
@@ -186,13 +190,13 @@ def test_large_arrangement_ends_before_its_polynomial(capsys, monkeypatch):
     forms = ["x", "y", "z"] + ["x+%d*y+%d*z" % (k, k * k)
                                for k in range(1, 118)]
     entered = []
-    build = arrangement._form_product
+    build = arrangement._product
 
-    def spy(vectors):
-        entered.append(vectors)
-        return build(vectors)
+    def spy(normals):
+        entered.append(normals)
+        return build(normals)
 
-    monkeypatch.setattr(arrangement, "_form_product", spy)
+    monkeypatch.setattr(arrangement, "_product", spy)
     # the spy sees the one product a request builds
     code, _, _ = run(capsys, "arrangement", "--forms", oracles.GENERIC5)
     assert code == 0 and len(entered) == 1

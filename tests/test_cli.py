@@ -1,5 +1,6 @@
 """Command line behavior: reports, formats, exit codes, determinism."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -270,12 +271,31 @@ def test_json_mirrors_text_fields(capsys):
 
 
 def test_exponent_past_the_packed_bound_exits_3(capsys):
-    code, out, err = run(capsys, "milnor", "--poly",
-                         "x^40000+y^40000+z^40000")
-    assert code == 3
-    assert out == ""
-    assert err.startswith("resource limit:") and "32767" in err
-    assert "Traceback" not in err
+    for command in (("milnor",), ("roots", "isolated"), ("roots", "lqh")):
+        code, out, err = run(capsys, *command, "--poly",
+                             "x^40000+y^40000+z^40000")
+        assert code == 3
+        assert out == ""
+        assert err == ("resource limit: exponents too large: a monomial of "
+                       "total degree above 32767\n")
+
+
+# sha256 of the report on x^32768 + y^32768 + z^32768 without its
+# timing_ms line: 1.3 MB of roots, the same before and after the Jacobian
+# was taken on packed monomials
+FERMAT_32768 = ("b3d94cf4fa1266288f70cea0220fddfb"
+                "eaa68b6bdd853b3bc5fe58037c0a5f77")
+
+
+def test_a_term_one_degree_past_the_bound_still_answers(capsys):
+    # f's terms have degree MAX_DEGREE + 1 and its partials MAX_DEGREE, so
+    # the request answers as it did when the partials were Polynomials
+    code, out, err = run(capsys, "roots", "isolated", "--poly",
+                         "x^32768+y^32768+z^32768")
+    assert code == 0 and err == ""
+    body = "".join(line for line in out.splitlines(keepends=True)
+                   if not line.startswith("timing_ms:"))
+    assert hashlib.sha256(body.encode()).hexdigest() == FERMAT_32768
 
 
 def test_arrangement_request_builds_the_lattice_once(capsys, monkeypatch):

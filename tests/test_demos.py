@@ -104,11 +104,48 @@ UNREACHED = sorted([
     "graded.DegreeData.__init__",
     # the Fraction views of a WeightSystem's ints, for library callers
     "polyring.WeightSystem.weights", "polyring.WeightSystem.weight_sum",
-    # run once, when cli is imported
+    # a form built from coefficients and its Fraction view, for library
+    # callers: a request parses each form straight to its normal
+    "arrangement.LinearForm.__init__", "arrangement.LinearForm.coefficients",
+    "arrangement._scaled",
+    # the Polynomial route to a Jacobian and the comparison of Polynomials,
+    # for library callers: a request's Jacobian is born packed, and an
+    # Ideal compares and hashes its packed triples
+    "polyring.partial_derivative", "polyring.Polynomial.__eq__",
+    "polyring.Polynomial.__hash__",
+    # run once, when cli or groebner is imported
     "cli._build_parser", "cli._build_parser.common",
+    "groebner._Packing.__init__", "groebner._unrolled_lcm",
     # error paths
     "cli._Parser.error", "groebner._too_large",
     "polyring.ParseError.__init__", "polyring._position"])
+
+
+def test_a_request_builds_no_polynomial_past_its_parse(monkeypatch):
+    # a --poly request builds the one Polynomial it parses and takes its
+    # partials on packed monomials; an arrangement request builds none
+    built = []
+    init = bs3.Polynomial.__init__
+
+    def spy(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(bs3.Polynomial, "__init__", spy)
+    partial = bs3.polyring.partial_derivative.__code__
+    entered = []
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: entered.append(
+        frame.f_code is partial))
+    try:
+        for argv in REQUESTS:
+            built.clear()
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(argv) == 0, argv
+            assert len(built) == (argv[0] != "arrangement"), argv
+    finally:
+        sys.settrace(previous)
+    assert entered and not any(entered)
 
 
 def defined_functions():

@@ -450,9 +450,8 @@ def test_the_loop_takes_the_reference_reducers_pairs(monkeypatch):
 
     def run(I):
         pk = _packing(3)
-        return groebner._buchberger_int(
-            [groebner._to_int_poly(g, pk) for g in I.generators], pk,
-            groebner._Budget(None), I.hilbert_tail)
+        return groebner._buchberger_int(I._triples, pk, groebner._Budget(None),
+                                        I.hilbert_tail)
 
     with monkeypatch.context() as mp:
         mp.setattr(groebner, "_reduce", oracles.reduce_stripping_every_step)
@@ -492,7 +491,7 @@ def test_elements_are_the_held_minimal_basis_made_monic():
         reduced = oracles.reduced_basis(gb)
         pk = gb.packing
         by_reduced = groebner.GroebnerBasis(
-            pk, [groebner._to_int_poly(g, pk) for g in reduced])
+            pk, [oracles.to_int_poly(g, pk) for g in reduced])
         assert len(elements) == len(reduced) == len(gb.leading_monomials)
         for lm, g, h in zip(gb.leading_monomials, elements, reduced):
             assert leading_monomial(g, gb) == leading_monomial(h, gb) == lm
@@ -1082,6 +1081,34 @@ def test_weights_that_do_not_grade_the_ideal_are_refused():
     # nothing positively
     with pytest.raises(PreconditionError):
         saturated_leading_monomials(ideal("x*y", "z^3"), (1, 0, 1))
+
+
+def test_ideals_compare_their_generators_literally():
+    # each generator is held as its primitive triple and its scale, and
+    # both take part: x, 2*x, -x and x/2 share the triple of x
+    scaled = [ideal(t, "y^2 - z^2") for t in ("x", "2*x", "-x", "1/2*x")]
+    for i, a in enumerate(scaled):
+        for j, b in enumerate(scaled):
+            assert (a == b) == (i == j), (a, b)
+    again = ideal("1/2*x", "y^2 - z^2")
+    assert again == scaled[3] and hash(again) == hash(scaled[3])
+    assert again.generators == (P("1/2*x"), P("y^2 - z^2"))
+    assert ideal("x", "y") != ideal("y", "x")
+    assert Ideal((P("x"),), 3, (0, 1)) != ideal("x")
+
+
+def test_a_generator_the_weights_do_not_grade_is_refused_by_name():
+    # the check reads weighted degrees off the packed triples, and names
+    # the generator as it was given, built from its triple and scale
+    cases = [(("x^2+y", "z^2"), (1, 1, 1), "x^2 + y"),
+             (("x - y^2", "y - z^2"), (1, 1, 1), "-y^2 + x"),
+             (("z^2", "6*x^3 - 3/4*y^2*z"), (2, 3, 1), "6*x^3 - 3/4*y^2*z"),
+             (("x*y", "-2/3*x^2+4*z"), (1, 1, 1), "-2/3*x^2 + 4*z")]
+    for texts, weights, named in cases:
+        with pytest.raises(PreconditionError) as refused:
+            saturated_leading_monomials(ideal(*texts), weights)
+        assert str(refused.value) == ("generator %s is not homogeneous for "
+                                      "the given weights" % named)
 
 
 def test_grading_weights_make_every_generator_homogeneous():

@@ -1,15 +1,17 @@
 """Jacobian ideals, Milnor algebra data, logarithmic derivation dimensions."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from bs3 import milnor
 from bs3.graded import DegreeData
-from bs3.groebner import buchberger
+from bs3.groebner import (MAX_DEGREE, Ideal, ResourceLimitError, buchberger,
+                          step_budget)
 from bs3.milnor import INFINITE, jacobian_ideal, milnor_profile
-from bs3.polyring import (Bs3Error, PreconditionError, WeightSystem,
-                          parse_polynomial)
+from bs3.polyring import (Bs3Error, Polynomial, PreconditionError,
+                          WeightSystem, parse_polynomial)
 
 import oracles
 from oracles import der_log0_graded_dimension
@@ -34,6 +36,75 @@ def test_jacobian_ideal_coordinate_product():
 def test_jacobian_of_constant_rejected():
     with pytest.raises(PreconditionError):
         jacobian_ideal(P("5"))
+
+
+def random_exponents(rng, free):
+    """Exponents of x, y, z, those in `free` 0: most small, some of total
+    degree MAX_DEGREE + 1."""
+    if rng.random() < 0.1:
+        top = MAX_DEGREE + 1
+        cuts = sorted(rng.randint(0, top) for _ in range(2))
+        m = [j - i for i, j in zip([0] + cuts, cuts + [top])]
+        if any(m[i] for i in free):
+            m = [0 if i in free else e for i, e in enumerate(m)]
+            m[min(set(range(3)) - free)] += top - sum(m)
+        return tuple(m)
+    return tuple(0 if i in free else rng.randint(0, 4) for i in range(3))
+
+
+def random_coefficient(rng):
+    if rng.random() < 0.5:
+        return rng.choice((-1, 1)) * rng.randint(1, 9)
+    return Fraction(rng.randint(-30, 30) or 1, rng.randint(1, 30))
+
+
+def seeded_polynomials(count, seed=44):
+    """Nonconstant Polynomials in x, y, z with int and Fraction
+    coefficients, a third of them free of some variable, so a partial
+    vanishes, and a tenth of their terms of degree MAX_DEGREE + 1."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        free = set(rng.sample(range(3), rng.choice((0, 0, 1, 2))))
+        terms = {random_exponents(rng, free): random_coefficient(rng)
+                 for _ in range(rng.randint(1, 7))}
+        f = Polynomial(terms, 3)
+        if not f.is_constant():
+            out.append(f)
+    return out
+
+
+def test_jacobian_ideal_is_the_polynomial_route_packed():
+    # the triples the packed partials hold are those partial_derivative
+    # and the packing of each partial give, and the generators built on
+    # read are those partials: the ideal equals, and hashes as, the one
+    # built from them
+    polys = seeded_polynomials(500)
+    assert sum(max(map(sum, f.terms)) == MAX_DEGREE + 1 for f in polys) > 50
+    vanishing = fractional = 0
+    for f in polys:
+        partials, triples = oracles.jacobian_by_polynomials(f)
+        with step_budget() as budget:
+            jac = jacobian_ideal(f)
+        assert budget.used == len(f.terms), f
+        assert jac._triples == tuple(triples), f
+        assert jac.generators == tuple(partials), f
+        assert jac == Ideal(partials, 3) and hash(jac) == hash(
+            Ideal(partials, 3)), f
+        vanishing += len(partials) < 3
+        fractional += any(c.__class__ is Fraction for c in f.terms.values())
+    assert vanishing > 100 and fractional > 250
+
+
+def test_jacobian_ideal_refuses_a_term_past_one_above_the_bound():
+    # a term of degree MAX_DEGREE + 1 has partials that fit; one more
+    # degree does not, and is refused before any basis work
+    jac = jacobian_ideal(P("x^32768+y^32768+z^32768"))
+    assert [max(map(sum, g.terms)) for g in jac.generators] == [MAX_DEGREE] * 3
+    for text in ("x^32769+y^32769+z^32769", "x^40000+y^40000+z^40000",
+                 "x^32768*y + z^32769"):
+        with pytest.raises(ResourceLimitError, match="above 32767"):
+            jacobian_ideal(P(text))
 
 
 def test_milnor_table_without_a_mirror_degree_is_refused(monkeypatch):

@@ -594,9 +594,9 @@ def condition_report(arr):
                        % (reg.regularity, 2 * d - 5))
     h0_d1 = h0.dimension(d - 1)
     h0_2d5 = h0.dimension(2 * d - 5)
-    # the saturation has checked that the generators are homogeneous, and
-    # has memoized the tail of in(J)
-    milnor = _hilbert_values(gb.leading_monomials, max(d - 1, 2 * d - 5))
+    # the saturation has checked that the generators are homogeneous; the
+    # run has read the tail of in(J), and the basis holds it
+    milnor = _hilbert_values(gb.tail, max(d - 1, 2 * d - 5))
     milnor_d1, milnor_2d5 = milnor[d - 1], milnor[2 * d - 5]
     # 2d - 2 >= 2d - 4, where the run has checked HF(R/in J) = e (module
     # docstring)

@@ -16,13 +16,14 @@ list per ideal (groebner._add_corner):
   certificate, never a count.  When the saturation returns in(I) itself
   H0 is empty with no pass; when I is Artinian the runs are the standard
   monomials of R/in(I).
-* The Hilbert function of R/I^sat is HF(R/I) - H0, read over the memoized
-  tail of in(I) (groebner._hilbert_tail), which runs from 0 to
-  max(deg lcm - 2, 0) + 2 and holds every H0 degree; from its start on
-  it is the Hilbert polynomial, the same for R/I and R/I^sat.  When
-  dim R/I <= 1 that polynomial is the constant e, the dimension of the
-  global sections of the associated sheaf in every twist, and H1 is e
-  minus the Hilbert function of R/I^sat below that start.
+* The Hilbert function of R/I^sat is HF(R/I) - H0, read over the tail of
+  in(I) that the basis of I holds (groebner.GroebnerBasis.tail), which
+  runs from 0 to max(deg lcm - 2, 0) + 2 and holds every H0 degree; from
+  its start on it is the Hilbert polynomial, the same for R/I and
+  R/I^sat.  When dim R/I <= 1 that polynomial is the constant e, the
+  dimension of the global sections of the associated sheaf in every
+  twist, and H1 is e minus the Hilbert function of R/I^sat below that
+  start.
 
 H0 is read under the weights of the request.  e, H1 and the regularity are
 read under the standard grading, so they refuse an ideal whose generators
@@ -35,7 +36,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .groebner import _excess_degrees, _hilbert_tail, _saturate, buchberger
+from .groebner import _excess_degrees, _saturate, buchberger
 from .polyring import (Bs3Error, PreconditionError, WeightSystem,
                        format_ratio, format_rational)
 
@@ -160,10 +161,10 @@ def regularity_report(I):
     saturation behind H0 refuses an ideal that (1, 1, 1) does not grade,
     and an ideal with dim R/I = 2 is refused.
 
-    The Hilbert function of R/I^sat is HF(R/I) - H0 over the memoized tail
-    of in(I), whose e is that of R/I^sat, since H0 is finite.  Every H0
-    degree lies in that tail: in(I^sat) adds finitely many monomials, so
-    the lcm of in(I^sat) divides that of in(I)
+    The Hilbert function of R/I^sat is HF(R/I) - H0 over the tail of in(I)
+    the basis holds, whose e is that of R/I^sat, since H0 is finite.
+    Every H0 degree lies in that tail: in(I^sat) adds finitely many
+    monomials, so the lcm of in(I^sat) divides that of in(I)
     (groebner._saturation_excess), and H0 ends three degrees below it.
     A saturated ideal of dimension at most one has a linear
     nonzerodivisor, so its Hilbert function never decreases and never
@@ -172,7 +173,7 @@ def regularity_report(I):
     absent only when e = 0.
     """
     h0 = h0_degree_data(I, STANDARD)
-    hf, e = _hilbert_tail(buchberger(I).leading_monomials)
+    hf, e = buchberger(I).tail
     if e is None:
         raise PreconditionError("Hilbert polynomial of R/I^sat is not "
                                 "constant; projective support is not "

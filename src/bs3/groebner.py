@@ -81,7 +81,7 @@ monomials of the grevlex basis of I^sat in the input's coordinates.  Each
 colon is built one of two ways.  Under standard weights l_0 = z, and
 dividing every element of a grevlex basis of I by its largest power of z
 gives a grevlex basis of I : z^infinity (Bayer-Stillman), so c = 0 costs
-only a division of the cached basis (_saturate_by_z).  Every other colon
+only a division of the basis I keeps (_saturate_by_z).  Every other colon
 is one elimination in the same coordinates, one Buchberger run on
 (I, t*l_c - 1) (_weighted_colon).  Under other weights l_0 = z^(D/w_z)
 would cost an elimination too, and it vanishes on the whole line z = 0,
@@ -147,7 +147,6 @@ from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
 from contextvars import ContextVar
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate, count, groupby
 from math import gcd, lcm
 from operator import itemgetter, mul
@@ -211,7 +210,9 @@ _OPEN_BUDGET = ContextVar("bs3_step_budget", default=None)
 def step_budget(cap=None):
     """One step budget shared by every computation in the block; None
     means DEFAULT_STEP_CAP.  Yields the budget, whose `used` counts the
-    steps spent so far.  A cached basis costs nothing when reused."""
+    steps spent so far.  An Ideal keeps the basis of its first run
+    (buchberger), so only a second read of that one object costs
+    nothing."""
     budget = _Budget(cap)
     token = _OPEN_BUDGET.set(budget)
     try:
@@ -331,12 +332,13 @@ class Ideal:
     order, each by its triple and its scale: two ideals are equal exactly
     when their generators are, as Polynomials, so it is a literal
     comparison; use Groebner bases for equality of the ideals generated.
-    The tail takes part, so a run under a wrong tail, which may end in a
-    wrong basis, is never cached for the ideal without one.
+    The tail takes part, since a run under a wrong tail may end in a wrong
+    basis.  An ideal keeps the basis of its first buchberger run that
+    returns (_basis); an equal ideal built anew runs again.
     """
 
     __slots__ = ("variable_count", "hilbert_tail", "_triples", "_scales",
-                 "_hash")
+                 "_basis")
 
     def __init__(self, generators, variable_count=None, hilbert_tail=None):
         gens = [g for g in generators if not g.is_zero()]
@@ -364,7 +366,7 @@ class Ideal:
         self._scales = tuple(s for _, s in held)
         self.variable_count = variable_count
         self.hilbert_tail = hilbert_tail
-        self._hash = None
+        self._basis = None
 
     @property
     def generators(self):
@@ -385,14 +387,8 @@ class Ideal:
                 and self._triples == other._triples)
 
     def __hash__(self):
-        # computed on the first lookup and kept: each buchberger() lookup
-        # hashes the ideal, and a generator's hash walks all its terms
-        if self._hash is None:
-            self._hash = hash((self.variable_count, self.hilbert_tail,
-                               self._scales,
-                               tuple(frozenset(d.items())
-                                     for _, _, d in self._triples)))
-        return self._hash
+        return hash((self.variable_count, self.hilbert_tail, self._scales,
+                     tuple(frozenset(d.items()) for _, _, d in self._triples)))
 
     def __repr__(self):
         return "Ideal(%s)" % ", ".join(str(g) for g in self.generators)
@@ -406,15 +402,23 @@ class GroebnerBasis:
     not reduced, so two runs on one ideal may hold different elements;
     elements builds them, monic, on each access.  leading_monomials is
     unpacked once, when the basis is built: a request reads it several
-    times."""
+    times.  tail is _hilbert_tail of them, in three variables: the run
+    that built the basis hands over the one it read last, if any, and
+    otherwise it is computed on the first read and kept."""
 
-    __slots__ = ("packing", "_int_basis", "leading_monomials")
+    __slots__ = ("packing", "_int_basis", "leading_monomials", "_tail")
 
-    def __init__(self, packing, triples):
+    def __init__(self, packing, triples, tail):
         self.packing = packing
         self._int_basis = tuple(triples)
         unpack = packing.unpack
         self.leading_monomials = tuple(unpack(b[0]) for b in self._int_basis)
+        self._tail = tail
+
+    @property
+    def tail(self):
+        self._tail = self._tail or _hilbert_tail(self.leading_monomials)
+        return self._tail
 
     @property
     def elements(self):
@@ -588,7 +592,9 @@ def _s_poly_int(f, g, lcm, pk, budget):
 
 def _buchberger_int(triples, pk, budget, tail=None):
     """Core loop on (lm, lc, dict) triples; returns the final list of
-    triples, a Groebner basis that is neither minimal nor reduced.
+    triples, a Groebner basis that is neither minimal nor reduced, and the
+    _hilbert_tail of its leading monomials when a tail was given, else
+    None.
 
     Each S-polynomial is reduced only until its head is irreducible
     (_reduce): its head steps are those of a full reduction, so the
@@ -631,11 +637,13 @@ def _buchberger_int(triples, pk, budget, tail=None):
     0: its remainder lies in I_t with a leading monomial outside M_t.  A
     zero remainder changes nothing, so skipping the pair leaves the basis,
     the pairs in play and every later step as they were.  Once
-    dim (R/M)_u = e for every u >= t (the memoized _hilbert_tail of M),
-    every pair left reduces to 0, and the loop stops.  The basis is the
-    one the loop returns without the tail, pair for pair.  A wrong tail
-    raises Bs3Error where it shows: h < e, or a finished basis whose
-    Hilbert function is not e in every degree from t0.
+    dim (R/M)_u = e for every u >= t, every pair left reduces to 0, and
+    the loop stops.  Both are read off _hilbert_tail of M, computed once
+    for each M read: a degree whose M has not grown since the last read
+    reuses it, and so does the closing check.  The basis is the one the
+    loop returns without the tail, pair for pair.  A wrong tail raises
+    Bs3Error where it shows: h < e, or a finished basis whose Hilbert
+    function is not e in every degree from t0.
     """
     G = pk.guard
     lcm_of = pk.lcm
@@ -692,14 +700,15 @@ def _buchberger_int(triples, pk, budget, tail=None):
         update(g)
     t0, e = tail or (None, None)
     read = h = None  # the degree h was read in, and dim (R/M)_read
+    known = None  # _hilbert_tail of M, once read and until M grows
     while heap:
         t = heap[0][0]
         if tail and t >= t0:
             if t != read:
-                lms = in_play()
-                if _stable_from(lms, t, e):
+                hf, stable = known = known or _hilbert_tail(in_play())
+                if stable == e and all(v == e for v in hf[t:]):
                     break
-                read, h = t, _hilbert_values(lms, t)[t]
+                read, h = t, _hilbert_values(known, t)[t]
                 if h < e:
                     raise Bs3Error("internal inconsistency: check 'Hilbert "
                                    "tail' failed: dim (R/in I)_%d is at "
@@ -712,34 +721,34 @@ def _buchberger_int(triples, pk, budget, tail=None):
                     pk, budget)
         if r:
             update(_int_triple(r))
+            known = None
             if read == t:
                 h -= 1
-    else:
-        lms = in_play() if tail else ()
-    # a stable test that ends the loop read the leading monomials in play
-    if tail and not _stable_from(lms, t0, e):
-        raise Bs3Error("internal inconsistency: check 'Hilbert tail' "
-                       "failed: dim (R/in I)_t is not %d for some t >= %d"
-                       % (e, t0))
-    return basis
+    if tail:
+        hf, stable = known = known or _hilbert_tail(in_play())
+        if stable != e or any(v != e for v in hf[t0:]):
+            raise Bs3Error("internal inconsistency: check 'Hilbert tail' "
+                           "failed: dim (R/in I)_t is not %d for some "
+                           "t >= %d" % (e, t0))
+    return basis, known
 
 
 def buchberger(ideal):
     """A minimal graded reverse lex Groebner basis of an ideal, whose
-    leading monomials are the reduced basis's (GroebnerBasis).
+    leading monomials are the reduced basis's (GroebnerBasis): Buchberger's
+    loop, then _minimal, with no interreduction.
 
-    Results are memoized: the function is pure and the pipeline asks for
-    the same basis from several entry points.
+    The ideal keeps the basis once the run returns, and every later call
+    on that ideal returns it with no step spent; a run that raises keeps
+    nothing.  The pipeline reads one request's basis from several entry
+    points, and each request builds its own ideals.
     """
-    return _buchberger_cached(ideal)
-
-
-@lru_cache(maxsize=64)
-def _buchberger_cached(ideal):
-    """Buchberger's loop, then _minimal; no interreduction."""
-    pk = _packing(ideal.variable_count)
-    return GroebnerBasis(pk, _minimal(_buchberger_int(
-        ideal._triples, pk, _budget(), ideal.hilbert_tail), pk))
+    if ideal._basis is None:
+        pk = _packing(ideal.variable_count)
+        triples, tail = _buchberger_int(ideal._triples, pk, _budget(),
+                                        ideal.hilbert_tail)
+        ideal._basis = GroebnerBasis(pk, _minimal(triples, pk), tail)
+    return ideal._basis
 
 
 def _minimal(triples, pk):
@@ -895,7 +904,6 @@ def _hilbert_function(lead_monomials, top, weights=(1, 1, 1)):
     return _sum_boxes(values, wy, wz)
 
 
-@lru_cache(maxsize=64)
 def _hilbert_tail(lead_monomials):
     """(dim (R/M)_t for t = 0..s + 2), s = max(deg lcm(M) - 2, 0), and the
     value e of the Hilbert polynomial of R/M if it is constant, else None
@@ -903,29 +911,24 @@ def _hilbert_tail(lead_monomials):
     Taylor resolution puts every syzygy of M in a degree at most
     deg lcm(M), so the Hilbert series is K(t)/(1-t)^3 with
     deg K <= deg lcm(M).  Its degree is at most two, so three values from s
-    decide it.  Memoized: a request reads the tail of in(I) and of
-    in(I^sat) from several places, and each is computed once."""
+    decide it.  A request reads the tail of in(I) off its basis
+    (GroebnerBasis.tail), which computes it at most once."""
     s = max(_lcm_degree(lead_monomials) - 2, 0)
     hf = tuple(_hilbert_function(lead_monomials, s + 2))
     return hf, hf[s] if hf[s] == hf[s + 1] == hf[s + 2] else None
 
 
-def _hilbert_values(lead_monomials, top):
+def _hilbert_values(tail, top):
     """[dim (R/M)_t for t = 0..top] under (1, 1, 1), for a top a theorem
-    bounds: the memoized tail and past it the Hilbert polynomial, carried
-    from the tail's last three values by Newton's forward differences, with
-    no step charged.  No caller reads a degree of its own choosing."""
-    hf, _ = _hilbert_tail(lead_monomials)
+    bounds, from the _hilbert_tail of M given: the tail and past it the
+    Hilbert polynomial, carried from the tail's last three values by
+    Newton's forward differences, with no step charged.  No caller reads a
+    degree of its own choosing."""
+    hf, _ = tail
     s = len(hf) - 3
     v, d1, d2 = hf[s], hf[s + 1] - hf[s], hf[s + 2] - 2 * hf[s + 1] + hf[s]
     return list(hf[:max(top + 1, 0)]) + [
         v + k * d1 + k * (k - 1) // 2 * d2 for k in range(3, top + 1 - s)]
-
-
-def _stable_from(lead_monomials, t, e):
-    """dim (R/M)_u = e for every u >= t."""
-    hf, stable = _hilbert_tail(lead_monomials)
-    return stable == e and all(v == e for v in hf[t:])
 
 
 def _saturation_excess(lms_i, lms_j):
@@ -1057,7 +1060,7 @@ def _weighted_colon(ideal, weights, c):
             form[pk.pack((1,) + m)] = c ** k
     gens = [(lift(lm), lc, {lift(m): v for m, v in d.items()})
             for lm, lc, d in ideal._triples]
-    raw = _buchberger_int(gens + [_int_triple(form)], pk, _budget())
+    raw, _ = _buchberger_int(gens + [_int_triple(form)], pk, _budget())
     return tuple(pk.unpack(m)[1:] for m, _, _ in _minimal(raw, pk)
                  if not pk.exponent(m, 0))
 
@@ -1090,8 +1093,8 @@ def _saturate(ideal, weights):
     and a constant Hilbert polynomial is then e >= 1, so first, first + 1
     and first + 2 all lie within first + 2e.  When e is None (dim R/I = 2)
     the loop has no bound, and the request's step budget ends it.  Most
-    colons pass at c = first or first + 1, and then the memoized tail of
-    in(I) is computed only if another caller reads it."""
+    colons pass at c = first or first + 1, and then the basis computes the
+    tail of in(I) only if another caller reads it (GroebnerBasis.tail)."""
     if ideal.variable_count != 3:
         raise PreconditionError("irrelevant-ideal saturation needs 3 variables")
     weights = tuple(weights)
@@ -1126,7 +1129,7 @@ def _saturate(ideal, weights):
     e = None
     for c in count(first):
         if c == first + 3:
-            _, e = _hilbert_tail(lms)
+            _, e = gb.tail
         if e is not None and c > first + 2 * e:
             break
         if c == 0:

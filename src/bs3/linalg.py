@@ -8,29 +8,25 @@ integer cross-multiplication and gcd normalization; no rounding anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .groebner import _budget, _scaling_steps
 
 
 def _primitive_int_row(row):
-    """Scale a rational row to a primitive integer row (gcd 1, or all zero)."""
+    """Scale a rational row to a primitive integer row (gcd 1, or all zero).
+    An entry that is neither an int nor a Fraction, such as a float or a
+    str, is refused with TypeError rather than rounded or parsed."""
     denom = 1
     for v in row:
         if isinstance(v, Fraction):
-            denom = denom * v.denominator // gcd(denom, v.denominator)
-    ints = []
-    for v in row:
-        if isinstance(v, Fraction):
-            ints.append(v.numerator * (denom // v.denominator))
-        else:
-            ints.append(int(v) * denom)
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
-    return ints
+            denom = lcm(denom, v.denominator)
+        elif not isinstance(v, int):
+            raise TypeError("matrix entries must be int or Fraction, got %r"
+                            % (v,))
+    ints = [v.numerator * (denom // v.denominator) for v in row]
+    g = gcd(*ints)
+    return [v // g for v in ints] if g > 1 else ints
 
 
 def _check_rectangular(rows):

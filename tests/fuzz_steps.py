@@ -1,13 +1,15 @@
-"""CPU time per 1,000 steps over seeded CLI requests.
+"""CPU time per 1,000 steps over seeded CLI requests, each run twice.
 
 Runs COUNT requests drawn by test_fuzz.draw_request from
-random.Random(SEED), each with the caches cleared, and prints the exit-code
-counts, the median and largest CPU time per 1,000 steps over the requests
-that spent at least MIN_STEPS steps, and the argv of the five requests that
-took the most CPU time.  It exits 1 only when a request exits 4 (an
-internal error) or raises; times are printed, never asserted, since they
-depend on the host.  pytest does not collect it.  Run it from the
-repository root:
+random.Random(SEED), each twice in a row in one process, and prints the
+exit-code counts of the first runs, the number of requests whose second
+run ended in another exit code or spent other steps, the median and
+largest CPU time per 1,000 steps over the first runs that spent at least
+MIN_STEPS steps, and the argv of the five requests whose first run took
+the most CPU time.  It exits 1 when a request exits 4 (an internal error)
+or raises, or when a second run differs from its first; times are
+printed, never asserted, since they depend on the host.  pytest does not
+collect it.  Run it from the repository root:
 
     PYTHONPATH=src python tests/fuzz_steps.py
 """
@@ -22,7 +24,6 @@ import traceback
 from collections import Counter
 
 from bs3 import cli, groebner
-from test_budget import clear_caches
 from test_fuzz import draw_request
 
 SEED = 1
@@ -33,7 +34,6 @@ MIN_STEPS = 100
 
 def run(argv, budgets):
     """(exit code, or "raised", steps spent, CPU seconds)."""
-    clear_caches()
     budgets.clear()
     out, err = io.StringIO(), io.StringIO()
     start = time.process_time()
@@ -63,16 +63,21 @@ def main():
     codes = Counter()
     timed = []  # (CPU seconds, steps, argv)
     bad = []
+    drifted = []  # (argv, (code, steps) of the first run, of the second)
     for _ in range(COUNT):
         argv = draw_request(rng)
         code, steps, seconds = run(argv, budgets)
+        again, steps_again, _ = run(argv, budgets)
         codes[code] += 1
         timed.append((seconds, steps, argv))
         if code in (4, "raised"):
             bad.append((code, argv))
+        if (again, steps_again) != (code, steps):
+            drifted.append((argv, (code, steps), (again, steps_again)))
     print("requests: %d (seed %d)" % (COUNT, SEED))
     print("exit codes: %s" % ", ".join(
         "%s: %d" % (code, n) for code, n in sorted(codes.items(), key=str)))
+    print("second runs that differ in exit code or steps: %d" % len(drifted))
     rates = [1000 * seconds / steps * 1000 for seconds, steps, _ in timed
              if steps >= MIN_STEPS]
     if rates:
@@ -84,7 +89,10 @@ def main():
         print("  %.1f %d %r" % (1000 * seconds, steps, argv))
     for code, argv in bad:
         print("FAILED (%s): %r" % (code, argv))
-    return 1 if bad else 0
+    for argv, first, second in drifted[:5]:
+        print("DIFFERS (exit code, steps) %r then %r: %r"
+              % (first, second, argv))
+    return 1 if bad or drifted else 0
 
 
 if __name__ == "__main__":

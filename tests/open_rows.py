@@ -1,7 +1,7 @@
-"""One cold request on each fixed arrangement input of ROADMAP's open rows.
+"""One request on each fixed arrangement input of ROADMAP's open rows.
 
 Runs `bs3 arrangement --format json` in process through cli.main on each
-row of ROWS, with the caches cleared first, and prints the wall seconds
+row of ROWS, and prints the wall seconds
 cli.main took and the sha1 of its report without `timing_ms`, the one
 field that depends on the host.  Exits 1 when a request fails or a digest
 differs from the one recorded in DIGESTS, so a change that moves these
@@ -19,7 +19,6 @@ import sys
 import time
 
 from bs3 import cli
-from test_budget import clear_caches
 
 # the sweep draw of ROADMAP's fixed inputs: its first d forms are the
 # degree-d draw
@@ -58,7 +57,6 @@ def request(forms):
     """(exit code, wall seconds of cli.main, sha1 of the report without
     timing_ms, or None when the request failed)."""
     out = io.StringIO()
-    clear_caches()
     start = time.perf_counter()
     with contextlib.redirect_stdout(out):
         code = cli.main(["arrangement", "--forms", forms, "--format", "json"])

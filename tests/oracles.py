@@ -398,8 +398,8 @@ def block_basis(ideal, lead):
     groebner._weighted_colon runs it."""
     pk = groebner._packing(ideal.variable_count, lead)
     triples = [to_int_poly(g, pk) for g in ideal.generators]
-    return groebner.GroebnerBasis(pk, groebner._minimal(
-        groebner._buchberger_int(triples, pk, _budget()), pk))
+    raw, tail = groebner._buchberger_int(triples, pk, _budget())
+    return groebner.GroebnerBasis(pk, groebner._minimal(raw, pk), tail)
 
 
 def eliminate(ideal, drop_count):
@@ -750,7 +750,8 @@ def buchberger_by_chain_criterion(triples, pk, budget, tail=None):
     with each of the pair's (chain criterion), scanned over the whole basis
     when the pair is taken.  It runs where groebner._buchberger_int does,
     with the same contract; it reduces every such pair, so it ignores a
-    proven Hilbert tail, which only skips pairs that reduce to 0."""
+    proven Hilbert tail, which only skips pairs that reduce to 0, and
+    hands over no tail of its own."""
     G = pk.guard
     lcm_of = pk.lcm
     basis = list(triples)
@@ -783,7 +784,7 @@ def buchberger_by_chain_criterion(triples, pk, budget, tail=None):
         if r:
             basis.append(groebner._int_triple(r))
             push_pairs(len(basis) - 1)
-    return basis
+    return basis, None
 
 
 # -- decomposability by every bipartition ----------------------------------

@@ -6,7 +6,7 @@ corpus.supersolvable, as tier-1 checks the smaller ones
 read from the request's basis against its closed form for t < 3d, H0
 empty, the non-combinatorial root absent, formality and e.  Prints one
 row per draw with its degree, the multiplicity m of its modular point
-and the seconds it took with the caches cleared, and exits 1 on any
+and the seconds it took, and exits 1 on any
 mismatch.  Times are printed, never asserted, since they depend on the
 host.  pytest does not collect it.  Run it from the repository root:
 
@@ -18,7 +18,6 @@ import time
 
 import corpus
 from test_arrangement import supersolvable_mismatches
-from test_budget import clear_caches
 
 # (k, seed), giving d = 20, 30 and 34
 ROWS = [(7, 4), (8, 5), (9, 6)]
@@ -27,7 +26,6 @@ ROWS = [(7, 4), (8, 5), (9, 6)]
 def main():
     failed = False
     for k, seed in ROWS:
-        clear_caches()
         start = time.perf_counter()
         mismatches = supersolvable_mismatches(k, seed)
         seconds = time.perf_counter() - start

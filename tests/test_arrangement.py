@@ -20,7 +20,6 @@ from bs3.polyring import (Bs3Error, ParseError, Polynomial, PreconditionError,
 
 import corpus
 import oracles
-from test_budget import clear_caches
 
 
 def forms_of(csv):
@@ -644,7 +643,6 @@ def test_moved_report_matches_the_original_coordinates(monkeypatch):
         entries.append(("sweep%d" % d, validate(SWEEP20.split(",")[:d])))
         entries.append(("moment%d" % d, validate(moment_draw(d))))
     for name, arr in entries:
-        clear_caches()
         runs.clear()
         got = condition_report(arr)
         # the moved Jacobian saturates on its own basis
@@ -676,8 +674,16 @@ def hinted_draws():
     return arrs
 
 
-def test_hinted_run_returns_the_unhinted_basis():
+def test_hinted_run_returns_the_unhinted_basis(monkeypatch):
     pk = groebner._packing(3)
+    formed = []
+    s_poly = groebner._s_poly_int
+
+    def spy(*args):
+        formed.append(args)
+        return s_poly(*args)
+
+    monkeypatch.setattr(groebner, "_s_poly_int", spy)
     skipped = 0
     for arr in hinted_draws():
         jac = arrangement._jacobian(arr)
@@ -685,13 +691,23 @@ def test_hinted_run_returns_the_unhinted_basis():
         e = sum((m - 1) ** 2 for m in map(len, arr.lattice.values()))
         assert jac.hilbert_tail == (2 * d - 4, e)
         triples = jac._triples
-        with groebner.step_budget() as plain:
-            want = groebner._buchberger_int(triples, pk, plain)
-        with groebner.step_budget() as hinted:
-            got = groebner._buchberger_int(triples, pk, hinted,
-                                           jac.hilbert_tail)
+        formed.clear()
+        want, unread = groebner._buchberger_int(triples, pk,
+                                                groebner._budget())
+        plain = len(formed)
+        formed.clear()
+        got, tail = groebner._buchberger_int(triples, pk, groebner._budget(),
+                                             jac.hilbert_tail)
         assert got == want, arr
-        skipped += hinted.used < plain.used
+        # only the hinted run reads a tail, and it hands over its minimal
+        # basis's
+        assert unread is None
+        assert tail == groebner._hilbert_tail(
+            groebner.GroebnerBasis(pk, groebner._minimal(got, pk),
+                                   None).leading_monomials), arr
+        # the tail skips S-pairs; the steps its reads cost may outweigh
+        # them on a small arrangement
+        skipped += len(formed) < plain
     assert skipped > 150
 
 
@@ -709,7 +725,6 @@ def test_cold_ziegler_request_reduces_no_pair_to_zero_from_2d_minus_4(
         return r
 
     monkeypatch.setattr(groebner, "_reduce", spy)
-    clear_caches()
     code = cli.main(["arrangement", "--forms", oracles.ZIEGLER_F])
     assert code == 0 and "non_comb_present: true" in capsys.readouterr().out
     assert (14, True) in reduced
@@ -839,7 +854,6 @@ def test_der0_is_read_from_the_proven_tail(monkeypatch):
 
     for arr in product_draws():
         d = arr.degree
-        clear_caches()
         monkeypatch.setattr(groebner, "_hilbert_function", spy)
         got = condition_report(arr).witness_dims["der_log0_dim_d_minus_2"]
         monkeypatch.undo()
@@ -866,9 +880,7 @@ def test_a_wrong_hilbert_tail_ends_in_exit_4(capsys, monkeypatch, name, seed,
         return run(triples, pk, budget, tail and seed(*tail))
 
     monkeypatch.setattr(groebner, "_buchberger_int", seeded)
-    clear_caches()
     code = cli.main(["arrangement", "--forms", getattr(oracles, name)])
-    clear_caches()
     captured = capsys.readouterr()
     assert (code, captured.out) == (4, "")
     assert captured.err.startswith("internal error: internal inconsistency")
@@ -884,7 +896,6 @@ def test_regularity_above_2d_minus_5_ends_in_exit_4(capsys, monkeypatch):
         return reg
 
     monkeypatch.setattr(arrangement, "regularity_report", raised)
-    clear_caches()
     code = cli.main(["arrangement", "--forms", oracles.ZIEGLER_F])
     captured = capsys.readouterr()
     assert (code, captured.out) == (4, "")
@@ -910,16 +921,22 @@ def supersolvable_mismatches(k, seed):
     arr = corpus.supersolvable(k, seed)
     d = arr.degree
     m = d - k
-    report = full_root_report(arr)
+    # the request's own Jacobian, whose basis holds the tail its run read
+    built = []
+    jacobian = arrangement._jacobian
+    arrangement._jacobian = lambda a: built.append(jacobian(a)) or built[-1]
+    try:
+        report = full_root_report(arr)
+    finally:
+        arrangement._jacobian = jacobian
 
     def r(t):
         return (t + 2) * (t + 1) // 2 if t >= 0 else 0
 
     closed = [r(t) - 3 * r(t - d + 1) + r(t - d - m + 2) + r(t - 2 * d + m + 1)
               for t in range(3 * d)]
-    read = groebner._hilbert_values(
-        groebner.buchberger(arrangement._jacobian(arr)).leading_monomials,
-        3 * d - 1)
+    read = groebner._hilbert_values(groebner.buchberger(built[0]).tail,
+                                    3 * d - 1)
     facts = {
         "Hilbert function": read == closed,
         "H0 empty": report.conditions.h0.is_empty(),

@@ -8,6 +8,7 @@ from math import gcd
 import pytest
 
 import oracles
+import test_demos
 import bs3
 from bs3 import arrangement, cli, groebner, linalg
 from bs3.arrangement import full_root_report, validate
@@ -19,13 +20,6 @@ from bs3.polyring import WeightSystem, parse_polynomial
 
 MODULES = ("polyring", "linalg", "groebner", "graded", "milnor", "bsroots",
            "arrangement", "cli")
-
-
-def clear_caches():
-    for name in MODULES:
-        for obj in vars(getattr(bs3, name)).values():
-            if hasattr(obj, "cache_clear"):
-                obj.cache_clear()
 
 
 def arrangement_steps(forms):
@@ -48,14 +42,12 @@ REQUESTS = {
 
 def request_steps(name):
     steps, arg, _ = REQUESTS[name]
-    clear_caches()
     with step_budget() as budget:
         steps(arg)
     return budget.used
 
 
 def run(capsys, *argv):
-    clear_caches()
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
@@ -387,27 +379,64 @@ def test_wide_weighted_window_ends_within_its_cap(capsys):
     assert "Traceback" not in err
 
 
+def two_ideals():
+    """Two ideals built anew, holding no basis yet."""
+    return tuple(Ideal(tuple(parse_polynomial(t) for t in texts))
+                 for texts in (("x^3*y - z^4", "x*z^2 - y^3", "y^2*z - x^2"),
+                               ("x^2 - y*z", "x*y - z^2")))
+
+
 def test_budget_is_shared_by_the_calls_of_a_block():
-    first = Ideal(tuple(parse_polynomial(t) for t in
-                        ("x^3*y - z^4", "x*z^2 - y^3", "y^2*z - x^2")))
-    second = Ideal(tuple(parse_polynomial(t) for t in
-                         ("x^2 - y*z", "x*y - z^2")))
     used = []
-    for ideal in (first, second):
-        clear_caches()
+    for ideal in two_ideals():
         with step_budget() as budget:
             buchberger(ideal)
         used.append(budget.used)
     assert min(used) > 0
-    clear_caches()
+    first, second = two_ideals()
     with step_budget(sum(used)) as budget:
         buchberger(first)
         buchberger(second)
     assert budget.used == sum(used)
-    clear_caches()
+    first, second = two_ideals()
     with pytest.raises(ResourceLimitError), step_budget(sum(used) - 1):
         buchberger(first)
         buchberger(second)
+
+
+def test_an_ideal_keeps_only_a_basis_whose_run_returned():
+    first, _ = two_ideals()
+    with pytest.raises(ResourceLimitError), step_budget(3):
+        buchberger(first)
+    with step_budget() as budget:
+        gb = buchberger(first)
+    assert budget.used > 3
+    with step_budget() as again:
+        assert buchberger(first) is gb
+    assert again.used == 0
+    assert gb.leading_monomials == buchberger(
+        two_ideals()[0]).leading_monomials
+
+
+def test_a_request_run_again_in_one_process_spends_the_same_steps(
+        capsys, budgets):
+    # nothing a request computes outlives it, so a second run of each
+    # reachability request spends what the first did, and a cap one below
+    # what Ziegler f spends ends it however often it ran before
+    for argv in test_demos.REQUESTS:
+        spent = []
+        for _ in range(2):
+            budgets.clear()
+            assert cli.main(list(argv)) == 0, argv
+            spent.append(sum(budget.used for budget in budgets))
+        assert spent[0] == spent[1] > 0, argv
+    argv = ("arrangement", "--forms", oracles.ZIEGLER_F)
+    budgets.clear()
+    code, _, _ = run(capsys, *argv)
+    assert code == 0 and len(budgets) == 1
+    code, out, err = run(capsys, *argv, "--step-cap",
+                         str(budgets[0].used - 1))
+    assert (code, out) == (3, "") and err.startswith("resource limit:")
 
 
 def test_blocks_nest_and_close():
@@ -434,10 +463,3 @@ def test_no_function_takes_a_step_cap():
         "buchberger", "h0_degree_data", "regularity_report",
         "milnor_profile", "condition_report", "full_root_report",
         "arrangement_profile"}
-
-
-def test_basis_caches_key_on_the_mathematical_input():
-    def parameters(cached):
-        return list(inspect.signature(cached.__wrapped__).parameters)
-
-    assert parameters(groebner._buchberger_cached) == ["ideal"]

@@ -10,7 +10,7 @@ import oracles
 from bs3 import cli, milnor
 from bs3.cli import main
 from bs3.polyring import ParseError, PreconditionError
-from test_budget import LQH_COLON, LQH_STANDARD, clear_caches
+from test_budget import LQH_COLON, LQH_STANDARD
 
 
 def run(capsys, *argv):
@@ -105,7 +105,6 @@ def test_non_reduced_f_exits_2_before_saturation(capsys, monkeypatch, argv):
     saturations = []
     monkeypatch.setattr(milnor, "h0_degree_data",
                         lambda *args: saturations.append(args))
-    clear_caches()
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == ("precondition violated: not reduced: dim R/J = 2, so f "
@@ -157,9 +156,7 @@ def test_negative_step_cap_is_a_usage_error(capsys):
     assert (code, out) == (1, "")
     assert err == "usage error: argument --step-cap: must be at least 0, " \
         "got -5\n"
-    # a cap of 0 is allowed, and the first step of a cold request passes
-    # it (a request served from warm caches may spend none)
-    clear_caches()
+    # a cap of 0 is allowed, and the request's first step passes it
     code, out, err = run(capsys, *argv, "0")
     assert (code, out) == (3, "")
     assert err.startswith("resource limit:")
@@ -344,9 +341,7 @@ def test_arrangement_request_moves_no_basis_back(capsys, monkeypatch):
     monkeypatch.setattr(groebner.GroebnerBasis, "__init__", spy_keep)
     monkeypatch.setattr(groebner, "_s_poly_int", spy_s_poly)
     monkeypatch.setattr(groebner, "_reduce", spy_reduce)
-    clear_caches()
     code, out, _ = run(capsys, "arrangement", "--forms", oracles.ZIEGLER_F)
-    clear_caches()
     assert code == 0 and "non_comb_present: true" in out
     assert len(runs) == 1
     assert len(kept) == 1
@@ -385,11 +380,9 @@ def test_weighted_colon_costs_one_buchberger_run(capsys, monkeypatch):
     monkeypatch.setattr(groebner, "_weighted_colon", spy_colon)
     monkeypatch.setattr(groebner, "_from_int_poly", spy_poly)
     monkeypatch.setattr(Polynomial, "__init__", spy_init)
-    clear_caches()
     code, out, _ = run(capsys, "roots", "lqh", "--poly",
                        "x^6*y*z+2*x*y^3*z+3*x*y*z^3",
                        "--weights", "1/5,1/2,1/2")
-    clear_caches()
     assert code == 0 and "h0.17/10: 2" in out
     # under weights other than (1, 1, 1) the loop starts at c = 1, and the
     # colon by z^2 + x^5 + y^2 is certified
@@ -416,9 +409,7 @@ def test_every_weighted_colon_is_by_the_moment_form(capsys, monkeypatch):
         return int_run(triples, pk, *args)
 
     monkeypatch.setattr(groebner, "_buchberger_int", spy_run)
-    clear_caches()
     code, _, _ = run(capsys, *LQH_COLON)
-    clear_caches()
     assert code == 0
     monkeypatch.undo()
     jac = milnor.jacobian_ideal(parse_polynomial(LQH_COLON[3]))
@@ -494,7 +485,6 @@ def test_colon_loop_reads_its_bound_once_c_passes_its_first_three(
     from bs3 import groebner
     from bs3.polyring import parse_polynomial
     excess, engine = groebner._saturation_excess, groebner._hilbert_function
-    clear_caches()
     _, want, _ = run(capsys, *argv)
     jac = milnor.jacobian_ideal(parse_polynomial(argv[3]))
     e = groebner._hilbert_tail(groebner.buchberger(jac).leading_monomials)[1]
@@ -513,7 +503,6 @@ def test_colon_loop_reads_its_bound_once_c_passes_its_first_three(
 
         monkeypatch.setattr(groebner, "_saturation_excess", refuse)
         monkeypatch.setattr(groebner, "_hilbert_function", spy)
-        clear_caches()
         code, out, err = run(capsys, *argv)
         monkeypatch.undo()
         colons = events.count("colon")
@@ -539,7 +528,6 @@ def test_lct_lambda_is_checked_before_any_basis(capsys, monkeypatch):
     runs = []
     monkeypatch.setattr(groebner, "_buchberger_int",
                         lambda *args: runs.append(args))
-    clear_caches()
     lqh = ("roots", "lqh", "--poly", "x^6*y*z+2*x*y^3*z+3*x*y*z^3",
            "--weights", "1/5,1/2,1/2")
     for poly in lqh[3], "x*y*z+":
@@ -552,7 +540,6 @@ def test_lct_lambda_is_checked_before_any_basis(capsys, monkeypatch):
             code, out, err = run(capsys, *argv, "--lct-lambda", bad)
             assert (code, out) == (1, "")
             assert err.startswith("parse error: malformed rational")
-    clear_caches()
     assert runs == []
 
 
@@ -587,7 +574,6 @@ def test_milnor_of_a_smooth_linear_form(capsys):
 
 def test_reports_match_the_frozen_text(capsys):
     for argv, lines in oracles.GOLDEN_REPORTS:
-        clear_caches()
         code, out, _ = run(capsys, *argv)
         assert code == 0, argv
         assert strip_timing(out) == "\n".join(lines), argv
@@ -687,7 +673,6 @@ def test_weighted_isolated_request_keeps_degrees_and_roots_as_ints(
             return _method(*args)
 
         monkeypatch.setattr(Fraction, name, counted)
-    clear_caches()
     code, out, _ = run(capsys, "roots", "isolated", "--poly",
                        "x^8+y^10+z^12", "--weights", "1/8,1/10,1/12")
     assert code == 0 and "roots: -323/120, " in out

@@ -100,6 +100,10 @@ UNREACHED = sorted([
     "bsroots.RootSet.__contains__",
     # a basis's held elements, made monic: benchmarks/tracer.py reads them
     "groebner.GroebnerBasis.elements", "groebner._from_int_poly",
+    # an Ideal compared and hashed by value, for library callers and the
+    # tracer's repeat counts: a request keeps each basis on its own ideal
+    # and looks none up
+    "groebner.Ideal.__eq__", "groebner.Ideal.__hash__",
     # the constructor of degree data from a {degree: dimension} dict
     "graded.DegreeData.__init__",
     # the Fraction views of a WeightSystem's ints, for library callers

@@ -7,7 +7,7 @@ import time
 from collections import Counter
 
 from bs3 import cli, groebner
-from test_budget import budgets, clear_caches  # noqa: F401
+from test_budget import budgets  # noqa: F401
 
 # the first line of stderr for each failing exit code
 PREFIXES = {1: ("usage error:", "parse error:"),
@@ -95,7 +95,6 @@ def test_seeded_requests_exit_0_to_3_and_the_step_cap_is_exact(
     monkeypatch.setattr(groebner._Budget, "__init__", spy)
 
     def run(argv):
-        clear_caches()
         made.clear()
         code = cli.main(argv)
         out, err = capsys.readouterr()
@@ -139,7 +138,6 @@ def test_step_cap_bounds_time_as_coefficients_grow(capsys, budgets):
     # by, so a cap that the first large coefficients pass ends the request
     # before they grow further, at the same count on every run
     for _ in range(2):
-        clear_caches()
         start = time.perf_counter()
         code = cli.main(GROWING + ["--step-cap", "4000"])
         assert time.perf_counter() - start < 1

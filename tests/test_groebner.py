@@ -315,7 +315,8 @@ def basis(I, lead=0):
 
 def basis_and_pair_count(ideal, lead, loop):
     """The minimal leading monomials of the core loop given, and the
-    number of S-polynomials the loop forms, caches cold.  Each loop adds
+    number of S-polynomials the loop forms, on a copy of the ideal that
+    holds no basis yet.  Each loop adds
     to the generators only remainders of S-polynomials, elements of I, so
     its basis generates I and is a Groebner basis of I exactly when its
     leading monomials generate in(I).  So two loops, one of them right,
@@ -331,9 +332,8 @@ def basis_and_pair_count(ideal, lead, loop):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(groebner, "_s_poly_int", spy)
         mp.setattr(groebner, "_buchberger_int", loop)
-        groebner._buchberger_cached.cache_clear()
-        gb = basis(ideal, lead)
-    groebner._buchberger_cached.cache_clear()
+        gb = basis(Ideal(ideal.generators, ideal.variable_count,
+                         ideal.hilbert_tail), lead)
     return gb.leading_monomials, len(pairs)
 
 
@@ -381,7 +381,7 @@ def test_the_loop_reduces_only_the_head_of_each_remainder(monkeypatch):
             assert not any(divides(GREVLEX, m, max(r)) for m in lms)
         # both take the first reducer in list order, so both cancel the
         # same heads, whether or not the list is a Groebner basis yet
-        listed = groebner.GroebnerBasis(GREVLEX, basis)
+        listed = groebner.GroebnerBasis(GREVLEX, basis, None)
         nf = normal_form_by_fractions(
             groebner._from_int_poly(d, GREVLEX), listed)
         assert nf.is_zero() == (not r)
@@ -456,8 +456,8 @@ def test_the_loop_takes_the_reference_reducers_pairs(monkeypatch):
     with monkeypatch.context() as mp:
         mp.setattr(groebner, "_reduce", oracles.reduce_stripping_every_step)
         want = [run(I) for I in cases]
-    for I, triples in zip(cases, want):
-        assert run(I) == triples, I
+    for I, result in zip(cases, want):
+        assert run(I) == result, I
 
 
 def test_corpus_jacobian_bases_are_fully_reduced():
@@ -491,7 +491,7 @@ def test_elements_are_the_held_minimal_basis_made_monic():
         reduced = oracles.reduced_basis(gb)
         pk = gb.packing
         by_reduced = groebner.GroebnerBasis(
-            pk, [oracles.to_int_poly(g, pk) for g in reduced])
+            pk, [oracles.to_int_poly(g, pk) for g in reduced], None)
         assert len(elements) == len(reduced) == len(gb.leading_monomials)
         for lm, g, h in zip(gb.leading_monomials, elements, reduced):
             assert leading_monomial(g, gb) == leading_monomial(h, gb) == lm
@@ -637,8 +637,8 @@ def first_line_missing(points):
 
 @pytest.fixture
 def chosen_lines(monkeypatch):
-    """Every colon computed: "divided" for the division of the cached basis
-    by z, and c for an elimination by l_c, caches cold."""
+    """Every colon computed: "divided" for the division of the ideal's
+    basis by z, and c for an elimination by l_c."""
     chosen = []
     by_z, colon = groebner._saturate_by_z, groebner._weighted_colon
 
@@ -667,7 +667,7 @@ def test_chosen_line_is_first_moment_curve_line_missing_the_lattice(
         assert c <= 2 * e, name
         chosen_lines.clear()
         h0_degree_data(jac, STANDARD)  # as a request reads the saturation
-        # c = 0 divides the cached basis, and each c > 0 is one
+        # c = 0 divides the ideal's basis, and each c > 0 is one
         # elimination; the certificate alone refuses every line through a
         # singular point, so the colons run from 0 to the first line that
         # misses them all
@@ -677,7 +677,7 @@ def test_chosen_line_is_first_moment_curve_line_missing_the_lattice(
 
 @pytest.fixture
 def reference_calls(monkeypatch):
-    """Calls to the weighted colon, caches cold."""
+    """Calls to the weighted colon."""
     calls = []
     colon = groebner._weighted_colon
 
@@ -691,7 +691,7 @@ def reference_calls(monkeypatch):
 
 def test_corpus_saturations_eliminate_only_for_a_certified_c_past_zero(
         reference_calls):
-    # c = 0 divides the cached basis; each c > 0 up to the certified one is
+    # c = 0 divides the ideal's basis; each c > 0 up to the certified one is
     # one elimination, so a certified c = 0 eliminates nothing
     certified = set()
     for name, arr in corpus.build_corpus():
@@ -932,7 +932,6 @@ def test_free_product_draws_read_the_saturation_off_one_basis(monkeypatch):
     monkeypatch.setattr(groebner, "_weighted_colon", spy_colon)
     for seed in range(20):
         for n, (I, weights) in enumerate(lqh_jacobians(seed, 4)):
-            groebner._buchberger_cached.cache_clear()
             runs.clear()
             colons.clear()
             c, lms = saturated_leading_monomials(I, weights)
@@ -1008,8 +1007,8 @@ def test_saturation_refuses_other_than_three_weights(monkeypatch):
 
 def test_saturation_reads_a_weight_list_and_refuses_other_weight_types(
         monkeypatch):
-    # a list is read as its tuple, so both share one cached basis; a weight
-    # that is not an int is refused before any basis work
+    # a list is read as its tuple, so both read the one basis the ideal
+    # keeps; a weight that is not an int is refused before any basis work
     runs = []
     int_run = groebner._buchberger_int
 
@@ -1019,7 +1018,6 @@ def test_saturation_reads_a_weight_list_and_refuses_other_weight_types(
 
     monkeypatch.setattr(groebner, "_buchberger_int", spy)
     I, weights = lqh_jacobians(8, 4)[0]
-    groebner._buchberger_cached.cache_clear()
     for bad in ((1.5, 1, 1), (True, 1, 1), (1, 1, Fraction(2)), ("1", 1, 1)):
         with pytest.raises(PreconditionError, match="needs integer weights"):
             saturated_leading_monomials(I, bad)
@@ -1029,7 +1027,6 @@ def test_saturation_reads_a_weight_list_and_refuses_other_weight_types(
     runs.clear()
     assert saturated_leading_monomials(I, weights) == got
     assert runs == []
-    groebner._buchberger_cached.cache_clear()
 
 
 def test_certificate_passes_as_the_hilbert_polynomials_at_0_1_2_agree():
@@ -1167,7 +1164,6 @@ def test_artinian_shortcut_needs_a_positive_grading():
 def test_step_cap_raises_resource_error():
     gens = tuple(P(t) for t in ("x^3*y - z^4", "x*z^2 - y^3",
                                 "y^2*z - x^2"))
-    groebner._buchberger_cached.cache_clear()
     with pytest.raises(ResourceLimitError), step_budget(3):
         buchberger(Ideal(gens))
 

@@ -76,3 +76,10 @@ def test_rank_against_plain_gaussian_elimination():
         m = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3))
               for _ in range(cols)] for _ in range(rows)]
         assert rank(m) == oracles.rref_rank(m)
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.0, "3"])
+def test_rank_refuses_an_entry_that_is_not_an_int_or_a_fraction(bad):
+    # 0.5 once truncated to 0, so [[0.5, 0], [0, 1]] had rank 1
+    with pytest.raises(TypeError, match="int or Fraction"):
+        rank([[bad, 0], [0, 1]])

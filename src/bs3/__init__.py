@@ -18,8 +18,7 @@ from .groebner import (DEFAULT_STEP_CAP, GroebnerBasis, Ideal,
                        saturated_leading_monomials, step_budget)
 from .milnor import INFINITE, MilnorProfile, jacobian_ideal, milnor_profile
 from .polyring import (Bs3Error, ParseError, Polynomial, PreconditionError,
-                       WeightSystem, format_rational, parse_polynomial,
-                       partial_derivative, wdeg)
+                       WeightSystem, format_rational, parse_polynomial, wdeg)
 
 __version__ = "0.1.0"
 

@@ -164,26 +164,9 @@ def _parse_weights(text):
     if len(parts) != 3:
         raise ParseError("expected three comma-separated weights", 0)
     try:
-        ratios = [_ratio(p.strip()) for p in parts]
+        return WeightSystem(parts)
     except (ValueError, ZeroDivisionError):
         raise ParseError("malformed weight in %r" % text, 0)
-    return WeightSystem.from_ratios(ratios)
-
-
-def _ratio(text):
-    """(n, d) in lowest terms for the rational text: ASCII digits n or n/d
-    are read as ints, any other text by Fraction, which accepts both of
-    them too, so the language read and the errors raised are Fraction's."""
-    num, slash, den = text.partition("/")
-    if num.isascii() and num.isdigit() and (
-            not slash or den.isascii() and den.isdigit()):
-        n, d = int(num), int(den) if slash else 1
-        if not d:
-            raise ZeroDivisionError(text)
-        g = gcd(n, d)
-        return n // g, d // g
-    q = Fraction(text)
-    return q.numerator, q.denominator
 
 
 def _parse_rational(text):

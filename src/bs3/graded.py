@@ -34,7 +34,7 @@ its weights grade the ideal (groebner._saturate).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .groebner import _excess_degrees, _saturate, buchberger
 from .polyring import (Bs3Error, PreconditionError, WeightSystem,
@@ -46,19 +46,9 @@ class DegreeData:
     degree t is kept as the int k = L*t over one denominator L, in
     `scaled`, a dict in ascending order of k; `entries`, degree to
     dimension in the same order, is a Fraction view built on access.
-    DegreeData(entries) takes degrees as Fractions or ints and uses the
-    least common denominator of them; h0_degree_data uses the weights'
-    common denominator."""
+    h0_degree_data builds it over the weights' common denominator."""
 
     __slots__ = ("denominator", "scaled")
-
-    def __init__(self, entries):
-        L = lcm(*(q.denominator for q in entries))
-        pairs = sorted((int(q * L), d) for q, d in entries.items() if d)
-        if any(d < 0 for _, d in pairs):
-            raise ValueError("negative dimension in degree data")
-        self.denominator = L
-        self.scaled = dict(pairs)
 
     @classmethod
     def _over(cls, denominator, scaled):

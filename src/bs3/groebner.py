@@ -807,10 +807,10 @@ def _dimension_at_most_one(lead_monomials):
     return all(any(not m[i] for m in lead_monomials) for i in range(3))
 
 
-def _lcm_degree(lead_monomials, weights=(1, 1, 1)):
-    """Weighted degree of the lcm of the monomials."""
-    return sum(w * max((m[i] for m in lead_monomials), default=0)
-               for i, w in enumerate(weights))
+def _lcm_degree(lead_monomials):
+    """Degree of the lcm of the monomials."""
+    return sum(max((m[i] for m in lead_monomials), default=0)
+               for i in range(3))
 
 
 def _add_corner(corner_b, corner_c, monomial):
@@ -853,9 +853,9 @@ def _sum_boxes(values, wy, wz):
     return values
 
 
-def _hilbert_function(lead_monomials, top, weights=(1, 1, 1)):
-    """[dim (R/M)_t for t = 0..top], M generated by the monomials and
-    graded by the positive integer weights.
+def _hilbert_function(lead_monomials, top):
+    """[dim (R/M)_t for t = 0..top] under the standard grading, M generated
+    by the monomials.
 
     x^a y^b z^c is outside M iff c is below low(a, b), the least
     z-exponent of a generator dividing x^a y^b in x and y.  Row a of low
@@ -867,19 +867,16 @@ def _hilbert_function(lead_monomials, top, weights=(1, 1, 1)):
     four entries of a second-difference array (_add_box) and counted by
     degree by two prefix passes (_sum_boxes), so the cost is one step per
     generator, one per corner range and one per degree.  Row a has
-    (top - a*w_x)//w_y + 1 columns of degree at most top, and low(a, b) = 0
-    from the last corner on when that corner is z-free, so its span is the
-    lesser of the two; spans only fall as a grows, and the walk ends at
-    the first that is not positive.  The budget is charged for every
-    generator and degree before the degree list is built, and for each
-    row's corner ranges, at most one more than its corners, before that
-    row is walked.
+    top - a + 1 columns of degree at most top, and low(a, b) = 0 from the
+    last corner on when that corner is z-free, so its span is the lesser
+    of the two; spans only fall as a grows, and the walk ends at the first
+    that is not positive.  The budget is charged for every generator and
+    degree before the degree list is built, and for each row's corner
+    ranges, at most one more than its corners, before that row is walked.
     """
-    wx, wy, wz = weights
     gens = sorted(lead_monomials)
     budget = _budget()
     budget.spend(len(gens) + max(top + 1, 0))
-    unbounded = top // wz + 1
     corner_b, corner_c = [], []  # b ascending, c descending
     values = [0] * (top + 1)
     i = 0
@@ -887,21 +884,21 @@ def _hilbert_function(lead_monomials, top, weights=(1, 1, 1)):
         while i < len(gens) and gens[i][0] <= a:
             _add_corner(corner_b, corner_c, gens[i])
             i += 1
-        span = (top - a * wx) // wy + 1
+        span = top - a + 1
         if corner_c and not corner_c[-1]:
             span = min(span, corner_b[-1])
         if span <= 0:
             break
         budget.spend(len(corner_b) + 1)
-        b, run = 0, unbounded
+        b, run = 0, top + 1
         for step_b, step_c in zip(corner_b + [span], corner_c + [0]):
             step_b = min(step_b, span)
             if step_b > b:
-                _add_box(values, a * wx + b * wy, (step_b - b) * wy, run * wz)
+                _add_box(values, a + b, step_b - b, run)
             if step_b == span:
                 break
             b, run = step_b, step_c
-    return _sum_boxes(values, wy, wz)
+    return _sum_boxes(values, 1, 1)
 
 
 def _hilbert_tail(lead_monomials):

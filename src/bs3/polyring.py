@@ -1,15 +1,14 @@
-"""Exact sparse polynomials over Q in three variables: parsing, printing,
-weighted degrees and partial derivatives.
+"""Exact sparse polynomials over Q in three variables: parsing, printing
+and weighted degrees, and the positive rational weights that grade them.
 
 Polynomials are dictionaries mapping exponent tuples to nonzero rationals:
 an int when the coefficient is integral, a Fraction only when its
 denominator is not 1.  The two compare and hash alike (hash(n) ==
 hash(Fraction(n))), so equality and hashing do not see the difference.
-There is no Polynomial arithmetic: the pipeline multiplies,
-differentiates and reduces on int dictionaries of packed monomials
-(arrangement._product, milnor._jacobian_of, the groebner module), and a
-request builds no Polynomial past the one it parses.  partial_derivative
-is the library's partial of a Polynomial; no request calls it.
+There is no Polynomial arithmetic and no Polynomial partial: the pipeline
+multiplies, differentiates and reduces on int dictionaries of packed
+monomials (arrangement._product, milnor._jacobian_of, the groebner
+module), and a request builds no Polynomial past the one it parses.
 Printing also names the variables of the other rings an elimination
 works in, t first among four; the grammar knows only x, y, z (aliases x1,
 x2, x3).
@@ -52,44 +51,24 @@ def grevlex_key(m):
 
 
 class WeightSystem:
-    """Positive rational weights, one per variable, kept as ints: `scaled`,
-    the weights times their least common denominator, and that
-    `denominator`, so a weighted degree is an integer sum over it.  The
-    Fractions `weights` and their sum `weight_sum` are views built when
-    read."""
+    """Positive rational weights, one per variable, each read by Fraction
+    (an int, a Fraction or a text such as "1/2" or " 3 "), and kept as
+    ints: `scaled`, the weights times their least common denominator, and
+    that `denominator`, so a weighted degree is an integer sum over it."""
 
     __slots__ = ("scaled", "denominator")
 
     def __init__(self, weights):
-        self._set([(q.numerator, q.denominator)
-                   for q in map(Fraction, weights)])
-
-    @classmethod
-    def from_ratios(cls, ratios):
-        """The weights n/d of int pairs (n, d) in lowest terms, d > 0,
-        built with no Fraction."""
-        w = cls.__new__(cls)
-        w._set(ratios)
-        return w
-
-    def _set(self, ratios):
-        L = lcm(*(d for _, d in ratios))
+        weights = [Fraction(q) for q in weights]
+        L = lcm(*(q.denominator for q in weights))
         self.denominator = L
-        self.scaled = tuple(n * (L // d) for n, d in ratios)
+        self.scaled = tuple(q.numerator * (L // q.denominator)
+                            for q in weights)
         if any(n <= 0 for n in self.scaled):
             raise PreconditionError("weights must be positive, got %s" % self)
 
-    @property
-    def weights(self):
-        L = self.denominator
-        return tuple(Fraction(n, L) for n in self.scaled)
-
-    @property
-    def weight_sum(self):
-        return Fraction(sum(self.scaled), self.denominator)
-
     def __repr__(self):
-        return "WeightSystem(%s)" % (self.weights,)
+        return "WeightSystem(%s)" % self
 
     def __str__(self):
         return ",".join(format_ratio(n, self.denominator) for n in self.scaled)
@@ -188,21 +167,6 @@ def wdeg(p, w):
     if len(degrees) == 1:
         return Fraction(degrees.pop(), w.denominator)
     return None
-
-
-def partial_derivative(p, i):
-    """Formal partial with respect to the i-th variable, 1-based."""
-    if not 1 <= i <= p.variable_count:
-        raise PreconditionError("variable index %d out of range" % i)
-    out = {}
-    j = i - 1
-    for m, c in p.terms.items():
-        if m[j] == 0:
-            continue
-        mm = list(m)
-        mm[j] -= 1
-        out[tuple(mm)] = c * m[j]
-    return Polynomial(out, p.variable_count)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
-"""Print the code lines of each module of src/bs3 and their total.
+"""Print the code lines and the physical lines of each module of src/bs3,
+and their totals.
 
 A code line is a line that holds a token of a statement: blank lines,
 comment lines and the lines of docstrings (the string that opens a module,
-class or function body) are not counted.  Run from anywhere:
+class or function body) are not counted.  Physical lines are every line
+of the file, which is what a fresh process compiles when it imports the
+module with no cached bytecode.  Run from anywhere:
 
     python tests/line_count.py
 
@@ -46,14 +49,17 @@ def code_lines(text):
 
 
 def main():
-    total = 0
+    code_total = physical_total = 0
+    print("%-16s %5s %8s" % ("module", "code", "physical"))
     for name in sorted(os.listdir(SOURCE)):
         if name.endswith(".py"):
             with open(os.path.join(SOURCE, name), encoding="utf-8") as f:
-                n = code_lines(f.read())
-            total += n
-            print("%-16s %5d" % (name, n))
-    print("%-16s %5d" % ("total", total))
+                text = f.read()
+            code, physical = code_lines(text), len(text.splitlines())
+            code_total += code
+            physical_total += physical
+            print("%-16s %5d %8d" % (name, code, physical))
+    print("%-16s %5d %8d" % ("total", code_total, physical_total))
     return 0
 
 

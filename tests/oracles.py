@@ -41,9 +41,9 @@ over Fraction is what its primitive integer normals are.  The product of
 linear forms as Polynomials, one factor at a time, is what its product of
 normals on packed monomials is tested against, and the route from a
 Polynomial to a Jacobian's triples that the package replaced (the product
-of coefficient vectors in one dict, partial_derivative and to_int_poly)
-is what its Jacobians, born packed, and the generators they build on read
-are tested against.  The Fraction route from
+of coefficient vectors in one dict, the Polynomial partial_derivative and
+to_int_poly) is what its Jacobians, born packed, and the generators they
+build on read are tested against.  The Fraction route from
 H0 degrees to root sets (degrees keyed by Fraction, each root computed in
 Fraction arithmetic, a root set a sorted tuple of distinct Fractions) is
 what the package's integer route, degrees k = L*t and roots n/D over one
@@ -67,9 +67,14 @@ tested against.  The reducer that strips the content after every step is
 what the package's _reduce, which strips only as the head's bits double,
 is tested against, result for result and run for run.  The column walk,
 one z-run per column of a staircase, is what the engine's box counts of
-corner ranges and of H0's runs are tested against, and the --weights
-value read part by part by Fraction is what the command line's int route
-is tested against.
+corner ranges and of H0's runs are tested against; it is also the one
+weighted Hilbert function here (the package's engine counts only under
+(1, 1, 1)), which graded_dimension, der_log0_graded_dimension and the
+Fraction H0 degrees read, with lcm_degree.  degree_data builds degree data
+from a {degree: dimension} dict, which the package never does.  The
+--weights value read part by part by Fraction after a strip is what the
+command line's reader, which hands the parts to WeightSystem, is tested
+against.
 """
 
 import heapq
@@ -85,13 +90,11 @@ from bs3.arrangement import ConditionReport, is_formal
 from bs3.graded import STANDARD, DegreeData, regularity_report
 from bs3.groebner import (Ideal, _add_corner, _budget, _from_int_poly,
                           _hilbert_function, _int_terms, _int_triple,
-                          _lcm_degree, _s_poly_int, _scaling_steps,
-                          _strip_content, buchberger,
-                          saturated_leading_monomials)
+                          _s_poly_int, _scaling_steps, _strip_content,
+                          buchberger, saturated_leading_monomials)
 from bs3.milnor import _weighted_degree, jacobian_ideal
 from bs3.polyring import (ParseError, Polynomial, PreconditionError,
-                          WeightSystem, grevlex_key, parse_polynomial,
-                          partial_derivative, wdeg)
+                          WeightSystem, grevlex_key, parse_polynomial, wdeg)
 
 # -- the two degree-9 arrangements that differ only in the non-lattice root
 
@@ -338,7 +341,7 @@ def graded_dimension(gb, w, q):
     k = Fraction(q) * w.denominator
     if k.denominator != 1 or k < 0:
         return 0
-    return _hilbert_function(gb.leading_monomials, int(k), W)[-1]
+    return hilbert_function_by_columns(gb.leading_monomials, int(k), W)[-1]
 
 
 def der_log0_graded_dimension(f, w, k):
@@ -346,7 +349,7 @@ def der_log0_graded_dimension(f, w, k):
     kernel of (a1,a2,a3) -> sum a_i * (d_i f) with a_i in R_{k+w_i}, whose
     image is the degree k+wdeg(f) piece of the Jacobian ideal.  Degrees are
     scaled by the weights' denominator L, so the domain's degrees K + W_i
-    and the image's K + D are ints; dim R_t is read from one engine call on
+    and the image's K + D are ints; dim R_t is read from one column walk on
     the zero ideal, M = ()."""
     d = _weighted_degree(f, w)
     gb = buchberger(jacobian_ideal(f))
@@ -357,12 +360,12 @@ def der_log0_graded_dimension(f, w, k):
     top = K + max(D, *W)
     if top < 0:
         return 0
-    dim_r = _hilbert_function((), top, W)
+    dim_r = hilbert_function_by_columns((), top, W)
     domain = sum(dim_r[K + v] for v in W if K + v >= 0)
     if domain == 0 or K + D < 0:
         return domain
-    image = (dim_r[K + D]
-             - _hilbert_function(gb.leading_monomials, K + D, W)[-1])
+    image = (dim_r[K + D] - hilbert_function_by_columns(
+        gb.leading_monomials, K + D, W)[-1])
     return domain - image
 
 
@@ -378,8 +381,8 @@ def der_log0_kernel_dimension_by_rank(f, w, k):
     target = weighted_monomials(w, k + d, n)
     index = {m: i for i, m in enumerate(target)}
     columns = []
-    for i, wi in enumerate(w.weights):
-        for m in weighted_monomials(w, k + wi, n):
+    for i, wi in enumerate(w.scaled):
+        for m in weighted_monomials(w, k + Fraction(wi, w.denominator), n):
             col = [0] * len(target)
             for pm, c in partials[i].terms.items():
                 col[index[mono_mul(m, pm)]] = c
@@ -484,7 +487,7 @@ def regularity_by_ranks(ideal):
     values there make it the constant e; any other is refused as the
     package refuses it.  H1 is e - HF(R/I^sat), and the regularity is the
     largest of h0_max, h1_max + 1 and 0."""
-    top = _lcm_degree(buchberger(ideal).leading_monomials) + 2
+    top = lcm_degree(buchberger(ideal).leading_monomials) + 2
     sat = saturation_by_columns(ideal)
     hf_i, hf = ([rank_route_dimension(J, STANDARD, t) for t in range(top + 1)]
                 for J in (ideal, sat))
@@ -497,7 +500,7 @@ def regularity_by_ranks(ideal):
     h1_max = max((t for t, v in enumerate(hf) if v < e), default=-1) \
         if e else None
     regularity = max(h0_max or 0, h1_max + 1 if e else 0)
-    return (h0_max, h1_max, regularity, e), DegreeData(h0), hf
+    return (h0_max, h1_max, regularity, e), degree_data(h0), hf
 
 
 # -- the line z = 0 against V(I), by restriction ----------------------------
@@ -545,7 +548,7 @@ def same_hilbert_polynomial_at_0_1_2(lms_a, lms_b):
     from the Hilbert function at s, s + 1, s + 2, s = max(deg lcm - 2, 0),
     by Newton's forward differences."""
     def at_0_1_2(lms):
-        s = max(_lcm_degree(lms) - 2, 0)
+        s = max(lcm_degree(lms) - 2, 0)
         v, w, u = _hilbert_function(lms, s + 2)[s:]
         d1, d2 = w - v, u - 2 * w + v
         return [v + k * d1 + k * (k - 1) // 2 * d2
@@ -589,6 +592,12 @@ def hilbert_function_by_columns(lead_monomials, top, weights=(1, 1, 1)):
     return values
 
 
+def lcm_degree(lead_monomials, weights=(1, 1, 1)):
+    """Weighted degree of the lcm of the monomials."""
+    return sum(w * max((m[i] for m in lead_monomials), default=0)
+               for i, w in enumerate(weights))
+
+
 # -- --weights over Fraction ------------------------------------------------
 
 def weights_by_fractions(text):
@@ -623,6 +632,19 @@ def socle_monomial_by_box(lms):
     return None
 
 
+# -- degree data from a {degree: dimension} dict ---------------------------
+
+def degree_data(entries):
+    """The DegreeData of a dict from degrees, Fractions or ints, to
+    dimensions, over the least common denominator of the degrees; zero
+    dimensions are dropped and a negative one is a ValueError."""
+    L = lcm(*(q.denominator for q in entries))
+    pairs = sorted((int(q * L), d) for q, d in entries.items() if d)
+    if any(d < 0 for _, d in pairs):
+        raise ValueError("negative dimension in degree data")
+    return DegreeData._over(L, dict(pairs))
+
+
 # -- Milnor algebra degrees by the staircase box ---------------------------
 
 def _artinian_degree_data(gb, w, n=3):
@@ -640,7 +662,7 @@ def _artinian_degree_data(gb, w, n=3):
             continue
         q = Fraction(sum(map(mul, e, w.scaled)), w.denominator)
         entries[q] = entries.get(q, 0) + 1
-    return DegreeData(entries)
+    return degree_data(entries)
 
 
 # -- full reduction over Fraction ------------------------------------------
@@ -895,6 +917,22 @@ def to_int_poly(p, pk):
     return _int_triple({pk.pack(m): v for m, v in _int_terms(p)[0].items()})
 
 
+def partial_derivative(p, i):
+    """Formal partial of the Polynomial p with respect to the i-th
+    variable, 1-based."""
+    if not 1 <= i <= p.variable_count:
+        raise PreconditionError("variable index %d out of range" % i)
+    out = {}
+    j = i - 1
+    for m, c in p.terms.items():
+        if m[j] == 0:
+            continue
+        mm = list(m)
+        mm[j] -= 1
+        out[tuple(mm)] = c * m[j]
+    return Polynomial(out, p.variable_count)
+
+
 def jacobian_by_polynomials(f):
     """The nonzero partials of the Polynomial f by partial_derivative, and
     their triples under the grevlex packing by to_int_poly: the route from
@@ -1086,10 +1124,11 @@ def h0_entries_by_fractions(I, w):
     g = gcd(*W)
     _, in_sat = saturated_leading_monomials(I, tuple(v // g for v in W))
     in_i = buchberger(I).leading_monomials
-    top = max(_lcm_degree(in_i, W), _lcm_degree(in_sat, W)) - sum(W)
+    top = max(lcm_degree(in_i, W), lcm_degree(in_sat, W)) - sum(W)
     return {Fraction(k, L): a - b for k, (a, b) in
-            enumerate(zip(_hilbert_function(in_i, top, W),
-                          _hilbert_function(in_sat, top, W))) if a != b}
+            enumerate(zip(hilbert_function_by_columns(in_i, top, W),
+                          hilbert_function_by_columns(in_sat, top, W)))
+            if a != b}
 
 
 def fraction_root_set(roots):
@@ -1102,7 +1141,7 @@ def h0_root_sets_by_fractions(entries, w, d):
     """The four root sets the H0 degrees t give, each root
     shift - (t + sum(w))/d in Fraction arithmetic: new (shift 0), blf
     (shift 2), xi (shifts 0 and 1) and isolated (shift 0, plus -1)."""
-    sw = sum(w.weights)
+    sw = Fraction(sum(w.scaled), w.denominator)
     new = [-(t + sw) / d for t in entries]
     return {"new": fraction_root_set(new),
             "blf": fraction_root_set(r + 2 for r in new),
@@ -1118,7 +1157,8 @@ def h0_symmetric_by_fractions(entries, center):
 def tlct_by_fractions(entries, w, d, lam):
     """The twisted comparison test: -(lam - 2)*d - sum(w) is no H0
     degree."""
-    return -(Fraction(lam) - 2) * d - sum(w.weights) not in entries
+    sw = Fraction(sum(w.scaled), w.denominator)
+    return -(Fraction(lam) - 2) * d - sw not in entries
 
 
 # -- frozen text reports, without timing_ms: a weighted Brieskorn-Pham

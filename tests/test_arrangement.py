@@ -824,9 +824,9 @@ def test_form_product_is_the_per_factor_product(monkeypatch):
 def test_jacobian_is_the_polynomial_route_packed():
     # the moved Jacobian holds the triples the route through Polynomials
     # builds (the product of the moved normals in one dict,
-    # partial_derivative, and the packing of each partial), its generators
-    # built on read are those partials, and the ideal equals, and hashes
-    # as, the one built from them with the same tail
+    # oracles.partial_derivative, and the packing of each partial), its
+    # generators built on read are those partials, and the ideal equals,
+    # and hashes as, the one built from them with the same tail
     arrs = [arr for _, arr in corpus.build_corpus()]
     for d in range(4, 17):
         arrs.append(validate(SWEEP20.split(",")[:d]))
@@ -857,7 +857,7 @@ def test_der0_is_read_from_the_proven_tail(monkeypatch):
         monkeypatch.setattr(groebner, "_hilbert_function", spy)
         got = condition_report(arr).witness_dims["der_log0_dim_d_minus_2"]
         monkeypatch.undo()
-        # the only window of the zero ideal, dim R_t, is the engine route's
+        # the package reads no window of the zero ideal, dim R_t
         assert windows and all(args[0] != () for args in windows)
         windows.clear()
         want = oracles.der_log0_graded_dimension(arr.defining_polynomial(),

@@ -15,7 +15,7 @@ from bs3.bsroots import (RootSet, blf_roots, check_partial_symmetry,
                          homogeneous_taxonomy, new_roots,
                          reconstruct_zero_set, roots_isolated, sigma,
                          small_roots, tlct_holds, xi_set)
-from bs3.graded import DegreeData, check_h0_symmetry, h0_degree_data
+from bs3.graded import check_h0_symmetry, h0_degree_data
 from bs3.milnor import MilnorProfile, milnor_profile
 from bs3.polyring import (Bs3Error, PreconditionError, WeightSystem,
                           format_rational, parse_polynomial, wdeg)
@@ -236,7 +236,7 @@ def test_weighted_h0_root_sets_follow_the_formulas():
         degrees = prof.h0.entries
         fractional += any(t.denominator > 1 for t in degrees)
         windowed += len(small_roots(prof)) > 0
-        sw = sum(prof.weights.weights)
+        sw = Fraction(sum(prof.weights.scaled), prof.weights.denominator)
         d = prof.wdeg_f
         new = [-(t + sw) / d for t in degrees]
         assert list(new_roots(prof)) == sorted(set(new))
@@ -255,7 +255,7 @@ def synthetic_profile(I, w):
     wdeg(first generator) + w_x, as if I were its Jacobian ideal; the
     isolated flag only lets roots_isolated read the table."""
     h0 = h0_degree_data(I, w)
-    d = wdeg(I.generators[0], w) + w.weights[0]
+    d = wdeg(I.generators[0], w) + Fraction(w.scaled[0], w.denominator)
     return MilnorProfile(None, w, d, I, h0, True, h0)
 
 
@@ -322,7 +322,8 @@ def test_integer_route_matches_the_fraction_route():
     verdicts = set()
     for prof in profiles:
         w, d = prof.weights, prof.wdeg_f
-        sw, L = sum(w.weights), w.denominator
+        L = w.denominator
+        sw = Fraction(sum(w.scaled), L)
         entries = oracles.h0_entries_by_fractions(prof.jacobian, w)
         ordered = sorted(entries)
         assert prof.h0.entries == entries
@@ -347,7 +348,7 @@ def test_integer_route_matches_the_fraction_route():
         if ordered:
             skewed = dict(entries)
             skewed[ordered[0]] += 1
-            tables.append((DegreeData(skewed), skewed))
+            tables.append((oracles.degree_data(skewed), skewed))
         for data, table in tables:
             for center in centers:
                 verdict = oracles.h0_symmetric_by_fractions(table, center)

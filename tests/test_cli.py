@@ -9,7 +9,7 @@ import pytest
 import oracles
 from bs3 import cli, milnor
 from bs3.cli import main
-from bs3.polyring import ParseError, PreconditionError
+from bs3.polyring import ParseError, PreconditionError, WeightSystem
 from test_budget import LQH_COLON, LQH_STANDARD
 
 
@@ -208,7 +208,7 @@ def test_weights_field_prints_the_parsed_weights(capsys, weights):
 
 
 # one weight each, read in the first and in the last place, then whole
-# values: ASCII ints and int/int take the int route, the rest Fraction's
+# values: each part is read by Fraction, whitespace around it included
 WEIGHT_TABLE = ["3", " 3 ", "+3", "1_0", "2/4", "0.5", "1e1", "\u0661", "-1",
                 "0", "1/0", "nan", "a", "007", "0/5", "6/4", "3/", "/3",
                 "1 /2", "9" * 5000]
@@ -235,8 +235,20 @@ def test_weights_read_as_fraction_reads_them(capsys, text):
         assert err == "%s: %s\n" % (prefix, exc)
         return
     w = cli._parse_weights(text)
-    assert (w.scaled, w.denominator, str(w), w.weights) == (
-        want.scaled, want.denominator, str(want), want.weights)
+    assert (w.scaled, w.denominator, str(w), repr(w)) == (
+        want.scaled, want.denominator, str(want), repr(want))
+
+
+def test_weight_system_reads_each_weight_by_fraction():
+    # one constructor: ints, Fractions and texts alike, as --weights reads
+    # them, each shown by its str
+    for w in (WeightSystem(("1/2", " 3 ", Fraction(2))),
+              cli._parse_weights("1/2, 3 ,2")):
+        assert (w.scaled, w.denominator, str(w), repr(w)) == (
+            (1, 6, 4), 2, "1/2,3,2", "WeightSystem(1/2,3,2)")
+    for weights in (("1/2", 0, 1), (1, "-1/3", 1), (Fraction(-1), 1, 1)):
+        with pytest.raises(PreconditionError, match="must be positive"):
+            WeightSystem(weights)
 
 
 def test_step_cap_exits_3(capsys):
@@ -633,8 +645,8 @@ def test_asymmetric_h0_of_a_reduced_non_isolated_f_exits_4(capsys,
     # in milnor_profile and in the arrangement conditions alike; here the
     # degrees pair up but their dimensions do not
     from bs3 import arrangement, milnor
-    from bs3.graded import DegreeData, RegularityReport
-    skewed = DegreeData({2: 1, 4: 2})
+    from bs3.graded import RegularityReport
+    skewed = oracles.degree_data({2: 1, 4: 2})
     monkeypatch.setattr(milnor, "h0_degree_data", lambda I, w: skewed)
     monkeypatch.setattr(arrangement, "regularity_report",
                         lambda I: RegularityReport(None, None, 0, 1, skewed))
@@ -649,9 +661,8 @@ def test_asymmetric_h0_of_a_reduced_non_isolated_f_exits_4(capsys,
 
 def test_asymmetric_milnor_algebra_exits_4(capsys, monkeypatch):
     from bs3 import milnor
-    from bs3.graded import DegreeData
     monkeypatch.setattr(milnor, "h0_degree_data",
-                        lambda I, w: DegreeData({0: 1, 1: 3}))
+                        lambda I, w: oracles.degree_data({0: 1, 1: 3}))
     code, out, err = run(capsys, "roots", "isolated", "--poly", "x^3+y^3+z^3")
     assert code == 4
     assert out == ""

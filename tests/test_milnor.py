@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from bs3 import milnor
-from bs3.graded import DegreeData
 from bs3.groebner import (MAX_DEGREE, Ideal, ResourceLimitError, buchberger,
                           step_budget)
 from bs3.milnor import INFINITE, jacobian_ideal, milnor_profile
@@ -75,10 +74,10 @@ def seeded_polynomials(count, seed=44):
 
 
 def test_jacobian_ideal_is_the_polynomial_route_packed():
-    # the triples the packed partials hold are those partial_derivative
-    # and the packing of each partial give, and the generators built on
-    # read are those partials: the ideal equals, and hashes as, the one
-    # built from them
+    # the triples the packed partials hold are those
+    # oracles.partial_derivative and the packing of each partial give, and
+    # the generators built on read are those partials: the ideal equals,
+    # and hashes as, the one built from them
     polys = seeded_polynomials(500)
     assert sum(max(map(sum, f.terms)) == MAX_DEGREE + 1 for f in polys) > 50
     vanishing = fractional = 0
@@ -111,7 +110,7 @@ def test_milnor_table_without_a_mirror_degree_is_refused(monkeypatch):
     # the Fermat cubic's table 1, 3, 3, 1 about T = 3 without degree 3:
     # degree 0 has no partner, which reads as dimension 0
     monkeypatch.setattr(milnor, "h0_degree_data",
-                        lambda I, w: DegreeData({0: 1, 1: 3, 2: 3}))
+                        lambda I, w: oracles.degree_data({0: 1, 1: 3, 2: 3}))
     with pytest.raises(Bs3Error, match="symmetric"):
         milnor_profile(P("x^3+y^3+z^3"), W1)
 
@@ -136,7 +135,7 @@ def test_fermat_cubic_profile():
     assert prof.is_isolated
     assert dict(prof.h0.entries) == {0: 1, 1: 3, 2: 3, 3: 1}
     assert prof.milnor_algebra_degrees == prof.h0
-    assert prof.weights.weight_sum == 3
+    assert (prof.weights.scaled, prof.weights.denominator) == ((1, 1, 1), 1)
 
 
 def test_milnor_number_matches_weight_product():

@@ -8,8 +8,8 @@ import pytest
 
 from bs3.polyring import (ParseError, Polynomial, PreconditionError,
                           WeightSystem, _parse_terms, format_rational,
-                          parse_polynomial, partial_derivative, wdeg)
-from oracles import parse_terms_by_characters, poly_add
+                          parse_polynomial, wdeg)
+from oracles import parse_terms_by_characters, partial_derivative, poly_add
 
 W1 = WeightSystem((1, 1, 1))
 

@@ -429,8 +429,9 @@ def singular_points(arr):
     line counts, in ascending order of the points scaled so the first
     nonzero coordinate is 1.  The order is read exactly, with no Fraction,
     from the primitive vectors scaled to one common first entry, the lcm
-    of theirs."""
+    of theirs.  The sort spends one step per point before it runs."""
     lattice = arr.lattice
+    _budget().spend(len(lattice))
     top = lcm(*(a or b or c for a, b, c in lattice))
 
     def key(pt):
@@ -443,9 +444,11 @@ def singular_points(arr):
 
 def comb_roots(arr):
     """CombRoots: -k/d for 3 <= k <= 2d-3 together with -i/m_z for
-    2 <= i <= 2m_z - 2 at every singular point."""
+    2 <= i <= 2m_z - 2 at every singular point, one step per root listed,
+    spent before the list is built."""
     d = arr.degree
     multiplicities = {len(lines) for lines in arr.lattice.values()}
+    _budget().spend(2 * d - 5 + sum(2 * m - 3 for m in multiplicities))
     D = lcm(d, *multiplicities)
     roots = [-k * (D // d) for k in range(3, 2 * d - 2)]
     for m in multiplicities:
@@ -630,21 +633,23 @@ def condition_report(arr):
 
 def full_root_report(arr):
     """CombRoots plus the non-combinatorial root exactly when the six
-    conditions hold; raises if the six conditions disagree."""
+    conditions hold; raises if the six conditions disagree.  The
+    combinatorial parts are read first, so is_formal's rank, the last
+    condition, spends a request's last steps."""
+    comb, points = comb_roots(arr), singular_points(arr)
     conditions = condition_report(arr)
     if not conditions.consistent:
         raise Bs3Error("the six equivalent conditions disagree; this "
                        "signals an implementation bug, not a property of "
                        "the input: %r" % conditions)
     d = arr.degree
-    comb = comb_roots(arr)
     non_comb = Fraction(-2 * d + 2, d)
     present = conditions.cond_b
     full = comb.union([non_comb]) if present else comb
     if any(not -3 * full.denominator < n < 0 for n in full.numerators):
         raise Bs3Error("root outside (-3, 0); implementation bug")
     return ArrangementRootReport(comb, non_comb, present, full, conditions,
-                                 singular_points(arr))
+                                 points)
 
 
 def arrangement_profile(arr):

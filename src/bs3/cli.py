@@ -22,17 +22,20 @@ Each request runs inside one step budget (groebner.step_budget), so
   where coefficients grow; a head's content is stripped only once it
   passes twice its bits at the last strip plus one word, so it is charged
   for at most that many bits;
-* the graded engine charges its generators and degrees before it builds
-  its degree list, and each row's corner ranges before it walks that row;
-  the socle test that decides whether in(I) is saturated charges its
-  generators and each drop it compares; and the pass that lists H0 its
-  generators, column ranges, runs and degrees;
+* the one staircase walk, which the graded engine and the pass that lists
+  H0 both make, charges its generators before it walks and the corners
+  of each row range before it compares its columns, and the count of its
+  boxes charges its degrees before it builds its degree list; the socle
+  test that decides whether in(I) is saturated charges its generators
+  and each drop it compares;
 * an arrangement charges the line pairs of its intersection lattice,
   when the request first reads it, the points each candidate free line is
   tested against, up to the first one it passes through, d steps for each
   length-3 relation vector of its d lines, the row operations of the rank
-  that decides formality, priced by words as a reduction step is, and the
-  term products of its defining polynomial;
+  that decides formality, priced by words as a reduction step is, the
+  term products of its defining polynomial, its singular points before
+  they are sorted and its combinatorial roots before they are listed;
+  parsing a form or a polynomial is not charged;
 * the Jacobian of a request charges one step per term of the polynomial
   whose partials it takes, f or an arrangement's moved product.
 

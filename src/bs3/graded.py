@@ -1,21 +1,21 @@
 """Graded dimension bookkeeping for weighted-homogeneous ideals.
 
 Every graded dimension of a quotient by a Groebner basis comes from the
-staircases of leading-monomial ideals, walked row by row with one corner
-list per ideal (groebner._add_corner):
+staircases of leading-monomial ideals, walked one row range at a time
+with one corner list per ideal (groebner._excess_boxes):
 
 * H0 = (I : m^infinity)/I has the Hilbert function HF(R/in I) -
   HF(R/in I^sat), so dim H0_t is the number of monomials of in(I^sat)
   outside in(I) of degree t.  groebner._saturation_excess lists them in
-  one pass over both staircases, as runs of z-powers; the saturation
-  (groebner._saturate) makes that pass as its certificate and hands the
-  runs on, and h0_degree_data counts them by degree, each run one box
-  charged one step (groebner._excess_degrees).  No window is needed: the
-  difference is finite, so it lies below the lcm of in(I), and a
-  difference that would repeat past it is the saturation's failed
-  certificate, never a count.  When the saturation returns in(I) itself
-  H0 is empty with no pass; when I is Artinian the runs are the standard
-  monomials of R/in(I).
+  one pass over both staircases, as boxes, each a range of rows, of
+  columns and of z-powers; the saturation (groebner._saturate) makes that
+  pass as its certificate and hands the boxes on, and h0_degree_data
+  counts them by degree (groebner._excess_degrees), charged one step per
+  degree.  No window is needed: the difference is finite, so it lies
+  below the lcm of in(I), and a difference that would repeat past it is
+  the saturation's failed certificate, never a count.  When the
+  saturation returns in(I) itself H0 is empty with no pass; when I is
+  Artinian the boxes are the standard monomials of R/in(I).
 * The Hilbert function of R/I^sat is HF(R/I) - H0, read over the tail of
   in(I) that the basis of I holds (groebner.GroebnerBasis.tail), which
   runs from 0 to max(deg lcm - 2, 0) + 2 and holds every H0 degree; from
@@ -136,10 +136,10 @@ def h0_degree_data(I, w):
     W, L = w.scaled, w.denominator
     g = gcd(*W)
     # the saturation refuses weights that do not grade I, is read under
-    # them (groebner docstring), and lists the runs its route found
-    _, _, runs = _saturate(I, tuple(v // g for v in W))
+    # them (groebner docstring), and lists the boxes its route found
+    _, _, boxes = _saturate(I, tuple(v // g for v in W))
     return DegreeData._over(L, {k: dim for k, dim in
-                                enumerate(_excess_degrees(runs, W)) if dim})
+                                enumerate(_excess_degrees(boxes, W)) if dim})
 
 
 STANDARD = WeightSystem((1, 1, 1))

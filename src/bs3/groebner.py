@@ -105,21 +105,27 @@ h = z + x + y gives J = (1), one monomial more than in(I) = (x, y, z).
 
 The certificate and H0 = I^sat/I read one pass over the staircases of
 in(I) and in(J) (_saturation_excess), which lists the monomials of in(J)
-outside in(I) as runs of z-powers, or finds them infinite, with no
-window: each staircase is constant past the largest x- and y-exponent of
-the generators, so a monomial of the difference out there repeats
-forever, and a finite difference lies below the lcm of in(I).  Each
-route hands its runs on with the monomials (_saturate): the certified
-colon its certificate's, the Artinian route one pass against (1), and a
-saturated in(I) none.  Counted by weighted degree (_excess_degrees) the
-runs are H0, and HF(R/I^sat) = HF(R/I) - H0 (graded module docstring).
-Each run is a box of monomials, as each corner range of the engine is,
-counted by degree in O(1) (_add_box) before two prefix passes.
+outside in(I) as boxes, or finds them infinite, with no window: each
+staircase is constant past the largest x- and y-exponent of the
+generators, so a monomial of the difference out there repeats forever,
+and a finite difference lies below the lcm of in(I).  Each route hands
+its boxes on with the monomials (_saturate): the certified colon its
+certificate's, the Artinian route one pass against (1), and a saturated
+in(I) none.  Counted by weighted degree (_excess_degrees) the boxes are
+H0, and HF(R/I^sat) = HF(R/I) - H0 (graded module docstring).
 
-Every staircase read walks the same rows: the generators sorted by their
-x-exponent enter one corner list (_add_corner) as row a reaches them,
-and the engine (_hilbert_function), the socle test (_is_saturated) and
-the excess pass read each row off its corners.
+One walk reads every staircase that is counted (_excess_boxes): the
+generators of two ideals, sorted by their x-exponent, enter one corner
+list per ideal (_add_corner) as the walk reaches them, and the rows from
+one generator's x-exponent to the next, which hold the same corners, are
+one row range, compared once.  Each column range of a row range on which
+the two lows differ is one box, whatever the number of rows.  The pass
+above is that walk, and the engine (_hilbert_function) is the walk of M
+against (1), cut one past its top degree; both count their boxes by
+degree the same way (_excess_degrees), each box eight entries of a
+third-difference array before one prefix pass per weight.  The socle test (_is_saturated)
+keeps a walk of its own, since it reads the next row's low at a column
+no box holds.
 
 Why the loop ends: when the Hilbert polynomial of R/in(I) is a constant e
 (dim R/I <= 1), e is the degree of the affine curve V(I), so V(I) has at
@@ -174,19 +180,22 @@ class _Budget:
     and one more per 64-bit word past the first of each of the two
     coefficients it scales by (_scaling_steps), a reduction step's head as
     it holds it, at most twice its bits at the last strip of its content
-    plus one word (_reduce); a generator or degree of
-    the graded engine (_hilbert_function), charged before it builds its
-    degree list, or a corner range, charged row by row before the row is
-    walked; a generator or a compared drop of the socle test
-    (_is_saturated); a generator or column range of the excess pass
-    (_saturation_excess), or a run or degree of the count of its runs
-    (_excess_degrees); or in an arrangement a pair of lines of the
-    lattice, spent on its first read (validate spends none), a point a
-    candidate free line is tested against, up to the first it passes
-    through (_free_line), an entry of a length-3 relation vector, d per
-    vector (_length3_relations), a row operation of linalg.rank, priced by
-    the words of its two multipliers as a reduction step is, or a term
-    product of the polynomial; or a term of a polynomial whose partials a
+    plus one word (_reduce); a generator of the staircase walk
+    (_excess_boxes), charged before it walks, or a corner of either ideal
+    in one of its row ranges, charged before that range's columns are
+    compared, which the engine (_hilbert_function) and the excess pass
+    (_saturation_excess) both make; a degree of the count of their boxes
+    (_excess_degrees), charged before it builds its degree list, where the
+    walk has paid for each box; a generator or a compared drop of the socle
+    test (_is_saturated); or in an arrangement a pair of lines of the
+    lattice, spent on its first read (validate spends none, nor does any
+    parse), a point a candidate free line is tested against, up to the
+    first it passes through (_free_line), an entry of a length-3 relation
+    vector, d per vector (_length3_relations), a row operation of
+    linalg.rank, priced by the words of its two multipliers as a reduction
+    step is, a term product of the polynomial, a singular point, before
+    they are sorted (singular_points), or a combinatorial root, before they
+    are listed (comb_roots); or a term of a polynomial whose partials a
     Jacobian ideal takes (milnor._jacobian_of).  Every count is
     deterministic."""
 
@@ -776,15 +785,16 @@ def _is_artinian(lead_monomials):
 
 def _is_saturated(lead_monomials):
     """M : m = M for M generated by the monomials: R/M has no socle
-    monomial.  On the staircase of _hilbert_function, x^a y^b z^c is a
-    socle monomial exactly when c = low(a, b) - 1 >= 0 and low drops at
-    both a + 1 and b + 1.  In row a, low drops in y only at a corner
+    monomial.  On the staircase of _excess_boxes, x^a y^b z^c is a socle
+    monomial exactly when c = low(a, b) - 1 >= 0 and low drops at both
+    a + 1 and b + 1.  In row a, low drops in y only at a corner
     (b1, .) past the first, from the previous corner's c, so the candidates
     are x^a y^(b1 - 1) z^(c - 1); low drops in x only where a generator
     enters, so a is one below the next row with a new generator, and the
     candidate is a socle monomial when that row's low at b1 - 1, read with
-    one bisect on its corners, is below c.  One step per generator and
-    one per drop compared."""
+    one bisect on its corners, is below c.  No box holds that low, so
+    this test walks the corners itself.  One step per generator and one
+    per drop compared."""
     gens = sorted(lead_monomials)
     budget = _budget()
     budget.spend(len(gens))
@@ -828,26 +838,109 @@ def _add_corner(corner_b, corner_c, monomial):
     corner_c[j:k] = [c]
 
 
-def _add_box(values, s, db, dc):
-    """Enter into the second-difference array values the box of degrees
-    s + i + j, i = 0, w_y, ... below db and j = 0, w_z, ... below dc: four
-    entries, of which those past the last degree are dropped, since the
-    prefix sums only carry upward.  s is at most the last degree."""
-    top = len(values) - 1
-    values[s] += 1
-    if s + db <= top:
-        values[s + db] -= 1
-        if s + db + dc <= top:
-            values[s + db + dc] += 1
-    if s + dc <= top:
-        values[s + dc] -= 1
+def _excess_boxes(lms_i, lms_j, top):
+    """Yield the monomials of in(J) outside in(I), for generators of in(I)
+    and of in(J), I in J, as boxes (a0, a1, b0, b1, c0, c1), each the
+    monomials x^a y^b z^c with a0 <= a < a1, b0 <= b < b1 and
+    c0 <= c < c1, every extent cut at top: an extent that reaches top is
+    unbounded.  A monomial of in(I) outside in(J) is an internal
+    inconsistency, Bs3Error.
+
+    x^a y^b z^c lies outside an ideal iff c is below low(a, b), the least
+    z-exponent of a generator dividing x^a y^b in x and y.  Row a of low
+    is a step function of b, stepping down at the corners (b', c') of the
+    generators with x-exponent at most a that no other one beats in both
+    (_add_corner).  The rows from one generator's x-exponent to the next
+    hold the same corners, so the walk visits each such row range once,
+    every generator entering its ideal's corner list as the range
+    reaches it, and compares each range of columns on which both lows
+    are constant once: where low_J < low_I, the columns, the z-exponents
+    between the two lows and the whole row range make one box.  The
+    budget is charged for every generator before the walk, and for each
+    row range's column ranges before they are compared, one step per
+    corner of either ideal: the columns before the first corner lie
+    under no generator, so every range that can hold a box starts at a
+    corner.  The caller that stops at a box pays for no later row
+    range."""
+    gens = sorted([(m, 0) for m in lms_i] + [(m, 1) for m in lms_j])
+    budget = _budget()
+    budget.spend(len(gens))
+    corners = ([], []), ([], [])  # per ideal: b ascending, c descending
+    entered = 0
+    while entered < len(gens) and gens[entered][0][0] < top:
+        a0 = gens[entered][0][0]
+        while entered < len(gens) and gens[entered][0][0] == a0:
+            m, k = gens[entered]
+            _add_corner(*corners[k], m)
+            entered += 1
+        a1 = min(gens[entered][0][0], top) if entered < len(gens) else top
+        (bi, ci), (bj, cj) = corners
+        budget.spend(len(bi) + len(bj))
+        bi, bj = bi + [top], bj + [top]  # the walk ends at top
+        b = p = q = 0
+        low_i = low_j = top
+        while b < top:
+            step = min(bi[p], bj[q], top)
+            if low_j > low_i:
+                raise Bs3Error("internal inconsistency: saturation smaller "
+                               "than the ideal: x^%d*y^%d*z^%d lies in "
+                               "in(I) only" % (a0, b, low_i))
+            if low_j < low_i:
+                yield a0, a1, b, step, low_j, low_i
+            if bi[p] == step < top:
+                low_i = min(ci[p], top)
+                p += 1
+            if bj[q] == step < top:
+                low_j = min(cj[q], top)
+                q += 1
+            b = step
 
 
-def _sum_boxes(values, wy, wz):
-    """The counts per degree of the boxes a second-difference array holds:
-    two prefix passes, of stride w_y and then of stride w_z, each one
-    accumulate per residue class."""
-    for stride in (wy, wz):
+def _saturation_excess(lms_i, lms_j):
+    """The monomials of in(J) outside in(I), for generators of in(I) and of
+    in(J), I in J: the tuple of boxes of _excess_boxes, or None when they
+    are infinitely many.
+
+    Past the largest x-exponent A of both generator sets no corner enters,
+    so the last row range is every row a >= A, and past the last corner a
+    column range runs to every b; a box there, or one under an infinite
+    low_I, repeats forever.  The walk cut at MAX_DEGREE + 1, which no
+    exponent reaches, marks exactly those boxes unbounded, and the pass
+    stops at the first.  So a finite difference lies in [0, A) x [0, B),
+    B the largest y-exponent, and below the largest z-exponent of in(I):
+    the lcm of in(J) divides that of in(I)."""
+    top = MAX_DEGREE + 1
+    boxes = []
+    for box in _excess_boxes(lms_i, lms_j, top):
+        if top in box:  # a1, b1 or c1: every start lies below top
+            return None
+        boxes.append(box)
+    return tuple(boxes)
+
+
+def _excess_degrees(boxes, weights, top=None):
+    """[the number of box monomials of weighted degree t for t = 0..top],
+    top by default the largest such degree.  A box's degrees are the sums
+    of three strided ranges, so it enters a third-difference array as its
+    eight corners, those past top dropped since the prefix sums only carry
+    upward, and one prefix pass per weight, of that stride, counts every
+    box at once.  The budget is charged for every degree before the degree
+    list is built; the walk that listed the boxes was charged for each."""
+    wx, wy, wz = weights
+    if top is None:
+        top = max(((a1 - 1) * wx + (b1 - 1) * wy + (c1 - 1) * wz
+                   for _, a1, _, b1, _, c1 in boxes), default=-1)
+    _budget().spend(max(top + 1, 0))
+    values = [0] * (top + 1)
+    for a0, a1, b0, b1, c0, c1 in boxes:
+        s = a0 * wx + b0 * wy + c0 * wz
+        da, db, dc = (a1 - a0) * wx, (b1 - b0) * wy, (c1 - c0) * wz
+        for t, sign in ((s, 1), (s + da, -1), (s + db, -1), (s + dc, -1),
+                        (s + da + db, 1), (s + da + dc, 1), (s + db + dc, 1),
+                        (s + da + db + dc, -1)):
+            if t <= top:
+                values[t] += sign
+    for stride in weights:
         for r in range(min(stride, len(values))):
             values[r::stride] = accumulate(values[r::stride])
     return values
@@ -855,50 +948,12 @@ def _sum_boxes(values, wy, wz):
 
 def _hilbert_function(lead_monomials, top):
     """[dim (R/M)_t for t = 0..top] under the standard grading, M generated
-    by the monomials.
-
-    x^a y^b z^c is outside M iff c is below low(a, b), the least
-    z-exponent of a generator dividing x^a y^b in x and y.  Row a of low
-    is a step function of b, stepping down at the corners (b', c') of the
-    generators with x-exponent at most a that no other one beats in both;
-    the rows are visited in order and each generator enters the corner
-    list once.  Each corner range b0 <= b < b1 of row a, on which low is
-    a constant c1, holds the box of monomials x^a y^b z^c, c < c1, kept as
-    four entries of a second-difference array (_add_box) and counted by
-    degree by two prefix passes (_sum_boxes), so the cost is one step per
-    generator, one per corner range and one per degree.  Row a has
-    top - a + 1 columns of degree at most top, and low(a, b) = 0 from the
-    last corner on when that corner is z-free, so its span is the lesser
-    of the two; spans only fall as a grows, and the walk ends at the first
-    that is not positive.  The budget is charged for every generator and
-    degree before the degree list is built, and for each row's corner
-    ranges, at most one more than its corners, before that row is walked.
-    """
-    gens = sorted(lead_monomials)
-    budget = _budget()
-    budget.spend(len(gens) + max(top + 1, 0))
-    corner_b, corner_c = [], []  # b ascending, c descending
-    values = [0] * (top + 1)
-    i = 0
-    for a in count():
-        while i < len(gens) and gens[i][0] <= a:
-            _add_corner(corner_b, corner_c, gens[i])
-            i += 1
-        span = top - a + 1
-        if corner_c and not corner_c[-1]:
-            span = min(span, corner_b[-1])
-        if span <= 0:
-            break
-        budget.spend(len(corner_b) + 1)
-        b, run = 0, top + 1
-        for step_b, step_c in zip(corner_b + [span], corner_c + [0]):
-            step_b = min(step_b, span)
-            if step_b > b:
-                _add_box(values, a + b, step_b - b, run)
-            if step_b == span:
-                break
-            b, run = step_b, step_c
-    return _sum_boxes(values, 1, 1)
+    by the monomials: the monomials of (1) outside M, walked as boxes cut
+    at top + 1 (_excess_boxes), since no monomial past that in one
+    exponent has degree at most top, and counted by degree
+    (_excess_degrees)."""
+    return _excess_degrees(_excess_boxes(lead_monomials, ((0, 0, 0),),
+                                         top + 1), (1, 1, 1), top)
 
 
 def _hilbert_tail(lead_monomials):
@@ -926,92 +981,6 @@ def _hilbert_values(tail, top):
     v, d1, d2 = hf[s], hf[s + 1] - hf[s], hf[s + 2] - 2 * hf[s + 1] + hf[s]
     return list(hf[:max(top + 1, 0)]) + [
         v + k * d1 + k * (k - 1) // 2 * d2 for k in range(3, top + 1 - s)]
-
-
-def _saturation_excess(lms_i, lms_j):
-    """The monomials of in(J) outside in(I), for generators of in(I) and of
-    in(J), I in J: a tuple of runs (a, b0, b1, c0, c1), each the monomials
-    x^a y^b z^c with b0 <= b < b1 and c0 <= c < c1, or None when they are
-    infinitely many.  A monomial of in(I) outside in(J) is an
-    internal inconsistency, Bs3Error.
-
-    One walk over both staircases of _hilbert_function: row a holds the
-    corners of each ideal's generators with x-exponent at most a, and each
-    range of columns b on which both lows are constant is compared once.
-    A range where low_J(a, b) < low_I(a, b) is a run.  Past the largest
-    x-exponent A of both generator sets no corner enters, so row A is
-    every row a >= A, and past the last corner the range runs to every
-    b; a run there, or one under an infinite low_I, repeats forever.  So a
-    finite difference lies in [0, A) x [0, B), B the largest y-exponent,
-    and below the largest z-exponent of in(I): the lcm of in(J) divides
-    that of in(I).  The rows from one generator's x-exponent to the next
-    hold the same corners, so the first of them is walked and its runs are
-    repeated for the others, all below A.  The budget is charged for
-    every generator before the walk, and for each row's column ranges, at
-    most one more than the corners, the first row's before they are
-    compared and the others' before its runs are repeated."""
-    gens = sorted([(m, 0) for m in lms_i] + [(m, 1) for m in lms_j])
-    last = gens[-1][0][0]
-    budget = _budget()
-    budget.spend(len(gens))
-    top = MAX_DEGREE + 1  # low where no generator divides
-    corners = ([], []), ([], [])  # per ideal: b ascending, c descending
-    runs = []
-    entered = a = 0
-    while a <= last:
-        while entered < len(gens) and gens[entered][0][0] <= a:
-            m, k = gens[entered]
-            _add_corner(*corners[k], m)
-            entered += 1
-        # every generator has entered once a reaches last
-        rows_end = gens[entered][0][0] if entered < len(gens) else last + 1
-        (bi, ci), (bj, cj) = corners
-        cost = len(bi) + len(bj) + 1
-        budget.spend(cost)
-        first = len(runs)
-        b, low_i, low_j = 0, top, top
-        p = q = 0
-        while True:
-            step = min(bi[p] if p < len(bi) else top,
-                       bj[q] if q < len(bj) else top)
-            if low_j != low_i:
-                if low_j > low_i:
-                    raise Bs3Error("internal inconsistency: saturation "
-                                   "smaller than the ideal: x^%d*y^%d*z^%d "
-                                   "lies in in(I) only" % (a, b, low_i))
-                if a == last or step == top or low_i == top:
-                    return None
-                runs.append((a, b, step, low_j, low_i))
-            if step == top:
-                break
-            if p < len(bi) and bi[p] == step:
-                low_i = ci[p]
-                p += 1
-            if q < len(bj) and bj[q] == step:
-                low_j = cj[q]
-                q += 1
-            b = step
-        budget.spend((rows_end - a - 1) * cost)
-        row = [run[1:] for run in runs[first:]]
-        runs += [(r,) + run for r in range(a + 1, rows_end) for run in row]
-        a = rows_end
-    return tuple(runs)
-
-
-def _excess_degrees(runs, weights):
-    """[the number of run monomials of weighted degree t for t = 0..top],
-    top the largest such degree: each run one box, summed as
-    _hilbert_function sums its corner ranges.  The budget is charged for
-    every run and degree before the degree list is built."""
-    wx, wy, wz = weights
-    top = max((a * wx + (b1 - 1) * wy + (c1 - 1) * wz
-               for a, _, b1, _, c1 in runs), default=-1)
-    _budget().spend(len(runs) + top + 1)
-    values = [0] * (top + 1)
-    for a, b0, b1, c0, c1 in runs:
-        _add_box(values, a * wx + b0 * wy + c0 * wz, (b1 - b0) * wy,
-                 (c1 - c0) * wz)
-    return _sum_boxes(values, wy, wz)
 
 
 def _saturate_by_z(gb):
@@ -1077,11 +1046,11 @@ def saturated_leading_monomials(ideal, weights):
 
 
 def _saturate(ideal, weights):
-    """(c, M, runs): saturated_leading_monomials's (c, M), and the runs of
-    the monomials of M outside in(I) (_saturation_excess), which H0 counts:
-    the standard monomials of R/in(I) when I is Artinian, none when in(I)
-    is saturated, and the certificate's own runs when a colon is
-    certified.
+    """(c, M, boxes): saturated_leading_monomials's (c, M), and the boxes
+    of the monomials of M outside in(I) (_saturation_excess), which H0
+    counts: the standard monomials of R/in(I) when I is Artinian, none
+    when in(I) is saturated, and the certificate's own boxes when a colon
+    is certified.
 
     The colon loop reads e, the constant Hilbert polynomial of R/in(I)
     that bounds it by c <= first + 2e (module docstring), only once c
@@ -1113,12 +1082,12 @@ def _saturate(ideal, weights):
     gb = buchberger(ideal)
     lms = gb.leading_monomials
     if _is_artinian(lms):
-        runs = _saturation_excess(lms, ((0, 0, 0),))
-        if runs is None:
+        boxes = _saturation_excess(lms, ((0, 0, 0),))
+        if boxes is None:
             raise Bs3Error("internal inconsistency: check 'finite H0' failed: "
                            "in(I^sat) has infinitely many monomials outside "
                            "in(I)")
-        return None, ((0, 0, 0),), runs
+        return None, ((0, 0, 0),), boxes
     if _is_saturated(lms):
         return None, lms, ()
     # under other weights l_0, a power of z, vanishes on all of z = 0
@@ -1133,9 +1102,9 @@ def _saturate(ideal, weights):
             sat = _saturate_by_z(gb)
         else:
             sat = _weighted_colon(ideal, weights, c)
-        runs = _saturation_excess(lms, sat)
-        if runs is not None:
-            return c, sat, runs
+        boxes = _saturation_excess(lms, sat)
+        if boxes is not None:
+            return c, sat, boxes
     form = " + ".join(p + str(Polynomial({m: 1}, 3)) for p, m in
                       zip(("", "c*", "c^2*"), _moment_form(weights)))
     raise Bs3Error("internal: no colon by %s with %d <= c <= %d keeps the "

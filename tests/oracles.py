@@ -66,8 +66,8 @@ saturation, are what regularity_report's e, H0, H1 and regularity are
 tested against.  The reducer that strips the content after every step is
 what the package's _reduce, which strips only as the head's bits double,
 is tested against, result for result and run for run.  The column walk,
-one z-run per column of a staircase, is what the engine's box counts of
-corner ranges and of H0's runs are tested against; it is also the one
+one z-run per column of a staircase, is what the box counts of the
+engine's walk and of H0's pass are tested against; it is also the one
 weighted Hilbert function here (the package's engine counts only under
 (1, 1, 1)), which graded_dimension, der_log0_graded_dimension and the
 Fraction H0 degrees read, with lcm_degree.  degree_data builds degree data

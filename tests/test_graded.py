@@ -125,7 +125,7 @@ def test_hilbert_engine_matches_monomial_count():
 
 def test_box_counts_match_the_column_walk():
     # _hilbert_function on in(J) and in(J^sat) under (1, 1, 1), and
-    # _excess_degrees on the runs between them under weights that stretch
+    # _excess_degrees on the boxes between them under weights that stretch
     # each stride in turn, against the column walk they replaced, for the
     # corpus Jacobians and seeded monomial ideals
     rng = random.Random(43)
@@ -142,7 +142,7 @@ def test_box_counts_match_the_column_walk():
     compared = 0
     for a, b in pairs:
         a, b = tuple(sorted(set(a))), tuple(sorted(set(b)))
-        runs = groebner._saturation_excess(a, b)
+        boxes = groebner._saturation_excess(a, b)
         for weights in ((1, 1, 1), (2, 3, 5), (1, 1, 7), (7, 1, 1),
                         (1, 7, 1)):
             top = oracles.lcm_degree(a, weights) + max(weights)
@@ -151,10 +151,10 @@ def test_box_counts_match_the_column_walk():
             if weights == (1, 1, 1):
                 assert [_hilbert_function(m, top) for m in (a, b)] == \
                     by_columns, (a, b, top)
-            if runs is None:
+            if boxes is None:
                 continue
             compared += 1
-            counts = groebner._excess_degrees(runs, weights)
+            counts = groebner._excess_degrees(boxes, weights)
             assert counts + [0] * (top + 1 - len(counts)) == [
                 u - v for u, v in zip(*by_columns)], (a, b, weights)
     assert compared > 5 * 40
@@ -224,7 +224,7 @@ def test_excess_pass_lists_the_monomials_of_in_j_outside_in_i():
     # seeded monomial ideals of dimension 0, 1 and 2 under the sum with a
     # random ideal and with (1), and over their product by (x, y, z), and
     # in(I) with in(I^sat) for the H0 cases and the corpus Jacobians: a
-    # finite excess is the box's, run by run without overlap, and is
+    # finite excess is the box's, box by box without overlap, and is
     # counted by degree as the two Hilbert functions differ; an infinite
     # one comes with a different Hilbert polynomial
     rng = random.Random(33)
@@ -245,18 +245,19 @@ def test_excess_pass_lists_the_monomials_of_in_j_outside_in_i():
     finite = 0
     for a, b in pairs:
         a, b = tuple(sorted(set(a))), tuple(sorted(set(b)))
-        runs = groebner._saturation_excess(a, b)
-        if runs is None:
+        boxes = groebner._saturation_excess(a, b)
+        if boxes is None:
             assert not oracles.same_hilbert_polynomial_at_0_1_2(a, b), (a, b)
             continue
         finite += 1
-        listed = [(x, y, z) for x, b0, b1, c0, c1 in runs
-                  for y in range(b0, b1) for z in range(c0, c1)]
+        listed = [(x, y, z) for a0, a1, b0, b1, c0, c1 in boxes
+                  for x in range(a0, a1) for y in range(b0, b1)
+                  for z in range(c0, c1)]
         assert len(listed) == len(set(listed)), (a, b)
         assert set(listed) == excess_by_box(a, b), (a, b)
         for weights in ((1, 1, 1), (2, 3, 5), (3, 2, 1)):
-            counts = groebner._excess_degrees(runs, weights)
-            assert not runs or counts[-1] > 0
+            counts = groebner._excess_degrees(boxes, weights)
+            assert not boxes or counts[-1] > 0
             top = len(counts) + max(weights)
             want = [u - v for u, v in zip(
                 *(oracles.hilbert_function_by_columns(m, top, weights)
@@ -400,7 +401,7 @@ def saturation_events(monkeypatch):
     # the colons by z + c*x^2 + c^2*y start at c = 1, which is certified
     ("2*x^5+2*x^3*y+3*x^3*z+2*x*y*z", (1, 2, 2), [1, "pass"],
      {1: 1, 2: 1, 3: 1, 4: 1}),
-    # Artinian: the runs are the standard monomials of R/in(J)
+    # Artinian: the boxes are the standard monomials of R/in(J)
     ("x^3+y^3+z^3", (1, 1, 1), ["pass"], {0: 1, 1: 3, 2: 3, 3: 1}),
     # a free product: in(J) is saturated, and H0 is empty with no pass
     ("x^4*z+5*x^2*y^6*z+4*y^12*z", (3, 1, 1), [], {}),
@@ -408,7 +409,7 @@ def saturation_events(monkeypatch):
 def test_h0_counts_the_runs_of_the_one_saturation_pass(
         saturation_events, poly, weights, events, h0):
     # each colon tried is certified or refused by one pass, and H0 counts
-    # the runs of the certified one, with no pass after it
+    # the boxes of the certified one, with no pass after it
     data = h0_degree_data(jacobian_ideal(P(poly)), WeightSystem(weights))
     assert saturation_events == events
     assert data.entries == h0

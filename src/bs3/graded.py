@@ -6,24 +6,26 @@ with one corner list per ideal (groebner._excess_boxes):
 
 * H0 = (I : m^infinity)/I has the Hilbert function HF(R/in I) -
   HF(R/in I^sat), so dim H0_t is the number of monomials of in(I^sat)
-  outside in(I) of degree t.  groebner._saturation_excess lists them in
-  one pass over both staircases, as boxes, each a range of rows, of
-  columns and of z-powers; the saturation (groebner._saturate) makes that
-  pass as its certificate and hands the boxes on, and h0_degree_data
-  counts them by degree (groebner._excess_degrees), charged one step per
-  degree.  No window is needed: the difference is finite, so it lies
-  below the lcm of in(I), and a difference that would repeat past it is
-  the saturation's failed certificate, never a count.  When the
-  saturation returns in(I) itself H0 is empty with no pass; when I is
-  Artinian the boxes are the standard monomials of R/in(I).
+  outside in(I) of degree t.  The saturation (groebner._saturate) lists
+  them as boxes, each a range of rows, of columns and of z-powers, and
+  hands them on: a colon by z reads them off the staircase of in(I) that
+  the basis keeps (groebner._z_colon_excess), and a colon c >= 1 makes
+  one pass over both staircases as its certificate
+  (groebner._saturation_excess).  h0_degree_data counts them by degree
+  (groebner._excess_degrees), charged one step per degree.  No window is
+  needed: the difference is finite, so it lies below the lcm of in(I),
+  and a difference that would repeat past it is the saturation's failed
+  certificate, never a count.  When the saturation returns in(I) itself
+  H0 is empty with no pass; when I is Artinian the boxes are the standard
+  monomials of R/in(I).
 * The Hilbert function of R/I^sat is HF(R/I) - H0, read over the tail of
-  in(I) that the basis of I holds (groebner.GroebnerBasis.tail), which
-  runs from 0 to max(deg lcm - 2, 0) + 2 and holds every H0 degree; from
-  its start on it is the Hilbert polynomial, the same for R/I and
-  R/I^sat.  When dim R/I <= 1 that polynomial is the constant e, the
-  dimension of the global sections of the associated sheaf in every
-  twist, and H1 is e minus the Hilbert function of R/I^sat below that
-  start.
+  in(I) that the basis of I holds (groebner.GroebnerBasis.tail), counted
+  over the same kept staircase.  The tail runs from 0 to
+  max(deg lcm - 2, 0) + 2 and holds every H0 degree; from its start on
+  it is the Hilbert polynomial, the same for R/I and R/I^sat.  When
+  dim R/I <= 1 that polynomial is the constant e, the dimension of the
+  global sections of the associated sheaf in every twist, and H1 is e
+  minus the Hilbert function of R/I^sat below that start.
 
 H0 is read under the weights of the request.  e, H1 and the regularity are
 read under the standard grading, so they refuse an ideal whose generators

@@ -60,15 +60,17 @@ rather than a trial:
 * Artinian: when the grevlex basis has a pure power of every variable, R/I
   has finite length, so the graded ideal I is m-primary and
   I : m^infinity = (1).
-* in(I) saturated: when the monomial ideal in(I) : m is in(I)
-  (_is_saturated), I^sat = I, and in(I) is returned with no colon.  The
-  normal form r of an f in I^sat lies in I^sat too.  Were r nonzero,
-  m^k*r would lie in I for some k, so u*in(r) = in(u*r) would lie in in(I)
-  for every monomial u of degree k, and in(r) in in(I) : m^k = in(I),
-  though no term of r is in in(I).  So r = 0 and f lies in I.  No weight,
-  grading or dimension is used.  The test is sufficient, not necessary: a
-  saturated I can have an unsaturated in(I), and then takes the colon
-  below.
+* in(I) saturated: when the monomial ideal in(I) : m is in(I), I^sat = I,
+  and in(I) is returned with no colon.  The normal form r of an f in
+  I^sat lies in I^sat too.  Were r nonzero, m^k*r would lie in I for some
+  k, so u*in(r) = in(u*r) would lie in in(I) for every monomial u of
+  degree k, and in(r) in in(I) : m^k = in(I), though no term of r is in
+  in(I).  So r = 0 and f lies in I.  No weight, grading or dimension is
+  used.  The test is sufficient, not necessary: a saturated I can have an
+  unsaturated in(I), and then takes the colon below.  Under standard
+  weights the colon by z decides it first (below); the socle test
+  (_is_saturated) decides it where that colon is refused, and under other
+  weights.
 * anything else: J = I : l_c^infinity for the first c whose colon passes
   the certificate, in(J) holds finitely many monomials outside in(I),
   l_c the moment form z^(D/w_z) + c*x^(D/w_x) + c^2*y^(D/w_y),
@@ -80,9 +82,12 @@ What saturated_leading_monomials returns, under any weights: the leading
 monomials of the grevlex basis of I^sat in the input's coordinates.  Each
 colon is built one of two ways.  Under standard weights l_0 = z, and
 dividing every element of a grevlex basis of I by its largest power of z
-gives a grevlex basis of I : z^infinity (Bayer-Stillman), so c = 0 costs
-only a division of the basis I keeps (_saturate_by_z).  Every other colon
-is one elimination in the same coordinates, one Buchberger run on
+gives a grevlex basis of I : z^infinity (Bayer-Stillman), so
+in(I : z^infinity) = in(I) : z^infinity: the colon by z is read off the
+staircase of in(I) the basis keeps (below), and its monomials are the
+division of that basis (_saturate_by_z), made only when
+saturated_leading_monomials asks for them.  Every other colon is one
+elimination in the same coordinates, one Buchberger run on
 (I, t*l_c - 1) (_weighted_colon).  Under other weights l_0 = z^(D/w_z)
 would cost an elimination too, and it vanishes on the whole line z = 0,
 through the coordinate points (1:0:0) and (0:1:0), while every l_c with
@@ -103,13 +108,31 @@ submodule of R/I^sat, killed by a power of m, hence zero.  No weighted
 Hilbert start is needed.  Grading is essential: (x - 1, y + 1, z) with
 h = z + x + y gives J = (1), one monomial more than in(I) = (x, y, z).
 
-The certificate and H0 = I^sat/I read one pass over the staircases of
-in(I) and in(J) (_saturation_excess), which lists the monomials of in(J)
-outside in(I) as boxes, or finds them infinite, with no window: each
-staircase is constant past the largest x- and y-exponent of the
-generators, so a monomial of the difference out there repeats forever,
-and a finite difference lies below the lcm of in(I).  Each route hands
-its boxes on with the monomials (_saturate): the certified colon its
+The certificate of a colon c >= 1 and H0 = I^sat/I read one pass over
+the staircases of in(I) and in(J) (_saturation_excess), which lists the
+monomials of in(J) outside in(I) as boxes, or finds them infinite, with
+no window: each staircase is constant past the largest x- and y-exponent
+of the generators, so a monomial of the difference out there repeats
+forever, and a finite difference lies below the lcm of in(I).
+
+Why the colon by z needs no pass: x^a y^b z^c lies outside in(I) exactly
+when c < low(a, b), the least z-exponent of a generator dividing x^a y^b
+in x and y, and in(I) : z^infinity holds it exactly when low(a, b) is
+finite.  The boxes of the monomials outside in(I) (_staircase) hold one
+z-range [0, low) on each of their pairs (a, b), so those of finite
+z-extent are exactly the monomials of in(I) : z^infinity outside in(I)
+(_z_colon_excess).  One of them unbounded in x or y makes them infinitely
+many, and the certificate refuses c = 0.  All bounded, they are the
+certificate's finite difference, and H0's boxes.  None at all means z is
+a nonzerodivisor on R/in(I), so in(I) : m lies in in(I) : z^infinity =
+in(I): in(I) is saturated, and I^sat = I as above.  A finite nonempty
+difference is a finite-length submodule of R/in(I), killed by a power of
+m, so in(I) is then not saturated.  So the colon by z gives every (c, M)
+that the socle test followed by the certificate of c = 0 gives, and the
+socle test runs only where the colon by z is refused.
+
+Each route hands its boxes on with the monomials (_saturate): the colon
+by z those of finite z-extent, a certified colon c >= 1 its
 certificate's, the Artinian route one pass against (1), and a saturated
 in(I) none.  Counted by weighted degree (_excess_degrees) the boxes are
 H0, and HF(R/I^sat) = HF(R/I) - H0 (graded module docstring).
@@ -120,12 +143,19 @@ list per ideal (_add_corner) as the walk reaches them, and the rows from
 one generator's x-exponent to the next, which hold the same corners, are
 one row range, compared once.  Each column range of a row range on which
 the two lows differ is one box, whatever the number of rows.  The pass
-above is that walk, and the engine (_hilbert_function) is the walk of M
-against (1), cut one past its top degree; both count their boxes by
-degree the same way (_excess_degrees), each box eight entries of a
-third-difference array before one prefix pass per weight.  The socle test (_is_saturated)
-keeps a walk of its own, since it reads the next row's low at a column
-no box holds.
+above is that walk, and so is the staircase of M (_staircase), the walk
+of M against (1) cut at MAX_DEGREE + 1; both count their boxes by degree
+the same way (_excess_degrees), each box eight entries of a
+third-difference array before one prefix pass per weight, the staircase
+up to the top of M's Hilbert tail (_hilbert_tail).  A basis keeps its
+staircase beside its tail (GroebnerBasis), and a run told a tail walks
+it once, at its first Hilbert read: each leading monomial m it finds
+after that cuts its orthant out of the boxes (_cut_orthant), since the
+monomials outside M + (m) are those outside M that m does not divide.
+So an arrangement request walks one staircase, that of its basis run,
+and its later Hilbert reads, the run's closing check, the colon by z and
+H0 read the boxes it kept.  The socle test (_is_saturated) keeps a walk
+of its own, since it reads the next row's low at a column no box holds.
 
 Why the loop ends: when the Hilbert polynomial of R/in(I) is a constant e
 (dim R/I <= 1), e is the degree of the affine curve V(I), so V(I) has at
@@ -183,21 +213,25 @@ class _Budget:
     plus one word (_reduce); a generator of the staircase walk
     (_excess_boxes), charged before it walks, or a corner of either ideal
     in one of its row ranges, charged before that range's columns are
-    compared, which the engine (_hilbert_function) and the excess pass
-    (_saturation_excess) both make; a degree of the count of their boxes
-    (_excess_degrees), charged before it builds its degree list, where the
-    walk has paid for each box; a generator or a compared drop of the socle
-    test (_is_saturated); or in an arrangement a pair of lines of the
-    lattice, spent on its first read (validate spends none, nor does any
-    parse), a point a candidate free line is tested against, up to the
-    first it passes through (_free_line), an entry of a length-3 relation
-    vector, d per vector (_length3_relations), a row operation of
-    linalg.rank, priced by the words of its two multipliers as a reduction
-    step is, a term product of the polynomial, a singular point, before
-    they are sorted (singular_points), or a combinatorial root, before they
-    are listed (comb_roots); or a term of a polynomial whose partials a
-    Jacobian ideal takes (milnor._jacobian_of).  Every count is
-    deterministic."""
+    compared, which the staircase of M (_staircase) and the excess pass
+    (_saturation_excess) both make; a box compared by a cut of the kept
+    staircase (_cut_orthant), charged before it compares them, which pays
+    for the at most three boxes each one gives way to; a degree of the
+    count of boxes (_excess_degrees), charged before it builds its degree
+    list, where the walk or the cut has paid for each box; a generator or
+    a compared drop of the socle test (_is_saturated); or in an
+    arrangement a pair of lines of the lattice, spent on its first read
+    (validate spends none, nor does any parse), a point a candidate free
+    line is tested against, up to the first it passes through
+    (_free_line), an entry of a length-3 relation vector, d per vector
+    (_length3_relations), a row operation of linalg.rank, priced by the
+    words of its two multipliers as a reduction step is, a term product of
+    the polynomial, a singular point, before they are sorted
+    (singular_points), or a combinatorial root, before they are listed
+    (comb_roots); or a term of a polynomial whose partials a Jacobian
+    ideal takes (milnor._jacobian_of).  Reading the colon by z off kept
+    boxes (_z_colon_excess) is paid by the walk and the cuts that made
+    them.  Every count is deterministic."""
 
     __slots__ = ("cap", "used")
 
@@ -411,22 +445,32 @@ class GroebnerBasis:
     not reduced, so two runs on one ideal may hold different elements;
     elements builds them, monic, on each access.  leading_monomials is
     unpacked once, when the basis is built: a request reads it several
-    times.  tail is _hilbert_tail of them, in three variables: the run
-    that built the basis hands over the one it read last, if any, and
-    otherwise it is computed on the first read and kept."""
+    times.  In three variables, _boxes are the monomials outside in(I)
+    (_staircase) and tail is _hilbert_tail of them: the run that built the
+    basis hands over those it read last, if any, and otherwise each is
+    computed on its first read and kept."""
 
-    __slots__ = ("packing", "_int_basis", "leading_monomials", "_tail")
+    __slots__ = ("packing", "_int_basis", "leading_monomials", "_tail",
+                 "_kept_boxes")
 
-    def __init__(self, packing, triples, tail):
+    def __init__(self, packing, triples, tail, boxes=None):
         self.packing = packing
         self._int_basis = tuple(triples)
         unpack = packing.unpack
         self.leading_monomials = tuple(unpack(b[0]) for b in self._int_basis)
         self._tail = tail
+        self._kept_boxes = boxes
+
+    @property
+    def _boxes(self):
+        if self._kept_boxes is None:
+            self._kept_boxes = _staircase(self.leading_monomials)
+        return self._kept_boxes
 
     @property
     def tail(self):
-        self._tail = self._tail or _hilbert_tail(self.leading_monomials)
+        self._tail = self._tail or _hilbert_tail(self.leading_monomials,
+                                                 self._boxes)
         return self._tail
 
     @property
@@ -601,8 +645,9 @@ def _s_poly_int(f, g, lcm, pk, budget):
 
 def _buchberger_int(triples, pk, budget, tail=None):
     """Core loop on (lm, lc, dict) triples; returns the final list of
-    triples, a Groebner basis that is neither minimal nor reduced, and the
-    _hilbert_tail of its leading monomials when a tail was given, else
+    triples, a Groebner basis that is neither minimal nor reduced, and,
+    when a tail was given, the _hilbert_tail of its leading monomials and
+    the boxes of the monomials outside them (_staircase), else None and
     None.
 
     Each S-polynomial is reduced only until its head is irreducible
@@ -649,8 +694,13 @@ def _buchberger_int(triples, pk, budget, tail=None):
     dim (R/M)_u = e for every u >= t, every pair left reduces to 0, and
     the loop stops.  Both are read off _hilbert_tail of M, computed once
     for each M read: a degree whose M has not grown since the last read
-    reuses it, and so does the closing check.  The basis is the one the
-    loop returns without the tail, pair for pair.  A wrong tail raises
+    reuses it, and so does the closing check.  Only the first read walks
+    the staircase of M (_staircase); the loop keeps its boxes, and each
+    leading monomial m that enters M after it cuts its orthant out of them
+    (_cut_orthant), since the monomials outside M + (m) are those outside
+    M that m does not divide.  So a later read, and the closing check,
+    only count the boxes.  The basis is the one the loop returns without
+    the tail, pair for pair.  A wrong tail raises
     Bs3Error where it shows: h < e, or a finished basis whose Hilbert
     function is not e in every degree from t0.
     """
@@ -705,16 +755,24 @@ def _buchberger_int(triples, pk, budget, tail=None):
         return tuple(pk.unpack(b[0])
                      for b in _minimal([basis[i] for i in play], pk))
 
+    def hilbert_tail():
+        nonlocal boxes
+        lms = in_play()
+        if boxes is None:
+            boxes = _staircase(lms)
+        return _hilbert_tail(lms, boxes)
+
     for g in triples:
         update(g)
     t0, e = tail or (None, None)
     read = h = None  # the degree h was read in, and dim (R/M)_read
     known = None  # _hilbert_tail of M, once read and until M grows
+    boxes = None  # the monomials outside M, from the first read on
     while heap:
         t = heap[0][0]
         if tail and t >= t0:
             if t != read:
-                hf, stable = known = known or _hilbert_tail(in_play())
+                hf, stable = known = known or hilbert_tail()
                 if stable == e and all(v == e for v in hf[t:]):
                     break
                 read, h = t, _hilbert_values(known, t)[t]
@@ -730,16 +788,18 @@ def _buchberger_int(triples, pk, budget, tail=None):
                     pk, budget)
         if r:
             update(_int_triple(r))
+            if boxes is not None:
+                boxes = _cut_orthant(boxes, pk.unpack(basis[-1][0]))
             known = None
             if read == t:
                 h -= 1
     if tail:
-        hf, stable = known = known or _hilbert_tail(in_play())
+        hf, stable = known = known or hilbert_tail()
         if stable != e or any(v != e for v in hf[t0:]):
             raise Bs3Error("internal inconsistency: check 'Hilbert tail' "
                            "failed: dim (R/in I)_t is not %d for some "
                            "t >= %d" % (e, t0))
-    return basis, known
+    return basis, known, boxes
 
 
 def buchberger(ideal):
@@ -754,9 +814,9 @@ def buchberger(ideal):
     """
     if ideal._basis is None:
         pk = _packing(ideal.variable_count)
-        triples, tail = _buchberger_int(ideal._triples, pk, _budget(),
-                                        ideal.hilbert_tail)
-        ideal._basis = GroebnerBasis(pk, _minimal(triples, pk), tail)
+        triples, tail, boxes = _buchberger_int(ideal._triples, pk, _budget(),
+                                               ideal.hilbert_tail)
+        ideal._basis = GroebnerBasis(pk, _minimal(triples, pk), tail, boxes)
     return ideal._basis
 
 
@@ -818,9 +878,8 @@ def _dimension_at_most_one(lead_monomials):
 
 
 def _lcm_degree(lead_monomials):
-    """Degree of the lcm of the monomials."""
-    return sum(max((m[i] for m in lead_monomials), default=0)
-               for i in range(3))
+    """Degree of the lcm of the monomials, 0 for none."""
+    return sum(map(max, zip(*lead_monomials)))
 
 
 def _add_corner(corner_b, corner_c, monomial):
@@ -925,48 +984,83 @@ def _excess_degrees(boxes, weights, top=None):
     eight corners, those past top dropped since the prefix sums only carry
     upward, and one prefix pass per weight, of that stride, counts every
     box at once.  The budget is charged for every degree before the degree
-    list is built; the walk that listed the boxes was charged for each."""
+    list is built; the walk or the cut that listed the boxes was charged
+    for each."""
     wx, wy, wz = weights
     if top is None:
         top = max(((a1 - 1) * wx + (b1 - 1) * wy + (c1 - 1) * wz
                    for _, a1, _, b1, _, c1 in boxes), default=-1)
-    _budget().spend(max(top + 1, 0))
-    values = [0] * (top + 1)
+    end = max(top + 1, 0)
+    _budget().spend(end)
+    values = [0] * (end + 1)  # entry end gathers the corners past top
     for a0, a1, b0, b1, c0, c1 in boxes:
         s = a0 * wx + b0 * wy + c0 * wz
         da, db, dc = (a1 - a0) * wx, (b1 - b0) * wy, (c1 - c0) * wz
-        for t, sign in ((s, 1), (s + da, -1), (s + db, -1), (s + dc, -1),
-                        (s + da + db, 1), (s + da + dc, 1), (s + db + dc, 1),
-                        (s + da + db + dc, -1)):
-            if t <= top:
-                values[t] += sign
+        # a corner with an even number of far ends adds, an odd one takes
+        for t in s, s + da + db, s + da + dc, s + db + dc:
+            values[t if t < end else end] += 1
+        for t in s + da, s + db, s + dc, s + da + db + dc:
+            values[t if t < end else end] -= 1
+    del values[end]
     for stride in weights:
-        for r in range(min(stride, len(values))):
-            values[r::stride] = accumulate(values[r::stride])
+        if stride == 1:
+            values = list(accumulate(values))
+        else:
+            for r in range(min(stride, len(values))):
+                values[r::stride] = accumulate(values[r::stride])
     return values
 
 
-def _hilbert_function(lead_monomials, top):
-    """[dim (R/M)_t for t = 0..top] under the standard grading, M generated
-    by the monomials: the monomials of (1) outside M, walked as boxes cut
-    at top + 1 (_excess_boxes), since no monomial past that in one
-    exponent has degree at most top, and counted by degree
-    (_excess_degrees)."""
-    return _excess_degrees(_excess_boxes(lead_monomials, ((0, 0, 0),),
-                                         top + 1), (1, 1, 1), top)
+def _staircase(lead_monomials):
+    """The monomials outside M, M generated by the monomials, as the boxes
+    of (1) outside M (_excess_boxes), cut at MAX_DEGREE + 1, which no
+    exponent reaches: an extent at that top is unbounded.  Each box is
+    (a0, a1, b0, b1, 0, low), low(a, b) the same on all of it, and no two
+    boxes share a pair (a, b)."""
+    return list(_excess_boxes(lead_monomials, ((0, 0, 0),), MAX_DEGREE + 1))
 
 
-def _hilbert_tail(lead_monomials):
+def _cut_orthant(boxes, monomial):
+    """The boxes of the monomials outside M + (m), from those outside M
+    (_staircase): m divides exactly the monomials at or past it in every
+    exponent, so a box that meets that orthant gives way to at most three,
+    its part below m in x, its part at or past m in x and below it in y,
+    and its part at or past m in x and y and below it in z.  Each part
+    keeps one z-range (0, low) for its pairs (a, b), so the boxes keep the
+    form _staircase lists them in.  One step per box compared."""
+    a, b, c = monomial
+    _budget().spend(len(boxes))
+    cut = []
+    for box in boxes:
+        a0, a1, b0, b1, c0, c1 = box
+        if a1 <= a or b1 <= b or c1 <= c:
+            cut.append(box)
+            continue
+        if a0 < a:
+            cut.append((a0, a, b0, b1, c0, c1))
+            a0 = a
+        if b0 < b:
+            cut.append((a0, a1, b0, b, c0, c1))
+            b0 = b
+        if c0 < c:
+            cut.append((a0, a1, b0, b1, c0, c))
+    return cut
+
+
+def _hilbert_tail(lead_monomials, boxes=None):
     """(dim (R/M)_t for t = 0..s + 2), s = max(deg lcm(M) - 2, 0), and the
     value e of the Hilbert polynomial of R/M if it is constant, else None
-    (dim R/M > 1).  From s on the Hilbert function is that polynomial: the
-    Taylor resolution puts every syzygy of M in a degree at most
-    deg lcm(M), so the Hilbert series is K(t)/(1-t)^3 with
-    deg K <= deg lcm(M).  Its degree is at most two, so three values from s
-    decide it.  A request reads the tail of in(I) off its basis
-    (GroebnerBasis.tail), which computes it at most once."""
+    (dim R/M > 1), counted over the boxes of the monomials outside M
+    (_staircase), walked when none are given.  From s on the Hilbert
+    function is that polynomial: the Taylor resolution puts every syzygy
+    of M in a degree at most deg lcm(M), so the Hilbert series is
+    K(t)/(1-t)^3 with deg K <= deg lcm(M).  Its degree is at most two, so
+    three values from s decide it.  A request reads the tail of in(I) off
+    its basis (GroebnerBasis.tail), which computes it at most once."""
     s = max(_lcm_degree(lead_monomials) - 2, 0)
-    hf = tuple(_hilbert_function(lead_monomials, s + 2))
+    if boxes is None:
+        boxes = _staircase(lead_monomials)
+    hf = tuple(_excess_degrees(boxes, (1, 1, 1), s + 2))
     return hf, hf[s] if hf[s] == hf[s + 1] == hf[s + 2] else None
 
 
@@ -981,6 +1075,21 @@ def _hilbert_values(tail, top):
     v, d1, d2 = hf[s], hf[s + 1] - hf[s], hf[s + 2] - 2 * hf[s + 1] + hf[s]
     return list(hf[:max(top + 1, 0)]) + [
         v + k * d1 + k * (k - 1) // 2 * d2 for k in range(3, top + 1 - s)]
+
+
+def _z_colon_excess(boxes):
+    """The monomials of in(I) : z^infinity outside in(I), from the boxes
+    of the monomials outside in(I) (_staircase): the tuple of those boxes,
+    or None when they are infinitely many.  in(I) : z^infinity holds
+    x^a y^b z^c exactly when some power of z times x^a y^b lies in in(I),
+    that is when low(a, b) is finite, so those monomials are the boxes
+    with a finite z-extent, and they are infinitely many exactly when one
+    of them is unbounded in x or y."""
+    top = MAX_DEGREE + 1
+    excess = tuple(box for box in boxes if box[5] < top)
+    if any(box[1] == top or box[3] == top for box in excess):
+        return None
+    return excess
 
 
 def _saturate_by_z(gb):
@@ -1026,7 +1135,7 @@ def _weighted_colon(ideal, weights, c):
             form[pk.pack((1,) + m)] = c ** k
     gens = [(lift(lm), lc, {lift(m): v for m, v in d.items()})
             for lm, lc, d in ideal._triples]
-    raw, _ = _buchberger_int(gens + [_int_triple(form)], pk, _budget())
+    raw, _, _ = _buchberger_int(gens + [_int_triple(form)], pk, _budget())
     return tuple(pk.unpack(m)[1:] for m, _, _ in _minimal(raw, pk)
                  if not pk.exponent(m, 0))
 
@@ -1041,16 +1150,33 @@ def saturated_leading_monomials(ideal, weights):
     docstring).  The weights may be any sequence of three ints, read as a
     tuple; a weight that is not an int (a bool or a float is not), weights
     that are not positive or do not make every generator homogeneous are
-    refused with PreconditionError before any basis work."""
-    return _saturate(ideal, weights)[:2]
+    refused with PreconditionError before any basis work.  A colon by z
+    read off the boxes of in(I) (_saturate) is divided out of the basis of
+    I here (_saturate_by_z), the only reader of its monomials."""
+    c, sat, _ = _saturate(ideal, weights)
+    return c, sat if sat is not None else _saturate_by_z(buchberger(ideal))
 
 
 def _saturate(ideal, weights):
     """(c, M, boxes): saturated_leading_monomials's (c, M), and the boxes
-    of the monomials of M outside in(I) (_saturation_excess), which H0
-    counts: the standard monomials of R/in(I) when I is Artinian, none
-    when in(I) is saturated, and the certificate's own boxes when a colon
-    is certified.
+    of the monomials of M outside in(I), which H0 counts: the standard
+    monomials of R/in(I) when I is Artinian (_saturation_excess), none
+    when in(I) is saturated, the boxes of in(I) : z^infinity outside in(I)
+    (_z_colon_excess) when c = 0, and the certificate's own boxes
+    (_saturation_excess) when a colon c >= 1 is certified.  When c = 0, M
+    is None: in(I : z^infinity) = in(I) : z^infinity (Bayer-Stillman), so
+    the certificate reads that colon off the boxes the basis keeps
+    (GroebnerBasis._boxes), and only saturated_leading_monomials divides
+    the basis for its monomials.
+
+    Under standard weights, when I is not Artinian, the colon by z is
+    read first.  No excess at all means z is a nonzerodivisor on R/in(I),
+    so in(I) is saturated and I^sat = I.  A finite nonempty excess is a
+    nonzero submodule of H0_m(R/in(I)), so in(I) is not saturated, and the
+    certificate passes c = 0.  An infinite excess refuses c = 0.  So the
+    socle test (_is_saturated) runs only where the colon by z is refused,
+    or under other weights, and every (c, M) is the one of the route that
+    tests the socle first.
 
     The colon loop reads e, the constant Hilbert polynomial of R/in(I)
     that bounds it by c <= first + 2e (module docstring), only once c
@@ -1058,9 +1184,10 @@ def _saturate(ideal, weights):
     only when in(I) is neither Artinian nor saturated, so dim R/I >= 1,
     and a constant Hilbert polynomial is then e >= 1, so first, first + 1
     and first + 2 all lie within first + 2e.  When e is None (dim R/I = 2)
-    the loop has no bound, and the request's step budget ends it.  Most
-    colons pass at c = first or first + 1, and then the basis computes the
-    tail of in(I) only if another caller reads it (GroebnerBasis.tail)."""
+    the loop has no bound, and the request's step budget ends it.  Under
+    weights other than (1, 1, 1) most colons pass at c = first or
+    first + 1, and then the basis computes the tail of in(I) only if
+    another caller reads it (GroebnerBasis.tail)."""
     if ideal.variable_count != 3:
         raise PreconditionError("irrelevant-ideal saturation needs 3 variables")
     weights = tuple(weights)
@@ -1088,20 +1215,23 @@ def _saturate(ideal, weights):
                            "in(I^sat) has infinitely many monomials outside "
                            "in(I)")
         return None, ((0, 0, 0),), boxes
-    if _is_saturated(lms):
-        return None, lms, ()
     # under other weights l_0, a power of z, vanishes on all of z = 0
     first = 0 if weights == (1, 1, 1) else 1
+    if first == 0:
+        boxes = _z_colon_excess(gb._boxes)
+        if boxes == ():
+            return None, lms, ()
+        if boxes is not None:
+            return 0, None, boxes
+    if _is_saturated(lms):
+        return None, lms, ()
     e = None
-    for c in count(first):
+    for c in count(1):
         if c == first + 3:
             _, e = gb.tail
         if e is not None and c > first + 2 * e:
             break
-        if c == 0:
-            sat = _saturate_by_z(gb)
-        else:
-            sat = _weighted_colon(ideal, weights, c)
+        sat = _weighted_colon(ideal, weights, c)
         boxes = _saturation_excess(lms, sat)
         if boxes is not None:
             return c, sat, boxes

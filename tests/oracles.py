@@ -88,10 +88,11 @@ from operator import add, mul
 from bs3 import groebner, linalg
 from bs3.arrangement import ConditionReport, is_formal
 from bs3.graded import STANDARD, DegreeData, regularity_report
-from bs3.groebner import (Ideal, _add_corner, _budget, _from_int_poly,
-                          _hilbert_function, _int_terms, _int_triple,
-                          _s_poly_int, _scaling_steps, _strip_content,
-                          buchberger, saturated_leading_monomials)
+from bs3.groebner import (Ideal, _add_corner, _budget, _excess_boxes,
+                          _excess_degrees, _from_int_poly, _int_terms,
+                          _int_triple, _s_poly_int, _scaling_steps,
+                          _strip_content, buchberger,
+                          saturated_leading_monomials)
 from bs3.milnor import _weighted_degree, jacobian_ideal
 from bs3.polyring import (ParseError, Polynomial, PreconditionError,
                           WeightSystem, grevlex_key, parse_polynomial, wdeg)
@@ -401,8 +402,9 @@ def block_basis(ideal, lead):
     groebner._weighted_colon runs it."""
     pk = groebner._packing(ideal.variable_count, lead)
     triples = [to_int_poly(g, pk) for g in ideal.generators]
-    raw, tail = groebner._buchberger_int(triples, pk, _budget())
-    return groebner.GroebnerBasis(pk, groebner._minimal(raw, pk), tail)
+    raw, tail, boxes = groebner._buchberger_int(triples, pk, _budget())
+    return groebner.GroebnerBasis(pk, groebner._minimal(raw, pk), tail,
+                                  boxes)
 
 
 def eliminate(ideal, drop_count):
@@ -549,7 +551,7 @@ def same_hilbert_polynomial_at_0_1_2(lms_a, lms_b):
     by Newton's forward differences."""
     def at_0_1_2(lms):
         s = max(lcm_degree(lms) - 2, 0)
-        v, w, u = _hilbert_function(lms, s + 2)[s:]
+        v, w, u = hilbert_function(lms, s + 2)[s:]
         d1, d2 = w - v, u - 2 * w + v
         return [v + k * d1 + k * (k - 1) // 2 * d2
                 for k in (t - s for t in range(3))]
@@ -557,6 +559,18 @@ def same_hilbert_polynomial_at_0_1_2(lms_a, lms_b):
 
 
 # -- the Hilbert function column by column ----------------------------------
+
+def hilbert_function(lead_monomials, top):
+    """[dim (R/M)_t for t = 0..top] under the standard grading, at any
+    top: the monomials of (1) outside M, walked as boxes cut at top + 1
+    (groebner._excess_boxes), since no monomial past that in one exponent
+    has degree at most top, and counted by degree
+    (groebner._excess_degrees).  The package reads the same count only as
+    far as a tail (groebner._hilbert_tail), over boxes cut at
+    MAX_DEGREE + 1."""
+    return _excess_degrees(_excess_boxes(lead_monomials, ((0, 0, 0),),
+                                         top + 1), (1, 1, 1), top)
+
 
 def hilbert_function_by_columns(lead_monomials, top, weights=(1, 1, 1)):
     """[dim (R/M)_t for t = 0..top] by a walk over every column (a, b) of
@@ -590,6 +604,28 @@ def hilbert_function_by_columns(lead_monomials, top, weights=(1, 1, 1)):
     for t in range(wz, top + 1):
         values[t] += values[t - wz]
     return values
+
+
+def box_monomials(boxes, cut):
+    """The monomials x^a y^b z^c of the boxes (a0, a1, b0, b1, c0, c1)
+    with every exponent below cut, one entry per box that holds one: so
+    boxes are disjoint exactly when no entry repeats."""
+    return [(a, b, c) for a0, a1, b0, b1, c0, c1 in boxes
+            for a in range(a0, min(a1, cut)) for b in range(b0, min(b1, cut))
+            for c in range(c0, min(c1, cut))]
+
+
+def z_colon_excess_by_division(ideal):
+    """The boxes of the monomials of in(I) : z^infinity outside in(I), or
+    None when they are infinitely many, for a standard-homogeneous I: the
+    basis of I divided by z (groebner._saturate_by_z, Bayer-Stillman), the
+    route by which the saturation once computed its colon by z, walked
+    against in(I) by the certificate's pass (groebner._saturation_excess).
+    The package reads the same colon off the boxes of in(I)
+    (groebner._z_colon_excess)."""
+    gb = buchberger(ideal)
+    return groebner._saturation_excess(gb.leading_monomials,
+                                       groebner._saturate_by_z(gb))
 
 
 def lcm_degree(lead_monomials, weights=(1, 1, 1)):
@@ -773,7 +809,7 @@ def buchberger_by_chain_criterion(triples, pk, budget, tail=None):
     when the pair is taken.  It runs where groebner._buchberger_int does,
     with the same contract; it reduces every such pair, so it ignores a
     proven Hilbert tail, which only skips pairs that reduce to 0, and
-    hands over no tail of its own."""
+    hands over no tail or boxes of its own."""
     G = pk.guard
     lcm_of = pk.lcm
     basis = list(triples)
@@ -806,7 +842,7 @@ def buchberger_by_chain_criterion(triples, pk, budget, tail=None):
         if r:
             basis.append(groebner._int_triple(r))
             push_pairs(len(basis) - 1)
-    return basis, None
+    return basis, None, None
 
 
 # -- decomposability by every bipartition ----------------------------------

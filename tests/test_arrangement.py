@@ -692,19 +692,26 @@ def test_hinted_run_returns_the_unhinted_basis(monkeypatch):
         assert jac.hilbert_tail == (2 * d - 4, e)
         triples = jac._triples
         formed.clear()
-        want, unread = groebner._buchberger_int(triples, pk,
-                                                groebner._budget())
+        want, unread, unwalked = groebner._buchberger_int(
+            triples, pk, groebner._budget())
         plain = len(formed)
         formed.clear()
-        got, tail = groebner._buchberger_int(triples, pk, groebner._budget(),
-                                             jac.hilbert_tail)
+        got, tail, boxes = groebner._buchberger_int(
+            triples, pk, groebner._budget(), jac.hilbert_tail)
         assert got == want, arr
         # only the hinted run reads a tail, and it hands over its minimal
-        # basis's
-        assert unread is None
-        assert tail == groebner._hilbert_tail(
-            groebner.GroebnerBasis(pk, groebner._minimal(got, pk),
-                                   None).leading_monomials), arr
+        # basis's, counted over the boxes it kept: cut as the basis grew,
+        # they are the monomials outside in(J) that a fresh walk lists,
+        # each in one box
+        assert unread is None and unwalked is None
+        lms = groebner.GroebnerBasis(pk, groebner._minimal(got, pk),
+                                     None).leading_monomials
+        assert tail == groebner._hilbert_tail(lms), arr
+        cut = max(map(max, lms)) + 2
+        kept = oracles.box_monomials(boxes, cut)
+        assert len(set(kept)) == len(kept), arr
+        assert sorted(kept) == sorted(oracles.box_monomials(
+            groebner._staircase(lms), cut)), arr
         # the tail skips S-pairs; the steps its reads cost may outweigh
         # them on a small arrangement
         skipped += len(formed) < plain
@@ -846,23 +853,41 @@ def test_jacobian_is_the_polynomial_route_packed():
 
 def test_der0_is_read_from_the_proven_tail(monkeypatch):
     windows = []
-    engine = groebner._hilbert_function
+    walk = groebner._staircase
 
     def spy(*args):
         windows.append(args)
-        return engine(*args)
+        return walk(*args)
 
     for arr in product_draws():
         d = arr.degree
-        monkeypatch.setattr(groebner, "_hilbert_function", spy)
+        monkeypatch.setattr(groebner, "_staircase", spy)
         got = condition_report(arr).witness_dims["der_log0_dim_d_minus_2"]
         monkeypatch.undo()
-        # the package reads no window of the zero ideal, dim R_t
-        assert windows and all(args[0] != () for args in windows)
+        # the package walks one staircase, of in(J), and reads no window
+        # of the zero ideal, dim R_t
+        assert len(windows) == 1 and windows[0][0] != (), arr
         windows.clear()
         want = oracles.der_log0_graded_dimension(arr.defining_polynomial(),
                                                  STANDARD, d - 2)
         assert got == want, arr
+
+
+def test_a_request_walks_one_staircase(monkeypatch):
+    # the basis run walks the staircase of in(J) at its first Hilbert read
+    # and cuts the boxes as the basis grows; the closing check, the colon
+    # by z and H0 read them, so no second walk, socle test or division by
+    # z is made
+    calls = []
+    for name in ("_excess_boxes", "_is_saturated", "_saturate_by_z"):
+        def spy(*args, _name=name, _call=getattr(groebner, name)):
+            calls.append(_name)
+            return _call(*args)
+        monkeypatch.setattr(groebner, name, spy)
+    for arr in hinted_draws():
+        calls.clear()
+        full_root_report(arr)
+        assert calls == ["_excess_boxes"], arr
 
 
 @pytest.mark.parametrize("name, seed, check", [

@@ -457,7 +457,10 @@ def test_json_is_deterministic(capsys):
 
 
 def test_failed_saturation_certificate_exits_4(capsys, monkeypatch):
+    # every certificate refused: the colon by z, read off the boxes of
+    # in(J), and each colon c >= 1, walked against in(J)
     from bs3 import groebner
+    monkeypatch.setattr(groebner, "_z_colon_excess", lambda boxes: None)
     monkeypatch.setattr(groebner, "_saturation_excess",
                         lambda lms_i, lms_j: None)
     code, out, err = run(capsys, "arrangement", "--forms", "x,y,z,x+y+z")
@@ -491,38 +494,48 @@ def test_failed_weighted_certificate_exits_4(capsys, monkeypatch):
                          ids=["weighted", "standard"])
 def test_colon_loop_reads_its_bound_once_c_passes_its_first_three(
         capsys, monkeypatch, argv, first):
-    # the certificate refuses the first k colons; the engine fills the tail
-    # of in(J), whose e bounds the loop by c <= first + 2e, only when c
-    # reaches first + 3, and a refused colon leaves the report as it was
+    # the certificate refuses the first k colons: c = 0 read off the boxes
+    # of in(J), and each c >= 1 walked against in(J).  Under other weights
+    # the walk that fills the tail of in(J), whose e bounds the loop by
+    # c <= first + 2e, runs only when c reaches first + 3; under (1, 1, 1)
+    # the colon by z reads its boxes, so it runs once, before any colon.
+    # A refused colon leaves the report as it was
     from bs3 import groebner
     from bs3.polyring import parse_polynomial
-    excess, engine = groebner._saturation_excess, groebner._hilbert_function
+    excess, by_z = groebner._saturation_excess, groebner._z_colon_excess
+    walk = groebner._staircase
     _, want, _ = run(capsys, *argv)
     jac = milnor.jacobian_ideal(parse_polynomial(argv[3]))
     e = groebner._hilbert_tail(groebner.buchberger(jac).leading_monomials)[1]
     for k in (0, 1, 2, 3, 4, None):
         events = []
 
-        def refuse(lms_i, lms_j):
+        def refused():
             events.append("colon")
-            if k is None or events.count("colon") <= k:
-                return None
-            return excess(lms_i, lms_j)
+            return k is None or events.count("colon") <= k
+
+        def refuse(lms_i, lms_j):
+            return None if refused() else excess(lms_i, lms_j)
+
+        def refuse_z(boxes):
+            return None if refused() else by_z(boxes)
 
         def spy(*args):
             events.append("engine")
-            return engine(*args)
+            return walk(*args)
 
         monkeypatch.setattr(groebner, "_saturation_excess", refuse)
-        monkeypatch.setattr(groebner, "_hilbert_function", spy)
+        monkeypatch.setattr(groebner, "_z_colon_excess", refuse_z)
+        monkeypatch.setattr(groebner, "_staircase", spy)
         code, out, err = run(capsys, *argv)
         monkeypatch.undo()
         colons = events.count("colon")
-        if colons <= 3:
-            assert "engine" not in events, k
-        else:
+        walks = 1 if first == 0 or colons > 3 else 0
+        assert events.count("engine") == walks, k
+        if first == 0:
+            assert events.index("engine") == 0, k
+        elif colons > 3:
             assert events.index("engine") == 3, k
-            assert events.count("engine") == 1, k
         if k is None:
             # every colon refused: the loop tries first, ..., first + 2e
             assert code == 4 and out == ""
@@ -592,13 +605,16 @@ def test_reports_match_the_frozen_text(capsys):
 
 
 def wrong_colon(monkeypatch, lms):
-    """Pass the leading monomials lms off as the colon by z, the first the
-    saturation tries under standard weights, and send the Artinian Fermat
-    cubic's Jacobian down the colon route, so the certificate's pass reads
-    them against in(J) = (x^2, y^2, z^2)."""
+    """Pass the leading monomials lms off as the colon by x + y + z, the
+    first the saturation computes under standard weights once the colon by
+    z, read off the boxes of in(J), is refused, and send the Artinian
+    Fermat cubic's Jacobian down the colon route, so the certificate's pass
+    reads them against in(J) = (x^2, y^2, z^2), which is not saturated."""
     from bs3 import groebner
     monkeypatch.setattr(groebner, "_is_artinian", lambda lms: False)
-    monkeypatch.setattr(groebner, "_saturate_by_z", lambda gb: lms)
+    monkeypatch.setattr(groebner, "_z_colon_excess", lambda boxes: None)
+    monkeypatch.setattr(groebner, "_weighted_colon",
+                        lambda ideal, weights, c: lms)
 
 
 def test_saturation_smaller_than_the_ideal_exits_4(capsys, monkeypatch):

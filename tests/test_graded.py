@@ -9,15 +9,16 @@ import pytest
 
 from bs3 import arrangement, cli, graded, groebner
 from bs3.graded import h0_degree_data, regularity_report
-from bs3.groebner import (Ideal, _hilbert_function, _lcm_degree, buchberger,
-                          saturated_leading_monomials)
+from bs3.groebner import (Ideal, _lcm_degree, buchberger,
+                          saturated_leading_monomials, step_budget)
 from bs3.milnor import jacobian_ideal
 from bs3.polyring import (Polynomial, PreconditionError, WeightSystem,
                           parse_polynomial)
 
 import corpus
 import oracles
-from oracles import graded_dimension, rank_route_dimension, weighted_monomials
+from oracles import (graded_dimension, hilbert_function,
+                     rank_route_dimension, weighted_monomials)
 
 W1 = WeightSystem((1, 1, 1))
 
@@ -116,15 +117,15 @@ def test_hilbert_engine_matches_monomial_count():
             top = _lcm_degree(lms) - 3
             want = [standard_monomial_count(lms, W1, t)
                     for t in range(top + 11)]
-            assert _hilbert_function(lms, top + 10) == want, \
+            assert hilbert_function(lms, top + 10) == want, \
                 (lms, dimension)
             for cut in range(-1, top + 10):
-                assert _hilbert_function(lms, cut) == want[:cut + 1], \
+                assert hilbert_function(lms, cut) == want[:cut + 1], \
                     (lms, cut)
 
 
 def test_box_counts_match_the_column_walk():
-    # _hilbert_function on in(J) and in(J^sat) under (1, 1, 1), and
+    # hilbert_function on in(J) and in(J^sat) under (1, 1, 1), and
     # _excess_degrees on the boxes between them under weights that stretch
     # each stride in turn, against the column walk they replaced, for the
     # corpus Jacobians and seeded monomial ideals
@@ -149,7 +150,7 @@ def test_box_counts_match_the_column_walk():
             by_columns = [oracles.hilbert_function_by_columns(m, top, weights)
                           for m in (a, b)]
             if weights == (1, 1, 1):
-                assert [_hilbert_function(m, top) for m in (a, b)] == \
+                assert [hilbert_function(m, top) for m in (a, b)] == \
                     by_columns, (a, b, top)
             if boxes is None:
                 continue
@@ -170,7 +171,33 @@ def test_hilbert_values_extend_the_tail_by_the_hilbert_polynomial():
             for top in range(-3, _lcm_degree(lms) + 12):
                 assert groebner._hilbert_values(
                     groebner._hilbert_tail(lms), top) == \
-                    _hilbert_function(lms, top), (lms, top)
+                    hilbert_function(lms, top), (lms, top)
+
+
+def test_cut_boxes_count_the_tail_a_fresh_walk_counts():
+    # the boxes outside M, cut by the orthant of each monomial m added, are
+    # the monomials outside M + (m), each in one box: they count the tail a
+    # fresh walk counts, and a cut spends one step per box it compares
+    rng = random.Random(48)
+    split = False
+    for _ in range(150):
+        lms = random_monomial_ideal(rng, rng.randint(0, 2))
+        boxes = groebner._staircase(lms)
+        for _ in range(rng.randint(1, 4)):
+            m = tuple(rng.randint(0, 5) for _ in range(3))
+            with step_budget() as budget:
+                cut = groebner._cut_orthant(boxes, m)
+            assert budget.used == len(boxes), (lms, m)
+            split |= len(cut) > len(boxes)
+            boxes, lms = cut, lms + [m]
+            assert groebner._hilbert_tail(lms, boxes) == \
+                groebner._hilbert_tail(lms), lms
+            top = max(map(max, lms)) + 2
+            kept = oracles.box_monomials(boxes, top)
+            assert len(set(kept)) == len(kept), lms
+            assert sorted(kept) == sorted(oracles.box_monomials(
+                groebner._staircase(lms), top)), lms
+    assert split
 
 
 # (ideal, weights): Artinian, an embedded point, the Jacobians of four
@@ -268,42 +295,53 @@ def test_excess_pass_lists_the_monomials_of_in_j_outside_in_i():
 
 @pytest.mark.parametrize("argv, calls", [
     # isolated: in(J) is Artinian, and H0 is its standard monomials
-    ("milnor --poly x^3+y^3+z^3", 0),
-    ("roots isolated --poly x^2+y^3+z^5 --weights 1/2,1/3,1/5", 0),
-    ("roots isolated --poly x^3+y^4+z^6+3*y^2*z^3 --weights 1/3,1/4,1/6", 0),
+    ("milnor --poly x^3+y^3+z^3", (0, 0)),
+    ("roots isolated --poly x^2+y^3+z^5 --weights 1/2,1/3,1/5", (0, 0)),
+    ("roots isolated --poly x^3+y^4+z^6+3*y^2*z^3 --weights 1/3,1/4,1/6",
+     (0, 0)),
     # the saturation returns in(J) itself: H0 is empty with no pass
     ("roots lqh --poly x^4*z+5*x^2*y^6*z+4*y^12*z --weights 1/2,1/6,1/6",
-     0),
+     (0, 0)),
     # a colon certified at its first or second c: the tail of in(J), whose
     # e bounds the colon loop, is read only once c passes its first three
     ("roots lqh --poly x^6*y*z+2*x*y^3*z+3*x*y*z^3 --weights 1/5,1/2,1/2",
-     0),
-    ("roots lqh --poly 2*x^5+2*x^3*y+3*x^3*z+2*x*y*z --weights 1,2,2", 0),
-    # the hinted run reads the tails of its leading monomials in play, and
-    # no tail of in(J^sat) is read after its colon
-    ("arrangement --forms " + oracles.ZIEGLER_F, 2),
-    ("arrangement --forms " + oracles.ZIEGLER_G, 1),
-    ("arrangement --forms " + oracles.GENERIC5, 2),
-    ("arrangement --forms " + oracles.BRAID, 1),
+     (0, 0)),
+    ("roots lqh --poly 2*x^5+2*x^3*y+3*x^3*z+2*x*y*z --weights 1,2,2",
+     (0, 0)),
+    # under (1, 1, 1) the colon by z is read off the boxes of in(J): one
+    # walk, kept as the tail's
+    ("roots lqh --poly x^2*y*z+x*y^2*z+x*y*z^2", (1, 0)),
+    # the hinted run walks the staircase of its leading monomials in play
+    # once, at its first read, and cuts the boxes as they grow; the
+    # closing check, the colon by z and H0 read the boxes it hands over,
+    # and no tail of in(J^sat) is read
+    ("arrangement --forms " + oracles.ZIEGLER_F, (1, 2)),
+    ("arrangement --forms " + oracles.ZIEGLER_G, (1, 1)),
+    ("arrangement --forms " + oracles.GENERIC5, (1, 2)),
+    ("arrangement --forms " + oracles.BRAID, (1, 1)),
 ], ids=["milnor_fermat", "isolated", "isolated_perturbed", "lqh_product",
-        "lqh_xyz", "lqh_colon", "ziegler_f", "ziegler_g", "generic5",
-        "braid"])
+        "lqh_xyz", "lqh_colon", "lqh_standard", "ziegler_f", "ziegler_g",
+        "generic5", "braid"])
 def test_request_calls_the_graded_engine_a_pinned_number_of_times(
         capsys, monkeypatch, argv, calls):
-    # H0, the certificate and HF(R/I^sat) read one pass over in(J) and
-    # in(J^sat), so the engine fills no H0 window and no tail of
-    # in(J^sat): only the tails of in(J) that a request needs
+    # H0, the certificate and HF(R/I^sat) read the boxes of in(J) or one
+    # pass over in(J) and in(J^sat), so the engine fills no H0 window and
+    # no tail of in(J^sat): only the tails of in(J) that a request needs,
+    # counted as (walks of a staircase, tails counted)
     seen = []
-    engine = groebner._hilbert_function
+    walk, count = groebner._staircase, groebner._hilbert_tail
 
-    def spy(*args):
-        seen.append(args)
-        return engine(*args)
+    def spy(name, engine):
+        def spied(*args):
+            seen.append(name)
+            return engine(*args)
+        return spied
 
-    monkeypatch.setattr(groebner, "_hilbert_function", spy)
+    monkeypatch.setattr(groebner, "_staircase", spy("walk", walk))
+    monkeypatch.setattr(groebner, "_hilbert_tail", spy("count", count))
     assert cli.main(argv.split()) == 0
     capsys.readouterr()
-    assert len(seen) == calls
+    assert (seen.count("walk"), seen.count("count")) == calls
 
 
 def test_graded_dimension_rejects_inhomogeneous():
@@ -367,15 +405,20 @@ def test_h0_of_saturated_ideal_is_empty():
 @pytest.fixture
 def saturation_events(monkeypatch):
     """Each colon the saturation computes, by its c ("divided" for the
-    division by z), and each excess pass, "pass", in the order they ran.
-    The pass is spied on in graded too, where H0 once re-read it."""
+    division by z, "boxes" for the colon by z read off the boxes of
+    in(I)), and each excess pass, "pass", in the order they ran.  The pass
+    is spied on in graded too, where H0 once re-read it."""
     events = []
     by_z, colon = groebner._saturate_by_z, groebner._weighted_colon
-    excess = groebner._saturation_excess
+    excess, read = groebner._saturation_excess, groebner._z_colon_excess
 
     def spy_by_z(gb):
         events.append("divided")
         return by_z(gb)
+
+    def spy_read(boxes):
+        events.append("boxes")
+        return read(boxes)
 
     def spy_colon(ideal, weights, c):
         events.append(c)
@@ -386,6 +429,7 @@ def saturation_events(monkeypatch):
         return excess(lms_i, lms_j)
 
     monkeypatch.setattr(groebner, "_saturate_by_z", spy_by_z)
+    monkeypatch.setattr(groebner, "_z_colon_excess", spy_read)
     monkeypatch.setattr(groebner, "_weighted_colon", spy_colon)
     for module in (groebner, graded):
         monkeypatch.setattr(module, "_saturation_excess", spy_excess,
@@ -395,9 +439,10 @@ def saturation_events(monkeypatch):
 
 @pytest.mark.parametrize("poly, weights, events, h0", [
     # xyz(x + y + z): z = 0 and x + y + z = 0 pass through singular points,
-    # and the colon by z + 2x + 4y is certified
+    # so the boxes of in(J) refuse the colon by z, with no division and no
+    # pass, and the colon by z + 2x + 4y is certified
     ("x^2*y*z+x*y^2*z+x*y*z^2", (1, 1, 1),
-     ["divided", "pass", 1, "pass", 2, "pass"], {3: 1}),
+     ["boxes", 1, "pass", 2, "pass"], {3: 1}),
     # the colons by z + c*x^2 + c^2*y start at c = 1, which is certified
     ("2*x^5+2*x^3*y+3*x^3*z+2*x*y*z", (1, 2, 2), [1, "pass"],
      {1: 1, 2: 1, 3: 1, 4: 1}),

@@ -15,10 +15,12 @@ from bs3.graded import STANDARD, h0_degree_data
 from bs3.groebner import (Ideal, ResourceLimitError, _packing, buchberger,
                           saturated_leading_monomials, step_budget)
 from bs3.milnor import jacobian_ideal
-from bs3.polyring import Polynomial, PreconditionError, parse_polynomial, wdeg
+from bs3.polyring import (ParseError, Polynomial, PreconditionError,
+                          parse_polynomial, wdeg)
 from oracles import (eliminate, ideal_intersection, normal_form_by_fractions,
                      poly_add, poly_mul, s_polynomial, saturate_by_poly)
 from test_arrangement import product_draws
+from test_fuzz import draw_polynomial
 from test_graded import H0_CASES, random_monomial_ideal
 
 GREVLEX = _packing(3)
@@ -563,8 +565,8 @@ def test_saturation_contains_ideal_and_is_idempotent():
     lms = buchberger(I).leading_monomials
     top = max(len(groebner._hilbert_tail(lms)[0]),
               len(groebner._hilbert_tail(sat)[0])) - 1
-    assert all(a >= b for a, b in zip(groebner._hilbert_function(lms, top),
-                                      groebner._hilbert_function(sat, top)))
+    assert all(a >= b for a, b in zip(oracles.hilbert_function(lms, top),
+                                      oracles.hilbert_function(sat, top)))
     # here in(I^sat) is itself saturated, so saturating it changes nothing
     assert saturated(monomial_ideal(sat)) == sat
 
@@ -587,8 +589,8 @@ def same_hilbert_function(lms_a, lms_b):
     two, so three more values decide; a tail ends two past its start."""
     top = max(len(groebner._hilbert_tail(lms_a)[0]),
               len(groebner._hilbert_tail(lms_b)[0])) - 1
-    return (groebner._hilbert_function(lms_a, top)
-            == groebner._hilbert_function(lms_b, top))
+    return (oracles.hilbert_function(lms_a, top)
+            == oracles.hilbert_function(lms_b, top))
 
 
 def certified(lms_i, lms_j):
@@ -638,19 +640,26 @@ def first_line_missing(points):
 @pytest.fixture
 def chosen_lines(monkeypatch):
     """Every colon computed: "divided" for the division of the ideal's
-    basis by z, and c for an elimination by l_c."""
+    basis by z, "boxes" for the colon by z read off the boxes of in(I),
+    and c for an elimination by l_c."""
     chosen = []
     by_z, colon = groebner._saturate_by_z, groebner._weighted_colon
+    read = groebner._z_colon_excess
 
     def spy_by_z(gb):
         chosen.append("divided")
         return by_z(gb)
+
+    def spy_read(boxes):
+        chosen.append("boxes")
+        return read(boxes)
 
     def spy_colon(ideal, weights, c):
         chosen.append(c)
         return colon(ideal, weights, c)
 
     monkeypatch.setattr(groebner, "_saturate_by_z", spy_by_z)
+    monkeypatch.setattr(groebner, "_z_colon_excess", spy_read)
     monkeypatch.setattr(groebner, "_weighted_colon", spy_colon)
     yield chosen
 
@@ -667,12 +676,17 @@ def test_chosen_line_is_first_moment_curve_line_missing_the_lattice(
         assert c <= 2 * e, name
         chosen_lines.clear()
         h0_degree_data(jac, STANDARD)  # as a request reads the saturation
-        # c = 0 divides the ideal's basis, and each c > 0 is one
+        # c = 0 is read off the boxes of in(J), and each c > 0 is one
         # elimination; the certificate alone refuses every line through a
         # singular point, so the colons run from 0 to the first line that
         # misses them all
-        assert chosen_lines == ["divided"] + list(range(1, c + 1)), name
+        assert chosen_lines == ["boxes"] + list(range(1, c + 1)), name
+        chosen_lines.clear()
+        # only the reader of the monomials divides the basis by z, and only
+        # when c = 0 is certified
         assert saturated_leading_monomials(jac, (1, 1, 1))[0] == c, name
+        assert chosen_lines == (["boxes", "divided"] if c == 0 else
+                                ["boxes"] + list(range(1, c + 1))), name
 
 
 @pytest.fixture
@@ -715,6 +729,8 @@ def test_hilbert_certificate_rejects_a_line_through_a_singular_point():
     assert 0 < c <= 2 * hilbert_constant(jac)
     by_z = groebner._saturate_by_z(gb)
     assert not certified(gb.leading_monomials, by_z)
+    # the boxes of in(J) refuse it as the division does
+    assert groebner._z_colon_excess(gb._boxes) is None
     for k in range(1, c):
         assert not certified(gb.leading_monomials,
                              groebner._weighted_colon(jac, (1, 1, 1), k))
@@ -902,6 +918,61 @@ def test_saturated_monomial_test_matches_the_box_search():
         assert budget.used == len(lms) + drops, lms
         verdicts.add(socle is None)
     assert verdicts == {False, True}
+
+
+def standard_weight_draws(seed, count):
+    """Jacobians of the fuzz draws (test_fuzz.draw_polynomial) among the
+    first count of the seed that are requested under weights 1,1,1, parse,
+    and are homogeneous and not constant under (1, 1, 1)."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        poly, weights = draw_polynomial(rng)
+        if weights != "1,1,1":
+            continue
+        try:
+            f = parse_polynomial(poly)
+        except ParseError:
+            continue
+        if not f.is_constant() and wdeg(f, STANDARD) is not None:
+            out.append(jacobian_ideal(f))
+    return out
+
+
+def test_colon_by_z_read_off_the_boxes_matches_the_division():
+    # in(I : z^infinity) = in(I) : z^infinity (Bayer-Stillman): the boxes
+    # of in(I) with a finite z-extent list the monomials of the colon
+    # outside in(I) as the division of the basis by z, walked against
+    # in(I), lists them, or both find them infinite.  On the corpus
+    # Jacobians, the Ziegler pair among them, in original and in moved
+    # coordinates, and on the standard-weight fuzz draws; the saturation
+    # then takes c = 0, or in(I) itself when no monomial is listed
+    cases = []
+    for _, arr in corpus.build_corpus():
+        cases += [jacobian_ideal(arr.defining_polynomial()),
+                  arrangement._jacobian(arr)]
+    cases += standard_weight_draws(1, 2000)
+    verdicts = set()
+    for I in cases:
+        gb = buchberger(I)
+        lms = gb.leading_monomials
+        read = groebner._z_colon_excess(gb._boxes)
+        want = oracles.z_colon_excess_by_division(I)
+        assert (read is None) == (want is None), I
+        if groebner._is_artinian(lms):
+            continue
+        c, sat = saturated_leading_monomials(I, (1, 1, 1))
+        if want is None:
+            verdicts.add("refused")
+            assert c != 0, I
+            continue
+        cut = max(map(max, lms)) + 2
+        assert sorted(oracles.box_monomials(read, cut)) == \
+            sorted(oracles.box_monomials(want, cut)), I
+        verdicts.add("finite" if want else "saturated")
+        assert (c, sat) == ((0, groebner._saturate_by_z(gb)) if want else
+                            (None, lms)), I
+    assert verdicts == {"refused", "finite", "saturated"}
 
 
 def row_corners(lms, a):

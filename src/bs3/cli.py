@@ -25,7 +25,8 @@ Each request runs inside one step budget (groebner.step_budget), so
 * the one staircase walk, which the graded engine and the pass that lists
   H0 both make, charges its generators before it walks and the corners
   of each row range before it compares its columns, and the count of its
-  boxes charges its degrees before it builds its degree list; the socle
+  boxes charges its degrees before it builds its degree list; a cut of
+  the staircase a basis run keeps charges each box it compares; the socle
   test that decides whether in(I) is saturated charges its generators
   and each drop it compares;
 * an arrangement charges the line pairs of its intersection lattice,

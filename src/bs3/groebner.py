@@ -144,17 +144,20 @@ one generator's x-exponent to the next, which hold the same corners, are
 one row range, compared once.  Each column range of a row range on which
 the two lows differ is one box, whatever the number of rows.  The pass
 above is that walk, and so is the staircase of M (_staircase), the walk
-of M against (1) cut at MAX_DEGREE + 1; both count their boxes by degree
-the same way (_excess_degrees), each box eight entries of a
+of M against (1) cut at _UNBOUNDED = 3 * MAX_DEGREE + 1, above every
+exponent and every degree M's Hilbert tail reads; both count their boxes
+by degree the same way (_excess_degrees), each box eight entries of a
 third-difference array before one prefix pass per weight, the staircase
 up to the top of M's Hilbert tail (_hilbert_tail).  A basis keeps its
 staircase beside its tail (GroebnerBasis), and a run told a tail walks
-it once, at its first Hilbert read: each leading monomial m it finds
-after that cuts its orthant out of the boxes (_cut_orthant), since the
-monomials outside M + (m) are those outside M that m does not divide.
-So an arrangement request walks one staircase, that of its basis run,
-and its later Hilbert reads, the run's closing check, the colon by z and
-H0 read the boxes it kept.  The socle test (_is_saturated) keeps a walk
+it at its first Hilbert read; a later read cuts the orthant of each
+leading monomial m found since out of the boxes (_cut_orthant), since
+the monomials outside M + (m) are those outside M that m does not
+divide, unless those cuts would spend more steps than the last walk
+did, when it walks afresh.  So an arrangement request walks its
+staircase once, or once more where many leading monomials enter between
+two reads, and the colon by z and H0 read the boxes its run hands
+over.  The socle test (_is_saturated) keeps a walk
 of its own, since it reads the next row's low at a column no box holds.
 
 Why the loop ends: when the Hilbert polynomial of R/in(I) is a constant e
@@ -191,6 +194,10 @@ from .polyring import Bs3Error, Polynomial, PreconditionError
 
 DEFAULT_STEP_CAP = 10_000_000
 MAX_DEGREE = (1 << 15) - 1
+# the top of a walk whose boxes may be unbounded: above every exponent, so
+# an extent that reaches it is unbounded, and above the degree of the lcm
+# of any monomials, so a Hilbert tail counts every monomial it reads
+_UNBOUNDED = 3 * MAX_DEGREE + 1
 _FIELD = 16
 
 
@@ -694,15 +701,18 @@ def _buchberger_int(triples, pk, budget, tail=None):
     dim (R/M)_u = e for every u >= t, every pair left reduces to 0, and
     the loop stops.  Both are read off _hilbert_tail of M, computed once
     for each M read: a degree whose M has not grown since the last read
-    reuses it, and so does the closing check.  Only the first read walks
-    the staircase of M (_staircase); the loop keeps its boxes, and each
-    leading monomial m that enters M after it cuts its orthant out of them
-    (_cut_orthant), since the monomials outside M + (m) are those outside
-    M that m does not divide.  So a later read, and the closing check,
-    only count the boxes.  The basis is the one the loop returns without
-    the tail, pair for pair.  A wrong tail raises
-    Bs3Error where it shows: h < e, or a finished basis whose Hilbert
-    function is not e in every degree from t0.
+    reuses it, and so does the closing check.  The first read walks the
+    staircase of M (_staircase), and the loop keeps its boxes.  A later
+    read cuts them by the orthant of each leading monomial m that entered
+    M since (_cut_orthant), since the monomials outside M + (m) are those
+    outside M that m does not divide, while the cuts of that read spend
+    no more steps, one per box compared, than the last walk spent from
+    the run's budget; past that it walks afresh.  So the cuts of a read
+    never cost more than the walk before them, and a read after many new
+    leading monomials, as on the moment curve, walks once.  The basis
+    is the one the loop returns without the tail, pair for pair.  A wrong
+    tail raises Bs3Error where it shows: h < e, or a finished basis whose
+    Hilbert function is not e in every degree from t0.
     """
     G = pk.guard
     lcm_of = pk.lcm
@@ -756,10 +766,17 @@ def _buchberger_int(triples, pk, budget, tail=None):
                      for b in _minimal([basis[i] for i in play], pk))
 
     def hilbert_tail():
-        nonlocal boxes
+        nonlocal boxes, walked
         lms = in_play()
-        if boxes is None:
+        spent = 0  # the steps this read's cuts have spent
+        while entered and spent + len(entered) * len(boxes) <= walked:
+            spent += len(boxes)
+            boxes = _cut_orthant(boxes, entered.pop())
+        if boxes is None or entered:
+            used = budget.used
             boxes = _staircase(lms)
+            walked = budget.used - used
+            entered.clear()
         return _hilbert_tail(lms, boxes)
 
     for g in triples:
@@ -768,6 +785,8 @@ def _buchberger_int(triples, pk, budget, tail=None):
     read = h = None  # the degree h was read in, and dim (R/M)_read
     known = None  # _hilbert_tail of M, once read and until M grows
     boxes = None  # the monomials outside M, from the first read on
+    walked = 0  # the steps the last walk spent
+    entered = []  # the leading monomials found since the last read
     while heap:
         t = heap[0][0]
         if tail and t >= t0:
@@ -789,7 +808,7 @@ def _buchberger_int(triples, pk, budget, tail=None):
         if r:
             update(_int_triple(r))
             if boxes is not None:
-                boxes = _cut_orthant(boxes, pk.unpack(basis[-1][0]))
+                entered.append(pk.unpack(basis[-1][0]))
             known = None
             if read == t:
                 h -= 1
@@ -810,9 +829,14 @@ def buchberger(ideal):
     The ideal keeps the basis once the run returns, and every later call
     on that ideal returns it with no step spent; a run that raises keeps
     nothing.  The pipeline reads one request's basis from several entry
-    points, and each request builds its own ideals.
+    points, and each request builds its own ideals.  Outside any
+    step_budget block a run opens one of its own, so the staircase walks
+    it makes spend from the budget its reductions do.
     """
     if ideal._basis is None:
+        if _OPEN_BUDGET.get() is None:
+            with step_budget():
+                return buchberger(ideal)
         pk = _packing(ideal.variable_count)
         triples, tail, boxes = _buchberger_int(ideal._triples, pk, _budget(),
                                                ideal.hilbert_tail)
@@ -963,15 +987,14 @@ def _saturation_excess(lms_i, lms_j):
     Past the largest x-exponent A of both generator sets no corner enters,
     so the last row range is every row a >= A, and past the last corner a
     column range runs to every b; a box there, or one under an infinite
-    low_I, repeats forever.  The walk cut at MAX_DEGREE + 1, which no
-    exponent reaches, marks exactly those boxes unbounded, and the pass
-    stops at the first.  So a finite difference lies in [0, A) x [0, B),
-    B the largest y-exponent, and below the largest z-exponent of in(I):
-    the lcm of in(J) divides that of in(I)."""
-    top = MAX_DEGREE + 1
+    low_I, repeats forever.  The walk cut at _UNBOUNDED, which no exponent
+    reaches, marks exactly those boxes unbounded, and the pass stops at the
+    first.  So a finite difference lies in [0, A) x [0, B), B the largest
+    y-exponent, and below the largest z-exponent of in(I): the lcm of
+    in(J) divides that of in(I)."""
     boxes = []
-    for box in _excess_boxes(lms_i, lms_j, top):
-        if top in box:  # a1, b1 or c1: every start lies below top
+    for box in _excess_boxes(lms_i, lms_j, _UNBOUNDED):
+        if _UNBOUNDED in box:  # a1, b1 or c1: every start lies below it
             return None
         boxes.append(box)
     return tuple(boxes)
@@ -1003,21 +1026,19 @@ def _excess_degrees(boxes, weights, top=None):
             values[t if t < end else end] -= 1
     del values[end]
     for stride in weights:
-        if stride == 1:
-            values = list(accumulate(values))
-        else:
-            for r in range(min(stride, len(values))):
-                values[r::stride] = accumulate(values[r::stride])
+        for r in range(min(stride, len(values))):
+            values[r::stride] = accumulate(values[r::stride])
     return values
 
 
 def _staircase(lead_monomials):
     """The monomials outside M, M generated by the monomials, as the boxes
-    of (1) outside M (_excess_boxes), cut at MAX_DEGREE + 1, which no
-    exponent reaches: an extent at that top is unbounded.  Each box is
-    (a0, a1, b0, b1, 0, low), low(a, b) the same on all of it, and no two
-    boxes share a pair (a, b)."""
-    return list(_excess_boxes(lead_monomials, ((0, 0, 0),), MAX_DEGREE + 1))
+    of (1) outside M (_excess_boxes), cut at _UNBOUNDED: an extent at that
+    top is unbounded, and every monomial of a degree a Hilbert tail of M
+    reads lies below it in each exponent.  Each box is (a0, a1, b0, b1,
+    0, low), low(a, b) the same on all of it, and no two boxes share a
+    pair (a, b)."""
+    return list(_excess_boxes(lead_monomials, ((0, 0, 0),), _UNBOUNDED))
 
 
 def _cut_orthant(boxes, monomial):
@@ -1047,19 +1068,18 @@ def _cut_orthant(boxes, monomial):
     return cut
 
 
-def _hilbert_tail(lead_monomials, boxes=None):
+def _hilbert_tail(lead_monomials, boxes):
     """(dim (R/M)_t for t = 0..s + 2), s = max(deg lcm(M) - 2, 0), and the
     value e of the Hilbert polynomial of R/M if it is constant, else None
     (dim R/M > 1), counted over the boxes of the monomials outside M
-    (_staircase), walked when none are given.  From s on the Hilbert
-    function is that polynomial: the Taylor resolution puts every syzygy
-    of M in a degree at most deg lcm(M), so the Hilbert series is
-    K(t)/(1-t)^3 with deg K <= deg lcm(M).  Its degree is at most two, so
-    three values from s decide it.  A request reads the tail of in(I) off
+    (_staircase): deg lcm(M) is at most 3 * MAX_DEGREE, so they hold every
+    monomial of a degree counted.  From s on the Hilbert function is that
+    polynomial: the Taylor resolution puts every syzygy of M in a degree
+    at most deg lcm(M), so the Hilbert series is K(t)/(1-t)^3 with
+    deg K <= deg lcm(M).  Its degree is at most two, so three values from
+    s decide it.  A request reads the tail of in(I) off
     its basis (GroebnerBasis.tail), which computes it at most once."""
     s = max(_lcm_degree(lead_monomials) - 2, 0)
-    if boxes is None:
-        boxes = _staircase(lead_monomials)
     hf = tuple(_excess_degrees(boxes, (1, 1, 1), s + 2))
     return hf, hf[s] if hf[s] == hf[s + 1] == hf[s + 2] else None
 
@@ -1085,9 +1105,8 @@ def _z_colon_excess(boxes):
     that is when low(a, b) is finite, so those monomials are the boxes
     with a finite z-extent, and they are infinitely many exactly when one
     of them is unbounded in x or y."""
-    top = MAX_DEGREE + 1
-    excess = tuple(box for box in boxes if box[5] < top)
-    if any(box[1] == top or box[3] == top for box in excess):
+    excess = tuple(box for box in boxes if box[5] < _UNBOUNDED)
+    if any(_UNBOUNDED in box for box in excess):
         return None
     return excess
 
@@ -1152,9 +1171,26 @@ def saturated_leading_monomials(ideal, weights):
     that are not positive or do not make every generator homogeneous are
     refused with PreconditionError before any basis work.  A colon by z
     read off the boxes of in(I) (_saturate) is divided out of the basis of
-    I here (_saturate_by_z), the only reader of its monomials."""
-    c, sat, _ = _saturate(ideal, weights)
-    return c, sat if sat is not None else _saturate_by_z(buchberger(ideal))
+    I here (_saturate_by_z), the only reader of its monomials, and the
+    division is checked against the boxes: its monomials outside in(I)
+    (_saturation_excess) must be finitely many, which puts every monomial
+    it gives in in(I) : z^infinity, and then as many as the boxes hold."""
+    c, sat, boxes = _saturate(ideal, weights)
+    if sat is None:
+        gb = buchberger(ideal)
+        sat = _saturate_by_z(gb)
+        divided = _saturation_excess(gb.leading_monomials, sat)
+        if divided is None or _volume(divided) != _volume(boxes):
+            raise Bs3Error("internal inconsistency: check 'colon by z' "
+                           "failed: the basis divided by z does not give "
+                           "in(I) : z^infinity")
+    return c, sat
+
+
+def _volume(boxes):
+    """The number of monomials the finite boxes hold."""
+    return sum((a1 - a0) * (b1 - b0) * (c1 - c0)
+               for a0, a1, b0, b1, c0, c1 in boxes)
 
 
 def _saturate(ideal, weights):

@@ -567,7 +567,7 @@ def hilbert_function(lead_monomials, top):
     has degree at most top, and counted by degree
     (groebner._excess_degrees).  The package reads the same count only as
     far as a tail (groebner._hilbert_tail), over boxes cut at
-    MAX_DEGREE + 1."""
+    groebner._UNBOUNDED."""
     return _excess_degrees(_excess_boxes(lead_monomials, ((0, 0, 0),),
                                          top + 1), (1, 1, 1), top)
 

@@ -700,13 +700,13 @@ def test_hinted_run_returns_the_unhinted_basis(monkeypatch):
             triples, pk, groebner._budget(), jac.hilbert_tail)
         assert got == want, arr
         # only the hinted run reads a tail, and it hands over its minimal
-        # basis's, counted over the boxes it kept: cut as the basis grew,
-        # they are the monomials outside in(J) that a fresh walk lists,
-        # each in one box
+        # basis's, counted over the boxes it kept: walked or cut as the
+        # basis grew, they are the monomials outside in(J) that a fresh
+        # walk lists, each in one box
         assert unread is None and unwalked is None
         lms = groebner.GroebnerBasis(pk, groebner._minimal(got, pk),
                                      None).leading_monomials
-        assert tail == groebner._hilbert_tail(lms), arr
+        assert tail == groebner._hilbert_tail(lms, boxes), arr
         cut = max(map(max, lms)) + 2
         kept = oracles.box_monomials(boxes, cut)
         assert len(set(kept)) == len(kept), arr
@@ -864,30 +864,59 @@ def test_der0_is_read_from_the_proven_tail(monkeypatch):
         monkeypatch.setattr(groebner, "_staircase", spy)
         got = condition_report(arr).witness_dims["der_log0_dim_d_minus_2"]
         monkeypatch.undo()
-        # the package walks one staircase, of in(J), and reads no window
-        # of the zero ideal, dim R_t
-        assert len(windows) == 1 and windows[0][0] != (), arr
+        # the package walks staircases of in(J) as its basis grows, and
+        # reads no window of the zero ideal, dim R_t
+        assert windows and all(args[0] != () for args in windows), arr
         windows.clear()
         want = oracles.der_log0_graded_dimension(arr.defining_polynomial(),
                                                  STANDARD, d - 2)
         assert got == want, arr
 
 
-def test_a_request_walks_one_staircase(monkeypatch):
-    # the basis run walks the staircase of in(J) at its first Hilbert read
-    # and cuts the boxes as the basis grows; the closing check, the colon
-    # by z and H0 read them, so no second walk, socle test or division by
-    # z is made
-    calls = []
-    for name in ("_excess_boxes", "_is_saturated", "_saturate_by_z"):
-        def spy(*args, _name=name, _call=getattr(groebner, name)):
-            calls.append(_name)
-            return _call(*args)
-        monkeypatch.setattr(groebner, name, spy)
-    for arr in hinted_draws():
-        calls.clear()
-        full_root_report(arr)
-        assert calls == ["_excess_boxes"], arr
+def test_a_request_cuts_its_staircase_for_no_more_than_a_walk(monkeypatch):
+    # the basis run walks the staircase of M at its first Hilbert read; a
+    # later read cuts the boxes by the leading monomials found since, while
+    # its cuts spend no more steps than the last walk did, and walks afresh
+    # past that.  The colon by z and H0 read the boxes the run hands over,
+    # so no other walk, socle test or division by z is made
+    events = []
+
+    def spy(name):
+        call = getattr(groebner, name)
+
+        def spied(*args):
+            used = groebner._budget().used
+            out = call(*args)
+            events.append((name, groebner._budget().used - used))
+            return out
+        monkeypatch.setattr(groebner, name, spied)
+
+    for name in ("_excess_boxes", "_staircase", "_cut_orthant",
+                 "_hilbert_tail", "_is_saturated", "_saturate_by_z"):
+        spy(name)
+    walks = []
+    for arr in hinted_draws() + [validate(moment_draw(20))]:
+        events.clear()
+        with groebner.step_budget():
+            full_root_report(arr)
+        names = [name for name, _ in events]
+        assert set(names) <= {"_excess_boxes", "_staircase", "_cut_orthant",
+                              "_hilbert_tail"}, arr
+        assert names.count("_excess_boxes") == names.count("_staircase")
+        walked, spent = None, 0
+        for name, steps in events:
+            if name in ("_staircase", "_hilbert_tail"):
+                assert walked is None or spent <= walked, arr
+                spent = 0
+            if name == "_staircase":
+                walked = steps
+            elif name == "_cut_orthant":
+                spent += steps
+        walks.append(names.count("_staircase"))
+    # on the moment curve at d = 20, 18 leading monomials enter between the
+    # two reads, and the second walks afresh; most requests walk once
+    assert walks[-1] == 2
+    assert set(walks) == {1, 2} and sum(walks) < 1.2 * len(walks)
 
 
 @pytest.mark.parametrize("name, seed, check", [

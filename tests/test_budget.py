@@ -117,9 +117,12 @@ DRAW5 = "x-y+2z,-x+3y+2z,3x+2y+2z,x-3y+3z,3y-2z"
 # arrangements' coefficients pass: a reduction step scales by the head as it
 # holds it, with the content stripped only once the head passes twice its bits
 # at the last strip plus one word.  An arrangement walks the staircase of its
-# leading monomials once, at the run's first Hilbert read, one step per
-# generator and per corner of each row range; each leading monomial the run
-# finds after that cuts the boxes, one step per box compared; each read counts
+# leading monomials at the run's first Hilbert read, one step per generator and
+# per corner of each row range; a later read cuts the boxes by each leading
+# monomial found since, one step per box compared, or walks afresh where those
+# cuts would spend more steps than the last walk did (moment12, whose 10 new
+# leading monomials would each compare at least the 47 boxes of a walk that
+# spent 107 steps); each read counts
 # the boxes, one step per degree; and the colon by z and H0 are read off the
 # boxes the run hands over, with no step.  The standard-weights lqh request
 # walks the staircase of in(J) for the colon by z, which its boxes refuse, then
@@ -144,7 +147,7 @@ DRAW5 = "x-y+2z,-x+3y+2z,3x+2y+2z,x-3y+3z,3y-2z"
 @pytest.mark.parametrize("argv, steps", [
     (("arrangement", "--forms", oracles.ZIEGLER_F), 1146),
     (("arrangement", "--forms", oracles.ZIEGLER_G), 968),
-    (("arrangement", "--forms", MOMENT12), 3773),
+    (("arrangement", "--forms", MOMENT12), 3385),
     (("arrangement", "--forms", DRAW5), 190),
     (LQH, 127),
     (LQH_PRODUCT, 16),

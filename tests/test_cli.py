@@ -428,7 +428,7 @@ def test_every_weighted_colon_is_by_the_moment_form(capsys, monkeypatch):
     expect = groebner.buchberger(oracles.saturation_by_columns(jac))
     # the first c >= 1 whose colon is the saturation, over 1 <= c <= 2e + 1,
     # where some c passes
-    e = groebner._hilbert_tail(groebner.buchberger(jac).leading_monomials)[1]
+    e = groebner.buchberger(jac).tail[1]
     reduced = oracles.reduced_basis(expect)
     c = next(k for k in range(1, 2 * e + 2) if oracles.reduced_basis(
         weighted_colon(jac, (1, 2, 2), k)) == reduced)
@@ -506,7 +506,7 @@ def test_colon_loop_reads_its_bound_once_c_passes_its_first_three(
     walk = groebner._staircase
     _, want, _ = run(capsys, *argv)
     jac = milnor.jacobian_ideal(parse_polynomial(argv[3]))
-    e = groebner._hilbert_tail(groebner.buchberger(jac).leading_monomials)[1]
+    e = groebner.buchberger(jac).tail[1]
     for k in (0, 1, 2, 3, 4, None):
         events = []
 

@@ -168,10 +168,26 @@ def test_hilbert_values_extend_the_tail_by_the_hilbert_polynomial():
     for dimension in (0, 1, 2):
         for _ in range(20):
             lms = tuple(sorted(random_monomial_ideal(rng, dimension)))
+            tail = groebner._hilbert_tail(lms, groebner._staircase(lms))
             for top in range(-3, _lcm_degree(lms) + 12):
-                assert groebner._hilbert_values(
-                    groebner._hilbert_tail(lms), top) == \
+                assert groebner._hilbert_values(tail, top) == \
                     hilbert_function(lms, top), (lms, top)
+
+
+def test_tail_counts_monomials_past_max_degree_in_one_exponent():
+    # an unbounded M whose lcm has degree above MAX_DEGREE + 1: the top
+    # degrees of its tail hold monomials with an exponent past MAX_DEGREE,
+    # which its staircase keeps, and a basis reads the same tail
+    n = 16500
+    for lms in (((n, 0, 0), (0, n, 0)),
+                ((n, 0, 0), (n - 1, 0, 1), (0, n - 1, 1))):
+        assert _lcm_degree(lms) > groebner.MAX_DEGREE + 1
+        hf, e = groebner._hilbert_tail(lms, groebner._staircase(lms))
+        assert list(hf) == hilbert_function(lms, len(hf) - 1), lms
+        assert e == hf[-1] > 0, lms
+    I = ideal("x^%d" % n, "y^%d" % n)
+    assert buchberger(I).tail[1] == n * n
+    assert regularity_report(I).sheaf_dim_e == n * n
 
 
 def test_cut_boxes_count_the_tail_a_fresh_walk_counts():
@@ -190,8 +206,8 @@ def test_cut_boxes_count_the_tail_a_fresh_walk_counts():
             assert budget.used == len(boxes), (lms, m)
             split |= len(cut) > len(boxes)
             boxes, lms = cut, lms + [m]
-            assert groebner._hilbert_tail(lms, boxes) == \
-                groebner._hilbert_tail(lms), lms
+            assert groebner._hilbert_tail(lms, boxes) == groebner._hilbert_tail(
+                lms, groebner._staircase(lms)), lms
             top = max(map(max, lms)) + 2
             kept = oracles.box_monomials(boxes, top)
             assert len(set(kept)) == len(kept), lms
@@ -312,8 +328,8 @@ def test_excess_pass_lists_the_monomials_of_in_j_outside_in_i():
     # walk, kept as the tail's
     ("roots lqh --poly x^2*y*z+x*y^2*z+x*y*z^2", (1, 0)),
     # the hinted run walks the staircase of its leading monomials in play
-    # once, at its first read, and cuts the boxes as they grow; the
-    # closing check, the colon by z and H0 read the boxes it hands over,
+    # at its first read and cuts the boxes by the few found before the
+    # closing check; the colon by z and H0 read the boxes it hands over,
     # and no tail of in(J^sat) is read
     ("arrangement --forms " + oracles.ZIEGLER_F, (1, 2)),
     ("arrangement --forms " + oracles.ZIEGLER_G, (1, 1)),

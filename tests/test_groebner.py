@@ -40,6 +40,11 @@ def basis_texts(gb):
     return sorted(str(g) for g in oracles.reduced_basis(gb))
 
 
+def tail_of(lms):
+    """The Hilbert tail of the monomial ideal, over its staircase."""
+    return groebner._hilbert_tail(lms, groebner._staircase(lms))
+
+
 def packed(pk, *monomials):
     return [pk.pack(m) for m in monomials]
 
@@ -563,8 +568,7 @@ def test_saturation_contains_ideal_and_is_idempotent():
     sat = saturated(I)
     # I lies in I^sat: R/I is at least as large in every degree
     lms = buchberger(I).leading_monomials
-    top = max(len(groebner._hilbert_tail(lms)[0]),
-              len(groebner._hilbert_tail(sat)[0])) - 1
+    top = max(len(tail_of(lms)[0]), len(tail_of(sat)[0])) - 1
     assert all(a >= b for a, b in zip(oracles.hilbert_function(lms, top),
                                       oracles.hilbert_function(sat, top)))
     # here in(I^sat) is itself saturated, so saturating it changes nothing
@@ -587,8 +591,7 @@ def same_hilbert_function(lms_a, lms_b):
     """R/(lms_a) and R/(lms_b) have the same standard Hilbert function in
     every degree: past both starts each is a polynomial of degree at most
     two, so three more values decide; a tail ends two past its start."""
-    top = max(len(groebner._hilbert_tail(lms_a)[0]),
-              len(groebner._hilbert_tail(lms_b)[0])) - 1
+    top = max(len(tail_of(lms_a)[0]), len(tail_of(lms_b)[0])) - 1
     return (oracles.hilbert_function(lms_a, top)
             == oracles.hilbert_function(lms_b, top))
 
@@ -625,7 +628,7 @@ def test_fast_saturation_agrees_with_colon_intersection():
 
 
 def hilbert_constant(I):
-    _, e = groebner._hilbert_tail(buchberger(I).leading_monomials)
+    _, e = buchberger(I).tail
     assert e is not None, "dim R/I is not 1"
     return e
 
@@ -828,7 +831,7 @@ def test_weighted_jacobians_saturate_by_the_first_certified_colon(
         # the first c >= 1 whose colon is the saturation, found by brute
         # force over 1 <= c <= 2e + 1, e = dim (R/I)_t for large t, where
         # some c passes
-        e = groebner._hilbert_tail(buchberger(I).leading_monomials)[1]
+        e = buchberger(I).tail[1]
         reduced = oracles.reduced_basis(expect)
         c = next(k for k in range(1, 2 * e + 2) if oracles.reduced_basis(
             weighted_colon(I, weights, k)) == reduced)
@@ -853,7 +856,7 @@ def test_weighted_saturation_of_a_surface_singular_along_a_curve():
     # non-reduced: the whole cuspidal surface x^2 + y^3 = 0 is singular
     jac = jacobian_ideal(poly_mul(P("z"), P("x^2 + y^3"), P("x^2 + y^3")))
     lms = buchberger(jac).leading_monomials
-    assert groebner._hilbert_tail(lms)[1] is None  # dim R/I = 2
+    assert tail_of(lms)[1] is None  # dim R/I = 2
     expect = buchberger(oracles.saturation_by_columns(jac))
     assert saturated(jac, (3, 2, 6)) == expect.leading_monomials
 
@@ -975,6 +978,27 @@ def test_colon_by_z_read_off_the_boxes_matches_the_division():
     assert verdicts == {"refused", "finite", "saturated"}
 
 
+@pytest.mark.parametrize("divided, check", [
+    (lambda sat, lms: lms, "check 'colon by z' failed"),
+    (lambda sat, lms: sat + ((0, 0, 1),), "check 'colon by z' failed"),
+    (lambda sat, lms: sat[:-1], "saturation smaller than the ideal"),
+], ids=["undivided", "past_the_colon", "missing_a_monomial_of_the_ideal"])
+def test_a_wrong_division_by_z_is_refused(monkeypatch, divided, check):
+    # four general lines: c = 0, and the colon by z adds y^3 to in(J).
+    # saturated_leading_monomials walks the division it returns against
+    # in(J) and checks it against the boxes read off in(J): a division
+    # that adds nothing, that gives z, outside in(J) : z^infinity, or that
+    # leaves out x^3 of in(J) is refused
+    I = arrangement._jacobian(validate(["x", "y", "z", "x+y+z"]))
+    sat = ((0, 3, 0), (1, 2, 0), (2, 1, 0), (3, 0, 0))
+    assert saturated_leading_monomials(I, (1, 1, 1)) == (0, sat)
+    lms = buchberger(I).leading_monomials
+    monkeypatch.setattr(groebner, "_saturate_by_z",
+                        lambda gb: divided(sat, lms))
+    with pytest.raises(groebner.Bs3Error, match=check):
+        saturated_leading_monomials(I, (1, 1, 1))
+
+
 def row_corners(lms, a):
     """The minimal (y, z) exponent pairs of the monomials with x-exponent
     at most a."""
@@ -1045,7 +1069,7 @@ def test_certificate_passes_the_colon_by_a_power_of_z_iff_z_zero_misses():
     misses = []
     for I, weights in cases:
         lms = buchberger(I).leading_monomials
-        assert groebner._hilbert_tail(lms)[1] is not None, I
+        assert tail_of(lms)[1] is not None, I
         misses.append(oracles.misses_z_zero(I))
         assert misses[-1] == certified(
             lms, weighted_colon(I, weights, 0).leading_monomials), I
@@ -1118,7 +1142,7 @@ def test_certificate_passes_as_the_hilbert_polynomials_at_0_1_2_agree():
         a, b = tuple(sorted(set(a))), tuple(sorted(set(b)))
         want = oracles.same_hilbert_polynomial_at_0_1_2(a, b)
         assert certified(a, b) == want, (a, b)
-        verdicts.append((want, groebner._hilbert_tail(a)[1] != 0))
+        verdicts.append((want, tail_of(a)[1] != 0))
     # equal polynomials occur off dimension 0 too, where they are not 0
     assert {v for v, _ in verdicts} == {False, True}
     assert (True, True) in verdicts

@@ -13,38 +13,11 @@ its own results, such as a failed saturation certificate or disagreeing
 arrangement conditions).
 
 Each request runs inside one step budget (groebner.step_budget), so
---step-cap N bounds the whole request, counted together:
-
-* a reduction step or an S-pair is one step, and one more per 64-bit word
-  past the first of each of the two coefficients it scales by (the head
-  it cancels, as the step holds it, and the reducer's leading
-  coefficient, or the two leading coefficients), so N bounds time also
-  where coefficients grow; a head's content is stripped only once it
-  passes twice its bits at the last strip plus one word, so it is charged
-  for at most that many bits;
-* the one staircase walk, which the graded engine and the pass that lists
-  H0 both make, charges its generators before it walks and the corners
-  of each row range before it compares its columns, and the count of its
-  boxes charges its degrees before it builds its degree list; a cut of
-  the staircase a basis run keeps charges each box it compares; the socle
-  test that decides whether in(I) is saturated charges its generators
-  and each drop it compares;
-* an arrangement charges the line pairs of its intersection lattice,
-  when the request first reads it, the points each candidate free line is
-  tested against, up to the first one it passes through, d steps for each
-  length-3 relation vector of its d lines, the row operations of the rank
-  that decides formality, priced by words as a reduction step is, the
-  term products of its defining polynomial, its singular points before
-  they are sorted and its combinatorial roots before they are listed;
-  parsing a form or a polynomial is not charged;
-* the Jacobian of a request charges one step per term of the polynomial
-  whose partials it takes, f or an arrangement's moved product.
-
-Every count is deterministic: the same request spends the same steps on
-every run, so --step-cap N with N the steps a request spends returns its
-report and N - 1 ends it.  Past N the request ends with exit 3.  The
-default is DEFAULT_STEP_CAP (10 million).  N must be at least 0: a
-negative cap is a usage error, exit 1.
+--step-cap N bounds the whole request, every computation counted
+together by the step model of groebner._Budget.  Every count is
+deterministic: --step-cap N with N the steps a request spends returns
+its report, and N - 1 ends it with exit 3.  The default is
+DEFAULT_STEP_CAP (10 million); a negative cap is a usage error, exit 1.
 
 A value of --poly, --forms, --weights or --lct-lambda may start with "-"
 also when spaced from its option (--lct-lambda -1/2).

@@ -1,23 +1,23 @@
 """Graded dimension bookkeeping for weighted-homogeneous ideals.
 
 Every graded dimension of a quotient by a Groebner basis comes from the
-staircases of leading-monomial ideals, walked one row range at a time
-with one corner list per ideal (groebner._excess_boxes):
+staircase of a leading-monomial ideal, walked one row range at a time
+with one corner list (groebner._staircase):
 
 * H0 = (I : m^infinity)/I has the Hilbert function HF(R/in I) -
   HF(R/in I^sat), so dim H0_t is the number of monomials of in(I^sat)
   outside in(I) of degree t.  The saturation (groebner._saturate) lists
   them as boxes, each a range of rows, of columns and of z-powers, and
   hands them on: a colon by z reads them off the staircase of in(I) that
-  the basis keeps (groebner._z_colon_excess), and a colon c >= 1 makes
-  one pass over both staircases as its certificate
-  (groebner._saturation_excess).  h0_degree_data counts them by degree
-  (groebner._excess_degrees), charged one step per degree.  No window is
-  needed: the difference is finite, so it lies below the lcm of in(I),
-  and a difference that would repeat past it is the saturation's failed
-  certificate, never a count.  When the saturation returns in(I) itself
-  H0 is empty with no pass; when I is Artinian the boxes are the standard
-  monomials of R/in(I).
+  the basis keeps (groebner._z_colon_excess), and a colon c >= 1 cuts
+  them out of that staircase by the generators of in(I^sat) as its
+  certificate (groebner._saturation_excess).  h0_degree_data counts them
+  by degree (groebner._excess_degrees), charged one step per degree.  No
+  window is needed: the difference is finite, so it lies below the lcm
+  of in(I), and a difference that would repeat past it is the
+  saturation's failed certificate, never a count.  When the saturation
+  returns in(I) itself H0 is empty with no pass; when I is Artinian the
+  boxes are the whole staircase, the standard monomials of R/in(I).
 * The Hilbert function of R/I^sat is HF(R/I) - H0, read over the tail of
   in(I) that the basis of I holds (groebner.GroebnerBasis.tail), counted
   over the same kept staircase.  The tail runs from 0 to

@@ -108,12 +108,17 @@ submodule of R/I^sat, killed by a power of m, hence zero.  No weighted
 Hilbert start is needed.  Grading is essential: (x - 1, y + 1, z) with
 h = z + x + y gives J = (1), one monomial more than in(I) = (x, y, z).
 
-The certificate of a colon c >= 1 and H0 = I^sat/I read one pass over
-the staircases of in(I) and in(J) (_saturation_excess), which lists the
-monomials of in(J) outside in(I) as boxes, or finds them infinite, with
-no window: each staircase is constant past the largest x- and y-exponent
-of the generators, so a monomial of the difference out there repeats
-forever, and a finite difference lies below the lcm of in(I).
+The certificate of a colon c >= 1 and H0 = I^sat/I read one pass
+(_saturation_excess), which lists the monomials of in(J) outside in(I) as
+boxes, or finds them infinite, with no window: it checks that every
+generator of in(I) has a divisor among those of in(J), then cuts the
+staircase of in(I) the basis keeps by each generator of in(J)
+(_cut_orthant).  A cut by n removes the monomials outside in(I) that n
+divides and no earlier generator does, so the removed parts list the
+difference, each monomial once.  A part keeps the far ends of its box,
+and a box of the staircase reaches _UNBOUNDED exactly where it is
+unbounded, so the difference is infinite exactly when some removed part
+reaches it, and the pass stops at the first.
 
 Why the colon by z needs no pass: x^a y^b z^c lies outside in(I) exactly
 when c < low(a, b), the least z-exponent of a generator dividing x^a y^b
@@ -133,32 +138,27 @@ socle test runs only where the colon by z is refused.
 
 Each route hands its boxes on with the monomials (_saturate): the colon
 by z those of finite z-extent, a certified colon c >= 1 its
-certificate's, the Artinian route one pass against (1), and a saturated
-in(I) none.  Counted by weighted degree (_excess_degrees) the boxes are
-H0, and HF(R/I^sat) = HF(R/I) - H0 (graded module docstring).
+certificate's, the Artinian route the whole staircase of in(I), and a
+saturated in(I) none.  Counted by weighted degree (_excess_degrees) the
+boxes are H0, and HF(R/I^sat) = HF(R/I) - H0 (graded module docstring).
 
-One walk reads every staircase that is counted (_excess_boxes): the
-generators of two ideals, sorted by their x-exponent, enter one corner
-list per ideal (_add_corner) as the walk reaches them, and the rows from
-one generator's x-exponent to the next, which hold the same corners, are
-one row range, compared once.  Each column range of a row range on which
-the two lows differ is one box, whatever the number of rows.  The pass
-above is that walk, and so is the staircase of M (_staircase), the walk
-of M against (1) cut at _UNBOUNDED = 3 * MAX_DEGREE + 1, above every
-exponent and every degree M's Hilbert tail reads; both count their boxes
-by degree the same way (_excess_degrees), each box eight entries of a
-third-difference array before one prefix pass per weight, the staircase
-up to the top of M's Hilbert tail (_hilbert_tail).  A basis keeps its
-staircase beside its tail (GroebnerBasis), and a run told a tail walks
-it at its first Hilbert read; a later read cuts the orthant of each
-leading monomial m found since out of the boxes (_cut_orthant), since
-the monomials outside M + (m) are those outside M that m does not
-divide, unless those cuts would spend more steps than the last walk
-did, when it walks afresh.  So an arrangement request walks its
-staircase once, or once more where many leading monomials enter between
-two reads, and the colon by z and H0 read the boxes its run hands
-over.  The socle test (_is_saturated) keeps a walk
-of its own, since it reads the next row's low at a column no box holds.
+One walk reads every staircase that is counted (_staircase): the
+generators of M, sorted by their x-exponent, enter one corner list
+(_add_corner) as the walk reaches them, and the rows from one
+generator's x-exponent to the next, which hold the same corners, are one
+row range, read once.  Each column range of a row range on which low is
+constant and positive is one box, whatever the number of rows, and every
+extent is cut at _UNBOUNDED = 3 * MAX_DEGREE + 1, above every exponent
+and every degree M's Hilbert tail reads.  Its boxes are counted by degree
+(_excess_degrees), each box eight entries of a third-difference array
+before one prefix pass per weight, up to the top of M's Hilbert tail
+(_hilbert_tail).  A basis keeps its staircase beside its tail
+(GroebnerBasis), and a run told a tail walks the staircase of its
+leading monomials in play at each Hilbert read and hands over the boxes
+of its last, so the colon by z, every certificate and H0 read them with
+no walk of their own: an arrangement request walks about twice, once per
+read of its run.  The socle test (_is_saturated) keeps a corner walk of
+its own (its docstring says why).
 
 Why the loop ends: when the Hilbert polynomial of R/in(I) is a constant e
 (dim R/I <= 1), e is the degree of the affine curve V(I), so V(I) has at
@@ -213,32 +213,42 @@ def _too_large():
 
 
 class _Budget:
-    """Steps spent against a cap: a reduction step or an S-pair, one step
-    and one more per 64-bit word past the first of each of the two
-    coefficients it scales by (_scaling_steps), a reduction step's head as
-    it holds it, at most twice its bits at the last strip of its content
-    plus one word (_reduce); a generator of the staircase walk
-    (_excess_boxes), charged before it walks, or a corner of either ideal
-    in one of its row ranges, charged before that range's columns are
-    compared, which the staircase of M (_staircase) and the excess pass
-    (_saturation_excess) both make; a box compared by a cut of the kept
-    staircase (_cut_orthant), charged before it compares them, which pays
-    for the at most three boxes each one gives way to; a degree of the
-    count of boxes (_excess_degrees), charged before it builds its degree
-    list, where the walk or the cut has paid for each box; a generator or
-    a compared drop of the socle test (_is_saturated); or in an
-    arrangement a pair of lines of the lattice, spent on its first read
-    (validate spends none, nor does any parse), a point a candidate free
-    line is tested against, up to the first it passes through
-    (_free_line), an entry of a length-3 relation vector, d per vector
-    (_length3_relations), a row operation of linalg.rank, priced by the
-    words of its two multipliers as a reduction step is, a term product of
-    the polynomial, a singular point, before they are sorted
-    (singular_points), or a combinatorial root, before they are listed
-    (comb_roots); or a term of a polynomial whose partials a Jacobian
-    ideal takes (milnor._jacobian_of).  Reading the colon by z off kept
-    boxes (_z_colon_excess) is paid by the walk and the cuts that made
-    them.  Every count is deterministic."""
+    """Steps spent against a cap.  This is the full step model; the README
+    lists it for users.  Each of these is one step:
+
+    * a reduction step or an S-pair, and one more per 64-bit word past the
+      first of each of the two coefficients it scales by
+      (_scaling_steps); a reduction step's head is priced as it holds it,
+      at most twice its bits at the last strip of its content plus one
+      word (_reduce);
+    * a generator of the staircase walk (_staircase), charged before it
+      walks, and a corner of one of its row ranges, charged before that
+      range's boxes are listed;
+    * a box compared by a cut (_cut_orthant), charged before it compares
+      them, which pays for the at most three parts it keeps and the one it
+      removes;
+    * a pair of generators the certificate's containment check compares
+      (_saturation_excess), each generator of in(I) against those of
+      in(J) up to the first that divides it, charged once that generator
+      is decided;
+    * a degree of the count of boxes (_excess_degrees), charged before it
+      builds its degree list; the walk or the cut that listed the boxes
+      paid for each;
+    * a generator or a compared drop of the socle test (_is_saturated);
+    * in an arrangement, a pair of lines of the lattice, spent on its
+      first read (validate spends none, nor does any parse); a point a
+      candidate free line is tested against, up to the first it passes
+      through (_free_line); an entry of a length-3 relation vector, d per
+      vector (_length3_relations); a row operation of linalg.rank, priced
+      by the words of its two multipliers as a reduction step is; a term
+      product of the polynomial; a singular point, before they are sorted
+      (singular_points); a combinatorial root, before they are listed
+      (comb_roots);
+    * a term of a polynomial whose partials a Jacobian ideal takes
+      (milnor._jacobian_of).
+
+    Reading the colon by z off kept boxes (_z_colon_excess) is paid by the
+    walk that made them.  Every count is deterministic."""
 
     __slots__ = ("cap", "used")
 
@@ -454,8 +464,8 @@ class GroebnerBasis:
     unpacked once, when the basis is built: a request reads it several
     times.  In three variables, _boxes are the monomials outside in(I)
     (_staircase) and tail is _hilbert_tail of them: the run that built the
-    basis hands over those it read last, if any, and otherwise each is
-    computed on its first read and kept."""
+    basis hands over those of its last Hilbert read, if any, and otherwise
+    each is computed on its first read and kept."""
 
     __slots__ = ("packing", "_int_basis", "leading_monomials", "_tail",
                  "_kept_boxes")
@@ -701,16 +711,10 @@ def _buchberger_int(triples, pk, budget, tail=None):
     dim (R/M)_u = e for every u >= t, every pair left reduces to 0, and
     the loop stops.  Both are read off _hilbert_tail of M, computed once
     for each M read: a degree whose M has not grown since the last read
-    reuses it, and so does the closing check.  The first read walks the
-    staircase of M (_staircase), and the loop keeps its boxes.  A later
-    read cuts them by the orthant of each leading monomial m that entered
-    M since (_cut_orthant), since the monomials outside M + (m) are those
-    outside M that m does not divide, while the cuts of that read spend
-    no more steps, one per box compared, than the last walk spent from
-    the run's budget; past that it walks afresh.  So the cuts of a read
-    never cost more than the walk before them, and a read after many new
-    leading monomials, as on the moment curve, walks once.  The basis
-    is the one the loop returns without the tail, pair for pair.  A wrong
+    reuses it, and so does the closing check.  Each read walks the
+    staircase of M (_staircase), and the loop hands over the boxes of the
+    last, those of the final M.  The basis is the one the loop returns
+    without the tail, pair for pair.  A wrong
     tail raises Bs3Error where it shows: h < e, or a finished basis whose
     Hilbert function is not e in every degree from t0.
     """
@@ -766,17 +770,9 @@ def _buchberger_int(triples, pk, budget, tail=None):
                      for b in _minimal([basis[i] for i in play], pk))
 
     def hilbert_tail():
-        nonlocal boxes, walked
+        nonlocal boxes
         lms = in_play()
-        spent = 0  # the steps this read's cuts have spent
-        while entered and spent + len(entered) * len(boxes) <= walked:
-            spent += len(boxes)
-            boxes = _cut_orthant(boxes, entered.pop())
-        if boxes is None or entered:
-            used = budget.used
-            boxes = _staircase(lms)
-            walked = budget.used - used
-            entered.clear()
+        boxes = _staircase(lms)
         return _hilbert_tail(lms, boxes)
 
     for g in triples:
@@ -784,9 +780,7 @@ def _buchberger_int(triples, pk, budget, tail=None):
     t0, e = tail or (None, None)
     read = h = None  # the degree h was read in, and dim (R/M)_read
     known = None  # _hilbert_tail of M, once read and until M grows
-    boxes = None  # the monomials outside M, from the first read on
-    walked = 0  # the steps the last walk spent
-    entered = []  # the leading monomials found since the last read
+    boxes = None  # the monomials outside M at the last read
     while heap:
         t = heap[0][0]
         if tail and t >= t0:
@@ -807,8 +801,6 @@ def _buchberger_int(triples, pk, budget, tail=None):
                     pk, budget)
         if r:
             update(_int_triple(r))
-            if boxes is not None:
-                entered.append(pk.unpack(basis[-1][0]))
             known = None
             if read == t:
                 h -= 1
@@ -869,16 +861,24 @@ def _is_artinian(lead_monomials):
 
 def _is_saturated(lead_monomials):
     """M : m = M for M generated by the monomials: R/M has no socle
-    monomial.  On the staircase of _excess_boxes, x^a y^b z^c is a socle
+    monomial.  On the staircase of M (_staircase), x^a y^b z^c is a socle
     monomial exactly when c = low(a, b) - 1 >= 0 and low drops at both
     a + 1 and b + 1.  In row a, low drops in y only at a corner
     (b1, .) past the first, from the previous corner's c, so the candidates
     are x^a y^(b1 - 1) z^(c - 1); low drops in x only where a generator
     enters, so a is one below the next row with a new generator, and the
     candidate is a socle monomial when that row's low at b1 - 1, read with
-    one bisect on its corners, is below c.  No box holds that low, so
-    this test walks the corners itself.  One step per generator and one
-    per drop compared."""
+    one bisect on its corners, is below c.  One step per generator and one
+    per drop compared.
+
+    The test walks the corners itself rather than read the boxes a basis
+    keeps: it runs first under weights other than (1, 1, 1), where no
+    boxes exist yet, and a saturated in(I) then needs no walk at all.  On
+    the 160 lqh Jacobians of seeds 0-19 (tests/test_groebner.lqh_jacobians,
+    one core of a Xeon) this walk takes 5.7 us a call, a socle test over
+    boxes 3.4 us once they exist but 10.5 us with the walk that lists
+    them, and that version reads the next row's low at a column no box
+    holds with an index and a bisect of its own, so it saves no line."""
     gens = sorted(lead_monomials)
     budget = _budget()
     budget.spend(len(gens))
@@ -921,83 +921,120 @@ def _add_corner(corner_b, corner_c, monomial):
     corner_c[j:k] = [c]
 
 
-def _excess_boxes(lms_i, lms_j, top):
-    """Yield the monomials of in(J) outside in(I), for generators of in(I)
-    and of in(J), I in J, as boxes (a0, a1, b0, b1, c0, c1), each the
-    monomials x^a y^b z^c with a0 <= a < a1, b0 <= b < b1 and
-    c0 <= c < c1, every extent cut at top: an extent that reaches top is
-    unbounded.  A monomial of in(I) outside in(J) is an internal
-    inconsistency, Bs3Error.
+def _staircase(lead_monomials):
+    """The monomials outside M, M generated by the monomials, as boxes
+    (a0, a1, b0, b1, 0, low), each the monomials x^a y^b z^c with
+    a0 <= a < a1, b0 <= b < b1 and c < low, every extent cut at
+    _UNBOUNDED: above every exponent, so an extent that reaches it is
+    unbounded, and above the degree of the lcm of any monomials, so every
+    monomial of a degree a Hilbert tail of M reads lies below it in each
+    exponent.  low(a, b) is the same on all of a box, and no two boxes
+    share a pair (a, b).
 
-    x^a y^b z^c lies outside an ideal iff c is below low(a, b), the least
+    x^a y^b z^c lies outside M iff c is below low(a, b), the least
     z-exponent of a generator dividing x^a y^b in x and y.  Row a of low
     is a step function of b, stepping down at the corners (b', c') of the
     generators with x-exponent at most a that no other one beats in both
     (_add_corner).  The rows from one generator's x-exponent to the next
     hold the same corners, so the walk visits each such row range once,
-    every generator entering its ideal's corner list as the range
-    reaches it, and compares each range of columns on which both lows
-    are constant once: where low_J < low_I, the columns, the z-exponents
-    between the two lows and the whole row range make one box.  The
-    budget is charged for every generator before the walk, and for each
-    row range's column ranges before they are compared, one step per
-    corner of either ideal: the columns before the first corner lie
-    under no generator, so every range that can hold a box starts at a
-    corner.  The caller that stops at a box pays for no later row
-    range."""
-    gens = sorted([(m, 0) for m in lms_i] + [(m, 1) for m in lms_j])
+    every generator entering the one corner list as the range reaches it,
+    and each column range on which low is constant and positive makes one
+    box with the whole row range.  The budget is charged for every
+    generator before the walk, and for each row range before its boxes
+    are listed, one step per corner."""
+    gens = sorted(lead_monomials)
     budget = _budget()
     budget.spend(len(gens))
-    corners = ([], []), ([], [])  # per ideal: b ascending, c descending
-    entered = 0
-    while entered < len(gens) and gens[entered][0][0] < top:
-        a0 = gens[entered][0][0]
-        while entered < len(gens) and gens[entered][0][0] == a0:
-            m, k = gens[entered]
-            _add_corner(*corners[k], m)
-            entered += 1
-        a1 = min(gens[entered][0][0], top) if entered < len(gens) else top
-        (bi, ci), (bj, cj) = corners
-        budget.spend(len(bi) + len(bj))
-        bi, bj = bi + [top], bj + [top]  # the walk ends at top
-        b = p = q = 0
-        low_i = low_j = top
-        while b < top:
-            step = min(bi[p], bj[q], top)
-            if low_j > low_i:
-                raise Bs3Error("internal inconsistency: saturation smaller "
-                               "than the ideal: x^%d*y^%d*z^%d lies in "
-                               "in(I) only" % (a0, b, low_i))
-            if low_j < low_i:
-                yield a0, a1, b, step, low_j, low_i
-            if bi[p] == step < top:
-                low_i = min(ci[p], top)
-                p += 1
-            if bj[q] == step < top:
-                low_j = min(cj[q], top)
-                q += 1
-            b = step
-
-
-def _saturation_excess(lms_i, lms_j):
-    """The monomials of in(J) outside in(I), for generators of in(I) and of
-    in(J), I in J: the tuple of boxes of _excess_boxes, or None when they
-    are infinitely many.
-
-    Past the largest x-exponent A of both generator sets no corner enters,
-    so the last row range is every row a >= A, and past the last corner a
-    column range runs to every b; a box there, or one under an infinite
-    low_I, repeats forever.  The walk cut at _UNBOUNDED, which no exponent
-    reaches, marks exactly those boxes unbounded, and the pass stops at the
-    first.  So a finite difference lies in [0, A) x [0, B), B the largest
-    y-exponent, and below the largest z-exponent of in(I): the lcm of
-    in(J) divides that of in(I)."""
+    corner_b, corner_c = [], []  # b ascending, c descending
     boxes = []
-    for box in _excess_boxes(lms_i, lms_j, _UNBOUNDED):
-        if _UNBOUNDED in box:  # a1, b1 or c1: every start lies below it
-            return None
-        boxes.append(box)
-    return tuple(boxes)
+    a0 = k = 0
+    while a0 < _UNBOUNDED:
+        while k < len(gens) and gens[k][0] == a0:
+            _add_corner(corner_b, corner_c, gens[k])
+            k += 1
+        a1 = gens[k][0] if k < len(gens) else _UNBOUNDED
+        budget.spend(len(corner_b))
+        b0 = 0  # low is _UNBOUNDED before the first corner
+        for b1, low in zip(corner_b + [_UNBOUNDED], [_UNBOUNDED] + corner_c):
+            if b0 < b1 and low:
+                boxes.append((a0, a1, b0, b1, 0, low))
+            b0 = b1
+        a0 = a1
+    return boxes
+
+
+def _cut_orthant(boxes, monomial):
+    """(kept, removed): the boxes of the monomials outside M + (m), and
+    those of the monomials of (m) outside M, from the boxes of the
+    monomials outside M (_staircase, or a cut of it).  m divides exactly
+    the monomials at or past it in every exponent, so a box that meets
+    that orthant keeps at most three parts, its part below m in x, its
+    part at or past m in x and below it in y, and its part at or past m in
+    x and y and below it in z, and gives up the rest, one box with its far
+    ends.  Each kept part keeps its box's z-range for its pairs (a, b), so
+    a cut of the staircase keeps the form _staircase lists it in.  One
+    step per box compared."""
+    a, b, c = monomial
+    _budget().spend(len(boxes))
+    kept, removed = [], []
+    for box in boxes:
+        a0, a1, b0, b1, c0, c1 = box
+        if a1 <= a or b1 <= b or c1 <= c:
+            kept.append(box)
+            continue
+        if a0 < a:
+            kept.append((a0, a, b0, b1, c0, c1))
+            a0 = a
+        if b0 < b:
+            kept.append((a0, a1, b0, b, c0, c1))
+            b0 = b
+        if c0 < c:
+            kept.append((a0, a1, b0, b1, c0, c))
+            c0 = c
+        removed.append((a0, a1, b0, b1, c0, c1))
+    return kept, removed
+
+
+def _saturation_excess(lms_i, boxes, lms_j):
+    """The monomials of in(J) outside in(I), for generators of in(I) and of
+    in(J), I in J, and the boxes of the monomials outside in(I)
+    (_staircase): the tuple of boxes the cuts of those boxes by each
+    generator of in(J) remove (_cut_orthant), or None at the first
+    unbounded one, when they are infinitely many.
+
+    A generator of in(I) that no generator of in(J) divides is an internal
+    inconsistency, Bs3Error; the check spends one step per pair it
+    compares.  Then in(I) lies in in(J), so the monomials of in(J) outside
+    in(I) are those outside in(I) that some generator n of in(J) divides,
+    and the cut by n removes exactly those that no earlier generator
+    divides: the removed parts are disjoint and together list them.  A
+    generator shared with in(I) divides no monomial outside in(I), so it
+    is not cut by.  A removed part keeps its box's far ends, and a box of
+    the staircase with a far end at _UNBOUNDED is unbounded, so a part
+    reaching it holds infinitely many monomials; every other part is
+    finite.  A finite difference lies below the lcm of in(I) in each
+    exponent: past the largest x- or y-exponent of its generators the
+    staircase of in(I) is constant, so a monomial of the difference out
+    there would repeat forever, as would one under an infinite low.  So
+    the lcm of in(J) divides that of in(I)."""
+    budget = _budget()
+    for m in lms_i:
+        for pairs, n in enumerate(lms_j, 1):
+            if n[0] <= m[0] and n[1] <= m[1] and n[2] <= m[2]:
+                break
+        else:
+            raise Bs3Error("internal inconsistency: saturation smaller than "
+                           "the ideal: x^%d*y^%d*z^%d lies in in(I) only" % m)
+        budget.spend(pairs)
+    shared = set(lms_i)
+    excess = []
+    for n in lms_j:
+        if n not in shared:
+            boxes, removed = _cut_orthant(boxes, n)
+            if any(_UNBOUNDED in box for box in removed):
+                return None
+            excess += removed
+    return tuple(excess)
 
 
 def _excess_degrees(boxes, weights, top=None):
@@ -1029,43 +1066,6 @@ def _excess_degrees(boxes, weights, top=None):
         for r in range(min(stride, len(values))):
             values[r::stride] = accumulate(values[r::stride])
     return values
-
-
-def _staircase(lead_monomials):
-    """The monomials outside M, M generated by the monomials, as the boxes
-    of (1) outside M (_excess_boxes), cut at _UNBOUNDED: an extent at that
-    top is unbounded, and every monomial of a degree a Hilbert tail of M
-    reads lies below it in each exponent.  Each box is (a0, a1, b0, b1,
-    0, low), low(a, b) the same on all of it, and no two boxes share a
-    pair (a, b)."""
-    return list(_excess_boxes(lead_monomials, ((0, 0, 0),), _UNBOUNDED))
-
-
-def _cut_orthant(boxes, monomial):
-    """The boxes of the monomials outside M + (m), from those outside M
-    (_staircase): m divides exactly the monomials at or past it in every
-    exponent, so a box that meets that orthant gives way to at most three,
-    its part below m in x, its part at or past m in x and below it in y,
-    and its part at or past m in x and y and below it in z.  Each part
-    keeps one z-range (0, low) for its pairs (a, b), so the boxes keep the
-    form _staircase lists them in.  One step per box compared."""
-    a, b, c = monomial
-    _budget().spend(len(boxes))
-    cut = []
-    for box in boxes:
-        a0, a1, b0, b1, c0, c1 = box
-        if a1 <= a or b1 <= b or c1 <= c:
-            cut.append(box)
-            continue
-        if a0 < a:
-            cut.append((a0, a, b0, b1, c0, c1))
-            a0 = a
-        if b0 < b:
-            cut.append((a0, a1, b0, b, c0, c1))
-            b0 = b
-        if c0 < c:
-            cut.append((a0, a1, b0, b1, c0, c))
-    return cut
 
 
 def _hilbert_tail(lead_monomials, boxes):
@@ -1172,14 +1172,15 @@ def saturated_leading_monomials(ideal, weights):
     refused with PreconditionError before any basis work.  A colon by z
     read off the boxes of in(I) (_saturate) is divided out of the basis of
     I here (_saturate_by_z), the only reader of its monomials, and the
-    division is checked against the boxes: its monomials outside in(I)
-    (_saturation_excess) must be finitely many, which puts every monomial
-    it gives in in(I) : z^infinity, and then as many as the boxes hold."""
+    division is checked against the boxes: its monomials outside in(I),
+    cut out of the staircase of in(I) (_saturation_excess), must be
+    finitely many, which puts every monomial it gives in in(I) :
+    z^infinity, and then as many as the boxes hold."""
     c, sat, boxes = _saturate(ideal, weights)
     if sat is None:
         gb = buchberger(ideal)
         sat = _saturate_by_z(gb)
-        divided = _saturation_excess(gb.leading_monomials, sat)
+        divided = _saturation_excess(gb.leading_monomials, gb._boxes, sat)
         if divided is None or _volume(divided) != _volume(boxes):
             raise Bs3Error("internal inconsistency: check 'colon by z' "
                            "failed: the basis divided by z does not give "
@@ -1195,15 +1196,15 @@ def _volume(boxes):
 
 def _saturate(ideal, weights):
     """(c, M, boxes): saturated_leading_monomials's (c, M), and the boxes
-    of the monomials of M outside in(I), which H0 counts: the standard
-    monomials of R/in(I) when I is Artinian (_saturation_excess), none
+    of the monomials of M outside in(I), which H0 counts: the staircase of
+    in(I) the basis keeps (GroebnerBasis._boxes) when I is Artinian, none
     when in(I) is saturated, the boxes of in(I) : z^infinity outside in(I)
-    (_z_colon_excess) when c = 0, and the certificate's own boxes
-    (_saturation_excess) when a colon c >= 1 is certified.  When c = 0, M
-    is None: in(I : z^infinity) = in(I) : z^infinity (Bayer-Stillman), so
-    the certificate reads that colon off the boxes the basis keeps
-    (GroebnerBasis._boxes), and only saturated_leading_monomials divides
-    the basis for its monomials.
+    (_z_colon_excess) when c = 0, and the certificate's own boxes, cut out
+    of that staircase (_saturation_excess), when a colon c >= 1 is
+    certified.  When c = 0, M is None: in(I : z^infinity) = in(I) :
+    z^infinity (Bayer-Stillman), so the certificate reads that colon off
+    the boxes the basis keeps, and only saturated_leading_monomials
+    divides the basis for its monomials.
 
     Under standard weights, when I is not Artinian, the colon by z is
     read first.  No excess at all means z is a nonzerodivisor on R/in(I),
@@ -1245,8 +1246,8 @@ def _saturate(ideal, weights):
     gb = buchberger(ideal)
     lms = gb.leading_monomials
     if _is_artinian(lms):
-        boxes = _saturation_excess(lms, ((0, 0, 0),))
-        if boxes is None:
+        boxes = tuple(gb._boxes)
+        if any(_UNBOUNDED in box for box in boxes):
             raise Bs3Error("internal inconsistency: check 'finite H0' failed: "
                            "in(I^sat) has infinitely many monomials outside "
                            "in(I)")
@@ -1268,7 +1269,7 @@ def _saturate(ideal, weights):
         if e is not None and c > first + 2 * e:
             break
         sat = _weighted_colon(ideal, weights, c)
-        boxes = _saturation_excess(lms, sat)
+        boxes = _saturation_excess(lms, gb._boxes, sat)
         if boxes is not None:
             return c, sat, boxes
     form = " + ".join(p + str(Polynomial({m: 1}, 3)) for p, m in

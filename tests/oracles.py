@@ -55,7 +55,7 @@ what the package's token-regex parser is tested against.  A box search for
 a socle monomial is what the staircase test of a saturated monomial ideal
 is tested against.  The Hilbert functions of R/in(I) and R/in(I^sat),
 differenced in every degree up to the Taylor bound, are what the package's
-one pass over the two staircases counts H0 against, and the Hilbert
+cuts of the staircase of in(I) count H0 against, and the Hilbert
 polynomials compared by their values at 0, 1, 2 are what its certificate,
 a finite excess of in(J) over in(I), is tested against.  The restriction
 of the generators to z = 0, with a gcd over Q of the forms left, decides
@@ -88,9 +88,9 @@ from operator import add, mul
 from bs3 import groebner, linalg
 from bs3.arrangement import ConditionReport, is_formal
 from bs3.graded import STANDARD, DegreeData, regularity_report
-from bs3.groebner import (Ideal, _add_corner, _budget, _excess_boxes,
-                          _excess_degrees, _from_int_poly, _int_terms,
-                          _int_triple, _s_poly_int, _scaling_steps,
+from bs3.groebner import (Ideal, _add_corner, _budget, _excess_degrees,
+                          _from_int_poly, _int_terms, _int_triple,
+                          _s_poly_int, _scaling_steps, _staircase,
                           _strip_content, buchberger,
                           saturated_leading_monomials)
 from bs3.milnor import _weighted_degree, jacobian_ideal
@@ -562,14 +562,11 @@ def same_hilbert_polynomial_at_0_1_2(lms_a, lms_b):
 
 def hilbert_function(lead_monomials, top):
     """[dim (R/M)_t for t = 0..top] under the standard grading, at any
-    top: the monomials of (1) outside M, walked as boxes cut at top + 1
-    (groebner._excess_boxes), since no monomial past that in one exponent
-    has degree at most top, and counted by degree
-    (groebner._excess_degrees).  The package reads the same count only as
-    far as a tail (groebner._hilbert_tail), over boxes cut at
-    groebner._UNBOUNDED."""
-    return _excess_degrees(_excess_boxes(lead_monomials, ((0, 0, 0),),
-                                         top + 1), (1, 1, 1), top)
+    top: the staircase of M (groebner._staircase) counted by degree up to
+    top (groebner._excess_degrees), which drops every box corner past top.
+    The package reads the same count only as far as a tail
+    (groebner._hilbert_tail)."""
+    return _excess_degrees(_staircase(lead_monomials), (1, 1, 1), top)
 
 
 def hilbert_function_by_columns(lead_monomials, top, weights=(1, 1, 1)):
@@ -619,12 +616,12 @@ def z_colon_excess_by_division(ideal):
     """The boxes of the monomials of in(I) : z^infinity outside in(I), or
     None when they are infinitely many, for a standard-homogeneous I: the
     basis of I divided by z (groebner._saturate_by_z, Bayer-Stillman), the
-    route by which the saturation once computed its colon by z, walked
-    against in(I) by the certificate's pass (groebner._saturation_excess).
+    route by which the saturation once computed its colon by z, cut out
+    of the staircase of in(I) by the certificate (groebner._saturation_excess).
     The package reads the same colon off the boxes of in(I)
     (groebner._z_colon_excess)."""
     gb = buchberger(ideal)
-    return groebner._saturation_excess(gb.leading_monomials,
+    return groebner._saturation_excess(gb.leading_monomials, gb._boxes,
                                        groebner._saturate_by_z(gb))
 
 

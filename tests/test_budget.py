@@ -117,42 +117,39 @@ DRAW5 = "x-y+2z,-x+3y+2z,3x+2y+2z,x-3y+3z,3y-2z"
 # arrangements' coefficients pass: a reduction step scales by the head as it
 # holds it, with the content stripped only once the head passes twice its bits
 # at the last strip plus one word.  An arrangement walks the staircase of its
-# leading monomials at the run's first Hilbert read, one step per generator and
-# per corner of each row range; a later read cuts the boxes by each leading
-# monomial found since, one step per box compared, or walks afresh where those
-# cuts would spend more steps than the last walk did (moment12, whose 10 new
-# leading monomials would each compare at least the 47 boxes of a walk that
-# spent 107 steps); each read counts
-# the boxes, one step per degree; and the colon by z and H0 are read off the
-# boxes the run hands over, with no step.  The standard-weights lqh request
-# walks the staircase of in(J) for the colon by z, which its boxes refuse, then
-# makes the socle test of in(J), one step per generator and per drop it
-# compares, and one walk over in(J) and each colon, one step per generator and
-# per corner of each row range; the weighted lqh requests make the socle test,
-# and the colon requests the walk, each of whose boxes are counted, one step
-# per degree; the lqh colon loop reads the tail of in(J) only once c passes its
-# first three values, so none of these counts holds one.  An arrangement also
-# spends its lattice pairs, its free line's candidates (the points each one is
-# tested against, up to the first it passes through: 115, 120, 66 and 16 of the
-# four counts), d per length-3 relation vector (6 * 9 for each Ziegler
-# arrangement, none for the other two), the row operations of is_formal's rank,
-# the term products of its moved polynomial f', its singular points, sorted for
-# the report (24, 24, 66 and 10), and its combinatorial roots, 2d - 5 and
-# 2m - 3 for each multiplicity m (17, 17, 20 and 6).  Every request spends
-# one step per term of the polynomial whose partials its Jacobian takes: f' has
-# 36, 36, 66 and 10 terms, the four lqh polynomials 3, 3, 4 and 3.  The
-# product-shape lqh request saturates to in(J) itself, so it makes no pass.
-# The standard-weights lqh request computes the colon by x + y + z, which the
+# leading monomials in play at each Hilbert read of its run, one step per
+# generator and per corner of each row range, and counts the boxes, one step
+# per degree; the colon by z and H0 are read off the boxes of the last walk,
+# with no step.  The standard-weights lqh request walks the staircase of in(J)
+# for the colon by z, which its boxes refuse, then makes the socle test of
+# in(J), one step per generator and per drop it compares, and cuts each colon
+# out of the boxes of in(J): one step per pair of generators the containment
+# check compares and one per box each cut compares.  The weighted lqh requests
+# make the socle test, and the colon requests walk in(J) and cut each colon
+# out of its boxes, whose removed parts are counted, one step per degree; the
+# lqh colon loop reads the tail of in(J) only once c passes its first three
+# values, so none of these counts holds one.  An arrangement also spends its
+# lattice pairs, its free line's candidates (the points each one is tested
+# against, up to the first it passes through: 115, 120, 66 and 16 of the four
+# counts), d per length-3 relation vector (6 * 9 for each Ziegler arrangement,
+# none for the other two), the row operations of is_formal's rank, the term
+# products of its moved polynomial f', its singular points, sorted for the
+# report (24, 24, 66 and 10), and its combinatorial roots, 2d - 5 and 2m - 3
+# for each multiplicity m (17, 17, 20 and 6).  Every request spends one step
+# per term of the polynomial whose partials its Jacobian takes: f' has 36, 36,
+# 66 and 10 terms, the four lqh polynomials 3, 3, 4 and 3.  The product-shape
+# lqh request saturates to in(J) itself, so it makes no walk and no cut.  The
+# standard-weights lqh request computes the colon by x + y + z, which the
 # certificate refuses, before the certified one by z + 2x + 4y
 @pytest.mark.parametrize("argv, steps", [
-    (("arrangement", "--forms", oracles.ZIEGLER_F), 1146),
-    (("arrangement", "--forms", oracles.ZIEGLER_G), 968),
-    (("arrangement", "--forms", MOMENT12), 3385),
-    (("arrangement", "--forms", DRAW5), 190),
-    (LQH, 127),
+    (("arrangement", "--forms", oracles.ZIEGLER_F), 1153),
+    (("arrangement", "--forms", oracles.ZIEGLER_G), 958),
+    (("arrangement", "--forms", MOMENT12), 3359),
+    (("arrangement", "--forms", DRAW5), 189),
+    (LQH, 150),
     (LQH_PRODUCT, 16),
-    (LQH_COLON, 116),
-    (LQH_STANDARD, 230),
+    (LQH_COLON, 126),
+    (LQH_STANDARD, 228),
 ], ids=["ziegler_f", "ziegler_g", "moment12", "draw5", "lqh", "lqh_product",
         "lqh_colon", "lqh_standard"])
 def test_cold_request_spends_a_pinned_number_of_steps(capsys, budgets, argv,
@@ -168,18 +165,18 @@ def test_cold_request_spends_a_pinned_number_of_steps(capsys, budgets, argv,
 def test_large_fermat_ends_within_the_default_cap(capsys, budgets):
     # the partials spend one step per term of f, 3; the Jacobian
     # (x^3999, y^3999, z^3999) is Artinian, and its 3999^3 standard
-    # monomials are one box over the rows a < 3999: the excess pass spends
-    # its 4 generators, then the 2 + 1 corners of that row range and the
-    # 1 + 1 of the rows from 3999 on, and counting the box one step per
-    # degree 0..11994, where a walk of the 3999 x 3999 columns would pass
-    # the default cap
+    # monomials are one box of its staircase over the rows a < 3999: the
+    # walk spends its 3 generators, then the 2 corners of that row range
+    # and the 1 of the rows from 3999 on, and counting the box one step
+    # per degree 0..11994, where a walk of the 3999 x 3999 columns would
+    # pass the default cap
     argv = ("milnor", "--poly", "x^4000+y^4000+z^4000")
     start = time.perf_counter()
     code, out, _ = run(capsys, *argv)
     assert time.perf_counter() - start < 1
     assert code == 0 and "milnor_number: 63952011999\n" in out
     spent = budgets[0].used
-    assert spent == 3 + 4 + 3 + 2 + 11995
+    assert spent == 3 + 3 + 2 + 1 + 11995
     code, out, err = run(capsys, *argv, "--step-cap", str(spent - 1))
     assert code == 3 and out == ""
     assert err.startswith("resource limit:")
@@ -344,60 +341,85 @@ def test_length3_relations_on_the_box_draw_spend_under_the_cap():
 
 
 def test_graded_engine_spends_for_the_work_it_does():
-    # the walk against (1): three generators and 1; the rows a = 0, 1 hold
-    # the corners (0, 4) and (30, 0), and (0, 0) of (1), 2 + 1 steps, and
-    # x^2 leaves one corner of its own and one of (1) in the rows from 2
-    # on, 1 + 1: 4 + 3 + 2 steps, and one per degree 0..top of the window
+    # the staircase walk: three generators; the rows a = 0, 1 hold the
+    # corners (0, 4) and (30, 0), 2 steps, and x^2 leaves one corner in the
+    # rows from 2 on, 1: 3 + 2 + 1 steps, and one per degree 0..top of the
+    # window, none for a negative top
     lms = ((2, 0, 0), (0, 30, 0), (0, 0, 4))
-    for top, steps in ((40, 50), (1000, 1010)):
+    for top, steps in ((40, 47), (1000, 1007)):
         with step_budget() as budget:
             values = oracles.hilbert_function(lms, top)
         assert sum(values) == 2 * 30 * 4
         assert budget.used == steps
     with step_budget() as budget:
         assert oracles.hilbert_function(lms, -3) == []
-    assert budget.used == 4
+    assert budget.used == 6
 
 
 def test_graded_engine_charges_a_row_range_once():
-    # (x^N, y) against (1), dim (R/M)_t = min(t + 1, N): the rows a < N
-    # hold y's corner and that of (1), and the rows from N on x^N's and
-    # that of (1), so the walk spends 3 generators and 2 + 2 corners
-    # whatever N is, and one step per degree
+    # (x^N, y), dim (R/M)_t = min(t + 1, N): the rows a < N hold y's
+    # corner, and the rows from N on x^N's, so the walk spends 2
+    # generators and 1 + 1 corners whatever N is, and one step per degree
     for n in (10, 10000):
         top = n + 5
         with step_budget() as budget:
             values = oracles.hilbert_function(((n, 0, 0), (0, 1, 0)), top)
         assert values == [min(t + 1, n) for t in range(top + 1)]
-        assert budget.used - (top + 1) == 3 + 2 + 2
+        assert budget.used - (top + 1) == 2 + 1 + 1
 
 
 def test_excess_pass_lists_a_row_range_as_one_box():
-    # the Fermat Jacobian's in(J) = (x^(n-1), y^(n-1), z^(n-1)) against
-    # (1): the standard monomials are one box, for the same 4 + 3 + 2
-    # steps at n = 40 and at n = 4000
+    # the Fermat Jacobian's in(J) = (x^(n-1), y^(n-1), z^(n-1)): its
+    # staircase is one box, for the same 3 + 2 + 1 steps at n = 40 and at
+    # n = 4000, and the cut by (1) removes that box whole, for 3 pairs
+    # compared and 1 box
     for n in (40, 4000):
         lms = ((n - 1, 0, 0), (0, n - 1, 0), (0, 0, n - 1))
         with step_budget() as budget:
-            boxes = groebner._saturation_excess(lms, ((0, 0, 0),))
+            stairs = groebner._staircase(lms)
+        assert stairs == [(0, n - 1, 0, n - 1, 0, n - 1)]
+        assert budget.used == 3 + 2 + 1
+        with step_budget() as budget:
+            boxes = groebner._saturation_excess(lms, stairs, ((0, 0, 0),))
         assert boxes == ((0, n - 1, 0, n - 1, 0, n - 1),)
-        assert budget.used == 4 + 3 + 2
+        assert budget.used == 3 + 1
 
 
 def test_excess_pass_spends_for_the_work_it_does():
-    # in(I) = (x^2, y^3, z^4) under in(J) = (1): four generators; the rows
-    # a = 0, 1 hold two corners of in(I) and one of in(J), 2 + 1 steps,
-    # and the rows from 2 on one of each, 1 + 1 steps.  Counting the box
-    # costs one step per degree 0..6: the walk paid for the box
+    # in(I) = (x^2, y^3, z^4) under in(J) = (1): the walk spends three
+    # generators, the rows a = 0, 1 hold two corners and the rows from 2
+    # on one, 3 + 2 + 1 steps; the pass compares each generator of in(I)
+    # with (1), 3 steps, and the cut by (1) compares the one box, 1 step.
+    # Counting the box costs one step per degree 0..6: the cut paid for
+    # the box
     lms_i, lms_j = ((2, 0, 0), (0, 3, 0), (0, 0, 4)), ((0, 0, 0),)
     with step_budget() as budget:
-        boxes = groebner._saturation_excess(lms_i, lms_j)
+        boxes = groebner._saturation_excess(
+            lms_i, groebner._staircase(lms_i), lms_j)
     assert boxes == ((0, 2, 0, 3, 0, 4),)
-    assert budget.used == 4 + 3 + 2
+    assert budget.used == 6 + 3 + 1
     with step_budget() as budget:
         counts = groebner._excess_degrees(boxes, (1, 1, 1))
     assert counts == [1, 3, 5, 6, 5, 3, 1]
     assert budget.used == 7
+
+
+def test_excess_pass_charges_the_pairs_it_compares():
+    # each generator of in(I) is compared with the generators of in(J) up
+    # to the first that divides it: x^2 with x, 1 pair, y^3 with x and y,
+    # 2, and z^4 with x, y and z, 3.  The staircase of in(I) is one box,
+    # and the cuts by x, y and z each compare the one box left, 3 steps.
+    # A generator of in(I) that none divides is refused
+    lms_i, lms_j = ((2, 0, 0), (0, 3, 0), (0, 0, 4)), ((1, 0, 0), (0, 1, 0),
+                                                       (0, 0, 1))
+    stairs = groebner._staircase(lms_i)
+    with step_budget() as budget:
+        groebner._saturation_excess(lms_i, stairs, lms_j)
+    assert len(stairs) == 1
+    assert budget.used == 1 + 2 + 3 + 3
+    with pytest.raises(groebner.Bs3Error,
+                       match="saturation smaller than the ideal"):
+        groebner._saturation_excess(lms_i, stairs, lms_j[1:])
 
 
 def test_wide_weighted_window_ends_within_its_cap(capsys):

@@ -458,11 +458,11 @@ def test_json_is_deterministic(capsys):
 
 def test_failed_saturation_certificate_exits_4(capsys, monkeypatch):
     # every certificate refused: the colon by z, read off the boxes of
-    # in(J), and each colon c >= 1, walked against in(J)
+    # in(J), and each colon c >= 1, cut out of them
     from bs3 import groebner
     monkeypatch.setattr(groebner, "_z_colon_excess", lambda boxes: None)
     monkeypatch.setattr(groebner, "_saturation_excess",
-                        lambda lms_i, lms_j: None)
+                        lambda lms_i, boxes, lms_j: None)
     code, out, err = run(capsys, "arrangement", "--forms", "x,y,z,x+y+z")
     assert code == 4
     assert out == ""
@@ -479,7 +479,7 @@ def test_failed_weighted_certificate_exits_4(capsys, monkeypatch):
     # and under these weights c runs from 1 to 2 * 2 + 1
     from bs3 import groebner
     monkeypatch.setattr(groebner, "_saturation_excess",
-                        lambda lms_i, lms_j: None)
+                        lambda lms_i, boxes, lms_j: None)
     code, out, err = run(capsys, "roots", "lqh", "--poly",
                          "2*x^5+2*x^3*y+3*x^3*z+2*x*y*z",
                          "--weights", "1,2,2")
@@ -495,15 +495,16 @@ def test_failed_weighted_certificate_exits_4(capsys, monkeypatch):
 def test_colon_loop_reads_its_bound_once_c_passes_its_first_three(
         capsys, monkeypatch, argv, first):
     # the certificate refuses the first k colons: c = 0 read off the boxes
-    # of in(J), and each c >= 1 walked against in(J).  Under other weights
-    # the walk that fills the tail of in(J), whose e bounds the loop by
-    # c <= first + 2e, runs only when c reaches first + 3; under (1, 1, 1)
-    # the colon by z reads its boxes, so it runs once, before any colon.
+    # of in(J), and each c >= 1 cut out of them.  The one walk of in(J)
+    # runs at the first read of its boxes: under (1, 1, 1) the colon by z,
+    # before any colon, and under other weights the first certificate that
+    # is not refused, or the tail.  The tail of in(J), whose e bounds the
+    # loop by c <= first + 2e, is counted only when c reaches first + 3.
     # A refused colon leaves the report as it was
     from bs3 import groebner
     from bs3.polyring import parse_polynomial
     excess, by_z = groebner._saturation_excess, groebner._z_colon_excess
-    walk = groebner._staircase
+    walk, count = groebner._staircase, groebner._hilbert_tail
     _, want, _ = run(capsys, *argv)
     jac = milnor.jacobian_ideal(parse_polynomial(argv[3]))
     e = groebner.buchberger(jac).tail[1]
@@ -514,28 +515,31 @@ def test_colon_loop_reads_its_bound_once_c_passes_its_first_three(
             events.append("colon")
             return k is None or events.count("colon") <= k
 
-        def refuse(lms_i, lms_j):
-            return None if refused() else excess(lms_i, lms_j)
+        def refuse(lms_i, boxes, lms_j):
+            return None if refused() else excess(lms_i, boxes, lms_j)
 
         def refuse_z(boxes):
             return None if refused() else by_z(boxes)
 
-        def spy(*args):
-            events.append("engine")
-            return walk(*args)
+        def spy(name, engine):
+            def spied(*args):
+                events.append(name)
+                return engine(*args)
+            return spied
 
         monkeypatch.setattr(groebner, "_saturation_excess", refuse)
         monkeypatch.setattr(groebner, "_z_colon_excess", refuse_z)
-        monkeypatch.setattr(groebner, "_staircase", spy)
+        monkeypatch.setattr(groebner, "_staircase", spy("walk", walk))
+        monkeypatch.setattr(groebner, "_hilbert_tail", spy("count", count))
         code, out, err = run(capsys, *argv)
         monkeypatch.undo()
         colons = events.count("colon")
-        walks = 1 if first == 0 or colons > 3 else 0
-        assert events.count("engine") == walks, k
+        assert events.count("walk") == 1, k
         if first == 0:
-            assert events.index("engine") == 0, k
-        elif colons > 3:
-            assert events.index("engine") == 3, k
+            assert events.index("walk") == 0, k
+        assert events.count("count") == (colons > 3), k
+        if colons > 3:
+            assert events[:events.index("count")].count("colon") == 3, k
         if k is None:
             # every colon refused: the loop tries first, ..., first + 2e
             assert code == 4 and out == ""
@@ -637,6 +641,19 @@ def test_saturation_missing_a_monomial_of_the_ideal_exits_4(capsys,
     assert out == ""
     assert err.startswith("internal error:") and "saturation smaller" in err
     assert "x^0*y^0*z^2 lies in in(I) only" in err
+    assert "Traceback" not in err
+
+
+def test_infinite_artinian_h0_exits_4(capsys, monkeypatch):
+    # an Artinian in(J) whose staircase, H0's boxes, reads as unbounded:
+    # the check that H0 is finite refuses it
+    from bs3 import groebner
+    monkeypatch.setattr(groebner, "_staircase",
+                        lambda lms: [(0, 2, 0, 2, 0, groebner._UNBOUNDED)])
+    code, out, err = run(capsys, "milnor", "--poly", "x^3+y^3+z^3")
+    assert code == 4
+    assert out == ""
+    assert err.startswith("internal error:") and "'finite H0'" in err
     assert "Traceback" not in err
 
 

@@ -143,7 +143,7 @@ def test_box_counts_match_the_column_walk():
     compared = 0
     for a, b in pairs:
         a, b = tuple(sorted(set(a))), tuple(sorted(set(b)))
-        boxes = groebner._saturation_excess(a, b)
+        boxes = groebner._saturation_excess(a, groebner._staircase(a), b)
         for weights in ((1, 1, 1), (2, 3, 5), (1, 1, 7), (7, 1, 1),
                         (1, 7, 1)):
             top = oracles.lcm_degree(a, weights) + max(weights)
@@ -193,7 +193,9 @@ def test_tail_counts_monomials_past_max_degree_in_one_exponent():
 def test_cut_boxes_count_the_tail_a_fresh_walk_counts():
     # the boxes outside M, cut by the orthant of each monomial m added, are
     # the monomials outside M + (m), each in one box: they count the tail a
-    # fresh walk counts, and a cut spends one step per box it compares
+    # fresh walk counts.  The parts the cut removes are the monomials of
+    # (m) outside M, each in one box, and a cut spends one step per box it
+    # compares
     rng = random.Random(48)
     split = False
     for _ in range(150):
@@ -202,13 +204,18 @@ def test_cut_boxes_count_the_tail_a_fresh_walk_counts():
         for _ in range(rng.randint(1, 4)):
             m = tuple(rng.randint(0, 5) for _ in range(3))
             with step_budget() as budget:
-                cut = groebner._cut_orthant(boxes, m)
+                cut, removed = groebner._cut_orthant(boxes, m)
             assert budget.used == len(boxes), (lms, m)
             split |= len(cut) > len(boxes)
+            top = max(map(max, lms + [m])) + 2
+            gone = oracles.box_monomials(removed, top)
+            assert len(set(gone)) == len(gone), (lms, m)
+            assert sorted(gone) == sorted(
+                u for u in oracles.box_monomials(boxes, top)
+                if oracles.mono_divides(m, u)), (lms, m)
             boxes, lms = cut, lms + [m]
             assert groebner._hilbert_tail(lms, boxes) == groebner._hilbert_tail(
                 lms, groebner._staircase(lms)), lms
-            top = max(map(max, lms)) + 2
             kept = oracles.box_monomials(boxes, top)
             assert len(set(kept)) == len(kept), lms
             assert sorted(kept) == sorted(oracles.box_monomials(
@@ -269,7 +276,9 @@ def test_excess_pass_lists_the_monomials_of_in_j_outside_in_i():
     # in(I) with in(I^sat) for the H0 cases and the corpus Jacobians: a
     # finite excess is the box's, box by box without overlap, and is
     # counted by degree as the two Hilbert functions differ; an infinite
-    # one comes with a different Hilbert polynomial
+    # one comes with a different Hilbert polynomial.  Each seeded pair is
+    # also cut out of a staircase that was itself cut, by up to three
+    # generators of in(J), whose row ranges no walk would list
     rng = random.Random(33)
     pairs = []
     for _ in range(150):
@@ -280,70 +289,83 @@ def test_excess_pass_lists_the_monomials_of_in_j_outside_in_i():
                     for p, q, r in a for i in range(3)], a)]
     cases = H0_CASES + [(arrangement._jacobian(arr), W1)
                         for _, arr in corpus.build_corpus()]
+    seeded = len(pairs)
     for I, w in cases:
         g = gcd(*w.scaled)
         pairs.append((buchberger(I).leading_monomials,
                       saturated_leading_monomials(
                           I, tuple(v // g for v in w.scaled))[1]))
-    finite = 0
-    for a, b in pairs:
+    finite = cut = 0
+    for k, (a, b) in enumerate(pairs):
         a, b = tuple(sorted(set(a))), tuple(sorted(set(b)))
-        boxes = groebner._saturation_excess(a, b)
-        if boxes is None:
-            assert not oracles.same_hilbert_polynomial_at_0_1_2(a, b), (a, b)
-            continue
-        finite += 1
-        listed = [(x, y, z) for a0, a1, b0, b1, c0, c1 in boxes
-                  for x in range(a0, a1) for y in range(b0, b1)
-                  for z in range(c0, c1)]
-        assert len(listed) == len(set(listed)), (a, b)
-        assert set(listed) == excess_by_box(a, b), (a, b)
-        for weights in ((1, 1, 1), (2, 3, 5), (3, 2, 1)):
-            counts = groebner._excess_degrees(boxes, weights)
-            assert not boxes or counts[-1] > 0
-            top = len(counts) + max(weights)
-            want = [u - v for u, v in zip(
-                *(oracles.hilbert_function_by_columns(m, top, weights)
-                  for m in (a, b)))]
-            assert counts + [0] * (top + 1 - len(counts)) == want, (a, b)
-    assert 200 < finite < len(pairs)
+        staircases = [(a, groebner._staircase(a))]
+        for _ in range(3 if k < seeded else 0):
+            lms, boxes = staircases[-1]
+            m = rng.choice(b)
+            staircases.append((tuple(sorted(set(lms + (m,)))),
+                               groebner._cut_orthant(boxes, m)[0]))
+        for lms, boxes in staircases:
+            excess = groebner._saturation_excess(lms, boxes, b)
+            if excess is None:
+                assert not oracles.same_hilbert_polynomial_at_0_1_2(lms, b), \
+                    (lms, b)
+                continue
+            finite += 1
+            cut += lms != a
+            listed = [(x, y, z) for a0, a1, b0, b1, c0, c1 in excess
+                      for x in range(a0, a1) for y in range(b0, b1)
+                      for z in range(c0, c1)]
+            assert len(listed) == len(set(listed)), (lms, b)
+            assert set(listed) == excess_by_box(lms, b), (lms, b)
+            for weights in ((1, 1, 1), (2, 3, 5), (3, 2, 1)):
+                counts = groebner._excess_degrees(excess, weights)
+                assert not excess or counts[-1] > 0
+                top = len(counts) + max(weights)
+                want = [u - v for u, v in zip(
+                    *(oracles.hilbert_function_by_columns(m, top, weights)
+                      for m in (lms, b)))]
+                assert counts + [0] * (top + 1 - len(counts)) == want, \
+                    (lms, b)
+    assert 200 < finite - cut < len(pairs) and cut > 900
 
 
 @pytest.mark.parametrize("argv, calls", [
-    # isolated: in(J) is Artinian, and H0 is its standard monomials
-    ("milnor --poly x^3+y^3+z^3", (0, 0)),
-    ("roots isolated --poly x^2+y^3+z^5 --weights 1/2,1/3,1/5", (0, 0)),
+    # isolated: in(J) is Artinian, and H0 is its standard monomials, the
+    # staircase of in(J), walked once
+    ("milnor --poly x^3+y^3+z^3", (1, 0)),
+    ("roots isolated --poly x^2+y^3+z^5 --weights 1/2,1/3,1/5", (1, 0)),
     ("roots isolated --poly x^3+y^4+z^6+3*y^2*z^3 --weights 1/3,1/4,1/6",
-     (0, 0)),
-    # the saturation returns in(J) itself: H0 is empty with no pass
+     (1, 0)),
+    # the saturation returns in(J) itself: H0 is empty with no walk
     ("roots lqh --poly x^4*z+5*x^2*y^6*z+4*y^12*z --weights 1/2,1/6,1/6",
      (0, 0)),
-    # a colon certified at its first or second c: the tail of in(J), whose
-    # e bounds the colon loop, is read only once c passes its first three
+    # a colon certified at its first or second c: the certificate cuts
+    # the staircase of in(J), walked once, and the tail of in(J), whose e
+    # bounds the colon loop, is counted only once c passes its first three
     ("roots lqh --poly x^6*y*z+2*x*y^3*z+3*x*y*z^3 --weights 1/5,1/2,1/2",
-     (0, 0)),
+     (1, 0)),
     ("roots lqh --poly 2*x^5+2*x^3*y+3*x^3*z+2*x*y*z --weights 1,2,2",
-     (0, 0)),
-    # under (1, 1, 1) the colon by z is read off the boxes of in(J): one
-    # walk, kept as the tail's
+     (1, 0)),
+    # under (1, 1, 1) the colon by z is read off the boxes of in(J), and
+    # the certified colon is cut out of them: one walk
     ("roots lqh --poly x^2*y*z+x*y^2*z+x*y*z^2", (1, 0)),
     # the hinted run walks the staircase of its leading monomials in play
-    # at its first read and cuts the boxes by the few found before the
-    # closing check; the colon by z and H0 read the boxes it hands over,
-    # and no tail of in(J^sat) is read
-    ("arrangement --forms " + oracles.ZIEGLER_F, (1, 2)),
+    # at each Hilbert read, and counts its tail; the colon by z and H0 read
+    # the boxes of its last walk, and no tail of in(J^sat) is read
+    ("arrangement --forms " + oracles.ZIEGLER_F, (2, 2)),
     ("arrangement --forms " + oracles.ZIEGLER_G, (1, 1)),
-    ("arrangement --forms " + oracles.GENERIC5, (1, 2)),
+    ("arrangement --forms " + oracles.GENERIC5, (2, 2)),
     ("arrangement --forms " + oracles.BRAID, (1, 1)),
 ], ids=["milnor_fermat", "isolated", "isolated_perturbed", "lqh_product",
         "lqh_xyz", "lqh_colon", "lqh_standard", "ziegler_f", "ziegler_g",
         "generic5", "braid"])
 def test_request_calls_the_graded_engine_a_pinned_number_of_times(
         capsys, monkeypatch, argv, calls):
-    # H0, the certificate and HF(R/I^sat) read the boxes of in(J) or one
-    # pass over in(J) and in(J^sat), so the engine fills no H0 window and
-    # no tail of in(J^sat): only the tails of in(J) that a request needs,
-    # counted as (walks of a staircase, tails counted)
+    # H0, the certificate and HF(R/I^sat) read the boxes of in(J), or cuts
+    # of them by the generators of in(J^sat), so the engine fills no H0
+    # window and no tail of in(J^sat): only the staircases and tails of
+    # in(J) that a request needs, counted as (walks of a staircase, tails
+    # counted)
     seen = []
     walk, count = groebner._staircase, groebner._hilbert_tail
 
@@ -422,11 +444,13 @@ def test_h0_of_saturated_ideal_is_empty():
 def saturation_events(monkeypatch):
     """Each colon the saturation computes, by its c ("divided" for the
     division by z, "boxes" for the colon by z read off the boxes of
-    in(I)), and each excess pass, "pass", in the order they ran.  The pass
-    is spied on in graded too, where H0 once re-read it."""
+    in(I)), each walk of a staircase, "walk", and each certificate cut out
+    of the boxes of in(I), "pass", in the order they ran.  The pass is
+    spied on in graded too, where H0 once re-read it."""
     events = []
     by_z, colon = groebner._saturate_by_z, groebner._weighted_colon
     excess, read = groebner._saturation_excess, groebner._z_colon_excess
+    walk = groebner._staircase
 
     def spy_by_z(gb):
         events.append("divided")
@@ -440,13 +464,18 @@ def saturation_events(monkeypatch):
         events.append(c)
         return colon(ideal, weights, c)
 
-    def spy_excess(lms_i, lms_j):
+    def spy_excess(lms_i, boxes, lms_j):
         events.append("pass")
-        return excess(lms_i, lms_j)
+        return excess(lms_i, boxes, lms_j)
+
+    def spy_walk(lms):
+        events.append("walk")
+        return walk(lms)
 
     monkeypatch.setattr(groebner, "_saturate_by_z", spy_by_z)
     monkeypatch.setattr(groebner, "_z_colon_excess", spy_read)
     monkeypatch.setattr(groebner, "_weighted_colon", spy_colon)
+    monkeypatch.setattr(groebner, "_staircase", spy_walk)
     for module in (groebner, graded):
         monkeypatch.setattr(module, "_saturation_excess", spy_excess,
                             raising=False)
@@ -456,15 +485,18 @@ def saturation_events(monkeypatch):
 @pytest.mark.parametrize("poly, weights, events, h0", [
     # xyz(x + y + z): z = 0 and x + y + z = 0 pass through singular points,
     # so the boxes of in(J) refuse the colon by z, with no division and no
-    # pass, and the colon by z + 2x + 4y is certified
+    # pass, and the colon by z + 2x + 4y is certified; each pass cuts the
+    # boxes of in(J) walked for the colon by z
     ("x^2*y*z+x*y^2*z+x*y*z^2", (1, 1, 1),
-     ["boxes", 1, "pass", 2, "pass"], {3: 1}),
-    # the colons by z + c*x^2 + c^2*y start at c = 1, which is certified
-    ("2*x^5+2*x^3*y+3*x^3*z+2*x*y*z", (1, 2, 2), [1, "pass"],
+     ["walk", "boxes", 1, "pass", 2, "pass"], {3: 1}),
+    # the colons by z + c*x^2 + c^2*y start at c = 1, which is certified,
+    # and its pass walks the staircase of in(J) first
+    ("2*x^5+2*x^3*y+3*x^3*z+2*x*y*z", (1, 2, 2), [1, "walk", "pass"],
      {1: 1, 2: 1, 3: 1, 4: 1}),
-    # Artinian: the boxes are the standard monomials of R/in(J)
-    ("x^3+y^3+z^3", (1, 1, 1), ["pass"], {0: 1, 1: 3, 2: 3, 3: 1}),
-    # a free product: in(J) is saturated, and H0 is empty with no pass
+    # Artinian: the boxes are the standard monomials of R/in(J), its
+    # staircase, with no pass
+    ("x^3+y^3+z^3", (1, 1, 1), ["walk"], {0: 1, 1: 3, 2: 3, 3: 1}),
+    # a free product: in(J) is saturated, and H0 is empty with no walk
     ("x^4*z+5*x^2*y^6*z+4*y^12*z", (3, 1, 1), [], {}),
 ], ids=["colon_standard", "colon_weighted", "artinian", "saturated"])
 def test_h0_counts_the_runs_of_the_one_saturation_pass(

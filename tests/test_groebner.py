@@ -598,8 +598,9 @@ def same_hilbert_function(lms_a, lms_b):
 
 def certified(lms_i, lms_j):
     """The saturation's certificate: in(J) holds finitely many monomials
-    outside in(I)."""
-    return groebner._saturation_excess(lms_i, lms_j) is not None
+    outside in(I), cut out of the staircase of in(I)."""
+    return groebner._saturation_excess(lms_i, groebner._staircase(lms_i),
+                                       lms_j) is not None
 
 
 def test_fast_saturation_agrees_with_colon_intersection():
@@ -945,8 +946,8 @@ def standard_weight_draws(seed, count):
 def test_colon_by_z_read_off_the_boxes_matches_the_division():
     # in(I : z^infinity) = in(I) : z^infinity (Bayer-Stillman): the boxes
     # of in(I) with a finite z-extent list the monomials of the colon
-    # outside in(I) as the division of the basis by z, walked against
-    # in(I), lists them, or both find them infinite.  On the corpus
+    # outside in(I) as the division of the basis by z, cut out of them,
+    # lists them, or both find them infinite.  On the corpus
     # Jacobians, the Ziegler pair among them, in original and in moved
     # coordinates, and on the standard-weight fuzz draws; the saturation
     # then takes c = 0, or in(I) itself when no monomial is listed
@@ -985,10 +986,10 @@ def test_colon_by_z_read_off_the_boxes_matches_the_division():
 ], ids=["undivided", "past_the_colon", "missing_a_monomial_of_the_ideal"])
 def test_a_wrong_division_by_z_is_refused(monkeypatch, divided, check):
     # four general lines: c = 0, and the colon by z adds y^3 to in(J).
-    # saturated_leading_monomials walks the division it returns against
-    # in(J) and checks it against the boxes read off in(J): a division
-    # that adds nothing, that gives z, outside in(J) : z^infinity, or that
-    # leaves out x^3 of in(J) is refused
+    # saturated_leading_monomials cuts the division it returns out of the
+    # boxes of in(J) and checks it against those read off in(J): a
+    # division that adds nothing, that gives z, outside in(J) :
+    # z^infinity, or that leaves out x^3 of in(J) is refused
     I = arrangement._jacobian(validate(["x", "y", "z", "x+y+z"]))
     sat = ((0, 3, 0), (1, 2, 0), (2, 1, 0), (3, 0, 0))
     assert saturated_leading_monomials(I, (1, 1, 1)) == (0, sat)

@@ -60,9 +60,10 @@ R_{d-1}^3, whose image is J_{2d-2}; R_t has dimension C(t + 2, 2), and
 
 groebner._buchberger_int skips the pairs the tail proves to reduce to 0
 (Traverso's criterion), so the basis is the one the full run returns.  A
-wrong tail ends in a named check, exit 4: in the run, or in
-condition_report, where e must equal the saturation's e read from the
-basis and the regularity must be at most 2d - 5.
+wrong tail ends in a named check, exit 4: in the run, or in _conditions,
+where e must equal the e of R/J^sat and the regularity must be at most
+2d - 5.  _conditions reads the whole report from the lattice, the tail
+of R/in(J) and H0, with no basis, so any source of those can feed it.
 """
 
 from __future__ import annotations
@@ -74,7 +75,8 @@ from math import gcd, lcm, prod
 
 from . import linalg
 from .bsroots import RootSet
-from .graded import STANDARD, check_h0_symmetry, regularity_report
+from .graded import (STANDARD, _regularity, check_h0_symmetry,
+                     h0_degree_data)
 from .groebner import (_GREVLEX, MAX_DEGREE, _budget, _hilbert_values,
                        _too_large, buchberger)
 from .milnor import _jacobian_of, milnor_profile
@@ -562,31 +564,25 @@ def _jacobian(arr):
 
 def condition_report(arr):
     """Evaluate the six equivalent conditions for the presence of the
-    non-combinatorial root, with every dimension witness recorded.
-
-    Every witness is a Hilbert function value of R/J or R/J^sat, a degree
-    of H0 = J^sat/J, or a count of degree-0 logarithmic derivations, for J
-    the Jacobian ideal of f; an invertible linear change of coordinates
-    maps each of them to itself.  So the conditions are read in the
-    adapted basis {p, q, r} (_adapted_normals): two least-height lines p
-    and q become x and y, and the line r = z + a*x + b*y of least height
-    through no intersection point becomes z.  With B the matrix of rows
-    p, q, r, det B = r.(p x q) != 0 since r misses the point p x q, the
-    product f' of the moved integer normals is a nonzero constant times
-    f o B^-1, and its Jacobian ideal is J moved (module docstring).
-    z = 0 misses the singular points, which are the intersection points,
-    so the saturation of J certifies c = 0 on its own minimal basis: one
-    Buchberger run serves the whole report, told the Hilbert tail
-    (2d - 4, e) of J (module docstring).  J is born packed from the moved
-    normals (_jacobian), as the integer triples that run starts from.
-    """
-    d = arr.degree
+    non-combinatorial root, with every dimension witness recorded, in the
+    adapted basis (module docstring).  An Arrangement that validate would
+    refuse is refused as validate refuses it, before any step."""
+    validate(arr.forms)
     jac = _jacobian(arr)
-    e = jac.hilbert_tail[1]
-    gb = buchberger(jac)
-    reg = regularity_report(jac)
-    h0 = reg.h0
+    h0 = h0_degree_data(jac, STANDARD)
+    return _conditions(arr, jac.hilbert_tail[1], buchberger(jac).tail, h0)
+
+
+def _conditions(arr, e, tail, h0):
+    """The ConditionReport of the arrangement from the lattice's e, the
+    Hilbert tail of R/in(J) (groebner._hilbert_tail) and the H0 degree data
+    of J, J its Jacobian ideal, with no Ideal or basis read.  Every named
+    check of the report is here: H0 symmetry, HF(R/J^sat) <= e
+    (graded._regularity), 'lattice e' and 'regularity bound'; is_formal
+    comes last, so its rank spends a request's last steps."""
+    d = arr.degree
     check_h0_symmetry(h0, 3 * d - 6)  # the arrangement is reduced
+    reg = _regularity(tail, h0)
     if reg.sheaf_dim_e != e:
         raise Bs3Error("internal inconsistency: check 'lattice e' failed: "
                        "the saturation gives e = %d, the lattice %d"
@@ -595,14 +591,10 @@ def condition_report(arr):
         raise Bs3Error("internal inconsistency: check 'regularity bound' "
                        "failed: reg R/J = %d exceeds 2d - 5 = %d"
                        % (reg.regularity, 2 * d - 5))
-    h0_d1 = h0.dimension(d - 1)
-    h0_2d5 = h0.dimension(2 * d - 5)
-    # the saturation has checked that the generators are homogeneous; the
-    # run has read the tail of in(J), and the basis holds it
-    milnor = _hilbert_values(gb.tail, max(d - 1, 2 * d - 5))
+    h0_d1, h0_2d5 = h0.dimension(d - 1), h0.dimension(2 * d - 5)
+    milnor = _hilbert_values(tail, max(d - 1, 2 * d - 5))
     milnor_d1, milnor_2d5 = milnor[d - 1], milnor[2 * d - 5]
-    # 2d - 2 >= 2d - 4, where the run has checked HF(R/in J) = e (module
-    # docstring)
+    # HF(R/J)_{2d-2} = e, as 2d - 2 >= 2d - 4 (module docstring)
     der0 = 3 * (d + 1) * d // 2 - d * (2 * d - 1) + e
     binom = (d + 1) * d // 2 - 3
     # global sections of the twisted Milnor sheaf at twist d-1, computed
@@ -633,9 +625,11 @@ def condition_report(arr):
 
 def full_root_report(arr):
     """CombRoots plus the non-combinatorial root exactly when the six
-    conditions hold; raises if the six conditions disagree.  The
-    combinatorial parts are read first, so is_formal's rank, the last
-    condition, spends a request's last steps."""
+    conditions hold; raises if the six conditions disagree.  An
+    Arrangement that validate would refuse is refused as validate refuses
+    it, before any step.  The combinatorial parts are read first, so
+    is_formal's rank, the last condition, spends a request's last steps."""
+    validate(arr.forms)
     comb, points = comb_roots(arr), singular_points(arr)
     conditions = condition_report(arr)
     if not conditions.consistent:

@@ -28,9 +28,10 @@ with one corner list (groebner._staircase):
   minus the Hilbert function of R/I^sat below that start.
 
 H0 is read under the weights of the request.  e, H1 and the regularity are
-read under the standard grading, so they refuse an ideal whose generators
-are not homogeneous for (1, 1, 1): the saturation they rest on checks that
-its weights grade the ideal (groebner._saturate).
+read under the standard grading from the tail and H0 alone (_regularity,
+which arrangement._conditions shares); regularity_report reads those two
+off a basis, and the saturation behind H0 refuses an ideal whose
+generators are not homogeneous for (1, 1, 1) (groebner._saturate).
 """
 
 from __future__ import annotations
@@ -149,23 +150,28 @@ STANDARD = WeightSystem((1, 1, 1))
 
 def regularity_report(I):
     """H0/H1 degree ranges, the regularity max(h0_max, h1_max + 1) with
-    absent cohomology skipped, and e, all under the standard grading; the
-    saturation behind H0 refuses an ideal that (1, 1, 1) does not grade,
-    and an ideal with dim R/I = 2 is refused.
-
-    The Hilbert function of R/I^sat is HF(R/I) - H0 over the tail of in(I)
-    the basis holds, whose e is that of R/I^sat, since H0 is finite.
-    Every H0 degree lies in that tail: in(I^sat) adds finitely many
-    monomials, so the lcm of in(I^sat) divides that of in(I)
-    (groebner._saturation_excess), and H0 ends three degrees below it.
-    A saturated ideal of dimension at most one has a linear
-    nonzerodivisor, so its Hilbert function never decreases and never
-    passes e; a value above e is an internal error.  H1 is e minus it:
-    zero from the Hilbert start on, e in every negative degree, so it is
-    absent only when e = 0.
-    """
+    absent cohomology skipped, and e, all under the standard grading, read
+    by _regularity from H0 and the tail of in(I) off the basis of I; an
+    ideal that (1, 1, 1) does not grade, or with dim R/I = 2, is refused."""
     h0 = h0_degree_data(I, STANDARD)
-    hf, e = buchberger(I).tail
+    return _regularity(buchberger(I).tail, h0)
+
+
+def _regularity(tail, h0):
+    """The RegularityReport of R/I from the Hilbert tail of R/in(I)
+    (groebner._hilbert_tail) and the H0 degree data of I under (1, 1, 1),
+    with no basis read.
+
+    The Hilbert function of R/I^sat is HF(R/I) - H0 over that tail, whose
+    e is that of R/I^sat, since H0 is finite.  Every H0 degree lies in the
+    tail: in(I^sat) adds finitely many monomials, so the lcm of in(I^sat)
+    divides that of in(I) (groebner._saturation_excess), and H0 ends three
+    degrees below it.  A saturated ideal of dimension at most one has a
+    linear nonzerodivisor, so its Hilbert function never decreases and
+    never passes e; a value above e is an internal error.  H1 is e minus
+    it: zero from the Hilbert start on, e in every negative degree, so it
+    is absent only when e = 0."""
+    hf, e = tail
     if e is None:
         raise PreconditionError("Hilbert polynomial of R/I^sat is not "
                                 "constant; projective support is not "

@@ -35,9 +35,17 @@ def moment(d):
     return ",".join("x+%d*y+%d*z" % (k, k * k) for k in range(d))
 
 
+def near_moment(d):
+    """The moment lines for k = 0..d-2 and 2*x+3*y+3*z, which passes
+    through the crossings of the k = 0, 1 lines and of the k = 2, 3 lines:
+    the moment curve with two triple points, so not generic."""
+    return moment(d - 1) + ",2*x+3*y+3*z"
+
+
 ROWS = [("roadmap d=16", ROADMAP16)]
 ROWS += [("sweep d=%d" % d, ",".join(SWEEP[:d])) for d in (16, 20, 22, 24)]
 ROWS += [("moment d=%d" % d, moment(d)) for d in (16, 20, 24)]
+ROWS += [("near-moment d=%d" % d, near_moment(d)) for d in (16, 20, 24)]
 
 # sha1 of each report without timing_ms, as json.dumps(sort_keys=True)
 # writes it
@@ -50,6 +58,9 @@ DIGESTS = {
     "moment d=16": "6a8dd2eb314abe628203af9c745df19c470828e5",
     "moment d=20": "6967cd7d86edb47411b430afafc0b54557e56013",
     "moment d=24": "7b20982ba333d0c26af5e1f6b29b8e8d9a98a739",
+    "near-moment d=16": "d10f3c228d8f71c50dc56dbc32d7357c5c19653e",
+    "near-moment d=20": "7ebe3e447672f92a800a699fc724363f898f51b7",
+    "near-moment d=24": "815d818f14657a842e148c8f3b7badca27bcddc9",
 }
 
 
@@ -74,7 +85,7 @@ def main():
     for name, forms in ROWS:
         code, seconds, digest = request(forms)
         ok = code == 0 and digest == DIGESTS.get(name)
-        print("%-13s %6.2f s  %s  %s"
+        print("%-18s %6.2f s  %s  %s"
               % (name, seconds, digest or "exit %d" % code,
                  "ok" if ok else "MISMATCH"))
         failed = failed or not ok

@@ -12,7 +12,7 @@ from bs3.arrangement import (Arrangement, LinearForm, _free_line,
                              is_formal, relation_space_dimension,
                              singular_points, validate)
 from bs3 import arrangement, cli, groebner, linalg
-from bs3.graded import STANDARD
+from bs3.graded import STANDARD, h0_degree_data
 from bs3.groebner import Ideal
 from bs3.linalg import rank
 from bs3.polyring import (Bs3Error, ParseError, Polynomial, PreconditionError,
@@ -858,7 +858,8 @@ def test_der0_is_read_from_the_proven_tail(monkeypatch):
         windows.append(args)
         return walk(*args)
 
-    for arr in product_draws():
+    # x, y, z is decomposable: condition_report refuses it as validate does
+    for arr in [arr for arr in product_draws() if arr.degree > 3]:
         d = arr.degree
         monkeypatch.setattr(groebner, "_staircase", spy)
         got = condition_report(arr).witness_dims["der_log0_dim_d_minus_2"]
@@ -927,20 +928,85 @@ def test_a_wrong_hilbert_tail_ends_in_exit_4(capsys, monkeypatch, name, seed,
     assert check in captured.err and "Traceback" not in captured.err
 
 
+def shifted_tail(arr, e, tail, h0):
+    """The seam's inputs with HF(R/J^sat) one below e in degree 2d - 4,
+    where H1 then puts reg R/J at 2d - 3."""
+    hf, tail_e = tail
+    t = 2 * arr.degree - 4
+    return e, (hf[:t] + (hf[t] - 1,) + hf[t + 1:], tail_e), h0
+
+
 def test_regularity_above_2d_minus_5_ends_in_exit_4(capsys, monkeypatch):
-    report = arrangement.regularity_report
-
-    def raised(jac):
-        reg = report(jac)
-        reg.regularity += 2
-        return reg
-
-    monkeypatch.setattr(arrangement, "regularity_report", raised)
+    conditions = arrangement._conditions
+    monkeypatch.setattr(arrangement, "_conditions",
+                        lambda *args: conditions(args[0],
+                                                 *shifted_tail(*args)))
     code = cli.main(["arrangement", "--forms", oracles.ZIEGLER_F])
     captured = capsys.readouterr()
     assert (code, captured.out) == (4, "")
     assert "check 'regularity bound' failed: reg R/J = 15 exceeds " \
         "2d - 5 = 13" in captured.err
+
+
+def seam_inputs(arr):
+    """(e, tail, h0) for arrangement._conditions, read from a run on the
+    request's Jacobian: e from the lattice, H0 from the run, and in place
+    of the tail the run counts, HF(R/in J) by columns through degree 3d,
+    where it has long been e: a tail of another length, by another route."""
+    jac = arrangement._jacobian(arr)
+    lms = groebner.buchberger(jac).leading_monomials
+    hf = oracles.hilbert_function_by_columns(lms, 3 * arr.degree)
+    return (jac.hilbert_tail[1], (tuple(hf), hf[-1]),
+            h0_degree_data(jac, STANDARD))
+
+
+def seam_draws():
+    """The corpus, the sweep draws for d = 4..14 and the tier-1
+    supersolvable draws."""
+    arrs = [arr for _, arr in corpus.build_corpus()]
+    arrs += [validate(SWEEP20.split(",")[:d]) for d in range(4, 15)]
+    return arrs + [corpus.supersolvable(k, seed) for k, seed in SUPERSOLVABLE]
+
+
+def test_the_seam_fed_from_the_run_gives_the_report():
+    for arr in seam_draws():
+        want = condition_report(arr)
+        got = arrangement._conditions(arr, *seam_inputs(arr))
+        assert got.flags() == want.flags(), arr
+        assert got.witness_dims == want.witness_dims, arr
+        assert got.h0 == want.h0 and got.consistent == want.consistent, arr
+
+
+@pytest.mark.parametrize("seed, check", [
+    (lambda arr, e, tail, h0: (e + 1, tail, h0), "check 'lattice e' failed"),
+    (shifted_tail, "check 'regularity bound' failed"),
+    (lambda arr, e, tail, h0: (e, tail, oracles.degree_data(
+        {0: 1, **h0.entries})), "not symmetric about"),
+    (lambda arr, e, tail, h0: (e, tail, oracles.degree_data({})),
+     "stable limit"),
+], ids=["lattice_e", "regularity_bound", "h0_symmetry", "stable_limit"])
+@pytest.mark.parametrize("forms", [oracles.GENERIC4, oracles.ZIEGLER_F],
+                         ids=["generic4", "ziegler_f"])
+def test_a_wrong_input_to_the_seam_raises_its_named_check(forms, seed, check):
+    arr = validate(forms.split(","))
+    with pytest.raises(Bs3Error, match=check):
+        arrangement._conditions(arr, *seed(arr, *seam_inputs(arr)))
+
+
+@pytest.mark.parametrize("forms", [
+    "x,y", "x,y,z,x+y", "x,y,x+y", "x,y,x+y,x-y", "x,y,z,x+y+z,x",
+    "x,y,x+y,y,x"])
+def test_an_arrangement_validate_refuses_is_refused_before_any_step(forms):
+    # built without validate, each report refuses it with validate's
+    # message, not with a named check or an internal error
+    with pytest.raises(PreconditionError) as refused:
+        validate(forms.split(","))
+    for report in (condition_report, full_root_report):
+        with groebner.step_budget() as budget:
+            with pytest.raises(PreconditionError) as also:
+                report(Arrangement(forms_of(forms)))
+        assert str(also.value) == str(refused.value)
+        assert budget.used == 0
 
 
 # the supersolvable draws (k, seed) of tier-1; tests/supersolvable.py checks

@@ -658,13 +658,14 @@ def test_infinite_artinian_h0_exits_4(capsys, monkeypatch):
 
 
 def test_hilbert_value_above_its_limit_exits_4(capsys, monkeypatch):
-    # an unsaturated ideal passed off as its saturation: the quartic cone's
-    # Jacobian has one section at the origin in degree 3, so its Hilbert
-    # function reaches 7 there against the limit 6
-    from bs3 import graded
-    from bs3.groebner import buchberger
-    monkeypatch.setattr(graded, "_saturate",
-                        lambda I, w: (0, buchberger(I).leading_monomials, ()))
+    # an unsaturated ideal passed off as its saturation: the seam is fed an
+    # empty H0, where the quartic cone's Jacobian has one section at the
+    # origin in degree 3, so its Hilbert function reaches 7 there against
+    # the limit 6
+    from bs3 import arrangement
+    conditions = arrangement._conditions
+    monkeypatch.setattr(arrangement, "_conditions", lambda arr, e, tail, h0:
+                        conditions(arr, e, tail, oracles.degree_data({})))
     code, out, err = run(capsys, "arrangement", "--forms", "x,y,z,x+y+z")
     assert code == 4
     assert out == ""
@@ -678,11 +679,11 @@ def test_asymmetric_h0_of_a_reduced_non_isolated_f_exits_4(capsys,
     # in milnor_profile and in the arrangement conditions alike; here the
     # degrees pair up but their dimensions do not
     from bs3 import arrangement, milnor
-    from bs3.graded import RegularityReport
     skewed = oracles.degree_data({2: 1, 4: 2})
     monkeypatch.setattr(milnor, "h0_degree_data", lambda I, w: skewed)
-    monkeypatch.setattr(arrangement, "regularity_report",
-                        lambda I: RegularityReport(None, None, 0, 1, skewed))
+    conditions = arrangement._conditions
+    monkeypatch.setattr(arrangement, "_conditions", lambda arr, e, tail, h0:
+                        conditions(arr, e, tail, skewed))
     for argv in (("roots", "lqh", "--poly", "x^2*y*z+x*y^2*z+x*y*z^2"),
                  ("arrangement", "--forms", "x,y,z,x+y+z")):
         code, out, err = run(capsys, *argv)

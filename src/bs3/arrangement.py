@@ -9,8 +9,9 @@ set.
 The conditions are read from numbers an invertible linear change of
 coordinates does not change: Hilbert function values of R/J and R/J^sat,
 degrees of H0, the regularity and counts of logarithmic derivations, for J
-the Jacobian ideal of f.  So condition_report builds f in an adapted basis
-{p, q, r} (_adapted_normals): p and q two input normals of least height,
+the Jacobian ideal of f.  So condition_report, on an arrangement that is
+not generic (below), builds f in an adapted basis {p, q, r}
+(_adapted_normals): p and q two input normals of least height,
 r = (a, b, 1) the line z + a*x + b*y through no intersection point of
 least height h = max(|a|, |b|) (_free_line).  Each point rules out at most
 2h + 1 pairs of the box [-h, h]^2, so h <= ceil(N/2) for N points.
@@ -64,6 +65,27 @@ wrong tail ends in a named check, exit 4: in the run, or in _conditions,
 where e must equal the e of R/J^sat and the regularity must be at most
 2d - 5.  _conditions reads the whole report from the lattice, the tail
 of R/in(J) and H0, with no basis, so any source of those can feed it.
+
+A generic arrangement, every singular point a double point, needs no
+basis: its lattice has C(d, 2) points, and both Hilbert functions follow
+from d (_generic_hilbert), with r(u) = C(u + 2, 2) for u >= 0, else 0.
+
+* For d >= 3 generic lines D0 has the free resolution
+  0 -> R(-(d - 1))^(d - 3) -> R(-(d - 2))^(d - 1) -> D0 -> 0 (Rose and
+  Terao, A free resolution of the module of logarithmic forms of a
+  generic arrangement, 1991; Yuzvinsky, A free resolution of the module
+  of derivations for generic arrangements, 1991).  With Syz(J) =
+  D0(-(d - 1)) above, HF(R/J)_t = r(t) - 3 r(t - d + 1)
+  + (d - 1) r(t - 2d + 3) - (d - 3) r(t - 2d + 2).
+* A double point has Tjurina number 1, so J^sat is the ideal of the
+  C(d, 2) points, a star configuration, and HF(R/J^sat)_t =
+  min(r(t), C(d, 2)) (Geramita, Harbourne and Migliore, Star
+  configurations in P^n, 2013).  H0 is the difference.
+
+A validated generic arrangement has d >= 4: three lines through no
+common point are x, y, z in some coordinates, which decompose.  A wrong
+closed form meets the checks of _conditions and the six-condition
+agreement of full_root_report.
 """
 
 from __future__ import annotations
@@ -75,7 +97,7 @@ from math import gcd, lcm, prod
 
 from . import linalg
 from .bsroots import RootSet
-from .graded import (STANDARD, _regularity, check_h0_symmetry,
+from .graded import (STANDARD, DegreeData, _regularity, check_h0_symmetry,
                      h0_degree_data)
 from .groebner import (_GREVLEX, MAX_DEGREE, _budget, _hilbert_values,
                        _too_large, buchberger)
@@ -564,13 +586,41 @@ def _jacobian(arr):
 
 def condition_report(arr):
     """Evaluate the six equivalent conditions for the presence of the
-    non-combinatorial root, with every dimension witness recorded, in the
-    adapted basis (module docstring).  An Arrangement that validate would
-    refuse is refused as validate refuses it, before any step."""
+    non-combinatorial root, with every dimension witness recorded.  An
+    Arrangement that validate would refuse is refused as validate refuses
+    it, before any step."""
     validate(arr.forms)
+    return _condition_report(arr)
+
+
+def _condition_report(arr):
+    """condition_report of a validated arrangement: a generic one (C(d, 2)
+    points, e = C(d, 2)) reads the closed forms, any other the basis of
+    its Jacobian in the adapted basis (module docstring)."""
+    d, points = arr.degree, len(arr.lattice)
+    if points == d * (d - 1) // 2:
+        return _conditions(arr, points, *_generic_hilbert(d))
     jac = _jacobian(arr)
     h0 = h0_degree_data(jac, STANDARD)
     return _conditions(arr, jac.hilbert_tail[1], buchberger(jac).tail, h0)
+
+
+def _generic_hilbert(d):
+    """The Hilbert tail of R/J and the H0 degree data of J for d >= 4
+    generic lines (module docstring): HF(R/J)_t for t = 0..2d - 2, the
+    last three e as t >= 2d - 4, and H0_t = HF(R/J)_t - min(r(t), e)
+    where that is positive, e = C(d, 2).  One step per degree, spent
+    before any is built."""
+    _budget().spend(2 * d - 1)
+    e = d * (d - 1) // 2
+
+    def r(u):
+        return (u + 2) * (u + 1) // 2 if u >= 0 else 0
+
+    hf = tuple(r(t) - 3 * r(t - d + 1) + (d - 1) * r(t - 2 * d + 3)
+               - (d - 3) * r(t - 2 * d + 2) for t in range(2 * d - 1))
+    h0 = {t: h for t, v in enumerate(hf) if (h := v - min(r(t), e)) > 0}
+    return (hf, hf[-1]), DegreeData._over(1, h0)
 
 
 def _conditions(arr, e, tail, h0):
@@ -631,7 +681,7 @@ def full_root_report(arr):
     is_formal's rank, the last condition, spends a request's last steps."""
     validate(arr.forms)
     comb, points = comb_roots(arr), singular_points(arr)
-    conditions = condition_report(arr)
+    conditions = _condition_report(arr)
     if not conditions.consistent:
         raise Bs3Error("the six equivalent conditions disagree; this "
                        "signals an implementation bug, not a property of "

@@ -251,7 +251,8 @@ def cmd_arrangement(args):
         except ParseError as exc:
             raise ParseError(exc.message, start + exc.position) from None
         start += len(text) + 1
-    arr = arr_mod.validate(forms)
+    # full_root_report validates the forms before any step
+    arr = arr_mod.Arrangement(forms)
     rep = arr_mod.full_root_report(arr)
     report = {
         "command": "arrangement",

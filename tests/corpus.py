@@ -7,7 +7,8 @@ top the corpus up to the required size; validation rejects non-reduced,
 non-essential, or decomposable draws, so every retained entry is valid.
 
 supersolvable(k, seed) draws the supersolvable arrangements whose free
-resolution gives HF(R/J) in closed form.
+resolution gives HF(R/J) in closed form, and generic_draws(n) the generic
+ones, whose H0 has a closed form too.
 """
 
 import random
@@ -15,7 +16,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import gcd
 
-from bs3.arrangement import validate
+from bs3.arrangement import LinearForm, validate
 from bs3.polyring import Bs3Error
 
 import oracles
@@ -30,7 +31,7 @@ CURATED = [
     ("nearpencil3", "x,y,x+y,z,x+3y+z"),
     ("nearpencil4", "x,y,x+y,x+2y,z,x+3y+z"),
     ("nearpencil5", "x,y,x+y,x+2y,x+3y,z,x+4y+z"),
-    ("twotriples5", "x,y,x+y,z,x+y+z"),
+    ("twotriples5", oracles.TWOTRIPLES5),
     ("mixed9", "x,y,z,x+y+z,x-y,x-z,y-z,x+y-z,2x+y+z"),
     ("ziegler_f", oracles.ZIEGLER_F),
     ("ziegler_g", oracles.ZIEGLER_G),
@@ -98,6 +99,24 @@ def _primitive(normal):
     normal = tuple(c // g for c in normal)
     return normal if next(c for c in normal if c) > 0 else tuple(
         -c for c in normal)
+
+
+def generic_draws(n):
+    """The first n generic draws of random.Random(7): d = randint(4, 12)
+    forms with coefficients randint(-50, 50), skipping draws that validate
+    refuses or that have three forms through one point."""
+    rng = random.Random(7)
+    draws = []
+    while len(draws) < n:
+        d = rng.randint(4, 12)
+        coeffs = [[rng.randint(-50, 50) for _ in range(3)] for _ in range(d)]
+        try:
+            arr = validate([LinearForm(c) for c in coeffs])
+        except Bs3Error:
+            continue
+        if oracles.is_generic(arr):
+            draws.append(arr)
+    return draws
 
 
 def supersolvable(k, seed):

@@ -35,6 +35,15 @@ def moment(d):
     return ",".join("x+%d*y+%d*z" % (k, k * k) for k in range(d))
 
 
+def reversed_moment(d):
+    """The lines (1 + k + k^2)*x + (k + k^2)*y + k^2*z for k = 0..d-1: the
+    moment curve moved by the unimodular matrix of rows (1, 0, 0),
+    (1, 1, 0) and (1, 1, 1), so generic, with the moment curve's report
+    except for the forms and the printed points."""
+    return ",".join("%d*x+%d*y+%d*z" % (1 + k + k * k, k + k * k, k * k)
+                    for k in range(d))
+
+
 def near_moment(d):
     """The moment lines for k = 0..d-2 and 2*x+3*y+3*z, which passes
     through the crossings of the k = 0, 1 lines and of the k = 2, 3 lines:
@@ -46,6 +55,7 @@ ROWS = [("roadmap d=16", ROADMAP16)]
 ROWS += [("sweep d=%d" % d, ",".join(SWEEP[:d])) for d in (16, 20, 22, 24)]
 ROWS += [("moment d=%d" % d, moment(d)) for d in (16, 20, 24)]
 ROWS += [("near-moment d=%d" % d, near_moment(d)) for d in (16, 20, 24)]
+ROWS += [("reversed-moment d=16", reversed_moment(16))]
 
 # sha1 of each report without timing_ms, as json.dumps(sort_keys=True)
 # writes it
@@ -61,6 +71,7 @@ DIGESTS = {
     "near-moment d=16": "d10f3c228d8f71c50dc56dbc32d7357c5c19653e",
     "near-moment d=20": "7ebe3e447672f92a800a699fc724363f898f51b7",
     "near-moment d=24": "815d818f14657a842e148c8f3b7badca27bcddc9",
+    "reversed-moment d=16": "e3a909920d5839aa92f42911d41637384121aa2e",
 }
 
 
@@ -85,7 +96,7 @@ def main():
     for name, forms in ROWS:
         code, seconds, digest = request(forms)
         ok = code == 0 and digest == DIGESTS.get(name)
-        print("%-18s %6.2f s  %s  %s"
+        print("%-20s %6.2f s  %s  %s"
               % (name, seconds, digest or "exit %d" % code,
                  "ok" if ok else "MISMATCH"))
         failed = failed or not ok

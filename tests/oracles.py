@@ -49,7 +49,11 @@ Fraction arithmetic, a root set a sorted tuple of distinct Fractions) is
 what the package's integer route, degrees k = L*t and roots n/D over one
 denominator, is tested against.  The six arrangement conditions read from
 the Jacobian of f itself, in the original coordinates, are what the
-package's report from the moved Jacobian is tested against.  The character
+package's report from the moved Jacobian is tested against, and the basis
+run of the moved Jacobian, which the package makes only for an
+arrangement that is not generic, is what its closed forms for a generic
+one are tested against, as the determinant of each triple of normals is
+what its count of lattice points decides genericity against.  The character
 scanner (one peek per character class, whitespace skipped on every peek) is
 what the package's token-regex parser is tested against.  A box search for
 a socle monomial is what the staircase test of a saturated monomial ideal
@@ -85,9 +89,10 @@ from itertools import (combinations, combinations_with_replacement, count,
 from math import gcd, lcm
 from operator import add, mul
 
-from bs3 import groebner, linalg
+from bs3 import arrangement, groebner, linalg
 from bs3.arrangement import ConditionReport, is_formal
-from bs3.graded import STANDARD, DegreeData, regularity_report
+from bs3.graded import (STANDARD, DegreeData, h0_degree_data,
+                        regularity_report)
 from bs3.groebner import (Ideal, _add_corner, _budget, _excess_degrees,
                           _from_int_poly, _int_terms, _int_triple,
                           _s_poly_int, _scaling_steps, _staircase,
@@ -145,6 +150,9 @@ GENERIC4 = "x,y,z,x+y+z"
 GENERIC5 = "x,y,z,x+y+z,x+2y+3z"
 GENERIC6 = "x,y,z,x+y+z,x+2y+3z,x+4y+5z"
 BRAID = "x,y,z,x-y,x-z,y-z"
+# two triple points, (0:0:1) and (1:-1:0): the least degree that is not
+# generic
+TWOTRIPLES5 = "x,y,x+y,z,x+y+z"
 
 def walther_generic_set(d):
     return frozenset(Fraction(-j, d) for j in range(3, 2 * d - 1)) | {
@@ -1148,6 +1156,26 @@ def condition_report_in_original_coordinates(arr):
 
 
 # -- H0 degrees and root sets over Fraction ---------------------------------
+
+def is_generic(arr):
+    """No three of the forms through one point: every triple of normals
+    has a nonzero determinant.  The package counts the points of its
+    lattice instead."""
+    normals = [f.normal for f in arr.forms]
+    return all(sum(map(mul, a, _cross(b, c)))
+               for a, b, c in combinations(normals, 3))
+
+
+def condition_report_by_the_run(arr):
+    """The ConditionReport of a validated arrangement read from the basis
+    run of its moved Jacobian, the source the package takes for every
+    arrangement that is not generic: the oracle its closed forms for a
+    generic one (arrangement._generic_hilbert) are checked against."""
+    jac = arrangement._jacobian(arr)
+    h0 = h0_degree_data(jac, STANDARD)
+    return arrangement._conditions(arr, jac.hilbert_tail[1],
+                                   buchberger(jac).tail, h0)
+
 
 def h0_entries_by_fractions(I, w):
     """{t: dim H0_t} for the degrees t = k/L with a Fraction key each: the

@@ -19,6 +19,7 @@ from bs3.polyring import (Bs3Error, ParseError, Polynomial, PreconditionError,
                           parse_polynomial)
 
 import corpus
+import open_rows
 import oracles
 
 
@@ -645,8 +646,9 @@ def test_moved_report_matches_the_original_coordinates(monkeypatch):
     for name, arr in entries:
         runs.clear()
         got = condition_report(arr)
-        # the moved Jacobian saturates on its own basis
-        assert len(runs) == 1, name
+        # a generic arrangement reads its closed forms, with no run; any
+        # other's moved Jacobian saturates on its own basis
+        assert len(runs) == (0 if oracles.is_generic(arr) else 1), name
         want = oracles.condition_report_in_original_coordinates(arr)
         assert got.flags() == want.flags(), name
         assert got.witness_dims == want.witness_dims, name
@@ -864,9 +866,13 @@ def test_der0_is_read_from_the_proven_tail(monkeypatch):
         monkeypatch.setattr(groebner, "_staircase", spy)
         got = condition_report(arr).witness_dims["der_log0_dim_d_minus_2"]
         monkeypatch.undo()
-        # the package walks staircases of in(J) as its basis grows, and
-        # reads no window of the zero ideal, dim R_t
-        assert windows and all(args[0] != () for args in windows), arr
+        # the run walks staircases of in(J) as its basis grows, and reads
+        # no window of the zero ideal, dim R_t; a generic arrangement
+        # makes no run, and walks none
+        if oracles.is_generic(arr):
+            assert windows == [], arr
+        else:
+            assert windows and all(args[0] != () for args in windows), arr
         windows.clear()
         want = oracles.der_log0_graded_dimension(arr.defining_polynomial(),
                                                  STANDARD, d - 2)
@@ -877,7 +883,8 @@ def test_a_request_walks_its_staircase_once_per_hilbert_read(monkeypatch):
     # the basis run walks the staircase of M at each Hilbert read and
     # counts its tail over the boxes; the colon by z and H0 read the boxes
     # of its last walk, so no other walk, cut, socle test or division by z
-    # is made
+    # is made.  A generic request makes no run, so the run is made here
+    # on its own, and the generic requests walk nothing
     events = []
 
     def spy(name):
@@ -893,9 +900,14 @@ def test_a_request_walks_its_staircase_once_per_hilbert_read(monkeypatch):
         spy(name)
     walks = []
     for arr in hinted_draws() + [validate(moment_draw(20))]:
+        if oracles.is_generic(arr):
+            events.clear()
+            with groebner.step_budget():
+                full_root_report(arr)
+            assert events == [], arr
         events.clear()
         with groebner.step_budget():
-            full_root_report(arr)
+            oracles.condition_report_by_the_run(arr)
         reads = len(events) // 2
         assert events == ["_staircase", "_hilbert_tail"] * reads, arr
         walks.append(reads)
@@ -991,6 +1003,84 @@ def test_a_wrong_input_to_the_seam_raises_its_named_check(forms, seed, check):
     arr = validate(forms.split(","))
     with pytest.raises(Bs3Error, match=check):
         arrangement._conditions(arr, *seed(arr, *seam_inputs(arr)))
+
+
+def generic_mismatches(arr):
+    """The fields of the report, by name, in which the closed forms of a
+    generic arrangement, which condition_report reads, and the basis run
+    of its Jacobian (oracles.condition_report_by_the_run) differ: the
+    flags, the witnesses and H0; the message of a named check that the
+    closed forms fail, and ["not generic"] for an arrangement with three
+    forms through one point."""
+    if not oracles.is_generic(arr):
+        return ["not generic"]
+    try:
+        got = condition_report(arr)
+    except Bs3Error as exc:
+        return [str(exc)]
+    want = oracles.condition_report_by_the_run(arr)
+    return [name for name, a, b in (
+        ("flags", got.flags(), want.flags()),
+        ("witness_dims", got.witness_dims, want.witness_dims),
+        ("h0", got.h0, want.h0)) if a != b]
+
+
+def test_the_closed_forms_of_a_generic_arrangement_match_the_run():
+    arrs = [arr for _, arr in corpus.build_corpus() if oracles.is_generic(arr)]
+    assert len(arrs) == 19
+    arrs += [validate(moment_draw(d)) for d in range(4, 13)]
+    arrs += corpus.generic_draws(10)
+    for arr in arrs:
+        assert generic_mismatches(arr) == [], arr
+
+
+def test_a_generic_request_makes_no_basis_run(monkeypatch):
+    runs = []
+    int_run = groebner._buchberger_int
+
+    def spy(*args):
+        runs.append(args)
+        return int_run(*args)
+
+    monkeypatch.setattr(groebner, "_buchberger_int", spy)
+    # the near-moment curve has two triple points
+    for forms, count in ((oracles.GENERIC5, 0), (open_rows.moment(12), 0),
+                         (open_rows.near_moment(8), 1)):
+        runs.clear()
+        with groebner.step_budget():
+            full_root_report(validate(forms.split(",")))
+        assert len(runs) == count, forms
+
+
+def bumped(values, t, by):
+    """The tuple of values with the one in place t moved by `by`."""
+    return values[:t] + (values[t] + by,) + values[t + 1:]
+
+
+@pytest.mark.parametrize("seed, check", [
+    (lambda d, hf, h0: (bumped(hf, 2 * d - 2, 1), h0),
+     "check 'lattice e' failed"),
+    (lambda d, hf, h0: (bumped(hf, 2 * d - 4, -1), h0),
+     "check 'regularity bound' failed"),
+    (lambda d, hf, h0: (bumped(hf, 2 * d - 3, 1), h0), "stable limit"),
+    (lambda d, hf, h0: (hf, {**h0, d - 1: h0[d - 1] + 1}),
+     "not symmetric about"),
+], ids=["e", "regularity", "stable_limit", "h0_symmetry"])
+def test_a_wrong_closed_form_ends_in_exit_4(capsys, monkeypatch, seed,
+                                            check):
+    closed = arrangement._generic_hilbert
+
+    def seeded(d):
+        (hf, _), h0 = closed(d)
+        hf, h0 = seed(d, hf, h0.entries)
+        return (hf, hf[-1]), oracles.degree_data(h0)
+
+    monkeypatch.setattr(arrangement, "_generic_hilbert", seeded)
+    code = cli.main(["arrangement", "--forms", oracles.GENERIC5])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (4, "")
+    assert captured.err.startswith("internal error: ")
+    assert check in captured.err and "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("forms", [

@@ -104,48 +104,51 @@ LQH_COLON = ("roots", "lqh", "--poly", "2*x^5+2*x^3*y+3*x^3*z+2*x*y*z",
 LQH_STANDARD = ("roots", "lqh", "--poly", "x^2*y*z+x*y^2*z+x*y*z^2")
 
 
-# the moment curve x + k*y + k^2*z, k = 0..11, has x but not y, and this
-# draw (random.Random(5), entries in [-3, 3]) neither: their Jacobians are
-# built with two of their own lines as x and y, where the Ziegler pair's
-# are built with x and y themselves
+# the moment curve x + k*y + k^2*z, k = 0..11, and this draw
+# (random.Random(5), entries in [-3, 3]) are generic: every point is a
+# double point, so they read their closed forms and build no Jacobian,
+# where the Ziegler pair's are built with x and y themselves
 MOMENT12 = ",".join("x+%d*y+%d*z" % (k, k * k) for k in range(12))
 DRAW5 = "x-y+2z,-x+3y+2z,3x+2y+2z,x-3y+3z,3y-2z"
 
 
-# each count holds the reduction steps and S-pairs, each one step more per
-# 64-bit word past the first of the two coefficients it scales by, which the
-# arrangements' coefficients pass: a reduction step scales by the head as it
-# holds it, with the content stripped only once the head passes twice its bits
-# at the last strip plus one word.  An arrangement walks the staircase of its
-# leading monomials in play at each Hilbert read of its run, one step per
-# generator and per corner of each row range, and counts the boxes, one step
-# per degree; the colon by z and H0 are read off the boxes of the last walk,
-# with no step.  The standard-weights lqh request walks the staircase of in(J)
-# for the colon by z, which its boxes refuse, then makes the socle test of
-# in(J), one step per generator and per drop it compares, and cuts each colon
-# out of the boxes of in(J): one step per pair of generators the containment
-# check compares and one per box each cut compares.  The weighted lqh requests
-# make the socle test, and the colon requests walk in(J) and cut each colon
-# out of its boxes, whose removed parts are counted, one step per degree; the
-# lqh colon loop reads the tail of in(J) only once c passes its first three
-# values, so none of these counts holds one.  An arrangement also spends its
-# lattice pairs, its free line's candidates (the points each one is tested
-# against, up to the first it passes through: 115, 120, 66 and 16 of the four
-# counts), d per length-3 relation vector (6 * 9 for each Ziegler arrangement,
-# none for the other two), the row operations of is_formal's rank, the term
-# products of its moved polynomial f', its singular points, sorted for the
-# report (24, 24, 66 and 10), and its combinatorial roots, 2d - 5 and 2m - 3
-# for each multiplicity m (17, 17, 20 and 6).  Every request spends one step
-# per term of the polynomial whose partials its Jacobian takes: f' has 36, 36,
-# 66 and 10 terms, the four lqh polynomials 3, 3, 4 and 3.  The product-shape
-# lqh request saturates to in(J) itself, so it makes no walk and no cut.  The
-# standard-weights lqh request computes the colon by x + y + z, which the
-# certificate refuses, before the certified one by z + 2x + 4y
+# each Ziegler and lqh count holds the reduction steps and S-pairs, each one
+# step more per 64-bit word past the first of the two coefficients it scales
+# by, which the arrangements' coefficients pass: a reduction step scales by
+# the head as it holds it, with the content stripped only once the head passes
+# twice its bits at the last strip plus one word.  An arrangement walks the
+# staircase of its leading monomials in play at each Hilbert read of its run,
+# one step per generator and per corner of each row range, and counts the
+# boxes, one step per degree; the colon by z and H0 are read off the boxes of
+# the last walk, with no step.  The standard-weights lqh request walks the
+# staircase of in(J) for the colon by z, which its boxes refuse, then makes
+# the socle test of in(J), one step per generator and per drop it compares,
+# and cuts each colon out of the boxes of in(J): one step per pair of
+# generators the containment check compares and one per box each cut
+# compares.  The weighted lqh requests make the socle test, and the colon
+# requests walk in(J) and cut each colon out of its boxes, whose removed parts
+# are counted, one step per degree; the lqh colon loop reads the tail of in(J)
+# only once c passes its first three values, so none of these counts holds
+# one.  An arrangement also spends its lattice pairs, its singular points,
+# sorted for the report (24, 24, 66 and 10 of the four counts), and its
+# combinatorial roots, 2d - 5 and 2m - 3 for each multiplicity m (17, 17, 20
+# and 6).  The moment curve and the draw are generic: each then spends one step
+# per degree of its closed forms, 2d - 1, and nothing else, so 66 + 66 + 20 +
+# 23 and 10 + 10 + 6 + 9.  Each Ziegler arrangement makes the run, and spends
+# its free line's candidates (the points each one is tested against, up to the
+# first it passes through: 115 and 120), d per length-3 relation vector (6 *
+# 9), the row operations of is_formal's rank and the term products of its
+# moved polynomial f'.  Every request that builds a Jacobian spends one step
+# per term of the polynomial whose partials it takes: f' has 36 terms, the
+# four lqh polynomials 3, 3, 4 and 3.  The product-shape lqh request saturates
+# to in(J) itself, so it makes no walk and no cut.  The standard-weights lqh
+# request computes the colon by x + y + z, which the certificate refuses,
+# before the certified one by z + 2x + 4y
 @pytest.mark.parametrize("argv, steps", [
     (("arrangement", "--forms", oracles.ZIEGLER_F), 1153),
     (("arrangement", "--forms", oracles.ZIEGLER_G), 958),
-    (("arrangement", "--forms", MOMENT12), 3359),
-    (("arrangement", "--forms", DRAW5), 189),
+    (("arrangement", "--forms", MOMENT12), 175),
+    (("arrangement", "--forms", DRAW5), 35),
     (LQH, 150),
     (LQH_PRODUCT, 16),
     (LQH_COLON, 126),
@@ -196,10 +199,12 @@ def test_large_arrangement_ends_before_its_polynomial(capsys, monkeypatch):
         return build(normals)
 
     monkeypatch.setattr(arrangement, "_product", spy)
-    # the spy sees the one product a request builds
-    code, _, _ = run(capsys, "arrangement", "--forms", oracles.GENERIC5)
-    assert code == 0 and len(entered) == 1
-    entered.clear()
+    # the spy sees the one product a request builds, and none on a
+    # generic request, which reads its closed forms
+    for small, products in ((oracles.TWOTRIPLES5, 1), (oracles.GENERIC5, 0)):
+        code, _, _ = run(capsys, "arrangement", "--forms", small)
+        assert code == 0 and len(entered) == products
+        entered.clear()
     code, out, err = run(capsys, "arrangement", "--forms", ",".join(forms),
                          "--step-cap", "1000")
     assert code == 3 and out == ""

@@ -253,7 +253,7 @@ def test_weight_system_reads_each_weight_by_fraction():
 
 def test_step_cap_exits_3(capsys):
     code, _, err = run(capsys, "arrangement", "--step-cap", "50",
-                       "--forms", "x,y,z,x+y+z,x+2y+3z")
+                       "--forms", oracles.TWOTRIPLES5)
     assert code == 3
     assert "resource limit" in err
 
@@ -463,12 +463,15 @@ def test_failed_saturation_certificate_exits_4(capsys, monkeypatch):
     monkeypatch.setattr(groebner, "_z_colon_excess", lambda boxes: None)
     monkeypatch.setattr(groebner, "_saturation_excess",
                         lambda lms_i, boxes, lms_j: None)
-    code, out, err = run(capsys, "arrangement", "--forms", "x,y,z,x+y+z")
+    # a generic arrangement makes no saturation, so this near pencil has a
+    # triple point
+    code, out, err = run(capsys, "arrangement", "--forms", "x,y,x+y,z,x+3y+z")
     assert code == 4
     assert out == ""
     assert err.startswith("internal error:") and "Hilbert polynomial" in err
-    # the six double points allow 2 * 6 + 1 values of c, from c = 0
-    assert "with 0 <= c <= 12 " in err
+    # V(J) has length e = 2^2 + 7 * 1^2 = 11 at the triple point and the
+    # seven double points, which allows 2 * 11 + 1 values of c, from c = 0
+    assert "with 0 <= c <= 22 " in err
     assert "Traceback" not in err
 
 

@@ -53,7 +53,7 @@ def test_readme_library_example_prints_what_it_says():
     used = namespace["budget"].used
     assert used.__class__ is int and used > 0
     assert lines == ["{-2, -5/3, -4/3, -1}", "{-3/2, -5/4, -1, -3/4}",
-                     "6 3 1 3", str(used), "x + y True 1"]
+                     "6 3 1 3", "3", str(used), "x + y True 1"]
 
 
 def test_public_names_are_pinned():

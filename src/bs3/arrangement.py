@@ -10,8 +10,8 @@ The conditions are read from numbers an invertible linear change of
 coordinates does not change: Hilbert function values of R/J and R/J^sat,
 degrees of H0, the regularity and counts of logarithmic derivations, for J
 the Jacobian ideal of f.  So condition_report, on an arrangement that is
-not generic (below), builds f in an adapted basis {p, q, r}
-(_adapted_normals): p and q two input normals of least height,
+neither generic nor of five lines (below), builds f in an adapted basis
+{p, q, r} (_adapted_normals): p and q two input normals of least height,
 r = (a, b, 1) the line z + a*x + b*y through no intersection point of
 least height h = max(|a|, |b|) (_free_line).  Each point rules out at most
 2h + 1 pairs of the box [-h, h]^2, so h <= ceil(N/2) for N points.
@@ -83,9 +83,46 @@ from d (_generic_hilbert), with r(u) = C(u + 2, 2) for u >= 0, else 0.
   configurations in P^n, 2013).  H0 is the difference.
 
 A validated generic arrangement has d >= 4: three lines through no
-common point are x, y, z in some coordinates, which decompose.  A wrong
-closed form meets the checks of _conditions and the six-condition
-agreement of full_root_report.
+common point are x, y, z in some coordinates, which decompose.
+
+Five lines need no basis either: both Hilbert functions follow from e
+(_quintic_hilbert).  validate refuses a point on d - 1 = 4 lines, so
+every point is double or triple, and there are at most two triple
+points: two of them share at most one line, so three would need six
+lines.  With k triple points, e = (10 - 3k) + 4k = 10 + k, so a quintic
+that is not generic has e = 11 or 12.
+
+* Where H0 lives.  H0 is symmetric about 3d - 6 = 9 and vanishes above
+  reg R/J <= 2d - 5 = 5 (Schenck 2003, above), so it lives in degrees 4
+  and 5, and H0_4 = H0_5.
+* HF(R/J) at t = 4 and 5.  Below d - 1 = 4 J is 0, and
+  HF(R/J)_4 = r(4) - 3 = 12 (the lattice bound, below).  With
+  Syz(J) = D0(-4), HF(R/J)_5 = r(5) - 3 r(1) + dim D0_1 = 12, as
+  D0_1 = 0: a derivation of degree 1 that kills f, mdr(f) = 1, needs
+  d - 1 concurrent lines, which validate refuses.  For e <= 11 the bound
+  (d - 1)(d - r - 1) <= tau of du Plessis and Wall (Application of the
+  theory of the discriminant to highly singular plane curves, 1999),
+  r = mdr(f) and tau = e, excludes r = 1 as well; the e = 12 lattice is
+  supersolvable, free with exponents (2, 2).  From 2d - 4 = 6 on
+  HF(R/J) is e (above).
+* HF(R/J^sat).  It rises until it reaches e and then stays there: the
+  free line is a nonzerodivisor on R/J^sat, so the first difference of
+  HF(R/J^sat) is the Hilbert function of an Artinian quotient of a
+  polynomial ring in two variables, which stays 0 once it is 0.  By the
+  two points above HF(R/J^sat)_4 = 12 - H0_4 = 12 - H0_5 =
+  HF(R/J^sat)_5, so the difference is 0 from degree 5 on and both equal
+  e.  So H0_4 = H0_5 = 12 - e, and H0 is 0 when e = 12.
+
+At e = 10 these are the closed forms of five generic lines.
+
+The lattice bound holds on every report, and _conditions checks it.  The
+three partials are independent in degree d - 1, since a constant
+derivation killing f would make f a form in two variables, which is not
+essential: so HF(R/J)_{d-1} = C(d + 1, 2) - 3.  HF(R/J^sat) <= e (the
+stable limit of graded._regularity), so H0_{d-1} >= C(d + 1, 2) - 3 - e,
+with equality for five lines and for generic ones.  A wrong closed form
+meets the checks of _conditions and the six-condition agreement of
+full_root_report.
 """
 
 from __future__ import annotations
@@ -595,11 +632,15 @@ def condition_report(arr):
 
 def _condition_report(arr):
     """condition_report of a validated arrangement: a generic one (C(d, 2)
-    points, e = C(d, 2)) reads the closed forms, any other the basis of
-    its Jacobian in the adapted basis (module docstring)."""
-    d, points = arr.degree, len(arr.lattice)
-    if points == d * (d - 1) // 2:
-        return _conditions(arr, points, *_generic_hilbert(d))
+    points, e = C(d, 2)) reads the closed forms of d, five lines those of
+    e, any other the basis of its Jacobian in the adapted basis (module
+    docstring)."""
+    d, lattice = arr.degree, arr.lattice
+    if len(lattice) == d * (d - 1) // 2:
+        return _conditions(arr, len(lattice), *_generic_hilbert(d))
+    if d == 5:
+        e = sum((len(lines) - 1) ** 2 for lines in lattice.values())
+        return _conditions(arr, e, *_quintic_hilbert(e))
     jac = _jacobian(arr)
     h0 = h0_degree_data(jac, STANDARD)
     return _conditions(arr, jac.hilbert_tail[1], buchberger(jac).tail, h0)
@@ -623,13 +664,27 @@ def _generic_hilbert(d):
     return (hf, hf[-1]), DegreeData._over(1, h0)
 
 
+def _quintic_hilbert(e):
+    """The Hilbert tail of R/J and the H0 degree data of J for five lines
+    that are not generic, e = 11 or 12 (module docstring): HF(R/J)_t = 1,
+    3, 6, 10, 12, 12 for t = 0..5 and e for t = 6..8, and H0_4 = H0_5 =
+    12 - e where that is positive.  At e = 10 these are the closed forms
+    of five generic lines.  One step per degree, 2d - 1 = 9, spent before
+    any is built."""
+    _budget().spend(9)
+    hf = (1, 3, 6, 10, 12, 12, e, e, e)
+    h0 = {4: 12 - e, 5: 12 - e} if e < 12 else {}
+    return (hf, e), DegreeData._over(1, h0)
+
+
 def _conditions(arr, e, tail, h0):
     """The ConditionReport of the arrangement from the lattice's e, the
     Hilbert tail of R/in(J) (groebner._hilbert_tail) and the H0 degree data
     of J, J its Jacobian ideal, with no Ideal or basis read.  Every named
     check of the report is here: H0 symmetry, HF(R/J^sat) <= e
-    (graded._regularity), 'lattice e' and 'regularity bound'; is_formal
-    comes last, so its rank spends a request's last steps."""
+    (graded._regularity), 'lattice e', 'regularity bound' and 'lattice
+    bound'; is_formal comes last, so its rank spends a request's last
+    steps."""
     d = arr.degree
     check_h0_symmetry(h0, 3 * d - 6)  # the arrangement is reduced
     reg = _regularity(tail, h0)
@@ -642,11 +697,15 @@ def _conditions(arr, e, tail, h0):
                        "failed: reg R/J = %d exceeds 2d - 5 = %d"
                        % (reg.regularity, 2 * d - 5))
     h0_d1, h0_2d5 = h0.dimension(d - 1), h0.dimension(2 * d - 5)
+    binom = (d + 1) * d // 2 - 3
+    if h0_d1 < binom - e:
+        raise Bs3Error("internal inconsistency: check 'lattice bound' "
+                       "failed: H0_%d = %d is below C(d + 1, 2) - 3 - e = %d"
+                       % (d - 1, h0_d1, binom - e))
     milnor = _hilbert_values(tail, max(d - 1, 2 * d - 5))
     milnor_d1, milnor_2d5 = milnor[d - 1], milnor[2 * d - 5]
     # HF(R/J)_{2d-2} = e, as 2d - 2 >= 2d - 4 (module docstring)
     der0 = 3 * (d + 1) * d // 2 - d * (2 * d - 1) + e
-    binom = (d + 1) * d // 2 - 3
     # global sections of the twisted Milnor sheaf at twist d-1, computed
     # through the exact sequence with H1 realized by degree-(d-2) derivations
     sections_d1 = milnor_d1 - h0_d1 + der0

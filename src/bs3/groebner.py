@@ -243,8 +243,9 @@ class _Budget:
       by the words of its two multipliers as a reduction step is; a term
       product of the polynomial; a singular point, before they are sorted
       (singular_points); a combinatorial root, before they are listed
-      (comb_roots); a degree of a generic arrangement's closed forms,
-      before they are built (arrangement._generic_hilbert);
+      (comb_roots); a degree of the closed forms of generic lines or of
+      five lines, before they are built (arrangement._generic_hilbert,
+      arrangement._quintic_hilbert);
     * a term of a polynomial whose partials a Jacobian ideal takes
       (milnor._jacobian_of).
 

@@ -7,8 +7,9 @@ top the corpus up to the required size; validation rejects non-reduced,
 non-essential, or decomposable draws, so every retained entry is valid.
 
 supersolvable(k, seed) draws the supersolvable arrangements whose free
-resolution gives HF(R/J) in closed form, and generic_draws(n) the generic
-ones, whose H0 has a closed form too.
+resolution gives HF(R/J) in closed form, generic_draws(n) the generic
+ones, whose H0 has a closed form too, and quintic_draws(n, bound) five
+lines that are not generic, whose report follows from e.
 """
 
 import random
@@ -115,6 +116,33 @@ def generic_draws(n):
         except Bs3Error:
             continue
         if oracles.is_generic(arr):
+            draws.append(arr)
+    return draws
+
+
+def quintic_draws(n, bound):
+    """The first n draws of random.Random(5) of five forms with
+    coefficients in [-bound, bound] that validate keeps and that are not
+    generic.  Of five drawn normals the third is made the sum or
+    difference of the first two, and on half the draws the fifth that of
+    the third and the fourth, so one or two triple points; a draw with a
+    coefficient past the bound is skipped, and the forms are shuffled."""
+    rng = random.Random(5)
+    draws = []
+    while len(draws) < n:
+        normals = [[rng.randint(-bound, bound) for _ in range(3)]
+                   for _ in range(5)]
+        for i, j, k in ((0, 1, 2), (2, 3, 4))[:rng.randint(1, 2)]:
+            sign = rng.choice((-1, 1))
+            normals[k] = [a + sign * b for a, b in zip(normals[i], normals[j])]
+        if any(abs(c) > bound for normal in normals for c in normal):
+            continue
+        rng.shuffle(normals)
+        try:
+            arr = validate([LinearForm(c) for c in normals])
+        except Bs3Error:
+            continue
+        if not oracles.is_generic(arr):
             draws.append(arr)
     return draws
 

@@ -1,15 +1,19 @@
-"""The closed forms of generic arrangements at larger sizes.
+"""The closed forms of generic arrangements and of five lines at larger
+sizes.
 
-Checks each generic arrangement below as tier-1 checks the smaller ones
-(test_arrangement.generic_mismatches): the report that condition_report
-reads from the closed forms against the one the basis run of its Jacobian
-gives, flags, witnesses and H0.  The rows are the moment curves
-d = 4..20, the reversed moment curve at d = 16 and the first 40 generic
-draws of random.Random(7) (corpus.generic_draws).  Prints one row per
-arrangement with its degree, the fields that differ or the named check
-the closed forms fail, and the seconds the check took, and exits 1 on
-any mismatch.  Times are printed, never asserted, since they depend on
-the host.  pytest does not collect it.  Run it from the repository root:
+Checks each arrangement below as tier-1 checks the smaller ones
+(test_arrangement.closed_form_mismatches): the report that
+condition_report reads from the closed forms against the one the basis
+run of its Jacobian gives, flags, witnesses and H0.  The generic rows are
+the moment curves d = 4..20, the reversed moment curve at d = 16 and the
+first 40 generic draws of random.Random(7) (corpus.generic_draws); each
+prints one row with its degree, the fields that differ or the named check
+the closed forms fail, and the seconds the check took.  Then 400 draws of
+five lines that are not generic, with coefficients in [-50, 50]
+(corpus.quintic_draws), print a row each only on a mismatch, and one
+summary row.  Exits 1 on any mismatch.  Times are printed, never
+asserted, since they depend on the host.  pytest does not collect it.
+Run it from the repository root:
 
     PYTHONPATH=src python tests/generic.py
 """
@@ -20,7 +24,7 @@ import time
 import corpus
 from bs3.arrangement import validate
 from open_rows import moment, reversed_moment
-from test_arrangement import generic_mismatches
+from test_arrangement import closed_form_mismatches
 
 ROWS = [("moment d=%d" % d, moment(d)) for d in range(4, 21)]
 ROWS += [("reversed-moment d=16", reversed_moment(16))]
@@ -33,14 +37,23 @@ def main():
     failed = False
     for name, arr in rows:
         start = time.perf_counter()
-        mismatches = generic_mismatches(arr)
+        mismatches = closed_form_mismatches(arr)
         seconds = time.perf_counter() - start
         print("%-20s d=%-2d %s in %.2f s"
               % (name, arr.degree,
                  "MISMATCH " + ", ".join(mismatches) if mismatches else "ok",
                  seconds))
         failed = failed or bool(mismatches)
-    return 1 if failed else 0
+    start, wrong = time.perf_counter(), 0
+    for i, arr in enumerate(corpus.quintic_draws(400, 50), 1):
+        mismatches = closed_form_mismatches(arr)
+        if mismatches:
+            print("quintic draw %-7d d=5  MISMATCH %s"
+                  % (i, ", ".join(mismatches)))
+            wrong += 1
+    print("%-20s d=5  %d of 400 mismatch in %.2f s"
+          % ("quintic draws", wrong, time.perf_counter() - start))
+    return 1 if failed or wrong else 0
 
 
 if __name__ == "__main__":

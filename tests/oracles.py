@@ -51,8 +51,8 @@ denominator, is tested against.  The six arrangement conditions read from
 the Jacobian of f itself, in the original coordinates, are what the
 package's report from the moved Jacobian is tested against, and the basis
 run of the moved Jacobian, which the package makes only for an
-arrangement that is not generic, is what its closed forms for a generic
-one are tested against, as the determinant of each triple of normals is
+arrangement that is neither generic nor of five lines, is what its closed
+forms are tested against, as the determinant of each triple of normals is
 what its count of lattice points decides genericity against.  The character
 scanner (one peek per character class, whitespace skipped on every peek) is
 what the package's token-regex parser is tested against.  A box search for
@@ -1166,11 +1166,18 @@ def is_generic(arr):
                for a, b, c in combinations(normals, 3))
 
 
+def reads_closed_forms(arr):
+    """A generic arrangement or one of five lines: the package reads its
+    report from closed forms, with no basis run."""
+    return arr.degree == 5 or is_generic(arr)
+
+
 def condition_report_by_the_run(arr):
     """The ConditionReport of a validated arrangement read from the basis
     run of its moved Jacobian, the source the package takes for every
-    arrangement that is not generic: the oracle its closed forms for a
-    generic one (arrangement._generic_hilbert) are checked against."""
+    arrangement that reads no closed forms: the oracle its closed forms
+    (arrangement._generic_hilbert, _quintic_hilbert) are checked
+    against."""
     jac = arrangement._jacobian(arr)
     h0 = h0_degree_data(jac, STANDARD)
     return arrangement._conditions(arr, jac.hilbert_tail[1],

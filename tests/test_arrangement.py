@@ -646,9 +646,11 @@ def test_moved_report_matches_the_original_coordinates(monkeypatch):
     for name, arr in entries:
         runs.clear()
         got = condition_report(arr)
-        # a generic arrangement reads its closed forms, with no run; any
-        # other's moved Jacobian saturates on its own basis
-        assert len(runs) == (0 if oracles.is_generic(arr) else 1), name
+        # a generic arrangement or five lines read their closed forms,
+        # with no run; any other's moved Jacobian saturates on its own
+        # basis
+        assert len(runs) == (0 if oracles.reads_closed_forms(arr) else 1), \
+            name
         want = oracles.condition_report_in_original_coordinates(arr)
         assert got.flags() == want.flags(), name
         assert got.witness_dims == want.witness_dims, name
@@ -867,9 +869,9 @@ def test_der0_is_read_from_the_proven_tail(monkeypatch):
         got = condition_report(arr).witness_dims["der_log0_dim_d_minus_2"]
         monkeypatch.undo()
         # the run walks staircases of in(J) as its basis grows, and reads
-        # no window of the zero ideal, dim R_t; a generic arrangement
-        # makes no run, and walks none
-        if oracles.is_generic(arr):
+        # no window of the zero ideal, dim R_t; a generic arrangement or
+        # five lines make no run, and walk none
+        if oracles.reads_closed_forms(arr):
             assert windows == [], arr
         else:
             assert windows and all(args[0] != () for args in windows), arr
@@ -883,8 +885,8 @@ def test_a_request_walks_its_staircase_once_per_hilbert_read(monkeypatch):
     # the basis run walks the staircase of M at each Hilbert read and
     # counts its tail over the boxes; the colon by z and H0 read the boxes
     # of its last walk, so no other walk, cut, socle test or division by z
-    # is made.  A generic request makes no run, so the run is made here
-    # on its own, and the generic requests walk nothing
+    # is made.  A generic request or one of five lines makes no run, so
+    # the run is made here on its own, and those requests walk nothing
     events = []
 
     def spy(name):
@@ -900,7 +902,7 @@ def test_a_request_walks_its_staircase_once_per_hilbert_read(monkeypatch):
         spy(name)
     walks = []
     for arr in hinted_draws() + [validate(moment_draw(20))]:
-        if oracles.is_generic(arr):
+        if oracles.reads_closed_forms(arr):
             events.clear()
             with groebner.step_budget():
                 full_root_report(arr)
@@ -1005,15 +1007,15 @@ def test_a_wrong_input_to_the_seam_raises_its_named_check(forms, seed, check):
         arrangement._conditions(arr, *seed(arr, *seam_inputs(arr)))
 
 
-def generic_mismatches(arr):
+def closed_form_mismatches(arr):
     """The fields of the report, by name, in which the closed forms of a
-    generic arrangement, which condition_report reads, and the basis run
-    of its Jacobian (oracles.condition_report_by_the_run) differ: the
-    flags, the witnesses and H0; the message of a named check that the
-    closed forms fail, and ["not generic"] for an arrangement with three
-    forms through one point."""
-    if not oracles.is_generic(arr):
-        return ["not generic"]
+    generic arrangement or of five lines, which condition_report reads,
+    and the basis run of its Jacobian (oracles.condition_report_by_the_run)
+    differ: the flags, the witnesses and H0; the message of a named check
+    that the closed forms fail, and ["no closed form"] for any other
+    arrangement."""
+    if not oracles.reads_closed_forms(arr):
+        return ["no closed form"]
     try:
         got = condition_report(arr)
     except Bs3Error as exc:
@@ -1031,10 +1033,20 @@ def test_the_closed_forms_of_a_generic_arrangement_match_the_run():
     arrs += [validate(moment_draw(d)) for d in range(4, 13)]
     arrs += corpus.generic_draws(10)
     for arr in arrs:
-        assert generic_mismatches(arr) == [], arr
+        assert oracles.is_generic(arr), arr
+        assert closed_form_mismatches(arr) == [], arr
 
 
-def test_a_generic_request_makes_no_basis_run(monkeypatch):
+def test_the_closed_forms_of_five_lines_match_the_run():
+    arrs = [arr for _, arr in corpus.build_corpus() if arr.degree == 5]
+    assert len(arrs) == 9
+    arrs += corpus.quintic_draws(400, 4)
+    for arr in arrs:
+        assert closed_form_mismatches(arr) == [], arr
+
+
+def basis_runs(monkeypatch, forms):
+    """The number of basis runs a full report on the forms makes."""
     runs = []
     int_run = groebner._buchberger_int
 
@@ -1042,14 +1054,28 @@ def test_a_generic_request_makes_no_basis_run(monkeypatch):
         runs.append(args)
         return int_run(*args)
 
-    monkeypatch.setattr(groebner, "_buchberger_int", spy)
+    with monkeypatch.context() as patch:
+        patch.setattr(groebner, "_buchberger_int", spy)
+        with groebner.step_budget():
+            full_root_report(validate(forms.split(",")))
+    return len(runs)
+
+
+def test_a_generic_request_makes_no_basis_run(monkeypatch):
     # the near-moment curve has two triple points
     for forms, count in ((oracles.GENERIC5, 0), (open_rows.moment(12), 0),
                          (open_rows.near_moment(8), 1)):
-        runs.clear()
-        with groebner.step_budget():
-            full_root_report(validate(forms.split(",")))
-        assert len(runs) == count, forms
+        assert basis_runs(monkeypatch, forms) == count, forms
+
+
+def test_a_request_on_five_lines_makes_no_basis_run(monkeypatch):
+    # every corpus quintic, e = 10, 11 and 12, and the near-moment curve
+    # at d = 8, whose two triple points take it to the run
+    quintics = [",".join(map(str, arr.forms))
+                for _, arr in corpus.build_corpus() if arr.degree == 5]
+    for forms in quintics:
+        assert basis_runs(monkeypatch, forms) == 0, forms
+    assert basis_runs(monkeypatch, open_rows.near_moment(8)) == 1
 
 
 def bumped(values, t, by):
@@ -1057,7 +1083,17 @@ def bumped(values, t, by):
     return values[:t] + (values[t] + by,) + values[t + 1:]
 
 
-@pytest.mark.parametrize("seed, check", [
+def below_the_lattice_bound(d, hf, h0):
+    """HF(R/J) and H0 one lower in degrees d - 1 and 2d - 5, so that H0
+    keeps its symmetry and HF(R/J^sat) its values, but H0_{d-1} falls
+    below the lattice bound, which both closed forms meet with equality."""
+    for t in {d - 1, 2 * d - 5}:
+        hf, h0 = bumped(hf, t, -1), {**h0, t: h0[t] - 1}
+    return hf, h0
+
+
+# seeds of the closed forms (d, HF(R/J), H0) that each fail one named check
+WRONG_CLOSED_FORMS = [
     (lambda d, hf, h0: (bumped(hf, 2 * d - 2, 1), h0),
      "check 'lattice e' failed"),
     (lambda d, hf, h0: (bumped(hf, 2 * d - 4, -1), h0),
@@ -1065,22 +1101,46 @@ def bumped(values, t, by):
     (lambda d, hf, h0: (bumped(hf, 2 * d - 3, 1), h0), "stable limit"),
     (lambda d, hf, h0: (hf, {**h0, d - 1: h0[d - 1] + 1}),
      "not symmetric about"),
-], ids=["e", "regularity", "stable_limit", "h0_symmetry"])
-def test_a_wrong_closed_form_ends_in_exit_4(capsys, monkeypatch, seed,
-                                            check):
-    closed = arrangement._generic_hilbert
+    (below_the_lattice_bound, "check 'lattice bound' failed"),
+]
+WRONG_IDS = ["e", "regularity", "stable_limit", "h0_symmetry",
+             "lattice_bound"]
 
-    def seeded(d):
-        (hf, _), h0 = closed(d)
-        hf, h0 = seed(d, hf, h0.entries)
+
+def seeded_closed_forms(monkeypatch, name, seed):
+    """Patch the closed forms arrangement.<name> to return what the seed
+    makes of them for d = 5."""
+    closed = getattr(arrangement, name)
+
+    def seeded(*args):
+        (hf, _), h0 = closed(*args)
+        hf, h0 = seed(5, hf, h0.entries)
         return (hf, hf[-1]), oracles.degree_data(h0)
 
-    monkeypatch.setattr(arrangement, "_generic_hilbert", seeded)
-    code = cli.main(["arrangement", "--forms", oracles.GENERIC5])
+    monkeypatch.setattr(arrangement, name, seeded)
+
+
+def exit_4_with(capsys, forms, check):
+    code = cli.main(["arrangement", "--forms", forms])
     captured = capsys.readouterr()
     assert (code, captured.out) == (4, "")
     assert captured.err.startswith("internal error: ")
     assert check in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("seed, check", WRONG_CLOSED_FORMS, ids=WRONG_IDS)
+def test_a_wrong_closed_form_ends_in_exit_4(capsys, monkeypatch, seed,
+                                            check):
+    seeded_closed_forms(monkeypatch, "_generic_hilbert", seed)
+    exit_4_with(capsys, oracles.GENERIC5, check)
+
+
+@pytest.mark.parametrize("seed, check", WRONG_CLOSED_FORMS, ids=WRONG_IDS)
+def test_a_wrong_quintic_closed_form_ends_in_exit_4(capsys, monkeypatch,
+                                                    seed, check):
+    # the near pencil has e = 11, so H0_4 = H0_5 = 1
+    seeded_closed_forms(monkeypatch, "_quintic_hilbert", seed)
+    exit_4_with(capsys, "x,y,x+y,z,x+3y+z", check)
 
 
 @pytest.mark.parametrize("forms", [

@@ -200,8 +200,9 @@ def test_large_arrangement_ends_before_its_polynomial(capsys, monkeypatch):
 
     monkeypatch.setattr(arrangement, "_product", spy)
     # the spy sees the one product a request builds, and none on a
-    # generic request, which reads its closed forms
-    for small, products in ((oracles.TWOTRIPLES5, 1), (oracles.GENERIC5, 0)):
+    # generic request or one of five lines, which read their closed forms
+    for small, products in ((oracles.BRAID, 1), (oracles.TWOTRIPLES5, 0),
+                            (oracles.GENERIC5, 0)):
         code, _, _ = run(capsys, "arrangement", "--forms", small)
         assert code == 0 and len(entered) == products
         entered.clear()

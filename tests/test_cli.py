@@ -252,8 +252,10 @@ def test_weight_system_reads_each_weight_by_fraction():
 
 
 def test_step_cap_exits_3(capsys):
+    # five lines now end within 50 steps on their closed forms; the six
+    # lines of the braid arrangement make the run
     code, _, err = run(capsys, "arrangement", "--step-cap", "50",
-                       "--forms", oracles.TWOTRIPLES5)
+                       "--forms", oracles.BRAID)
     assert code == 3
     assert "resource limit" in err
 
@@ -463,15 +465,16 @@ def test_failed_saturation_certificate_exits_4(capsys, monkeypatch):
     monkeypatch.setattr(groebner, "_z_colon_excess", lambda boxes: None)
     monkeypatch.setattr(groebner, "_saturation_excess",
                         lambda lms_i, boxes, lms_j: None)
-    # a generic arrangement makes no saturation, so this near pencil has a
-    # triple point
-    code, out, err = run(capsys, "arrangement", "--forms", "x,y,x+y,z,x+3y+z")
+    # a generic arrangement or five lines make no saturation, so this near
+    # pencil has six lines, four of them through one point
+    code, out, err = run(capsys, "arrangement", "--forms",
+                         "x,y,x+y,x+2y,z,x+3y+z")
     assert code == 4
     assert out == ""
     assert err.startswith("internal error:") and "Hilbert polynomial" in err
-    # V(J) has length e = 2^2 + 7 * 1^2 = 11 at the triple point and the
-    # seven double points, which allows 2 * 11 + 1 values of c, from c = 0
-    assert "with 0 <= c <= 22 " in err
+    # V(J) has length e = 3^2 + 9 * 1^2 = 18 at the quadruple point and the
+    # nine double points, which allows 2 * 18 + 1 values of c, from c = 0
+    assert "with 0 <= c <= 36 " in err
     assert "Traceback" not in err
 
 

@@ -77,9 +77,10 @@ def test_public_names_are_pinned():
 # every subcommand, standard and other weights, text and JSON; each
 # saturation route: Artinian, a saturated in(I) (the near pencil), and colons
 # by the moment form under standard weights (c = 2, past the z-division) and
-# under (1, 2, 2) (c = 1); a form with a fractional coefficient, which
-# LinearForm.parse reads through the grammar and builds from its
-# coefficients
+# under (1, 2, 2) (c = 1); an arrangement from each source of its report:
+# the closed forms of generic lines and of five lines, and the basis run; a
+# form with a fractional coefficient, which LinearForm.parse reads through
+# the grammar and builds from its coefficients
 REQUESTS = [argv.split() for argv in (
     "milnor --poly x^3+y^3+z^3",
     "milnor --poly x^2+y^3+z^5 --weights 1/2,1/3,1/5 --format json",
@@ -92,6 +93,7 @@ REQUESTS = [argv.split() for argv in (
     "roots lqh --poly 2*x^5+2*x^3*y+3*x^3*z+2*x*y*z --weights 1,2,2",
     "arrangement --forms x,y,z,x+y+z --step-cap 100000",
     "arrangement --forms x,y,z,x-y,x-z,y-z --format json",
+    "arrangement --forms x,y,x+y,z,x+3y+z",
     "arrangement --forms x,y,z,1/2*x+y+z --format json")]
 
 # what no request, demo or README block enters, each with what holds it;

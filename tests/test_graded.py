@@ -354,13 +354,15 @@ def test_excess_pass_lists_the_monomials_of_in_j_outside_in_i():
     # the boxes of its last walk, and no tail of in(J^sat) is read
     ("arrangement --forms " + oracles.ZIEGLER_F, (2, 2)),
     ("arrangement --forms " + oracles.ZIEGLER_G, (1, 1)),
-    ("arrangement --forms x,y,x+y,z,x+3y+z", (2, 2)),
+    ("arrangement --forms x,y,x+y,x+2y,z,x+3y+z", (2, 2)),
     ("arrangement --forms " + oracles.BRAID, (1, 1)),
-    # a generic arrangement reads its closed forms, with no run
+    # a generic arrangement or five lines read their closed forms, with no
+    # run
     ("arrangement --forms " + oracles.GENERIC5, (0, 0)),
+    ("arrangement --forms x,y,x+y,z,x+3y+z", (0, 0)),
 ], ids=["milnor_fermat", "isolated", "isolated_perturbed", "lqh_product",
         "lqh_xyz", "lqh_colon", "lqh_standard", "ziegler_f", "ziegler_g",
-        "nearpencil3", "braid", "generic5"])
+        "nearpencil4", "braid", "generic5", "nearpencil3"])
 def test_request_calls_the_graded_engine_a_pinned_number_of_times(
         capsys, monkeypatch, argv, calls):
     # H0, the certificate and HF(R/I^sat) read the boxes of in(J), or cuts

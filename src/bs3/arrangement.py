@@ -9,12 +9,13 @@ set.
 The conditions are read from numbers an invertible linear change of
 coordinates does not change: Hilbert function values of R/J and R/J^sat,
 degrees of H0, the regularity and counts of logarithmic derivations, for J
-the Jacobian ideal of f.  So condition_report, on an arrangement that is
-neither generic nor of five lines (below), builds f in an adapted basis
-{p, q, r} (_adapted_normals): p and q two input normals of least height,
-r = (a, b, 1) the line z + a*x + b*y through no intersection point of
-least height h = max(|a|, |b|) (_free_line).  Each point rules out at most
-2h + 1 pairs of the box [-h, h]^2, so h <= ceil(N/2) for N points.
+the Jacobian ideal of f.  So condition_report, on an arrangement whose
+lattice does not certify its closed form (below), builds f in an adapted
+basis {p, q, r} (_adapted_normals): p and q two input normals of least
+height, r = (a, b, 1) the line z + a*x + b*y through no intersection
+point of least height h = max(|a|, |b|) (_free_line).  Each point rules
+out at most 2h + 1 pairs of the box [-h, h]^2, so h <= ceil(N/2) for N
+points.
 
 Why the report cannot change.  Let B be the matrix of rows p, q, r and
 (u, v, w) = B (x, y, z) the new coordinates.  det B = r.(p x q) is not 0:
@@ -66,62 +67,72 @@ where e must equal the e of R/J^sat and the regularity must be at most
 2d - 5.  _conditions reads the whole report from the lattice, the tail
 of R/in(J) and H0, with no basis, so any source of those can feed it.
 
-A generic arrangement, every singular point a double point, needs no
-basis: its lattice has C(d, 2) points, and both Hilbert functions follow
-from d (_generic_hilbert), with r(u) = C(u + 2, 2) for u >= 0, else 0.
+Most arrangements need no basis at all.  With r(u) = C(u + 2, 2) for
+u >= 0, else 0, let F(t) = r(t) - 3 r(t - d + 1) (_hilbert_floor) and
+h_Z(t) = HF(R/J^sat)_t, the Hilbert function of the Jacobian scheme Z,
+of length e.
 
-* For d >= 3 generic lines D0 has the free resolution
-  0 -> R(-(d - 1))^(d - 3) -> R(-(d - 2))^(d - 1) -> D0 -> 0 (Rose and
-  Terao, A free resolution of the module of logarithmic forms of a
-  generic arrangement, 1991; Yuzvinsky, A free resolution of the module
-  of derivations for generic arrangements, 1991).  With Syz(J) =
-  D0(-(d - 1)) above, HF(R/J)_t = r(t) - 3 r(t - d + 1)
-  + (d - 1) r(t - 2d + 3) - (d - 3) r(t - 2d + 2).
-* A double point has Tjurina number 1, so J^sat is the ideal of the
-  C(d, 2) points, a star configuration, and HF(R/J^sat)_t =
-  min(r(t), C(d, 2)) (Geramita, Harbourne and Migliore, Star
-  configurations in P^n, 2013).  H0 is the difference.
+* The identity.  Syz(J) = D0(-(d - 1)) (above) gives HF(R/J)_t = F(t) +
+  dim D0_{t-d+1}, and F(t) = F(3d - 6 - t).  H0 is symmetric about
+  3d - 6 (graded.check_h0_symmetry) and vanishes above reg R/J <= 2d - 5,
+  so it lives in degrees d - 1..2d - 5.  D0_0 = 0: a constant derivation
+  that kills f would make f a form in two variables, which is not
+  essential.  So HF(R/J)_{d-1} = F(d - 1) = C(d + 1, 2) - 3, and
+  H0_{d-1} = H0_{2d-5} gives dim D0_{d-4} = h_Z(2d - 5) - h_Z(d - 1).
+* The closed form.  h_Z never decreases, never passes e, and once flat
+  stays flat: the free line is a nonzerodivisor on R/J^sat, so the first
+  difference of h_Z is the Hilbert function of an Artinian quotient of a
+  polynomial ring in two variables, which stays 0 once it is 0.  So
+  h_Z(d - 1) = e gives D0_{d-4} = 0, hence D0_k = 0 for every k <= d - 4
+  (D0 lies in R^3, where a linear form times a nonzero element is not
+  0), and then HF(R/J)_t = F(t) for t <= 2d - 5 and H0_t = F(t) - e for
+  t = d - 1..2d - 5 (_closed_hilbert); from 2d - 4 on HF(R/J) is e
+  (above).  Conversely, for d >= 5, D0_{d-4} = 0 makes h_Z flat from
+  d - 1 to d <= 2d - 5, so h_Z(d - 1) = e.
+* The certificate (_peels).  h_Z(d - 1) = e says that Z imposes
+  independent conditions on forms of degree d - 1: h^1(I_Z(d - 1)) = 0.
+  Let a line H of the arrangement A carry only double points.  A double
+  point is a reduced point of Z (its Tjurina number is 1) and no point of
+  Z(A - H), and off H the two schemes agree, so the residual of Z(A) by
+  H is Z(A - H), and Z(A) meets H in d - 1 reduced points, which impose
+  independent conditions on forms of degree d - 1 on H.  Castelnuovo's
+  sequence 0 -> I_Z(A-H)(t - 1) -> I_Z(A)(t) -> I_(Z(A) n H, H)(t) -> 0
+  at t = d - 1 gives h^1(I_Z(A)(d - 1)) <= h^1(I_Z(A-H)(d - 2)): the same
+  statement for the d - 1 lines of A - H.  This is the line by line
+  residual argument for star configurations (Geramita, Harbourne and
+  Migliore, Star configurations in P^n, 2013).  Dropping such lines one
+  at a time proves h_Z(d - 1) = e once what is left has h^1 = 0 in its
+  own degree d - 1:
+  - at most two lines: at most one reduced point;
+  - three concurrent lines: the scheme of (g_u, g_v), g the cubic in the
+    two coordinates through the point, whose Hilbert function is 1, 3,
+    4, 4, ..., 4 = e from degree 2 on;
+  - five lines with no point on four: a validated quintic (below).
 
-A validated generic arrangement has d >= 4: three lines through no
-common point are x, y, z in some coordinates, which decompose.
+A generic arrangement, every singular point a double point, drops lines
+down to two, so it takes the closed form.  Its lattice has C(d, 2) points,
+and e = C(d, 2).  A validated generic arrangement has d >= 4: three lines
+through no common point are x, y, z in some coordinates, which decompose.
 
-Five lines need no basis either: both Hilbert functions follow from e
-(_quintic_hilbert).  validate refuses a point on d - 1 = 4 lines, so
-every point is double or triple, and there are at most two triple
-points: two of them share at most one line, so three would need six
-lines.  With k triple points, e = (10 - 3k) + 4k = 10 + k, so a quintic
-that is not generic has e = 11 or 12.
+Five lines.  validate refuses a point on d - 1 = 4 lines, so every point
+is double or triple, and there are at most two triple points: two of them
+share at most one line, so three would need six lines.  With k triple
+points, e = (10 - 3k) + 4k = 10 + k.  D0_1 = 0: a derivation of degree 1
+that kills f, mdr(f) = 1, needs d - 1 concurrent lines, which validate
+refuses.  For e <= 11 the bound (d - 1)(d - r - 1) <= tau of du Plessis
+and Wall (Application of the theory of the discriminant to highly
+singular plane curves, 1999), r = mdr(f) and tau = e, excludes r = 1 as
+well; the e = 12 lattice is supersolvable, free with exponents (2, 2).
+With d - 4 = 1 the identity gives h_Z(5) = h_Z(4), so h_Z is flat from
+degree 4 on and h_Z(4) = e: every validated quintic takes the closed form,
+H0_4 = H0_5 = 12 - e.
 
-* Where H0 lives.  H0 is symmetric about 3d - 6 = 9 and vanishes above
-  reg R/J <= 2d - 5 = 5 (Schenck 2003, above), so it lives in degrees 4
-  and 5, and H0_4 = H0_5.
-* HF(R/J) at t = 4 and 5.  Below d - 1 = 4 J is 0, and
-  HF(R/J)_4 = r(4) - 3 = 12 (the lattice bound, below).  With
-  Syz(J) = D0(-4), HF(R/J)_5 = r(5) - 3 r(1) + dim D0_1 = 12, as
-  D0_1 = 0: a derivation of degree 1 that kills f, mdr(f) = 1, needs
-  d - 1 concurrent lines, which validate refuses.  For e <= 11 the bound
-  (d - 1)(d - r - 1) <= tau of du Plessis and Wall (Application of the
-  theory of the discriminant to highly singular plane curves, 1999),
-  r = mdr(f) and tau = e, excludes r = 1 as well; the e = 12 lattice is
-  supersolvable, free with exponents (2, 2).  From 2d - 4 = 6 on
-  HF(R/J) is e (above).
-* HF(R/J^sat).  It rises until it reaches e and then stays there: the
-  free line is a nonzerodivisor on R/J^sat, so the first difference of
-  HF(R/J^sat) is the Hilbert function of an Artinian quotient of a
-  polynomial ring in two variables, which stays 0 once it is 0.  By the
-  two points above HF(R/J^sat)_4 = 12 - H0_4 = 12 - H0_5 =
-  HF(R/J^sat)_5, so the difference is 0 from degree 5 on and both equal
-  e.  So H0_4 = H0_5 = 12 - e, and H0 is 0 when e = 12.
-
-At e = 10 these are the closed forms of five generic lines.
-
-The lattice bound holds on every report, and _conditions checks it.  The
-three partials are independent in degree d - 1, since a constant
-derivation killing f would make f a form in two variables, which is not
-essential: so HF(R/J)_{d-1} = C(d + 1, 2) - 3.  HF(R/J^sat) <= e (the
-stable limit of graded._regularity), so H0_{d-1} >= C(d + 1, 2) - 3 - e,
-with equality for five lines and for generic ones.  A wrong closed form
-meets the checks of _conditions and the six-condition agreement of
+The lattice bound holds on every report, and _conditions checks it in
+each degree t = d - 1..2d - 5: HF(R/J)_t >= F(t) by the identity, and
+h_Z <= e (the stable limit of graded._regularity), so H0_t >= F(t) - e,
+with equality on every arrangement the lattice certifies.  At t = d - 1
+it reads H0_{d-1} >= C(d + 1, 2) - 3 - e.  A wrong closed form meets the
+checks of _conditions and the six-condition agreement of
 full_root_report.
 """
 
@@ -608,7 +619,7 @@ def _adapted_normals(arr):
                          for c in columns)) for n in normals]
 
 
-def _jacobian(arr):
+def _jacobian(arr, e):
     """The Jacobian ideal of f moved to the adapted basis, where two
     least-height lines are x and y and the free line is z (see
     condition_report), with its proven Hilbert tail (2d - 4, e),
@@ -617,7 +628,6 @@ def _jacobian(arr):
     (_product), and its partials are taken there too
     (milnor._jacobian_of): the ideal is born packed, with no Polynomial."""
     f = _product(_adapted_normals(arr))
-    e = sum((len(lines) - 1) ** 2 for lines in arr.lattice.values())
     return _jacobian_of(f, 1, (2 * arr.degree - 4, e))
 
 
@@ -631,49 +641,63 @@ def condition_report(arr):
 
 
 def _condition_report(arr):
-    """condition_report of a validated arrangement: a generic one (C(d, 2)
-    points, e = C(d, 2)) reads the closed forms of d, five lines those of
-    e, any other the basis of its Jacobian in the adapted basis (module
-    docstring)."""
-    d, lattice = arr.degree, arr.lattice
-    if len(lattice) == d * (d - 1) // 2:
-        return _conditions(arr, len(lattice), *_generic_hilbert(d))
-    if d == 5:
-        e = sum((len(lines) - 1) ** 2 for lines in lattice.values())
-        return _conditions(arr, e, *_quintic_hilbert(e))
-    jac = _jacobian(arr)
+    """condition_report of a validated arrangement: one the lattice
+    certifies (_peels) reads the closed forms of d and e, any other the
+    basis of its Jacobian in the adapted basis (module docstring).  e is
+    summed once, here."""
+    e = sum((len(lines) - 1) ** 2 for lines in arr.lattice.values())
+    if _peels(arr):
+        return _conditions(arr, e, *_closed_hilbert(arr.degree, e))
+    jac = _jacobian(arr, e)
     h0 = h0_degree_data(jac, STANDARD)
-    return _conditions(arr, jac.hilbert_tail[1], buchberger(jac).tail, h0)
+    return _conditions(arr, e, buchberger(jac).tail, h0)
 
 
-def _generic_hilbert(d):
-    """The Hilbert tail of R/J and the H0 degree data of J for d >= 4
-    generic lines (module docstring): HF(R/J)_t for t = 0..2d - 2, the
-    last three e as t >= 2d - 4, and H0_t = HF(R/J)_t - min(r(t), e)
-    where that is positive, e = C(d, 2).  One step per degree, spent
-    before any is built."""
+def _peels(arr):
+    """Whether the lattice certifies that the Jacobian scheme imposes
+    independent conditions on forms of degree d - 1 (module docstring):
+    dropping, one at a time, a line all of whose points are double among
+    the lines left ends in at most two lines, three concurrent lines or
+    five lines with no point on four.
+
+    A line through no point of three or more lines can be dropped, and
+    dropping it leaves each such point on the lines it was on; a line
+    through one cannot.  So the lines left are those through a point of
+    three or more lines, whatever the order: none, three through one
+    triple point, or five through two triple points on a common line
+    certify.  A generic arrangement (C(d, 2) points) and five lines
+    (validate refuses a point on four) always certify, before any step;
+    any other spends one step per line-point incidence first."""
+    d, lattice = arr.degree, arr.lattice
+    if d == 5 or len(lattice) == d * (d - 1) // 2:
+        return True
+    _budget().spend(sum(map(len, lattice.values())))
+    left = set()
+    for lines in lattice.values():
+        if len(lines) > 3:
+            return False
+        if len(lines) == 3:
+            left.update(lines)
+    return len(left) in (3, 5)
+
+
+def _hilbert_floor(d, t):
+    """F(t) = r(t) - 3 r(t - d + 1), r(u) = C(u + 2, 2) for u >= 0, else
+    0: HF(R/J)_t is F(t) plus the dimension of D0 in degree t - d + 1
+    (module docstring)."""
+    r = (t + 2) * (t + 1) // 2
+    return r - 3 * (t - d + 3) * (t - d + 2) // 2 if t >= d - 1 else r
+
+
+def _closed_hilbert(d, e):
+    """The Hilbert tail of R/J and the H0 degree data of J for d lines
+    the lattice certifies (_peels; module docstring): HF(R/J)_t = F(t)
+    (_hilbert_floor) for t = 0..2d - 5, then e for t = 2d - 4..2d - 2, and
+    H0_t = F(t) - e for t = d - 1..2d - 5 where that is positive.  One
+    step per degree, 2d - 1, spent before any is built."""
     _budget().spend(2 * d - 1)
-    e = d * (d - 1) // 2
-
-    def r(u):
-        return (u + 2) * (u + 1) // 2 if u >= 0 else 0
-
-    hf = tuple(r(t) - 3 * r(t - d + 1) + (d - 1) * r(t - 2 * d + 3)
-               - (d - 3) * r(t - 2 * d + 2) for t in range(2 * d - 1))
-    h0 = {t: h for t, v in enumerate(hf) if (h := v - min(r(t), e)) > 0}
-    return (hf, hf[-1]), DegreeData._over(1, h0)
-
-
-def _quintic_hilbert(e):
-    """The Hilbert tail of R/J and the H0 degree data of J for five lines
-    that are not generic, e = 11 or 12 (module docstring): HF(R/J)_t = 1,
-    3, 6, 10, 12, 12 for t = 0..5 and e for t = 6..8, and H0_4 = H0_5 =
-    12 - e where that is positive.  At e = 10 these are the closed forms
-    of five generic lines.  One step per degree, 2d - 1 = 9, spent before
-    any is built."""
-    _budget().spend(9)
-    hf = (1, 3, 6, 10, 12, 12, e, e, e)
-    h0 = {4: 12 - e, 5: 12 - e} if e < 12 else {}
+    hf = tuple(_hilbert_floor(d, t) for t in range(2 * d - 4)) + (e,) * 3
+    h0 = {t: h for t in range(d - 1, 2 * d - 4) if (h := hf[t] - e) > 0}
     return (hf, e), DegreeData._over(1, h0)
 
 
@@ -683,8 +707,8 @@ def _conditions(arr, e, tail, h0):
     of J, J its Jacobian ideal, with no Ideal or basis read.  Every named
     check of the report is here: H0 symmetry, HF(R/J^sat) <= e
     (graded._regularity), 'lattice e', 'regularity bound' and 'lattice
-    bound'; is_formal comes last, so its rank spends a request's last
-    steps."""
+    bound' in each degree d - 1..2d - 5; is_formal comes last, so its
+    rank spends a request's last steps."""
     d = arr.degree
     check_h0_symmetry(h0, 3 * d - 6)  # the arrangement is reduced
     reg = _regularity(tail, h0)
@@ -696,12 +720,15 @@ def _conditions(arr, e, tail, h0):
         raise Bs3Error("internal inconsistency: check 'regularity bound' "
                        "failed: reg R/J = %d exceeds 2d - 5 = %d"
                        % (reg.regularity, 2 * d - 5))
+    for t in range(d - 1, 2 * d - 4):
+        bound = _hilbert_floor(d, t) - e
+        if h0.dimension(t) < bound:
+            raise Bs3Error("internal inconsistency: check 'lattice bound' "
+                           "failed: H0_%d = %d is below r(t) - "
+                           "3 r(t - d + 1) - e = %d"
+                           % (t, h0.dimension(t), bound))
     h0_d1, h0_2d5 = h0.dimension(d - 1), h0.dimension(2 * d - 5)
     binom = (d + 1) * d // 2 - 3
-    if h0_d1 < binom - e:
-        raise Bs3Error("internal inconsistency: check 'lattice bound' "
-                       "failed: H0_%d = %d is below C(d + 1, 2) - 3 - e = %d"
-                       % (d - 1, h0_d1, binom - e))
     milnor = _hilbert_values(tail, max(d - 1, 2 * d - 5))
     milnor_d1, milnor_2d5 = milnor[d - 1], milnor[2 * d - 5]
     # HF(R/J)_{2d-2} = e, as 2d - 2 >= 2d - 4 (module docstring)

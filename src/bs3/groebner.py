@@ -243,9 +243,10 @@ class _Budget:
       by the words of its two multipliers as a reduction step is; a term
       product of the polynomial; a singular point, before they are sorted
       (singular_points); a combinatorial root, before they are listed
-      (comb_roots); a degree of the closed forms of generic lines or of
-      five lines, before they are built (arrangement._generic_hilbert,
-      arrangement._quintic_hilbert);
+      (comb_roots); a line-point incidence of the lattice, read for a
+      certificate of the closed form, unless the lattice has C(d, 2)
+      points or d = 5 (arrangement._peels); a degree of the closed form,
+      before it is built (arrangement._closed_hilbert);
     * a term of a polynomial whose partials a Jacobian ideal takes
       (milnor._jacobian_of).
 

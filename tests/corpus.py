@@ -8,8 +8,10 @@ non-essential, or decomposable draws, so every retained entry is valid.
 
 supersolvable(k, seed) draws the supersolvable arrangements whose free
 resolution gives HF(R/J) in closed form, generic_draws(n) the generic
-ones, whose H0 has a closed form too, and quintic_draws(n, bound) five
-lines that are not generic, whose report follows from e.
+ones, whose H0 has a closed form too, quintic_draws(n, bound) five
+lines that are not generic, whose report follows from e, and
+concurrent_draws(n, bound) draws with one or two triple points that the
+lattice certifies, whose report follows from d and e.
 """
 
 import random
@@ -143,6 +145,39 @@ def quintic_draws(n, bound):
         except Bs3Error:
             continue
         if not oracles.is_generic(arr):
+            draws.append(arr)
+    return draws
+
+
+def concurrent_draws(n, bound):
+    """The first n draws of random.Random(11) of d = randint(6, 9) forms
+    with coefficients in [-bound, bound] that validate keeps, that are not
+    generic, and whose lattice certifies the closed form
+    (oracles.reads_closed_forms).  Of d drawn normals the third is made
+    the sum or difference of the first two, so one triple point; on a
+    third of the draws the fifth is made that of the first and the
+    fourth, a second triple point on the first line, and on another
+    third that of the fourth and the sixth, a second triple point on no
+    common line, which the lattice does not certify.  A draw with a
+    coefficient past the bound is skipped, and the forms are shuffled."""
+    rng = random.Random(11)
+    draws = []
+    while len(draws) < n:
+        d = rng.randint(6, 9)
+        normals = [[rng.randint(-bound, bound) for _ in range(3)]
+                   for _ in range(d)]
+        for i, j, k in ((0, 1, 2),) + rng.choice(((), ((0, 3, 4),),
+                                                  ((3, 5, 4),))):
+            sign = rng.choice((-1, 1))
+            normals[k] = [a + sign * b for a, b in zip(normals[i], normals[j])]
+        if any(abs(c) > bound for normal in normals for c in normal):
+            continue
+        rng.shuffle(normals)
+        try:
+            arr = validate([LinearForm(c) for c in normals])
+        except Bs3Error:
+            continue
+        if not oracles.is_generic(arr) and oracles.reads_closed_forms(arr):
             draws.append(arr)
     return draws
 

@@ -1,23 +1,23 @@
-"""The closed forms of generic arrangements and of five lines at larger
-sizes.
+"""The closed form at larger sizes: generic arrangements, five lines and
+arrangements with added concurrent lines that the lattice certifies.
 
 Checks each arrangement below as tier-1 checks the smaller ones
 (test_arrangement.closed_form_mismatches): the report that
-condition_report reads from the closed forms against the one the basis
+condition_report reads from the closed form against the one the basis
 run of its Jacobian gives, flags, witnesses and H0.  The generic rows are
 the moment curves d = 4..20, the reversed moment curve at d = 16 and the
 first 40 generic draws of random.Random(7) (corpus.generic_draws); each
 prints one row with its degree, the fields that differ or the named check
-the closed forms fail, and the seconds the check took.  Then 400 draws of
-five lines that are not generic, with coefficients in [-50, 50]
-(corpus.quintic_draws), print a row each only on a mismatch, and one
-summary row.  Exits 1 on any mismatch.  Times are printed, never
-asserted, since they depend on the host.  pytest does not collect it.
-Run it from the repository root:
+the closed form fails, and the seconds the check took.  Then 400 draws of
+five lines that are not generic (corpus.quintic_draws) and 400 draws of
+d = 6..9 lines with one or two triple points that the lattice certifies
+(corpus.concurrent_draws), each with coefficients in [-50, 50], print a
+row each only on a mismatch, and one summary row per kind.  Exits 1 on
+any mismatch.  Times are printed, never asserted, since they depend on
+the host.  pytest does not collect it.  Run it from the repository root:
 
     PYTHONPATH=src python tests/generic.py
 """
-
 import sys
 import time
 
@@ -44,16 +44,22 @@ def main():
                  "MISMATCH " + ", ".join(mismatches) if mismatches else "ok",
                  seconds))
         failed = failed or bool(mismatches)
-    start, wrong = time.perf_counter(), 0
-    for i, arr in enumerate(corpus.quintic_draws(400, 50), 1):
-        mismatches = closed_form_mismatches(arr)
-        if mismatches:
-            print("quintic draw %-7d d=5  MISMATCH %s"
-                  % (i, ", ".join(mismatches)))
-            wrong += 1
-    print("%-20s d=5  %d of 400 mismatch in %.2f s"
-          % ("quintic draws", wrong, time.perf_counter() - start))
-    return 1 if failed or wrong else 0
+    for kind, draws in (("quintic", corpus.quintic_draws),
+                        ("concurrent", corpus.concurrent_draws)):
+        start, wrong = time.perf_counter(), 0
+        arrs = draws(400, 50)
+        for i, arr in enumerate(arrs, 1):
+            mismatches = closed_form_mismatches(arr)
+            if mismatches:
+                print("%s draw %-4d d=%-2d MISMATCH %s"
+                      % (kind, i, arr.degree, ", ".join(mismatches)))
+                wrong += 1
+        print("%-20s d=%d..%d %d of 400 mismatch in %.2f s"
+              % (kind + " draws", min(a.degree for a in arrs),
+                 max(a.degree for a in arrs), wrong,
+                 time.perf_counter() - start))
+        failed = failed or bool(wrong)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -47,14 +47,24 @@ def reversed_moment(d):
 def near_moment(d):
     """The moment lines for k = 0..d-2 and 2*x+3*y+3*z, which passes
     through the crossings of the k = 0, 1 lines and of the k = 2, 3 lines:
-    the moment curve with two triple points, so not generic."""
+    the moment curve with two triple points on a common line, so not
+    generic, but its lattice certifies the closed form."""
     return moment(d - 1) + ",2*x+3*y+3*z"
+
+
+def split_moment(d):
+    """The moment lines for k = 0..d-3, 2*x+y+z, through the crossing of
+    the k = 0, 1 lines, and x+y-z, through that of the k = 2, 3 lines:
+    two triple points on no common line, so the lattice does not certify
+    the closed form and the request makes the run."""
+    return moment(d - 2) + ",2*x+y+z,x+y-z"
 
 
 ROWS = [("roadmap d=16", ROADMAP16)]
 ROWS += [("sweep d=%d" % d, ",".join(SWEEP[:d])) for d in (16, 20, 22, 24)]
 ROWS += [("moment d=%d" % d, moment(d)) for d in (16, 20, 24)]
 ROWS += [("near-moment d=%d" % d, near_moment(d)) for d in (16, 20, 24)]
+ROWS += [("split-moment d=%d" % d, split_moment(d)) for d in (12, 16)]
 ROWS += [("reversed-moment d=16", reversed_moment(16))]
 
 # sha1 of each report without timing_ms, as json.dumps(sort_keys=True)
@@ -71,6 +81,8 @@ DIGESTS = {
     "near-moment d=16": "d10f3c228d8f71c50dc56dbc32d7357c5c19653e",
     "near-moment d=20": "7ebe3e447672f92a800a699fc724363f898f51b7",
     "near-moment d=24": "815d818f14657a842e148c8f3b7badca27bcddc9",
+    "split-moment d=12": "e05c7e114047fd55240e24deb6d620dc43b0588d",
+    "split-moment d=16": "5d58718ba11c20f82da63b93277b093ea7819d10",
     "reversed-moment d=16": "e3a909920d5839aa92f42911d41637384121aa2e",
 }
 

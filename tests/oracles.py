@@ -51,9 +51,10 @@ denominator, is tested against.  The six arrangement conditions read from
 the Jacobian of f itself, in the original coordinates, are what the
 package's report from the moved Jacobian is tested against, and the basis
 run of the moved Jacobian, which the package makes only for an
-arrangement that is neither generic nor of five lines, is what its closed
-forms are tested against, as the determinant of each triple of normals is
-what its count of lattice points decides genericity against.  The character
+arrangement whose lattice does not certify its closed form, is what that
+closed form is tested against, as the peel read from determinants of
+normals is what the package's certificate, the lines through its points
+of three or more lines, is tested against.  The character
 scanner (one peek per character class, whitespace skipped on every peek) is
 what the package's token-regex parser is tested against.  A box search for
 a socle monomial is what the staircase test of a saturated monomial ideal
@@ -1167,18 +1168,48 @@ def is_generic(arr):
 
 
 def reads_closed_forms(arr):
-    """A generic arrangement or one of five lines: the package reads its
-    report from closed forms, with no basis run."""
-    return arr.degree == 5 or is_generic(arr)
+    """Whether the lattice certifies the closed form, by the peel itself:
+    drop, one at a time, any line whose crossings with the lines left each
+    lie on no third line left, until none can go; the lines left must be
+    at most two, three through one point, or five with no four through
+    one point.  Every concurrence is read from a determinant of normals,
+    with no lattice.  The package reads the lines through its points of
+    three or more lines instead (arrangement._peels), and reads its report
+    from the closed form, with no basis run, exactly on these."""
+    left = [f.normal for f in arr.forms]
+
+    def concurrent(a, b, c):
+        return not sum(map(mul, a, _cross(b, c)))
+
+    def on_a_triple(a):
+        return any(concurrent(a, b, c) for b, c in
+                   combinations([n for n in left if n != a], 2))
+
+    while (line := next((a for a in left if not on_a_triple(a)),
+                        None)) is not None:
+        left.remove(line)
+    if len(left) <= 2:
+        return True
+    if len(left) == 3:
+        return concurrent(*left)
+    return len(left) == 5 and not any(
+        concurrent(a, b, c) and concurrent(a, b, d)
+        for a, b, c, d in combinations(left, 4))
+
+
+def jacobian(arr):
+    """The moved Jacobian ideal a request on the arrangement builds, with
+    e summed over its lattice."""
+    e = sum((len(lines) - 1) ** 2 for lines in arr.lattice.values())
+    return arrangement._jacobian(arr, e)
 
 
 def condition_report_by_the_run(arr):
     """The ConditionReport of a validated arrangement read from the basis
     run of its moved Jacobian, the source the package takes for every
-    arrangement that reads no closed forms: the oracle its closed forms
-    (arrangement._generic_hilbert, _quintic_hilbert) are checked
-    against."""
-    jac = arrangement._jacobian(arr)
+    arrangement whose lattice does not certify its closed form: the oracle
+    the closed form (arrangement._closed_hilbert) is checked against."""
+    jac = jacobian(arr)
     h0 = h0_degree_data(jac, STANDARD)
     return arrangement._conditions(arr, jac.hilbert_tail[1],
                                    buchberger(jac).tail, h0)

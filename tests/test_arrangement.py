@@ -646,7 +646,7 @@ def test_moved_report_matches_the_original_coordinates(monkeypatch):
     for name, arr in entries:
         runs.clear()
         got = condition_report(arr)
-        # a generic arrangement or five lines read their closed forms,
+        # an arrangement its lattice certifies reads the closed form,
         # with no run; any other's moved Jacobian saturates on its own
         # basis
         assert len(runs) == (0 if oracles.reads_closed_forms(arr) else 1), \
@@ -690,9 +690,9 @@ def test_hinted_run_returns_the_unhinted_basis(monkeypatch):
     monkeypatch.setattr(groebner, "_s_poly_int", spy)
     skipped = 0
     for arr in hinted_draws():
-        jac = arrangement._jacobian(arr)
         d = arr.degree
         e = sum((m - 1) ** 2 for m in map(len, arr.lattice.values()))
+        jac = arrangement._jacobian(arr, e)
         assert jac.hilbert_tail == (2 * d - 4, e)
         triples = jac._triples
         formed.clear()
@@ -843,7 +843,7 @@ def test_jacobian_is_the_polynomial_route_packed():
         arrs.append(validate(moment_draw(d)))
     arrs += [corpus.supersolvable(k, seed) for k, seed in SUPERSOLVABLE]
     for arr in arrs:
-        jac = arrangement._jacobian(arr)
+        jac = oracles.jacobian(arr)
         f = oracles.form_product(arrangement._adapted_normals(arr))
         partials, triples = oracles.jacobian_by_polynomials(f)
         assert jac._triples == tuple(triples), arr
@@ -869,8 +869,8 @@ def test_der0_is_read_from_the_proven_tail(monkeypatch):
         got = condition_report(arr).witness_dims["der_log0_dim_d_minus_2"]
         monkeypatch.undo()
         # the run walks staircases of in(J) as its basis grows, and reads
-        # no window of the zero ideal, dim R_t; a generic arrangement or
-        # five lines make no run, and walk none
+        # no window of the zero ideal, dim R_t; an arrangement its lattice
+        # certifies makes no run, and walks none
         if oracles.reads_closed_forms(arr):
             assert windows == [], arr
         else:
@@ -885,8 +885,8 @@ def test_a_request_walks_its_staircase_once_per_hilbert_read(monkeypatch):
     # the basis run walks the staircase of M at each Hilbert read and
     # counts its tail over the boxes; the colon by z and H0 read the boxes
     # of its last walk, so no other walk, cut, socle test or division by z
-    # is made.  A generic request or one of five lines makes no run, so
-    # the run is made here on its own, and those requests walk nothing
+    # is made.  A request its lattice certifies makes no run, so the run
+    # is made here on its own, and those requests walk nothing
     events = []
 
     def spy(name):
@@ -967,7 +967,7 @@ def seam_inputs(arr):
     request's Jacobian: e from the lattice, H0 from the run, and in place
     of the tail the run counts, HF(R/in J) by columns through degree 3d,
     where it has long been e: a tail of another length, by another route."""
-    jac = arrangement._jacobian(arr)
+    jac = oracles.jacobian(arr)
     lms = groebner.buchberger(jac).leading_monomials
     hf = oracles.hilbert_function_by_columns(lms, 3 * arr.degree)
     return (jac.hilbert_tail[1], (tuple(hf), hf[-1]),
@@ -1008,12 +1008,12 @@ def test_a_wrong_input_to_the_seam_raises_its_named_check(forms, seed, check):
 
 
 def closed_form_mismatches(arr):
-    """The fields of the report, by name, in which the closed forms of a
-    generic arrangement or of five lines, which condition_report reads,
-    and the basis run of its Jacobian (oracles.condition_report_by_the_run)
-    differ: the flags, the witnesses and H0; the message of a named check
-    that the closed forms fail, and ["no closed form"] for any other
-    arrangement."""
+    """The fields of the report, by name, in which the closed form of an
+    arrangement its lattice certifies (oracles.reads_closed_forms), which
+    condition_report reads, and the basis run of its Jacobian
+    (oracles.condition_report_by_the_run) differ: the flags, the witnesses
+    and H0; the message of a named check that the closed form fails, and
+    ["no closed form"] for any other arrangement."""
     if not oracles.reads_closed_forms(arr):
         return ["no closed form"]
     try:
@@ -1045,6 +1045,39 @@ def test_the_closed_forms_of_five_lines_match_the_run():
         assert closed_form_mismatches(arr) == [], arr
 
 
+def test_the_closed_form_of_a_peeled_arrangement_matches_the_run():
+    # neither generic nor of five lines: the corpus entries the lattice
+    # certifies, the near-moment curves (two triple points on a common
+    # line) and draws with one or two added concurrent lines
+    arrs = [arr for _, arr in corpus.build_corpus()
+            if arr.degree != 5 and not oracles.is_generic(arr)
+            and oracles.reads_closed_forms(arr)]
+    assert len(arrs) == 9
+    arrs += [validate(open_rows.near_moment(d).split(","))
+             for d in range(6, 13)]
+    arrs += corpus.concurrent_draws(200, 4)
+    for arr in arrs:
+        assert closed_form_mismatches(arr) == [], arr
+
+
+def test_peels_is_the_peel_of_its_lines():
+    # the lines through the points of three or more lines are what the
+    # peel, dropped line by line, leaves: the package and the brute-force
+    # peel certify the same inputs, over every arrangement the tests draw
+    arrs = hinted_draws() + corpus.concurrent_draws(200, 4)
+    arrs += corpus.quintic_draws(100, 4)
+    arrs += [validate(forms.split(",")) for forms in (
+        open_rows.split_moment(8), open_rows.near_moment(8),
+        oracles.BRAID, "x,y,x+y,x+2y,z,x+3y+z,2x-y+5z")]
+    certified = 0
+    for arr in arrs:
+        with groebner.step_budget():
+            peels = arrangement._peels(arr)
+        assert peels == oracles.reads_closed_forms(arr), arr
+        certified += peels
+    assert 0 < certified < len(arrs)
+
+
 def basis_runs(monkeypatch, forms):
     """The number of basis runs a full report on the forms makes."""
     runs = []
@@ -1062,20 +1095,48 @@ def basis_runs(monkeypatch, forms):
 
 
 def test_a_generic_request_makes_no_basis_run(monkeypatch):
-    # the near-moment curve has two triple points
+    # the near-moment curve has two triple points on a common line, which
+    # the lattice certifies as it does generic lines
     for forms, count in ((oracles.GENERIC5, 0), (open_rows.moment(12), 0),
-                         (open_rows.near_moment(8), 1)):
+                         (open_rows.near_moment(8), 0)):
         assert basis_runs(monkeypatch, forms) == count, forms
 
 
 def test_a_request_on_five_lines_makes_no_basis_run(monkeypatch):
-    # every corpus quintic, e = 10, 11 and 12, and the near-moment curve
-    # at d = 8, whose two triple points take it to the run
+    # every corpus quintic, e = 10, 11 and 12, and the split-moment curve
+    # at d = 8, whose two triple points on no common line take it to the
+    # run
     quintics = [",".join(map(str, arr.forms))
                 for _, arr in corpus.build_corpus() if arr.degree == 5]
     for forms in quintics:
         assert basis_runs(monkeypatch, forms) == 0, forms
-    assert basis_runs(monkeypatch, open_rows.near_moment(8)) == 1
+    assert basis_runs(monkeypatch, open_rows.split_moment(8)) == 1
+
+
+def request_steps(forms):
+    """The steps of a full report on the forms."""
+    with groebner.step_budget() as budget:
+        full_root_report(validate(forms.split(",")))
+    return budget.used
+
+
+@pytest.mark.parametrize("forms", [
+    oracles.BRAID, oracles.ZIEGLER_F, oracles.ZIEGLER_G,
+    open_rows.split_moment(8)],
+    ids=["braid", "ziegler_f", "ziegler_g", "split_moment8"])
+def test_an_arrangement_the_lattice_refuses_makes_one_run(monkeypatch,
+                                                           forms):
+    # every line of the braid and of the Ziegler pair meets a triple
+    # point, and the split-moment curve keeps six lines: each makes the one
+    # run it made before the lattice was read for a certificate, with the
+    # steps it spent then plus one per line-point incidence
+    assert basis_runs(monkeypatch, forms) == 1
+    arr = validate(forms.split(","))
+    incidences = sum(map(len, arr.lattice.values()))
+    spent = request_steps(forms)
+    with monkeypatch.context() as patch:
+        patch.setattr(arrangement, "_peels", lambda arr: False)
+        assert request_steps(forms) == spent - incidences
 
 
 def bumped(values, t, by):
@@ -1086,13 +1147,18 @@ def bumped(values, t, by):
 def below_the_lattice_bound(d, hf, h0):
     """HF(R/J) and H0 one lower in degrees d - 1 and 2d - 5, so that H0
     keeps its symmetry and HF(R/J^sat) its values, but H0_{d-1} falls
-    below the lattice bound, which both closed forms meet with equality."""
-    for t in {d - 1, 2 * d - 5}:
-        hf, h0 = bumped(hf, t, -1), {**h0, t: h0[t] - 1}
+    below the lattice bound, which the closed form meets with equality."""
+    return lowered(d - 1, d, hf, h0)
+
+
+def lowered(t, d, hf, h0):
+    """HF(R/J) and H0 one lower in degree t and in its mirror 3d - 6 - t."""
+    for u in {t, 3 * d - 6 - t}:
+        hf, h0 = bumped(hf, u, -1), {**h0, u: h0[u] - 1}
     return hf, h0
 
 
-# seeds of the closed forms (d, HF(R/J), H0) that each fail one named check
+# seeds of the closed form (d, HF(R/J), H0) that each fail one named check
 WRONG_CLOSED_FORMS = [
     (lambda d, hf, h0: (bumped(hf, 2 * d - 2, 1), h0),
      "check 'lattice e' failed"),
@@ -1107,17 +1173,17 @@ WRONG_IDS = ["e", "regularity", "stable_limit", "h0_symmetry",
              "lattice_bound"]
 
 
-def seeded_closed_forms(monkeypatch, name, seed):
-    """Patch the closed forms arrangement.<name> to return what the seed
-    makes of them for d = 5."""
-    closed = getattr(arrangement, name)
+def seeded_closed_forms(monkeypatch, seed):
+    """Patch the closed form arrangement._closed_hilbert(d, e) to return
+    what the seed makes of it."""
+    closed = arrangement._closed_hilbert
 
-    def seeded(*args):
-        (hf, _), h0 = closed(*args)
-        hf, h0 = seed(5, hf, h0.entries)
+    def seeded(d, e):
+        (hf, _), h0 = closed(d, e)
+        hf, h0 = seed(d, hf, h0.entries)
         return (hf, hf[-1]), oracles.degree_data(h0)
 
-    monkeypatch.setattr(arrangement, name, seeded)
+    monkeypatch.setattr(arrangement, "_closed_hilbert", seeded)
 
 
 def exit_4_with(capsys, forms, check):
@@ -1131,16 +1197,41 @@ def exit_4_with(capsys, forms, check):
 @pytest.mark.parametrize("seed, check", WRONG_CLOSED_FORMS, ids=WRONG_IDS)
 def test_a_wrong_closed_form_ends_in_exit_4(capsys, monkeypatch, seed,
                                             check):
-    seeded_closed_forms(monkeypatch, "_generic_hilbert", seed)
-    exit_4_with(capsys, oracles.GENERIC5, check)
+    seeded_closed_forms(monkeypatch, seed)
+    exit_4_with(capsys, oracles.GENERIC6, check)
 
 
 @pytest.mark.parametrize("seed, check", WRONG_CLOSED_FORMS, ids=WRONG_IDS)
 def test_a_wrong_quintic_closed_form_ends_in_exit_4(capsys, monkeypatch,
                                                     seed, check):
     # the near pencil has e = 11, so H0_4 = H0_5 = 1
-    seeded_closed_forms(monkeypatch, "_quintic_hilbert", seed)
+    seeded_closed_forms(monkeypatch, seed)
     exit_4_with(capsys, "x,y,x+y,z,x+3y+z", check)
+
+
+@pytest.mark.parametrize("seed, check", WRONG_CLOSED_FORMS, ids=WRONG_IDS)
+def test_a_wrong_closed_form_on_one_triple_point_ends_in_exit_4(
+        capsys, monkeypatch, seed, check):
+    # six lines, one triple point: e = 16, H0 = {5: 2, 6: 3, 7: 2}
+    seeded_closed_forms(monkeypatch, seed)
+    exit_4_with(capsys, "x,y,x+y,z,x+3y+z,2x-y+5z", check)
+
+
+def test_h0_below_the_lattice_bound_in_degree_d_ends_in_exit_4(
+        capsys, monkeypatch):
+    # Ziegler f makes the run and meets the bound in degree d = 9,
+    # H0_9 = r(9) - 3 r(1) - 42 = 4; one less there and in its mirror 12,
+    # with HF(R/J) one less too, keeps H0 symmetric and HF(R/J^sat) as it
+    # was, and H0_8 above its bound
+    conditions = arrangement._conditions
+
+    def lowered_h0(arr, e, tail, h0):
+        hf, entries = lowered(9, 9, tail[0], h0.entries)
+        return conditions(arr, e, (hf, tail[1]), oracles.degree_data(entries))
+
+    monkeypatch.setattr(arrangement, "_conditions", lowered_h0)
+    exit_4_with(capsys, oracles.ZIEGLER_F,
+                "check 'lattice bound' failed: H0_9 = 3 is below")
 
 
 @pytest.mark.parametrize("forms", [
@@ -1180,7 +1271,8 @@ def supersolvable_mismatches(k, seed):
     # the request's own Jacobian, whose basis holds the tail its run read
     built = []
     jacobian = arrangement._jacobian
-    arrangement._jacobian = lambda a: built.append(jacobian(a)) or built[-1]
+    arrangement._jacobian = (lambda a, e: built.append(jacobian(a, e))
+                             or built[-1])
     try:
         report = full_root_report(arr)
     finally:

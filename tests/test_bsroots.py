@@ -297,7 +297,7 @@ def test_h0_count_matches_the_two_window_reference():
     for d in range(4, 11):
         arrs += [validate(SWEEP20.split(",")[:d]), validate(moment_draw(d))]
     for arr in arrs:
-        jac = arrangement._jacobian(arr)
+        jac = oracles.jacobian(arr)
         cases.append((jac, W1, h0_degree_data(jac, W1)))
     kinds = set()
     for I, w, h0 in cases:

@@ -106,7 +106,7 @@ LQH_STANDARD = ("roots", "lqh", "--poly", "x^2*y*z+x*y^2*z+x*y*z^2")
 
 # the moment curve x + k*y + k^2*z, k = 0..11, and this draw
 # (random.Random(5), entries in [-3, 3]) are generic: every point is a
-# double point, so they read their closed forms and build no Jacobian,
+# double point, so they read the closed form and build no Jacobian,
 # where the Ziegler pair's are built with x and y themselves
 MOMENT12 = ",".join("x+%d*y+%d*z" % (k, k * k) for k in range(12))
 DRAW5 = "x-y+2z,-x+3y+2z,3x+2y+2z,x-3y+3z,3y-2z"
@@ -133,20 +133,22 @@ DRAW5 = "x-y+2z,-x+3y+2z,3x+2y+2z,x-3y+3z,3y-2z"
 # sorted for the report (24, 24, 66 and 10 of the four counts), and its
 # combinatorial roots, 2d - 5 and 2m - 3 for each multiplicity m (17, 17, 20
 # and 6).  The moment curve and the draw are generic: each then spends one step
-# per degree of its closed forms, 2d - 1, and nothing else, so 66 + 66 + 20 +
-# 23 and 10 + 10 + 6 + 9.  Each Ziegler arrangement makes the run, and spends
-# its free line's candidates (the points each one is tested against, up to the
-# first it passes through: 115 and 120), d per length-3 relation vector (6 *
-# 9), the row operations of is_formal's rank and the term products of its
-# moved polynomial f'.  Every request that builds a Jacobian spends one step
-# per term of the polynomial whose partials it takes: f' has 36 terms, the
-# four lqh polynomials 3, 3, 4 and 3.  The product-shape lqh request saturates
-# to in(J) itself, so it makes no walk and no cut.  The standard-weights lqh
-# request computes the colon by x + y + z, which the certificate refuses,
-# before the certified one by z + 2x + 4y
+# per degree of its closed form, 2d - 1, and nothing else, so 66 + 66 + 20 +
+# 23 and 10 + 10 + 6 + 9.  Each Ziegler arrangement reads its lattice for a
+# certificate of the closed form, one step per line-point incidence
+# (6 * 3 + 18 * 2 = 54), which fails as every line meets a triple point, then
+# makes the run, and spends its free line's candidates (the points each one is
+# tested against, up to the first it passes through: 115 and 120), d per
+# length-3 relation vector (6 * 9), the row operations of is_formal's rank and
+# the term products of its moved polynomial f'.  Every request that builds a
+# Jacobian spends one step per term of the polynomial whose partials it takes:
+# f' has 36 terms, the four lqh polynomials 3, 3, 4 and 3.  The product-shape
+# lqh request saturates to in(J) itself, so it makes no walk and no cut.  The
+# standard-weights lqh request computes the colon by x + y + z, which the
+# certificate refuses, before the certified one by z + 2x + 4y
 @pytest.mark.parametrize("argv, steps", [
-    (("arrangement", "--forms", oracles.ZIEGLER_F), 1153),
-    (("arrangement", "--forms", oracles.ZIEGLER_G), 958),
+    (("arrangement", "--forms", oracles.ZIEGLER_F), 1207),
+    (("arrangement", "--forms", oracles.ZIEGLER_G), 1012),
     (("arrangement", "--forms", MOMENT12), 175),
     (("arrangement", "--forms", DRAW5), 35),
     (LQH, 150),
@@ -200,7 +202,7 @@ def test_large_arrangement_ends_before_its_polynomial(capsys, monkeypatch):
 
     monkeypatch.setattr(arrangement, "_product", spy)
     # the spy sees the one product a request builds, and none on a
-    # generic request or one of five lines, which read their closed forms
+    # generic request or one of five lines, which read the closed form
     for small, products in ((oracles.BRAID, 1), (oracles.TWOTRIPLES5, 0),
                             (oracles.GENERIC5, 0)):
         code, _, _ = run(capsys, "arrangement", "--forms", small)

@@ -252,7 +252,7 @@ def test_weight_system_reads_each_weight_by_fraction():
 
 
 def test_step_cap_exits_3(capsys):
-    # five lines now end within 50 steps on their closed forms; the six
+    # five lines now end within 50 steps on the closed form; the six
     # lines of the braid arrangement make the run
     code, _, err = run(capsys, "arrangement", "--step-cap", "50",
                        "--forms", oracles.BRAID)
@@ -465,8 +465,8 @@ def test_failed_saturation_certificate_exits_4(capsys, monkeypatch):
     monkeypatch.setattr(groebner, "_z_colon_excess", lambda boxes: None)
     monkeypatch.setattr(groebner, "_saturation_excess",
                         lambda lms_i, boxes, lms_j: None)
-    # a generic arrangement or five lines make no saturation, so this near
-    # pencil has six lines, four of them through one point
+    # an arrangement its lattice certifies makes no saturation, so this
+    # near pencil has six lines, four of them through one point
     code, out, err = run(capsys, "arrangement", "--forms",
                          "x,y,x+y,x+2y,z,x+3y+z")
     assert code == 4

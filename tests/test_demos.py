@@ -78,7 +78,7 @@ def test_public_names_are_pinned():
 # saturation route: Artinian, a saturated in(I) (the near pencil), and colons
 # by the moment form under standard weights (c = 2, past the z-division) and
 # under (1, 2, 2) (c = 1); an arrangement from each source of its report:
-# the closed forms of generic lines and of five lines, and the basis run; a
+# the closed form its lattice certifies, and the basis run; a
 # form with a fractional coefficient, which LinearForm.parse reads through
 # the grammar and builds from its coefficients
 REQUESTS = [argv.split() for argv in (

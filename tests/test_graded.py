@@ -136,7 +136,7 @@ def test_box_counts_match_the_column_walk():
         pairs += [(a, a + random_monomial_ideal(rng, rng.randint(0, 2))),
                   (a, [(0, 0, 0)])]
     for _, arr in corpus.build_corpus():
-        J = arrangement._jacobian(arr)
+        J = oracles.jacobian(arr)
         pairs.append((buchberger(J).leading_monomials,
                       saturated_leading_monomials(J, (1, 1, 1))[1]))
     assert len(pairs) == 120 + 40
@@ -287,7 +287,7 @@ def test_excess_pass_lists_the_monomials_of_in_j_outside_in_i():
                   (a, [(0, 0, 0)]),
                   ([(p + (i == 0), q + (i == 1), r + (i == 2))
                     for p, q, r in a for i in range(3)], a)]
-    cases = H0_CASES + [(arrangement._jacobian(arr), W1)
+    cases = H0_CASES + [(oracles.jacobian(arr), W1)
                         for _, arr in corpus.build_corpus()]
     seeded = len(pairs)
     for I, w in cases:
@@ -356,7 +356,7 @@ def test_excess_pass_lists_the_monomials_of_in_j_outside_in_i():
     ("arrangement --forms " + oracles.ZIEGLER_G, (1, 1)),
     ("arrangement --forms x,y,x+y,x+2y,z,x+3y+z", (2, 2)),
     ("arrangement --forms " + oracles.BRAID, (1, 1)),
-    # a generic arrangement or five lines read their closed forms, with no
+    # a generic arrangement or five lines read the closed form, with no
     # run
     ("arrangement --forms " + oracles.GENERIC5, (0, 0)),
     ("arrangement --forms x,y,x+y,z,x+3y+z", (0, 0)),
@@ -599,9 +599,9 @@ def test_regularity_report_matches_the_rank_reference():
     cases = [ideal("x", "y"), ideal("x^2", "y"), ideal("x^2", "y^2", "z^2"),
              ideal("x*y", "z"), QUARTIC_CONE,
              jacobian_ideal(P("x^4+y^4+z^4"))]
-    cases += [arrangement._jacobian(arr) for arr in arrangements.values()
+    cases += [oracles.jacobian(arr) for arr in arrangements.values()
               if arr.degree == 4]
-    cases += [arrangement._jacobian(arrangements[name])
+    cases += [oracles.jacobian(arrangements[name])
               for name in ("generic5", "nearpencil3", "twotriples5")]
     for I in cases:
         report = regularity_report(I)

@@ -380,7 +380,7 @@ def test_the_loop_reduces_only_the_head_of_each_remainder(monkeypatch):
         return r
 
     monkeypatch.setattr(groebner, "_reduce", spy)
-    buchberger(arrangement._jacobian(validate(oracles.ZIEGLER_F.split(","))))
+    buchberger(oracles.jacobian(validate(oracles.ZIEGLER_F.split(","))))
     assert any(r for _, _, r in remainders)
     for d, basis, r in remainders:
         lms = [b[0] for b in basis]
@@ -451,7 +451,7 @@ def test_the_loop_takes_the_reference_reducers_pairs(monkeypatch):
     # carries a Hilbert tail, on its Jacobian in the original coordinates,
     # and on the lqh draws of seeds 0-5
     cases = [I for _, arr in corpus.build_corpus()
-             for I in (arrangement._jacobian(arr),
+             for I in (oracles.jacobian(arr),
                        jacobian_ideal(arr.defining_polynomial()))]
     cases += [I for seed in range(6) for I, _ in lqh_jacobians(seed, 4)]
 
@@ -485,7 +485,7 @@ def test_elements_are_the_held_minimal_basis_made_monic():
     # Ziegler f Jacobian some tail is not reduced
     cases = [ideal("x^2*y - z^3", "x*z - y^2", "y^3 - x*z^2"),
              ideal("3*x^2 + 1/2*y*z", "2/3*x*y - 5*z^2", "x*z^2 - 7/4*y^3"),
-             arrangement._jacobian(validate(oracles.ZIEGLER_F.split(",")))]
+             oracles.jacobian(validate(oracles.ZIEGLER_F.split(",")))]
     for I in cases[:2]:
         for g in buchberger(I).elements:
             assert oracles.in_ideal_graded(g, I.generators,
@@ -904,7 +904,7 @@ def test_saturated_monomial_test_matches_the_box_search():
     jacobians += [I for I, _ in weighted_h0_cases()]
     for _, arr in corpus.build_corpus():
         jacobians += [jacobian_ideal(arr.defining_polynomial()),
-                      arrangement._jacobian(arr)]
+                      oracles.jacobian(arr)]
     ideals += [buchberger(I).leading_monomials for I in jacobians]
     verdicts = set()
     for lms in ideals:
@@ -954,7 +954,7 @@ def test_colon_by_z_read_off_the_boxes_matches_the_division():
     cases = []
     for _, arr in corpus.build_corpus():
         cases += [jacobian_ideal(arr.defining_polynomial()),
-                  arrangement._jacobian(arr)]
+                  oracles.jacobian(arr)]
     cases += standard_weight_draws(1, 2000)
     verdicts = set()
     for I in cases:
@@ -990,7 +990,7 @@ def test_a_wrong_division_by_z_is_refused(monkeypatch, divided, check):
     # boxes of in(J) and checks it against those read off in(J): a
     # division that adds nothing, that gives z, outside in(J) :
     # z^infinity, or that leaves out x^3 of in(J) is refused
-    I = arrangement._jacobian(validate(["x", "y", "z", "x+y+z"]))
+    I = oracles.jacobian(validate(["x", "y", "z", "x+y+z"]))
     sat = ((0, 3, 0), (1, 2, 0), (2, 1, 0), (3, 0, 0))
     assert saturated_leading_monomials(I, (1, 1, 1)) == (0, sat)
     lms = buchberger(I).leading_monomials
@@ -1051,7 +1051,7 @@ def test_a_saturated_ideal_with_an_unsaturated_initial_ideal_takes_a_colon():
     assert expect.leading_monomials == lms
     assert oracles.socle_monomial_by_box(lms) is not None
     assert saturated_leading_monomials(jac, (1, 1, 1)) == (1, lms)
-    moved = arrangement._jacobian(arr)
+    moved = oracles.jacobian(arr)
     lms = buchberger(moved).leading_monomials
     assert oracles.socle_monomial_by_box(lms) is None
     assert saturated_leading_monomials(moved, (1, 1, 1)) == (None, lms)
